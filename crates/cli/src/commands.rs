@@ -29,7 +29,6 @@ commands:
              --spec <kind:params> [--seed <u64>] [--reps <n>]
              [--algorithm <name>] [--direct-threshold <n>]
              [--refine-rounds <n>] [--refine-batch <n>]
-             [--refine-threads <n>]
              [--greedy-clustering] [--serialized] [--gantt]
   simulate   (--tasks <n> | --workload <kind:params>) --spec <kind:params>
              [--seed <u64>] [--contention] [--serialize]
@@ -238,7 +237,6 @@ fn cmd_map(flags: &Flags) -> Result<(), String> {
         "direct-threshold",
         "refine-rounds",
         "refine-batch",
-        "refine-threads",
         "greedy-clustering",
         "serialized",
         "gantt",
@@ -262,12 +260,7 @@ fn cmd_map(flags: &Flags) -> Result<(), String> {
     let clustered = ClusteredProblemGraph::new(problem, clustering).map_err(|e| e.to_string())?;
     let algorithm = flags.get("algorithm").unwrap_or("paper");
     if algorithm != "multilevel" {
-        for only_multilevel in [
-            "direct-threshold",
-            "refine-rounds",
-            "refine-batch",
-            "refine-threads",
-        ] {
+        for only_multilevel in ["direct-threshold", "refine-rounds", "refine-batch"] {
             if flags.has(only_multilevel) {
                 return Err(format!(
                     "--{only_multilevel} requires --algorithm multilevel"
@@ -382,13 +375,13 @@ fn map_via_registry(
             direct_threshold: opt_num("direct-threshold")?,
             refine_rounds: opt_num("refine-rounds")?,
             refine_batch: opt_num("refine-batch")?,
-            refine_threads: opt_num("refine-threads")?,
+            refine_threads: None,
         }
     } else {
         mimd_engine::AlgorithmSpec::parse(algorithm)?
     };
     let lower_bound = mimd_core::IdealSchedule::derive(clustered).lower_bound();
-    let algo = mimd_engine::instantiate(&spec, system.len());
+    let algo = mimd_engine::instantiate(&spec, system.len(), None, &Recorder::disabled());
     let outcome = algo
         .run(clustered, system, lower_bound, rng)
         .map_err(|e| e.to_string())?;
@@ -1213,7 +1206,7 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
         recorder = recorder.with_journal(Journal::enabled());
     }
     let cache = mimd_engine::TopologyCache::new();
-    let result = mimd_engine::execute_job_recorded(&job, 0, &cache, &recorder);
+    let result = mimd_engine::execute_job(&job, 0, &cache, &recorder);
     if let Some(message) = &result.error {
         return Err(message.clone());
     }
@@ -1612,6 +1605,21 @@ mod tests {
             "--serialized"
         ])
         .is_err());
+        // The removed thread knob is an unknown flag like any other.
+        assert_eq!(
+            run(&[
+                "map",
+                "--tasks",
+                "80",
+                "--spec",
+                "mesh:6x6",
+                "--algorithm",
+                "multilevel",
+                "--refine-threads",
+                "2"
+            ]),
+            Err("unknown flag --refine-threads".to_string())
+        );
     }
 
     #[test]

@@ -144,8 +144,7 @@ fn heap_pop(heap: &mut Vec<usize>) -> Option<usize> {
 /// (moves applied, cone repaired, total read) and then either
 /// [`commit`](DeltaEvaluator::commit)ted — the candidate becomes the new
 /// committed state — or [`discard`](DeltaEvaluator::discard)ed, rolling
-/// every touched buffer back via the undo logs. The `peek_*` / `apply_*`
-/// conveniences wrap the stage–decide cycle for one-shot callers.
+/// every touched buffer back via the undo logs.
 pub struct DeltaEvaluator<'a, 'w> {
     graph: &'a ClusteredProblemGraph,
     system: &'a SystemGraph,
@@ -483,54 +482,6 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
             self.assignment.place(a, old);
         }
     }
-
-    /// Evaluate a [`place_subset`](crate::Assignment::place_subset)-style
-    /// re-placement without keeping it.
-    pub fn peek_place(&mut self, clusters: &[usize], processors: &[usize], perm: &[usize]) -> Time {
-        let total = self.stage_place(clusters, processors, perm);
-        self.discard();
-        total
-    }
-
-    /// Evaluate a full candidate assignment without keeping it.
-    pub fn peek_candidate(&mut self, candidate: &Assignment) -> Time {
-        let total = self.stage_candidate(candidate);
-        self.discard();
-        total
-    }
-
-    /// Evaluate a pairwise exchange without keeping it.
-    pub fn peek_swap(&mut self, a: usize, b: usize) -> Time {
-        let total = self.stage_swap(a, b);
-        self.discard();
-        total
-    }
-
-    /// Evaluate and keep a re-placement.
-    pub fn apply_place(
-        &mut self,
-        clusters: &[usize],
-        processors: &[usize],
-        perm: &[usize],
-    ) -> Time {
-        let total = self.stage_place(clusters, processors, perm);
-        self.commit();
-        total
-    }
-
-    /// Evaluate and keep a full candidate assignment.
-    pub fn apply_candidate(&mut self, candidate: &Assignment) -> Time {
-        let total = self.stage_candidate(candidate);
-        self.commit();
-        total
-    }
-
-    /// Evaluate and keep a pairwise exchange.
-    pub fn apply_swap(&mut self, a: usize, b: usize) -> Time {
-        let total = self.stage_swap(a, b);
-        self.commit();
-        total
-    }
 }
 
 /// The per-edge communication cost — the exact arithmetic of
@@ -606,14 +557,16 @@ mod tests {
                     let mut swapped = a.clone();
                     swapped.swap_clusters(x, y);
                     assert_eq!(
-                        ev.peek_swap(x, y),
+                        ev.stage_swap(x, y),
                         full_total(&g, &sys, &swapped, model),
                         "{model:?} swap {x}<->{y}"
                     );
+                    ev.discard();
                     // Rollback restored the committed state.
                     assert_eq!(ev.total(), committed);
                     assert_eq!(ev.assignment(), &a);
-                    assert_eq!(ev.peek_candidate(&a), committed);
+                    assert_eq!(ev.stage_candidate(&a), committed);
+                    ev.discard();
                 }
             }
         }
@@ -630,7 +583,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..50 {
             let candidate = Assignment::random(4, &mut rng);
-            let total = ev.apply_candidate(&candidate);
+            let total = ev.stage_candidate(&candidate);
+            ev.commit();
             current = candidate;
             assert_eq!(
                 total,
@@ -657,9 +611,10 @@ mod tests {
             let mut reference = base.clone();
             reference.place_subset(&clusters, &processors, &perm);
             assert_eq!(
-                ev.peek_place(&clusters, &processors, &perm),
+                ev.stage_place(&clusters, &processors, &perm),
                 full_total(&g, &sys, &reference, EvaluationModel::Precedence)
             );
+            ev.discard();
             assert_eq!(ev.assignment(), &base);
         }
     }
@@ -703,7 +658,8 @@ mod tests {
                 &Assignment::identity(4),
             )
             .unwrap();
-            ev.apply_swap(0, 3);
+            ev.stage_swap(0, 3);
+            ev.commit();
         }
         // Re-attach with stale buffers: totals still exact.
         let a = Assignment::from_sys_of(vec![1, 0, 3, 2]).unwrap();

@@ -15,8 +15,7 @@
 //!    communication intensity (§4.3.2).
 //! 4. **Refinement** ([`mod@refine`]) — keep critical clusters pinned,
 //!    randomly re-place the rest `ns` times, keep improvements, and stop
-//!    the moment the total equals the lower bound (§4.3.3). The
-//!    [`parallel`] module adds a multi-threaded variant.
+//!    the moment the total equals the lower bound (§4.3.3).
 //! 5. **Evaluation** ([`evaluate`]) — total execution time under an
 //!    assignment: `comm = clus_edge × hops` then a precedence schedule
 //!    (§4.3.4). [`schedule`] also offers a processor-serialized variant

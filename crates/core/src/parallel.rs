@@ -1,33 +1,19 @@
-//! Multi-threaded refinement (an engineering extension; the paper ran
-//! single-threaded on a SUN-4).
+//! The one deterministic fan-out primitive (an engineering extension;
+//! the paper ran single-threaded on a SUN-4).
 //!
-//! The paper's refinement is an embarrassingly parallel random search:
-//! independent streams of random re-placements, each evaluated in
-//! `O(np²)`. We fan the iteration budget out over worker threads, share
-//! the incumbent under a [`parking_lot::Mutex`], and broadcast the
-//! lower-bound termination through an [`AtomicBool`] so every worker
-//! stops the moment one of them proves optimality — the same semantics
-//! as the sequential loop, just faster wall-clock.
+//! [`deterministic_map`] computes independent items on a pool of scoped
+//! workers and returns them in index order, so callers get wall-clock
+//! parallelism without the worker count ever reaching their output. The
+//! batch engine fans jobs out over it; refinement itself is sequential
+//! (see [`crate::refine`]).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use mimd_graph::error::GraphError;
-use mimd_graph::Time;
-use mimd_taskgraph::ClusteredProblemGraph;
-use mimd_topology::SystemGraph;
-
-use crate::assignment::Assignment;
-use crate::refine::{refine, RefineConfig, RefineOutcome};
 
 /// Compute `f(0), …, f(n - 1)` across up to `threads` workers, returning
 /// the results in index order. Each index is computed in isolation, so
-/// the output is byte-identical for every worker count — the primitive
-/// the multilevel group refiner uses to evaluate a fixed batch of
-/// candidates in parallel without giving up determinism. `threads <= 1`
+/// the output is byte-identical for every worker count. `threads <= 1`
 /// (or a single item) runs inline with no thread machinery at all.
 pub fn deterministic_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
@@ -56,129 +42,9 @@ where
         .collect()
 }
 
-/// Parallel refinement parameters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParallelRefineConfig {
-    /// Total iteration budget, split across workers.
-    pub total_iterations: usize,
-    /// Worker thread count (0 or 1 falls back to sequential).
-    pub threads: usize,
-    /// Iterations per batch between stop-flag checks.
-    pub batch: usize,
-    /// The sequential knobs (model, pin handling).
-    pub base: RefineConfig,
-}
-
-impl ParallelRefineConfig {
-    /// A sensible default: the paper's `ns` budget scaled by `threads`,
-    /// batches of 8.
-    pub fn new(total_iterations: usize, threads: usize, base: RefineConfig) -> Self {
-        ParallelRefineConfig {
-            total_iterations,
-            threads,
-            batch: 8,
-            base,
-        }
-    }
-}
-
-/// Run refinement across threads; returns the best outcome found with
-/// aggregate iteration counts. Deterministic for a fixed `seed` and
-/// thread count up to the nondeterministic *timing* of the early-stop
-/// broadcast (the returned assignment is always one whose total is the
-/// minimum observed).
-pub fn parallel_refine(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    start: &Assignment,
-    pinned: &[bool],
-    lower_bound: Time,
-    config: &ParallelRefineConfig,
-    seed: u64,
-) -> Result<RefineOutcome, GraphError> {
-    if config.threads <= 1 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = RefineConfig {
-            iterations: config.total_iterations,
-            ..config.base.clone()
-        };
-        return refine(graph, system, start, pinned, lower_bound, &cfg, &mut rng);
-    }
-
-    // Evaluate the start once for the shared incumbent.
-    let initial = crate::evaluate::evaluate_total(graph, system, start, config.base.model)?;
-    let best: Mutex<(Time, Assignment)> = Mutex::new((initial, start.clone()));
-    let stop = AtomicBool::new(initial == lower_bound);
-    let used = AtomicUsize::new(0);
-    let improvements = AtomicUsize::new(0);
-    let per_thread = config.total_iterations.div_ceil(config.threads);
-    let mut first_error: Mutex<Option<GraphError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for t in 0..config.threads {
-            let best = &best;
-            let stop = &stop;
-            let used = &used;
-            let improvements = &improvements;
-            let first_error = &first_error;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64 + 1));
-                let mut remaining = per_thread;
-                while remaining > 0 && !stop.load(Ordering::Relaxed) {
-                    let batch = config.batch.min(remaining);
-                    remaining -= batch;
-                    let cfg = RefineConfig {
-                        iterations: batch,
-                        ..config.base.clone()
-                    };
-                    let from = best.lock().1.clone();
-                    match refine(graph, system, &from, pinned, lower_bound, &cfg, &mut rng) {
-                        Ok(out) => {
-                            used.fetch_add(out.iterations_used, Ordering::Relaxed);
-                            improvements.fetch_add(out.improvements, Ordering::Relaxed);
-                            let mut guard = best.lock();
-                            if out.total < guard.0 {
-                                *guard = (out.total, out.assignment);
-                            }
-                            if guard.0 == lower_bound {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        Err(e) => {
-                            let mut guard = first_error.lock();
-                            if guard.is_none() {
-                                *guard = Some(e);
-                            }
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = first_error.get_mut().take() {
-        return Err(e);
-    }
-    let (total, assignment) = best.into_inner();
-    Ok(RefineOutcome {
-        assignment,
-        total,
-        initial_total: initial,
-        iterations_used: used.into_inner(),
-        improvements: improvements.into_inner(),
-        reached_lower_bound: total == lower_bound,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::EvaluationModel;
-    use mimd_taskgraph::clustering::random::random_clustering;
-    use mimd_taskgraph::paper;
-    use mimd_taskgraph::{GeneratorConfig, LayeredDagGenerator};
-    use mimd_topology::{hypercube, ring};
 
     #[test]
     fn deterministic_map_is_thread_count_invariant() {
@@ -189,77 +55,5 @@ mod tests {
         }
         assert_eq!(deterministic_map(0, 4, f), Vec::<usize>::new());
         assert_eq!(deterministic_map(1, 4, f), vec![1]);
-    }
-
-    #[test]
-    fn sequential_fallback_matches_refine() {
-        let g = paper::worked_example();
-        let sys = ring(4).unwrap();
-        let start = Assignment::identity(4);
-        let cfg = ParallelRefineConfig::new(20, 1, RefineConfig::paper(4));
-        let out = parallel_refine(&g, &sys, &start, &[false; 4], 14, &cfg, 3).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let seq = refine(
-            &g,
-            &sys,
-            &start,
-            &[false; 4],
-            14,
-            &RefineConfig {
-                iterations: 20,
-                ..RefineConfig::paper(4)
-            },
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(out.total, seq.total);
-    }
-
-    #[test]
-    fn parallel_finds_optimum_on_worked_example() {
-        let g = paper::worked_example();
-        let sys = ring(4).unwrap();
-        let start = Assignment::identity(4);
-        let cfg = ParallelRefineConfig::new(200, 4, RefineConfig::paper(4));
-        let out = parallel_refine(&g, &sys, &start, &[false; 4], 14, &cfg, 9).unwrap();
-        assert!(out.reached_lower_bound);
-        assert_eq!(out.total, 14);
-    }
-
-    #[test]
-    fn parallel_never_worse_than_start_on_random_instances() {
-        let gen = LayeredDagGenerator::new(GeneratorConfig {
-            tasks: 50,
-            ..GeneratorConfig::default()
-        })
-        .unwrap();
-        let sys = hypercube(3).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let p = gen.generate(&mut rng);
-        let c = random_clustering(&p, 8, &mut rng).unwrap();
-        let g = ClusteredProblemGraph::new(p, c).unwrap();
-        let start = Assignment::random(8, &mut rng);
-        let t0 =
-            crate::evaluate::evaluate_assignment(&g, &sys, &start, EvaluationModel::Precedence)
-                .unwrap()
-                .total();
-        let cfg = ParallelRefineConfig::new(64, 4, RefineConfig::paper(8));
-        let out = parallel_refine(&g, &sys, &start, &[false; 8], 1, &cfg, 11).unwrap();
-        assert!(out.total <= t0);
-        assert!(
-            out.iterations_used <= 64 + 4 * 8,
-            "budget roughly respected"
-        );
-    }
-
-    #[test]
-    fn early_stop_when_start_is_optimal() {
-        let g = paper::worked_example();
-        let sys = ring(4).unwrap();
-        let opt = Assignment::from_sys_of(paper::WORKED_OPTIMAL_ASSIGNMENT.to_vec()).unwrap();
-        let cfg = ParallelRefineConfig::new(1000, 4, RefineConfig::paper(4));
-        let out = parallel_refine(&g, &sys, &opt, &[false; 4], 14, &cfg, 1).unwrap();
-        assert!(out.reached_lower_bound);
-        assert_eq!(out.iterations_used, 0);
     }
 }

@@ -13,12 +13,17 @@
 //! commit/discard), so each one costs only its disturbed scheduling
 //! cone instead of a from-scratch evaluation — totals are bit-identical
 //! to [`evaluate_assignment`](crate::evaluate_assignment) by the delta
-//! evaluator's contract, so seeded results match the historic loop
-//! exactly. On top of the paper's random rounds, an **opt-in**
-//! gain-guided pairwise-exchange pass ([`RefineConfig::exchange_pool`],
-//! default off) ranks swap candidates by a [`GainTable`] proxy and
-//! accepts them against the exact delta totals; it draws nothing from
-//! the RNG, so enabling it never shifts the random stream.
+//! evaluator's contract. On top of the paper's random rounds, an
+//! **opt-in** gain-guided pairwise-exchange pass
+//! ([`RefineConfig::exchange_pool`], default off) ranks swap candidates
+//! by a [`GainTable`] proxy and accepts them against the exact delta
+//! totals; it draws nothing from the RNG, so enabling it never shifts
+//! the random stream.
+//!
+//! The loop exists once, sequentially, as [`refine_with`] — the caller
+//! hands in its [`Recorder`], [`DeltaWorkspace`] and RNG, so a seed
+//! fully determines the outcome. [`refine`] is the paper-signature
+//! shorthand for callers with no context to pass.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -122,7 +127,7 @@ pub fn refine(
 /// [`refine`] with a caller-owned [`DeltaWorkspace`] (reused across
 /// calls — zero allocation per candidate) and a telemetry recorder:
 /// candidate evaluations land on the `refine.candidates` counter and
-/// accepted improvements on `refine.accepted`, batched once per pass.
+/// accepted improvements on `refine.accepted`, batched once per call.
 /// When the recorder carries a gain ledger, the run opens with a
 /// baseline entry and every accepted candidate lands as a `flat.random`
 /// / `flat.exchange` entry (or the recorder's gain scope), so summed
@@ -139,124 +144,71 @@ pub fn refine_with(
     ws: &mut DeltaWorkspace,
     rng: &mut impl Rng,
 ) -> Result<RefineOutcome, GraphError> {
-    let outcome = refine_inner(
-        graph,
-        system,
-        start,
-        pinned,
-        lower_bound,
-        config,
-        recorder,
-        ws,
-        rng,
-    )?;
-    if outcome.iterations_used > 0 {
-        recorder.add("refine.candidates", outcome.iterations_used as u64);
-    }
-    if outcome.improvements > 0 {
-        recorder.add("refine.accepted", outcome.improvements as u64);
-    }
-    Ok(outcome)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn refine_inner(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    start: &Assignment,
-    pinned: &[bool],
-    lower_bound: Time,
-    config: &RefineConfig,
-    recorder: &Recorder,
-    ws: &mut DeltaWorkspace,
-    rng: &mut impl Rng,
-) -> Result<RefineOutcome, GraphError> {
     let na = graph.num_clusters();
-    if start.len() != na || pinned.len() != na {
-        return Err(GraphError::SizeMismatch {
-            left: start.len(),
-            right: na,
-        });
+    for len in [start.len(), pinned.len()] {
+        if len != na {
+            return Err(GraphError::SizeMismatch {
+                left: len,
+                right: na,
+            });
+        }
     }
     let mut evaluator = DeltaEvaluator::attach(ws, graph, system, config.model, start)?;
-    let mut best_total = evaluator.total();
-    let initial_total = best_total;
+    let initial_total = evaluator.total();
+    let mut best_total = initial_total;
     let mut improvements = 0;
     let mut iterations_used = 0;
+    let mut reached_lower_bound = best_total == lower_bound;
     recorder.gain_run_start("flat.random", initial_total);
 
-    if best_total == lower_bound {
-        return Ok(RefineOutcome {
-            assignment: start.clone(),
-            total: best_total,
-            initial_total,
-            iterations_used,
-            improvements,
-            reached_lower_bound: true,
-        });
-    }
-
-    // The movable clusters and the processors they may occupy.
+    // The movable clusters and the processors they may occupy; with at
+    // most one there is nothing to permute and the start stands.
     let movable: Vec<usize> = (0..na)
         .filter(|&a| !(config.respect_pins && pinned[a]))
         .collect();
-    let free_sys: Vec<usize> = movable.iter().map(|&a| start.sys_of(a)).collect();
-    if movable.len() <= 1 {
-        // Nothing to permute: the initial assignment stands.
-        return Ok(RefineOutcome {
-            assignment: start.clone(),
-            total: best_total,
-            initial_total,
-            iterations_used,
-            improvements,
-            reached_lower_bound: false,
-        });
-    }
-
-    let mut perm: Vec<usize> = (0..movable.len()).collect();
-    for _ in 0..config.iterations {
-        iterations_used += 1;
-        // Fresh random permutation of the movable clusters.
-        fisher_yates(&mut perm, rng);
-        let total = evaluator.stage_place(&movable, &free_sys, &perm);
-        if total == lower_bound {
-            evaluator.commit();
-            recorder.gain("flat.random", best_total as i64 - total as i64, total);
-            return Ok(RefineOutcome {
-                assignment: evaluator.assignment().clone(),
-                total,
-                initial_total,
-                iterations_used,
-                improvements: improvements + 1,
-                reached_lower_bound: true,
-            });
+    if !reached_lower_bound && movable.len() > 1 {
+        let free_sys: Vec<usize> = movable.iter().map(|&a| start.sys_of(a)).collect();
+        let mut perm: Vec<usize> = (0..movable.len()).collect();
+        for _ in 0..config.iterations {
+            iterations_used += 1;
+            // Fresh random permutation of the movable clusters.
+            fisher_yates(&mut perm, rng);
+            let total = evaluator.stage_place(&movable, &free_sys, &perm);
+            reached_lower_bound = total == lower_bound;
+            if reached_lower_bound || total < best_total {
+                evaluator.commit();
+                recorder.gain("flat.random", best_total as i64 - total as i64, total);
+                best_total = total;
+                improvements += 1;
+                if reached_lower_bound {
+                    break;
+                }
+            } else {
+                evaluator.discard();
+            }
         }
-        if total < best_total {
-            evaluator.commit();
-            recorder.gain("flat.random", best_total as i64 - total as i64, total);
-            best_total = total;
-            improvements += 1;
-        } else {
-            evaluator.discard();
+        if !reached_lower_bound && config.exchange_pool > 0 {
+            reached_lower_bound = exchange_pass(
+                graph,
+                system,
+                &mut evaluator,
+                pinned,
+                config,
+                lower_bound,
+                recorder,
+                &mut best_total,
+                &mut iterations_used,
+                &mut improvements,
+            );
         }
     }
 
-    let mut reached_lower_bound = false;
-    if config.exchange_pool > 0 {
-        reached_lower_bound = exchange_pass(
-            graph,
-            system,
-            &mut evaluator,
-            pinned,
-            config,
-            lower_bound,
-            recorder,
-            &mut best_total,
-            &mut iterations_used,
-            &mut improvements,
-        );
+    if iterations_used > 0 {
+        recorder.add("refine.candidates", iterations_used as u64);
     }
-
+    if improvements > 0 {
+        recorder.add("refine.accepted", improvements as u64);
+    }
     Ok(RefineOutcome {
         assignment: evaluator.assignment().clone(),
         total: best_total,
@@ -483,18 +435,21 @@ mod tests {
     #[test]
     fn size_mismatch_rejected() {
         let (g, sys) = worked();
-        let start = Assignment::identity(4);
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(refine(
-            &g,
-            &sys,
-            &start,
-            &[true; 3],
-            0,
-            &RefineConfig::paper(4),
-            &mut rng
-        )
-        .is_err());
+        // The error names the length that is actually wrong.
+        for (start_len, pinned_len) in [(3, 4), (4, 3)] {
+            let err = refine(
+                &g,
+                &sys,
+                &Assignment::identity(start_len),
+                &vec![true; pinned_len],
+                0,
+                &RefineConfig::paper(4),
+                &mut rng,
+            )
+            .unwrap_err();
+            assert_eq!(err, GraphError::SizeMismatch { left: 3, right: 4 });
+        }
     }
 
     #[test]

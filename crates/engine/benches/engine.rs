@@ -71,7 +71,7 @@ fn naive_serial(jobs: &[JobSpec]) -> usize {
     let mut completed = 0;
     for (i, job) in jobs.iter().enumerate() {
         let fresh_cache = TopologyCache::new();
-        let result = execute_job(job, i, &fresh_cache);
+        let result = execute_job(job, i, &fresh_cache, &Recorder::disabled());
         assert!(result.error.is_none());
         completed += 1;
     }

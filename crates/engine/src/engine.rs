@@ -7,14 +7,14 @@
 //! count, because every job derives all randomness from its own seed
 //! and results are re-ordered to input order before emission.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use mimd_core::parallel::deterministic_map;
 use mimd_core::IdealSchedule;
 use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_telemetry::Recorder;
@@ -96,14 +96,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Engine with a fresh topology cache.
+    /// Engine with a fresh topology cache and no telemetry.
     pub fn new(config: EngineConfig) -> Self {
-        Engine::with_cache(config, Arc::new(TopologyCache::new()))
-    }
-
-    /// Engine sharing an existing topology cache (e.g. across batches).
-    pub fn with_cache(config: EngineConfig, cache: Arc<TopologyCache>) -> Self {
-        Engine::with_telemetry(config, cache, Recorder::default())
+        Engine::with_telemetry(config, Arc::new(TopologyCache::new()), Recorder::default())
     }
 
     /// Engine sharing a topology cache and a telemetry recorder. When
@@ -176,79 +171,38 @@ impl Engine {
         emitted
     }
 
-    /// Run `specs`, labelling jobs `base_index..`. Work is pulled from a
-    /// shared counter by `threads` workers; the result vector is indexed
-    /// by job position, so output order never depends on scheduling.
+    /// Run `specs`, labelling jobs `base_index..`. Jobs fan out over
+    /// `threads` workers; results come back indexed by job position, so
+    /// output order never depends on scheduling.
     fn run_indexed(&self, specs: &[JobSpec], base_index: usize) -> Vec<JobResult> {
-        let threads = self.config.effective_threads().min(specs.len().max(1));
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<JobResult>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
         let batch_start = Instant::now();
-
-        if threads <= 1 {
-            for (offset, spec) in specs.iter().enumerate() {
-                *results[offset].lock() =
-                    Some(self.execute_or_cancel(spec, base_index + offset, batch_start));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let offset = next.fetch_add(1, Ordering::Relaxed);
-                        if offset >= specs.len() {
-                            break;
-                        }
-                        let result = self.execute_or_cancel(
-                            &specs[offset],
-                            base_index + offset,
-                            batch_start,
-                        );
-                        *results[offset].lock() = Some(result);
-                    });
-                }
-            });
-        }
-
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every job produced a result"))
-            .collect()
+        deterministic_map(specs.len(), self.config.effective_threads(), |offset| {
+            self.execute_or_cancel(&specs[offset], base_index + offset, batch_start)
+        })
     }
 
     fn execute_or_cancel(&self, spec: &JobSpec, index: usize, batch_start: Instant) -> JobResult {
         if self.cancel.is_cancelled() {
             return JobResult::failed(spec, index, "cancelled".to_string());
         }
-        if !self.recorder.is_enabled()
-            && !self.recorder.journal().is_enabled()
-            && !self.recorder.ledger().is_enabled()
-        {
-            return execute_job(spec, index, &self.cache);
-        }
         // Journal events from this job carry its batch index as the
-        // job id; counters and histograms are shared as before.
+        // job id; counters and histograms are shared.
         let recorder = self.recorder.clone().with_job(index as u64);
         recorder.incr("engine.jobs");
         // Time from batch submission to this job leaving the queue.
         recorder.record_duration("engine.queue_wait", batch_start.elapsed());
         let _span = recorder.span("engine.job");
-        execute_job_recorded(spec, index, &self.cache, &recorder)
+        execute_job(spec, index, &self.cache, &recorder)
     }
 }
 
 /// Execute one job against a shared topology cache. This is the single
 /// code path for batch, stream and any embedding caller; it never
-/// panics on bad specs — failures come back as error results.
-pub fn execute_job(spec: &JobSpec, index: usize, cache: &TopologyCache) -> JobResult {
-    execute_job_recorded(spec, index, cache, &Recorder::default())
-}
-
-/// [`execute_job`] with a telemetry recorder: cache lookups are timed
-/// under `engine.cache_lookup` and instrumented algorithms record their
-/// own series. A disabled recorder makes this identical to
-/// [`execute_job`]; the result never depends on the recorder.
-pub fn execute_job_recorded(
+/// panics on bad specs — failures come back as error results. Cache
+/// lookups are timed under `engine.cache_lookup` and instrumented
+/// algorithms record their own series into `recorder`; the result never
+/// depends on it.
+pub fn execute_job(
     spec: &JobSpec,
     index: usize,
     cache: &TopologyCache,
@@ -319,7 +273,7 @@ fn try_execute(
         ),
         _ => None,
     };
-    let algorithm = registry::instantiate_telemetry(&spec.algorithm, ns, hierarchy, recorder);
+    let algorithm = registry::instantiate(&spec.algorithm, ns, hierarchy, recorder);
     let outcome = algorithm
         .run(&graph, system, lower_bound, &mut rng)
         .map_err(|e| format!("{}: {e}", algorithm.name()))?;

@@ -29,11 +29,10 @@ pub mod registry;
 pub mod spec;
 
 pub use cache::{CacheStats, TopologyArtifacts, TopologyCache};
-pub use engine::{execute_job, execute_job_recorded, CancelToken, Engine, EngineConfig};
+pub use engine::{execute_job, CancelToken, Engine, EngineConfig};
 pub use io::{job_lines, read_jobs, sweep_jobs, write_result};
 pub use registry::{
-    algorithm_catalog, instantiate, instantiate_cached, instantiate_telemetry, IncrementalStrategy,
-    MultilevelStrategy, PaperStrategy,
+    algorithm_catalog, instantiate, IncrementalStrategy, MultilevelStrategy, PaperStrategy,
 };
 pub use spec::{
     paper_regime_config, AlgorithmSpec, ClusteringSpec, JobResult, JobSpec, TopologySpec,

@@ -3,8 +3,8 @@
 //! multilevel V-cycle, the online incremental remapper (cold-started),
 //! or any `mimd-baselines` algorithm, all behind the uniform
 //! [`MappingAlgorithm`] trait surface. Hierarchy-consuming algorithms
-//! (multilevel, incremental) can be handed the topology cache's shared
-//! [`SystemHierarchy`] via [`instantiate_cached`].
+//! (multilevel, incremental) are handed the topology cache's shared
+//! [`SystemHierarchy`] by [`instantiate`].
 
 use std::sync::Arc;
 
@@ -174,27 +174,13 @@ pub fn algorithm_catalog() -> &'static [(&'static str, &'static str)] {
 
 /// Instantiate the algorithm a spec names. `ns` sizes schedule-dependent
 /// defaults (the annealing schedules scale with the machine).
-pub fn instantiate(spec: &AlgorithmSpec, ns: usize) -> Box<dyn MappingAlgorithm> {
-    instantiate_cached(spec, ns, None)
-}
-
-/// Like [`instantiate`], additionally handing hierarchy-consuming
-/// algorithms a shared system-side hierarchy (the engine passes the
-/// topology cache's).
-pub fn instantiate_cached(
-    spec: &AlgorithmSpec,
-    ns: usize,
-    hierarchy: Option<Arc<SystemHierarchy>>,
-) -> Box<dyn MappingAlgorithm> {
-    instantiate_telemetry(spec, ns, hierarchy, &Recorder::default())
-}
-
-/// Like [`instantiate_cached`], additionally attaching a telemetry
-/// recorder to instrumented algorithms (multilevel, incremental). The
-/// flat baselines run unrecorded — their cost is visible as the whole
-/// job span. A disabled recorder makes this identical to
-/// [`instantiate_cached`].
-pub fn instantiate_telemetry(
+/// Hierarchy-consuming algorithms (multilevel, incremental) use the
+/// shared system-side `hierarchy` when given one (the engine passes the
+/// topology cache's) and build their own otherwise; instrumented
+/// algorithms (paper, multilevel, incremental) record into `recorder`.
+/// The flat baselines run unrecorded — their cost is visible as the
+/// whole job span. Neither argument ever changes a result.
+pub fn instantiate(
     spec: &AlgorithmSpec,
     ns: usize,
     hierarchy: Option<Arc<SystemHierarchy>>,
@@ -229,14 +215,11 @@ pub fn instantiate_telemetry(
             direct_threshold,
             refine_rounds,
             refine_batch,
-            refine_threads,
+            // Accepted on the wire for old job files; it never changed
+            // a result and refinement is sequential.
+            refine_threads: _,
         } => Box::new(MultilevelStrategy {
-            config: multilevel_config(
-                direct_threshold,
-                refine_rounds,
-                refine_batch,
-                refine_threads,
-            ),
+            config: multilevel_config(direct_threshold, refine_rounds, refine_batch),
             hierarchy,
             recorder: recorder.clone(),
         }),
@@ -268,14 +251,12 @@ fn multilevel_config(
     direct_threshold: Option<usize>,
     refine_rounds: Option<usize>,
     refine_batch: Option<usize>,
-    refine_threads: Option<usize>,
 ) -> MultilevelConfig {
     let defaults = MultilevelConfig::default();
     MultilevelConfig {
         direct_threshold: direct_threshold.unwrap_or(defaults.direct_threshold),
         refine_rounds: refine_rounds.unwrap_or(defaults.refine_rounds),
         refine_batch: refine_batch.unwrap_or(defaults.refine_batch),
-        refine_threads: refine_threads.unwrap_or(defaults.refine_threads),
         mapper: defaults.mapper,
     }
 }
@@ -317,7 +298,10 @@ mod tests {
             },
         ];
         for spec in &specs {
-            assert_eq!(instantiate(spec, 4).name(), spec.name());
+            assert_eq!(
+                instantiate(spec, 4, None, &Recorder::disabled()).name(),
+                spec.name()
+            );
         }
     }
 
@@ -376,7 +360,7 @@ mod tests {
             refine_batch: None,
             refine_threads: None,
         };
-        let algo = instantiate(&spec, 64);
+        let algo = instantiate(&spec, 64, None, &Recorder::disabled());
         let mut rng = StdRng::seed_from_u64(8);
         let out = algo.run(&graph, &system, lb, &mut rng).unwrap();
         assert!(out.total >= lb);
@@ -384,7 +368,7 @@ mod tests {
 
         // A cached hierarchy produces the identical result.
         let hierarchy = Arc::new(SystemHierarchy::build(&system).unwrap());
-        let cached = instantiate_cached(&spec, 64, Some(hierarchy));
+        let cached = instantiate(&spec, 64, Some(hierarchy), &Recorder::disabled());
         let mut rng = StdRng::seed_from_u64(8);
         let out2 = cached.run(&graph, &system, lb, &mut rng).unwrap();
         assert_eq!(out2.assignment, out.assignment);
@@ -396,10 +380,11 @@ mod tests {
         let (graph, system) = vcycle_instance();
         let lb = IdealSchedule::derive(&graph).lower_bound();
         let hierarchy = Arc::new(SystemHierarchy::build(&system).unwrap());
-        let algo = instantiate_cached(
+        let algo = instantiate(
             &AlgorithmSpec::parse("incremental").unwrap(),
             64,
             Some(hierarchy),
+            &Recorder::disabled(),
         );
         let mut rng = StdRng::seed_from_u64(3);
         let out = algo.run(&graph, &system, lb, &mut rng).unwrap();
@@ -419,6 +404,8 @@ mod tests {
                 exchange_pool: 0,
             },
             4,
+            None,
+            &Recorder::disabled(),
         );
         let mut rng = StdRng::seed_from_u64(0);
         let out = algo.run(&graph, &system, lb, &mut rng).unwrap();

@@ -260,8 +260,8 @@ pub enum AlgorithmSpec {
         /// Refinement candidates per acceptance batch; `None` uses the
         /// multilevel default (1 = classic sequential).
         refine_batch: Option<usize>,
-        /// Worker threads evaluating a refinement batch; never changes
-        /// the result. `None` uses the multilevel default (1).
+        /// Accepted and ignored: older job files carry it, it never
+        /// changed a result, and refinement is sequential.
         refine_threads: Option<usize>,
     },
     /// The online incremental remapper (`mimd-online`), cold-started:

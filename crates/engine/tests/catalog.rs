@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 
 use mimd_engine::{algorithm_catalog, instantiate, AlgorithmSpec};
+use mimd_telemetry::Recorder;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -33,7 +34,10 @@ proptest! {
         prop_assert_eq!(&back, &spec);
 
         // And instantiates under the same name at any machine size.
-        prop_assert_eq!(instantiate(&spec, ns).name(), name);
+        prop_assert_eq!(
+            instantiate(&spec, ns, None, &Recorder::disabled()).name(),
+            name
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! cross-checks against the `refine.accepted` counter one for one.
 
 use mimd_engine::TopologySpec;
-use mimd_engine::{execute_job_recorded, AlgorithmSpec, JobSpec, TopologyCache, WorkloadSpec};
+use mimd_engine::{execute_job, AlgorithmSpec, JobSpec, TopologyCache, WorkloadSpec};
 use mimd_telemetry::{split_runs, GainEntry, GainKind, GainLedger, Recorder};
 
 fn torus_job(algorithm: AlgorithmSpec) -> JobSpec {
@@ -28,7 +28,7 @@ fn torus_job(algorithm: AlgorithmSpec) -> JobSpec {
 fn run_with_ledger(spec: &JobSpec) -> (u64, Vec<GainEntry>, u64) {
     let cache = TopologyCache::new();
     let recorder = Recorder::enabled().with_ledger(GainLedger::enabled());
-    let result = execute_job_recorded(spec, 0, &cache, &recorder);
+    let result = execute_job(spec, 0, &cache, &recorder);
     assert!(result.error.is_none(), "{:?}", result.error);
     (
         result.total_time,
@@ -145,10 +145,10 @@ fn disabled_ledger_records_nothing_and_changes_nothing() {
         refine_threads: None,
     });
     let cache = TopologyCache::new();
-    let plain = execute_job_recorded(&spec, 0, &cache, &Recorder::disabled());
+    let plain = execute_job(&spec, 0, &cache, &Recorder::disabled());
     let (total, _, _) = run_with_ledger(&spec);
     assert_eq!(plain.total_time, total, "the ledger never alters results");
     let recorder = Recorder::disabled();
-    let _ = execute_job_recorded(&spec, 0, &cache, &recorder);
+    let _ = execute_job(&spec, 0, &cache, &recorder);
     assert!(recorder.ledger().snapshot().is_empty());
 }

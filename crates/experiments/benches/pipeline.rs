@@ -74,43 +74,5 @@ fn bench_full_map(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_refinement(c: &mut Criterion) {
-    use mimd_core::parallel::{parallel_refine, ParallelRefineConfig};
-    let system = mimd_topology::hypercube(4).unwrap();
-    let mut rng = StdRng::seed_from_u64(21);
-    let graph = build_instance(200, system.len(), &mut rng);
-    let ideal = IdealSchedule::derive(&graph);
-    let critical = CriticalAnalysis::analyze(&graph, &ideal, CriticalityMode::PaperExact);
-    let abstract_graph = AbstractGraph::new(&graph);
-    let init = initial_assignment(&graph, &abstract_graph, &critical, &system).unwrap();
-
-    let mut group = c.benchmark_group("parallel_refinement_128iters");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let cfg = ParallelRefineConfig::new(128, t, RefineConfig::paper(system.len()));
-                parallel_refine(
-                    &graph,
-                    &system,
-                    &init.assignment,
-                    &init.critical,
-                    // Unreachable bound: force the full budget to run.
-                    0,
-                    &cfg,
-                    7,
-                )
-                .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_stages,
-    bench_full_map,
-    bench_parallel_refinement
-);
+criterion_group!(benches, bench_stages, bench_full_map);
 criterion_main!(benches);

@@ -112,7 +112,8 @@ fn delta_arm(case: &Case, ws: &mut DeltaWorkspace) -> u64 {
     .unwrap();
     let mut checksum = 0u64;
     for &(a, b) in &case.pairs {
-        checksum = checksum.wrapping_add(evaluator.peek_swap(a, b));
+        checksum = checksum.wrapping_add(evaluator.stage_swap(a, b));
+        evaluator.discard();
     }
     checksum
 }

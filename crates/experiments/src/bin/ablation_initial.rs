@@ -3,14 +3,12 @@
 //! Compares, on identical instances: a random assignment, the paper's
 //! refinement from a *random* start, the greedy initial assignment
 //! alone, the full pipeline (initial + pinned refinement, the paper),
-//! and the multi-threaded parallel refinement extension with a larger
-//! budget.
+//! and the same refinement with eight times the paper's budget.
 
 use mimd_core::critical::{CriticalAnalysis, CriticalityMode};
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::ideal::IdealSchedule;
 use mimd_core::initial::initial_assignment;
-use mimd_core::parallel::{parallel_refine, ParallelRefineConfig};
 use mimd_core::refine::{refine, RefineConfig};
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::Assignment;
@@ -31,7 +29,7 @@ fn main() {
         "refinement from random start",
         "initial assignment only",
         "full pipeline (paper)",
-        "parallel refinement (4 threads, 8x budget)",
+        "refinement with 8x budget",
     ];
     let mut pcts: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
     let mut early = vec![0usize; names.len()];
@@ -93,16 +91,18 @@ fn main() {
         pcts[3].push(pct(out.total));
         early[3] += usize::from(out.reached_lower_bound);
 
-        // 4: parallel refinement with 8x the budget over 4 threads.
-        let cfg = ParallelRefineConfig::new(8 * system.len(), 4, RefineConfig::paper(system.len()));
-        let out = parallel_refine(
+        // 4: the same refinement with 8x the budget, on its own seed.
+        let out = refine(
             &graph,
             &system,
             &init.assignment,
             &init.critical,
             lb,
-            &cfg,
-            args.seed + 9000 + i,
+            &RefineConfig {
+                iterations: 8 * system.len(),
+                ..RefineConfig::paper(system.len())
+            },
+            &mut StdRng::seed_from_u64(args.seed + 9000 + i),
         )
         .unwrap();
         pcts[4].push(pct(out.total));

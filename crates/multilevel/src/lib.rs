@@ -34,7 +34,4 @@ pub mod refine;
 
 pub use hierarchy::{Coarsening, Hierarchy, Level, SystemCoarsening, SystemHierarchy};
 pub use mapper::{MultilevelConfig, MultilevelMapper, MultilevelResult};
-pub use refine::{
-    refine_batched, refine_batched_with, refine_within_groups, refine_within_groups_with,
-    LocalRefineConfig, LocalRefineOutcome,
-};
+pub use refine::{refine_within_groups, LocalRefineConfig, LocalRefineOutcome};

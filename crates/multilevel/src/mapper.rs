@@ -13,7 +13,7 @@ use mimd_telemetry::Recorder;
 use mimd_topology::SystemGraph;
 
 use crate::hierarchy::{Coarsening, Hierarchy, SystemHierarchy};
-use crate::refine::{refine_within_groups_with, LocalRefineConfig};
+use crate::refine::{refine_within_groups, LocalRefineConfig};
 
 /// Multilevel configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -26,11 +26,9 @@ pub struct MultilevelConfig {
     pub refine_rounds: usize,
     /// Candidates drawn per refinement batch. The batch is the unit of
     /// acceptance (best improving candidate wins, ties to the earliest),
-    /// so output depends on this value but never on `refine_threads`.
-    /// 1 reproduces the classic sequential accept-first-improvement loop.
+    /// so output depends on this value. 1 reproduces the classic
+    /// sequential accept-first-improvement loop.
     pub refine_batch: usize,
-    /// Worker threads evaluating a refinement batch (<= 1 = inline).
-    pub refine_threads: usize,
     /// Configuration of the flat mapper used at the top level (and for
     /// direct solves); its `model` is also the refinement objective.
     pub mapper: MapperConfig,
@@ -42,7 +40,6 @@ impl Default for MultilevelConfig {
             direct_threshold: 32,
             refine_rounds: 16,
             refine_batch: 1,
-            refine_threads: 1,
             mapper: MapperConfig::default(),
         }
     }
@@ -204,7 +201,6 @@ impl MultilevelMapper {
                 },
                 rounds: self.config.refine_rounds,
                 batch: self.config.refine_batch,
-                threads: self.config.refine_threads,
                 model: self.config.mapper.model,
             };
             let scoped = self
@@ -212,12 +208,13 @@ impl MultilevelMapper {
                 .clone()
                 .with_gain_scope("vcycle.refine", k as u32);
             let out = self.recorder.time("vcycle.refine", || {
-                refine_within_groups_with(
+                refine_within_groups(
                     &level.graph,
                     &level.system,
                     coarsening.groups(),
                     &assignment,
                     &config,
+                    |_, total| u128::from(total),
                     &scoped,
                     &mut refine_ws,
                     rng,
@@ -479,7 +476,6 @@ mod tests {
             direct_threshold: 24,
             refine_rounds: 9,
             refine_batch: 4,
-            refine_threads: 2,
             ..MultilevelConfig::default()
         };
         let json = serde_json::to_string(&config).unwrap();

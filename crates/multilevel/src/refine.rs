@@ -7,25 +7,26 @@
 //! never leave their group, the per-group permutations of one candidate
 //! are independent of each other — a candidate is just the incumbent
 //! with a fresh random permutation inside every multi-member group.
-//! Candidates are drawn in fixed-size batches from the incumbent:
-//! the whole batch is generated first (sequentially, so the random
-//! stream is fixed), evaluated under the analytic model — in parallel
-//! via [`mimd_core::parallel::deterministic_map`] when `threads > 1` —
-//! and the best strictly-improving candidate (ties to the earliest)
-//! becomes the new incumbent. The batch, not the thread count, is the
-//! unit of acceptance, so the outcome is byte-identical for any
-//! `threads`; with `batch = 1` the loop is exactly the classic
-//! sequential accept-any-improvement smoother. Refinement stops early
-//! the moment the level's ideal-graph lower bound is reached
+//! Candidates are drawn in fixed-size batches from the incumbent: the
+//! whole batch is generated first, each candidate is priced by the
+//! incremental [`DeltaEvaluator`] (only its disturbed scheduling cone is
+//! recomputed, nothing is allocated), and the best strictly-improving
+//! candidate (ties to the earliest) becomes the new incumbent. The batch
+//! is the unit of acceptance; with `batch = 1` the loop is exactly the
+//! classic sequential accept-any-improvement smoother. Refinement stops
+//! early the moment the level's ideal-graph lower bound is reached
 //! (Theorem 3). The budget is a fixed number of candidate evaluations
 //! per level, so refinement work grows with the hierarchy depth
 //! (`O(log ns)` levels), not with `ns`.
+//!
+//! There is one loop, [`refine_within_groups`], parameterized by the
+//! cost a candidate is judged on: the V-cycle passes the plain total,
+//! `mimd-online` its migration-penalized total. The caller owns the
+//! [`Recorder`], the [`DeltaWorkspace`] and the RNG.
 
 use rand::Rng;
 
 use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
-use mimd_core::evaluate::evaluate_total;
-use mimd_core::parallel::deterministic_map;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::shuffle::fisher_yates;
 use mimd_core::Assignment;
@@ -46,9 +47,6 @@ pub struct LocalRefineConfig {
     /// Candidates generated per batch (the unit of acceptance); 1
     /// reproduces the sequential accept-any-improvement loop.
     pub batch: usize,
-    /// Worker threads evaluating a batch (<= 1 = inline). Never changes
-    /// the result, only the wall-clock.
-    pub threads: usize,
     /// The evaluation model (paper: precedence).
     pub model: EvaluationModel,
 }
@@ -70,131 +68,37 @@ pub struct LocalRefineOutcome {
 }
 
 /// Refine `start` by randomly re-arranging clusters within each
-/// processor group for up to `config.rounds` candidate evaluations.
+/// processor group for up to `config.rounds` candidate evaluations,
+/// accepting per batch the candidate with the lowest
+/// `score(candidate, total)` that beats the incumbent's (ties to the
+/// earliest). The random stream, the batch accounting and the early
+/// stop (on the *total* reaching `lower_bound`) are the same for every
+/// scorer. `ws` is reused across calls (V-cycle levels, session
+/// events); `recorder` receives the `refine.candidates` /
+/// `refine.accepted` counters, batched once per call, and one
+/// `local.refine` gain-ledger entry per accepted batch.
+#[allow(clippy::too_many_arguments)]
 pub fn refine_within_groups(
     graph: &ClusteredProblemGraph,
     system: &SystemGraph,
     groups: &[Vec<NodeId>],
     start: &Assignment,
     config: &LocalRefineConfig,
-    rng: &mut impl Rng,
-) -> Result<LocalRefineOutcome, GraphError> {
-    let mut ws = DeltaWorkspace::new();
-    refine_within_groups_with(
-        graph,
-        system,
-        groups,
-        start,
-        config,
-        &Recorder::disabled(),
-        &mut ws,
-        rng,
-    )
-}
-
-/// [`refine_within_groups`] with a caller-owned [`DeltaWorkspace`]
-/// (reused across V-cycle levels) and a telemetry recorder.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_within_groups_with(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    groups: &[Vec<NodeId>],
-    start: &Assignment,
-    config: &LocalRefineConfig,
+    score: impl Fn(&Assignment, Time) -> u128,
     recorder: &Recorder,
     ws: &mut DeltaWorkspace,
     rng: &mut impl Rng,
 ) -> Result<LocalRefineOutcome, GraphError> {
-    // Plain total-time objective: the penalized-cost generalization in
-    // `mimd-online` passes its own scorer through the same core.
-    refine_batched_with(
-        graph,
-        system,
-        groups,
-        start,
-        config,
-        |_, total| u128::from(total),
-        recorder,
-        ws,
-        rng,
-    )
-}
-
-/// The shared batch-synchronous smoother core: the acceptance loop of
-/// [`refine_within_groups`] parameterized by a cost function
-/// `score(candidate, total) -> cost` (lower is better; ties within a
-/// batch go to the earliest candidate). The random stream, the batch
-/// accounting and the early stop (on the *total* reaching
-/// `lower_bound`) are identical for every scorer, so determinism-
-/// critical logic exists exactly once — `mimd-online`'s migration-
-/// penalized refiner reuses this instead of duplicating the loop.
-pub fn refine_batched<S>(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    groups: &[Vec<NodeId>],
-    start: &Assignment,
-    config: &LocalRefineConfig,
-    score: S,
-    rng: &mut impl Rng,
-) -> Result<LocalRefineOutcome, GraphError>
-where
-    S: Fn(&Assignment, Time) -> u128 + Sync,
-{
-    let mut ws = DeltaWorkspace::new();
-    refine_batched_with(
-        graph,
-        system,
-        groups,
-        start,
-        config,
-        score,
-        &Recorder::disabled(),
-        &mut ws,
-        rng,
-    )
-}
-
-/// [`refine_batched`] with a caller-owned [`DeltaWorkspace`] and
-/// telemetry recorder (`refine.candidates` / `refine.accepted`
-/// counters, batched once per call). When `threads <= 1` candidates are
-/// priced by the incremental [`DeltaEvaluator`] — only the disturbed
-/// scheduling cone is recomputed per candidate, with zero allocation —
-/// while `threads > 1` keeps the parallel full evaluations. Both arms
-/// produce bit-identical totals (the delta evaluator's contract), so
-/// the outcome stays invariant under the thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_batched_with<S>(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    groups: &[Vec<NodeId>],
-    start: &Assignment,
-    config: &LocalRefineConfig,
-    score: S,
-    recorder: &Recorder,
-    ws: &mut DeltaWorkspace,
-    rng: &mut impl Rng,
-) -> Result<LocalRefineOutcome, GraphError>
-where
-    S: Fn(&Assignment, Time) -> u128 + Sync,
-{
     let LocalRefineConfig {
         lower_bound,
         rounds,
         batch,
-        threads,
         model,
     } = *config;
     let batch = batch.max(1);
-    let mut evaluator = if threads <= 1 {
-        Some(DeltaEvaluator::attach(ws, graph, system, model, start)?)
-    } else {
-        None
-    };
+    let mut evaluator = DeltaEvaluator::attach(ws, graph, system, model, start)?;
     let mut best = start.clone();
-    let mut best_total = match &evaluator {
-        Some(ev) => ev.total(),
-        None => evaluate_total(graph, system, &best, model)?,
-    };
+    let mut best_total = evaluator.total();
     let mut best_cost = score(&best, best_total);
     recorder.gain_run_start("local.refine", best_total);
     let mut outcome = LocalRefineOutcome {
@@ -215,9 +119,8 @@ where
     let mut clusters = Vec::new();
     let mut perm = Vec::new();
     while outcome.rounds_used < rounds {
-        // Generate the whole batch from the incumbent first; the random
-        // stream consumed here is independent of how the batch is later
-        // evaluated.
+        // Generate the whole batch from the incumbent first, so the
+        // random stream never depends on what a candidate scores.
         let width = batch.min(rounds - outcome.rounds_used);
         let mut candidates = Vec::with_capacity(width);
         for _ in 0..width {
@@ -234,30 +137,18 @@ where
         }
         outcome.rounds_used += width;
 
-        let scored: Vec<Result<(Time, u128), GraphError>> = match evaluator.as_mut() {
-            Some(ev) => candidates
-                .iter()
-                .map(|candidate| {
-                    let total = ev.peek_candidate(candidate);
-                    Ok((total, score(candidate, total)))
-                })
-                .collect(),
-            None => deterministic_map(width, threads, |i| {
-                let total = evaluate_total(graph, system, &candidates[i], model)?;
-                Ok((total, score(&candidates[i], total)))
-            }),
-        };
         let mut winner: Option<(Time, u128, usize)> = None;
-        for (i, result) in scored.into_iter().enumerate() {
-            let (total, cost) = result?;
+        for (i, candidate) in candidates.iter().enumerate() {
+            let total = evaluator.stage_candidate(candidate);
+            evaluator.discard();
+            let cost = score(candidate, total);
             if cost < best_cost && winner.is_none_or(|(_, c, _)| cost < c) {
                 winner = Some((total, cost, i));
             }
         }
         if let Some((total, cost, i)) = winner {
-            if let Some(ev) = evaluator.as_mut() {
-                ev.apply_candidate(&candidates[i]);
-            }
+            evaluator.stage_candidate(&candidates[i]);
+            evaluator.commit();
             best = candidates.swap_remove(i);
             recorder.gain("local.refine", best_total as i64 - total as i64, total);
             best_total = total;
@@ -283,6 +174,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimd_core::evaluate::evaluate_total;
     use mimd_taskgraph::paper;
     use mimd_topology::ring;
     use rand::rngs::StdRng;
@@ -293,29 +185,41 @@ mod tests {
             lower_bound,
             rounds,
             batch: 1,
-            threads: 1,
             model: EvaluationModel::Precedence,
         }
     }
 
+    /// The plain-total smoother on the worked example over `ring(4)`.
+    fn smooth(
+        groups: &[Vec<NodeId>],
+        start: &Assignment,
+        config: &LocalRefineConfig,
+        seed: u64,
+    ) -> LocalRefineOutcome {
+        refine_within_groups(
+            &paper::worked_example(),
+            &ring(4).unwrap(),
+            groups,
+            start,
+            config,
+            |_, total| u128::from(total),
+            &Recorder::disabled(),
+            &mut DeltaWorkspace::new(),
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn finds_the_worked_example_optimum_within_one_group() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
         // One group covering the whole ring: equivalent to the paper's
         // unrestricted refinement.
-        let groups = vec![vec![0, 1, 2, 3]];
-        let start = Assignment::identity(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = refine_within_groups(
-            &graph,
-            &system,
-            &groups,
-            &start,
+        let out = smooth(
+            &[vec![0, 1, 2, 3]],
+            &Assignment::identity(4),
             &config(paper::WORKED_LOWER_BOUND, 100),
-            &mut rng,
-        )
-        .unwrap();
+            1,
+        );
         assert!(out.reached_lower_bound, "total {}", out.total);
         assert_eq!(out.total, paper::WORKED_LOWER_BOUND);
         assert!(out.rounds_used <= 100);
@@ -323,13 +227,8 @@ mod tests {
 
     #[test]
     fn clusters_never_leave_their_group() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let groups = vec![vec![0, 1], vec![2, 3]];
-        let start = Assignment::identity(4);
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = refine_within_groups(&graph, &system, &groups, &start, &config(0, 50), &mut rng)
-            .unwrap();
+        let groups = [vec![0, 1], vec![2, 3]];
+        let out = smooth(&groups, &Assignment::identity(4), &config(0, 50), 2);
         // Clusters 0,1 started in group {0,1}; they must still be there.
         for c in 0..2 {
             assert!(out.assignment.sys_of(c) < 2, "cluster {c} escaped");
@@ -341,94 +240,34 @@ mod tests {
 
     #[test]
     fn singleton_groups_are_a_noop() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let groups = vec![vec![0], vec![1], vec![2], vec![3]];
+        let groups = [vec![0], vec![1], vec![2], vec![3]];
         let start = Assignment::identity(4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = refine_within_groups(&graph, &system, &groups, &start, &config(0, 50), &mut rng)
-            .unwrap();
+        let out = smooth(&groups, &start, &config(0, 50), 3);
         assert_eq!(out.rounds_used, 0);
         assert_eq!(out.assignment, start);
     }
 
     #[test]
     fn never_worse_than_start_and_deterministic() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let groups = vec![vec![0, 2], vec![1, 3]];
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let start = Assignment::from_sys_of(vec![3, 2, 1, 0]).unwrap();
-            refine_within_groups(&graph, &system, &groups, &start, &config(0, 20), &mut rng)
-                .unwrap()
-        };
-        let a = run(9);
-        let b = run(9);
-        assert_eq!(a, b, "same seed, same outcome");
+        let groups = [vec![0, 2], vec![1, 3]];
+        let start = Assignment::from_sys_of(vec![3, 2, 1, 0]).unwrap();
         let start_total = evaluate_total(
-            &graph,
-            &system,
-            &Assignment::from_sys_of(vec![3, 2, 1, 0]).unwrap(),
+            &paper::worked_example(),
+            &ring(4).unwrap(),
+            &start,
             EvaluationModel::Precedence,
         )
         .unwrap();
-        assert!(a.total <= start_total);
-    }
-
-    #[test]
-    fn batched_refinement_is_thread_count_invariant() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let groups = vec![vec![0, 1, 2, 3]];
-        let run = |batch: usize, threads: usize| {
-            let mut rng = StdRng::seed_from_u64(11);
-            let start = Assignment::from_sys_of(vec![3, 2, 1, 0]).unwrap();
-            refine_within_groups(
-                &graph,
-                &system,
-                &groups,
-                &start,
-                &LocalRefineConfig {
-                    lower_bound: 0,
-                    rounds: 24,
-                    batch,
-                    threads,
-                    model: EvaluationModel::Precedence,
-                },
-                &mut rng,
-            )
-            .unwrap()
-        };
-        for batch in [1, 3, 4, 24] {
-            let reference = run(batch, 1);
-            assert_eq!(reference.rounds_used, 24);
-            for threads in [2, 4, 8] {
-                assert_eq!(
-                    run(batch, threads),
-                    reference,
-                    "batch {batch} threads {threads}"
-                );
-            }
+        // The second budget is not a multiple of its batch width.
+        for (rounds, batch) in [(20, 1), (10, 4)] {
+            let config = LocalRefineConfig {
+                batch,
+                ..config(0, rounds)
+            };
+            let a = smooth(&groups, &start, &config, 9);
+            assert_eq!(a, smooth(&groups, &start, &config, 9), "same seed");
+            assert_eq!(a.rounds_used, rounds);
+            assert!(a.total <= start_total);
         }
-        // The budget is respected even when it is not a batch multiple.
-        let mut rng = StdRng::seed_from_u64(5);
-        let start = Assignment::identity(4);
-        let out = refine_within_groups(
-            &graph,
-            &system,
-            &groups,
-            &start,
-            &LocalRefineConfig {
-                lower_bound: 0,
-                rounds: 10,
-                batch: 4,
-                threads: 2,
-                model: EvaluationModel::Precedence,
-            },
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(out.rounds_used, 10);
     }
 }

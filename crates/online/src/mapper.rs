@@ -35,7 +35,7 @@ use mimd_taskgraph::{ClusterId, DynamicWorkload, TraceEvent};
 use mimd_telemetry::Recorder;
 
 use crate::bounds::IncrementalBound;
-use crate::refine::{count_moves, refine_with_migration_with, MigrationRefineConfig};
+use crate::refine::{count_moves, refine_with_migration, MigrationRefineConfig};
 use crate::replay::ReplayRecord;
 
 /// Tuning knobs of the incremental remapper.
@@ -271,7 +271,6 @@ impl OnlineSession {
             let config = MigrationRefineConfig {
                 rounds: self.config.local_rounds,
                 batch: self.config.multilevel.refine_batch,
-                threads: self.config.multilevel.refine_threads,
                 migration_penalty: self.config.migration_penalty,
                 model: self.config.multilevel.mapper.model,
                 lower_bound,
@@ -280,7 +279,7 @@ impl OnlineSession {
             // attribute to the online pass rather than `local.refine`.
             let scoped = recorder.clone().with_gain_scope("online.region", 0);
             let out = recorder.time("online.region_refine", || {
-                refine_with_migration_with(
+                refine_with_migration(
                     &graph,
                     self.hierarchy.finest(),
                     &regions,

@@ -11,12 +11,11 @@
 //! this degenerates to the plain multilevel smoother, with a large
 //! penalty the assignment freezes.
 //!
-//! The acceptance loop itself is `mimd_multilevel::refine_batched` —
-//! the one shared batch-synchronous core (same determinism contract:
-//! the batch is the unit of acceptance, the thread count never changes
-//! the result) — invoked with the penalized scorer and restricted to
-//! the *regions* the incremental mapper derived from the event's
-//! touched clusters.
+//! The acceptance loop itself is `mimd_multilevel::refine_within_groups`
+//! — the one batch-synchronous smoother (the batch is the unit of
+//! acceptance, a seed fully determines the outcome) — invoked with the
+//! penalized scorer and restricted to the *regions* the incremental
+//! mapper derived from the event's touched clusters.
 
 use rand::Rng;
 
@@ -25,7 +24,7 @@ use mimd_core::schedule::EvaluationModel;
 use mimd_core::Assignment;
 use mimd_graph::error::GraphError;
 use mimd_graph::{NodeId, Time};
-use mimd_multilevel::{refine_batched_with, LocalRefineConfig};
+use mimd_multilevel::{refine_within_groups, LocalRefineConfig};
 use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_telemetry::Recorder;
 use mimd_topology::SystemGraph;
@@ -37,9 +36,6 @@ pub struct MigrationRefineConfig {
     pub rounds: usize,
     /// Candidates generated per batch (the unit of acceptance).
     pub batch: usize,
-    /// Worker threads evaluating a batch (<= 1 = inline); never changes
-    /// the result.
-    pub threads: usize,
     /// Cost charged per cluster moved away from its reference
     /// processor.
     pub migration_penalty: Time,
@@ -76,34 +72,11 @@ pub fn count_moves(a: &Assignment, reference: &Assignment) -> usize {
 /// accepting only candidates whose penalized cost
 /// `total + migration_penalty × moves-vs-reference` improves. `start`
 /// is usually the reference itself (the pre-event assignment), but a
-/// caller chaining passes may hand in an already-refined start.
-pub fn refine_with_migration(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    regions: &[Vec<NodeId>],
-    start: &Assignment,
-    reference: &Assignment,
-    config: &MigrationRefineConfig,
-    rng: &mut impl Rng,
-) -> Result<MigrationRefineOutcome, GraphError> {
-    let mut ws = DeltaWorkspace::new();
-    refine_with_migration_with(
-        graph,
-        system,
-        regions,
-        start,
-        reference,
-        config,
-        &Recorder::disabled(),
-        &mut ws,
-        rng,
-    )
-}
-
-/// [`refine_with_migration`] with a caller-owned [`DeltaWorkspace`]
-/// (sessions reuse one across events) and a telemetry recorder.
+/// caller chaining passes may hand in an already-refined start. The
+/// caller owns the [`DeltaWorkspace`] (sessions reuse one across
+/// events) and the telemetry recorder.
 #[allow(clippy::too_many_arguments)]
-pub fn refine_with_migration_with(
+pub fn refine_with_migration(
     graph: &ClusteredProblemGraph,
     system: &SystemGraph,
     regions: &[Vec<NodeId>],
@@ -115,7 +88,7 @@ pub fn refine_with_migration_with(
     rng: &mut impl Rng,
 ) -> Result<MigrationRefineOutcome, GraphError> {
     let penalty = u128::from(config.migration_penalty);
-    let out = refine_batched_with(
+    let out = refine_within_groups(
         graph,
         system,
         regions,
@@ -124,7 +97,6 @@ pub fn refine_with_migration_with(
             lower_bound: config.lower_bound,
             rounds: config.rounds,
             batch: config.batch,
-            threads: config.threads,
             model: config.model,
         },
         |candidate, total| u128::from(total) + penalty * count_moves(candidate, reference) as u128,
@@ -153,108 +125,73 @@ mod tests {
         MigrationRefineConfig {
             rounds: 60,
             batch: 1,
-            threads: 1,
             migration_penalty: penalty,
             model: EvaluationModel::Precedence,
             lower_bound: paper::WORKED_LOWER_BOUND,
         }
     }
 
+    /// Refine the worked example over `ring(4)` with a fresh workspace.
+    fn run(
+        regions: &[Vec<NodeId>],
+        start: &Assignment,
+        reference: &Assignment,
+        config: &MigrationRefineConfig,
+        seed: u64,
+    ) -> MigrationRefineOutcome {
+        refine_with_migration(
+            &paper::worked_example(),
+            &ring(4).unwrap(),
+            regions,
+            start,
+            reference,
+            config,
+            &Recorder::disabled(),
+            &mut DeltaWorkspace::new(),
+            &mut StdRng::seed_from_u64(seed),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn zero_penalty_reaches_the_worked_example_optimum() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let regions = vec![vec![0, 1, 2, 3]];
         let start = Assignment::identity(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = refine_with_migration(
-            &graph,
-            &system,
-            &regions,
-            &start,
-            &start,
-            &config(0),
-            &mut rng,
-        )
-        .unwrap();
+        let out = run(&[vec![0, 1, 2, 3]], &start, &start, &config(0), 1);
         assert_eq!(out.total, paper::WORKED_LOWER_BOUND);
         assert!(out.moves > 0);
     }
 
     #[test]
     fn huge_penalty_freezes_the_assignment() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let regions = vec![vec![0, 1, 2, 3]];
         let start = Assignment::identity(4);
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = refine_with_migration(
-            &graph,
-            &system,
-            &regions,
-            &start,
-            &start,
-            &config(1_000_000),
-            &mut rng,
-        )
-        .unwrap();
+        let out = run(&[vec![0, 1, 2, 3]], &start, &start, &config(1_000_000), 1);
         assert_eq!(out.assignment, start, "no move can pay for itself");
         assert_eq!(out.moves, 0);
     }
 
     #[test]
     fn moves_outside_regions_never_happen() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let regions = vec![vec![1, 2]];
         let start = Assignment::identity(4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let out = refine_with_migration(
-            &graph,
-            &system,
-            &regions,
-            &start,
-            &start,
-            &config(0),
-            &mut rng,
-        )
-        .unwrap();
+        let out = run(&[vec![1, 2]], &start, &start, &config(0), 3);
         assert_eq!(out.assignment.sys_of(0), 0);
         assert_eq!(out.assignment.sys_of(3), 3);
         assert!(out.moves <= 2);
     }
 
     #[test]
-    fn deterministic_across_threads_and_counts_moves() {
-        let graph = paper::worked_example();
-        let system = ring(4).unwrap();
-        let regions = vec![vec![0, 3], vec![1, 2]];
+    fn seeded_rerun_is_equal_and_counts_moves() {
+        let regions = [vec![0, 3], vec![1, 2]];
         let reference = Assignment::identity(4);
-        let run = |threads: usize| {
-            let start = Assignment::from_sys_of(vec![3, 1, 2, 0]).unwrap();
-            let mut rng = StdRng::seed_from_u64(5);
-            refine_with_migration(
-                &graph,
-                &system,
-                &regions,
-                &start,
-                &reference,
-                &MigrationRefineConfig {
-                    rounds: 20,
-                    batch: 4,
-                    threads,
-                    migration_penalty: 1,
-                    model: EvaluationModel::Precedence,
-                    lower_bound: 0,
-                },
-                &mut rng,
-            )
-            .unwrap()
+        let start = Assignment::from_sys_of(vec![3, 1, 2, 0]).unwrap();
+        let config = MigrationRefineConfig {
+            rounds: 20,
+            batch: 4,
+            migration_penalty: 1,
+            lower_bound: 0,
+            ..config(0)
         };
-        let a = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), a, "threads {threads}");
-        }
+        let a = run(&regions, &start, &reference, &config, 5);
+        assert_eq!(run(&regions, &start, &reference, &config, 5), a);
         assert_eq!(a.moves, count_moves(&a.assignment, &reference));
     }
 }

@@ -168,32 +168,10 @@ impl ReplaySummary {
 /// Replay `events` against the snapshot in `header`, emitting every
 /// record (initial mapping first) to `sink`. The system hierarchy is
 /// built from the header's topology unless a prebuilt (cached) one is
-/// supplied.
+/// supplied. The session records its `online.*` counters and spans (and
+/// the `vcycle.*` series of every full remap) into `recorder`; the
+/// emitted records never depend on it.
 pub fn replay_trace(
-    header: &TraceHeader,
-    events: &[TraceEvent],
-    config: &OnlineConfig,
-    hierarchy: Option<Arc<SystemHierarchy>>,
-    seed: u64,
-    sink: impl FnMut(&ReplayRecord),
-) -> Result<ReplaySummary, String> {
-    replay_trace_recorded(
-        header,
-        events,
-        config,
-        hierarchy,
-        seed,
-        &Recorder::default(),
-        sink,
-    )
-}
-
-/// [`replay_trace`] with a telemetry recorder attached to the session:
-/// the replay records `online.*` counters and spans (and the `vcycle.*`
-/// series of every full remap) into it. A disabled recorder makes this
-/// identical to [`replay_trace`]; the emitted records never depend on
-/// the recorder either way.
-pub fn replay_trace_recorded(
     header: &TraceHeader,
     events: &[TraceEvent],
     config: &OnlineConfig,
@@ -292,9 +270,15 @@ mod tests {
     fn replay_emits_one_record_per_event_plus_init() {
         let (header, events) = header_and_events(3, 20);
         let mut records = Vec::new();
-        let summary = replay_trace(&header, &events, &OnlineConfig::default(), None, 7, |r| {
-            records.push(r.clone())
-        })
+        let summary = replay_trace(
+            &header,
+            &events,
+            &OnlineConfig::default(),
+            None,
+            7,
+            &Recorder::disabled(),
+            |r| records.push(r.clone()),
+        )
         .unwrap();
         assert_eq!(records.len(), 21);
         assert_eq!(summary.events, 20);
@@ -322,6 +306,7 @@ mod tests {
                 &OnlineConfig::default(),
                 None,
                 seed,
+                &Recorder::disabled(),
                 |r| {
                     lines.push_str(&r.to_json_line());
                     lines.push('\n');
@@ -342,6 +327,7 @@ mod tests {
             &OnlineConfig::default(),
             Some(hierarchy),
             9,
+            &Recorder::disabled(),
             |r| {
                 cached.push_str(&r.to_json_line());
                 cached.push('\n');

@@ -15,6 +15,7 @@ use mimd_online::{replay_trace, DynamicWorkload, IncrementalMapper, OnlineConfig
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
 use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
+use mimd_telemetry::Recorder;
 use mimd_topology::{SystemGraph, TopologySpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,6 +171,7 @@ proptest! {
                 &OnlineConfig::default(),
                 Some(Arc::new(SystemHierarchy::build(&system).unwrap())),
                 seed,
+                &Recorder::disabled(),
                 |r| {
                     lines.push_str(&r.to_json_line());
                     lines.push('\n');

@@ -21,14 +21,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mimd_engine::engine::execute_job_recorded;
+use mimd_engine::engine::execute_job;
 use mimd_engine::{
     algorithm_catalog, CacheStats, CancelToken, Engine, EngineConfig, JobResult, JobSpec,
     TopologyCache,
 };
 use mimd_online::{
-    replay_trace_recorded, DynamicWorkload, IncrementalMapper, OnlineConfig, OnlineSession,
-    ReplayRecord, ReplaySummary, TraceEvent, TraceHeader,
+    replay_trace, DynamicWorkload, IncrementalMapper, OnlineConfig, OnlineSession, ReplayRecord,
+    ReplaySummary, TraceEvent, TraceHeader,
 };
 use mimd_telemetry::{Journal, JournalSnapshot, Recorder, DEFAULT_JOURNAL_CAPACITY};
 
@@ -394,7 +394,7 @@ impl MappingService {
     /// code path; the batch engine and `MapOnce` behave identically).
     pub fn map_job(&self, spec: &JobSpec) -> JobResult {
         self.map_once_served.fetch_add(1, Ordering::Relaxed);
-        execute_job_recorded(spec, 0, self.cache(), &self.recorder)
+        execute_job(spec, 0, self.cache(), &self.recorder)
     }
 
     /// Run a stream of jobs on the embedded engine (shared cache,
@@ -433,7 +433,7 @@ impl MappingService {
             .cache()
             .system_hierarchy(&artifacts)
             .map_err(|e| format!("hierarchy: {e}"))?;
-        replay_trace_recorded(
+        replay_trace(
             header,
             events,
             config,

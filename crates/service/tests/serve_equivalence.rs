@@ -12,6 +12,7 @@ use mimd_service::{serve_jsonl, trace_requests, MappingService, Request, Respons
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
 use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, TraceEvent};
+use mimd_telemetry::Recorder;
 use mimd_topology::TopologySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +50,7 @@ fn served_records_are_byte_identical_to_replay() {
         &OnlineConfig::default(),
         None,
         seed,
+        &Recorder::disabled(),
         |record| replayed.push(record.to_json_line()),
     )
     .unwrap();

@@ -11,7 +11,7 @@ use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
 use mimd_taskgraph::{
     ClusteredProblemGraph, DynamicWorkload, GeneratorConfig, LayeredDagGenerator, TraceEvent,
 };
-use mimd_telemetry::TelemetrySnapshot;
+use mimd_telemetry::{Recorder, TelemetrySnapshot};
 use mimd_topology::TopologySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,6 +99,7 @@ fn replay_counters_match_the_summary_exactly() {
         &OnlineConfig::default(),
         None,
         SEED,
+        &Recorder::disabled(),
         |r| plain.push(r.to_json_line()),
     )
     .unwrap();

@@ -6,10 +6,7 @@ use mimd::baselines::annealing::{simulated_annealing, AnnealingSchedule};
 use mimd::baselines::bokhari::bokhari_mapping;
 use mimd::baselines::lee::{lee_mapping, phases_by_level};
 use mimd::baselines::random_map::random_baseline;
-use mimd::core::parallel::{parallel_refine, ParallelRefineConfig};
-use mimd::core::refine::RefineConfig;
 use mimd::core::schedule::EvaluationModel;
-use mimd::core::Assignment;
 use mimd::core::{Mapper, MapperConfig};
 use mimd::taskgraph::clustering::region::random_region_clustering;
 use mimd::taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
@@ -140,38 +137,4 @@ fn baselines_reproduce_per_seed() {
     )
     .unwrap();
     assert_eq!(r1, r2);
-}
-
-#[test]
-fn parallel_refine_single_thread_is_deterministic() {
-    let graph = instance(4);
-    let system = hypercube(3).unwrap();
-    let start = Assignment::identity(8);
-    let cfg = ParallelRefineConfig::new(32, 1, RefineConfig::paper(8));
-    let a = parallel_refine(&graph, &system, &start, &[false; 8], 1, &cfg, 7).unwrap();
-    let b = parallel_refine(&graph, &system, &start, &[false; 8], 1, &cfg, 7).unwrap();
-    assert_eq!(a.total, b.total);
-    assert_eq!(a.assignment, b.assignment);
-}
-
-#[test]
-fn parallel_refine_multi_thread_never_regresses() {
-    // Thread interleaving may change which optimal-equivalent assignment
-    // wins, but the total is a monotone improvement over the start.
-    let graph = instance(5);
-    let system = hypercube(3).unwrap();
-    let start = Assignment::identity(8);
-    let t0 = mimd::core::evaluate::evaluate_assignment(
-        &graph,
-        &system,
-        &start,
-        EvaluationModel::Precedence,
-    )
-    .unwrap()
-    .total();
-    for threads in [2, 4] {
-        let cfg = ParallelRefineConfig::new(64, threads, RefineConfig::paper(8));
-        let out = parallel_refine(&graph, &system, &start, &[false; 8], 1, &cfg, 11).unwrap();
-        assert!(out.total <= t0, "{threads} threads");
-    }
 }

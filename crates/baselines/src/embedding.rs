@@ -43,11 +43,10 @@ pub fn cluster_chain(graph: &ClusteredProblemGraph, order: ChainOrder) -> Vec<Cl
             chain.push(cur);
             while chain.len() < na {
                 let next = abs
-                    .neighbors(cur)
-                    .iter()
-                    .copied()
-                    .filter(|&b| !visited[b])
-                    .max_by_key(|&b| (abs.pair_weight(cur, b), std::cmp::Reverse(b)))
+                    .row(cur)
+                    .filter(|&(b, _)| !visited[b])
+                    .max_by_key(|&(b, w)| (w, std::cmp::Reverse(b)))
+                    .map(|(b, _)| b)
                     .or_else(|| abs.by_descending_mca().into_iter().find(|&b| !visited[b]))
                     .expect("some cluster remains unvisited");
                 visited[next] = true;

@@ -6,14 +6,14 @@
 //! exactly the zero-slack (`i_edge == clus_edge`) edges lying on a
 //! zero-slack path to a *latest task*, found by backwards propagation
 //! from the latest-task set. Summing critical problem edges per cluster
-//! pair yields the **critical abstract edge** matrix `c_abs_edge`; its
-//! row sums are the **critical degrees** that rank clusters during the
+//! pair yields the **critical abstract edges** (the paper's
+//! `c_abs_edge[na][na+1]`, here the rows of a sparse [`Csr`]); the row
+//! sums are the **critical degrees** that rank clusters during the
 //! initial assignment.
 
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::matrix::SquareMatrix;
-use mimd_graph::Weight;
+use mimd_graph::{Csr, Weight};
 use mimd_taskgraph::{ClusterId, ClusteredProblemGraph, TaskId};
 
 use crate::ideal::IdealSchedule;
@@ -39,9 +39,10 @@ pub struct CriticalAnalysis {
     mode: CriticalityMode,
     /// Critical problem edges `(u, v, clustered weight)`.
     critical_edges: Vec<(TaskId, TaskId, Weight)>,
-    /// Symmetric `c_abs_edge[na][na]` (without the paper's appended
-    /// degree column; see [`CriticalAnalysis::critical_degree`]).
-    c_abs: SquareMatrix<Weight>,
+    /// Symmetric `c_abs_edge[na][na]` in sparse form (without the
+    /// paper's appended degree column; see
+    /// [`CriticalAnalysis::critical_degree`]).
+    c_abs: Csr,
     /// Row sums of `c_abs` — the paper's last column of
     /// `c_abs_edge[na][na+1]`.
     degrees: Vec<Weight>,
@@ -55,22 +56,21 @@ impl CriticalAnalysis {
         mode: CriticalityMode,
     ) -> Self {
         let problem = graph.problem();
-        let np = problem.len();
-        let mut in_worklist = vec![false; np];
+        let mut in_worklist = vec![false; problem.len()];
         let mut stack: Vec<TaskId> = Vec::new();
         for t in ideal.latest_tasks() {
             in_worklist[t] = true;
             stack.push(t);
         }
-        let mut is_critical = SquareMatrix::<bool>::new(np);
+        // Each task enters the worklist once and the digraph lists each
+        // predecessor once, so every edge `(u, v)` is examined once.
         let mut critical_edges = Vec::new();
         while let Some(v) = stack.pop() {
             for &(u, _) in problem.predecessors(v) {
                 let w = graph.clus_weight(u, v);
                 if w > 0 {
                     // Cross-cluster edge: critical iff zero slack.
-                    if ideal.ideal_edge(u, v) == w && !is_critical.get(u, v) {
-                        is_critical.set(u, v, true);
+                    if ideal.ideal_edge(u, v) == w {
                         critical_edges.push((u, v, w));
                         if !in_worklist[u] {
                             in_worklist[u] = true;
@@ -92,18 +92,16 @@ impl CriticalAnalysis {
         }
         critical_edges.sort_unstable();
 
-        // Algorithm II: aggregate into the critical abstract edge matrix.
+        // Algorithm II: sum critical problem edges per cluster pair into
+        // the rows of the critical abstract graph.
         let na = graph.num_clusters();
-        let mut c_abs = SquareMatrix::<Weight>::new(na);
-        for &(u, v, w) in &critical_edges {
-            let (a, b) = (graph.cluster_of(u), graph.cluster_of(v));
-            let cur = c_abs.get(a, b);
-            c_abs.set(a, b, cur + w);
-            let cur = c_abs.get(b, a);
-            c_abs.set(b, a, cur + w);
-        }
+        let contributions: Vec<_> = critical_edges
+            .iter()
+            .map(|&(u, v, w)| (graph.cluster_of(u), graph.cluster_of(v), w))
+            .collect();
+        let c_abs = Csr::from_contributions(na, &contributions);
         // Algorithm III: critical degrees = row sums.
-        let degrees: Vec<Weight> = (0..na).map(|a| c_abs.row(a).iter().sum()).collect();
+        let degrees: Vec<Weight> = (0..na).map(|a| c_abs.weights(a).iter().sum()).collect();
 
         CriticalAnalysis {
             mode,
@@ -132,16 +130,27 @@ impl CriticalAnalysis {
     }
 
     /// Weight of the critical abstract edge between clusters `a` and `b`
-    /// (0 when not critical) — the paper's `c_abs_edge[a][b]`.
+    /// (0 when not critical) — the paper's `c_abs_edge[a][b]`. A binary
+    /// search; loops walk [`CriticalAnalysis::critical_abstract_row`].
     #[inline]
     pub fn critical_abstract_weight(&self, a: ClusterId, b: ClusterId) -> Weight {
-        self.c_abs.get(a, b)
+        self.c_abs.weight(a, b).unwrap_or(0)
     }
 
     /// `true` iff clusters `a` and `b` share a critical abstract edge.
     #[inline]
     pub fn is_critical_abstract_edge(&self, a: ClusterId, b: ClusterId) -> bool {
-        self.c_abs.get(a, b) > 0
+        self.c_abs.weight(a, b).is_some()
+    }
+
+    /// The critical abstract edges at cluster `a` as `(neighbor,
+    /// weight)` pairs, ascending by neighbor.
+    #[inline]
+    pub fn critical_abstract_row(
+        &self,
+        a: ClusterId,
+    ) -> impl Iterator<Item = (ClusterId, Weight)> + '_ {
+        self.c_abs.row(a)
     }
 
     /// Critical degree of cluster `a` (§2.1 term 4; last column of the

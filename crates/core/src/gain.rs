@@ -7,6 +7,8 @@
 //! them, so the table prices an exchange in `O(deg a + deg b)` and
 //! repairs itself per accepted move without ever rescanning the graph —
 //! the trick that lets VieM-style mappers afford wide exchange pools.
+//! The adjacency is the [`AbstractGraph`]'s own sparse rows; the table
+//! keeps no copy of it.
 //!
 //! The table's gain is a **proxy**: the real objective is the schedule
 //! makespan, which comm volume only approximates. The exchange pass in
@@ -29,10 +31,8 @@ use crate::assignment::Assignment;
 /// movable/boundary sets driving exchange candidate generation.
 #[derive(Clone, Debug)]
 pub struct GainTable {
-    /// CSR offsets into `adj` (one slice per cluster).
-    adj_off: Vec<usize>,
-    /// `(neighbor cluster, summed cross weight)` pairs.
-    adj: Vec<(usize, Weight)>,
+    /// The cluster-level graph whose rows `W[c][·]` the table walks.
+    abstract_graph: AbstractGraph,
     /// `ext[c] = Σ_x W[c][x] · hops(s_c, s_x)` under the tracked
     /// assignment.
     ext: Vec<u64>,
@@ -55,19 +55,8 @@ impl GainTable {
     ) -> Self {
         let abstract_graph = AbstractGraph::new(graph);
         let na = abstract_graph.len();
-        let mut adj_off = vec![0usize; na + 1];
-        for a in 0..na {
-            adj_off[a + 1] = adj_off[a] + abstract_graph.neighbors(a).len();
-        }
-        let mut adj = Vec::with_capacity(adj_off[na]);
-        for a in 0..na {
-            for &b in abstract_graph.neighbors(a) {
-                adj.push((b, abstract_graph.pair_weight(a, b)));
-            }
-        }
         let mut table = GainTable {
-            adj_off,
-            adj,
+            abstract_graph,
             ext: vec![0; na],
             movable: BitSet::new(na),
             boundary: BitSet::new(na),
@@ -86,8 +75,8 @@ impl GainTable {
 
     /// The abstract neighbors of `c` with summed cross weights.
     #[inline]
-    pub fn neighbors(&self, c: usize) -> &[(usize, Weight)] {
-        &self.adj[self.adj_off[c]..self.adj_off[c + 1]]
+    pub fn neighbors(&self, c: usize) -> impl Iterator<Item = (usize, Weight)> + '_ {
+        self.abstract_graph.row(c)
     }
 
     /// Current external cost of `c`.
@@ -111,8 +100,7 @@ impl GainTable {
     fn compute_ext(&self, c: usize, assignment: &Assignment, system: &SystemGraph) -> u64 {
         let sc = assignment.sys_of(c);
         self.neighbors(c)
-            .iter()
-            .map(|&(x, w)| w * u64::from(system.hops(sc, assignment.sys_of(x))))
+            .map(|(x, w)| w * u64::from(system.hops(sc, assignment.sys_of(x))))
             .sum()
     }
 
@@ -121,8 +109,7 @@ impl GainTable {
         let far = self.movable.contains(c)
             && self
                 .neighbors(c)
-                .iter()
-                .any(|&(x, _)| system.hops(sc, assignment.sys_of(x)) > 1);
+                .any(|(x, _)| system.hops(sc, assignment.sys_of(x)) > 1);
         if far {
             self.boundary.insert(c);
         } else {
@@ -143,14 +130,14 @@ impl GainTable {
     ) -> i64 {
         let (sa, sb) = (assignment.sys_of(a), assignment.sys_of(b));
         let mut gain = 0i64;
-        for &(x, w) in self.neighbors(a) {
+        for (x, w) in self.neighbors(a) {
             if x == b {
                 continue;
             }
             let sx = assignment.sys_of(x);
             gain += w as i64 * (i64::from(system.hops(sa, sx)) - i64::from(system.hops(sb, sx)));
         }
-        for &(x, w) in self.neighbors(b) {
+        for (x, w) in self.neighbors(b) {
             if x == a {
                 continue;
             }
@@ -177,8 +164,11 @@ impl GainTable {
         let (sa_old, sb_old) = (sb_new, sa_new);
         for endpoint in [(a, sa_old, sa_new), (b, sb_old, sb_new)] {
             let (c, s_old, s_new) = endpoint;
-            for k in self.adj_off[c]..self.adj_off[c + 1] {
-                let (x, w) = self.adj[k];
+            for k in 0..self.abstract_graph.neighbors(c).len() {
+                let (x, w) = (
+                    self.abstract_graph.neighbors(c)[k],
+                    self.abstract_graph.weights(c)[k],
+                );
                 if x == a || x == b {
                     continue;
                 }

@@ -77,64 +77,48 @@ pub fn initial_assignment(
     // Placement score used to resolve the paper's "select any qualifying
     // node arbitrarily" ties: the weighted distance from candidate
     // processor `s` to every already-placed cluster `va` communicates
-    // with. Lower is better — it pulls the cluster toward its placed
-    // communication partners without changing the algorithm's structure.
-    let placement_score =
-        |s: usize, va: ClusterId, sys_of: &[usize], visited_abs: &[bool]| -> u64 {
-            let mut score = 0u64;
-            for b in 0..na {
-                if visited_abs[b] && sys_of[b] != usize::MAX {
-                    let w = critical.critical_abstract_weight(va, b)
-                        + abstract_graph.pair_weight(va, b);
-                    if w > 0 {
-                        score += w * u64::from(system.hops(s, sys_of[b]));
-                    }
-                }
-            }
-            score
-        };
+    // with (critical abstract edges count on top of the abstract edge
+    // they are part of). Lower is better — it pulls the cluster toward
+    // its placed communication partners without changing the algorithm's
+    // structure.
+    let placement_score = |s: usize, va: ClusterId, sys_of: &[usize]| -> u64 {
+        critical
+            .critical_abstract_row(va)
+            .chain(abstract_graph.row(va))
+            .filter(|&(b, _)| sys_of[b] != usize::MAX)
+            .map(|(b, w)| w * u64::from(system.hops(s, sys_of[b])))
+            .sum()
+    };
     // Helper: best unvisited system node adjacent to `host`: maximum
     // degree first (the paper's rule), then minimum placement score,
     // then lowest id.
-    let adjacent_choice = |host: usize,
-                           va: ClusterId,
-                           visited_sys: &[bool],
-                           sys_of: &[usize],
-                           visited_abs: &[bool]|
-     -> Option<usize> {
-        system
-            .graph()
-            .neighbors(host)
-            .iter()
-            .copied()
-            .filter(|&s| !visited_sys[s])
-            .min_by_key(|&s| {
-                (
-                    std::cmp::Reverse(system.degree(s)),
-                    placement_score(s, va, sys_of, visited_abs),
-                    s,
-                )
-            })
-    };
+    let adjacent_choice =
+        |host: usize, va: ClusterId, visited_sys: &[bool], sys_of: &[usize]| -> Option<usize> {
+            system
+                .graph()
+                .neighbors(host)
+                .iter()
+                .copied()
+                .filter(|&s| !visited_sys[s])
+                .min_by_key(|&s| {
+                    (
+                        std::cmp::Reverse(system.degree(s)),
+                        placement_score(s, va, sys_of),
+                        s,
+                    )
+                })
+        };
     // Helper: closest unvisited system node to `host` (step (c)), ties
-    // by placement score then id.
-    let closest_choice = |host: usize,
-                          va: ClusterId,
-                          visited_sys: &[bool],
-                          sys_of: &[usize],
-                          visited_abs: &[bool]|
-     -> usize {
-        (0..na)
-            .filter(|&s| !visited_sys[s])
-            .min_by_key(|&s| {
-                (
-                    system.hops(host, s),
-                    placement_score(s, va, sys_of, visited_abs),
-                    s,
-                )
-            })
-            .expect("an unvisited processor exists while clusters remain")
-    };
+    // by placement score then id — so only the nearest ring is scored.
+    let closest_choice =
+        |host: usize, va: ClusterId, visited_sys: &[bool], sys_of: &[usize]| -> usize {
+            let free = || (0..na).filter(|&s| !visited_sys[s]);
+            let nearest = free().map(|s| system.hops(host, s)).min();
+            free()
+                .filter(|&s| Some(system.hops(host, s)) == nearest)
+                .min_by_key(|&s| (placement_score(s, va, sys_of), s))
+                .expect("an unvisited processor exists while clusters remain")
+        };
 
     // --- Step 2: grow along critical abstract edges. --------------------
     loop {
@@ -150,7 +134,9 @@ pub fn initial_assignment(
             .iter()
             .copied()
             .filter(|&a| {
-                (0..na).any(|b| visited_abs[b] && critical.is_critical_abstract_edge(a, b))
+                critical
+                    .critical_abstract_row(a)
+                    .any(|(b, _)| visited_abs[b])
             })
             .collect();
         let (va, anchor) = if let Some(&va) = adjacent
@@ -159,14 +145,10 @@ pub fn initial_assignment(
         {
             // Anchor: the visited critical neighbor with the heaviest
             // shared critical abstract edge (tie: lowest id).
-            let anchor = (0..na)
-                .filter(|&b| visited_abs[b] && critical.is_critical_abstract_edge(va, b))
-                .max_by_key(|&b| {
-                    (
-                        critical.critical_abstract_weight(va, b),
-                        std::cmp::Reverse(b),
-                    )
-                })
+            let (anchor, _) = critical
+                .critical_abstract_row(va)
+                .filter(|&(b, _)| visited_abs[b])
+                .max_by_key(|&(b, w)| (w, std::cmp::Reverse(b)))
                 .expect("va was chosen for having a visited critical neighbor");
             (va, Some(anchor))
         } else {
@@ -182,14 +164,14 @@ pub fn initial_assignment(
         match anchor {
             Some(anchor) => {
                 let host = sys_of[anchor];
-                if let Some(vs) = adjacent_choice(host, va, &visited_sys, &sys_of, &visited_abs) {
+                if let Some(vs) = adjacent_choice(host, va, &visited_sys, &sys_of) {
                     // (b): critical edge lands on a single system edge.
                     sys_of[va] = vs;
                     visited_sys[vs] = true;
                     critical_mark[va] = true;
                 } else {
                     // (c): as close as possible; not marked critical.
-                    let vs = closest_choice(host, va, &visited_sys, &sys_of, &visited_abs);
+                    let vs = closest_choice(host, va, &visited_sys, &sys_of);
                     sys_of[va] = vs;
                     visited_sys[vs] = true;
                 }
@@ -221,12 +203,10 @@ pub fn initial_assignment(
             .iter()
             .max_by_key(|&&a| (abstract_graph.mca(a), std::cmp::Reverse(a)))
         {
-            let anchor = abstract_graph
-                .neighbors(va)
-                .iter()
-                .copied()
-                .filter(|&b| visited_abs[b])
-                .max_by_key(|&b| (abstract_graph.pair_weight(va, b), std::cmp::Reverse(b)))
+            let (anchor, _) = abstract_graph
+                .row(va)
+                .filter(|&(b, _)| visited_abs[b])
+                .max_by_key(|&(b, w)| (w, std::cmp::Reverse(b)))
                 .expect("va has a visited abstract neighbor");
             (va, Some(anchor))
         } else {
@@ -241,9 +221,8 @@ pub fn initial_assignment(
         let vs = match anchor {
             Some(anchor) => {
                 let host = sys_of[anchor];
-                adjacent_choice(host, va, &visited_sys, &sys_of, &visited_abs).unwrap_or_else(
-                    || closest_choice(host, va, &visited_sys, &sys_of, &visited_abs),
-                )
+                adjacent_choice(host, va, &visited_sys, &sys_of)
+                    .unwrap_or_else(|| closest_choice(host, va, &visited_sys, &sys_of))
             }
             None => (0..na)
                 .filter(|&s| !visited_sys[s])

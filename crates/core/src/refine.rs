@@ -303,7 +303,7 @@ fn collect_swap_pairs(
     };
     for a in table.boundary().iter() {
         let sa = assignment.sys_of(a);
-        for &(x, _) in table.neighbors(a) {
+        for (x, _) in table.neighbors(a) {
             if table.movable().contains(x) {
                 push(out, a, x);
             }

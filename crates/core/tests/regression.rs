@@ -11,9 +11,12 @@
 use mimd_core::critical::{CriticalAnalysis, CriticalityMode};
 use mimd_core::ideal::IdealSchedule;
 use mimd_core::{Mapper, MapperConfig};
+use mimd_graph::WeightedDigraph;
 use mimd_taskgraph::clustering::region::random_region_clustering;
-use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
-use mimd_topology::{hypercube, mesh2d};
+use mimd_taskgraph::{
+    ClusteredProblemGraph, Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
+};
+use mimd_topology::{hypercube, mesh2d, random_topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,6 +36,37 @@ fn golden_instance(seed: u64, np: usize, ns: usize) -> ClusteredProblemGraph {
     let p = gen.generate(&mut rng);
     let c = random_region_clustering(&p, ns, &mut rng).unwrap();
     ClusteredProblemGraph::new(p, c).unwrap()
+}
+
+/// Two disjoint copies of `golden_instance(seed, np, ns)` side by side:
+/// both halves finish at the same instant, so the critical subgraph has
+/// at least two components and the initial assignment's step-2 restart
+/// fires.
+fn twin_instance(seed: u64, np: usize, ns: usize) -> ClusteredProblemGraph {
+    let half = golden_instance(seed, np, ns);
+    let mut g = WeightedDigraph::new(2 * np);
+    for (u, v, w) in half.problem().graph().edges() {
+        g.add_edge(u, v, w).unwrap();
+        g.add_edge(u + np, v + np, w).unwrap();
+    }
+    let sizes = [half.problem().sizes(), half.problem().sizes()].concat();
+    let cluster_of = (0..2 * np)
+        .map(|t| half.cluster_of(t % np) + ns * (t / np))
+        .collect();
+    ClusteredProblemGraph::new(
+        ProblemGraph::new(g, sizes).unwrap(),
+        Clustering::new(cluster_of).unwrap(),
+    )
+    .unwrap()
+}
+
+/// FNV-1a 64-bit over the little-endian bytes of each id.
+fn fnv1a(ids: &[usize]) -> u64 {
+    ids.iter()
+        .flat_map(|&s| (s as u64).to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 #[test]
@@ -72,6 +106,55 @@ fn golden_mapping_results_are_stable() {
     let mut rng = StdRng::seed_from_u64(7);
     let r = Mapper::new().map(&g, &mesh, &mut rng).unwrap();
     assert_eq!(r.total_time, 153);
+
+    // 64 clusters: the sizes where the initial assignment's row walks
+    // decide something. Step 3(c) `closest_choice` fires in every case
+    // below, step 2(c) in the `wide` ones on the mesh and the sparse
+    // machine, the disconnected-critical-subgraph restart on the twin
+    // instance, and `wide` builds a `GainTable` for its exchange pass.
+    let sparse = random_topology(64, 0.03, &mut StdRng::seed_from_u64(11)).unwrap();
+    let machines = [hypercube(6).unwrap(), mesh2d(8, 8).unwrap(), sparse];
+    let graphs = [golden_instance(2024, 512, 64), twin_instance(2024, 256, 32)];
+    let wide = MapperConfig {
+        exchange_pool: 64,
+        criticality: CriticalityMode::Extended,
+        ..MapperConfig::default()
+    };
+    // (graph, machine, wide?) -> (total_time, initial_total, pinned
+    // clusters, FNV-1a of sys_of).
+    let pins = [
+        (0, 0, false, (687, 743, 11, 0x9fca_1689_fa44_01c5)),
+        (0, 0, true, (604, 636, 37, 0x9b41_0b51_143d_54a5)),
+        (0, 1, false, (1008, 1149, 11, 0x1a29_fe0d_6b86_48c5)),
+        (0, 1, true, (885, 990, 26, 0x51f4_b0e8_4b8f_d7a5)),
+        (0, 2, false, (719, 772, 11, 0x6f03_2956_305f_c665)),
+        (0, 2, true, (610, 679, 30, 0x080b_b750_2795_9065)),
+        (1, 1, true, (382, 436, 24, 0xe078_e845_d891_2005)),
+        (1, 2, true, (306, 322, 34, 0x86bf_80de_0b20_62e5)),
+    ];
+    for (graph, machine, is_wide, want) in pins {
+        let config = if is_wide {
+            wide.clone()
+        } else {
+            MapperConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(7);
+        let r = Mapper::with_config(config)
+            .map(&graphs[graph], &machines[machine], &mut rng)
+            .unwrap();
+        let got = (
+            r.total_time,
+            r.initial_total,
+            r.pinned.iter().filter(|&&p| p).count(),
+            fnv1a(r.assignment.sys_of_vec()),
+        );
+        assert_eq!(
+            got,
+            want,
+            "graph {graph} on {} (wide: {is_wide})",
+            machines[machine].name()
+        );
+    }
 }
 
 #[test]

@@ -1,18 +1,24 @@
 //! Graph substrate for the MIMD mapping-strategy reproduction.
 //!
 //! The 1991 paper ("A Mapping Strategy for MIMD Computers", Yang, Bic &
-//! Nicolau) represents every structure — problem graphs, clustered problem
-//! graphs, abstract graphs, ideal graphs and system graphs — as dense
-//! matrices (`prob_edge[np][np]`, `sys_edge[ns][ns]`, `shortest[ns][ns]`,
-//! ...). This crate provides those representations plus the classic
-//! graph algorithms the mapping pipeline needs:
+//! Nicolau) declares every structure — problem graphs, clustered problem
+//! graphs, abstract graphs, ideal graphs and system graphs — as a dense
+//! array (`prob_edge[np][np]`, `abs_edge[na][na]`, `sys_edge[ns][ns]`,
+//! `shortest[ns][ns]`, ...). The pipeline here runs on sparse forms:
+//! problem-side digraphs and system graphs as adjacency lists, the
+//! cluster-level (abstract and critical abstract) graph as one [`Csr`].
+//! Dense matrices remain where the algorithm needs random access (the
+//! system-side `shortest[ns][ns]`) and as exports that reproduce the
+//! paper's figures (`edge_matrix`, `clus_edge_matrix`,
+//! [`Csr::to_matrix`]). The crate provides:
 //!
-//! * [`SquareMatrix`] — the dense row-major matrix underlying every
-//!   paper data structure.
+//! * [`SquareMatrix`] — the dense row-major matrix behind the distance
+//!   matrix and the figure exports.
 //! * [`WeightedDigraph`] — directed graphs with positive integer edge
 //!   weights (problem graphs, clustered problem graphs, ideal graphs).
-//! * [`UnGraph`] — undirected unweighted graphs (system graphs, abstract
-//!   adjacency).
+//! * [`UnGraph`] — undirected unweighted graphs (system graphs).
+//! * [`Csr`] — symmetric weighted CSR adjacency (abstract graph,
+//!   critical abstract edges), rows ascending by neighbor id.
 //! * [`dag`] — topological ordering, levels, longest paths, reachability.
 //! * [`apsp`] — all-pairs shortest paths (unweighted BFS and
 //!   Floyd–Warshall), producing the paper's `shortest[ns][ns]` matrix.

@@ -163,3 +163,35 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 }
+
+/// FNV-1a 64-bit over the little-endian bytes of each id.
+fn fnv1a(ids: &[usize]) -> u64 {
+    ids.iter()
+        .flat_map(|&s| (s as u64).to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// One pinned V-cycle at a size where coarsening walks sparse abstract
+/// graphs (`na = 1024` at level 0): any change to row order, tie-breaks
+/// or the RNG stream shows up here.
+#[test]
+fn golden_vcycle_is_stable() {
+    let system = mimd_topology::torus2d(32, 32).unwrap();
+    let graph = instance(1024, 1024, 2024);
+    let mut rng = StdRng::seed_from_u64(7);
+    let r = MultilevelMapper::new()
+        .map(&graph, &system, &mut rng)
+        .unwrap();
+    let got = (
+        r.total_time,
+        r.lower_bound,
+        r.levels,
+        r.top_ns,
+        r.evaluations,
+        r.improvements,
+        fnv1a(r.assignment.sys_of_vec()),
+    );
+    assert_eq!(got, (21795, 3350, 6, 32, 144, 13, 0xf6ea_747b_5526_2911));
+}

@@ -4,13 +4,15 @@
 //! "The main purpose of the abstract graph is to be able to talk about
 //! all edges between two clusters as one" (§2.1). The mapper's step 3
 //! ranks abstract nodes by the `mca` communication intensity and walks
-//! abstract adjacency; both are precomputed here.
+//! abstract adjacency; both are precomputed here. The paper's 0/1
+//! `abs_edge[na][na]` and the combined pair weights are one sparse
+//! [`Csr`]: a row lists a cluster's neighbors in ascending id with the
+//! summed weights beside them, and every consumer (initial assignment,
+//! gain table, coarsening, the embedding baseline) walks those rows.
 
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::matrix::SquareMatrix;
-use mimd_graph::ungraph::UnGraph;
-use mimd_graph::Weight;
+use mimd_graph::{Csr, Weight};
 
 use crate::clustered::ClusteredProblemGraph;
 use crate::ClusterId;
@@ -18,12 +20,11 @@ use crate::ClusterId;
 /// The collapsed cluster-level view of a clustered problem graph.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AbstractGraph {
-    /// Undirected cluster adjacency (the paper's 0/1 `abs_edge[na][na]`).
-    adjacency: UnGraph,
-    /// Combined weight between each cluster pair (sum over both edge
-    /// directions of the clustered weights).
-    pair_weight: SquareMatrix<Weight>,
-    /// Per-cluster total incident cross weight (the paper's `mca[na]`).
+    /// Cluster adjacency with the combined weight of each pair (sum
+    /// over both edge directions of the clustered weights).
+    adjacency: Csr,
+    /// Per-cluster total incident cross weight (the paper's `mca[na]`)
+    /// — the row sums of `adjacency`.
     mca: Vec<Weight>,
 }
 
@@ -31,24 +32,13 @@ impl AbstractGraph {
     /// Collapse a clustered problem graph.
     pub fn new(clustered: &ClusteredProblemGraph) -> Self {
         let na = clustered.num_clusters();
-        let mut adjacency = UnGraph::new(na);
-        let mut pair_weight = SquareMatrix::new(na);
-        for (u, v, w) in clustered.cross_edges() {
-            let (a, b) = (clustered.cluster_of(u), clustered.cluster_of(v));
-            adjacency
-                .add_edge(a, b)
-                .expect("cross edge joins distinct clusters");
-            let cur = pair_weight.get(a, b);
-            pair_weight.set(a, b, cur + w);
-            let cur = pair_weight.get(b, a);
-            pair_weight.set(b, a, cur + w);
-        }
-        let mca = clustered.communication_intensity();
-        AbstractGraph {
-            adjacency,
-            pair_weight,
-            mca,
-        }
+        let contributions: Vec<_> = clustered
+            .cross_edges()
+            .map(|(u, v, w)| (clustered.cluster_of(u), clustered.cluster_of(v), w))
+            .collect();
+        let adjacency = Csr::from_contributions(na, &contributions);
+        let mca = (0..na).map(|a| adjacency.weights(a).iter().sum()).collect();
+        AbstractGraph { adjacency, mca }
     }
 
     /// Number of abstract nodes `na`.
@@ -65,20 +55,40 @@ impl AbstractGraph {
     /// `true` iff clusters `a` and `b` exchange any communication.
     #[inline]
     pub fn adjacent(&self, a: ClusterId, b: ClusterId) -> bool {
-        self.adjacency.has_edge(a, b)
+        self.adjacency.weight(a, b).is_some()
     }
 
-    /// Abstract neighbors of cluster `a`.
+    /// Abstract neighbors of cluster `a`, ascending.
     #[inline]
     pub fn neighbors(&self, a: ClusterId) -> &[ClusterId] {
         self.adjacency.neighbors(a)
     }
 
+    /// Combined weights towards [`AbstractGraph::neighbors`]`(a)`, in
+    /// the same order.
+    #[inline]
+    pub fn weights(&self, a: ClusterId) -> &[Weight] {
+        self.adjacency.weights(a)
+    }
+
+    /// `(neighbor, combined weight)` pairs of cluster `a`, ascending.
+    #[inline]
+    pub fn row(&self, a: ClusterId) -> impl Iterator<Item = (ClusterId, Weight)> + '_ {
+        self.adjacency.row(a)
+    }
+
+    /// Every abstract edge once, as `(a, b, combined weight)` with
+    /// `a < b`.
+    pub fn edges(&self) -> impl Iterator<Item = (ClusterId, ClusterId, Weight)> + '_ {
+        self.adjacency.edges()
+    }
+
     /// Combined communication weight between clusters `a` and `b`
-    /// (both directions summed); 0 when not adjacent.
+    /// (both directions summed); 0 when not adjacent. A binary search —
+    /// loops over a cluster's partners walk [`AbstractGraph::row`].
     #[inline]
     pub fn pair_weight(&self, a: ClusterId, b: ClusterId) -> Weight {
-        self.pair_weight.get(a, b)
+        self.adjacency.weight(a, b).unwrap_or(0)
     }
 
     /// The paper's `mca[a]`: total cross weight incident to cluster `a`.
@@ -90,11 +100,6 @@ impl AbstractGraph {
     /// All communication intensities (the `mca[na]` vector, Fig 20-c).
     pub fn mca_vector(&self) -> &[Weight] {
         &self.mca
-    }
-
-    /// The undirected adjacency structure.
-    pub fn adjacency(&self) -> &UnGraph {
-        &self.adjacency
     }
 
     /// Clusters sorted by descending `mca`, ties by ascending id — the

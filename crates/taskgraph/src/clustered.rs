@@ -7,6 +7,8 @@
 //! clustered matrix (zero within a cluster). [`ClusteredProblemGraph`]
 //! bundles both views so schedule derivations cannot get this wrong.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
@@ -18,10 +20,12 @@ use crate::problem::ProblemGraph;
 use crate::{ClusterId, TaskId};
 
 /// A problem graph together with a clustering; the pair the mapping
-/// algorithms consume.
+/// algorithms consume. The problem graph is shared: clones and the
+/// coarser members of a multilevel hierarchy ([`Self::coarsen`]) differ
+/// only in the clustering, so one job holds one copy of its tasks.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClusteredProblemGraph {
-    problem: ProblemGraph,
+    problem: Arc<ProblemGraph>,
     clustering: Clustering,
 }
 
@@ -35,7 +39,7 @@ impl ClusteredProblemGraph {
             });
         }
         Ok(ClusteredProblemGraph {
-            problem,
+            problem: Arc::new(problem),
             clustering,
         })
     }
@@ -114,8 +118,10 @@ impl ClusteredProblemGraph {
     /// merge, so `self.total_cut_weight() == coarse.total_cut_weight()
     /// + internalized`.
     pub fn coarsen(&self, map: &[crate::ClusterId]) -> Result<ClusteredProblemGraph, GraphError> {
-        let clustering = self.clustering.coarsen(map)?;
-        ClusteredProblemGraph::new(self.problem.clone(), clustering)
+        Ok(ClusteredProblemGraph {
+            problem: Arc::clone(&self.problem),
+            clustering: self.clustering.coarsen(map)?,
+        })
     }
 
     /// The paper's `mca[na]` vector: for each cluster, the sum of the

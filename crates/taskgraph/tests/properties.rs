@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use mimd_graph::dag::is_acyclic;
+use mimd_graph::SquareMatrix;
 use mimd_taskgraph::clustering::chains::chain_clustering;
 use mimd_taskgraph::clustering::comm_greedy::comm_greedy_clustering;
 use mimd_taskgraph::clustering::load_balance::load_balanced_clustering;
@@ -114,25 +115,47 @@ proptest! {
     }
 
     #[test]
-    fn abstract_graph_is_consistent(np in 8usize..60, seed in 0u64..300) {
+    fn abstract_graph_is_consistent(np in 8usize..60, seed in 0u64..300, coarse in 0usize..2) {
         let p = generated(np, seed, None);
-        let na = (np / 5).max(2);
+        // Few clusters (`coarse`) put several problem edges, in both
+        // directions, between one pair of clusters.
+        let na = if coarse == 1 { 3 } else { (np / 5).max(2) };
         let mut rng = StdRng::seed_from_u64(seed);
-        let c = random_region_clustering(&p, na, &mut rng).unwrap();
+        let c = if coarse == 1 {
+            random_clustering(&p, na, &mut rng).unwrap()
+        } else {
+            random_region_clustering(&p, na, &mut rng).unwrap()
+        };
         let g = ClusteredProblemGraph::new(p, c).unwrap();
         let a = AbstractGraph::new(&g);
         prop_assert_eq!(a.len(), na);
-        // Pair weights are symmetric and positive exactly on abstract
-        // edges; mca is the row sum of pair weights.
-        for x in 0..na {
-            let mut row_sum = 0;
-            for y in 0..na {
-                prop_assert_eq!(a.pair_weight(x, y), a.pair_weight(y, x));
-                prop_assert_eq!(a.pair_weight(x, y) > 0, a.adjacent(x, y));
-                row_sum += a.pair_weight(x, y);
-            }
-            prop_assert_eq!(row_sum, a.mca(x));
+        // Dense reference: the paper's `na x na` array summed straight
+        // from the cross edges.
+        let mut dense = SquareMatrix::<u64>::new(na);
+        for (u, v, w) in g.cross_edges() {
+            let (x, y) = (g.cluster_of(u), g.cluster_of(v));
+            dense.set(x, y, dense.get(x, y) + w);
+            dense.set(y, x, dense.get(y, x) + w);
         }
+        let mut upper = Vec::new();
+        for x in 0..na {
+            for y in 0..na {
+                prop_assert_eq!(a.pair_weight(x, y), dense.get(x, y));
+                prop_assert_eq!(a.adjacent(x, y), dense.get(x, y) > 0);
+            }
+            // Rows list exactly the non-zero entries, ascending, with
+            // the weights alongside; mca is the row sum.
+            let row: Vec<(usize, u64)> = (0..na)
+                .map(|y| (y, dense.get(x, y)))
+                .filter(|&(_, w)| w > 0)
+                .collect();
+            prop_assert_eq!(a.neighbors(x), row.iter().map(|&(y, _)| y).collect::<Vec<_>>());
+            prop_assert_eq!(a.weights(x), row.iter().map(|&(_, w)| w).collect::<Vec<_>>());
+            prop_assert_eq!(a.mca(x), dense.row(x).iter().sum::<u64>());
+            upper.extend(row.iter().filter(|&&(y, _)| x < y).map(|&(y, w)| (x, y, w)));
+            prop_assert_eq!(a.row(x).collect::<Vec<_>>(), row);
+        }
+        prop_assert_eq!(a.edges().collect::<Vec<_>>(), upper);
     }
 
     #[test]

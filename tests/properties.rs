@@ -11,6 +11,7 @@ use mimd::core::evaluate::evaluate_assignment;
 use mimd::core::ideal::IdealSchedule;
 use mimd::core::schedule::{EvaluationModel, Schedule};
 use mimd::core::{Assignment, Mapper};
+use mimd::graph::SquareMatrix;
 use mimd::sim::{simulate, SimConfig};
 use mimd::taskgraph::clustering::random::random_clustering;
 use mimd::taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, ProblemGraph};
@@ -97,6 +98,31 @@ proptest! {
         let ideal = IdealSchedule::derive(&graph);
         let crit = CriticalAnalysis::analyze(&graph, &ideal, CriticalityMode::Extended);
         let lb = ideal.lower_bound();
+
+        // The sparse critical abstract rows equal a dense `c_abs_edge`
+        // summed from the critical edge list, which names no edge twice.
+        for pair in crit.critical_edges().windows(2) {
+            prop_assert!((pair[0].0, pair[0].1) < (pair[1].0, pair[1].1), "duplicate or unsorted");
+        }
+        let na = graph.num_clusters();
+        let mut c_abs = SquareMatrix::<u64>::new(na);
+        for &(u, v, w) in crit.critical_edges() {
+            let (a, b) = (graph.cluster_of(u), graph.cluster_of(v));
+            c_abs.set(a, b, c_abs.get(a, b) + w);
+            c_abs.set(b, a, c_abs.get(b, a) + w);
+        }
+        for a in 0..na {
+            for b in 0..na {
+                prop_assert_eq!(crit.critical_abstract_weight(a, b), c_abs.get(a, b));
+                prop_assert_eq!(crit.is_critical_abstract_edge(a, b), c_abs.get(a, b) > 0);
+            }
+            let row: Vec<_> = (0..na)
+                .map(|b| (b, c_abs.get(a, b)))
+                .filter(|&(_, w)| w > 0)
+                .collect();
+            prop_assert_eq!(crit.critical_abstract_row(a).collect::<Vec<_>>(), row);
+            prop_assert_eq!(crit.critical_degree(a), c_abs.row(a).iter().sum::<u64>());
+        }
 
         for (u, v, w) in graph.cross_edges().collect::<Vec<_>>() {
             // Bump edge (u, v) by 1 and re-derive the ideal schedule.

@@ -79,7 +79,8 @@ pub struct ScenarioReport {
     /// The scenario's suite-unique name.
     pub name: String,
     /// Scenario kind label (`job:paper`, `job:multilevel`, `replay`,
-    /// `service_stream`, or a harness-specific `micro:*`).
+    /// `service_stream`; `micro:*` only in history lines the former
+    /// cargo-bench micro-harnesses appended).
     pub kind: String,
     /// Repetitions measured.
     pub reps: usize,
@@ -96,8 +97,7 @@ pub struct ScenarioReport {
     pub items_per_sec: f64,
     /// Mean `100 × total / lower_bound` of the scenario's results —
     /// deterministic per seed, so the compare gate holds it to a tight
-    /// tolerance. `None` for micro-harness scenarios with no mapping
-    /// quality.
+    /// tolerance. `None` for scenarios with no mapping quality.
     #[serde(default)]
     pub quality_percent_over: Option<f64>,
     /// Topology-cache counters after the last repetition.

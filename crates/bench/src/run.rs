@@ -252,6 +252,7 @@ impl Prepared {
                     ServerConfig {
                         shards: *shards,
                         queue_depth: *queue_depth,
+                        ..ServerConfig::default()
                     },
                 )
                 .map_err(|e| format!("bind {addr}: {e}"))?;

@@ -78,14 +78,15 @@ commands:
                stdout line; sessions share topology artifacts with
                one-shot jobs through one cache; --telemetry records
                spans/counters served back by the stats op; --slow-ms
-               logs slow requests to stderr; --stats-interval prints a
-               one-line stats snapshot to stderr every n seconds;
-               --trace-out/--chrome-trace export the event journal on
-               exit; --listen serves concurrent connections on a TCP
-               address or Unix socket path instead of stdin — sessions
-               hash to --shards worker shards (per-session FIFO kept),
-               a full per-shard queue (--queue-depth) answers
-               overloaded, and stdin EOF drains gracefully
+               logs slow requests to stderr (stdin and --listen alike);
+               --stats-interval prints a one-line stats snapshot to
+               stderr every n seconds; --trace-out/--chrome-trace
+               export the event journal on exit; --listen serves
+               concurrent connections on a TCP address or Unix socket
+               path instead of stdin — sessions hash to --shards worker
+               shards (per-session FIFO kept), a full per-shard queue
+               (--queue-depth) answers overloaded, and stdin EOF drains
+               gracefully
   loadgen    --connect <host:port|socket-path> [--sessions <n>]
              [--connections <n>] [--events <n>] [--tasks <n>]
              [--spec <kind:params>] [--regime arrivals|drift|mixed]
@@ -595,12 +596,17 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
 }
 
 /// `mimd serve`: the long-running MappingService loop — one JSONL
-/// [`mimd_service::Request`] per stdin line, one JSONL
-/// [`mimd_service::Response`] per stdout line, until EOF. Sessions are
-/// multiplexed in-process and share topology artifacts with `map_once`
-/// traffic through one cache; per-session seeding is deterministic, so
-/// a served trace is byte-identical to `mimd replay` on the same trace.
+/// [`mimd_service::Request`] per line in, one JSONL
+/// [`mimd_service::Response`] per line out. Without `--listen` the
+/// lines are stdin/stdout, served as one connection until EOF; with it
+/// they are concurrent socket connections and stdin EOF is the drain
+/// signal (one a sidecar can deliver without signal handling). Both
+/// modes run the same request path and end in the same summary, and a
+/// served trace is byte-identical to `mimd replay` on the same trace.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     flags.allow_only(&[
         "max-sessions",
         "telemetry",
@@ -632,176 +638,69 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
                 return Err(format!("--{concurrent_only} needs --listen"));
             }
         }
-    } else if slow_ms.is_some() {
-        // The slow-request clock wraps the blocking stdin loop; shard
-        // workers time nothing, so advertising the flag would lie.
-        return Err("--slow-ms applies to the stdin serve loop only, not --listen".into());
     }
     let defaults = mimd_service::ServiceConfig::default();
-    let service = mimd_service::MappingService::new(mimd_service::ServiceConfig {
-        max_sessions: flags.num("max-sessions", defaults.max_sessions)?,
-        // --slow-ms and --stats-interval imply telemetry so the
-        // serve.slow_requests / serve.stats_emitted counters land in
-        // the stats line the loop prints on exit.
-        telemetry: flags.has("telemetry") || slow_ms.is_some() || stats_interval.is_some(),
-        journal: journaling(flags)?,
-        ..defaults
-    });
-    if let Some(listen) = flags.get("listen") {
-        return serve_listen(flags, service, listen, stats_interval);
-    }
-    // The periodic stats emitter writes one line to stderr per tick —
-    // strictly off the stdout protocol stream, which stays
-    // byte-identical with or without the emitter running.
-    let started = std::time::Instant::now();
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let result = std::thread::scope(|scope| {
-        let stop = &stop;
-        let service_ref = &service;
-        let emitter = stats_interval.map(|secs| {
-            scope.spawn(move || {
-                let period = std::time::Duration::from_secs(secs);
-                let tick = std::time::Duration::from_millis(50);
-                let mut next = period;
-                loop {
-                    while started.elapsed() < next {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(tick.min(next.saturating_sub(started.elapsed())));
-                    }
-                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        return;
-                    }
-                    service_ref.note_stats_emitted();
-                    eprintln!(
-                        "{}",
-                        mimd_service::stats_line(&service_ref.stats(), started.elapsed().as_secs())
-                    );
-                    next += period;
-                }
-            })
-        });
-        let result = mimd_service::serve_jsonl_with(
+    let service = Arc::new(mimd_service::MappingService::new(
+        mimd_service::ServiceConfig {
+            max_sessions: flags.num("max-sessions", defaults.max_sessions)?,
+            // --slow-ms and --stats-interval imply telemetry so the
+            // serve.slow_requests / serve.stats_emitted counters land in
+            // the stats line printed on exit.
+            telemetry: flags.has("telemetry") || slow_ms.is_some() || stats_interval.is_some(),
+            journal: journaling(flags)?,
+            ..defaults
+        },
+    ));
+    // Bind (and reject bad --listen flags) before any thread starts.
+    let server = flags
+        .get("listen")
+        .map(|listen| bind_server(flags, &service, listen, slow_ms))
+        .transpose()?;
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let emitter = stats_interval
+        .map(|secs| spawn_stats_emitter(Arc::clone(&service), Arc::clone(&stop), secs));
+    let result = match server {
+        Some(server) => {
+            // Drain trigger: stdin EOF. The watcher stays detached — if
+            // the server dies on its own the process exits and takes it
+            // along.
+            let eof = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                use std::io::Read;
+                let mut sink = [0u8; 4096];
+                let mut stdin = std::io::stdin().lock();
+                while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
+                eof.store(true, Ordering::Relaxed);
+            });
+            server.run(Arc::clone(&stop))
+        }
+        None => mimd_service::serve_jsonl(
             &service,
             std::io::stdin().lock(),
             std::io::stdout().lock(),
             std::io::stderr(),
-            mimd_service::ServeOptions { slow_ms },
-        );
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(handle) = emitter {
-            let _ = handle.join();
-        }
-        result
-    });
+            slow_ms,
+        )
+        // Stdin mode is a run of one connection.
+        .map(|conn| mimd_server::ServerSummary {
+            connections: 1,
+            requests: conn.requests,
+            rejected: 0,
+            per_connection: vec![conn],
+        }),
+    };
+    stop.store(true, Ordering::Relaxed);
+    if let Some(handle) = emitter {
+        let _ = handle.join();
+    }
     let summary = match result {
         Ok(summary) => summary,
         // Consumer closed the pipe: conventional clean stop.
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
         Err(e) => return Err(format!("serve: {e}")),
     };
-    let stats = service.stats();
-    eprintln!(
-        "serve: {} requests ({} errors, {} slow); {}",
-        summary.requests,
-        summary.errors,
-        summary.slow_requests,
-        serde_json::to_string(&stats).map_err(|e| e.to_string())?,
-    );
-    if flags.has("telemetry") {
-        eprint!("{}", mimd_report::render_profile(&stats.telemetry));
-    }
-    emit_journal(&service.journal_snapshot(), flags)?;
-    Ok(())
-}
 
-/// `mimd serve --listen`: the concurrent front end. Accepts on a TCP
-/// address or Unix socket, shards sessions over workers, and drains
-/// gracefully when stdin reaches EOF (the shutdown signal a sidecar
-/// can deliver without platform signal handling).
-fn serve_listen(
-    flags: &Flags,
-    service: mimd_service::MappingService,
-    listen: &str,
-    stats_interval: Option<u64>,
-) -> Result<(), String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let addr = mimd_server::ListenAddr::parse(listen)?;
-    let shards = flags.num("shards", 4usize)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let queue_depth = flags.num("queue-depth", 256usize)?;
-    if queue_depth == 0 {
-        return Err("--queue-depth must be at least 1".into());
-    }
-    let service = Arc::new(service);
-    let server = mimd_server::Server::bind(
-        Arc::clone(&service),
-        &addr,
-        mimd_server::ServerConfig {
-            shards,
-            queue_depth,
-        },
-    )
-    .map_err(|e| format!("bind {addr}: {e}"))?;
-    // The bound address resolves TCP port 0 — clients (and tests)
-    // parse this line to know where to connect.
-    eprintln!(
-        "listening on {} ({shards} shards, queue depth {queue_depth})",
-        server.local_display()
-    );
-
-    let started = std::time::Instant::now();
-    let stop = Arc::new(AtomicBool::new(false));
-    // Drain trigger: stdin EOF. The watcher stays detached — if the
-    // server dies on its own the process exits and takes it along.
-    {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            use std::io::Read;
-            let mut sink = [0u8; 4096];
-            let mut stdin = std::io::stdin().lock();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            stop.store(true, Ordering::Relaxed);
-        });
-    }
-    let emitter = stats_interval.map(|secs| {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let period = std::time::Duration::from_secs(secs);
-            let tick = std::time::Duration::from_millis(50);
-            let mut next = period;
-            loop {
-                while started.elapsed() < next {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(tick.min(next.saturating_sub(started.elapsed())));
-                }
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                service.note_stats_emitted();
-                eprintln!(
-                    "{}",
-                    mimd_service::stats_line(&service.stats(), started.elapsed().as_secs())
-                );
-                next += period;
-            }
-        })
-    });
-
-    let result = server.run(Arc::clone(&stop));
-    stop.store(true, Ordering::Relaxed);
-    if let Some(handle) = emitter {
-        let _ = handle.join();
-    }
-    let summary = result.map_err(|e| format!("serve: {e}"))?;
     let stats = service.stats();
     eprintln!(
         "serve: drained; {} requests ({} rejected, {} malformed) over {} connections; {}",
@@ -824,8 +723,75 @@ fn serve_listen(
     if flags.has("telemetry") {
         eprint!("{}", mimd_report::render_profile(&stats.telemetry));
     }
-    emit_journal(&service.journal_snapshot(), flags)?;
-    Ok(())
+    emit_journal(&service.journal_snapshot(), flags)
+}
+
+/// Bind the `--listen` front end and announce where.
+fn bind_server(
+    flags: &Flags,
+    service: &std::sync::Arc<mimd_service::MappingService>,
+    listen: &str,
+    slow_ms: Option<u64>,
+) -> Result<mimd_server::Server, String> {
+    let addr = mimd_server::ListenAddr::parse(listen)?;
+    let shards = flags.num("shards", 4usize)?;
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
+    let queue_depth = flags.num("queue-depth", 256usize)?;
+    if queue_depth == 0 {
+        return Err("--queue-depth must be at least 1".into());
+    }
+    let config = mimd_server::ServerConfig {
+        shards,
+        queue_depth,
+        slow_ms,
+    };
+    let server = mimd_server::Server::bind(std::sync::Arc::clone(service), &addr, config)
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+    // The bound address resolves TCP port 0 — clients (and tests)
+    // parse this line to know where to connect.
+    eprintln!(
+        "listening on {} ({shards} shards, queue depth {queue_depth})",
+        server.local_display()
+    );
+    Ok(server)
+}
+
+/// The `--stats-interval` emitter: one [`mimd_service::stats_line`] on
+/// stderr every `secs` seconds until `stop` — strictly off the protocol
+/// stream, which stays byte-identical with or without it.
+fn spawn_stats_emitter(
+    service: std::sync::Arc<mimd_service::MappingService>,
+    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    secs: u64,
+) -> std::thread::JoinHandle<()> {
+    use std::sync::atomic::Ordering;
+    use std::time::Duration;
+
+    let started = std::time::Instant::now();
+    std::thread::spawn(move || {
+        let period = Duration::from_secs(secs);
+        let tick = Duration::from_millis(50);
+        let mut next = period;
+        loop {
+            while started.elapsed() < next {
+                if stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                std::thread::sleep(tick.min(next.saturating_sub(started.elapsed())));
+            }
+            if stop.load(Ordering::Relaxed) {
+                return;
+            }
+            service.recorder().incr("serve.stats_emitted");
+            eprintln!(
+                "{}",
+                mimd_service::stats_line(&service.stats(), started.elapsed().as_secs())
+            );
+            next += period;
+        }
+    })
 }
 
 /// `mimd loadgen`: synthesize one small trace and drive it through
@@ -1656,7 +1622,7 @@ mod tests {
         assert!(run(&["serve", "--listen", "not-an-address"]).is_err());
         assert!(run(&["serve", "--listen", "127.0.0.1:0", "--shards", "0"]).is_err());
         assert!(run(&["serve", "--listen", "127.0.0.1:0", "--queue-depth", "0"]).is_err());
-        assert!(run(&["serve", "--listen", "127.0.0.1:0", "--slow-ms", "5"]).is_err());
+        assert!(run(&["serve", "--listen", "127.0.0.1:0", "--slow-ms", "five"]).is_err());
     }
 
     #[test]

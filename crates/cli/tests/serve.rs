@@ -92,9 +92,15 @@ fn stats_interval_emits_periodic_stderr_lines() {
     assert_eq!(responses.len(), 1, "{stdout}");
 }
 
-#[test]
-fn listen_serve_with_loadgen_drains_cleanly() {
-    let socket = std::env::temp_dir().join(format!("mimd-cli-listen-{}.sock", std::process::id()));
+/// `mimd serve --listen <socket> --shards 4 <extra>` driven by
+/// `mimd loadgen` (16 sessions × (open + 3 events + close) over 4
+/// connections), then drained by closing the server's stdin. Returns
+/// the loadgen report and the server's stdout and stderr.
+fn listen_serve_under_loadgen(
+    tag: &str,
+    extra: &[&str],
+) -> (mimd_server::LoadReport, String, String) {
+    let socket = std::env::temp_dir().join(format!("mimd-cli-{tag}-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
     let mut server = Command::new(env!("CARGO_BIN_EXE_mimd"))
         .args([
@@ -104,8 +110,9 @@ fn listen_serve_with_loadgen_drains_cleanly() {
             "--shards",
             "4",
         ])
+        .args(extra)
         .stdin(Stdio::piped())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("mimd binary spawns");
@@ -149,14 +156,55 @@ fn listen_serve_with_loadgen_drains_cleanly() {
     drop(server.stdin.take());
     let output = server.wait_with_output().unwrap();
     assert!(output.status.success());
+    assert!(!socket.exists(), "drain removes the socket file");
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert!(stderr.contains("listening on"), "{stderr}");
-    assert!(stderr.contains("serve: drained;"), "{stderr}");
     assert!(
-        stderr.contains("80 requests (0 rejected, 0 malformed) over 4 connections"),
+        stderr.contains("serve: drained; 80 requests (0 rejected, 0 malformed) over 4 connections"),
         "{stderr}"
     );
-    assert!(!socket.exists(), "drain removes the socket file");
+    (report, String::from_utf8(output.stdout).unwrap(), stderr)
+}
+
+#[test]
+fn listen_serve_with_loadgen_drains_cleanly() {
+    let (_, stdout, stderr) = listen_serve_under_loadgen("listen", &[]);
+    assert!(stdout.is_empty(), "socket mode answers on the sockets");
+    // No threshold: the shard workers never read the clock.
+    assert!(!stderr.contains("slow_request"), "{stderr}");
+}
+
+#[test]
+fn listen_serve_reports_slow_requests_per_handled_request() {
+    let (report, stdout, stderr) = listen_serve_under_loadgen("slow", &["--slow-ms", "0"]);
+    // Diagnostics are stderr only: what clients and stdout see is what
+    // they see without the flag.
+    assert!(stdout.is_empty(), "{stdout}");
+    assert_eq!(report.responses, 80);
+
+    // A 0 ms threshold flags every handled request, once.
+    let slow: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("slow_request "))
+        .collect();
+    assert_eq!(slow.len(), 80, "{stderr}");
+    for (op, per_session) in [("open_session", 1), ("apply", 3), ("close_session", 1)] {
+        for session in 1..=16 {
+            let prefix = format!("slow_request op={op} session={session} ms=");
+            let seen = slow.iter().filter(|l| l.starts_with(&prefix)).count();
+            assert_eq!(seen, per_session, "{prefix} in:\n{stderr}");
+        }
+    }
+
+    // The final stats count the same 80.
+    let drained = stderr
+        .lines()
+        .find(|line| line.starts_with("serve: drained;"))
+        .unwrap();
+    let stats: mimd_service::ServiceStats =
+        serde_json::from_str(&drained[drained.find('{').unwrap()..]).unwrap();
+    assert_eq!(stats.telemetry.counter("serve.slow_requests"), 80);
+    assert_eq!(stats.requests_served, 80);
 }
 
 #[test]

@@ -2,10 +2,11 @@
 //! [`MappingService`](mimd_service::MappingService).
 //!
 //! `mimd serve` started as one blocking JSONL loop over stdin: one slow
-//! `map_once` stalls every session queued behind it. This crate keeps
-//! that loop as the degenerate single-connection transport (byte-for-
-//! byte identical) and adds the concurrent shape a real resource
-//! manager needs:
+//! `map_once` stalls every session queued behind it. That loop is now
+//! the *inline* dispatch of the one request path in
+//! [`mimd_service::serve`] (framing in `serve_lines`, handling in
+//! `handle_timed`); this crate is its *queued* dispatch — the same two
+//! functions behind the concurrent shape a real resource manager needs:
 //!
 //! * [`transport`] — [`ListenAddr`] (Unix-domain socket path or TCP
 //!   `host:port`) plus listener/stream enums that make both transports
@@ -16,8 +17,8 @@
 //!   queue plus one worker thread. `try_enqueue` never blocks — a full
 //!   (or draining) shard rejects immediately, which is what admission
 //!   control turns into an [`ErrorCode::Overloaded`] response.
-//! * [`server`] — [`Server`]: accepts connections, frames/decodes each
-//!   on its own reader thread, routes sessions to shards by
+//! * [`server`] — [`Server`]: accepts connections, runs `serve_lines`
+//!   on a reader thread per connection, routes sessions to shards by
 //!   `session_id % shards` (per-session FIFO preserved; session ids
 //!   are reserved at intake so routing is deterministic), load-
 //!   balances `map_once` round-robin, and drains gracefully — finish

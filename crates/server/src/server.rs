@@ -1,10 +1,11 @@
 //! The concurrent server: accept loop, per-connection reader threads,
 //! shard routing, admission control and graceful drain.
 //!
-//! Each connection gets one reader thread that frames and decodes
-//! JSONL requests exactly like the stdin serve loop (blank lines and
-//! `#`-comments skipped, malformed lines answered with `BadRequest`
-//! and counted). Decoded requests route to shards:
+//! This is the queued dispatch of the one request path in
+//! [`mimd_service::serve`] (stdin is its inline dispatch): each
+//! connection gets a reader thread running the same [`serve_lines`],
+//! and shard workers handle requests through the same
+//! [`handle_timed`]. Decoded requests route to shards:
 //!
 //! * `OpenSession` — the reader *reserves* the session id at intake
 //!   ([`MappingService::reserve_session_id`]), so ids stay 1, 2, 3, …
@@ -30,13 +31,17 @@
 //! accounting.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mimd_service::{ErrorCode, MappingService, Request, Response, ServerGaugeSource, ServiceError};
+pub use mimd_service::ConnectionSummary;
+use mimd_service::{
+    handle_timed, serve_lines, ErrorCode, MappingService, Request, Response, ServerGaugeSource,
+    ServiceError,
+};
 
 use crate::shard::{EnqueueError, ShardPool, ShardSender};
 use crate::transport::{ListenAddr, Listener, Stream};
@@ -53,6 +58,10 @@ pub struct ServerConfig {
     /// Bounded per-shard queue depth (`--queue-depth`); a full queue
     /// answers `Overloaded`.
     pub queue_depth: usize,
+    /// Slow-request threshold in milliseconds (`--slow-ms`), as in
+    /// [`handle_timed`]; diagnostics go to stderr. `None` (the default)
+    /// never reads the clock.
+    pub slow_ms: Option<u64>,
 }
 
 impl Default for ServerConfig {
@@ -60,19 +69,9 @@ impl Default for ServerConfig {
         ServerConfig {
             shards: 4,
             queue_depth: 256,
+            slow_ms: None,
         }
     }
-}
-
-/// Per-connection accounting surfaced in the drain summary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConnectionSummary {
-    /// Connection id (1, 2, 3, … in accept order).
-    pub conn: u64,
-    /// Requests read off this connection (including malformed lines).
-    pub requests: u64,
-    /// Lines that failed to parse as a request.
-    pub malformed_lines: u64,
 }
 
 /// What one server run did, returned after the drain completes.
@@ -112,22 +111,17 @@ struct Shared {
     /// Live connection streams, for shutdown at drain (reader threads
     /// parked in `read` need the socket closed under them).
     live: Mutex<BTreeMap<u64, Stream>>,
-    /// Per-connection accounting, kept after the connection closes.
-    accounting: Mutex<BTreeMap<u64, (u64, u64)>>,
-    requests: AtomicU64,
     rejected: AtomicU64,
     round_robin: AtomicUsize,
+    slow_ms: Option<u64>,
 }
 
 impl Shared {
-    fn record_line(&self, conn: u64, malformed: bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let mut accounting = lock(&self.accounting);
-        let entry = accounting.entry(conn).or_insert((0, 0));
-        entry.0 += 1;
-        if malformed {
-            entry.1 += 1;
-        }
+    /// Handle one request where it stands — a shard worker, or the
+    /// reader thread for introspection — with slow-request diagnostics
+    /// on stderr.
+    fn handle(&self, request: Request, reserved: Option<u64>) -> Response {
+        handle_timed(&self.service, request, reserved, self.slow_ms, io::stderr())
     }
 }
 
@@ -171,10 +165,9 @@ impl Server {
                 service,
                 gauges,
                 live: Mutex::new(BTreeMap::new()),
-                accounting: Mutex::new(BTreeMap::new()),
-                requests: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 round_robin: AtomicUsize::new(0),
+                slow_ms: config.slow_ms,
             }),
         })
     }
@@ -201,7 +194,7 @@ impl Server {
                 config.queue_depth,
                 move |_shard, job: Job| {
                     shared.gauges.dequeued_inflight();
-                    let response = shared.service.handle_reserved(job.request, job.reserved);
+                    let response = shared.handle(job.request, job.reserved);
                     write_response(&job.writer, &response);
                     shared.gauges.inflight_done();
                 },
@@ -209,7 +202,7 @@ impl Server {
         };
         let sender = pool.sender();
 
-        let mut readers: Vec<JoinHandle<()>> = Vec::new();
+        let mut readers: Vec<JoinHandle<ConnectionSummary>> = Vec::new();
         let mut connections: u64 = 0;
         while !stop.load(Ordering::Relaxed) {
             match listener.accept() {
@@ -225,8 +218,9 @@ impl Server {
                     let shared = Arc::clone(&shared);
                     let sender = sender.clone();
                     readers.push(std::thread::spawn(move || {
-                        serve_connection(conn, stream, &shared, &sender);
+                        let summary = serve_connection(conn, stream, &shared, &sender);
                         lock(&shared.live).remove(&conn);
+                        summary
                     }));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -246,24 +240,19 @@ impl Server {
         for (_, stream) in lock(&shared.live).iter() {
             let _ = stream.shutdown();
         }
-        for reader in readers {
-            let _ = reader.join();
-        }
+        // Each reader hands back its connection's counts when it ends
+        // (accept order is connection-id order).
+        let per_connection: Vec<ConnectionSummary> = readers
+            .into_iter()
+            .filter_map(|reader| reader.join().ok())
+            .collect();
         listener.cleanup();
 
-        let accounting = lock(&shared.accounting);
         Ok(ServerSummary {
             connections,
-            requests: shared.requests.load(Ordering::Relaxed),
+            requests: per_connection.iter().map(|c| c.requests).sum(),
             rejected: shared.rejected.load(Ordering::Relaxed),
-            per_connection: accounting
-                .iter()
-                .map(|(&conn, &(requests, malformed_lines))| ConnectionSummary {
-                    conn,
-                    requests,
-                    malformed_lines,
-                })
-                .collect(),
+            per_connection,
         })
     }
 
@@ -301,54 +290,49 @@ impl ServerHandle {
     }
 }
 
-/// The per-connection reader loop: frame, decode, route.
-fn serve_connection(conn: u64, stream: Stream, shared: &Shared, sender: &ShardSender<Job>) {
-    shared.gauges.connection_opened();
-    let writer = match stream.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
-        Err(_) => {
-            shared.gauges.connection_closed();
-            return;
-        }
+/// One connection's reader: [`serve_lines`] with the shard-queue
+/// dispatch. Write errors are not reported back to it — see
+/// [`write_response`] — so only a read error ends the connection early.
+fn serve_connection(
+    conn: u64,
+    stream: Stream,
+    shared: &Shared,
+    sender: &ShardSender<Job>,
+) -> ConnectionSummary {
+    let Ok(clone) = stream.try_clone() else {
+        return ConnectionSummary {
+            conn,
+            ..ConnectionSummary::default()
+        };
     };
-    let reader = BufReader::new(stream);
-    for (lineno, line) in reader.lines().enumerate() {
-        let Ok(line) = line else { break };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        match Request::from_json_line(trimmed) {
-            Ok(request) => {
-                shared.record_line(conn, false);
-                route(request, shared, sender, &writer);
-            }
-            Err(e) => {
-                shared.record_line(conn, true);
-                shared.service.note_malformed_line_conn(conn);
-                let response =
-                    ServiceError::new(ErrorCode::BadRequest, format!("line {}: {e}", lineno + 1))
-                        .into_response();
-                write_response(&writer, &response);
-            }
-        }
-    }
+    let writer = Arc::new(Mutex::new(clone));
+    shared.gauges.connection_opened();
+    let (summary, _ended) = serve_lines(
+        &shared.service,
+        conn,
+        BufReader::new(stream),
+        |request| route(request, shared, sender, &writer),
+        |response| {
+            write_response(&writer, response);
+            Ok(())
+        },
+    );
     shared.gauges.connection_closed();
+    summary
 }
 
-/// Route one decoded request: inline, or onto its shard queue.
+/// Route one decoded request: answer it inline (`Some`), or put it on
+/// its shard queue for a worker to answer (`None`).
 fn route(
     request: Request,
     shared: &Shared,
     sender: &ShardSender<Job>,
     writer: &Arc<Mutex<Stream>>,
-) {
+) -> Option<Response> {
     // Introspection answers inline on the reader thread — responsive
     // even when every shard queue is deep.
     if matches!(request, Request::Catalog | Request::Stats) {
-        let response = shared.service.handle(request);
-        write_response(writer, &response);
-        return;
+        return Some(shared.handle(request, None));
     }
     let (shard, reserved) = match &request {
         Request::OpenSession { .. } => {
@@ -369,7 +353,10 @@ fn route(
         writer: Arc::clone(writer),
     };
     match sender.try_enqueue(shard, job) {
-        Ok(()) => shared.gauges.enqueued(),
+        Ok(()) => {
+            shared.gauges.enqueued();
+            None
+        }
         Err(reason) => {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
             shared.service.note_overloaded();
@@ -379,8 +366,7 @@ fn route(
                 }
                 EnqueueError::Draining => "server draining; request rejected".to_string(),
             };
-            let response = ServiceError::new(ErrorCode::Overloaded, detail).into_response();
-            write_response(writer, &response);
+            Some(ServiceError::new(ErrorCode::Overloaded, detail).into_response())
         }
     }
 }

@@ -114,11 +114,6 @@ impl<T: Send + 'static> ShardPool<T> {
         }
     }
 
-    /// Number of shards (≥ 1).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// A cloneable intake handle for reader threads.
     pub fn sender(&self) -> ShardSender<T> {
         ShardSender {
@@ -164,16 +159,6 @@ impl<T> Clone for ShardSender<T> {
 }
 
 impl<T> ShardSender<T> {
-    /// Number of shards (≥ 1) — the router computes `key % shards()`.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Configured per-shard queue depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Enqueue `item` on `shard` (modulo the shard count). Never
     /// blocks: a full or draining shard rejects immediately.
     pub fn try_enqueue(&self, shard: usize, item: T) -> Result<(), EnqueueError> {

@@ -10,8 +10,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mimd_online::{DynamicWorkload, TraceEvent, TraceHeader};
-use mimd_server::{ListenAddr, LoadgenConfig, Server, ServerConfig};
-use mimd_service::{serve_jsonl, trace_requests, MappingService, Response, SessionConfig};
+use mimd_server::{ListenAddr, LoadgenConfig, Server, ServerConfig, ServerSummary};
+use mimd_service::{
+    serve_jsonl, trace_requests, MappingService, Response, ServiceConfig, ServiceStats,
+    SessionConfig,
+};
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
 use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
@@ -62,16 +65,23 @@ fn unique_socket(tag: &str) -> ListenAddr {
     )
 }
 
-/// Drive raw request lines over one connection, reading one response
-/// line per request.
-fn roundtrip(addr: &ListenAddr, lines: &[String]) -> Vec<String> {
+/// Drive raw lines over one connection, reading one response line per
+/// request (closed loop). Blank and `#`-comment lines are framing, not
+/// requests: nothing comes back for them.
+fn roundtrip<L: AsRef<[u8]>>(addr: &ListenAddr, lines: &[L]) -> Vec<String> {
     let stream = addr.connect().unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     let mut responses = Vec::with_capacity(lines.len());
     for line in lines {
-        writeln!(writer, "{line}").unwrap();
+        let line = line.as_ref();
+        writer.write_all(line).unwrap();
+        writer.write_all(b"\n").unwrap();
         writer.flush().unwrap();
+        let text = String::from_utf8_lossy(line);
+        if text.trim().is_empty() || text.trim().starts_with('#') {
+            continue;
+        }
         let mut response = String::new();
         reader.read_line(&mut response).unwrap();
         responses.push(response.trim_end().to_string());
@@ -79,18 +89,28 @@ fn roundtrip(addr: &ListenAddr, lines: &[String]) -> Vec<String> {
     responses
 }
 
-#[test]
-fn socket_serve_matches_stdin_serve_and_replay() {
-    let seed = 7;
-    let (header, events) = small_trace(6, seed);
-    let requests = trace_requests(&header, &events, seed, None, 1);
-    let lines: Vec<String> = requests.iter().map(|r| r.to_json_line()).collect();
+/// Serve `lines` through the stdin loop and through a 4-shard socket
+/// server, each on a fresh telemetry-enabled service, and assert the
+/// two agree: responses line for line, error and malformed-line
+/// counters, per-connection summary. Returns what both said.
+fn serve_both_ways(tag: &str, lines: &[Vec<u8>]) -> (Vec<String>, ServiceStats, ServerSummary) {
+    let telemetry = ServiceConfig {
+        telemetry: true,
+        ..ServiceConfig::default()
+    };
 
     // (a) the stdin loop.
-    let stdin_service = MappingService::default();
-    let input = lines.join("\n") + "\n";
+    let stdin_service = MappingService::new(telemetry.clone());
+    let input = [lines.join(&b'\n'), b"\n".to_vec()].concat();
     let mut output = Vec::new();
-    serve_jsonl(&stdin_service, input.as_bytes(), &mut output).unwrap();
+    let stdin_summary = serve_jsonl(
+        &stdin_service,
+        &input[..],
+        &mut output,
+        std::io::sink(),
+        None,
+    )
+    .unwrap();
     let stdin_lines: Vec<String> = String::from_utf8(output)
         .unwrap()
         .lines()
@@ -98,29 +118,51 @@ fn socket_serve_matches_stdin_serve_and_replay() {
         .collect();
 
     // (b) the socket server, sharded.
-    let addr = unique_socket("stdin");
-    let server = Server::bind(
-        Arc::new(MappingService::default()),
-        &addr,
-        ServerConfig {
-            shards: 4,
-            queue_depth: 64,
-        },
-    )
-    .unwrap();
-    let handle = server.spawn();
-    let socket_lines = roundtrip(&addr, &lines);
+    let socket_service = Arc::new(MappingService::new(telemetry));
+    let addr = unique_socket(tag);
+    let config = ServerConfig {
+        shards: 4,
+        queue_depth: 64,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind(Arc::clone(&socket_service), &addr, config)
+        .unwrap()
+        .spawn();
+    let socket_lines = roundtrip(&addr, lines);
     let summary = handle.stop().unwrap();
 
     assert_eq!(socket_lines, stdin_lines, "socket must match stdin serve");
+    let (stdin_stats, stats) = (stdin_service.stats(), socket_service.stats());
+    assert_eq!(stats.errors, stdin_stats.errors);
+    assert_eq!(stats.requests_served, stdin_stats.requests_served);
+    assert_eq!(
+        stats.telemetry.counter("serve.malformed_lines"),
+        stdin_stats.telemetry.counter("serve.malformed_lines")
+    );
+    assert_eq!(summary.per_connection, vec![stdin_summary]);
+    assert_eq!(summary.requests, stdin_summary.requests);
+    (socket_lines, stats, summary)
+}
+
+#[test]
+fn socket_serve_matches_stdin_serve_and_replay() {
+    let seed = 7;
+    let (header, events) = small_trace(6, seed);
+    let requests = trace_requests(&header, &events, seed, None, 1);
+    let lines: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|r| r.to_json_line().into_bytes())
+        .collect();
+
+    let (responses, _, summary) = serve_both_ways("stdin", &lines);
     assert_eq!(summary.connections, 1);
     assert_eq!(summary.requests, lines.len() as u64);
     assert_eq!(summary.rejected, 0);
     assert_eq!(summary.malformed_lines(), 0);
 
-    // (c) the session's records must be replay's bytes.
+    // The session's records must be replay's bytes.
     let expected = replay_records(&header, &events, seed);
-    let records: Vec<String> = socket_lines
+    let records: Vec<String> = responses
         .iter()
         .filter_map(|line| {
             Response::from_json_line(line)
@@ -130,6 +172,36 @@ fn socket_serve_matches_stdin_serve_and_replay() {
         })
         .collect();
     assert_eq!(records, expected, "served records must equal replay bytes");
+
+    // The same trace with framing noise and three kinds of bad line
+    // around it: both modes run one framing function, so they answer
+    // the same bytes (down to the `line N:` in each bad_request) and
+    // count the same things.
+    let (open, rest) = lines.split_first().unwrap();
+    let (close, applies) = rest.split_last().unwrap();
+    let mut mixed: Vec<Vec<u8>> = vec![b"".to_vec(), b"# a comment".to_vec(), b"{oops".to_vec()];
+    mixed.extend([open.clone(), b"\xff\xfe not utf-8".to_vec()]);
+    mixed.extend_from_slice(applies);
+    mixed.extend([
+        b"{\"op\":\"no_such_op\"}".to_vec(),
+        b"   ".to_vec(),
+        close.clone(),
+    ]);
+    let bad = 3;
+
+    let (responses, stats, summary) = serve_both_ways("mixed", &mixed);
+    assert_eq!(responses.len(), lines.len() + bad);
+    let errors: Vec<&String> = responses
+        .iter()
+        .filter(|line| Response::from_json_line(line).unwrap().is_error())
+        .collect();
+    assert_eq!(errors.len(), bad);
+    assert!(errors[0].contains("line 3: "), "{}", errors[0]);
+    assert!(errors[1].contains("line 5: invalid utf-8"), "{}", errors[1]);
+    assert_eq!(stats.errors.bad_request, bad);
+    assert_eq!(stats.errors.total(), bad);
+    assert_eq!(stats.telemetry.counter("serve.malformed_lines"), bad as u64);
+    assert_eq!(summary.malformed_lines(), bad as u64);
 }
 
 #[test]
@@ -145,6 +217,7 @@ fn interleaved_sharded_sessions_stay_fifo_and_replay_identical() {
         ServerConfig {
             shards: 4,
             queue_depth: 64,
+            ..ServerConfig::default()
         },
     )
     .unwrap();
@@ -238,6 +311,7 @@ fn loadgen_drives_concurrent_sessions_over_tcp() {
         ServerConfig {
             shards: 2,
             queue_depth: 256,
+            ..ServerConfig::default()
         },
     )
     .unwrap();

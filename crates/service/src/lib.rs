@@ -16,10 +16,12 @@
 //!   process, ids allocated deterministically, topology artifacts
 //!   (`SystemHierarchy`, APSP, routing) shared through one
 //!   `TopologyCache` across one-shot *and* session traffic;
-//! * [`serve`] — the JSONL loop behind `mimd serve` (one request per
-//!   stdin line, one response per stdout line) plus
-//!   [`trace_requests`], the trace → request-stream converter used to
-//!   prove served traces byte-identical to `mimd replay`.
+//! * [`serve`] — the one request path behind `mimd serve`:
+//!   [`serve_lines`] frames and decodes a connection, [`handle_timed`]
+//!   handles one decoded request, and [`serve_jsonl`] composes them
+//!   for stdin (one request per line in, one response per line out);
+//!   plus [`trace_requests`], the trace → request-stream converter
+//!   used to prove served traces byte-identical to `mimd replay`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,6 +35,6 @@ pub use protocol::{
     ServiceStats, SessionConfig,
 };
 pub use serve::{
-    serve_jsonl, serve_jsonl_with, stats_line, trace_requests, ServeOptions, ServeSummary,
+    handle_timed, serve_jsonl, serve_lines, stats_line, trace_requests, ConnectionSummary,
 };
 pub use service::{MappingService, ServerGaugeSource, ServiceConfig};

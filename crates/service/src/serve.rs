@@ -1,13 +1,18 @@
-//! The long-running JSONL loop behind `mimd serve`: one [`Request`]
-//! per line on the reader, one [`Response`] per line on the writer.
+//! The one request path behind `mimd serve`: one [`Request`] per line
+//! in, one [`Response`] per line out, on stdin or a server connection.
 //!
-//! Framing follows the workspace's JSONL conventions (blank lines and
-//! `#`-comments are skipped); unlike batch input, a malformed line is
-//! *not* fatal — it answers a [`Response::Error`] with
-//! [`ErrorCode::BadRequest`] and the loop keeps serving, because a
-//! resource-manager sidecar must outlive one bad client line. The
-//! writer is flushed after every response so a co-process driving the
-//! loop over pipes never deadlocks waiting for buffered output.
+//! [`serve_lines`] frames and decodes a connection: blank lines and
+//! `#`-comments are skipped, and a line that is not a request (bad
+//! JSON, unknown op, invalid UTF-8) is *not* fatal — it answers
+//! [`ErrorCode::BadRequest`], is counted against its connection, and the
+//! loop keeps serving, because a resource-manager sidecar must outlive
+//! one bad client line. [`handle_timed`] handles one decoded request.
+//!
+//! The two modes differ only in the *dispatch* between them.
+//! [`serve_jsonl`] (stdin) dispatches inline: the reader handles each
+//! request itself, so responses stay in request order and a piped file
+//! is back-pressured, never rejected. `mimd-server` dispatches onto
+//! shard queues whose workers call the same [`handle_timed`].
 
 use std::io::{self, BufRead, Write};
 use std::time::Instant;
@@ -17,100 +22,136 @@ use mimd_online::{TraceEvent, TraceHeader};
 use crate::protocol::{ErrorCode, Request, Response, ServiceError, SessionConfig};
 use crate::service::MappingService;
 
-/// What one serve loop did.
+/// What one connection (a server socket, or stdin as connection 1)
+/// read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeSummary {
-    /// Request lines consumed (including malformed ones).
-    pub requests: usize,
-    /// Responses that were errors (bad lines or failed requests).
-    pub errors: usize,
-    /// Requests that crossed the [`ServeOptions::slow_ms`] threshold.
-    pub slow_requests: usize,
+pub struct ConnectionSummary {
+    /// Connection id (1, 2, 3, … in accept order).
+    pub conn: u64,
+    /// Requests read off this connection (including malformed lines).
+    pub requests: u64,
+    /// Lines that failed to decode as a request.
+    pub malformed_lines: u64,
 }
 
-/// Serve-loop tuning knobs (the `mimd serve` flags).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServeOptions {
-    /// When set, a request taking at least this many milliseconds
-    /// emits one structured `slow_request op=… session=… ms=…` line on
-    /// the diagnostic writer and bumps the `serve.slow_requests`
-    /// counter. `None` (the default) never reads the clock, keeping
-    /// the loop wall-clock free.
-    pub slow_ms: Option<u64>,
-}
-
-/// Serve requests line-by-line until the reader ends. Returns the
-/// summary, or the first I/O error on the writer (a broken pipe is the
-/// caller's clean-shutdown signal).
-pub fn serve_jsonl(
+/// Frame and decode `reader` line by line until it ends, handing each
+/// decoded request to `dispatch`. A `Some` response — from `dispatch`,
+/// or the `bad_request` a malformed line produces here — goes to
+/// `respond`; `None` means the dispatch queued the request and its
+/// response is written elsewhere.
+///
+/// Returns the connection's counts together with why the loop ended:
+/// `Ok` at end of input, or the first I/O error from `reader` or
+/// `respond` (a broken pipe is the caller's clean-shutdown signal).
+pub fn serve_lines(
     service: &MappingService,
-    reader: impl BufRead,
-    writer: impl Write,
-) -> std::io::Result<ServeSummary> {
-    serve_jsonl_with(service, reader, writer, io::sink(), ServeOptions::default())
+    conn: u64,
+    mut reader: impl BufRead,
+    mut dispatch: impl FnMut(Request) -> Option<Response>,
+    mut respond: impl FnMut(&Response) -> io::Result<()>,
+) -> (ConnectionSummary, io::Result<()>) {
+    let mut summary = ConnectionSummary {
+        conn,
+        ..ConnectionSummary::default()
+    };
+    let mut line = Vec::new();
+    let mut lineno = 0u64;
+    let ended = loop {
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) => break Ok(()),
+            Ok(_) => lineno += 1,
+            Err(e) => break Err(e),
+        }
+        // Bytes, not `lines()`: a line that is not UTF-8 is one bad
+        // request, not the end of the connection.
+        let decoded = match std::str::from_utf8(&line) {
+            Ok(text) => {
+                let text = text.trim();
+                if text.is_empty() || text.starts_with('#') {
+                    continue;
+                }
+                Request::from_json_line(text).map_err(|e| e.to_string())
+            }
+            Err(e) => Err(e.to_string()),
+        };
+        summary.requests += 1;
+        let response = match decoded {
+            Ok(request) => dispatch(request),
+            Err(reason) => {
+                summary.malformed_lines += 1;
+                service.note_malformed_line(conn);
+                let error =
+                    ServiceError::new(ErrorCode::BadRequest, format!("line {lineno}: {reason}"));
+                Some(error.into_response())
+            }
+        };
+        if let Some(response) = response {
+            if let Err(e) = respond(&response) {
+                break Err(e);
+            }
+        }
+    };
+    (summary, ended)
 }
 
-/// [`serve_jsonl`] with options and a diagnostic writer (stderr in the
-/// CLI; any `Write` in tests). Diagnostics never mix into the response
-/// stream: every protocol line goes to `writer`, every slow-request
-/// line to `diag`.
-pub fn serve_jsonl_with(
+/// Handle one decoded request (`reserved` as in
+/// [`MappingService::handle_reserved`]). With `slow_ms` set, a request
+/// taking at least that many milliseconds emits one structured
+/// `slow_request op=… session=… ms=…` line on `diag` and counts under
+/// `serve.slow_requests`; `None` never reads the clock.
+pub fn handle_timed(
+    service: &MappingService,
+    request: Request,
+    reserved: Option<u64>,
+    slow_ms: Option<u64>,
+    mut diag: impl Write,
+) -> Response {
+    let Some(limit) = slow_ms else {
+        return service.handle_reserved(request, reserved);
+    };
+    let op = request.op_name();
+    let mut session = request.session_id();
+    let started = Instant::now();
+    let response = service.handle_reserved(request, reserved);
+    let elapsed_ms = started.elapsed().as_millis() as u64;
+    if elapsed_ms >= limit {
+        if let Response::SessionOpened { session: id, .. } = &response {
+            session = Some(*id);
+        }
+        service.recorder().incr("serve.slow_requests");
+        let session = session.map_or_else(|| "-".to_string(), |id| id.to_string());
+        // A lost diagnostic must not cost the client its response.
+        let _ = writeln!(
+            diag,
+            "slow_request op={op} session={session} ms={elapsed_ms}"
+        );
+    }
+    response
+}
+
+/// Serve `reader` as connection 1 with the inline dispatch (stdin mode).
+/// Protocol lines go to `writer`, flushed per response so a co-process
+/// on pipes never waits on buffered output; slow-request diagnostics go
+/// to `diag` (stderr in the CLI) — the two never mix.
+pub fn serve_jsonl(
     service: &MappingService,
     reader: impl BufRead,
     mut writer: impl Write,
     mut diag: impl Write,
-    options: ServeOptions,
-) -> std::io::Result<ServeSummary> {
-    let mut summary = ServeSummary::default();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        summary.requests += 1;
-        let response = match Request::from_json_line(trimmed) {
-            Ok(request) => {
-                // Only a set threshold reads the clock: the default
-                // loop stays wall-clock free.
-                let started = options.slow_ms.map(|_| Instant::now());
-                let op = request.op_name();
-                let mut session = request.session_id();
-                let response = service.handle(request);
-                if let Response::SessionOpened { session: id, .. } = &response {
-                    session = Some(*id);
-                }
-                if let (Some(started), Some(limit)) = (started, options.slow_ms) {
-                    let elapsed_ms = started.elapsed().as_millis() as u64;
-                    if elapsed_ms >= limit {
-                        summary.slow_requests += 1;
-                        service.note_slow_request();
-                        match session {
-                            Some(id) => {
-                                writeln!(diag, "slow_request op={op} session={id} ms={elapsed_ms}")?
-                            }
-                            None => {
-                                writeln!(diag, "slow_request op={op} session=- ms={elapsed_ms}")?
-                            }
-                        }
-                    }
-                }
-                response
-            }
-            Err(e) => {
-                service.note_malformed_line();
-                ServiceError::new(ErrorCode::BadRequest, format!("line {}: {e}", lineno + 1))
-                    .into_response()
-            }
-        };
-        if response.is_error() {
-            summary.errors += 1;
-        }
-        writeln!(writer, "{}", response.to_json_line())?;
-        // One response per request, immediately visible to the client.
-        writer.flush()?;
-    }
-    Ok(summary)
+    slow_ms: Option<u64>,
+) -> io::Result<ConnectionSummary> {
+    let (summary, ended) = serve_lines(
+        service,
+        1,
+        reader,
+        |request| Some(handle_timed(service, request, None, slow_ms, &mut diag)),
+        |response| {
+            writeln!(writer, "{}", response.to_json_line())?;
+            writer.flush()
+        },
+    );
+    ended.map(|()| summary)
 }
 
 /// One periodic `--stats-interval` snapshot as a single diagnostic
@@ -178,20 +219,28 @@ mod tests {
     #[test]
     fn malformed_lines_answer_bad_request_and_keep_serving() {
         let service = MappingService::default();
-        let input = "# comment\n\n{oops\n{\"op\":\"catalog\"}\n{\"op\":\"nope\"}\n";
+        let input = b"# comment\n\n{oops\n\xff\xfe\n{\"op\":\"catalog\"}\n{\"op\":\"nope\"}\n";
         let mut output = Vec::new();
-        let summary = serve_jsonl(&service, input.as_bytes(), &mut output).unwrap();
-        assert_eq!(summary.requests, 3);
-        assert_eq!(summary.errors, 2);
+        let summary = serve_jsonl(&service, &input[..], &mut output, io::sink(), None).unwrap();
+        assert_eq!(summary.requests, 4);
+        assert_eq!(
+            summary.malformed_lines, 3,
+            "bad JSON, bad UTF-8, unknown op"
+        );
+        assert_eq!(service.stats().errors.total(), 3);
         let lines: Vec<Response> = String::from_utf8(output)
             .unwrap()
             .lines()
             .map(|l| Response::from_json_line(l).unwrap())
             .collect();
-        assert_eq!(lines.len(), 3, "one response per request");
+        assert_eq!(lines.len(), 4, "one response per request");
         assert!(lines[0].is_error());
-        assert!(matches!(lines[1], Response::Catalog { .. }));
-        assert!(lines[2].is_error(), "unknown op is a bad request");
+        assert!(
+            matches!(&lines[1], Response::Error { error } if error.message.starts_with("line 4: ")),
+            "a line that is not UTF-8 is one bad request, not the end of the loop"
+        );
+        assert!(matches!(lines[2], Response::Catalog { .. }));
+        assert!(lines[3].is_error(), "unknown op is a bad request");
     }
 
     #[test]
@@ -203,18 +252,11 @@ mod tests {
         let service = MappingService::new(config);
         let input = "{oops\n{\"op\":\"catalog\"}\n{\"op\":\"stats\"}\n";
         let (mut output, mut diag) = (Vec::new(), Vec::new());
-        let summary = serve_jsonl_with(
-            &service,
-            input.as_bytes(),
-            &mut output,
-            &mut diag,
-            ServeOptions { slow_ms: Some(0) },
-        )
-        .unwrap();
+        let summary =
+            serve_jsonl(&service, input.as_bytes(), &mut output, &mut diag, Some(0)).unwrap();
         // The malformed line never reaches the clock; both parsed
         // requests cross a 0 ms threshold.
         assert_eq!(summary.requests, 3);
-        assert_eq!(summary.slow_requests, 2);
         let diag = String::from_utf8(diag).unwrap();
         let lines: Vec<&str> = diag.lines().collect();
         assert_eq!(lines.len(), 2, "{diag}");
@@ -232,15 +274,7 @@ mod tests {
         let service = MappingService::default();
         let input = "{\"op\":\"catalog\"}\n";
         let (mut output, mut diag) = (Vec::new(), Vec::new());
-        let summary = serve_jsonl_with(
-            &service,
-            input.as_bytes(),
-            &mut output,
-            &mut diag,
-            ServeOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(summary.slow_requests, 0);
+        serve_jsonl(&service, input.as_bytes(), &mut output, &mut diag, None).unwrap();
         assert!(diag.is_empty(), "no threshold, no diagnostic lines");
     }
 
@@ -253,7 +287,7 @@ mod tests {
         let service = MappingService::new(config);
         let input = "{\"op\":\"catalog\"}\n{\"op\":\"stats\"}\n";
         let mut output = Vec::new();
-        serve_jsonl(&service, input.as_bytes(), &mut output).unwrap();
+        serve_jsonl(&service, input.as_bytes(), &mut output, io::sink(), None).unwrap();
         let stats = service.stats();
         assert!(stats.journal.enabled);
         assert!(stats.journal.events >= 4, "two spans = four events");
@@ -283,9 +317,9 @@ mod tests {
         let service = MappingService::new(config);
         let input = "{\"op\":\"catalog\"}\n{oops\n";
         let mut output = Vec::new();
-        serve_jsonl(&service, input.as_bytes(), &mut output).unwrap();
-        service.note_stats_emitted();
-        service.note_stats_emitted();
+        serve_jsonl(&service, input.as_bytes(), &mut output, io::sink(), None).unwrap();
+        service.recorder().incr("serve.stats_emitted");
+        service.recorder().incr("serve.stats_emitted");
         let line = stats_line(&service.stats(), 12);
         assert!(!line.contains('\n'));
         assert!(
@@ -310,7 +344,7 @@ mod tests {
         let service = MappingService::default();
         let input = format!("{}\n", Request::Stats.to_json_line());
         let mut output = Vec::new();
-        serve_jsonl(&service, input.as_bytes(), &mut output).unwrap();
+        serve_jsonl(&service, input.as_bytes(), &mut output, io::sink(), None).unwrap();
         let text = String::from_utf8(output).unwrap();
         let response = Response::from_json_line(text.trim()).unwrap();
         assert!(matches!(response, Response::Stats { .. }), "{response:?}");

@@ -344,21 +344,12 @@ impl MappingService {
         response
     }
 
-    /// Count a serve-loop line that failed to parse as a [`Request`]:
-    /// it still consumed a request slot and answered
+    /// Count a line read off connection `conn` that failed to decode as
+    /// a [`Request`]: it still consumed a request slot and answered
     /// [`ErrorCode::BadRequest`], so the stats reflect it even though
-    /// `handle` never saw it.
-    pub fn note_malformed_line(&self) {
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-        self.errors.bump(ErrorCode::BadRequest);
-        self.recorder.incr("serve.malformed_lines");
-    }
-
-    /// [`MappingService::note_malformed_line`] for a line read off
-    /// server connection `conn`: the journal event carries the
-    /// connection id so per-connection malformed counts survive into
-    /// the drain summary.
-    pub fn note_malformed_line_conn(&self, conn: u64) {
+    /// `handle` never saw it. The journal event carries the connection
+    /// id (stdin is connection 1).
+    pub fn note_malformed_line(&self, conn: u64) {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         self.errors.bump(ErrorCode::BadRequest);
         self.recorder
@@ -375,19 +366,6 @@ impl MappingService {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         self.errors.bump(ErrorCode::Overloaded);
         self.recorder.incr("serve.overloaded");
-    }
-
-    /// Count a serve-loop request whose latency crossed the
-    /// `--slow-ms` threshold (the serve loop also emits a structured
-    /// `slow_request` line on its diagnostic stream).
-    pub fn note_slow_request(&self) {
-        self.recorder.incr("serve.slow_requests");
-    }
-
-    /// Count one periodic `--stats-interval` snapshot emitted on the
-    /// serve loop's diagnostic stream (see [`crate::stats_line`]).
-    pub fn note_stats_emitted(&self) {
-        self.recorder.incr("serve.stats_emitted");
     }
 
     /// Run one job against the shared cache (the engine's single-job
@@ -758,7 +736,7 @@ mod tests {
     fn admission_notes_count_as_served_errors() {
         let service = MappingService::default();
         service.note_overloaded();
-        service.note_malformed_line_conn(7);
+        service.note_malformed_line(7);
         let stats = service.stats();
         assert_eq!(stats.requests_served, 2);
         assert_eq!(stats.errors.overloaded, 1);

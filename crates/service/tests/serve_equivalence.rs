@@ -7,6 +7,8 @@
 //!   instance shares `SystemHierarchy` artifacts through the one
 //!   topology cache (hierarchy hits > 0 across request kinds).
 
+use std::io::sink;
+
 use mimd_online::{replay_trace, DynamicWorkload, OnlineConfig, TraceHeader};
 use mimd_service::{serve_jsonl, trace_requests, MappingService, Request, Response};
 use mimd_taskgraph::clustering::region::random_region_clustering;
@@ -64,9 +66,10 @@ fn served_records_are_byte_identical_to_replay() {
         .map(|r| r.to_json_line() + "\n")
         .collect();
     let mut output = Vec::new();
-    let summary = serve_jsonl(&service, input.as_bytes(), &mut output).unwrap();
-    assert_eq!(summary.requests, events.len() + 2, "open + applies + close");
-    assert_eq!(summary.errors, 0);
+    let summary = serve_jsonl(&service, input.as_bytes(), &mut output, sink(), None).unwrap();
+    assert_eq!(summary.requests, events.len() as u64 + 2, "open + applies");
+    assert_eq!(summary.malformed_lines, 0);
+    assert_eq!(service.stats().errors.total(), 0);
 
     let responses: Vec<Response> = String::from_utf8(output)
         .unwrap()

@@ -4,6 +4,8 @@
 //! never part of the contract. Also proves the determinism contract:
 //! enabling telemetry changes no emitted record.
 
+use std::io::sink;
+
 use mimd_online::{replay_trace, OnlineConfig, TraceHeader};
 use mimd_service::{serve_jsonl, MappingService, Request, Response, ServiceConfig, SessionConfig};
 use mimd_taskgraph::clustering::region::random_region_clustering;
@@ -155,9 +157,9 @@ fn serve_loop_counts_malformed_lines_and_error_codes() {
     let service = telemetry_service();
     let input = "# comment\n{oops\n{\"op\":\"catalog\"}\n{\"op\":\"stats\"}\n";
     let mut output = Vec::new();
-    let summary = serve_jsonl(&service, input.as_bytes(), &mut output).unwrap();
+    let summary = serve_jsonl(&service, input.as_bytes(), &mut output, sink(), None).unwrap();
     assert_eq!(summary.requests, 3);
-    assert_eq!(summary.errors, 1);
+    assert_eq!(summary.malformed_lines, 1);
 
     let stats = service.stats();
     // The malformed line consumed a request slot too.

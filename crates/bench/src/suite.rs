@@ -336,6 +336,20 @@ fn full_suite() -> BenchSuite {
                 seed: 7,
             },
         },
+        // A session at the size that used to hurt: loading this header
+        // took 73 s while every edge insert re-derived the successor
+        // map (≈ 25 ms now), so no suite could afford it.
+        Scenario {
+            name: "replay_mixed_torus32x32".into(),
+            kind: ScenarioKind::Replay {
+                tasks: 2048,
+                topology: TopologySpec::Torus { rows: 32, cols: 32 },
+                events: 20,
+                regime: "mixed".into(),
+                scratch: false,
+                seed: 7,
+            },
+        },
     ]);
     suite
 }

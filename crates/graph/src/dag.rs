@@ -30,8 +30,8 @@ impl TopoOrder {
     pub fn new(g: &WeightedDigraph) -> Result<Self, GraphError> {
         let n = g.node_count();
         let mut indeg: Vec<usize> = (0..n).map(|v| g.in_degree(v)).collect();
-        // A binary heap would give O(E log V); for the paper's sizes a
-        // sorted ready queue is fine and keeps determinism obvious.
+        // Min-heap of ready nodes: popping the smallest id first makes
+        // the order deterministic, in O(E + V log V).
         let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<NodeId>> = (0..n)
             .filter(|&v| indeg[v] == 0)
             .map(std::cmp::Reverse)

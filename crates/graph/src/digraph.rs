@@ -49,30 +49,55 @@ impl WeightedDigraph {
         self.edge_count
     }
 
+    /// Build a graph from an edge list strictly ascending by `(from, to)`
+    /// — the order [`WeightedDigraph::edges`] yields. Every edge passes
+    /// the same validation as [`WeightedDigraph::add_edge`]; input that
+    /// is out of order or repeats an edge is rejected, because rows are
+    /// pushed as they come. Each row is allocated once at its final
+    /// length, so construction is `O(n + edges)` and rows built back to
+    /// back sit back to back in memory.
+    pub fn from_sorted_edges(
+        n: usize,
+        edges: &[(NodeId, NodeId, Weight)],
+    ) -> Result<Self, GraphError> {
+        let mut out_degree = vec![0usize; n];
+        let mut in_degree = vec![0usize; n];
+        let mut previous = None;
+        for &(from, to, w) in edges {
+            check_edge(n, from, to, w)?;
+            if let Some((pf, pt)) = previous.filter(|&p| p >= (from, to)) {
+                return Err(GraphError::InvalidParameter(format!(
+                    "edge ({from},{to}) does not sort after ({pf},{pt}); \
+                     edges must strictly ascend by (from, to)"
+                )));
+            }
+            previous = Some((from, to));
+            out_degree[from] += 1;
+            in_degree[to] += 1;
+        }
+        let rows = |degrees: &[usize]| -> Vec<Vec<(NodeId, Weight)>> {
+            degrees.iter().map(|&d| Vec::with_capacity(d)).collect()
+        };
+        let (mut succs, mut preds) = (rows(&out_degree), rows(&in_degree));
+        for &(from, to, w) in edges {
+            succs[from].push((to, w));
+            preds[to].push((from, w));
+        }
+        Ok(WeightedDigraph {
+            n,
+            succs,
+            preds,
+            edge_count: edges.len(),
+        })
+    }
+
     /// Add (or overwrite) the edge `from -> to` with positive weight `w`.
     ///
     /// Errors on out-of-range endpoints, self-loops and zero weights (zero
     /// encodes absence in the paper's matrices, so it is not a legal
     /// weight).
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, w: Weight) -> Result<(), GraphError> {
-        if from >= self.n {
-            return Err(GraphError::NodeOutOfRange {
-                node: from,
-                len: self.n,
-            });
-        }
-        if to >= self.n {
-            return Err(GraphError::NodeOutOfRange {
-                node: to,
-                len: self.n,
-            });
-        }
-        if from == to {
-            return Err(GraphError::SelfLoop(from));
-        }
-        if w == 0 {
-            return Err(GraphError::ZeroWeight { from, to });
-        }
+        check_edge(self.n, from, to, w)?;
         match self.succs[from].binary_search_by_key(&to, |&(v, _)| v) {
             Ok(pos) => {
                 self.succs[from][pos].1 = w;
@@ -212,6 +237,24 @@ impl WeightedDigraph {
     }
 }
 
+/// What every stored edge must satisfy: endpoints in `0..n`, no
+/// self-loop, positive weight.
+#[inline]
+fn check_edge(n: usize, from: NodeId, to: NodeId, w: Weight) -> Result<(), GraphError> {
+    for node in [from, to] {
+        if node >= n {
+            return Err(GraphError::NodeOutOfRange { node, len: n });
+        }
+    }
+    if from == to {
+        return Err(GraphError::SelfLoop(from));
+    }
+    if w == 0 {
+        return Err(GraphError::ZeroWeight { from, to });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +311,57 @@ mod tests {
             g.add_edge(0, 1, 0),
             Err(GraphError::ZeroWeight { from: 0, to: 1 })
         );
+    }
+
+    #[test]
+    fn from_sorted_edges_equals_the_add_edge_build_on_random_dags() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..24usize);
+            // Forward edges only (u < v): a DAG, listed in sorted order.
+            let mut edges = Vec::new();
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if rng.gen_range(0..4) == 0 {
+                        edges.push((u, v, rng.gen_range(1..=9)));
+                    }
+                }
+            }
+            let mut expected = WeightedDigraph::new(n);
+            for &(u, v, w) in &edges {
+                expected.add_edge(u, v, w).unwrap();
+            }
+            let bulk = WeightedDigraph::from_sorted_edges(n, &edges).unwrap();
+            assert_eq!(bulk, expected, "seed {seed}");
+            assert_eq!(bulk.edge_count(), edges.len());
+            assert_eq!(bulk.edges().collect::<Vec<_>>(), edges);
+        }
+    }
+
+    #[test]
+    fn from_sorted_edges_rejects_what_add_edge_rejects_and_disorder() {
+        let build = |edges: &[(NodeId, NodeId, Weight)]| {
+            WeightedDigraph::from_sorted_edges(3, edges).unwrap_err()
+        };
+        let via_add_edge = |from, to, w| WeightedDigraph::new(3).add_edge(from, to, w).unwrap_err();
+        assert_eq!(build(&[(0, 1, 1), (3, 1, 1)]), via_add_edge(3, 1, 1));
+        assert_eq!(build(&[(0, 3, 1)]), via_add_edge(0, 3, 1));
+        assert_eq!(build(&[(1, 1, 1)]), via_add_edge(1, 1, 1));
+        assert_eq!(build(&[(0, 1, 0)]), via_add_edge(0, 1, 0));
+        for disorder in [
+            [(0, 2, 1), (0, 1, 1)], // `to` descends within a row
+            [(1, 2, 1), (0, 1, 1)], // `from` descends
+            [(0, 1, 1), (0, 1, 2)], // duplicate
+        ] {
+            match build(&disorder) {
+                GraphError::InvalidParameter(msg) => assert!(msg.contains("ascend"), "{msg}"),
+                other => panic!("{disorder:?}: {other:?}"),
+            }
+        }
+        // An invalid edge is reported before the disorder after it.
+        assert_eq!(build(&[(0, 2, 1), (0, 0, 1)]), GraphError::SelfLoop(0));
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! post-event instance for its [`ReplayRecord`](crate::ReplayRecord)
 //! and as the refiner's early-stop target. Deriving it from scratch
 //! ([`IdealSchedule::derive`]) walks the whole graph per event; after a
-//! local delta only the tasks downstream of the touched clusters can
+//! local delta only the tasks downstream of the disturbed ones can
 //! change rank. [`IncrementalBound`] keeps the ideal start/end times
-//! alive across events (keyed by *stable external* task ids, like the
-//! [`DynamicWorkload`] it shadows) and repairs them by worklist
-//! propagation from the directly disturbed tasks, so the per-event cost
-//! is proportional to the disturbed cone, not the graph.
+//! alive across events (keyed by *stable external* task ids) and
+//! repairs them by worklist propagation from the tasks the event's
+//! [`EventImpact::rerank`] names, so the per-event cost is proportional
+//! to the disturbed cone, not the graph.
+//!
+//! It stores ranks only. Sizes, clusters, edge weights and adjacency
+//! are read from the [`DynamicWorkload`] it is handed — the session's
+//! one copy of the graph.
 //!
 //! Exactness contract: after [`IncrementalBound::apply`] the bound
 //! equals `IdealSchedule::derive(&workload.materialize()?).lower_bound()`
@@ -18,8 +22,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mimd_graph::{Time, Weight};
-use mimd_taskgraph::{ClusterId, DynamicWorkload, TaskId, TraceEvent};
+use mimd_graph::Time;
+use mimd_taskgraph::{DynamicWorkload, EventImpact, TaskId, TraceEvent};
 
 /// Incrementally maintained ideal schedule over a [`DynamicWorkload`].
 ///
@@ -30,16 +34,6 @@ use mimd_taskgraph::{ClusterId, DynamicWorkload, TaskId, TraceEvent};
 /// (paper Theorem 3).
 #[derive(Clone, Debug)]
 pub struct IncrementalBound {
-    /// Execution time per live task.
-    sizes: BTreeMap<TaskId, Time>,
-    /// Owning cluster per live task (decides which edges cost 0).
-    clusters: BTreeMap<TaskId, ClusterId>,
-    /// Live edge weights.
-    edges: BTreeMap<(TaskId, TaskId), Weight>,
-    /// Predecessors per task.
-    preds: BTreeMap<TaskId, BTreeSet<TaskId>>,
-    /// Successors per task.
-    succs: BTreeMap<TaskId, BTreeSet<TaskId>>,
     /// Ideal start time per task (the paper's `i_start`).
     start: BTreeMap<TaskId, Time>,
     /// Ideal end time per task (the paper's `i_end`).
@@ -50,27 +44,11 @@ impl IncrementalBound {
     /// Build the full ideal schedule of the workload's current state.
     pub fn new(workload: &DynamicWorkload) -> Self {
         let mut bound = IncrementalBound {
-            sizes: BTreeMap::new(),
-            clusters: BTreeMap::new(),
-            edges: BTreeMap::new(),
-            preds: BTreeMap::new(),
-            succs: BTreeMap::new(),
             start: BTreeMap::new(),
             end: BTreeMap::new(),
         };
-        let snapshot = workload.snapshot();
-        for task in &snapshot.tasks {
-            bound.sizes.insert(task.id, task.size);
-            bound.clusters.insert(task.id, task.cluster);
-        }
-        for edge in &snapshot.edges {
-            bound.edges.insert((edge.from, edge.to), edge.weight);
-            bound.succs.entry(edge.from).or_default().insert(edge.to);
-            bound.preds.entry(edge.to).or_default().insert(edge.from);
-        }
         // Every task is dirty: one propagation pass is a full (re)build.
-        let all: BTreeSet<TaskId> = bound.sizes.keys().copied().collect();
-        bound.propagate(all);
+        bound.propagate(workload.task_ids().collect(), workload);
         bound
     }
 
@@ -81,87 +59,23 @@ impl IncrementalBound {
     }
 
     /// Repair the schedule after `event` was **successfully** applied to
-    /// `workload` (the post-event state). Must be called once per
-    /// accepted event, in order; rejected events must not be passed.
+    /// `workload` (the post-event state) and reported `impact`. Must be
+    /// called once per accepted event, in order; rejected events must
+    /// not be passed.
     ///
-    /// Local events repair only the disturbed cone; the global
-    /// [`TraceEvent::ScaleEdgeWeights`] rescales every edge and rebuilds
-    /// (it forces a full remap downstream anyway).
-    pub fn apply(&mut self, event: &TraceEvent, workload: &DynamicWorkload) {
-        let dirty: BTreeSet<TaskId> = match *event {
-            TraceEvent::AddTask {
-                task,
-                size,
-                cluster,
-            } => {
-                self.sizes.insert(task, size);
-                self.clusters.insert(task, cluster);
-                [task].into()
-            }
-            TraceEvent::RemoveTask { task } => {
-                let mut dirty = BTreeSet::new();
-                // Drop incident edges; former successors lose an input.
-                for succ in self.succs.remove(&task).unwrap_or_default() {
-                    self.edges.remove(&(task, succ));
-                    if let Some(preds) = self.preds.get_mut(&succ) {
-                        preds.remove(&task);
-                    }
-                    dirty.insert(succ);
-                }
-                for pred in self.preds.remove(&task).unwrap_or_default() {
-                    self.edges.remove(&(pred, task));
-                    if let Some(succs) = self.succs.get_mut(&pred) {
-                        succs.remove(&task);
-                    }
-                }
-                self.sizes.remove(&task);
-                self.clusters.remove(&task);
-                self.start.remove(&task);
-                self.end.remove(&task);
-                dirty
-            }
-            TraceEvent::AddEdge { from, to, weight } => {
-                self.edges.insert((from, to), weight);
-                self.succs.entry(from).or_default().insert(to);
-                self.preds.entry(to).or_default().insert(from);
-                [to].into()
-            }
-            TraceEvent::RemoveEdge { from, to } => {
-                self.edges.remove(&(from, to));
-                if let Some(succs) = self.succs.get_mut(&from) {
-                    succs.remove(&to);
-                }
-                if let Some(preds) = self.preds.get_mut(&to) {
-                    preds.remove(&from);
-                }
-                [to].into()
-            }
-            TraceEvent::SetTaskSize { task, size } => {
-                self.sizes.insert(task, size);
-                [task].into()
-            }
-            TraceEvent::SetEdgeWeight { from, to, weight } => {
-                self.edges.insert((from, to), weight);
-                [to].into()
-            }
-            TraceEvent::ScaleEdgeWeights { .. } => {
-                // No locality: resynchronize from the workload instead
-                // of replicating the saturating rescale arithmetic.
-                *self = IncrementalBound::new(workload);
-                return;
-            }
-        };
-        self.propagate(dirty);
-    }
-
-    /// Communication delay of edge `u -> v` on the ideal graph: the
-    /// clustered weight (0 intra-cluster).
-    fn comm(&self, u: TaskId, v: TaskId) -> Time {
-        if self.clusters[&u] == self.clusters[&v] {
-            0
-        } else {
-            self.edges[&(u, v)]
+    /// Local events repair only the cone below `impact.rerank`; a
+    /// global one ([`TraceEvent::ScaleEdgeWeights`]) rebuilds (it forces
+    /// a full remap downstream anyway).
+    pub fn apply(&mut self, event: &TraceEvent, impact: &EventImpact, workload: &DynamicWorkload) {
+        if impact.global {
+            *self = IncrementalBound::new(workload);
+            return;
         }
+        if let TraceEvent::RemoveTask { task } = *event {
+            self.start.remove(&task);
+            self.end.remove(&task);
+        }
+        self.propagate(impact.rerank.iter().copied().collect(), workload);
     }
 
     /// Worklist repair: recompute each dirty task's rank from its
@@ -169,27 +83,32 @@ impl IncrementalBound {
     /// become dirty. On a DAG this reaches the exact fixpoint — the
     /// schedule a from-scratch topological pass would produce — while
     /// touching only the disturbed cone.
-    fn propagate(&mut self, mut dirty: BTreeSet<TaskId>) {
+    fn propagate(&mut self, mut dirty: BTreeSet<TaskId>, workload: &DynamicWorkload) {
         while let Some(task) = dirty.pop_first() {
-            let new_start = self
-                .preds
-                .get(&task)
-                .into_iter()
-                .flatten()
-                // A pred not ranked yet (first pass, non-topo pop
-                // order) counts as 0; its own recompute re-dirties this
-                // task, so the fixpoint is still exact.
-                .map(|&p| self.end.get(&p).copied().unwrap_or(0) + self.comm(p, task))
+            let cluster = workload.cluster_of(task);
+            let new_start = workload
+                .predecessors(task)
+                .iter()
+                .map(|&p| {
+                    // Communication delay on the ideal graph: the
+                    // clustered weight (0 intra-cluster).
+                    let comm = if workload.cluster_of(p) == cluster {
+                        0
+                    } else {
+                        workload.edge_weight(p, task).expect("row mirrors map")
+                    };
+                    // A pred not ranked yet (first pass, non-topo pop
+                    // order) counts as 0; its own recompute re-dirties
+                    // this task, so the fixpoint is still exact.
+                    self.end.get(&p).copied().unwrap_or(0) + comm
+                })
                 .max()
                 .unwrap_or(0);
-            let new_end = new_start + self.sizes[&task];
+            let new_end = new_start + workload.task_size(task).expect("dirty tasks are live");
             let start_changed = self.start.insert(task, new_start) != Some(new_start);
             let end_changed = self.end.insert(task, new_end) != Some(new_end);
-            let changed = start_changed || end_changed;
-            if changed {
-                if let Some(succs) = self.succs.get(&task) {
-                    dirty.extend(succs.iter().copied());
-                }
+            if start_changed || end_changed {
+                dirty.extend(workload.successors(task));
             }
         }
     }
@@ -254,8 +173,8 @@ mod tests {
             TraceEvent::RemoveTask { task: 3 },
         ];
         for event in &events {
-            workload.apply(event).unwrap();
-            bound.apply(event, &workload);
+            let impact = workload.apply(event).unwrap();
+            bound.apply(event, &impact, &workload);
             assert_eq!(bound.lower_bound(), scratch(&workload), "{event:?}");
         }
     }
@@ -287,8 +206,8 @@ mod tests {
                 true,
             ),
         ] {
-            workload.apply(&event).unwrap();
-            bound.apply(&event, &workload);
+            let impact = workload.apply(&event).unwrap();
+            bound.apply(&event, &impact, &workload);
             assert_eq!(bound.lower_bound(), scratch(&workload));
             if shrinks {
                 assert!(bound.lower_bound() <= before);

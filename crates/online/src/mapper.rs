@@ -237,9 +237,9 @@ impl OnlineSession {
 
     fn try_apply(&mut self, event: &TraceEvent) -> Result<ReplayRecord, GraphError> {
         let impact = self.workload.apply(event)?;
-        // The bound tracker shadows the workload delta-by-delta: only
+        // The bound tracker follows the workload delta-by-delta: only
         // the disturbed cone's ranks are recomputed per event.
-        self.bound.apply(event, &self.workload);
+        self.bound.apply(event, &impact, &self.workload);
         let graph = self.workload.materialize()?;
         let total_weight = self.workload.total_weight().max(1);
         self.drift += impact.weight_delta as f64 / total_weight as f64;

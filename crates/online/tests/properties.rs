@@ -134,10 +134,10 @@ proptest! {
             mimd_core::IdealSchedule::derive(&base).lower_bound()
         );
         for event in &trace {
-            if workload.apply(event).is_err() {
+            let Ok(impact) = workload.apply(event) else {
                 continue; // rejected events must not touch the bound
-            }
-            bound.apply(event, &workload);
+            };
+            bound.apply(event, &impact, &workload);
             let scratch = mimd_core::IdealSchedule::derive(&workload.materialize().unwrap())
                 .lower_bound();
             prop_assert_eq!(bound.lower_bound(), scratch, "{:?}", event);

@@ -11,14 +11,29 @@
 //! paper's `na = ns` invariant — and the dependency graph stays
 //! acyclic), and [`DynamicWorkload::materialize`]s back into the
 //! immutable [`ClusteredProblemGraph`] the mapping algorithms consume.
-//! Each applied event reports an [`EventImpact`] (touched clusters and
-//! moved weight) that the incremental remapper in `mimd-online` uses to
-//! scope refinement and meter staleness.
+//! Each applied event reports an [`EventImpact`] (touched clusters,
+//! moved weight and the tasks whose ideal rank must be recomputed) that
+//! the incremental remapper in `mimd-online` uses to scope refinement,
+//! meter staleness and repair its lower bound.
+//!
+//! The session's problem graph is stored once, here: edge weights in
+//! one ordered map and, per task, its sorted successor and predecessor
+//! ids. Every operation costs what it touches — with `V` tasks, `E`
+//! edges and `log` the ordered-map lookup:
+//!
+//! | operation | cost |
+//! |---|---|
+//! | [`DynamicWorkload::from_snapshot`] | `O((V + E) log V)`: shape checks in snapshot order, then one topological pass |
+//! | `AddEdge` | the cone reachable from `to` (the cycle check) |
+//! | `RemoveTask` | `deg(task)` map entries |
+//! | other local events | `O(log)` |
+//! | [`DynamicWorkload::materialize`] | `O(V + E log V)`, rows built in bulk |
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
+use mimd_graph::dag::is_acyclic;
 use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
@@ -117,13 +132,50 @@ pub struct EventImpact {
     /// `true` for events without locality (global weight scaling):
     /// every cluster is affected.
     pub global: bool,
+    /// Live tasks whose ideal-schedule rank the event changed directly
+    /// (own size, predecessor set or an incoming weight), ascending —
+    /// where a rank repair starts. A removed task lists its former
+    /// successors, which the post-event state no longer records. Empty
+    /// for a global event: every rank may have changed.
+    pub rerank: Vec<TaskId>,
 }
 
-/// Per-task mutable state.
+/// Per-task mutable state, adjacency included: `succs`/`preds` hold the
+/// far endpoints of the task's live edges, ascending, so they are a
+/// function of the edge map and a state reached delta-by-delta equals
+/// one rebuilt from its snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct TaskState {
     size: Time,
     cluster: ClusterId,
+    succs: Vec<TaskId>,
+    preds: Vec<TaskId>,
+}
+
+impl TaskState {
+    fn new(size: Time, cluster: ClusterId) -> TaskState {
+        TaskState {
+            size,
+            cluster,
+            succs: Vec::new(),
+            preds: Vec::new(),
+        }
+    }
+}
+
+/// Insert `id` into an ascending row (an append when ids arrive in
+/// order, as they do from a sorted snapshot).
+fn insert_sorted(row: &mut Vec<TaskId>, id: TaskId) {
+    if let Err(pos) = row.binary_search(&id) {
+        row.insert(pos, id);
+    }
+}
+
+/// Remove `id` from an ascending row.
+fn remove_sorted(row: &mut Vec<TaskId>, id: TaskId) {
+    if let Ok(pos) = row.binary_search(&id) {
+        row.remove(pos);
+    }
 }
 
 /// One task of a [`WorkloadSnapshot`].
@@ -162,10 +214,11 @@ pub struct WorkloadSnapshot {
 
 /// A mutable clustered problem graph under a fixed cluster count.
 ///
-/// Tasks and edges are keyed by stable external ids in ordered maps, so
-/// a state reached delta-by-delta is structurally identical to one
-/// rebuilt from the final snapshot — the reproducibility property the
-/// trace format relies on.
+/// Tasks and edges are keyed by stable external ids in ordered maps
+/// (ids are sparse user input: nothing here is sized by the largest
+/// id), so a state reached delta-by-delta is structurally identical to
+/// one rebuilt from the final snapshot — the reproducibility property
+/// the trace format relies on.
 #[derive(Clone, Debug)]
 pub struct DynamicWorkload {
     tasks: BTreeMap<TaskId, TaskState>,
@@ -173,9 +226,10 @@ pub struct DynamicWorkload {
     /// `cluster_sizes[c]` = number of tasks currently in cluster `c`.
     cluster_sizes: Vec<usize>,
     /// High-water mark for [`DynamicWorkload::next_task_id`]: one past
-    /// the largest id ever seen, so removed ids are never recycled even
-    /// after the current maximum departs. Generator bookkeeping only —
-    /// excluded from equality (a snapshot does not record history).
+    /// the largest id ever seen (saturating at `usize::MAX`), so removed
+    /// ids are never recycled even after the current maximum departs.
+    /// Generator bookkeeping only — excluded from equality (a snapshot
+    /// does not record history).
     next_id: TaskId,
 }
 
@@ -193,34 +247,29 @@ impl DynamicWorkload {
     /// Start from an existing clustered problem graph; external ids are
     /// the graph's task indices `0..np`.
     pub fn from_clustered(graph: &ClusteredProblemGraph) -> DynamicWorkload {
-        let mut tasks = BTreeMap::new();
-        for t in 0..graph.num_tasks() {
-            tasks.insert(
-                t,
-                TaskState {
-                    size: graph.problem().size(t),
-                    cluster: graph.cluster_of(t),
-                },
-            );
-        }
-        let mut edges = BTreeMap::new();
-        for (u, v, w) in graph.problem().graph().edges() {
-            edges.insert((u, v), w);
-        }
-        let mut cluster_sizes = vec![0; graph.num_clusters()];
-        for state in tasks.values() {
-            cluster_sizes[state.cluster] += 1;
-        }
-        DynamicWorkload {
+        let mut state = DynamicWorkload {
+            tasks: BTreeMap::new(),
+            edges: BTreeMap::new(),
+            cluster_sizes: vec![0; graph.num_clusters()],
             next_id: graph.num_tasks(),
-            tasks,
-            edges,
-            cluster_sizes,
+        };
+        for t in 0..graph.num_tasks() {
+            let cluster = graph.cluster_of(t);
+            state
+                .tasks
+                .insert(t, TaskState::new(graph.problem().size(t), cluster));
+            state.cluster_sizes[cluster] += 1;
         }
+        for (u, v, w) in graph.problem().graph().edges() {
+            state.insert_edge(u, v, w);
+        }
+        state
     }
 
     /// Rebuild from a snapshot (the trace-file header). Validates the
-    /// same invariants `apply` maintains.
+    /// same invariants `apply` maintains, and reports what inserting
+    /// the edges one by one in snapshot order would report: the first
+    /// edge that is malformed *or* closes a cycle decides the error.
     pub fn from_snapshot(snapshot: &WorkloadSnapshot) -> Result<DynamicWorkload, GraphError> {
         if snapshot.num_clusters == 0 {
             return Err(GraphError::InvalidParameter(
@@ -248,13 +297,7 @@ impl DynamicWorkload {
             }
             if state
                 .tasks
-                .insert(
-                    task.id,
-                    TaskState {
-                        size: task.size,
-                        cluster: task.cluster,
-                    },
-                )
+                .insert(task.id, TaskState::new(task.size, task.cluster))
                 .is_some()
             {
                 return Err(GraphError::InvalidParameter(format!(
@@ -263,18 +306,28 @@ impl DynamicWorkload {
                 )));
             }
             state.cluster_sizes[task.cluster] += 1;
-            state.next_id = state.next_id.max(task.id + 1);
+            state.note_id(task.id);
         }
         if let Some(empty) = state.cluster_sizes.iter().position(|&n| n == 0) {
             return Err(GraphError::InvalidParameter(format!(
                 "cluster {empty} is empty; every cluster must own >= 1 task"
             )));
         }
+        // Shape checks need only the edges before them; acyclicity is
+        // proved once for the whole prefix they accepted. A cycle among
+        // the edges before a malformed one was closed first, so it wins.
+        let mut malformed = None;
         for edge in &snapshot.edges {
-            state.check_new_edge(edge.from, edge.to, edge.weight)?;
-            state.edges.insert((edge.from, edge.to), edge.weight);
+            if let Err(e) = state.check_edge_shape(edge.from, edge.to, edge.weight) {
+                malformed = Some(e);
+                break;
+            }
+            state.insert_edge(edge.from, edge.to, edge.weight);
         }
-        Ok(state)
+        if !is_acyclic(&state.digraph()?) {
+            return Err(GraphError::CycleDetected);
+        }
+        malformed.map_or(Ok(state), Err)
     }
 
     /// The serializable image of the current state.
@@ -321,6 +374,26 @@ impl DynamicWorkload {
     /// Cluster owning live task `t`.
     pub fn cluster_of(&self, t: TaskId) -> Option<ClusterId> {
         self.tasks.get(&t).map(|s| s.cluster)
+    }
+
+    /// Execution time of live task `t`.
+    pub fn task_size(&self, t: TaskId) -> Option<Time> {
+        self.tasks.get(&t).map(|s| s.size)
+    }
+
+    /// Tasks `t` feeds, ascending (empty for an unknown task).
+    pub fn successors(&self, t: TaskId) -> &[TaskId] {
+        self.tasks.get(&t).map_or(&[], |s| &s.succs)
+    }
+
+    /// Tasks feeding `t`, ascending (empty for an unknown task).
+    pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
+        self.tasks.get(&t).map_or(&[], |s| &s.preds)
+    }
+
+    /// Weight of the live edge `from -> to`.
+    pub fn edge_weight(&self, from: TaskId, to: TaskId) -> Option<Weight> {
+        self.edges.get(&(from, to)).copied()
     }
 
     /// A fresh external task id: one past the largest id ever seen
@@ -377,13 +450,14 @@ impl DynamicWorkload {
                         len: self.num_clusters(),
                     });
                 }
-                self.tasks.insert(task, TaskState { size, cluster });
+                self.tasks.insert(task, TaskState::new(size, cluster));
                 self.cluster_sizes[cluster] += 1;
-                self.next_id = self.next_id.max(task + 1);
+                self.note_id(task);
                 Ok(EventImpact {
                     touched_clusters: vec![cluster],
                     weight_delta: size,
                     global: false,
+                    rerank: vec![task],
                 })
             }
             TraceEvent::RemoveTask { task } => {
@@ -396,47 +470,55 @@ impl DynamicWorkload {
                         "removing task {task} would empty cluster {cluster} (na = ns must hold)"
                     )));
                 }
+                let state = self.tasks.remove(&task).expect("looked up above");
+                self.cluster_sizes[cluster] -= 1;
                 let mut delta = state.size;
                 let mut touched = vec![cluster];
-                let incident: Vec<(TaskId, TaskId)> = self
-                    .edges
-                    .keys()
-                    .filter(|&&(u, v)| u == task || v == task)
-                    .copied()
-                    .collect();
-                for key in incident {
-                    let w = self.edges.remove(&key).expect("key just listed");
-                    delta += w;
-                    let partner = if key.0 == task { key.1 } else { key.0 };
-                    touched.push(self.tasks[&partner].cluster);
+                for &succ in &state.succs {
+                    delta += self.edges.remove(&(task, succ)).expect("row mirrors map");
+                    let partner = self.tasks.get_mut(&succ).expect("endpoints are live");
+                    remove_sorted(&mut partner.preds, task);
+                    touched.push(partner.cluster);
                 }
-                self.tasks.remove(&task);
-                self.cluster_sizes[cluster] -= 1;
+                for &pred in &state.preds {
+                    delta += self.edges.remove(&(pred, task)).expect("row mirrors map");
+                    let partner = self.tasks.get_mut(&pred).expect("endpoints are live");
+                    remove_sorted(&mut partner.succs, task);
+                    touched.push(partner.cluster);
+                }
                 touched.sort_unstable();
                 touched.dedup();
                 Ok(EventImpact {
                     touched_clusters: touched,
                     weight_delta: delta,
                     global: false,
+                    rerank: state.succs,
                 })
             }
             TraceEvent::AddEdge { from, to, weight } => {
-                self.check_new_edge(from, to, weight)?;
-                self.edges.insert((from, to), weight);
+                self.check_edge_shape(from, to, weight)?;
+                if self.reaches(to, from) {
+                    return Err(GraphError::CycleDetected);
+                }
+                self.insert_edge(from, to, weight);
                 Ok(EventImpact {
                     touched_clusters: self.clusters_of_pair(from, to),
                     weight_delta: weight,
                     global: false,
+                    rerank: vec![to],
                 })
             }
             TraceEvent::RemoveEdge { from, to } => {
                 let w = self.edges.remove(&(from, to)).ok_or_else(|| {
                     GraphError::InvalidParameter(format!("edge {from} -> {to} does not exist"))
                 })?;
+                remove_sorted(&mut self.task_mut(from).succs, to);
+                remove_sorted(&mut self.task_mut(to).preds, from);
                 Ok(EventImpact {
                     touched_clusters: self.clusters_of_pair(from, to),
                     weight_delta: w,
                     global: false,
+                    rerank: vec![to],
                 })
             }
             TraceEvent::SetTaskSize { task, size } => {
@@ -454,6 +536,7 @@ impl DynamicWorkload {
                     touched_clusters: vec![state.cluster],
                     weight_delta: delta,
                     global: false,
+                    rerank: vec![task],
                 })
             }
             TraceEvent::SetEdgeWeight { from, to, weight } => {
@@ -471,6 +554,7 @@ impl DynamicWorkload {
                     touched_clusters: self.clusters_of_pair(from, to),
                     weight_delta: delta,
                     global: false,
+                    rerank: vec![to],
                 })
             }
             TraceEvent::ScaleEdgeWeights { percent } => {
@@ -494,6 +578,7 @@ impl DynamicWorkload {
                     touched_clusters: (0..self.num_clusters()).collect(),
                     weight_delta: delta,
                     global: true,
+                    rerank: Vec::new(),
                 })
             }
         }
@@ -502,20 +587,47 @@ impl DynamicWorkload {
     /// Build the immutable [`ClusteredProblemGraph`] for the current
     /// state: tasks densely renumbered in ascending external-id order.
     pub fn materialize(&self) -> Result<ClusteredProblemGraph, GraphError> {
-        let index: BTreeMap<TaskId, usize> = self
-            .tasks
-            .keys()
-            .enumerate()
-            .map(|(dense, &id)| (id, dense))
-            .collect();
-        let mut graph = WeightedDigraph::new(self.tasks.len());
-        for (&(u, v), &w) in &self.edges {
-            graph.add_edge(index[&u], index[&v], w)?;
-        }
         let sizes: Vec<Time> = self.tasks.values().map(|s| s.size).collect();
-        let problem = ProblemGraph::new(graph, sizes)?;
+        let problem = ProblemGraph::new(self.digraph()?, sizes)?;
         let clustering = Clustering::new(self.tasks.values().map(|s| s.cluster).collect())?;
         ClusteredProblemGraph::new(problem, clustering)
+    }
+
+    /// The dependency graph over dense indices `0..np` (ascending
+    /// external-id order), built in bulk: the edge map is already in
+    /// the `(from, to)` order the rows need.
+    fn digraph(&self) -> Result<WeightedDigraph, GraphError> {
+        let ids: Vec<TaskId> = self.tasks.keys().copied().collect();
+        let mut from_dense = 0;
+        let edges: Vec<(usize, usize, Weight)> = self
+            .edges
+            .iter()
+            .map(|(&(u, v), &w)| {
+                // Keys ascend by `from`, so its index only ever advances.
+                while ids[from_dense] != u {
+                    from_dense += 1;
+                }
+                let to_dense = ids.binary_search(&v).expect("endpoints are live");
+                (from_dense, to_dense, w)
+            })
+            .collect();
+        WeightedDigraph::from_sorted_edges(ids.len(), &edges)
+    }
+
+    /// Raise the id high-water mark past `id`.
+    fn note_id(&mut self, id: TaskId) {
+        self.next_id = self.next_id.max(id.saturating_add(1));
+    }
+
+    fn task_mut(&mut self, t: TaskId) -> &mut TaskState {
+        self.tasks.get_mut(&t).expect("endpoints are live")
+    }
+
+    /// Store a validated edge: its weight and both adjacency entries.
+    fn insert_edge(&mut self, from: TaskId, to: TaskId, weight: Weight) {
+        self.edges.insert((from, to), weight);
+        insert_sorted(&mut self.task_mut(from).succs, to);
+        insert_sorted(&mut self.task_mut(to).preds, from);
     }
 
     /// The clusters of an edge's two endpoints (sorted, deduplicated).
@@ -526,10 +638,10 @@ impl DynamicWorkload {
         touched
     }
 
-    /// Validate an edge about to be inserted: live endpoints, non-zero
-    /// weight, not a duplicate, not a self-loop, and — the expensive
-    /// part — no cycle (`to` must not already reach `from`).
-    fn check_new_edge(&self, from: TaskId, to: TaskId, weight: Weight) -> Result<(), GraphError> {
+    /// Validate the shape of an edge about to be inserted: not a
+    /// self-loop, non-zero weight, live endpoints, not a duplicate.
+    /// Whether it closes a cycle is the caller's separate question.
+    fn check_edge_shape(&self, from: TaskId, to: TaskId, weight: Weight) -> Result<(), GraphError> {
         if from == to {
             return Err(GraphError::InvalidParameter(format!(
                 "self-loop on task {from}"
@@ -552,26 +664,25 @@ impl DynamicWorkload {
                 "edge {from} -> {to} already exists"
             )));
         }
-        // DFS from `to` along existing edges; reaching `from` means the
-        // new edge closes a cycle.
-        let mut successors: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
-        for &(u, v) in self.edges.keys() {
-            successors.entry(u).or_default().push(v);
-        }
-        let mut stack = vec![to];
-        let mut seen = std::collections::BTreeSet::new();
-        while let Some(t) = stack.pop() {
-            if t == from {
-                return Err(GraphError::CycleDetected);
-            }
-            if !seen.insert(t) {
-                continue;
-            }
-            if let Some(next) = successors.get(&t) {
-                stack.extend(next.iter().copied());
-            }
-        }
         Ok(())
+    }
+
+    /// `true` iff `target` is reachable from `start` along live edges
+    /// (depth-first over the successor rows: only `start`'s cone is
+    /// visited). A new edge `from -> to` closes a cycle iff `to`
+    /// already reaches `from`.
+    fn reaches(&self, start: TaskId, target: TaskId) -> bool {
+        let mut stack = vec![start];
+        let mut seen = BTreeSet::new();
+        while let Some(t) = stack.pop() {
+            if t == target {
+                return true;
+            }
+            if seen.insert(t) {
+                stack.extend_from_slice(&self.tasks[&t].succs);
+            }
+        }
+        false
     }
 }
 
@@ -643,6 +754,10 @@ mod tests {
         let impact = state.apply(&TraceEvent::RemoveTask { task: 3 }).unwrap();
         assert_eq!(impact.touched_clusters, vec![0, 1]);
         assert_eq!(impact.weight_delta, 4 + 1 + 7 + 9);
+        // Its former successor must be re-ranked; nothing else records it.
+        assert_eq!(impact.rerank, vec![4]);
+        assert_eq!(state.predecessors(4), &[] as &[TaskId]);
+        assert_eq!(state.successors(1), &[] as &[TaskId]);
         assert_eq!(state.num_edges(), 2);
         let graph = state.materialize().unwrap();
         assert_eq!(graph.num_tasks(), 4);
@@ -763,6 +878,44 @@ mod tests {
         assert_eq!(rebuilt, state);
         // ...but a rebuilt state still never reissues a live-max id.
         assert_eq!(rebuilt.next_task_id(), 18);
+    }
+
+    #[test]
+    fn largest_task_id_saturates_the_high_water_mark() {
+        // Ids are client input: `usize::MAX` must neither panic (debug)
+        // nor wrap the mark to 0 (release) — in a header or in an event.
+        let mut snapshot = DynamicWorkload::from_clustered(&base()).snapshot();
+        snapshot.tasks.push(TaskInit {
+            id: usize::MAX,
+            size: 1,
+            cluster: 0,
+        });
+        snapshot.edges.push(EdgeInit {
+            from: 3,
+            to: usize::MAX,
+            weight: 2,
+        });
+        let opened = DynamicWorkload::from_snapshot(&snapshot).unwrap();
+        assert_eq!(opened.next_task_id(), usize::MAX);
+        assert_eq!(opened.materialize().unwrap().num_tasks(), 5);
+
+        let mut state = DynamicWorkload::from_clustered(&base());
+        state
+            .apply(&TraceEvent::AddTask {
+                task: usize::MAX,
+                size: 1,
+                cluster: 0,
+            })
+            .unwrap();
+        assert_eq!(state.next_task_id(), usize::MAX);
+        state
+            .apply(&TraceEvent::AddEdge {
+                from: 3,
+                to: usize::MAX,
+                weight: 2,
+            })
+            .unwrap();
+        assert_eq!(state, opened);
     }
 
     #[test]

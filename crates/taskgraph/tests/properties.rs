@@ -3,21 +3,25 @@
 
 use proptest::prelude::*;
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use mimd_graph::dag::is_acyclic;
-use mimd_graph::SquareMatrix;
+use mimd_graph::error::GraphError;
+use mimd_graph::{SquareMatrix, WeightedDigraph};
 use mimd_taskgraph::clustering::chains::chain_clustering;
 use mimd_taskgraph::clustering::comm_greedy::comm_greedy_clustering;
 use mimd_taskgraph::clustering::load_balance::load_balanced_clustering;
 use mimd_taskgraph::clustering::random::random_clustering;
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::clustering::round_robin::round_robin_clustering;
+use mimd_taskgraph::trace::{EdgeInit, TaskInit};
 use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
 use mimd_taskgraph::{
     AbstractGraph, ClusteredProblemGraph, Clustering, DynamicWorkload, GeneratorConfig,
-    LayeredDagGenerator,
+    LayeredDagGenerator, ProblemGraph, TaskId, TraceEvent, WorkloadSnapshot,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn generated(np: usize, seed: u64, locality: Option<usize>) -> mimd_taskgraph::ProblemGraph {
     let cfg = GeneratorConfig {
@@ -180,13 +184,193 @@ proptest! {
     }
 }
 
+/// Reference for [`DynamicWorkload::from_snapshot`]: the edge-by-edge
+/// load it replaced, which re-derives the successor map and searches it
+/// for a cycle before *every* insertion (quadratic, but obviously "the
+/// first offending edge in snapshot order decides"). Returns the
+/// canonical (sorted) snapshot of the accepted state.
+fn oracle_from_snapshot(snapshot: &WorkloadSnapshot) -> Result<WorkloadSnapshot, GraphError> {
+    if snapshot.num_clusters == 0 {
+        return Err(GraphError::InvalidParameter(
+            "workload needs >= 1 cluster".into(),
+        ));
+    }
+    let mut tasks: BTreeMap<TaskId, TaskInit> = BTreeMap::new();
+    let mut cluster_sizes = vec![0usize; snapshot.num_clusters];
+    for task in &snapshot.tasks {
+        if task.size == 0 {
+            return Err(GraphError::InvalidParameter(format!(
+                "task {} has zero execution time",
+                task.id
+            )));
+        }
+        if task.cluster >= snapshot.num_clusters {
+            return Err(GraphError::NodeOutOfRange {
+                node: task.cluster,
+                len: snapshot.num_clusters,
+            });
+        }
+        if tasks.insert(task.id, task.clone()).is_some() {
+            return Err(GraphError::InvalidParameter(format!(
+                "task {} appears twice in the snapshot",
+                task.id
+            )));
+        }
+        cluster_sizes[task.cluster] += 1;
+    }
+    if let Some(empty) = cluster_sizes.iter().position(|&n| n == 0) {
+        return Err(GraphError::InvalidParameter(format!(
+            "cluster {empty} is empty; every cluster must own >= 1 task"
+        )));
+    }
+    let mut edges: BTreeMap<(TaskId, TaskId), EdgeInit> = BTreeMap::new();
+    for edge in &snapshot.edges {
+        let (from, to) = (edge.from, edge.to);
+        if from == to {
+            return Err(GraphError::InvalidParameter(format!(
+                "self-loop on task {from}"
+            )));
+        }
+        if edge.weight == 0 {
+            return Err(GraphError::InvalidParameter(format!(
+                "edge {from} -> {to} needs weight >= 1"
+            )));
+        }
+        for t in [from, to] {
+            if !tasks.contains_key(&t) {
+                return Err(GraphError::InvalidParameter(format!(
+                    "task {t} does not exist"
+                )));
+            }
+        }
+        if edges.contains_key(&(from, to)) {
+            return Err(GraphError::InvalidParameter(format!(
+                "edge {from} -> {to} already exists"
+            )));
+        }
+        let mut successors: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
+        for &(u, v) in edges.keys() {
+            successors.entry(u).or_default().push(v);
+        }
+        let mut stack = vec![to];
+        let mut seen = BTreeSet::new();
+        while let Some(t) = stack.pop() {
+            if t == from {
+                return Err(GraphError::CycleDetected);
+            }
+            if !seen.insert(t) {
+                continue;
+            }
+            if let Some(next) = successors.get(&t) {
+                stack.extend(next.iter().copied());
+            }
+        }
+        edges.insert((from, to), edge.clone());
+    }
+    Ok(WorkloadSnapshot {
+        num_clusters: snapshot.num_clusters,
+        tasks: tasks.into_values().collect(),
+        edges: edges.into_values().collect(),
+    })
+}
+
+/// Everything a [`DynamicWorkload`] stores twice must agree: adjacency
+/// rows with `edge_list()`, the state with a rebuild from its own
+/// snapshot, and the bulk-built `materialize()` with the graph grown
+/// one `add_edge` at a time.
+fn assert_consistent(state: &DynamicWorkload) {
+    let mut succs: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
+    let mut preds: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
+    for (u, v, w) in state.edge_list() {
+        succs.entry(u).or_default().push(v);
+        preds.entry(v).or_default().push(u);
+        assert_eq!(state.edge_weight(u, v), Some(w));
+    }
+    for rows in [&mut succs, &mut preds] {
+        rows.values_mut().for_each(|row| row.sort_unstable());
+    }
+    for t in state.task_ids() {
+        assert_eq!(state.successors(t), succs.remove(&t).unwrap_or_default());
+        assert_eq!(state.predecessors(t), preds.remove(&t).unwrap_or_default());
+    }
+    assert!(succs.is_empty() && preds.is_empty(), "edge at a dead task");
+
+    let snapshot = state.snapshot();
+    assert_eq!(&DynamicWorkload::from_snapshot(&snapshot).unwrap(), state);
+
+    let index: BTreeMap<TaskId, usize> = state.task_ids().zip(0..).collect();
+    let mut graph = WeightedDigraph::new(index.len());
+    for (u, v, w) in state.edge_list() {
+        graph.add_edge(index[&u], index[&v], w).unwrap();
+    }
+    let sizes = snapshot.tasks.iter().map(|t| t.size).collect();
+    let clusters = snapshot.tasks.iter().map(|t| t.cluster).collect();
+    let expected = ClusteredProblemGraph::new(
+        ProblemGraph::new(graph, sizes).unwrap(),
+        Clustering::new(clusters).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(state.materialize().unwrap(), expected);
+}
+
+/// An event drawn without regard for validity: dead and duplicate ids,
+/// zero sizes and weights, self-loops, edges in either orientation.
+fn hostile_event(state: &DynamicWorkload, rng: &mut StdRng) -> TraceEvent {
+    let ids: Vec<TaskId> = state.task_ids().collect();
+    let task = |rng: &mut StdRng| match rng.gen_range(0..8) {
+        0 => state.next_task_id() + rng.gen_range(0..3usize),
+        _ => ids[rng.gen_range(0..ids.len())],
+    };
+    match rng.gen_range(0..10) {
+        0..=3 => TraceEvent::AddEdge {
+            from: task(rng),
+            to: task(rng),
+            weight: rng.gen_range(0..4),
+        },
+        4 => TraceEvent::RemoveTask { task: task(rng) },
+        5 => TraceEvent::RemoveEdge {
+            from: task(rng),
+            to: task(rng),
+        },
+        6 => TraceEvent::AddTask {
+            task: task(rng),
+            size: rng.gen_range(0..3),
+            cluster: rng.gen_range(0..state.num_clusters() + 1),
+        },
+        7 => TraceEvent::SetEdgeWeight {
+            from: task(rng),
+            to: task(rng),
+            weight: rng.gen_range(0..3),
+        },
+        8 => TraceEvent::SetTaskSize {
+            task: task(rng),
+            size: rng.gen_range(0..3),
+        },
+        _ => TraceEvent::ScaleEdgeWeights {
+            percent: rng.gen_range(0..3u32) * 90,
+        },
+    }
+}
+
+fn churn_instance(np: usize, na_frac: usize, seed: u64) -> (ClusteredProblemGraph, StdRng) {
+    let p = generated(np, seed, Some(1));
+    let na = (np / na_frac).max(2);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let clustering = random_region_clustering(&p, na, &mut rng).unwrap();
+    (ClusteredProblemGraph::new(p, clustering).unwrap(), rng)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Applying a churn trace delta-by-delta ends in exactly the state
     /// rebuilt from the final snapshot — i.e. the same
     /// `ClusteredProblemGraph` — and every intermediate state stays a
-    /// valid instance with the cluster count pinned.
+    /// valid instance with the cluster count pinned. After every event,
+    /// accepted (the trace's) or possibly rejected (a hostile probe on a
+    /// copy), the stored adjacency, the snapshot rebuild and the bulk
+    /// `materialize` agree with their references, and an `AddEdge` is
+    /// answered exactly as the per-edge oracle answers it.
     #[test]
     fn trace_deltas_commute_with_snapshot_rebuild(
         np in 16usize..64,
@@ -195,11 +379,8 @@ proptest! {
         regime in 0usize..3,
         seed in 0u64..100_000,
     ) {
-        let p = generated(np, seed, Some(1));
-        let na = (np / na_frac).max(2);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let clustering = random_region_clustering(&p, na, &mut rng).unwrap();
-        let base = ClusteredProblemGraph::new(p, clustering).unwrap();
+        let (base, mut rng) = churn_instance(np, na_frac, seed);
+        let na = base.num_clusters();
 
         let regime = [ChurnRegime::Arrivals, ChurnRegime::Drift, ChurnRegime::Mixed][regime];
         let trace = churn_trace(&base, events, regime, &mut rng);
@@ -212,6 +393,24 @@ proptest! {
             let graph = state.materialize().unwrap();
             prop_assert_eq!(graph.num_clusters(), na);
             prop_assert!(is_acyclic(graph.problem().graph()));
+            assert_consistent(&state);
+
+            let hostile = hostile_event(&state, &mut rng);
+            let mut probe = state.clone();
+            let outcome = probe.apply(&hostile);
+            if let TraceEvent::AddEdge { from, to, weight } = hostile {
+                let mut extended = state.snapshot();
+                extended.edges.push(EdgeInit { from, to, weight });
+                prop_assert_eq!(
+                    outcome.as_ref().err(),
+                    oracle_from_snapshot(&extended).as_ref().err(),
+                    "{:?}", hostile
+                );
+            }
+            if outcome.is_err() {
+                prop_assert_eq!(&probe, &state, "{:?} mutated the state", hostile);
+            }
+            assert_consistent(&probe);
         }
 
         // Delta-by-delta == rebuild-from-final-state.
@@ -221,5 +420,81 @@ proptest! {
             rebuilt.materialize().unwrap(),
             state.materialize().unwrap()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `from_snapshot` answers every snapshot — valid, or seeded with
+    /// cycles, duplicates, dead endpoints, zero weights and self-loops
+    /// at random positions of a shuffled edge list over sparse ids —
+    /// exactly as the per-edge oracle does: same state, or the same
+    /// `GraphError` variant and message.
+    #[test]
+    fn from_snapshot_matches_the_per_edge_oracle(
+        np in 6usize..40,
+        na_frac in 2usize..5,
+        faults in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        let (base, mut rng) = churn_instance(np, na_frac, seed);
+        let mut snapshot = DynamicWorkload::from_clustered(&base).snapshot();
+        // Sparse, still topologically ascending ids.
+        let (stride, offset) = (rng.gen_range(1..1000usize), rng.gen_range(0..50usize));
+        let sparse = |id: TaskId| id * stride + offset;
+        for task in &mut snapshot.tasks {
+            task.id = sparse(task.id);
+        }
+        for edge in &mut snapshot.edges {
+            (edge.from, edge.to) = (sparse(edge.from), sparse(edge.to));
+        }
+        // Snapshot order is the client's: shuffle it.
+        for i in (1..snapshot.edges.len()).rev() {
+            snapshot.edges.swap(i, rng.gen_range(0..=i));
+        }
+        for _ in 0..faults {
+            let live = |rng: &mut StdRng| sparse(rng.gen_range(0..np));
+            let some_edge = |rng: &mut StdRng, edges: &[EdgeInit]| match edges.len() {
+                0 => EdgeInit { from: sparse(0), to: sparse(1), weight: 1 },
+                n => edges[rng.gen_range(0..n)].clone(),
+            };
+            let fault = match rng.gen_range(0..7) {
+                // Reversal of a live edge: closes a 2-cycle.
+                0 => {
+                    let e = some_edge(&mut rng, &snapshot.edges);
+                    EdgeInit { from: e.to, to: e.from, weight: 1 }
+                }
+                // Backward edge: closes a longer cycle iff a path exists.
+                1 => {
+                    let (a, b) = (live(&mut rng), live(&mut rng));
+                    EdgeInit { from: a.max(b), to: a.min(b), weight: 2 }
+                }
+                2 => some_edge(&mut rng, &snapshot.edges), // duplicate
+                3 => EdgeInit { from: live(&mut rng), to: sparse(np) + 1, weight: 1 },
+                4 => EdgeInit { from: sparse(np) + 1, to: live(&mut rng), weight: 1 },
+                5 => EdgeInit { weight: 0, ..some_edge(&mut rng, &snapshot.edges) },
+                _ => {
+                    let t = live(&mut rng) + rng.gen_range(0..2usize);
+                    EdgeInit { from: t, to: t, weight: rng.gen_range(0..2) }
+                }
+            };
+            let at = rng.gen_range(0..=snapshot.edges.len());
+            snapshot.edges.insert(at, fault);
+        }
+        // Now and then a task-level fault ahead of the edges.
+        match rng.gen_range(0..12) {
+            0 => snapshot.tasks[0].size = 0,
+            1 => snapshot.tasks[0].cluster = snapshot.num_clusters,
+            2 => snapshot.tasks.push(snapshot.tasks[0].clone()),
+            _ => {}
+        }
+
+        let expected = oracle_from_snapshot(&snapshot);
+        let loaded = DynamicWorkload::from_snapshot(&snapshot);
+        if let Ok(state) = &loaded {
+            assert_consistent(state);
+        }
+        prop_assert_eq!(loaded.map(|state| state.snapshot()), expected);
     }
 }

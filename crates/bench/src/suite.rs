@@ -350,6 +350,24 @@ fn full_suite() -> BenchSuite {
                 seed: 7,
             },
         },
+        // The cold cost of a machine no formula covers: every rep runs
+        // on a fresh service, so APSP on 1024 random-topology nodes is
+        // most of the job (random placement, k = 1, is nearly free).
+        Scenario {
+            name: "cold_random1024".into(),
+            kind: ScenarioKind::Job {
+                job: job(
+                    "cold_random1024",
+                    WorkloadSpec::Layered {
+                        tasks: 1024,
+                        width: None,
+                    },
+                    TopologySpec::Random { n: 1024, p: 0.004 },
+                    AlgorithmSpec::Random { k: 1 },
+                    1,
+                ),
+            },
+        },
     ]);
     suite
 }

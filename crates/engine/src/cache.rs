@@ -2,15 +2,16 @@
 //!
 //! Batch mapping spends real time on per-machine precomputation: the
 //! all-pairs hop matrix (`mimd-graph` BFS APSP, embedded in
-//! [`SystemGraph`]), the simulator's next-hop [`RoutingTable`], and —
-//! the dominant setup cost of multilevel and online jobs — the
-//! system-side [`SystemHierarchy`] (matchings, contracted machines and
-//! their per-level APSP matrices). A batch of N jobs against the same
-//! machine should pay each cost once. [`TopologyCache`] interns
-//! topologies behind their canonical JSON spec and hands out
-//! `Arc`-shared artifacts; the hierarchy is built lazily on first
-//! multilevel/online use so flat-only batches never pay for it.
-//! Hit/miss counters make the "computed exactly once" guarantees
+//! [`SystemGraph`]) and — the dominant setup cost of multilevel and
+//! online jobs — the system-side [`SystemHierarchy`] (matchings,
+//! contracted machines and their per-level APSP matrices). Nothing a
+//! mapping job does not read is built here: a simulation derives its
+//! own next-hop table from the cached [`SystemGraph`] when it runs. A
+//! batch of N jobs against the same machine should pay each cost once.
+//! [`TopologyCache`] interns topologies behind their canonical JSON spec
+//! and hands out `Arc`-shared artifacts; the hierarchy is built lazily
+//! on first multilevel/online use so flat-only batches never pay for
+//! it. Hit/miss counters make the "computed exactly once" guarantees
 //! observable and testable.
 
 use std::collections::HashMap;
@@ -22,7 +23,6 @@ use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
 use mimd_multilevel::SystemHierarchy;
-use mimd_sim::RoutingTable;
 use mimd_topology::{SystemGraph, TopologySpec};
 
 /// Everything per-topology that jobs can share read-only.
@@ -30,8 +30,6 @@ use mimd_topology::{SystemGraph, TopologySpec};
 pub struct TopologyArtifacts {
     /// The validated system graph with its embedded APSP hop matrix.
     pub system: SystemGraph,
-    /// Deterministic shortest-path next-hop table.
-    pub routing: RoutingTable,
     /// The system-side multilevel hierarchy, built at most once on
     /// first use (multilevel and online jobs only).
     hierarchy: OnceLock<Result<Arc<SystemHierarchy>, GraphError>>,
@@ -44,10 +42,8 @@ impl TopologyArtifacts {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(topology_seed);
         let system = spec.build(&mut rng)?;
-        let routing = RoutingTable::new(&system);
         Ok(TopologyArtifacts {
             system,
-            routing,
             hierarchy: OnceLock::new(),
         })
     }
@@ -63,15 +59,15 @@ impl TopologyArtifacts {
     }
 
     /// Estimated resident bytes of these artifacts: the `n²` `u32` APSP
-    /// hop matrix, the `n²` `u32` next-hop routing table, and — once
-    /// built — every coarsened level's APSP matrix in the hierarchy.
-    /// An estimate for capacity planning (`ServiceStats`), not an exact
-    /// allocator measurement.
+    /// hop matrix and — once built — every coarsened level's APSP
+    /// matrix in the hierarchy (its level 0 shares this machine's
+    /// matrix and is not counted again). An estimate for capacity
+    /// planning (`ServiceStats`), not an exact allocator measurement.
     pub fn estimated_resident_bytes(&self) -> u64 {
         let n = self.system.len() as u64;
-        let mut bytes = n * n * 4 * 2;
+        let mut bytes = n * n * 4;
         if let Some(Ok(hierarchy)) = self.hierarchy.get() {
-            for sys in hierarchy.systems() {
+            for sys in &hierarchy.systems()[1..] {
                 let m = sys.len() as u64;
                 bytes += m * m * 4;
             }
@@ -98,8 +94,8 @@ pub struct CacheStats {
     /// Hierarchies built so far (across all entries).
     #[serde(default)]
     pub hierarchy_entries: usize,
-    /// Estimated bytes resident across all built artifacts (APSP +
-    /// routing tables + built hierarchies).
+    /// Estimated bytes resident across all built artifacts (APSP
+    /// matrices of the machines and of their built hierarchies).
     #[serde(default)]
     pub resident_bytes: u64,
 }
@@ -251,7 +247,6 @@ mod tests {
         let direct = TopologyArtifacts::build(&spec, 0).unwrap();
         assert_eq!(cached.system.graph(), direct.system.graph());
         assert_eq!(cached.system.distances(), direct.system.distances());
-        assert_eq!(cached.routing, direct.routing);
     }
 
     #[test]
@@ -315,19 +310,25 @@ mod tests {
     fn resident_bytes_track_what_is_built() {
         let cache = TopologyCache::new();
         assert_eq!(cache.stats().resident_bytes, 0);
-        let spec = TopologySpec::Ring { n: 8 };
+        let spec = TopologySpec::Hypercube { dim: 6 };
         let artifacts = cache.get_or_build(&spec, 0).unwrap();
-        // APSP + routing: two 8x8 u32 matrices.
-        let base = 8 * 8 * 4 * 2;
+        // A cold machine holds its APSP and nothing else: one 64x64
+        // u32 matrix.
+        let base = 64 * 64 * 4;
         assert_eq!(cache.stats().resident_bytes, base);
         assert_eq!(cache.stats().hierarchy_entries, 0);
         let direct = artifacts.estimated_resident_bytes();
         assert_eq!(direct, base);
-        // Building the hierarchy grows the estimate by each level's
-        // APSP matrix and flips the hierarchy gauge.
-        cache.system_hierarchy(&artifacts).unwrap();
+        // Building the hierarchy adds only the coarse levels' APSP
+        // matrices (level 0 shares the machine's) and flips the gauge.
+        let hierarchy = cache.system_hierarchy(&artifacts).unwrap();
+        let coarse: u64 = hierarchy.systems()[1..]
+            .iter()
+            .map(|sys| (sys.len() * sys.len() * 4) as u64)
+            .sum();
+        assert!(coarse > 0);
         let stats = cache.stats();
-        assert!(stats.resident_bytes > base);
+        assert_eq!(stats.resident_bytes, base + coarse);
         assert_eq!(stats.hierarchy_entries, 1);
         assert_eq!(
             stats.resident_bytes,

@@ -9,7 +9,7 @@
 //! * [`spec`] — the serde job model ([`JobSpec`] in, [`JobResult`] out,
 //!   JSONL framing in [`io`]);
 //! * [`cache`] — the interning [`TopologyCache`] sharing APSP matrices
-//!   and routing tables across jobs on the same machine;
+//!   and system hierarchies across jobs on the same machine;
 //! * [`registry`] — declarative dispatch to the paper pipeline
 //!   (`mimd-core::Mapper`) and every `mimd-baselines` algorithm;
 //! * [`engine`] — the worker pool with bounded queueing, deterministic

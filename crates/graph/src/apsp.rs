@@ -2,10 +2,23 @@
 //!
 //! The mapping algorithm needs the paper's `shortest[ns][ns]` matrix: the
 //! hop count of the shortest path between every pair of system nodes
-//! (§3.4(b)). System graphs are unweighted, so a BFS from each source is
+//! (§3.4(b)). System graphs are unweighted, so breadth-first search is
 //! both simpler and asymptotically better (`O(ns·(ns+es))`) than
 //! Floyd–Warshall; we also provide Floyd–Warshall for weighted digraphs
 //! because the simulator's contention models route over weighted links.
+//!
+//! [`DistanceMatrix::bfs_all_pairs`] runs the searches 64 sources at a
+//! time: a node carries one `u64` whose bit `b` says "the search from
+//! source `base + b` has reached me", so one pass over a node's
+//! neighbour list advances all 64 searches with a word OR instead of 64
+//! queue pushes behind an unpredictable branch each. A bit first appears
+//! at a node in exactly the level the single-source BFS would dequeue
+//! it, so the matrix is entry for entry the one a BFS per source
+//! produces (the test module keeps that BFS as its oracle and a
+//! differential property test holds the two equal). The graph is
+//! undirected, so `d(base + b, v) = d(v, base + b)` and the 64
+//! distances a batch finds for a node are one contiguous segment of
+//! that node's own row.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +26,6 @@ use crate::error::GraphError;
 use crate::matrix::SquareMatrix;
 use crate::ungraph::UnGraph;
 use crate::{NodeId, Weight};
-use std::collections::VecDeque;
 
 /// Hop-count distance matrix between all node pairs of a connected graph.
 ///
@@ -27,26 +39,70 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Compute hop counts by running one BFS per source node.
+    /// Compute hop counts by breadth-first search from every node, 64
+    /// sources per sweep (see the module docs).
     pub fn bfs_all_pairs(g: &UnGraph) -> Result<Self, GraphError> {
         let n = g.node_count();
-        let mut dist = SquareMatrix::filled(n, u32::MAX);
-        let mut queue = VecDeque::new();
-        for s in 0..n {
-            dist.set(s, s, 0);
-            queue.clear();
-            queue.push_back(s);
-            while let Some(u) = queue.pop_front() {
-                let du = dist.get(s, u);
-                for &v in g.neighbors(u) {
-                    if dist.get(s, v) == u32::MAX {
-                        dist.set(s, v, du + 1);
-                        queue.push_back(v);
+        let mut dist = SquareMatrix::new(n);
+        // Bit `b` of a node's word = the search from source `base + b`.
+        let mut seen = vec![0u64; n];
+        let mut frontier = vec![0u64; n];
+        let mut next = vec![0u64; n];
+        let mut active: Vec<NodeId> = Vec::with_capacity(n);
+        let mut touched: Vec<NodeId> = Vec::with_capacity(n);
+        // `levels[64 * v + b]` = level at which bit `b` reached `v` in
+        // this batch. Collected here and copied into `row(v)` once per
+        // batch: writing the matrix as bits arrive would revisit a
+        // different page of it per node per level (rows are `4n` bytes
+        // apart), which costs more than the whole search on
+        // large-diameter machines.
+        let mut levels = vec![0u32; 64 * n];
+        for base in (0..n).step_by(64) {
+            let width = (n - base).min(64);
+            let full_mask = u64::MAX >> (64 - width);
+            seen.fill(0);
+            for b in 0..width {
+                let source = base + b;
+                seen[source] = 1 << b;
+                frontier[source] = 1 << b;
+                levels[64 * source + b] = 0; // stale from the last batch
+                active.push(source);
+            }
+            let mut level = 0u32;
+            while !active.is_empty() {
+                level += 1;
+                for u in active.drain(..) {
+                    let reached = std::mem::take(&mut frontier[u]);
+                    for &v in g.neighbors(u) {
+                        if next[v] == 0 {
+                            touched.push(v);
+                        }
+                        next[v] |= reached;
+                    }
+                }
+                for v in touched.drain(..) {
+                    let new = std::mem::take(&mut next[v]) & !seen[v];
+                    if new == 0 {
+                        continue;
+                    }
+                    seen[v] |= new;
+                    frontier[v] = new;
+                    active.push(v);
+                    let reached_at = &mut levels[64 * v..64 * (v + 1)];
+                    let mut bits = new;
+                    while bits != 0 {
+                        reached_at[bits.trailing_zeros() as usize] = level;
+                        bits &= bits - 1;
                     }
                 }
             }
-            if dist.row(s).contains(&u32::MAX) {
+            if seen.iter().any(|&s| s != full_mask) {
                 return Err(GraphError::Disconnected);
+            }
+            // `d(base + b, v) = d(v, base + b)`: the batch's columns are
+            // one contiguous segment of every row.
+            for (v, reached_at) in levels.chunks_exact(64).enumerate() {
+                dist.row_mut(v)[base..base + width].copy_from_slice(&reached_at[..width]);
             }
         }
         Ok(DistanceMatrix { dist })
@@ -66,49 +122,12 @@ impl DistanceMatrix {
 
     /// Greatest distance between any pair — the graph's diameter.
     pub fn diameter(&self) -> u32 {
-        (0..self.n())
-            .flat_map(|i| (0..self.n()).map(move |j| (i, j)))
-            .map(|(i, j)| self.dist.get(i, j))
-            .max()
-            .unwrap_or(0)
+        self.dist.as_slice().iter().copied().max().unwrap_or(0)
     }
 
     /// Borrow the underlying matrix (the paper's `shortest[ns][ns]`).
     pub fn as_matrix(&self) -> &SquareMatrix<u32> {
         &self.dist
-    }
-
-    /// Rebuild from a precomputed hop matrix, validating that it is a
-    /// plausible APSP artifact: zero diagonal, symmetric, no
-    /// unreachable (`u32::MAX`) entries. This is the entry point for
-    /// callers that cache or ship APSP matrices (e.g. a batch engine's
-    /// topology cache) instead of re-running the BFS sweep.
-    pub fn from_matrix(dist: SquareMatrix<u32>) -> Result<Self, GraphError> {
-        let n = dist.n();
-        for i in 0..n {
-            if dist.get(i, i) != 0 {
-                return Err(GraphError::InvalidParameter(format!(
-                    "distance matrix diagonal ({i},{i}) must be 0"
-                )));
-            }
-            for j in 0..n {
-                let d = dist.get(i, j);
-                if d == u32::MAX {
-                    return Err(GraphError::Disconnected);
-                }
-                if d != dist.get(j, i) {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "distance matrix must be symmetric; ({i},{j}) != ({j},{i})"
-                    )));
-                }
-            }
-        }
-        Ok(DistanceMatrix { dist })
-    }
-
-    /// Consume `self`, returning the hop matrix (for caching/shipping).
-    pub fn into_matrix(self) -> SquareMatrix<u32> {
-        self.dist
     }
 
     /// For node `u`, the nearest node among `candidates` (smallest hop
@@ -167,6 +186,83 @@ pub fn floyd_warshall(weights: &SquareMatrix<Weight>) -> Result<SquareMatrix<Wei
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::random_connected;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The reference the 64-source kernel is held to: one queue BFS per
+    /// source node.
+    fn bfs_per_source(g: &UnGraph) -> Result<DistanceMatrix, GraphError> {
+        let n = g.node_count();
+        let mut dist = SquareMatrix::filled(n, u32::MAX);
+        let mut queue = std::collections::VecDeque::new();
+        for s in 0..n {
+            dist.set(s, s, 0);
+            queue.push_back(s);
+            while let Some(u) = queue.pop_front() {
+                let du = dist.get(s, u);
+                for &v in g.neighbors(u) {
+                    if dist.get(s, v) == u32::MAX {
+                        dist.set(s, v, du + 1);
+                        queue.push_back(v);
+                    }
+                }
+            }
+            if dist.row(s).contains(&u32::MAX) {
+                return Err(GraphError::Disconnected);
+            }
+        }
+        Ok(DistanceMatrix { dist })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The 64-source kernel against one BFS per source, entry for
+        /// entry, at sizes on both sides of every word boundary.
+        #[test]
+        fn batched_bfs_equals_per_source_bfs(seed in 0u64..1 << 32) {
+            for n in [1usize, 2, 63, 64, 65, 127, 128, 129, 300] {
+                for p in [0.0, 0.01, 0.3] {
+                    let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+                    let g = random_connected(n, p, &mut rng).unwrap();
+                    let batched = DistanceMatrix::bfs_all_pairs(&g).unwrap();
+                    let reference = bfs_per_source(&g).unwrap();
+                    prop_assert!(batched == reference, "n = {}, p = {}", n, p);
+                }
+            }
+        }
+    }
+
+    /// A chain over `lo..hi` (no edges elsewhere).
+    fn chain_over(g: &mut UnGraph, lo: usize, hi: usize) {
+        for u in lo..hi.saturating_sub(1) {
+            g.add_edge(u, u + 1).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_stray_in_any_word_is_disconnected_on_both_kernels() {
+        // n = 130: words [0, 64), [64, 128) and the 2-bit tail {128, 129}.
+        let mut tail_node = UnGraph::new(130);
+        chain_over(&mut tail_node, 0, 129); // node 129 isolated
+        let mut tail_component = UnGraph::new(130);
+        chain_over(&mut tail_component, 0, 128);
+        chain_over(&mut tail_component, 128, 130); // {128, 129} on its own
+        let mut head_node = UnGraph::new(130);
+        chain_over(&mut head_node, 1, 130); // node 0 isolated
+        let mut head_component = UnGraph::new(130);
+        chain_over(&mut head_component, 0, 3);
+        chain_over(&mut head_component, 3, 130); // {0, 1, 2} on its own
+        for g in [tail_node, tail_component, head_node, head_component] {
+            assert_eq!(
+                DistanceMatrix::bfs_all_pairs(&g),
+                Err(GraphError::Disconnected)
+            );
+            assert_eq!(bfs_per_source(&g), Err(GraphError::Disconnected));
+        }
+    }
 
     fn ring(n: usize) -> UnGraph {
         let mut g = UnGraph::new(n);
@@ -188,24 +284,6 @@ mod tests {
             }
         }
         assert_eq!(d.diameter(), 2);
-    }
-
-    #[test]
-    fn from_matrix_accepts_real_apsp_and_rejects_junk() {
-        let d = DistanceMatrix::bfs_all_pairs(&ring(5)).unwrap();
-        let rebuilt = DistanceMatrix::from_matrix(d.clone().into_matrix()).unwrap();
-        assert_eq!(rebuilt, d);
-
-        let mut bad_diag = d.clone().into_matrix();
-        bad_diag.set(1, 1, 3);
-        assert!(DistanceMatrix::from_matrix(bad_diag).is_err());
-
-        let mut asym = d.clone().into_matrix();
-        asym.set(0, 1, 4);
-        assert!(DistanceMatrix::from_matrix(asym).is_err());
-
-        let unreachable = SquareMatrix::filled(2, u32::MAX);
-        assert!(DistanceMatrix::from_matrix(unreachable).is_err());
     }
 
     #[test]

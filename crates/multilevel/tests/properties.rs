@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::validate_schedule;
-use mimd_multilevel::{Hierarchy, MultilevelConfig, MultilevelMapper};
+use mimd_graph::apsp::floyd_warshall;
+use mimd_multilevel::{Hierarchy, MultilevelConfig, MultilevelMapper, SystemHierarchy};
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
 use mimd_topology::{SystemGraph, TopologySpec};
@@ -194,4 +195,27 @@ fn golden_vcycle_is_stable() {
         fnv1a(r.assignment.sys_of_vec()),
     );
     assert_eq!(got, (21795, 3350, 6, 32, 144, 13, 0xf6ea_747b_5526_2911));
+}
+
+/// Every contracted machine's hop matrix (built by the 64-source BFS
+/// sweeps in `SystemGraph::new`) against Floyd–Warshall on the same
+/// level's adjacency.
+#[test]
+fn every_system_hierarchy_level_has_true_shortest_paths() {
+    let specs = [
+        TopologySpec::Torus { rows: 16, cols: 16 },
+        TopologySpec::Hypercube { dim: 8 },
+        TopologySpec::Random { n: 256, p: 0.02 },
+    ];
+    for spec in &specs {
+        let system = spec.build(&mut StdRng::seed_from_u64(16)).unwrap();
+        let hierarchy = SystemHierarchy::build(&system).unwrap();
+        assert!(hierarchy.depth() > 2, "{spec:?}");
+        for level in hierarchy.systems() {
+            let adjacency = level.graph().to_matrix().map(|&edge| u64::from(edge));
+            let expected = floyd_warshall(&adjacency).unwrap();
+            let hops = level.distances().as_matrix().map(|&h| u64::from(h));
+            assert!(hops == expected, "{}", level.name());
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //!   [`ServiceError`] with an [`ErrorCode`]);
 //! * [`service`] — [`MappingService`]: sessions multiplexed in one
 //!   process, ids allocated deterministically, topology artifacts
-//!   (`SystemHierarchy`, APSP, routing) shared through one
+//!   (`SystemHierarchy`, APSP) shared through one
 //!   `TopologyCache` across one-shot *and* session traffic;
 //! * [`serve`] — the one request path behind `mimd serve`:
 //!   [`serve_lines`] frames and decodes a connection, [`handle_timed`]

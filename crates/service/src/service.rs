@@ -5,7 +5,7 @@
 //! [`TopologyCache`]) plus a table of live [`OnlineSession`]s. Every
 //! request kind — one-shot [`Request::MapOnce`] jobs, whole batches via
 //! [`MappingService::run_stream`], and session traffic — resolves its
-//! topology artifacts (`SystemGraph` APSP, routing tables, the
+//! topology artifacts (the `SystemGraph` with its APSP matrix, the
 //! system-side `SystemHierarchy`) through that one cache, so a
 //! multilevel `MapOnce` arriving while a session is open on the same
 //! machine pays zero setup, and vice versa.

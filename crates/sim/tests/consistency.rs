@@ -4,7 +4,8 @@
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::Assignment;
-use mimd_sim::{simulate, simulate_heterogeneous, SimConfig};
+use mimd_engine::{TopologyCache, TopologySpec};
+use mimd_sim::{simulate, simulate_heterogeneous, RoutingTable, SimConfig};
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
 use mimd_topology::{
@@ -157,5 +158,26 @@ fn message_accounting_is_exact() {
             })
             .sum();
         assert_eq!(rep.hops_total, expected, "{}", sys.name());
+    }
+}
+
+/// The topology cache holds no routing table; a simulation builds its
+/// own from the cached machine, and that must be the table a fresh
+/// build of the same spec yields.
+#[test]
+fn routing_from_cached_artifacts_equals_a_fresh_build() {
+    let cache = TopologyCache::new();
+    for spec in [
+        TopologySpec::Mesh { rows: 3, cols: 4 },
+        TopologySpec::Hypercube { dim: 5 },
+        TopologySpec::Random { n: 40, p: 0.05 },
+    ] {
+        let cached = cache.get_or_build(&spec, 7).unwrap();
+        let fresh = spec.build(&mut StdRng::seed_from_u64(7)).unwrap();
+        assert_eq!(
+            RoutingTable::new(&cached.system),
+            RoutingTable::new(&fresh),
+            "{spec:?}"
+        );
     }
 }

@@ -2,6 +2,8 @@
 //! with the cached matrices the mapping algorithms read on every
 //! evaluation.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use mimd_graph::apsp::DistanceMatrix;
@@ -20,7 +22,9 @@ use mimd_graph::NodeId;
 pub struct SystemGraph {
     name: String,
     graph: UnGraph,
-    distances: DistanceMatrix,
+    /// Shared, so cloning a machine (level 0 of a `SystemHierarchy`)
+    /// does not copy `ns²` hop counts.
+    distances: Arc<DistanceMatrix>,
     degrees: Vec<usize>,
 }
 
@@ -35,47 +39,7 @@ impl SystemGraph {
         if !is_connected(&graph) {
             return Err(GraphError::Disconnected);
         }
-        let distances = DistanceMatrix::bfs_all_pairs(&graph)?;
-        let degrees = graph.degree_vector();
-        Ok(SystemGraph {
-            name: name.into(),
-            graph,
-            distances,
-            degrees,
-        })
-    }
-
-    /// Wrap a topology together with a precomputed APSP matrix, skipping
-    /// the BFS sweep. The matrix must have the graph's node count and
-    /// agree with the graph on adjacency (distance 1 ⇔ edge); callers
-    /// that cache distance matrices across requests (the batch engine's
-    /// topology cache) use this to share artifacts instead of
-    /// recomputing them per job.
-    pub fn with_distances(
-        name: impl Into<String>,
-        graph: UnGraph,
-        distances: DistanceMatrix,
-    ) -> Result<Self, GraphError> {
-        if graph.node_count() == 0 {
-            return Err(GraphError::InvalidParameter(
-                "system graph needs >= 1 node".into(),
-            ));
-        }
-        if distances.n() != graph.node_count() {
-            return Err(GraphError::SizeMismatch {
-                left: distances.n(),
-                right: graph.node_count(),
-            });
-        }
-        for u in 0..graph.node_count() {
-            for v in 0..graph.node_count() {
-                if (distances.hops(u, v) == 1) != graph.has_edge(u, v) {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "distance matrix disagrees with adjacency at ({u},{v})"
-                    )));
-                }
-            }
-        }
+        let distances = Arc::new(DistanceMatrix::bfs_all_pairs(&graph)?);
         let degrees = graph.degree_vector();
         Ok(SystemGraph {
             name: name.into(),
@@ -180,40 +144,6 @@ mod tests {
         assert_eq!(s.diameter(), 2);
         assert!(s.adjacent(3, 0));
         assert!(!s.adjacent(0, 2));
-    }
-
-    #[test]
-    fn with_distances_reuses_a_precomputed_matrix() {
-        let base = ring4();
-        let rebuilt = SystemGraph::with_distances(
-            "ring4-shared",
-            base.graph().clone(),
-            base.distances().clone(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.distances(), base.distances());
-        assert_eq!(rebuilt.degrees(), base.degrees());
-        assert_eq!(rebuilt.diameter(), base.diameter());
-
-        // Wrong size is rejected.
-        let mut small = UnGraph::new(2);
-        small.add_edge(0, 1).unwrap();
-        assert!(SystemGraph::with_distances("bad", small, base.distances().clone()).is_err());
-
-        // A matrix contradicting adjacency is rejected.
-        let other = {
-            let mut g = UnGraph::new(4);
-            for i in 0..3 {
-                g.add_edge(i, i + 1).unwrap();
-            }
-            SystemGraph::new("chain4", g).unwrap()
-        };
-        assert!(SystemGraph::with_distances(
-            "bad",
-            base.graph().clone(),
-            other.distances().clone()
-        )
-        .is_err());
     }
 
     #[test]

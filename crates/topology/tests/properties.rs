@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use mimd_graph::properties::{is_connected, regularity};
 use mimd_topology::{
-    binary_tree, chain, complete, hypercube, mesh2d, ring, star, torus2d, TopologySpec,
+    binary_tree, chain, complete, cube_connected_cycles, de_bruijn, hypercube, mesh2d, ring, star,
+    torus2d, SystemGraph, TopologySpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,4 +106,67 @@ proptest! {
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
     }
+}
+
+/// One queue BFS per source: the definition the 64-source sweeps of
+/// `DistanceMatrix::bfs_all_pairs` must reproduce entry for entry.
+fn assert_hops_equal_per_source_bfs(sys: &SystemGraph) {
+    let n = sys.len();
+    let mut queue = std::collections::VecDeque::new();
+    for s in 0..n {
+        let mut dist = vec![u32::MAX; n];
+        dist[s] = 0;
+        queue.push_back(s);
+        while let Some(u) = queue.pop_front() {
+            for &v in sys.graph().neighbors(u) {
+                if dist[v] == u32::MAX {
+                    dist[v] = dist[u] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        assert_eq!(
+            sys.distances().as_matrix().row(s),
+            &dist[..],
+            "{} row {s}",
+            sys.name()
+        );
+    }
+}
+
+#[test]
+fn every_family_matches_a_bfs_per_source() {
+    // Sizes straddle the 64-source word boundaries (63..=65, 127..=129,
+    // partial last words) and stay <= 512 nodes.
+    let specs = [
+        TopologySpec::Hypercube { dim: 9 },
+        TopologySpec::Hypercube { dim: 6 },
+        TopologySpec::Mesh { rows: 13, cols: 5 },
+        TopologySpec::Mesh { rows: 16, cols: 32 },
+        TopologySpec::Torus { rows: 16, cols: 16 },
+        TopologySpec::Torus { rows: 3, cols: 43 },
+        TopologySpec::Ring { n: 127 },
+        TopologySpec::Chain { n: 193 },
+        TopologySpec::Star { n: 65 },
+        TopologySpec::BinaryTree { n: 511 },
+        TopologySpec::Complete { n: 130 },
+        TopologySpec::FatTree {
+            levels: 4,
+            arity: 5,
+        },
+        TopologySpec::ClusteredComplete {
+            groups: 16,
+            group_size: 32,
+        },
+        TopologySpec::Random { n: 300, p: 0.0 },
+        TopologySpec::Random { n: 512, p: 0.008 },
+        TopologySpec::Random { n: 129, p: 0.3 },
+    ];
+    let mut rng = StdRng::seed_from_u64(16);
+    for spec in &specs {
+        assert!(spec.node_count() <= 512, "{spec:?}");
+        assert_hops_equal_per_source_bfs(&spec.build(&mut rng).unwrap());
+    }
+    assert_hops_equal_per_source_bfs(&cube_connected_cycles(6).unwrap());
+    assert_hops_equal_per_source_bfs(&de_bruijn(9).unwrap());
 }

@@ -350,6 +350,40 @@ fn full_suite() -> BenchSuite {
                 seed: 7,
             },
         },
+        // The two sizes the position-space schedule kernel moved and
+        // nothing above times: an ns = 256 flat job (256 all-cluster
+        // candidates on 512 tasks) and an ns = 1024 V-cycle whose seven
+        // levels each attach, sweep and refine 4096 tasks / 252 k edges.
+        Scenario {
+            name: "flat_paper_torus16x16".into(),
+            kind: ScenarioKind::Job {
+                job: job(
+                    "flat_paper_torus16x16",
+                    WorkloadSpec::Layered {
+                        tasks: 512,
+                        width: None,
+                    },
+                    TopologySpec::Torus { rows: 16, cols: 16 },
+                    paper(),
+                    42,
+                ),
+            },
+        },
+        Scenario {
+            name: "multilevel_torus32x32".into(),
+            kind: ScenarioKind::Job {
+                job: job(
+                    "multilevel_torus32x32",
+                    WorkloadSpec::Layered {
+                        tasks: 4096,
+                        width: None,
+                    },
+                    TopologySpec::Torus { rows: 32, cols: 32 },
+                    multilevel(),
+                    42,
+                ),
+            },
+        },
         // The cold cost of a machine no formula covers: every rep runs
         // on a fresh service, so APSP on 1024 random-topology nodes is
         // most of the job (random placement, k = 1, is nearly free).

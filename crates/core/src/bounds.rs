@@ -27,7 +27,7 @@ pub fn work_lower_bound(graph: &ClusteredProblemGraph, ns: usize) -> Time {
 
 /// The dependency-only bound: makespan with all communication free.
 pub fn zero_comm_critical_path(graph: &ClusteredProblemGraph) -> Time {
-    Schedule::precedence(graph, |_, _| 0).total()
+    Schedule::precedence(graph, |_, _, _| 0).total()
 }
 
 /// The tightest combination valid for the serialized model:

@@ -56,6 +56,7 @@ impl CriticalAnalysis {
         mode: CriticalityMode,
     ) -> Self {
         let problem = graph.problem();
+        let clustering = graph.clustering();
         let mut in_worklist = vec![false; problem.len()];
         let mut stack: Vec<TaskId> = Vec::new();
         for t in ideal.latest_tasks() {
@@ -66,9 +67,8 @@ impl CriticalAnalysis {
         // predecessor once, so every edge `(u, v)` is examined once.
         let mut critical_edges = Vec::new();
         while let Some(v) = stack.pop() {
-            for &(u, _) in problem.predecessors(v) {
-                let w = graph.clus_weight(u, v);
-                if w > 0 {
+            for &(u, w) in problem.predecessors(v) {
+                if !clustering.same_cluster(u, v) {
                     // Cross-cluster edge: critical iff zero slack.
                     if ideal.ideal_edge(u, v) == w {
                         critical_edges.push((u, v, w));
@@ -78,7 +78,6 @@ impl CriticalAnalysis {
                         }
                     }
                 } else if mode == CriticalityMode::Extended
-                    && graph.clustering().same_cluster(u, v)
                     && ideal.ideal_edge(u, v) == 0
                     && !in_worklist[u]
                 {

@@ -2,23 +2,40 @@
 //! refinement hot path.
 //!
 //! Every refinement loop in the repo asks the same question thousands of
-//! times: *what would the total time be if these few clusters moved?*
-//! Answering it with [`evaluate_assignment`](crate::evaluate_assignment)
-//! costs a from-scratch schedule over the whole task graph plus an
-//! assignment clone per candidate. [`DeltaEvaluator`] instead keeps the
-//! committed schedule alive and, per candidate, recomputes only the
-//! *disturbed cone*: the tasks whose communication costs changed and
-//! everything downstream of an actually-shifted end time, repaired by
-//! worklist propagation in topological order (the same technique as
-//! `mimd-online`'s `IncrementalBound`). A segment max-tree over the task
-//! end times maintains the makespan under both increases and decreases
-//! in `O(log np)` per shifted task, so a candidate whose cone is small
-//! costs almost nothing — independent of graph size.
+//! times: *what would the total time be if these clusters moved?*
+//! [`DeltaEvaluator`] keeps the committed schedule alive and answers it
+//! at the cost of the edges the candidate actually disturbs.
+//!
+//! **Position space.** [`DeltaEvaluator::attach`] freezes the instance
+//! into flat arrays indexed by a task's *position in
+//! `problem.topo_order()`*: task sizes, a predecessor CSR carrying the
+//! edge weights, a successor CSR, the positions of every cluster, the
+//! processor hosting each position's cluster, and the committed end
+//! times. Ascending position *is* topological order, so no candidate
+//! ever sorts, queues or looks a weight up.
+//!
+//! **Flag window.** Staging a candidate marks the moved clusters'
+//! positions in a byte-per-position flag array and notes the window
+//! `[lo, hi]` they span. One ascending sweep of the window recomputes
+//! each flagged position from its predecessor row (`end[u] + w ×
+//! hops`, the hop count read from the distance row of the position's
+//! own processor), logs the old end time if it shifted, and flags its
+//! successors — raising `hi` — iff it shifted *or* its cluster moved
+//! (its out-edges changed cost even when its own end did not). The
+//! total is a flat `max` over the end times.
+//!
+//! **One loop.** The flat and V-cycle refinements permute every movable
+//! cluster per candidate, so there every position is flagged and the
+//! sweep degenerates to a branch-predictable linear pass; a pairwise
+//! swap flags two clusters and the sweep is a scan of `hi − lo` bytes
+//! plus the disturbed cone. Both are the same code — there is no
+//! density threshold and no second path.
 //!
 //! Exactness contract: every staged total equals
 //! `evaluate_assignment(graph, system, candidate, model)?.total()`
 //! **bit for bit** (property-tested in `tests/delta.rs` for both models,
-//! pins on and off). The precedence model is repaired incrementally; the
+//! pins on and off, on graphs whose task ids are not topologically
+//! numbered). The precedence model is repaired incrementally; the
 //! serialized model's greedy list schedule reorders globally under any
 //! move, so it is recomputed in full — but allocation-free, into
 //! workspace scratch.
@@ -29,43 +46,57 @@
 //! none per level either once the buffers have grown to size.
 
 use mimd_graph::error::GraphError;
+use mimd_graph::matrix::SquareMatrix;
 use mimd_graph::{Time, Weight};
 use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
 use mimd_topology::SystemGraph;
 
 use crate::assignment::Assignment;
+use crate::evaluate::{check_sizes, edge_cost};
 use crate::schedule::EvaluationModel;
+
+/// Flag: the position must be recomputed by the current sweep.
+const DIRTY: u8 = 1;
+/// Flag: the position's cluster moved, so its out-edges changed cost
+/// and its successors are dirty whether or not its own end shifted.
+const MOVED: u8 = 2;
 
 /// Reusable buffer bag for [`DeltaEvaluator`]. Create once, pass to
 /// every [`DeltaEvaluator::attach`]; buffers are resized (never shrunk
 /// below capacity) on attach and reused across candidates and
-/// attachments.
+/// attachments. Everything indexed "per position" is indexed by
+/// position in the attached problem's topological order.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaWorkspace {
-    /// Committed start time per task (precedence model).
-    start: Vec<Time>,
-    /// Committed end time per task (precedence model).
+    /// Attach-time scratch: position per task id.
+    pos_of: Vec<u32>,
+    /// Execution time per position.
+    size: Vec<Time>,
+    /// Predecessor CSR: row `p` is `pred_off[p]..pred_off[p + 1]` of
+    /// the parallel `pred_pos` / `pred_w` arrays.
+    pred_off: Vec<u32>,
+    pred_pos: Vec<u32>,
+    pred_w: Vec<Weight>,
+    /// Successor CSR (positions only). Rows follow the problem graph's
+    /// successor lists, which ascend by task id, not by position.
+    succ_off: Vec<u32>,
+    succ_pos: Vec<u32>,
+    /// Positions grouped by owning cluster, ascending within a cluster;
+    /// cluster `c` owns `cluster_pos[cluster_off[c]..cluster_off[c + 1]]`.
+    cluster_off: Vec<u32>,
+    cluster_pos: Vec<u32>,
+    /// Processor hosting each position's cluster under the committed
+    /// assignment plus the staged moves (precedence model).
+    proc: Vec<u32>,
+    /// End time per position (precedence model), same state as `proc`.
     end: Vec<Time>,
-    /// Segment max-tree over `end` (1-indexed, `2 * tree_cap` slots);
-    /// `tree[1]` is the makespan.
-    tree: Vec<Time>,
-    tree_cap: usize,
-    /// Topological position per task.
-    topo_pos: Vec<usize>,
-    /// Binary min-heap of topological positions (the worklist).
-    heap: Vec<usize>,
-    /// Per-task queued flag backing the worklist.
-    in_queue: Vec<bool>,
-    /// Undo log of `(task, old_start, old_end)` for staged schedule
-    /// repairs.
-    undo_sched: Vec<(TaskId, Time, Time)>,
+    /// `DIRTY | MOVED` bits per position; all zero between sweeps.
+    flags: Vec<u8>,
+    /// Undo log of `(position, old_end)` for the staged sweep.
+    undo_end: Vec<(u32, Time)>,
     /// Undo log of `(cluster, old_processor)` for staged moves; also the
-    /// seed list for the disturbed cone.
+    /// list of clusters the sweep starts from.
     undo_moves: Vec<(usize, usize)>,
-    /// CSR offsets of `cluster_tasks` (one slice per cluster).
-    cluster_task_off: Vec<usize>,
-    /// Task ids grouped by owning cluster.
-    cluster_tasks: Vec<TaskId>,
     /// Serialized-model scratch: scheduled flag per task.
     ser_scheduled: Vec<bool>,
     /// Serialized-model scratch: unfinished predecessor count per task.
@@ -82,66 +113,126 @@ impl DeltaWorkspace {
     pub fn new() -> Self {
         DeltaWorkspace::default()
     }
-}
 
-/// Update leaf `t` of the max-tree to `value` and re-aggregate its
-/// root path.
-#[inline]
-fn tree_update(tree: &mut [Time], cap: usize, t: usize, value: Time) {
-    let mut i = cap + t;
-    tree[i] = value;
-    i >>= 1;
-    while i >= 1 {
-        tree[i] = tree[2 * i].max(tree[2 * i + 1]);
-        if i == 1 {
-            break;
+    /// Freeze `graph` into the position-space arrays and host every
+    /// position on its cluster's processor under `assignment`. Sizes
+    /// were checked to fit `u32` by the caller.
+    fn freeze(&mut self, graph: &ClusteredProblemGraph, assignment: &Assignment) {
+        let problem = graph.problem();
+        let topo = problem.topo_order();
+        let (n, nc) = (problem.len(), graph.num_clusters());
+        self.pos_of.clear();
+        self.pos_of.resize(n, 0);
+        for (p, &t) in topo.iter().enumerate() {
+            self.pos_of[t] = p as u32;
         }
-        i >>= 1;
+        self.size.clear();
+        self.proc.clear();
+        self.pred_off.clear();
+        self.pred_pos.clear();
+        self.pred_w.clear();
+        self.succ_off.clear();
+        self.succ_pos.clear();
+        // Counting sort of positions by cluster. Cluster `c` is counted
+        // into slot `c + 2`, so after the prefix sum slot `c + 1` is
+        // its first index — and, once the fill below has advanced it
+        // past the cluster's positions, the first index of `c + 1`.
+        self.cluster_off.clear();
+        self.cluster_off.resize(nc + 2, 0);
+        self.pred_off.push(0);
+        self.succ_off.push(0);
+        for &t in topo {
+            let c = graph.cluster_of(t);
+            self.cluster_off[c + 2] += 1;
+            self.size.push(problem.size(t));
+            self.proc.push(assignment.sys_of(c) as u32);
+            for &(u, w) in problem.predecessors(t) {
+                self.pred_pos.push(self.pos_of[u]);
+                self.pred_w.push(w);
+            }
+            self.pred_off.push(self.pred_pos.len() as u32);
+            let pos_of = &self.pos_of;
+            self.succ_pos
+                .extend(problem.successors(t).iter().map(|&(v, _)| pos_of[v]));
+            self.succ_off.push(self.succ_pos.len() as u32);
+        }
+        for c in 0..nc {
+            self.cluster_off[c + 2] += self.cluster_off[c + 1];
+        }
+        self.cluster_pos.clear();
+        self.cluster_pos.resize(n, 0);
+        for (p, &t) in topo.iter().enumerate() {
+            let slot = &mut self.cluster_off[graph.cluster_of(t) + 1];
+            self.cluster_pos[*slot as usize] = p as u32;
+            *slot += 1;
+        }
+        self.cluster_off.truncate(nc + 1);
+        self.end.clear();
+        self.end.resize(n, 0);
+        self.flags.clear();
+        self.flags.resize(n, 0);
+        self.undo_end.clear();
+        self.undo_moves.clear();
+    }
+
+    /// The positions cluster `c` owns, ascending.
+    #[inline]
+    fn positions_of(&self, c: usize) -> std::ops::Range<usize> {
+        self.cluster_off[c] as usize..self.cluster_off[c + 1] as usize
+    }
+
+    /// The schedule kernel: recompute every flagged position of
+    /// `lo..hi` in ascending (= topological) order, propagating flags
+    /// downstream, and return the makespan. Shifted end times land in
+    /// `undo_end`; every flag is clear again on return.
+    fn sweep(&mut self, hops: &SquareMatrix<u32>, lo: usize, mut hi: usize) -> Time {
+        let mut p = lo;
+        while p < hi {
+            let flag = std::mem::take(&mut self.flags[p]);
+            if flag != 0 {
+                let row = hops.row(self.proc[p] as usize);
+                let preds = self.pred_off[p] as usize..self.pred_off[p + 1] as usize;
+                let mut s: Time = 0;
+                for (&u, &w) in self.pred_pos[preds.clone()].iter().zip(&self.pred_w[preds]) {
+                    let u = u as usize;
+                    s = s.max(self.end[u] + w * Time::from(row[self.proc[u] as usize]));
+                }
+                let e = s + self.size[p];
+                let shifted = e != self.end[p];
+                if shifted {
+                    self.undo_end.push((p as u32, self.end[p]));
+                    self.end[p] = e;
+                }
+                if shifted || flag & MOVED != 0 {
+                    let succs = self.succ_off[p] as usize..self.succ_off[p + 1] as usize;
+                    for &v in &self.succ_pos[succs] {
+                        self.flags[v as usize] |= DIRTY;
+                        hi = hi.max(v as usize + 1);
+                    }
+                }
+            }
+            p += 1;
+        }
+        self.end.iter().copied().max().unwrap_or(0)
     }
 }
 
-#[inline]
-fn heap_push(heap: &mut Vec<usize>, pos: usize) {
-    heap.push(pos);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[parent] <= heap[i] {
-            break;
-        }
-        heap.swap(parent, i);
-        i = parent;
+/// Positions, processor ids and CSR offsets are stored as `u32`: the
+/// error [`DeltaEvaluator::attach`] answers a count that would wrap
+/// with.
+fn fit_u32(what: &str, n: usize) -> Result<(), GraphError> {
+    match u32::try_from(n) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(GraphError::InvalidParameter(format!(
+            "{what} = {n} exceeds the delta evaluator's u32 index range"
+        ))),
     }
-}
-
-#[inline]
-fn heap_pop(heap: &mut Vec<usize>) -> Option<usize> {
-    let last = heap.len().checked_sub(1)?;
-    heap.swap(0, last);
-    let top = heap.pop();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut smallest = i;
-        if l < heap.len() && heap[l] < heap[smallest] {
-            smallest = l;
-        }
-        if r < heap.len() && heap[r] < heap[smallest] {
-            smallest = r;
-        }
-        if smallest == i {
-            break;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
-    }
-    top
 }
 
 /// Incremental evaluator over one `(graph, system, model)` triple.
 ///
 /// Owns the committed assignment and schedule; candidates are *staged*
-/// (moves applied, cone repaired, total read) and then either
+/// (moves applied, schedule swept, total read) and then either
 /// [`commit`](DeltaEvaluator::commit)ted — the candidate becomes the new
 /// committed state — or [`discard`](DeltaEvaluator::discard)ed, rolling
 /// every touched buffer back via the undo logs.
@@ -158,7 +249,9 @@ pub struct DeltaEvaluator<'a, 'w> {
 impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     /// Attach `ws` to an instance and build the committed schedule of
     /// `start`. Validation (and the error cases) are identical to
-    /// [`evaluate_assignment`](crate::evaluate_assignment).
+    /// [`evaluate_assignment`](crate::evaluate_assignment), plus
+    /// `InvalidParameter` for an instance whose task, processor or edge
+    /// count does not fit the `u32` indices of the frozen arrays.
     pub fn attach(
         ws: &'w mut DeltaWorkspace,
         graph: &'a ClusteredProblemGraph,
@@ -166,63 +259,11 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         model: EvaluationModel,
         start: &Assignment,
     ) -> Result<Self, GraphError> {
-        if graph.num_clusters() != system.len() {
-            return Err(GraphError::SizeMismatch {
-                left: graph.num_clusters(),
-                right: system.len(),
-            });
-        }
-        if start.len() != system.len() {
-            return Err(GraphError::SizeMismatch {
-                left: start.len(),
-                right: system.len(),
-            });
-        }
-        let problem = graph.problem();
-        let n = problem.len();
-        let nc = graph.num_clusters();
-
-        ws.topo_pos.clear();
-        ws.topo_pos.resize(n, 0);
-        for (pos, &t) in problem.topo_order().iter().enumerate() {
-            ws.topo_pos[t] = pos;
-        }
-        // Tasks grouped by cluster (CSR), the seed source for moves.
-        ws.cluster_task_off.clear();
-        ws.cluster_task_off.resize(nc + 1, 0);
-        for t in 0..n {
-            ws.cluster_task_off[graph.cluster_of(t) + 1] += 1;
-        }
-        for c in 0..nc {
-            ws.cluster_task_off[c + 1] += ws.cluster_task_off[c];
-        }
-        ws.cluster_tasks.clear();
-        ws.cluster_tasks.resize(n, 0);
-        let mut cursor = ws.cluster_task_off.clone();
-        for t in 0..n {
-            let c = graph.cluster_of(t);
-            ws.cluster_tasks[cursor[c]] = t;
-            cursor[c] += 1;
-        }
-
-        ws.heap.clear();
-        ws.in_queue.clear();
-        ws.in_queue.resize(n, false);
-        ws.undo_sched.clear();
-        ws.undo_moves.clear();
-        ws.start.clear();
-        ws.start.resize(n, 0);
-        ws.end.clear();
-        ws.end.resize(n, 0);
-        let cap = n.next_power_of_two().max(1);
-        ws.tree_cap = cap;
-        ws.tree.clear();
-        ws.tree.resize(2 * cap, 0);
-        ws.ser_scheduled.clear();
-        ws.ser_remaining.clear();
-        ws.ser_ready.clear();
-        ws.ser_free.clear();
-
+        check_sizes(graph, system, start)?;
+        fit_u32("np", graph.num_tasks())?;
+        fit_u32("ns", system.len())?;
+        fit_u32("edge count", graph.problem().graph().edge_count())?;
+        ws.freeze(graph, start);
         let mut evaluator = DeltaEvaluator {
             graph,
             system,
@@ -232,41 +273,19 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
             total: 0,
             staged: None,
         };
-        evaluator.rebuild_committed();
-        Ok(evaluator)
-    }
-
-    /// Full (re)build of the committed schedule — attach-time only;
-    /// staged candidates repair instead.
-    fn rebuild_committed(&mut self) {
-        match self.model {
+        evaluator.total = match model {
             EvaluationModel::Precedence => {
-                let ws = &mut *self.ws;
-                let problem = self.graph.problem();
-                let graph = self.graph;
-                let system = self.system;
-                let assignment = &self.assignment;
-                for &t in problem.topo_order() {
-                    let mut s: Time = 0;
-                    for &(u, w) in problem.predecessors(t) {
-                        let arrive = ws.end[u] + comm(graph, system, assignment, u, t, w);
-                        s = s.max(arrive);
-                    }
-                    ws.start[t] = s;
-                    ws.end[t] = s + problem.size(t);
-                }
-                for t in 0..problem.len() {
-                    ws.tree[ws.tree_cap + t] = ws.end[t];
-                }
-                for i in (1..ws.tree_cap).rev() {
-                    ws.tree[i] = ws.tree[2 * i].max(ws.tree[2 * i + 1]);
-                }
-                self.total = ws.tree[1];
+                // With every position dirty the sweep is the
+                // from-scratch schedule; what it logs is no candidate's.
+                let ws = &mut *evaluator.ws;
+                ws.flags.fill(DIRTY);
+                let total = ws.sweep(system.distances().as_matrix(), 0, ws.flags.len());
+                ws.undo_end.clear();
+                total
             }
-            EvaluationModel::Serialized => {
-                self.total = self.eval_serialized();
-            }
-        }
+            EvaluationModel::Serialized => evaluator.eval_serialized(),
+        };
+        Ok(evaluator)
     }
 
     /// The committed total time.
@@ -346,8 +365,8 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         self.eval_staged()
     }
 
-    /// Evaluate the staged moves; cone repair for precedence,
-    /// allocation-free full recompute for serialized.
+    /// Evaluate the staged moves; one sweep of the flag window for
+    /// precedence, allocation-free full recompute for serialized.
     fn eval_staged(&mut self) -> Time {
         let total = match self.model {
             EvaluationModel::Precedence => self.eval_precedence(),
@@ -357,63 +376,27 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         total
     }
 
-    /// Worklist repair of the precedence schedule: seed every task with
-    /// a potentially-changed incoming communication cost, then pop in
-    /// topological order, recomputing starts and pushing successors only
-    /// when an end time actually shifted. Monotone pops guarantee each
-    /// task is recomputed at most once per candidate.
+    /// Re-host the moved clusters' positions, flag them, and sweep the
+    /// window they span.
     fn eval_precedence(&mut self) -> Time {
         let ws = &mut *self.ws;
-        let graph = self.graph;
-        let system = self.system;
-        let assignment = &self.assignment;
-        let problem = graph.problem();
-        let topo = problem.topo_order();
-
-        // Seed: tasks of moved clusters (their in-edges changed cost)
-        // and their successors (out-edges changed cost).
+        let (mut lo, mut hi) = (usize::MAX, 0);
         for i in 0..ws.undo_moves.len() {
             let c = ws.undo_moves[i].0;
-            let (lo, hi) = (ws.cluster_task_off[c], ws.cluster_task_off[c + 1]);
-            for k in lo..hi {
-                let t = ws.cluster_tasks[k];
-                if !problem.predecessors(t).is_empty() && !ws.in_queue[t] {
-                    ws.in_queue[t] = true;
-                    heap_push(&mut ws.heap, ws.topo_pos[t]);
-                }
-                for &(v, _) in problem.successors(t) {
-                    if !ws.in_queue[v] {
-                        ws.in_queue[v] = true;
-                        heap_push(&mut ws.heap, ws.topo_pos[v]);
-                    }
-                }
+            let s = self.assignment.sys_of(c) as u32;
+            let owned = ws.positions_of(c);
+            for &p in &ws.cluster_pos[owned.clone()] {
+                ws.proc[p as usize] = s;
+                ws.flags[p as usize] = DIRTY | MOVED;
             }
+            // Clusters are never empty and their positions ascend.
+            lo = lo.min(ws.cluster_pos[owned.start] as usize);
+            hi = hi.max(ws.cluster_pos[owned.end - 1] as usize + 1);
         }
-
-        while let Some(pos) = heap_pop(&mut ws.heap) {
-            let t = topo[pos];
-            ws.in_queue[t] = false;
-            let mut s: Time = 0;
-            for &(u, w) in problem.predecessors(t) {
-                let arrive = ws.end[u] + comm(graph, system, assignment, u, t, w);
-                s = s.max(arrive);
-            }
-            if s == ws.start[t] {
-                continue;
-            }
-            let e = s + problem.size(t);
-            ws.undo_sched.push((t, ws.start[t], ws.end[t]));
-            ws.start[t] = s;
-            ws.end[t] = e;
-            tree_update(&mut ws.tree, ws.tree_cap, t, e);
-            for &(v, _) in problem.successors(t) {
-                if !ws.in_queue[v] {
-                    ws.in_queue[v] = true;
-                    heap_push(&mut ws.heap, ws.topo_pos[v]);
-                }
-            }
+        if lo >= hi {
+            return self.total; // nothing moved
         }
-        ws.tree[1]
+        ws.sweep(self.system.distances().as_matrix(), lo, hi)
     }
 
     /// Allocation-free recompute of the serialized (greedy list
@@ -454,7 +437,8 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
             total = total.max(e);
             for &(v, w) in problem.successors(t) {
                 ws.ser_remaining[v] -= 1;
-                ws.ser_ready[v] = ws.ser_ready[v].max(e + comm(graph, system, assignment, t, v, w));
+                let arrive = e + edge_cost(graph, system, assignment, t, v, w);
+                ws.ser_ready[v] = ws.ser_ready[v].max(arrive);
             }
         }
         total
@@ -464,7 +448,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     /// undo logs are simply dropped.
     pub fn commit(&mut self) {
         let total = self.staged.take().expect("no candidate staged");
-        self.ws.undo_sched.clear();
+        self.ws.undo_end.clear();
         self.ws.undo_moves.clear();
         self.total = total;
     }
@@ -473,35 +457,19 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     /// via the undo logs (`O(cone)`, like the evaluation itself).
     pub fn discard(&mut self) {
         assert!(self.staged.take().is_some(), "no candidate staged");
-        while let Some((t, s, e)) = self.ws.undo_sched.pop() {
-            self.ws.start[t] = s;
-            self.ws.end[t] = e;
-            tree_update(&mut self.ws.tree, self.ws.tree_cap, t, e);
+        let ws = &mut *self.ws;
+        for (p, e) in ws.undo_end.drain(..) {
+            ws.end[p as usize] = e;
         }
-        while let Some((a, old)) = self.ws.undo_moves.pop() {
+        while let Some((a, old)) = ws.undo_moves.pop() {
             self.assignment.place(a, old);
+            if self.model == EvaluationModel::Precedence {
+                let owned = ws.positions_of(a);
+                for &p in &ws.cluster_pos[owned] {
+                    ws.proc[p as usize] = old as u32;
+                }
+            }
         }
-    }
-}
-
-/// The per-edge communication cost — the exact arithmetic of
-/// [`evaluate_assignment`](crate::evaluate_assignment)'s closure
-/// (`clus_weight × hops`, 0 intra-cluster), with the edge weight taken
-/// from the adjacency list instead of a matrix probe.
-#[inline]
-fn comm(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    assignment: &Assignment,
-    u: TaskId,
-    t: TaskId,
-    w: Weight,
-) -> Time {
-    let (cu, ct) = (graph.cluster_of(u), graph.cluster_of(t));
-    if cu == ct || w == 0 {
-        0
-    } else {
-        w * Time::from(system.hops(assignment.sys_of(cu), assignment.sys_of(ct)))
     }
 }
 
@@ -643,6 +611,20 @@ mod tests {
             &Assignment::identity(5)
         )
         .is_err());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn sizes_beyond_u32_are_rejected_not_truncated() {
+        assert_eq!(fit_u32("np", u32::MAX as usize), Ok(()));
+        for what in ["np", "ns", "edge count"] {
+            match fit_u32(what, u32::MAX as usize + 1) {
+                Err(GraphError::InvalidParameter(message)) => {
+                    assert!(message.starts_with(what), "{message}");
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! Under an assignment, a clustered edge `u -> v` costs
 //! `clus_edge[u][v] × shortest[s_u][s_v]` where `s_u`, `s_v` are the
 //! processors hosting the two clusters (§4.3.4 Algorithm I: the
-//! communication matrix `comm[np][np]`). The start/end times then follow
+//! communication matrix `comm[np][np]`) — `edge_cost`, the one
+//! expression every evaluator shares. The start/end times then follow
 //! from the same traversal as the ideal graph.
 
 use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
-use mimd_graph::Time;
-use mimd_taskgraph::ClusteredProblemGraph;
+use mimd_graph::{Time, Weight};
+use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
 use mimd_topology::SystemGraph;
 
 use crate::assignment::Assignment;
@@ -35,6 +36,56 @@ impl Evaluation {
     }
 }
 
+/// The paper's `na = ns` requirement and the assignment's size — the
+/// one validation every evaluator entry point runs.
+pub(crate) fn check_sizes(
+    graph: &ClusteredProblemGraph,
+    system: &SystemGraph,
+    assignment: &Assignment,
+) -> Result<(), GraphError> {
+    for left in [graph.num_clusters(), assignment.len()] {
+        if left != system.len() {
+            return Err(GraphError::SizeMismatch {
+                left,
+                right: system.len(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// What problem edge `u -> v` of weight `w` costs under `assignment`:
+/// `w × shortest[s_u][s_v]`, 0 within a cluster.
+#[inline]
+pub(crate) fn edge_cost(
+    graph: &ClusteredProblemGraph,
+    system: &SystemGraph,
+    assignment: &Assignment,
+    u: TaskId,
+    v: TaskId,
+    w: Weight,
+) -> Time {
+    let (cu, cv) = (graph.cluster_of(u), graph.cluster_of(v));
+    if cu == cv {
+        0
+    } else {
+        w * Time::from(system.hops(assignment.sys_of(cu), assignment.sys_of(cv)))
+    }
+}
+
+/// The schedule behind both evaluation entry points.
+fn schedule_of(
+    graph: &ClusteredProblemGraph,
+    system: &SystemGraph,
+    assignment: &Assignment,
+    model: EvaluationModel,
+) -> Result<Schedule, GraphError> {
+    check_sizes(graph, system, assignment)?;
+    Ok(Schedule::compute(graph, model, |u, v, w| {
+        edge_cost(graph, system, assignment, u, v, w)
+    }))
+}
+
 /// Evaluate `assignment` of `graph`'s clusters onto `system` under
 /// `model`. Errors when the cluster count and processor count differ
 /// (the paper requires `na = ns`) or the assignment has the wrong size.
@@ -44,70 +95,25 @@ pub fn evaluate_assignment(
     assignment: &Assignment,
     model: EvaluationModel,
 ) -> Result<Evaluation, GraphError> {
-    if graph.num_clusters() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: graph.num_clusters(),
-            right: system.len(),
-        });
-    }
-    if assignment.len() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: assignment.len(),
-            right: system.len(),
-        });
-    }
-    let schedule = Schedule::compute(graph, model, |u, v| {
-        let w = graph.clus_weight(u, v);
-        if w == 0 {
-            0
-        } else {
-            let su = assignment.sys_of(graph.cluster_of(u));
-            let sv = assignment.sys_of(graph.cluster_of(v));
-            w * Time::from(system.hops(su, sv))
-        }
-    });
     Ok(Evaluation {
+        schedule: schedule_of(graph, system, assignment, model)?,
         assignment: assignment.clone(),
-        schedule,
         model,
     })
 }
 
 /// Total time of `assignment` without materializing an [`Evaluation`]:
 /// skips the assignment clone and returns just the makespan. The
-/// hot-path entry point for every caller that throws the schedule away
-/// (refinement loops, random-mapping baselines, bound checks); totals
-/// and error cases are identical to
-/// [`evaluate_assignment`]`(..)?.total()`.
+/// entry point for every caller that throws the schedule away
+/// (random-mapping baselines, bound checks); totals and error cases are
+/// identical to [`evaluate_assignment`]`(..)?.total()`.
 pub fn evaluate_total(
     graph: &ClusteredProblemGraph,
     system: &SystemGraph,
     assignment: &Assignment,
     model: EvaluationModel,
 ) -> Result<Time, GraphError> {
-    if graph.num_clusters() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: graph.num_clusters(),
-            right: system.len(),
-        });
-    }
-    if assignment.len() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: assignment.len(),
-            right: system.len(),
-        });
-    }
-    let schedule = Schedule::compute(graph, model, |u, v| {
-        let w = graph.clus_weight(u, v);
-        if w == 0 {
-            0
-        } else {
-            let su = assignment.sys_of(graph.cluster_of(u));
-            let sv = assignment.sys_of(graph.cluster_of(v));
-            w * Time::from(system.hops(su, sv))
-        }
-    });
-    Ok(schedule.total())
+    Ok(schedule_of(graph, system, assignment, model)?.total())
 }
 
 /// The paper's §4.3.4 Algorithm I: the explicit communication matrix
@@ -120,23 +126,10 @@ pub fn communication_matrix(
     system: &SystemGraph,
     assignment: &Assignment,
 ) -> Result<mimd_graph::SquareMatrix<Time>, GraphError> {
-    if graph.num_clusters() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: graph.num_clusters(),
-            right: system.len(),
-        });
-    }
-    if assignment.len() != system.len() {
-        return Err(GraphError::SizeMismatch {
-            left: assignment.len(),
-            right: system.len(),
-        });
-    }
+    check_sizes(graph, system, assignment)?;
     let mut m = mimd_graph::SquareMatrix::new(graph.num_tasks());
     for (u, v, w) in graph.cross_edges() {
-        let su = assignment.sys_of(graph.cluster_of(u));
-        let sv = assignment.sys_of(graph.cluster_of(v));
-        m.set(u, v, w * Time::from(system.hops(su, sv)));
+        m.set(u, v, edge_cost(graph, system, assignment, u, v, w));
     }
     Ok(m)
 }
@@ -275,7 +268,7 @@ mod tests {
             "intra-cluster edge (1,4) has no network cost"
         );
         // The schedule recomputed from the matrix matches the evaluator.
-        let from_matrix = crate::schedule::Schedule::precedence(&g, |u, v| m.get(u, v));
+        let from_matrix = crate::schedule::Schedule::precedence(&g, |u, v, _| m.get(u, v));
         let eval = evaluate_assignment(&g, &sys, &a, EvaluationModel::Precedence).unwrap();
         assert_eq!(from_matrix.total(), eval.total());
         assert!(communication_matrix(&g, &ring(5).unwrap(), &a).is_err());
@@ -310,6 +303,35 @@ mod tests {
             EvaluationModel::Precedence
         )
         .is_err());
+    }
+
+    #[test]
+    fn every_evaluator_agrees_where_task_ids_are_not_topological() {
+        use crate::delta::{DeltaEvaluator, DeltaWorkspace};
+        use mimd_taskgraph::clustering::random::random_clustering;
+        use mimd_taskgraph::workloads;
+        let mut rng = StdRng::seed_from_u64(23);
+        let sys = mimd_topology::hypercube(4).unwrap();
+        let mut ws = DeltaWorkspace::new();
+        for problem in [
+            workloads::gaussian_elimination(9, 3, 5, 2).unwrap(),
+            workloads::divide_and_conquer(4, 1, 6, 2, 2).unwrap(),
+        ] {
+            let clustering = random_clustering(&problem, 16, &mut rng).unwrap();
+            let g = ClusteredProblemGraph::new(problem, clustering).unwrap();
+            for model in [EvaluationModel::Precedence, EvaluationModel::Serialized] {
+                for _ in 0..5 {
+                    let a = Assignment::random(16, &mut rng);
+                    let total = evaluate_total(&g, &sys, &a, model).unwrap();
+                    assert_eq!(
+                        total,
+                        evaluate_assignment(&g, &sys, &a, model).unwrap().total()
+                    );
+                    let delta = DeltaEvaluator::attach(&mut ws, &g, &sys, model, &a).unwrap();
+                    assert_eq!(total, delta.total());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! KL/FM-style gain table for pairwise-exchange refinement.
 //!
-//! A [`GainTable`] maintains, per cluster, the *external communication
-//! cost* `ext[c] = Σ_x W[c][x] · hops(s_c, s_x)` over the cluster-level
-//! (abstract) adjacency — the weighted-comm-volume part of the
-//! objective. Swapping two clusters changes only the terms incident to
-//! them, so the table prices an exchange in `O(deg a + deg b)` and
-//! repairs itself per accepted move without ever rescanning the graph —
-//! the trick that lets VieM-style mappers afford wide exchange pools.
-//! The adjacency is the [`AbstractGraph`]'s own sparse rows; the table
-//! keeps no copy of it.
+//! A [`GainTable`] maintains, per cluster `c` and processor `s`, the
+//! *placed cost* `placed[c][s] = Σ_x W[c][x] · hops(s, s_x)` over the
+//! cluster-level (abstract) adjacency: what `c`'s edges would cost with
+//! `c` hosted on `s` and every neighbor where it is. Its entry at `c`'s
+//! own host is the *external communication cost* `ext[c]` — the
+//! weighted-comm-volume part of the objective. An exchange of `a` and
+//! `b` is then priced from four entries and the `a`–`b` weight, whatever
+//! the clusters' degrees, and an accepted one shifts only the rows of
+//! `a`'s and `b`'s neighbors (`O((deg a + deg b) · ns)`, never a rescan
+//! of the graph) — the trick that lets VieM-style mappers afford wide
+//! exchange pools: a ranking round over every candidate pair costs the
+//! pairs, not the pairs times their degrees. The adjacency is the
+//! [`AbstractGraph`]'s own sparse rows; the table keeps no copy of it.
 //!
 //! The table's gain is a **proxy**: the real objective is the schedule
 //! makespan, which comm volume only approximates. The exchange pass in
@@ -27,14 +31,19 @@ use mimd_topology::SystemGraph;
 
 use crate::assignment::Assignment;
 
-/// Incrementally maintained per-cluster external costs plus the
+/// Incrementally maintained placed and external costs plus the
 /// movable/boundary sets driving exchange candidate generation.
 #[derive(Clone, Debug)]
 pub struct GainTable {
     /// The cluster-level graph whose rows `W[c][·]` the table walks.
     abstract_graph: AbstractGraph,
-    /// `ext[c] = Σ_x W[c][x] · hops(s_c, s_x)` under the tracked
-    /// assignment.
+    /// Processor count: the row length of `placed`.
+    ns: usize,
+    /// `placed[c * ns + s] = Σ_x W[c][x] · hops(s, s_x)` under the
+    /// tracked assignment. Row `c` depends on where `c`'s neighbors
+    /// are, never on `c`'s own host.
+    placed: Vec<u64>,
+    /// `ext[c] = placed[c][s_c]`: the row's entry at `c`'s own host.
     ext: Vec<u64>,
     /// Clusters refinement may move (the unpinned ones).
     movable: BitSet,
@@ -54,9 +63,11 @@ impl GainTable {
         pinned: &[bool],
     ) -> Self {
         let abstract_graph = AbstractGraph::new(graph);
-        let na = abstract_graph.len();
+        let (na, ns) = (abstract_graph.len(), system.len());
         let mut table = GainTable {
             abstract_graph,
+            ns,
+            placed: vec![0; na * ns],
             ext: vec![0; na],
             movable: BitSet::new(na),
             boundary: BitSet::new(na),
@@ -66,9 +77,16 @@ impl GainTable {
                 table.movable.insert(c);
             }
         }
+        // Hop counts are symmetric, so `hops(·, s_x)` is row `s_x`.
+        let hops = system.distances().as_matrix();
         for c in 0..na {
-            table.ext[c] = table.compute_ext(c, assignment, system);
-            table.refresh_boundary(c, assignment, system);
+            let row = &mut table.placed[c * ns..(c + 1) * ns];
+            for (x, w) in table.abstract_graph.row(c) {
+                for (cost, &h) in row.iter_mut().zip(hops.row(assignment.sys_of(x))) {
+                    *cost += w * u64::from(h);
+                }
+            }
+            table.refresh(c, assignment, system);
         }
         table
     }
@@ -97,15 +115,17 @@ impl GainTable {
         &self.boundary
     }
 
-    fn compute_ext(&self, c: usize, assignment: &Assignment, system: &SystemGraph) -> u64 {
-        let sc = assignment.sys_of(c);
-        self.neighbors(c)
-            .map(|(x, w)| w * u64::from(system.hops(sc, assignment.sys_of(x))))
-            .sum()
+    /// What `c`'s edges would cost with `c` hosted on `s`.
+    #[inline]
+    fn placed(&self, c: usize, s: usize) -> i64 {
+        self.placed[c * self.ns + s] as i64
     }
 
-    fn refresh_boundary(&mut self, c: usize, assignment: &Assignment, system: &SystemGraph) {
+    /// Re-read `ext[c]` and `c`'s boundary membership after `c` or one
+    /// of its neighbors moved (`c`'s placed row already repaired).
+    fn refresh(&mut self, c: usize, assignment: &Assignment, system: &SystemGraph) {
         let sc = assignment.sys_of(c);
+        self.ext[c] = self.placed[c * self.ns + sc];
         let far = self.movable.contains(c)
             && self
                 .neighbors(c)
@@ -119,8 +139,12 @@ impl GainTable {
 
     /// Proxy gain of exchanging `a` and `b` under `assignment` (their
     /// *current* hosts): the drop in total external cost, positive when
-    /// the swap reduces weighted comm volume. The `a`–`b` edge itself is
-    /// unaffected (its endpoints trade places). `O(deg a + deg b)`.
+    /// the swap reduces weighted comm volume. Each cluster's edges are
+    /// re-read at the other's host; the `a`–`b` edge itself is unaffected
+    /// (its endpoints trade places), so what the two placed costs count
+    /// for it — `hops(s_a, s_b)` at the own host, 0 at the other's — is
+    /// taken out again. Four table entries and one weight lookup,
+    /// whatever the degrees.
     pub fn swap_gain(
         &self,
         a: usize,
@@ -129,29 +153,55 @@ impl GainTable {
         system: &SystemGraph,
     ) -> i64 {
         let (sa, sb) = (assignment.sys_of(a), assignment.sys_of(b));
-        let mut gain = 0i64;
-        for (x, w) in self.neighbors(a) {
-            if x == b {
-                continue;
+        let shared = self.abstract_graph.pair_weight(a, b) as i64 * i64::from(system.hops(sa, sb));
+        self.placed(a, sa) - self.placed(a, sb) + self.placed(b, sb)
+            - self.placed(b, sa)
+            - 2 * shared
+    }
+
+    /// [`swap_gain`](GainTable::swap_gain) of every pair in `pairs` —
+    /// pair `(a, b)`, `a < b`, being element `a * na + b` — handed to
+    /// `emit` as `(gain, a, b)` in ascending pair order. What a round of
+    /// the exchange pass spends on ranking: everything that depends on
+    /// `a` alone is read once per row, and each `a`–`b` weight comes
+    /// from one walk along `a`'s neighbor row beside its ascending
+    /// partners instead of a search per pair.
+    pub fn swap_gains(
+        &self,
+        pairs: &BitSet,
+        assignment: &Assignment,
+        system: &SystemGraph,
+        mut emit: impl FnMut((i64, usize, usize)),
+    ) {
+        let (na, ns) = (self.ext.len(), self.ns);
+        let hops = system.distances().as_matrix();
+        let mut pairs = pairs.iter().peekable();
+        while let Some(&first) = pairs.peek() {
+            let a = first / na;
+            let sa = assignment.sys_of(a);
+            let (placed_a, hops_a) = (&self.placed[a * ns..(a + 1) * ns], hops.row(sa));
+            let mut shared = self.neighbors(a).peekable();
+            while let Some(pair) = pairs.next_if(|&pair| pair < (a + 1) * na) {
+                let b = pair - a * na;
+                let sb = assignment.sys_of(b);
+                while shared.next_if(|&(x, _)| x < b).is_some() {}
+                let w = shared
+                    .peek()
+                    .map_or(0, |&(x, w)| if x == b { w } else { 0 });
+                let gain = self.ext[a] as i64 - placed_a[sb] as i64 + self.ext[b] as i64
+                    - self.placed[b * ns + sa] as i64
+                    - 2 * w as i64 * i64::from(hops_a[sb]);
+                emit((gain, a, b));
             }
-            let sx = assignment.sys_of(x);
-            gain += w as i64 * (i64::from(system.hops(sa, sx)) - i64::from(system.hops(sb, sx)));
         }
-        for (x, w) in self.neighbors(b) {
-            if x == a {
-                continue;
-            }
-            let sx = assignment.sys_of(x);
-            gain += w as i64 * (i64::from(system.hops(sb, sx)) - i64::from(system.hops(sa, sx)));
-        }
-        gain
     }
 
     /// Repair the table after clusters `a` and `b` exchanged hosts —
-    /// `assignment` is the **post-swap** state. Recomputes `ext[a]`,
-    /// `ext[b]` and adjusts each neighbor's entry by its hop delta
-    /// (`O(deg a + deg b)`), then refreshes boundary membership of the
-    /// touched clusters.
+    /// `assignment` is the **post-swap** state. A cluster that moved
+    /// from `s_old` to `s_new` shifts every neighbor's placed row by
+    /// `W × (hops(·, s_new) − hops(·, s_old))`
+    /// (`O((deg a + deg b) · ns)`); then `ext` and boundary membership
+    /// of the touched clusters are re-read.
     pub fn apply_swap(
         &mut self,
         a: usize,
@@ -161,25 +211,22 @@ impl GainTable {
     ) {
         // Post-swap hosts; pre-swap hosts are the mirrored pair.
         let (sa_new, sb_new) = (assignment.sys_of(a), assignment.sys_of(b));
-        let (sa_old, sb_old) = (sb_new, sa_new);
-        for endpoint in [(a, sa_old, sa_new), (b, sb_old, sb_new)] {
-            let (c, s_old, s_new) = endpoint;
-            for k in 0..self.abstract_graph.neighbors(c).len() {
-                let (x, w) = (
-                    self.abstract_graph.neighbors(c)[k],
-                    self.abstract_graph.weights(c)[k],
-                );
-                if x == a || x == b {
-                    continue;
+        let (hops, ns) = (system.distances().as_matrix(), self.ns);
+        for (c, s_old, s_new) in [(a, sb_new, sa_new), (b, sa_new, sb_new)] {
+            for (x, w) in self.abstract_graph.row(c) {
+                let shift = hops.row(s_new).iter().zip(hops.row(s_old));
+                for (cost, (&new, &old)) in self.placed[x * ns..(x + 1) * ns].iter_mut().zip(shift)
+                {
+                    // The row holds `w × old` already: no underflow.
+                    *cost = *cost + w * u64::from(new) - w * u64::from(old);
                 }
-                let sx = assignment.sys_of(x);
-                let delta = w as i64
-                    * (i64::from(system.hops(s_new, sx)) - i64::from(system.hops(s_old, sx)));
-                self.ext[x] = (self.ext[x] as i64 + delta) as u64;
-                self.refresh_boundary(x, assignment, system);
             }
-            self.ext[c] = self.compute_ext(c, assignment, system);
-            self.refresh_boundary(c, assignment, system);
+        }
+        for c in [a, b] {
+            for k in 0..self.abstract_graph.neighbors(c).len() {
+                self.refresh(self.abstract_graph.neighbors(c)[k], assignment, system);
+            }
+            self.refresh(c, assignment, system);
         }
     }
 }
@@ -198,14 +245,13 @@ mod tests {
         )
     }
 
-    fn rebuilt_ext(
+    fn rebuilt(
         table: &GainTable,
         graph: &ClusteredProblemGraph,
         system: &SystemGraph,
         assignment: &Assignment,
-    ) -> Vec<u64> {
-        let fresh = GainTable::new(graph, system, assignment, &vec![false; table.ext.len()]);
-        fresh.ext.clone()
+    ) -> GainTable {
+        GainTable::new(graph, system, assignment, &vec![false; table.ext.len()])
     }
 
     #[test]
@@ -234,7 +280,7 @@ mod tests {
             for y in (x + 1)..4 {
                 let gain = table.swap_gain(x, y, &a, &sys);
                 a.swap_clusters(x, y);
-                let total_after: i64 = rebuilt_ext(&table, &g, &sys, &a).iter().sum::<u64>() as i64;
+                let total_after: i64 = rebuilt(&table, &g, &sys, &a).ext.iter().sum::<u64>() as i64;
                 // ext double-counts every edge (once per endpoint), so
                 // the predicted drop appears twice in the sum.
                 assert_eq!(total_before - total_after, 2 * gain, "swap {x}<->{y}");
@@ -250,12 +296,44 @@ mod tests {
         for (x, y) in [(0, 3), (1, 2), (0, 1), (2, 3), (0, 2)] {
             a.swap_clusters(x, y);
             table.apply_swap(x, y, &a, &sys);
-            assert_eq!(
-                table.ext,
-                rebuilt_ext(&table, &g, &sys, &a),
-                "after swap {x}<->{y}"
-            );
+            let fresh = rebuilt(&table, &g, &sys, &a);
+            assert_eq!(table.ext, fresh.ext, "after swap {x}<->{y}");
+            assert_eq!(table.placed, fresh.placed, "after swap {x}<->{y}");
         }
+    }
+
+    #[test]
+    fn placed_is_the_cost_of_a_cluster_at_every_processor() {
+        let (g, sys, a) = setup();
+        let table = GainTable::new(&g, &sys, &a, &[false; 4]);
+        for c in 0..4 {
+            for s in 0..4 {
+                let expect: u64 = table
+                    .neighbors(c)
+                    .map(|(x, w)| w * u64::from(sys.hops(s, a.sys_of(x))))
+                    .sum();
+                assert_eq!(table.placed(c, s), expect as i64, "cluster {c} on {s}");
+            }
+            assert_eq!(table.ext(c), table.placed(c, a.sys_of(c)) as u64);
+        }
+    }
+
+    #[test]
+    fn swap_gains_is_swap_gain_of_every_pair_in_order() {
+        let (g, sys, a) = setup();
+        let table = GainTable::new(&g, &sys, &a, &[false; 4]);
+        // Adjacent and non-adjacent pairs, a skipped row, an empty one.
+        let chosen = [(0, 1), (0, 3), (2, 3)];
+        let mut pairs = BitSet::new(16);
+        for (x, y) in chosen {
+            pairs.insert(x * 4 + y);
+        }
+        let mut batched = Vec::new();
+        table.swap_gains(&pairs, &a, &sys, |swap| batched.push(swap));
+        assert_eq!(
+            batched,
+            chosen.map(|(x, y)| (table.swap_gain(x, y, &a, &sys), x, y))
+        );
     }
 
     #[test]

@@ -26,7 +26,18 @@ impl IdealSchedule {
     /// Derive the ideal graph of a clustered problem graph (§4.1
     /// algorithms I–III).
     pub fn derive(graph: &ClusteredProblemGraph) -> Self {
-        let schedule = Schedule::precedence(graph, |u, v| graph.clus_weight(u, v));
+        let clustering = graph.clustering();
+        let schedule =
+            Schedule::precedence(
+                graph,
+                |u, v, w| {
+                    if clustering.same_cluster(u, v) {
+                        0
+                    } else {
+                        w
+                    }
+                },
+            );
         IdealSchedule { schedule }
     }
 

@@ -29,7 +29,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
-use mimd_graph::Time;
+use mimd_graph::{BitSet, Time};
 use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_telemetry::Recorder;
 use mimd_topology::SystemGraph;
@@ -245,24 +245,18 @@ fn exchange_pass(
     };
     let mut table = GainTable::new(graph, system, evaluator.assignment(), effective_pins);
     let mut budget = config.exchange_pool;
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut ranked: Vec<(i64, usize, usize)> = Vec::new();
+    let na = pinned.len();
+    let mut pairs = BitSet::new(na * na);
+    let mut ranked = BestSwaps::default();
     while budget > 0 {
         collect_swap_pairs(&table, evaluator.assignment(), system, &mut pairs);
-        ranked.clear();
-        ranked.extend(
-            pairs
-                .iter()
-                .map(|&(a, b)| (table.swap_gain(a, b, evaluator.assignment(), system), a, b)),
-        );
-        // Best proxy gain first; ties by cluster ids for determinism.
-        ranked.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+        ranked.restart(budget);
+        table.swap_gains(&pairs, evaluator.assignment(), system, |swap| {
+            ranked.offer(swap)
+        });
         let mut accepted = false;
-        for &(_, a, b) in &ranked {
-            if budget == 0 {
-                break;
-            }
-            budget -= 1;
+        for &(_, a, b) in ranked.in_order() {
+            budget -= 1; // at most `budget` swaps were kept
             *iterations_used += 1;
             let total = evaluator.stage_swap(a, b);
             if total < *best_total {
@@ -286,20 +280,74 @@ fn exchange_pass(
     false
 }
 
+/// The `budget` best-ranked of the `(proxy gain, a, b)` swaps offered
+/// to it: best gain first, ties by cluster ids for determinism. A round
+/// tries at most `budget` swaps, so only that much of the ranking is
+/// ever read — and only that much is kept and sorted: once `budget`
+/// swaps are held, one comparison with the worst of them turns away
+/// nearly every later offer.
+#[derive(Default)]
+struct BestSwaps {
+    budget: usize,
+    kept: Vec<(i64, usize, usize)>,
+    /// The worst swap still worth keeping, once `budget` are held.
+    floor: Option<(i64, usize, usize)>,
+}
+
+impl BestSwaps {
+    fn order(x: &(i64, usize, usize), y: &(i64, usize, usize)) -> std::cmp::Ordering {
+        y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2))
+    }
+
+    /// Forget the last round; keep the next one's `budget >= 1` best.
+    fn restart(&mut self, budget: usize) {
+        self.budget = budget;
+        self.kept.clear();
+        self.floor = None;
+    }
+
+    fn offer(&mut self, swap: (i64, usize, usize)) {
+        if self
+            .floor
+            .is_some_and(|floor| Self::order(&swap, &floor).is_gt())
+        {
+            return;
+        }
+        self.kept.push(swap);
+        if self.kept.len() >= self.budget.saturating_mul(2) {
+            self.kept
+                .select_nth_unstable_by(self.budget - 1, Self::order);
+            self.kept.truncate(self.budget);
+            self.floor = Some(self.kept[self.budget - 1]);
+        }
+    }
+
+    /// The kept swaps, best first.
+    fn in_order(&mut self) -> &[(i64, usize, usize)] {
+        self.kept.sort_unstable_by(Self::order);
+        self.kept.truncate(self.budget);
+        &self.kept
+    }
+}
+
 /// Deterministically enumerate candidate swap pairs: movable
 /// abstract-graph-adjacent pairs seeded from the boundary set, plus —
 /// for each boundary cluster `a` with a neighbor `x` further than one
 /// hop — the movable clusters hosted on processors physically adjacent
 /// to `x`'s host (the "move `a` next to its expensive neighbor" moves).
+/// Pair `(a, b)`, `a < b`, is bit `a * na + b` of `out`, so each pair
+/// is held once however often it is found and iteration ascends by
+/// `(a, b)`.
 fn collect_swap_pairs(
     table: &GainTable,
     assignment: &Assignment,
     system: &SystemGraph,
-    out: &mut Vec<(usize, usize)>,
+    out: &mut BitSet,
 ) {
     out.clear();
-    let push = |out: &mut Vec<(usize, usize)>, a: usize, b: usize| {
-        out.push((a.min(b), a.max(b)));
+    let na = assignment.len();
+    let push = |out: &mut BitSet, a: usize, b: usize| {
+        out.insert(a.min(b) * na + a.max(b));
     };
     for a in table.boundary().iter() {
         let sa = assignment.sys_of(a);
@@ -318,8 +366,6 @@ fn collect_swap_pairs(
             }
         }
     }
-    out.sort_unstable();
-    out.dedup();
 }
 
 #[cfg(test)]
@@ -513,6 +559,108 @@ mod tests {
         // strictly better total (the worked ring is swap-connected).
         assert!(out.total < out.initial_total);
         assert!(out.improvements >= 1);
+    }
+
+    #[test]
+    fn best_swaps_is_the_head_of_the_full_ranking() {
+        // Few distinct gains, so most of the order is decided by ids;
+        // offered in an order unrelated to the ranking.
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut all: Vec<(i64, usize, usize)> = (0..40)
+            .flat_map(|a| (a + 1..40).map(move |b| (a, b)))
+            .map(|(a, b)| (rng.gen_range(-3i64..4), a, b))
+            .collect();
+        fisher_yates(&mut all, &mut rng);
+        let mut full = all.clone();
+        full.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+        let mut best = BestSwaps::default();
+        for budget in [
+            1,
+            2,
+            63,
+            64,
+            65,
+            all.len() / 2,
+            all.len() - 1,
+            all.len(),
+            all.len() + 5,
+            usize::MAX,
+        ] {
+            best.restart(budget);
+            all.iter().for_each(|&swap| best.offer(swap));
+            assert_eq!(
+                best.in_order(),
+                &full[..budget.min(full.len())],
+                "budget {budget}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_smaller_exchange_pool_tries_a_prefix_of_a_larger_one() {
+        use mimd_taskgraph::clustering::random::random_clustering;
+        use mimd_taskgraph::{GeneratorConfig, LayeredDagGenerator};
+        use mimd_telemetry::GainLedger;
+        // 25 clusters: a round ranks up to 300 pairs, far more than
+        // the small pools, fewer than the large one.
+        let mut rng = StdRng::seed_from_u64(29);
+        let gen = LayeredDagGenerator::new(GeneratorConfig {
+            tasks: 140,
+            ..GeneratorConfig::default()
+        })
+        .unwrap();
+        let problem = gen.generate(&mut rng);
+        let clustering = random_clustering(&problem, 25, &mut rng).unwrap();
+        let g = ClusteredProblemGraph::new(problem, clustering).unwrap();
+        let sys = mimd_topology::torus2d(5, 5).unwrap();
+        let start = Assignment::random(25, &mut rng);
+        let run = |pool: usize| {
+            let recorder = Recorder::enabled().with_ledger(GainLedger::enabled());
+            let cfg = RefineConfig {
+                iterations: 0,
+                exchange_pool: pool,
+                ..RefineConfig::paper(25)
+            };
+            let out = refine_with(
+                &g,
+                &sys,
+                &start,
+                &[false; 25],
+                0,
+                &cfg,
+                &recorder,
+                &mut DeltaWorkspace::new(),
+                &mut StdRng::seed_from_u64(0),
+            )
+            .unwrap();
+            let accepted: Vec<(i64, Time)> = recorder
+                .ledger()
+                .snapshot()
+                .iter()
+                .skip(1) // the baseline entry
+                .map(|e| (e.gain, e.total_after))
+                .collect();
+            (out, accepted)
+        };
+        let (unbounded, all_accepted) = run(100_000);
+        assert!(
+            all_accepted.len() >= 3,
+            "the instance must exercise re-ranking"
+        );
+        for pool in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 400] {
+            let (out, accepted) = run(pool);
+            assert_eq!(
+                out.iterations_used,
+                pool.min(unbounded.iterations_used),
+                "pool {pool}"
+            );
+            assert_eq!(
+                accepted[..],
+                all_accepted[..accepted.len()],
+                "pool {pool}: same swaps in the same order until the budget ends"
+            );
+            assert!(out.total >= unbounded.total);
+        }
     }
 
     #[test]

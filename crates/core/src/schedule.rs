@@ -6,11 +6,13 @@
 //! weight) and *assignment evaluation* (communication = clustered weight
 //! × hop count, §4.3.4) share one implementation. Predecessors are taken
 //! from the **problem graph** while weights come from the **clustered**
-//! view — the subtlety the paper demonstrates with task 4 (§4.1).
+//! view — the subtlety the paper demonstrates with task 4 (§4.1): the
+//! walk hands every problem edge's weight to the caller's cost function,
+//! which zeroes it inside a cluster.
 
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::Time;
+use mimd_graph::{Time, Weight};
 use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
 
 /// Which execution model the schedule uses.
@@ -36,12 +38,15 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Compute a precedence-model schedule. `comm(u, v)` must return the
-    /// communication delay charged on edge `u -> v` (already multiplied
-    /// by hops if applicable; 0 for intra-cluster edges).
+    /// Compute a precedence-model schedule. `comm(u, v, w)` is called
+    /// once per problem edge `u -> v` with that edge's weight `w` (read
+    /// from the adjacency row being walked, so no caller has to look it
+    /// up again) and must return the communication delay charged on the
+    /// edge (already multiplied by hops if applicable; 0 for
+    /// intra-cluster edges).
     pub fn precedence<F>(graph: &ClusteredProblemGraph, mut comm: F) -> Self
     where
-        F: FnMut(TaskId, TaskId) -> Time,
+        F: FnMut(TaskId, TaskId, Weight) -> Time,
     {
         let problem = graph.problem();
         let n = problem.len();
@@ -51,7 +56,7 @@ impl Schedule {
             let s = problem
                 .predecessors(t)
                 .iter()
-                .map(|&(u, _)| end[u] + comm(u, t))
+                .map(|&(u, w)| end[u] + comm(u, t, w))
                 .max()
                 .unwrap_or(0);
             start[t] = s;
@@ -65,10 +70,10 @@ impl Schedule {
     /// (processor). Greedy list scheduling — among tasks whose
     /// predecessors are all finished, repeatedly start the one with the
     /// earliest feasible start (`max(data ready, processor free)`), ties
-    /// by task id.
+    /// by task id. `comm` as in [`Schedule::precedence`].
     pub fn serialized<F>(graph: &ClusteredProblemGraph, mut comm: F) -> Self
     where
-        F: FnMut(TaskId, TaskId) -> Time,
+        F: FnMut(TaskId, TaskId, Weight) -> Time,
     {
         let problem = graph.problem();
         let n = problem.len();
@@ -97,9 +102,9 @@ impl Schedule {
             start[t] = s;
             end[t] = s + problem.size(t);
             proc_free[graph.cluster_of(t)] = end[t];
-            for &(v, _) in problem.successors(t) {
+            for &(v, w) in problem.successors(t) {
                 remaining_preds[v] -= 1;
-                data_ready[v] = data_ready[v].max(end[t] + comm(t, v));
+                data_ready[v] = data_ready[v].max(end[t] + comm(t, v, w));
             }
         }
         let total = end.iter().copied().max().unwrap_or(0);
@@ -109,7 +114,7 @@ impl Schedule {
     /// Dispatch on [`EvaluationModel`].
     pub fn compute<F>(graph: &ClusteredProblemGraph, model: EvaluationModel, comm: F) -> Self
     where
-        F: FnMut(TaskId, TaskId) -> Time,
+        F: FnMut(TaskId, TaskId, Weight) -> Time,
     {
         match model {
             EvaluationModel::Precedence => Schedule::precedence(graph, comm),
@@ -169,7 +174,7 @@ mod tests {
     #[test]
     fn precedence_allows_same_processor_overlap() {
         let g = fixture();
-        let s = Schedule::precedence(&g, |u, v| g.clus_weight(u, v));
+        let s = Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v));
         // Both sources start at 0 despite sharing cluster 0.
         assert_eq!(s.start(0), 0);
         assert_eq!(s.start(1), 0);
@@ -181,7 +186,7 @@ mod tests {
     #[test]
     fn serialized_forbids_overlap() {
         let g = fixture();
-        let s = Schedule::serialized(&g, |u, v| g.clus_weight(u, v));
+        let s = Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v));
         // Cluster 0 runs tasks 0 then 1 back to back.
         assert_eq!(s.start(0), 0);
         assert_eq!(s.start(1), 3);
@@ -194,8 +199,8 @@ mod tests {
     #[test]
     fn serialized_never_beats_precedence() {
         let g = fixture();
-        let p = Schedule::precedence(&g, |u, v| g.clus_weight(u, v));
-        let s = Schedule::serialized(&g, |u, v| g.clus_weight(u, v));
+        let p = Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v));
+        let s = Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v));
         assert!(s.total() >= p.total());
         for t in 0..3 {
             assert!(s.start(t) >= p.start(t), "task {t}");
@@ -206,19 +211,44 @@ mod tests {
     fn compute_dispatches() {
         let g = fixture();
         assert_eq!(
-            Schedule::compute(&g, EvaluationModel::Precedence, |u, v| g.clus_weight(u, v)),
-            Schedule::precedence(&g, |u, v| g.clus_weight(u, v))
+            Schedule::compute(&g, EvaluationModel::Precedence, |u, v, _| g
+                .clus_weight(u, v)),
+            Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v))
         );
         assert_eq!(
-            Schedule::compute(&g, EvaluationModel::Serialized, |u, v| g.clus_weight(u, v)),
-            Schedule::serialized(&g, |u, v| g.clus_weight(u, v))
+            Schedule::compute(&g, EvaluationModel::Serialized, |u, v, _| g
+                .clus_weight(u, v)),
+            Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v))
         );
+    }
+
+    #[test]
+    fn comm_sees_every_problem_edge_once_with_its_weight() {
+        // Distinct weights, cross- and intra-cluster edges alike.
+        let p = ProblemGraph::from_paper_edges(
+            &[3, 3, 1, 2],
+            &[(1, 3, 2), (2, 3, 5), (1, 4, 7), (3, 4, 1)],
+        )
+        .unwrap();
+        let g = ClusteredProblemGraph::new(p, Clustering::new(vec![0, 0, 1, 1]).unwrap()).unwrap();
+        let problem = g.problem();
+        for model in [EvaluationModel::Precedence, EvaluationModel::Serialized] {
+            let mut seen = Vec::new();
+            Schedule::compute(&g, model, |u, v, w| {
+                assert_eq!(Some(w), problem.graph().weight(u, v), "{model:?} {u}->{v}");
+                seen.push((u, v, w));
+                0
+            });
+            seen.sort_unstable();
+            let edges: Vec<_> = problem.graph().edges().collect();
+            assert_eq!(seen, edges, "{model:?}");
+        }
     }
 
     #[test]
     fn zero_comm_reduces_to_critical_path() {
         let g = fixture();
-        let s = Schedule::precedence(&g, |_, _| 0);
+        let s = Schedule::precedence(&g, |_, _, _| 0);
         assert_eq!(s.total(), 4, "3-unit source + 1-unit sink");
     }
 
@@ -227,7 +257,7 @@ mod tests {
         let p = ProblemGraph::from_paper_edges(&[7], &[]).unwrap();
         let c = Clustering::new(vec![0]).unwrap();
         let g = ClusteredProblemGraph::new(p, c).unwrap();
-        let s = Schedule::precedence(&g, |_, _| 0);
+        let s = Schedule::precedence(&g, |_, _, _| 0);
         assert_eq!(s.total(), 7);
         assert_eq!(s.latest_tasks(), vec![0]);
     }

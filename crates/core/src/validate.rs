@@ -216,7 +216,7 @@ mod tests {
     fn detects_broken_precedence() {
         let (g, sys, a) = setup();
         // A schedule where everything starts at 0 breaks precedence.
-        let broken = Schedule::precedence(&g, |_, _| 0);
+        let broken = Schedule::precedence(&g, |_, _, _| 0);
         let v = validate_schedule(&g, &sys, &a, &broken, EvaluationModel::Precedence);
         assert!(v
             .iter()

@@ -1,7 +1,8 @@
 //! Property tests for the incremental evaluation engine: on a replayed
 //! refinement run, every candidate the [`DeltaEvaluator`] prices must
 //! equal `evaluate_assignment` on the materialized candidate —
-//! bit-for-bit, under both models, with and without pins — and the
+//! bit-for-bit, under both models, with and without pins, on graphs
+//! whose task ids are and are not numbered topologically — and the
 //! [`GainTable`] must stay equal to a from-scratch rebuild after every
 //! accepted swap.
 
@@ -12,11 +13,18 @@ use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::gain::GainTable;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::{fisher_yates, Assignment};
+use mimd_graph::digraph::WeightedDigraph;
+use mimd_graph::BitSet;
 use mimd_taskgraph::clustering::random::random_clustering;
-use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
+use mimd_taskgraph::{
+    workloads, ClusteredProblemGraph, Clustering, GeneratorConfig, LayeredDagGenerator,
+    ProblemGraph,
+};
 use mimd_topology::{hypercube, ring, torus2d, SystemGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+const MODELS: [EvaluationModel; 2] = [EvaluationModel::Precedence, EvaluationModel::Serialized];
 
 fn topology(index: usize, ns_hint: usize) -> SystemGraph {
     match index % 3 {
@@ -26,14 +34,51 @@ fn topology(index: usize, ns_hint: usize) -> SystemGraph {
     }
 }
 
-fn instance(ns: usize, extra: usize, seed: u64) -> ClusteredProblemGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
+fn layered(tasks: usize, rng: &mut StdRng) -> ProblemGraph {
     let gen = LayeredDagGenerator::new(GeneratorConfig {
-        tasks: ns + extra,
+        tasks,
         ..GeneratorConfig::default()
     })
     .unwrap();
-    let problem = gen.generate(&mut rng);
+    gen.generate(rng)
+}
+
+fn instance(ns: usize, extra: usize, seed: u64) -> ClusteredProblemGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let problem = layered(ns + extra, &mut rng);
+    let clustering = random_clustering(&problem, ns, &mut rng).unwrap();
+    ClusteredProblemGraph::new(problem, clustering).unwrap()
+}
+
+/// The same DAG under a random renumbering of its tasks.
+fn relabelled(problem: &ProblemGraph, rng: &mut StdRng) -> ProblemGraph {
+    let n = problem.len();
+    let mut new_id: Vec<usize> = (0..n).collect();
+    fisher_yates(&mut new_id, rng);
+    let mut graph = WeightedDigraph::new(n);
+    for (u, v, w) in problem.graph().edges() {
+        graph.add_edge(new_id[u], new_id[v], w).unwrap();
+    }
+    let mut sizes = vec![0; n];
+    for t in 0..n {
+        sizes[new_id[t]] = problem.size(t);
+    }
+    ProblemGraph::new(graph, sizes).unwrap()
+}
+
+/// An instance whose topological order is *not* `0, 1, 2, …` — the
+/// generators' `layered` graphs number tasks layer by layer, so only
+/// these can tell a task id from a topological position. 65 to 300
+/// tasks on `ns` clusters.
+fn unordered_instance(kind: usize, ns: usize, scale: usize, seed: u64) -> ClusteredProblemGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let problem = match kind % 3 {
+        0 => workloads::gaussian_elimination(11 + scale % 14, 3, 5, 2).unwrap(),
+        1 => workloads::divide_and_conquer(5 + (scale % 2) as u32, 1, 6, 2, 2).unwrap(),
+        _ => relabelled(&layered(65 + scale, &mut rng), &mut rng),
+    };
+    let identity: Vec<usize> = (0..problem.len()).collect();
+    assert_ne!(problem.topo_order(), identity, "kind {kind}");
     let clustering = random_clustering(&problem, ns, &mut rng).unwrap();
     ClusteredProblemGraph::new(problem, clustering).unwrap()
 }
@@ -49,13 +94,195 @@ fn full_total(
         .total()
 }
 
+/// Replay a refinement-shaped run — alternating random subset
+/// re-placements and pairwise swaps, greedily accepting improvements
+/// so the committed base keeps moving — and check every staged
+/// candidate and every committed state against the full evaluator.
+fn replay_against_full_evaluation(
+    graph: &ClusteredProblemGraph,
+    system: &SystemGraph,
+    model: EvaluationModel,
+    with_pins: bool,
+    seed: u64,
+) {
+    let ns = system.len();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
+    let start = Assignment::random(ns, &mut rng);
+
+    // Pins shrink the movable pool the way `refine` would.
+    let movable: Vec<usize> = if with_pins {
+        (0..ns).filter(|c| c % 3 != 0).collect()
+    } else {
+        (0..ns).collect()
+    };
+    prop_assert!(movable.len() >= 2);
+    let free_sys: Vec<usize> = movable.iter().map(|&c| start.sys_of(c)).collect();
+
+    let mut ws = DeltaWorkspace::new();
+    let mut evaluator = DeltaEvaluator::attach(&mut ws, graph, system, model, &start).unwrap();
+    prop_assert_eq!(evaluator.total(), full_total(graph, system, &start, model));
+
+    let mut perm: Vec<usize> = (0..movable.len()).collect();
+    let mut best = evaluator.total();
+    for round in 0..15 {
+        let (staged_total, expected) = if round % 2 == 0 {
+            // Subset re-placement, exactly like the flat refine loop.
+            fisher_yates(&mut perm, &mut rng);
+            let mut expected = evaluator.assignment().clone();
+            expected.place_subset(&movable, &free_sys, &perm);
+            (evaluator.stage_place(&movable, &free_sys, &perm), expected)
+        } else {
+            // Pairwise swap between two movable clusters.
+            let a = movable[rng.gen_range(0..movable.len())];
+            let mut b = movable[rng.gen_range(0..movable.len())];
+            if a == b {
+                b = movable[(movable.iter().position(|&c| c == a).unwrap() + 1) % movable.len()];
+            }
+            let mut expected = evaluator.assignment().clone();
+            expected.swap_clusters(a, b);
+            (evaluator.stage_swap(a, b), expected)
+        };
+        // The staged total must equal a from-scratch evaluation of
+        // the staged placement.
+        prop_assert_eq!(staged_total, full_total(graph, system, &expected, model));
+
+        if staged_total < best {
+            evaluator.commit();
+            best = staged_total;
+            prop_assert_eq!(evaluator.assignment(), &expected);
+        } else {
+            evaluator.discard();
+        }
+        // Commit or rollback, the evaluator's committed state stays
+        // exact.
+        prop_assert_eq!(
+            evaluator.total(),
+            full_total(graph, system, evaluator.assignment(), model)
+        );
+    }
+}
+
+/// Two source tasks alone in cluster 0 feed clusters 1 and 2; cluster
+/// 5 holds one task with no edges at all.
+fn sources_only_cluster() -> ClusteredProblemGraph {
+    let problem = ProblemGraph::from_paper_edges(
+        &[3, 3, 2, 2, 1, 4],
+        &[(1, 3, 5), (2, 4, 1), (3, 5, 2), (4, 5, 2)],
+    )
+    .unwrap();
+    let clustering = Clustering::new(vec![0, 0, 1, 2, 3, 4]).unwrap();
+    ClusteredProblemGraph::new(problem, clustering).unwrap()
+}
+
+/// Swapping a cluster of sources with a cluster of one isolated task
+/// shifts no moved task's end time — sources start at 0 wherever they
+/// run — yet every message the sources send changes cost, so their
+/// successors in the *unmoved* clusters must be re-priced.
+#[test]
+fn moving_only_source_tasks_reprices_their_successors() {
+    let graph = sources_only_cluster();
+    let system = ring(5).unwrap();
+    let start = Assignment::identity(5);
+    for model in MODELS {
+        let mut ws = DeltaWorkspace::new();
+        let mut evaluator =
+            DeltaEvaluator::attach(&mut ws, &graph, &system, model, &start).unwrap();
+        let mut swapped = start.clone();
+        swapped.swap_clusters(0, 4);
+        let expected = full_total(&graph, &system, &swapped, model);
+        assert_ne!(
+            expected,
+            evaluator.total(),
+            "{model:?}: the move must matter"
+        );
+        assert_eq!(evaluator.stage_swap(0, 4), expected, "{model:?}");
+        evaluator.discard();
+        assert_eq!(
+            evaluator.stage_swap(0, 4),
+            expected,
+            "{model:?} after discard"
+        );
+        evaluator.commit();
+        assert_eq!(evaluator.total(), expected);
+        assert_eq!(evaluator.assignment(), &swapped);
+    }
+}
+
+/// One workspace across instances of different sizes, each attachment
+/// leaving a discarded candidate — or a still-staged one — behind: no
+/// flag, window bound or undo entry of an earlier instance may leak
+/// into a later one.
+#[test]
+fn one_workspace_reattached_large_small_large_prices_exactly() {
+    let large = unordered_instance(2, 64, 200, 11);
+    let small = instance(8, 12, 12);
+    let (sys_large, sys_small) = (torus2d(8, 8).unwrap(), hypercube(3).unwrap());
+    let mut ws = DeltaWorkspace::new();
+    let mut rng = StdRng::seed_from_u64(13);
+    for model in MODELS {
+        for (round, (graph, system)) in [
+            (&large, &sys_large),
+            (&small, &sys_small),
+            (&large, &sys_large),
+            (&small, &sys_small),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let ns = system.len();
+            let start = Assignment::random(ns, &mut rng);
+            let mut evaluator =
+                DeltaEvaluator::attach(&mut ws, graph, system, model, &start).unwrap();
+            assert_eq!(evaluator.total(), full_total(graph, system, &start, model));
+            let candidate = Assignment::random(ns, &mut rng);
+            let expected = full_total(graph, system, &candidate, model);
+            assert_eq!(evaluator.stage_candidate(&candidate), expected);
+            evaluator.discard();
+            let mut swapped = start.clone();
+            swapped.swap_clusters(0, ns - 1);
+            assert_eq!(
+                evaluator.stage_swap(0, ns - 1),
+                full_total(graph, system, &swapped, model)
+            );
+            // Odd rounds drop the evaluator with the swap still staged.
+            if round % 2 == 0 {
+                evaluator.discard();
+                assert_eq!(evaluator.total(), full_total(graph, system, &start, model));
+            }
+        }
+    }
+}
+
+/// Staging is repeatable, and a candidate equal to the committed
+/// assignment is the committed total.
+#[test]
+fn restaging_a_candidate_and_staging_the_committed_assignment() {
+    let graph = unordered_instance(0, 16, 9, 21);
+    let system = hypercube(4).unwrap();
+    let mut rng = StdRng::seed_from_u64(22);
+    for model in MODELS {
+        let start = Assignment::random(16, &mut rng);
+        let candidate = Assignment::random(16, &mut rng);
+        let mut ws = DeltaWorkspace::new();
+        let mut evaluator =
+            DeltaEvaluator::attach(&mut ws, &graph, &system, model, &start).unwrap();
+        let committed = evaluator.total();
+        let first = evaluator.stage_candidate(&candidate);
+        evaluator.discard();
+        assert_eq!(evaluator.stage_candidate(&candidate), first);
+        evaluator.discard();
+        assert_eq!(evaluator.stage_candidate(&start), committed);
+        assert!(evaluator.is_staged());
+        evaluator.commit();
+        assert_eq!(evaluator.total(), committed);
+        assert_eq!(evaluator.assignment(), &start);
+        assert_eq!(evaluator.stage_candidate(&candidate), first);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Replay a refinement-shaped run — alternating random subset
-    /// re-placements and pairwise swaps, greedily accepting improvements
-    /// so the committed base keeps moving — and check every staged
-    /// candidate and every committed state against the full evaluator.
     #[test]
     fn delta_totals_match_full_evaluation_on_every_candidate(
         topo in 0usize..3,
@@ -65,69 +292,25 @@ proptest! {
         with_pins in 0usize..2,
     ) {
         let system = topology(topo, 6);
-        let ns = system.len();
-        let graph = instance(ns, extra, seed);
-        let model = if model_ix == 0 {
-            EvaluationModel::Precedence
-        } else {
-            EvaluationModel::Serialized
-        };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let start = Assignment::random(ns, &mut rng);
+        let graph = instance(system.len(), extra, seed);
+        replay_against_full_evaluation(&graph, &system, MODELS[model_ix], with_pins == 1, seed);
+    }
 
-        // Pins shrink the movable pool the way `refine` would.
-        let movable: Vec<usize> = if with_pins == 1 {
-            (0..ns).filter(|c| c % 3 != 0).collect()
-        } else {
-            (0..ns).collect()
-        };
-        prop_assert!(movable.len() >= 2);
-        let free_sys: Vec<usize> = movable.iter().map(|&c| start.sys_of(c)).collect();
-
-        let mut ws = DeltaWorkspace::new();
-        let mut evaluator =
-            DeltaEvaluator::attach(&mut ws, &graph, &system, model, &start).unwrap();
-        prop_assert_eq!(evaluator.total(), full_total(&graph, &system, &start, model));
-
-        let mut perm: Vec<usize> = (0..movable.len()).collect();
-        let mut best = evaluator.total();
-        for round in 0..15 {
-            let (staged_total, expected) = if round % 2 == 0 {
-                // Subset re-placement, exactly like the flat refine loop.
-                fisher_yates(&mut perm, &mut rng);
-                let mut expected = evaluator.assignment().clone();
-                expected.place_subset(&movable, &free_sys, &perm);
-                (evaluator.stage_place(&movable, &free_sys, &perm), expected)
-            } else {
-                // Pairwise swap between two movable clusters.
-                let a = movable[rng.gen_range(0..movable.len())];
-                let mut b = movable[rng.gen_range(0..movable.len())];
-                if a == b {
-                    b = movable[(movable.iter().position(|&c| c == a).unwrap() + 1)
-                        % movable.len()];
-                }
-                let mut expected = evaluator.assignment().clone();
-                expected.swap_clusters(a, b);
-                (evaluator.stage_swap(a, b), expected)
-            };
-            // The staged total must equal a from-scratch evaluation of
-            // the staged placement.
-            prop_assert_eq!(staged_total, full_total(&graph, &system, &expected, model));
-
-            if staged_total < best {
-                evaluator.commit();
-                best = staged_total;
-                prop_assert_eq!(evaluator.assignment(), &expected);
-            } else {
-                evaluator.discard();
-            }
-            // Commit or rollback, the evaluator's committed state stays
-            // exact.
-            prop_assert_eq!(
-                evaluator.total(),
-                full_total(&graph, &system, evaluator.assignment(), model)
-            );
-        }
+    /// The same replay where a task's id is not its topological
+    /// position, at machine sizes where a swap's cone is a small part
+    /// of the graph.
+    #[test]
+    fn delta_totals_match_full_evaluation_when_ids_are_not_topological(
+        kind in 0usize..3,
+        topo in 0usize..2,
+        scale in 0usize..236,
+        seed in 0u64..1_000_000,
+        model_ix in 0usize..2,
+        with_pins in 0usize..2,
+    ) {
+        let system = if topo == 0 { torus2d(8, 8) } else { hypercube(6) }.unwrap();
+        let graph = unordered_instance(kind, 64, scale, seed);
+        replay_against_full_evaluation(&graph, &system, MODELS[model_ix], with_pins == 1, seed);
     }
 
     /// After any sequence of accepted swaps, the incrementally repaired
@@ -176,6 +359,22 @@ proptest! {
             // ext sums count each cross edge at both endpoints, so the
             // predicted drop appears twice.
             prop_assert_eq!(ext_before - ext_after, 2 * gain);
+
+            // A round's batched gains are the per-pair ones, pair by
+            // pair in ascending order, on the repaired table too.
+            let mut pairs = BitSet::new(ns * ns);
+            let mut expect = Vec::new();
+            for x in 0..ns {
+                for y in x + 1..ns {
+                    if rng.gen_bool(0.4) {
+                        pairs.insert(x * ns + y);
+                        expect.push((table.swap_gain(x, y, &assignment, &system), x, y));
+                    }
+                }
+            }
+            let mut batched = Vec::new();
+            table.swap_gains(&pairs, &assignment, &system, |swap| batched.push(swap));
+            prop_assert_eq!(batched, expect);
         }
     }
 }

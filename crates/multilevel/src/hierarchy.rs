@@ -248,16 +248,8 @@ impl Hierarchy {
             });
         }
         let top = sys.top_level_for(target_ns);
-        // The hierarchy's one copy of the problem graph, shared by every
-        // level. A deep copy rather than a handle on the caller's: a
-        // freshly cloned digraph is laid out contiguously, and the
-        // evaluator walks it ~25 % faster than the incrementally built
-        // original (157 vs 205 ms top-level map, 269 vs 309 ms
-        // refinement on layered:4096 x torus:32x32).
-        let finest =
-            ClusteredProblemGraph::new(graph.problem().clone(), graph.clustering().clone())?;
         let mut levels = vec![Level {
-            graph: finest,
+            graph: graph.clone(),
             system: Arc::clone(sys.finest()),
         }];
         let mut coarsenings = Vec::with_capacity(top);

@@ -207,8 +207,8 @@ proptest! {
     #[test]
     fn schedule_monotone_in_comm(seed in 0u64..5000, bump in 1u64..4) {
         let graph = instance(30, 5, seed);
-        let base = Schedule::precedence(&graph, |u, v| graph.clus_weight(u, v));
-        let bumped = Schedule::precedence(&graph, |u, v| {
+        let base = Schedule::precedence(&graph, |u, v, _| graph.clus_weight(u, v));
+        let bumped = Schedule::precedence(&graph, |u, v, _| {
             let w = graph.clus_weight(u, v);
             if w == 0 { 0 } else { w + bump }
         });

@@ -9,6 +9,12 @@
 //! `O(deg)` and in the same order a dense row scan would visit them.
 //! Neighbor ids and weights are parallel slices (struct of arrays): most
 //! walks need only the ids.
+//!
+//! Every constructor goes through one row builder ([`Csr::from_rows`]):
+//! a row's contributions are summed in a dense accumulator, then its
+//! distinct neighbors are sorted and emitted. [`Csr::contract`] builds a
+//! coarse graph from the fine one's rows, so a multilevel hierarchy reads
+//! its task edges once, at the finest level.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,7 +45,6 @@ impl Csr {
         // bucketed by row.
         let mut start = vec![0usize; n + 1];
         for &(a, b, _) in contributions {
-            assert!(a != b, "self-loop on node {a}");
             start[a + 1] += 1;
             start[b + 1] += 1;
         }
@@ -54,6 +59,24 @@ impl Csr {
             bucketed[cursor[b]] = (a, w);
             cursor[b] += 1;
         }
+        Csr::from_rows(n, |a, row| {
+            for &(b, w) in &bucketed[start[a]..start[a + 1]] {
+                row.add(b, w);
+            }
+        })
+    }
+
+    /// Build the graph on `n` nodes one row at a time: `fill(a, row)`
+    /// calls [`Row::add`] for every contribution to row `a`, in any
+    /// order; contributions to the same neighbor are summed. The caller
+    /// owns symmetry — every `{a, b}` must be added from both rows with
+    /// the same total — which is what lets a row be filled from whatever
+    /// `a` owns (its tasks, its fine rows) without an edge list.
+    /// `O(n + contributions + Σ deg·log deg)`.
+    ///
+    /// # Panics
+    /// On a self-loop or a neighbor `>= n` — the caller's bug.
+    pub fn from_rows(n: usize, mut fill: impl FnMut(NodeId, &mut Row<'_>)) -> Self {
         // Per row: sum duplicates in a dense accumulator (`seen_in[b] ==
         // a` marks `acc[b]` as belonging to the current row), then emit
         // the distinct neighbors in ascending order.
@@ -63,24 +86,73 @@ impl Csr {
         let mut acc: Vec<Weight> = vec![0; n];
         let mut seen_in = vec![usize::MAX; n];
         for a in 0..n {
-            let row = neighbors.len();
-            for &(b, w) in &bucketed[start[a]..start[a + 1]] {
-                if seen_in[b] != a {
-                    seen_in[b] = a;
-                    acc[b] = 0;
-                    neighbors.push(b);
-                }
-                acc[b] += w;
-            }
-            neighbors[row..].sort_unstable();
-            weights.extend(neighbors[row..].iter().map(|&b| acc[b]));
+            let start = neighbors.len();
+            fill(
+                a,
+                &mut Row {
+                    a,
+                    acc: &mut acc,
+                    seen_in: &mut seen_in,
+                    neighbors: &mut neighbors,
+                },
+            );
+            neighbors[start..].sort_unstable();
+            weights.extend(neighbors[start..].iter().map(|&b| acc[b]));
             offsets.push(neighbors.len());
         }
-        Csr {
+        let g = Csr {
             offsets,
             neighbors,
             weights,
+        };
+        debug_assert!(
+            g.edges().all(|(a, b, w)| g.weight(b, a) == Some(w))
+                && g.edges().count() * 2 == g.neighbors.len(),
+            "rows are not symmetric"
+        );
+        g
+    }
+
+    /// Contract the graph along `map` (`map[a]` = coarse node absorbing
+    /// node `a`, every value `< m`): coarse row `c` is the sum of the
+    /// rows of `c`'s members, minus the edges between them. Returns the
+    /// coarse graph and the weight those internal edges carried, so
+    /// `total weight = coarse total weight + internalized`. Reads every
+    /// row once; each internal edge is met from both of its rows, which
+    /// is why their sum is halved.
+    ///
+    /// # Panics
+    /// If `map` does not cover every node or maps one to `>= m`.
+    pub fn contract(&self, map: &[NodeId], m: usize) -> (Csr, Weight) {
+        let n = self.node_count();
+        assert_eq!(map.len(), n, "the contraction map must cover every node");
+        // Counting sort: the members of every coarse node, ascending.
+        let mut start = vec![0usize; m + 1];
+        for &c in map {
+            start[c + 1] += 1;
         }
+        for c in 0..m {
+            start[c + 1] += start[c];
+        }
+        let mut cursor = start[..m].to_vec();
+        let mut members = vec![0; n];
+        for (a, &c) in map.iter().enumerate() {
+            members[cursor[c]] = a;
+            cursor[c] += 1;
+        }
+        let mut internal = 0;
+        let coarse = Csr::from_rows(m, |c, row| {
+            for &a in &members[start[c]..start[c + 1]] {
+                for (b, w) in self.row(a) {
+                    if map[b] == c {
+                        internal += w;
+                    } else {
+                        row.add(map[b], w);
+                    }
+                }
+            }
+        });
+        (coarse, internal / 2)
     }
 
     /// Number of nodes.
@@ -135,6 +207,29 @@ impl Csr {
             }
         }
         m
+    }
+}
+
+/// The row [`Csr::from_rows`] is filling: a dense accumulator over the
+/// neighbor ids, reused from row to row.
+pub struct Row<'a> {
+    a: NodeId,
+    acc: &'a mut [Weight],
+    seen_in: &'a mut [usize],
+    neighbors: &'a mut Vec<NodeId>,
+}
+
+impl Row<'_> {
+    /// Add `w` to this row's edge towards `b`.
+    #[inline]
+    pub fn add(&mut self, b: NodeId, w: Weight) {
+        assert!(b != self.a, "self-loop on node {b}");
+        if self.seen_in[b] != self.a {
+            self.seen_in[b] = self.a;
+            self.acc[b] = 0;
+            self.neighbors.push(b);
+        }
+        self.acc[b] += w;
     }
 }
 
@@ -196,5 +291,61 @@ mod tests {
     #[should_panic(expected = "self-loop")]
     fn self_loops_are_rejected() {
         Csr::from_contributions(2, &[(1, 1, 3)]);
+    }
+
+    fn total_weight(g: &Csr) -> Weight {
+        g.edges().map(|(_, _, w)| w).sum()
+    }
+
+    #[test]
+    fn contracting_along_the_identity_changes_nothing() {
+        let g = sample();
+        assert_eq!(g.contract(&[0, 1, 2, 3, 4], 5), (g.clone(), 0));
+        // A relabelling permutes the rows and keeps every weight.
+        let (h, internal) = g.contract(&[4, 3, 2, 1, 0], 5);
+        assert_eq!(internal, 0);
+        assert_eq!(
+            h.edges().collect::<Vec<_>>(),
+            vec![(1, 3, 7), (2, 3, 5), (3, 4, 6)]
+        );
+    }
+
+    #[test]
+    fn contracting_everything_into_one_node_internalizes_everything() {
+        let g = sample();
+        let (one, internal) = g.contract(&[0; 5], 1);
+        assert_eq!(one, Csr::from_contributions(1, &[]));
+        assert_eq!(internal, total_weight(&g));
+    }
+
+    #[test]
+    fn contraction_sums_rows_beside_singletons_and_isolated_nodes() {
+        let g = sample();
+        // {0, 1} and {2, 3} merge, isolated node 4 stays alone.
+        let (h, internal) = g.contract(&[0, 0, 1, 1, 2], 3);
+        assert_eq!(internal, 6);
+        assert_eq!(h, Csr::from_contributions(3, &[(0, 1, 12)]));
+        assert!(h.neighbors(2).is_empty());
+        assert_eq!(total_weight(&g), total_weight(&h) + internal);
+        // Singletons beside a pair: only the pair's edge vanishes.
+        let (h, internal) = g.contract(&[0, 1, 2, 1, 3], 4);
+        assert_eq!(internal, 7);
+        assert_eq!(h, Csr::from_contributions(4, &[(0, 1, 6), (1, 2, 5)]));
+        // A coarse node no fine node maps to is an isolated row.
+        let (h, internal) = g.contract(&[0, 1, 2, 3, 5], 6);
+        assert_eq!(internal, 0);
+        assert!(h.neighbors(4).is_empty() && h.neighbors(5).is_empty());
+        assert_eq!(h.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rows_filled_in_any_order_sum_like_contributions() {
+        let g = Csr::from_rows(5, |a, row| {
+            for (b, w) in sample().row(a).collect::<Vec<_>>().into_iter().rev() {
+                row.add(b, w - 1);
+                row.add(b, 1);
+            }
+        });
+        assert_eq!(g, sample());
     }
 }

@@ -8,8 +8,11 @@
 //! merging, heaviest communication first, so the heaviest edges become
 //! internal and vanish from the coarse cut).
 
+use std::cmp::Reverse;
+
+use crate::csr::Csr;
 use crate::ungraph::UnGraph;
-use crate::{NodeId, Weight};
+use crate::NodeId;
 
 /// Maximal matching on an undirected graph.
 ///
@@ -34,21 +37,18 @@ pub fn greedy_matching(g: &UnGraph) -> Vec<(NodeId, NodeId)> {
     pairs
 }
 
-/// Heavy-edge matching over an explicit weighted edge list.
+/// Heavy-edge matching on a weighted graph.
 ///
-/// Edges are considered by descending weight (ties: ascending `(u, v)`),
-/// and an edge is taken when both endpoints are still unmatched — the
-/// classic multilevel-coarsening heuristic that internalizes as much
-/// edge weight as possible. Self-loops and duplicate orientations are
-/// tolerated (normalized to `u < v`); out-of-range endpoints are the
-/// caller's bug and skipped.
-pub fn heavy_edge_matching(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> Vec<(NodeId, NodeId)> {
-    let mut sorted: Vec<(NodeId, NodeId, Weight)> = edges
-        .iter()
-        .filter(|&&(u, v, _)| u != v && u < n && v < n)
-        .map(|&(u, v, w)| (u.min(v), u.max(v), w))
-        .collect();
-    sorted.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+/// Edges are considered by descending weight (ties: ascending `(u, v)`
+/// with `u < v`), and an edge is taken when both endpoints are still
+/// unmatched — the classic multilevel-coarsening heuristic that
+/// internalizes as much edge weight as possible.
+pub fn heavy_edge_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
+    let n = g.node_count();
+    // `edges()` ascends by `(u, v)`, so a stable sort by weight alone
+    // leaves ties in that order.
+    let mut sorted: Vec<_> = g.edges().collect();
+    sorted.sort_by_key(|&(_, _, w)| Reverse(w));
     let mut matched = vec![false; n];
     let mut pairs = Vec::with_capacity(n / 2);
     for (u, v, _) in sorted {
@@ -64,6 +64,9 @@ pub fn heavy_edge_matching(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn path(n: usize) -> UnGraph {
         let mut g = UnGraph::new(n);
@@ -142,29 +145,60 @@ mod tests {
     #[test]
     fn heavy_edge_matching_prefers_heavy_edges() {
         // Triangle 0-1 (w5), 1-2 (w9), 0-2 (w1): the w9 edge wins.
-        let pairs = heavy_edge_matching(3, &[(0, 1, 5), (1, 2, 9), (0, 2, 1)]);
-        assert_eq!(pairs, vec![(1, 2)]);
+        let g = Csr::from_contributions(3, &[(0, 1, 5), (1, 2, 9), (0, 2, 1)]);
+        assert_eq!(heavy_edge_matching(&g), vec![(1, 2)]);
     }
 
     #[test]
     fn heavy_edge_matching_breaks_ties_by_id() {
-        let pairs = heavy_edge_matching(4, &[(2, 3, 7), (0, 1, 7)]);
-        assert_eq!(pairs, vec![(0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn heavy_edge_matching_ignores_junk_edges() {
-        let pairs = heavy_edge_matching(3, &[(1, 1, 9), (5, 0, 9), (1, 0, 2)]);
-        assert_eq!(pairs, vec![(0, 1)]);
-        assert_is_matching(3, &pairs);
+        let g = Csr::from_contributions(4, &[(3, 2, 7), (0, 1, 7)]);
+        assert_eq!(heavy_edge_matching(&g), vec![(0, 1), (2, 3)]);
     }
 
     #[test]
     fn heavy_edge_matching_is_deterministic() {
-        let edges = [(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3)];
-        assert_eq!(
-            heavy_edge_matching(4, &edges),
-            heavy_edge_matching(4, &edges)
-        );
+        let g = Csr::from_contributions(4, &[(0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3)]);
+        assert_eq!(heavy_edge_matching(&g), heavy_edge_matching(&g));
+        assert_eq!(heavy_edge_matching(&g), vec![(0, 1), (2, 3)]);
+    }
+
+    /// The matching as it was computed over an explicit edge list: one
+    /// sort by descending weight, then ascending `u`, then `v`.
+    fn comparator_reference(g: &Csr) -> Vec<(NodeId, NodeId)> {
+        let mut sorted: Vec<_> = g.edges().collect();
+        sorted.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        let mut matched = vec![false; g.node_count()];
+        let mut pairs = Vec::new();
+        for (u, v, _) in sorted {
+            if !matched[u] && !matched[v] {
+                matched[u] = true;
+                matched[v] = true;
+                pairs.push((u, v));
+            }
+        }
+        pairs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The stable weight-only sort over the rows against the
+        /// three-key comparator, on graphs where most weights tie.
+        #[test]
+        fn heavy_edge_matching_equals_the_comparator_sort(
+            n in 2usize..60,
+            m in 0usize..240,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let contributions: Vec<_> = (0..m)
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..4)))
+                .filter(|&(a, b, _)| a != b)
+                .collect();
+            let g = Csr::from_contributions(n, &contributions);
+            let pairs = heavy_edge_matching(&g);
+            assert_is_matching(n, &pairs);
+            prop_assert_eq!(pairs, comparator_reference(&g));
+        }
     }
 }

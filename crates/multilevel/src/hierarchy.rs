@@ -18,8 +18,17 @@
 //! conserve weight — task weight trivially (tasks never merge), cut
 //! weight as `fine_cut = coarse_cut + internalized`. Because tasks never
 //! merge, the levels' [`ClusteredProblemGraph`]s share one problem graph
-//! and own only their clusterings; each step reads its matching
-//! candidates straight off the sparse [`AbstractGraph`]'s edge list.
+//! and own only their clusterings.
+//!
+//! The task edges are read once per hierarchy: [`AbstractGraph::new`]
+//! collapses the finest level, and every step after that works on
+//! cluster graphs alone. `merge_clusters` runs heavy-edge matching
+//! straight off the abstract graph's rows, then *contracts* it along the
+//! merge — a coarse row is the sum of its members' fine rows — and the
+//! edges the merge made internal are the step's `internalized_weight`.
+//! The coarse abstract graph is the next step's input; at `layered:4096`
+//! on `torus:32x32` the five steps walk 205 k, 113 k, 33 k, 8 k and 2 k
+//! abstract edges, where each used to re-read all 259 k task edges.
 
 use std::sync::Arc;
 
@@ -253,20 +262,24 @@ impl Hierarchy {
             system: Arc::clone(sys.finest()),
         }];
         let mut coarsenings = Vec::with_capacity(top);
-        for k in 0..top {
-            let step = &sys.steps()[k];
-            let fine = &levels[k].graph;
-            let (cluster_map, internalized_weight, coarse_graph) =
-                merge_clusters(fine, step.groups.len())?;
-            coarsenings.push(Coarsening {
-                cluster_map,
-                internalized_weight,
-                step: Arc::clone(step),
-            });
-            levels.push(Level {
-                graph: coarse_graph,
-                system: Arc::clone(&sys.systems()[k + 1]),
-            });
+        if top > 0 {
+            // The one pass over the task edges: every coarser cluster
+            // graph is contracted from the finer one.
+            let mut abs = AbstractGraph::new(graph);
+            for k in 0..top {
+                let step = &sys.steps()[k];
+                let merged = merge_clusters(&levels[k].graph, &abs, step.groups.len())?;
+                coarsenings.push(Coarsening {
+                    cluster_map: merged.cluster_map,
+                    internalized_weight: merged.internalized_weight,
+                    step: Arc::clone(step),
+                });
+                levels.push(Level {
+                    graph: merged.graph,
+                    system: Arc::clone(&sys.systems()[k + 1]),
+                });
+                abs = merged.abs;
+            }
         }
         Ok(Hierarchy {
             levels,
@@ -296,17 +309,27 @@ impl Hierarchy {
     }
 }
 
-/// The problem-side half of one coarsening step: merge clusters
-/// (heaviest abstract edges first) down to exactly `m`, returning the
-/// projection map, the internalized cut weight and the coarse graph.
+/// One problem-side coarsening step: the projection map, the cut weight
+/// it internalized, and the coarse level in both forms.
+struct Merged {
+    cluster_map: Vec<ClusterId>,
+    internalized_weight: Weight,
+    graph: ClusteredProblemGraph,
+    abs: AbstractGraph,
+}
+
+/// The problem-side half of one coarsening step: merge the clusters of
+/// `graph` (whose abstract graph is `abs`) down to exactly `m`, heaviest
+/// abstract edges first, and contract `abs` along the merge.
 fn merge_clusters(
     graph: &ClusteredProblemGraph,
+    abs: &AbstractGraph,
     m: usize,
-) -> Result<(Vec<ClusterId>, Weight, ClusteredProblemGraph), GraphError> {
-    let na = graph.num_clusters();
+) -> Result<Merged, GraphError> {
+    let na = abs.len();
+    debug_assert_eq!(graph.num_clusters(), na);
     let merges_needed = na - m;
-    let weighted_edges: Vec<(NodeId, NodeId, Weight)> = AbstractGraph::new(graph).edges().collect();
-    let mut chosen = heavy_edge_matching(na, &weighted_edges);
+    let mut chosen = heavy_edge_matching(abs.adjacency());
     chosen.truncate(merges_needed);
     if chosen.len() < merges_needed {
         // The abstract graph ran out of edges (or is sparse): pair the
@@ -348,13 +371,14 @@ fn merge_clusters(
     }
     debug_assert_eq!(next, m);
 
-    let internalized_weight = graph
-        .cross_edges()
-        .filter(|&(u, v, _)| cluster_map[graph.cluster_of(u)] == cluster_map[graph.cluster_of(v)])
-        .map(|(_, _, w)| w)
-        .sum();
-    let coarse_graph = graph.coarsen(&cluster_map)?;
-    Ok((cluster_map, internalized_weight, coarse_graph))
+    let (abs, internalized_weight) = abs.contract(&cluster_map, m);
+    let graph = graph.coarsen(&cluster_map)?;
+    Ok(Merged {
+        cluster_map,
+        internalized_weight,
+        graph,
+        abs,
+    })
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Property tests for the multilevel invariants the ISSUE pins down:
-//! coarsening conserves total node/edge weight, every prolonged
+//! coarsening conserves total node/edge weight, the cluster graph it
+//! contracts level to level equals a fresh collapse, every prolonged
 //! assignment is valid (feasible schedule under `mimd_core::validate`),
 //! and results are identical across repeated runs of the same seed.
 //! (Thread-count invariance lives in `mimd-engine`'s determinism suite,
@@ -11,12 +12,16 @@ use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::validate_schedule;
 use mimd_graph::apsp::floyd_warshall;
+use mimd_graph::WeightedDigraph;
 use mimd_multilevel::{Hierarchy, MultilevelConfig, MultilevelMapper, SystemHierarchy};
 use mimd_taskgraph::clustering::region::random_region_clustering;
-use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
+use mimd_taskgraph::workloads;
+use mimd_taskgraph::{
+    AbstractGraph, ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
+};
 use mimd_topology::{SystemGraph, TopologySpec};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A pool of machines big enough to force real V-cycles (every ns is
 /// above the default direct threshold of 32).
@@ -52,8 +57,99 @@ fn instance(extra_tasks: usize, ns: usize, seed: u64) -> ClusteredProblemGraph {
     ClusteredProblemGraph::new(problem, clustering).unwrap()
 }
 
+/// The same DAG with task `t` renamed `perm[t]`, so ids no longer follow
+/// a topological order.
+fn relabelled(problem: &ProblemGraph, rng: &mut StdRng) -> ProblemGraph {
+    let np = problem.len();
+    let mut perm: Vec<usize> = (0..np).collect();
+    for i in (1..np).rev() {
+        perm.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut edges: Vec<_> = problem
+        .graph()
+        .edges()
+        .map(|(u, v, w)| (perm[u], perm[v], w))
+        .collect();
+    edges.sort_unstable();
+    let mut sizes = vec![0; np];
+    for (t, &s) in problem.sizes().iter().enumerate() {
+        sizes[perm[t]] = s;
+    }
+    ProblemGraph::new(
+        WeightedDigraph::from_sorted_edges(np, &edges).unwrap(),
+        sizes,
+    )
+    .unwrap()
+}
+
+/// A clustered instance on `ns` clusters from one of three families:
+/// `layered` with its task ids shuffled, `ge:` and `dnc:`.
+fn family_instance(family: usize, ns: usize, seed: u64) -> ClusteredProblemGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let problem = match family {
+        0 => {
+            let gen = LayeredDagGenerator::new(GeneratorConfig {
+                tasks: 2 * ns,
+                ..GeneratorConfig::default()
+            })
+            .unwrap();
+            relabelled(&gen.generate(&mut rng), &mut rng)
+        }
+        1 => {
+            let n = (2..).find(|n| n * (n + 1) / 2 > 2 * ns).unwrap();
+            workloads::gaussian_elimination(n, 4, 2, 3).unwrap()
+        }
+        _ => {
+            let depth = (1..).find(|d| 3 * (1 << d) - 2 >= 2 * ns).unwrap();
+            workloads::divide_and_conquer(depth, 2, 5, 3, 4).unwrap()
+        }
+    };
+    let clustering = random_region_clustering(&problem, ns, &mut rng).unwrap();
+    ClusteredProblemGraph::new(problem, clustering).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Coarsening contracts the cluster graph level to level instead of
+    /// re-reading the task edges: at every level, on every machine and
+    /// workload family, the contraction equals the abstract graph
+    /// collapsed from that level's clustering, and the internalized
+    /// weight equals the sum over the task edges the merge made internal.
+    #[test]
+    fn contracted_cluster_graphs_equal_fresh_collapses(seed in 0u64..1_000_000) {
+        let specs = [
+            TopologySpec::Torus { rows: 6, cols: 6 },
+            TopologySpec::Hypercube { dim: 6 },
+            TopologySpec::Mesh { rows: 5, cols: 7 },
+            TopologySpec::FatTree { levels: 3, arity: 4 },
+            TopologySpec::Random { n: 40, p: 0.1 },
+        ];
+        for spec in &specs {
+            let system = spec.build(&mut StdRng::seed_from_u64(seed)).unwrap();
+            for family in 0..3 {
+                let graph = family_instance(family, system.len(), seed);
+                let hierarchy = Hierarchy::build(&graph, &system, 1).unwrap();
+                prop_assert!(hierarchy.depth() >= 2, "{} should coarsen", system.name());
+                let mut abs = AbstractGraph::new(&graph);
+                for (k, coarsening) in hierarchy.coarsenings().iter().enumerate() {
+                    let fine = &hierarchy.levels()[k].graph;
+                    let coarse = &hierarchy.levels()[k + 1].graph;
+                    let map = &coarsening.cluster_map;
+                    let (contracted, internalized) = abs.contract(map, coarse.num_clusters());
+                    prop_assert_eq!(&contracted, &AbstractGraph::new(coarse), "level {}", k + 1);
+                    let reference: u64 = fine
+                        .cross_edges()
+                        .filter(|&(u, v, _)| map[fine.cluster_of(u)] == map[fine.cluster_of(v)])
+                        .map(|(_, _, w)| w)
+                        .sum();
+                    prop_assert_eq!(internalized, reference);
+                    prop_assert_eq!(coarsening.internalized_weight, reference);
+                    abs = contracted;
+                }
+            }
+        }
+    }
 
     #[test]
     fn coarsening_conserves_node_and_edge_weight(

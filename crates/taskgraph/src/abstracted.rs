@@ -29,16 +29,46 @@ pub struct AbstractGraph {
 }
 
 impl AbstractGraph {
-    /// Collapse a clustered problem graph.
+    /// Collapse a clustered problem graph. Row `a` is filled from the
+    /// edges of `a`'s own tasks, in both directions, so every cross edge
+    /// is met once from each of its clusters and nothing but the rows is
+    /// built.
     pub fn new(clustered: &ClusteredProblemGraph) -> Self {
-        let na = clustered.num_clusters();
-        let contributions: Vec<_> = clustered
-            .cross_edges()
-            .map(|(u, v, w)| (clustered.cluster_of(u), clustered.cluster_of(v), w))
+        let (problem, clustering) = (clustered.problem(), clustered.clustering());
+        let adjacency = Csr::from_rows(clustered.num_clusters(), |a, row| {
+            for &t in clustering.members(a) {
+                for &(v, w) in problem.successors(t).iter().chain(problem.predecessors(t)) {
+                    let b = clustering.cluster_of(v);
+                    if b != a {
+                        row.add(b, w);
+                    }
+                }
+            }
+        });
+        AbstractGraph::from_adjacency(adjacency)
+    }
+
+    /// The abstract graph of the clustering merged by `map` (`map[a]` =
+    /// coarse cluster absorbing cluster `a`, `m` coarse clusters),
+    /// contracted from this one's rows without reading a task edge,
+    /// together with the weight the merge internalized. Equal to
+    /// [`AbstractGraph::new`] of the coarsened clustered graph.
+    pub fn contract(&self, map: &[ClusterId], m: usize) -> (AbstractGraph, Weight) {
+        let (adjacency, internalized) = self.adjacency.contract(map, m);
+        (AbstractGraph::from_adjacency(adjacency), internalized)
+    }
+
+    fn from_adjacency(adjacency: Csr) -> Self {
+        let mca = (0..adjacency.node_count())
+            .map(|a| adjacency.weights(a).iter().sum())
             .collect();
-        let adjacency = Csr::from_contributions(na, &contributions);
-        let mca = (0..na).map(|a| adjacency.weights(a).iter().sum()).collect();
         AbstractGraph { adjacency, mca }
+    }
+
+    /// The cluster adjacency itself.
+    #[inline]
+    pub fn adjacency(&self) -> &Csr {
+        &self.adjacency
     }
 
     /// Number of abstract nodes `na`.
@@ -161,5 +191,24 @@ mod tests {
     fn mca_ordering() {
         let a = fixture();
         assert_eq!(a.by_descending_mca(), vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn contraction_equals_collapsing_the_merged_clustering() {
+        let p = ProblemGraph::from_paper_edges(
+            &[1, 1, 1, 1, 1, 1],
+            &[(1, 3, 2), (2, 4, 3), (3, 5, 4), (4, 6, 1), (1, 2, 9)],
+        )
+        .unwrap();
+        let fine = ClusteredProblemGraph::new(p, Clustering::new(vec![0, 0, 1, 1, 2, 2]).unwrap())
+            .unwrap();
+        // Clusters 0 and 1 merge: their combined weight 5 goes internal.
+        let (coarse, internalized) = fixture().contract(&[0, 0, 1], 2);
+        assert_eq!(internalized, 5);
+        assert_eq!(
+            coarse,
+            AbstractGraph::new(&fine.coarsen(&[0, 0, 1]).unwrap())
+        );
+        assert_eq!(coarse.mca_vector(), &[5, 5]);
     }
 }

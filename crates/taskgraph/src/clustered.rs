@@ -123,18 +123,6 @@ impl ClusteredProblemGraph {
             clustering: self.clustering.coarsen(map)?,
         })
     }
-
-    /// The paper's `mca[na]` vector: for each cluster, the sum of the
-    /// weights of all clustered (cross) edges incident to it (§3.3(c)).
-    /// Used by step 3 of the initial assignment.
-    pub fn communication_intensity(&self) -> Vec<Weight> {
-        let mut mca = vec![0; self.num_clusters()];
-        for (u, v, w) in self.cross_edges() {
-            mca[self.cluster_of(u)] += w;
-            mca[self.cluster_of(v)] += w;
-        }
-        mca
-    }
 }
 
 #[cfg(test)]
@@ -181,13 +169,6 @@ mod tests {
                 assert_eq!(m.get(u, v), g.clus_weight(u, v), "({u},{v})");
             }
         }
-    }
-
-    #[test]
-    fn communication_intensity_counts_both_endpoints() {
-        let g = fixture();
-        // Cross edges: (0,2,2) and (1,3,1); each adds to both clusters.
-        assert_eq!(g.communication_intensity(), vec![3, 3]);
     }
 
     #[test]

@@ -200,6 +200,7 @@ pub fn lee_paper_phases() -> Vec<Vec<(usize, usize)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abstracted::AbstractGraph;
 
     #[test]
     fn worked_example_structure() {
@@ -216,7 +217,7 @@ mod tests {
     #[test]
     fn worked_example_mca_matches_fig20c() {
         let g = worked_example();
-        assert_eq!(g.communication_intensity(), WORKED_MCA.to_vec());
+        assert_eq!(AbstractGraph::new(&g).mca_vector(), &WORKED_MCA);
     }
 
     #[test]

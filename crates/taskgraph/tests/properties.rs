@@ -114,7 +114,7 @@ proptest! {
             }
         }
         // Cut weight = sum of mca / 2 (each cross edge counted twice).
-        let mca: u64 = g.communication_intensity().iter().sum();
+        let mca: u64 = AbstractGraph::new(&g).mca_vector().iter().sum();
         prop_assert_eq!(mca, 2 * g.total_cut_weight());
     }
 

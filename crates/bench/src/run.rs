@@ -16,13 +16,12 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use mimd_engine::JobSpec;
-use mimd_online::{DynamicWorkload, OnlineConfig, TraceHeader};
+use mimd_engine::{ClusteringSpec, JobSpec};
+use mimd_online::{OnlineConfig, TraceHeader};
 use mimd_server::{run_loadgen, ListenAddr, LoadgenConfig, Server, ServerConfig};
 use mimd_service::{MappingService, Request, Response, ServiceConfig};
-use mimd_taskgraph::clustering::region::random_region_clustering;
-use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
-use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
+use mimd_taskgraph::workloads::ChurnRegime;
+use mimd_taskgraph::{GeneratorConfig, LayeredDagGenerator};
 use mimd_telemetry::TelemetrySnapshot;
 
 use crate::report::{BenchReport, LatencyPercentiles, ScenarioReport};
@@ -377,8 +376,10 @@ fn prepare(scenario: &Scenario) -> Result<Prepared, String> {
     }
 }
 
-/// Generate a churn trace exactly the way `mimd trace` does: layered
-/// DAG → region clustering sized to the machine → valid churn events.
+/// Generate a churn trace the way `mimd loadgen` does: a layered DAG
+/// from `GeneratorConfig { tasks, ..default() }` (not the
+/// locality-window `layered` workload `mimd trace` builds), region
+/// clustering sized to the machine, then valid churn events.
 fn synthesize_trace(
     tasks: usize,
     topology: mimd_engine::TopologySpec,
@@ -394,24 +395,10 @@ fn synthesize_trace(
         ..GeneratorConfig::default()
     })
     .map_err(|e| e.to_string())?;
-    let problem = gen.generate(&mut rng);
-    if problem.len() < system.len() {
-        return Err(format!(
-            "{} tasks on a {}-processor machine; need np >= ns",
-            problem.len(),
-            system.len()
-        ));
-    }
-    let clustering =
-        random_region_clustering(&problem, system.len(), &mut rng).map_err(|e| e.to_string())?;
-    let base = ClusteredProblemGraph::new(problem, clustering).map_err(|e| e.to_string())?;
-    let trace = churn_trace(&base, events, regime, &mut rng);
-    let header = TraceHeader {
-        topology,
-        topology_seed: Some(seed),
-        snapshot: DynamicWorkload::from_clustered(&base).snapshot(),
-    };
-    Ok((header, trace))
+    let base = ClusteringSpec::Region.instance(gen.generate(&mut rng), system.len(), &mut rng)?;
+    Ok(mimd_online::synthesize_trace(
+        topology, seed, &base, events, regime, &mut rng,
+    ))
 }
 
 #[cfg(test)]

@@ -1,71 +1,164 @@
-//! Tiny flag parser and the `--spec` / `--workload` mini-languages.
+//! The command table's types, its flag parser and usage renderer, and
+//! the `--spec` topology mini-language.
+
+use std::str::FromStr;
 
 use rand::Rng;
 
 use mimd_graph::error::GraphError;
-use mimd_taskgraph::{workloads, ProblemGraph};
 use mimd_topology::{SystemGraph, TopologySpec};
 
-/// Parsed `key -> value` flags (`--flag value` or boolean `--flag`).
-#[derive(Debug, Default)]
+/// One flag a command accepts: its name without `--`, and the
+/// placeholder usage shows for its value (`None` = a boolean flag).
+pub type FlagSpec = (&'static str, Option<&'static str>);
+
+/// One `mimd` subcommand: the only statement of its flags and usage.
+pub struct Command {
+    /// The subcommand word.
+    pub name: &'static str,
+    /// Placeholder of a required positional argument before the flags.
+    pub positional: Option<&'static str>,
+    /// Every flag the command accepts.
+    pub flags: &'static [FlagSpec],
+    /// What the command does, for the usage text.
+    pub about: &'static str,
+    /// The handler.
+    pub run: fn(&Flags) -> Result<(), String>,
+}
+
+/// A command line parsed against its [`Command`]: every flag is known,
+/// given at most once, and carries a value iff it takes one.
+#[derive(Debug)]
 pub struct Flags {
-    pairs: Vec<(String, Option<String>)>,
+    positional: Option<String>,
+    pairs: Vec<(&'static str, Option<String>)>,
 }
 
 impl Flags {
-    /// Parse everything after the subcommand. A flag is boolean when the
-    /// next token is another flag (or the end).
-    pub fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
+    /// Parse everything after the subcommand word. A token that does not
+    /// start with `--` is the value of the flag before it.
+    pub fn parse(command: &Command, args: &[String]) -> Result<Flags, String> {
+        let mut args = args.iter().peekable();
+        let positional = match command.positional {
+            None => None,
+            Some(placeholder) => Some(
+                args.next_if(|arg| !arg.starts_with("--"))
+                    .cloned()
+                    .ok_or_else(|| format!("{} needs {placeholder}", command.name))?,
+            ),
+        };
+        let mut pairs: Vec<(&'static str, Option<String>)> = Vec::new();
+        while let Some(arg) = args.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("expected a --flag, found '{arg}'"));
             };
-            let value = match args.get(i + 1) {
-                Some(next) if !next.starts_with("--") => {
-                    i += 1;
-                    Some(next.clone())
-                }
-                _ => None,
+            let Some(&(name, placeholder)) = command.flags.iter().find(|(n, _)| *n == name) else {
+                return Err(format!("unknown flag --{name}"));
             };
-            pairs.push((name.to_string(), value));
-            i += 1;
+            if pairs.iter().any(|(n, _)| *n == name) {
+                return Err(format!("--{name} given more than once"));
+            }
+            let value = args.next_if(|next| !next.starts_with("--")).cloned();
+            match (placeholder, &value) {
+                (Some(placeholder), None) => {
+                    return Err(format!("--{name} needs {placeholder}"));
+                }
+                (None, Some(value)) => {
+                    return Err(format!("--{name} takes no value, found '{value}'"));
+                }
+                _ => pairs.push((name, value)),
+            }
         }
-        Ok(Flags { pairs })
+        Ok(Flags { positional, pairs })
+    }
+
+    /// The command's positional argument, if it takes one.
+    pub fn positional(&self) -> Option<&str> {
+        self.positional.as_deref()
     }
 
     /// String value of `name`.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.pairs
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// `true` iff `--name` appeared (with or without a value).
+    /// `true` iff `--name` appeared.
     pub fn has(&self, name: &str) -> bool {
-        self.pairs.iter().any(|(n, _)| n == name)
+        self.pairs.iter().any(|(n, _)| *n == name)
     }
 
-    /// Parse a numeric flag with a default.
-    pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad --{name} '{v}'")),
-        }
+    /// Parse `--name`'s value, if it was given.
+    pub fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| format!("bad --{name} '{v}'")))
+            .transpose()
     }
 
-    /// Reject unknown flags (catches typos early).
-    pub fn allow_only(&self, allowed: &[&str]) -> Result<(), String> {
-        for (n, _) in &self.pairs {
-            if !allowed.contains(&n.as_str()) {
-                return Err(format!("unknown flag --{n}"));
-            }
-        }
-        Ok(())
+    /// Parse a flag with a default.
+    pub fn num<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
     }
+
+    /// Parse a count that must be at least 1.
+    pub fn positive(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.num(name, default)? {
+            0 => Err(format!("--{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+}
+
+/// Column the flag lists and `about` prose start at.
+const INDENT: usize = 13;
+/// Right margin of the usage text.
+const WIDTH: usize = 78;
+
+/// The `commands:` block of the usage text: each command's positional
+/// and flags, then its `about` prose, wrapped under the command name.
+pub fn render_commands(commands: &[Command]) -> String {
+    let mut out = String::new();
+    for command in commands {
+        let flags: Vec<String> = command
+            .flags
+            .iter()
+            .map(|(name, placeholder)| match placeholder {
+                Some(placeholder) => format!("[--{name} {placeholder}]"),
+                None => format!("[--{name}]"),
+            })
+            .collect();
+        let mut synopsis: Vec<&str> = command.positional.into_iter().collect();
+        synopsis.extend(flags.iter().map(String::as_str));
+        if synopsis.is_empty() {
+            synopsis.push("(no flags)");
+        }
+        let about: Vec<&str> = command.about.split_whitespace().collect();
+        out += &wrap(&format!("  {:<10} ", command.name), &synopsis, INDENT);
+        out += &wrap(&format!("{:INDENT$}— ", ""), &about, INDENT + 2);
+    }
+    out
+}
+
+/// `first`, then `words` separated by spaces, breaking before any word
+/// that would pass [`WIDTH`] and continuing at column `indent`.
+fn wrap(first: &str, words: &[&str], indent: usize) -> String {
+    let mut text = first.to_string();
+    let mut column = text.chars().count();
+    for (i, word) in words.iter().enumerate() {
+        let len = word.chars().count();
+        if i > 0 && column + 1 + len > WIDTH {
+            text += &format!("\n{:indent$}", "");
+            column = indent;
+        } else if i > 0 {
+            text.push(' ');
+            column += 1;
+        }
+        text += word;
+        column += len;
+    }
+    text + "\n"
 }
 
 /// Parse the `--spec` mini-language into a [`TopologySpec`]:
@@ -140,75 +233,95 @@ pub fn build_topology(spec: &str, rng: &mut impl Rng) -> Result<SystemGraph, Str
         .map_err(|e: GraphError| e.to_string())
 }
 
-/// Parse the `--workload` mini-language: `ge:12` (Gaussian elimination),
-/// `stencil:16x8`, `fft:5`, `dnc:4` (divide & conquer), `pipe:4x16`.
-pub fn parse_workload(spec: &str) -> Result<ProblemGraph, String> {
-    let (kind, rest) = spec
-        .split_once(':')
-        .ok_or("workload must look like 'kind:params'")?;
-    let err = |e: GraphError| e.to_string();
-    let bad = |what: &str| format!("bad {what} in workload '{spec}'");
-    match kind {
-        "ge" => {
-            let n = rest.parse().map_err(|_| bad("n"))?;
-            workloads::gaussian_elimination(n, 3, 5, 2).map_err(err)
-        }
-        "stencil" => {
-            let (w, s) = rest.split_once('x').ok_or_else(|| bad("width x steps"))?;
-            workloads::stencil_1d(
-                w.parse().map_err(|_| bad("width"))?,
-                s.parse().map_err(|_| bad("steps"))?,
-                5,
-                2,
-            )
-            .map_err(err)
-        }
-        "fft" => {
-            workloads::fft_butterfly(rest.parse().map_err(|_| bad("log2n"))?, 3, 2).map_err(err)
-        }
-        "dnc" => workloads::divide_and_conquer(rest.parse().map_err(|_| bad("depth"))?, 1, 6, 2, 2)
-            .map_err(err),
-        "pipe" => {
-            let (s, t) = rest.split_once('x').ok_or_else(|| bad("stages x tasks"))?;
-            workloads::pipeline(
-                s.parse().map_err(|_| bad("stages"))?,
-                t.parse().map_err(|_| bad("tasks"))?,
-                4,
-                2,
-            )
-            .map_err(err)
-        }
-        other => Err(format!("unknown workload kind '{other}'")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn flags(args: &[&str]) -> Flags {
-        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    fn noop(_: &Flags) -> Result<(), String> {
+        Ok(())
+    }
+
+    const DEMO: Command = Command {
+        name: "demo",
+        positional: None,
+        flags: &[
+            ("tasks", Some("<n>")),
+            ("dot", None),
+            ("seed", Some("<u64>")),
+        ],
+        about: "a demo",
+        run: noop,
+    };
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        Flags::parse(
+            &DEMO,
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
     }
 
     #[test]
     fn flag_parsing() {
-        let f = flags(&["--tasks", "96", "--dot", "--seed", "7"]);
+        let f = parse(&["--tasks", "96", "--dot", "--seed", "7"]).unwrap();
         assert_eq!(f.get("tasks"), Some("96"));
         assert!(f.has("dot"));
         assert!(!f.has("json"));
         assert_eq!(f.num("seed", 0u64).unwrap(), 7);
         assert_eq!(f.num("reps", 32usize).unwrap(), 32);
-        assert!(f.num::<u64>("tasks", 0).is_ok());
-        assert!(f.allow_only(&["tasks", "dot", "seed"]).is_ok());
-        assert!(f.allow_only(&["tasks"]).is_err());
+        assert_eq!(f.opt::<u64>("tasks").unwrap(), Some(96));
+        assert_eq!(f.opt::<u64>("reps").unwrap(), None);
+        assert_eq!(f.positive("tasks", 1).unwrap(), 96);
+        assert_eq!(f.positive("reps", 4).unwrap(), 4);
+        assert_eq!(f.get("dot"), None);
     }
 
     #[test]
     fn flag_errors() {
-        let bad = Flags::parse(&["oops".to_string()]);
-        assert!(bad.is_err());
-        let f = flags(&["--seed", "xyz"]);
+        assert!(parse(&["oops"]).is_err());
+        let f = parse(&["--seed", "xyz", "--tasks", "0"]).unwrap();
         assert!(f.num::<u64>("seed", 0).is_err());
+        assert_eq!(
+            f.positive("tasks", 1),
+            Err("--tasks must be at least 1".to_string())
+        );
+        assert_eq!(
+            parse(&["--json"]).unwrap_err(),
+            "unknown flag --json".to_string()
+        );
+        assert!(parse(&["--tasks", "--dot"]).is_err(), "valueless");
+        assert!(parse(&["--tasks"]).is_err(), "valueless at the end");
+        assert!(parse(&["--dot", "yes"]).is_err(), "boolean with a value");
+        assert!(
+            parse(&["--tasks", "3", "--tasks", "4"]).is_err(),
+            "repeated"
+        );
+        assert!(parse(&["--dot", "--dot"]).is_err(), "repeated boolean");
+    }
+
+    #[test]
+    fn usage_wraps_under_the_command_name() {
+        let text = render_commands(&[DEMO]);
+        assert_eq!(
+            text,
+            "  demo       [--tasks <n>] [--dot] [--seed <u64>]\n             — a demo\n"
+        );
+        let long = Command {
+            flags: &[
+                ("one", Some("<file>")),
+                ("two", Some("<file>")),
+                ("three", Some("<file>")),
+                ("four", Some("<file>")),
+                ("five", Some("<file>")),
+            ],
+            about: "a paragraph long enough that it cannot fit on one line of the \
+                    usage text and so has to wrap under the command name, twice",
+            ..DEMO
+        };
+        let text = render_commands(&[long]);
+        assert!(text.lines().count() >= 4, "{text}");
+        for line in text.lines() {
+            assert!(line.chars().count() <= WIDTH, "{line}");
+        }
     }
 
     #[test]
@@ -248,15 +361,5 @@ mod tests {
         assert!(parse_topology("blob:3").is_err());
         assert!(parse_topology("mesh:3").is_err());
         assert!(parse_topology("nocolon").is_err());
-    }
-
-    #[test]
-    fn workload_specs() {
-        assert_eq!(parse_workload("ge:6").unwrap().len(), 5 + 15);
-        assert_eq!(parse_workload("stencil:4x3").unwrap().len(), 12);
-        assert_eq!(parse_workload("fft:3").unwrap().len(), 32);
-        assert_eq!(parse_workload("pipe:2x3").unwrap().len(), 6);
-        assert!(parse_workload("ge:1").is_err());
-        assert!(parse_workload("wat:1").is_err());
     }
 }

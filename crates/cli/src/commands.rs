@@ -6,110 +6,276 @@ use rand::SeedableRng;
 use mimd_core::evaluate::{evaluate_assignment, random_mapping_average};
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::{Assignment, Mapper};
+use mimd_engine::{ClusteringSpec, WorkloadSpec};
 use mimd_graph::dot;
 use mimd_report::{Gantt, GanttTask, Table};
 use mimd_sim::{simulate, SimConfig};
-use mimd_taskgraph::clustering::comm_greedy::comm_greedy_clustering;
-use mimd_taskgraph::clustering::region::random_region_clustering;
+use mimd_taskgraph::workloads::ChurnRegime;
 use mimd_taskgraph::{
     paper, ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
 };
 use mimd_telemetry::{GainLedger, Journal, JournalSnapshot, Recorder};
 
-use crate::args::{build_topology, parse_workload, Flags};
+use crate::args::{build_topology, parse_topology, render_commands, Command, FlagSpec, Flags};
 
-/// Usage text printed on errors.
-pub const USAGE: &str = "\
-usage: mimd <command> [flags]
+const TASKS: FlagSpec = ("tasks", Some("<n>"));
+const WORKLOAD: FlagSpec = ("workload", Some("<kind:params>"));
+const LOAD: FlagSpec = ("load", Some("<file.json>"));
+const WIDTH: FlagSpec = ("width", Some("<n>"));
+const SPEC: FlagSpec = ("spec", Some("<kind:params>"));
+const SEED: FlagSpec = ("seed", Some("<u64>"));
+const EVENTS: FlagSpec = ("events", Some("<n>"));
+const REGIME: FlagSpec = ("regime", Some("arrivals|drift|mixed"));
+const CLUSTERING: FlagSpec = ("clustering", Some("region|iid|sarkar|comm_greedy"));
+const THREADS: FlagSpec = ("threads", Some("<n>"));
+const SUMMARY: FlagSpec = ("summary", None);
+const OUT: FlagSpec = ("out", Some("<file>"));
+const PROFILE: FlagSpec = ("profile", None);
+const PROFILE_JSON: FlagSpec = ("profile-json", Some("<file|->"));
+const TRACE_OUT: FlagSpec = ("trace-out", Some("<file>"));
+const CHROME_TRACE: FlagSpec = ("chrome-trace", Some("<file>"));
 
-commands:
-  generate   --tasks <n> [--seed <u64>] [--width <n>] [--dot] [--json]
-  topology   --spec <kind:params> [--seed <u64>] [--dot]
-  map        (--tasks <n> | --workload <kind:params> | --load <file.json>)
-             --spec <kind:params> [--seed <u64>] [--reps <n>]
-             [--algorithm <name>] [--direct-threshold <n>]
-             [--refine-rounds <n>] [--refine-batch <n>]
-             [--greedy-clustering] [--serialized] [--gantt]
-  simulate   (--tasks <n> | --workload <kind:params>) --spec <kind:params>
-             [--seed <u64>] [--contention] [--serialize]
-  explain    (--tasks <n> | --workload <kind:params>) --spec <kind:params>
-             [--seed <u64>] [--algorithm <name>] [--clustering <kind>]
-             [--trace-out <file>] [--chrome-trace <file>]
-             — map once, then attribute the mapping's quality: JSON
-               report (loads, link traffic, hop histogram, critical
-               path, refinement gain ledger) on stdout, human tables
-               on stderr
-  batch      <jobs.jsonl | -> [--threads <n>] [--summary] [--out <file>]
-             [--profile] [--profile-json <file|->]
-             [--trace-out <file>] [--chrome-trace <file>]
-             — run a JSONL stream of JobSpecs through the engine,
-               emitting one JobResult JSONL line per job (stdin with -);
-               --profile prints the telemetry phase breakdown to stderr
-  sweep      --workloads <w1,w2,..> --specs <t1,t2,..>
-             [--algos <a1,a2,..>] [--seeds <n>] [--threads <n>]
-             [--clustering region|iid|sarkar|comm_greedy]
-             [--summary] [--out <file>]
-             [--profile] [--profile-json <file|->]
-             [--trace-out <file>] [--chrome-trace <file>]
-             — run the cross-product workloads × topologies × algorithms
-               × seeds through the engine
-  trace      (--tasks <n> | --workload <kind:params>) --spec <kind:params>
-             [--events <n>] [--regime arrivals|drift|mixed] [--seed <u64>]
-             [--out <file>]
-             — generate a synthetic churn trace (JSONL: header + events)
-  replay     --trace <file|-> [--seed <u64>] [--migration-penalty <t>]
-             [--staleness <f>] [--local-rounds <n>] [--region-size <n>]
-             [--scratch] [--summary] [--out <file>]
-             [--profile] [--profile-json <file|->]
-             [--trace-out <file>] [--chrome-trace <file>]
-             — replay a trace through the incremental remapper, one
-               JSONL record per event (--scratch forces a full V-cycle
-               per event for comparison); --profile prints phase timing
-               to stderr, never touching the stdout record stream;
-               --trace-out/--chrome-trace export the event journal
-  serve      [--max-sessions <n>] [--telemetry] [--slow-ms <n>]
-             [--stats-interval <secs>]
-             [--listen <host:port|socket-path>] [--shards <n>]
-             [--queue-depth <k>]
-             [--trace-out <file>] [--chrome-trace <file>]
-             — long-running MappingService loop: one JSONL Request per
-               stdin line (map_once | open_session | apply |
-               close_session | catalog | stats), one JSONL Response per
-               stdout line; sessions share topology artifacts with
-               one-shot jobs through one cache; --telemetry records
-               spans/counters served back by the stats op; --slow-ms
-               logs slow requests to stderr (stdin and --listen alike);
-               --stats-interval prints a one-line stats snapshot to
-               stderr every n seconds; --trace-out/--chrome-trace
-               export the event journal on exit; --listen serves
-               concurrent connections on a TCP address or Unix socket
-               path instead of stdin — sessions hash to --shards worker
-               shards (per-session FIFO kept), a full per-shard queue
-               (--queue-depth) answers overloaded, and stdin EOF drains
-               gracefully
-  loadgen    --connect <host:port|socket-path> [--sessions <n>]
-             [--connections <n>] [--events <n>] [--tasks <n>]
-             [--spec <kind:params>] [--regime arrivals|drift|mixed]
-             [--seed <u64>] [--rate <opens/sec>] [--json]
-             — drive concurrent open/apply/close sessions against a
-               listening `mimd serve --listen` and report sustained
-               req/s plus p50/p90/p99 latency (human line on stderr,
-               JSON report on stdout with --json)
-  bench      [--suite quick|full] [--reps <k>] [--list]
-             [--out <file|->] [--history <file>] [--no-history]
-             [--compare <baseline.json>] [--with <report.json>]
-             [--noise-floor <frac>] [--quality-tolerance <pts>]
-             — run a declarative benchmark suite (flat map, multilevel
-               V-cycle, incremental replay, service stream) min-of-k
-               and emit a versioned BenchReport; appends to
-               BENCH_history.jsonl unless --no-history; --compare
-               classifies each metric vs a baseline report as
-               improvement/regression/noise (exit 1 on regression);
-               --with compares an existing report instead of running
-  algorithms (no flags) — list every registry algorithm with a
-               one-line description
-  paper      (no flags) — reproduce the worked example's artifacts
+/// Every `mimd` subcommand: the only statement of which flags exist,
+/// and the source of the usage text.
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        positional: None,
+        flags: &[TASKS, WORKLOAD, WIDTH, SEED, ("dot", None), ("json", None)],
+        about: "print a problem graph (a --tasks/--width layered DAG or a \
+                --workload spec): a one-line summary, --json or --dot",
+        run: cmd_generate,
+    },
+    Command {
+        name: "topology",
+        positional: None,
+        flags: &[SPEC, SEED, ("dot", None)],
+        about: "build the --spec machine and print its size, links, diameter \
+                and degrees (or --dot)",
+        run: cmd_topology,
+    },
+    Command {
+        name: "map",
+        positional: None,
+        flags: &[
+            TASKS,
+            WORKLOAD,
+            LOAD,
+            WIDTH,
+            SPEC,
+            SEED,
+            ("reps", Some("<n>")),
+            ("algorithm", Some("<name>")),
+            ("direct-threshold", Some("<n>")),
+            ("refine-rounds", Some("<n>")),
+            ("refine-batch", Some("<n>")),
+            ("greedy-clustering", None),
+            ("serialized", None),
+            ("gantt", None),
+        ],
+        about: "map one problem (--tasks, --workload or --load) onto the \
+                --spec machine with --algorithm (default paper) and compare \
+                it with random mappings; the --direct-threshold and --refine-* \
+                knobs need --algorithm multilevel",
+        run: cmd_map,
+    },
+    Command {
+        name: "simulate",
+        positional: None,
+        flags: &[
+            TASKS,
+            WORKLOAD,
+            WIDTH,
+            SPEC,
+            SEED,
+            ("contention", None),
+            ("serialize", None),
+        ],
+        about: "map with the paper strategy, then run the schedule through \
+                the discrete-event simulator",
+        run: cmd_simulate,
+    },
+    Command {
+        name: "explain",
+        positional: None,
+        flags: &[
+            TASKS,
+            WORKLOAD,
+            SPEC,
+            SEED,
+            ("algorithm", Some("<name>")),
+            CLUSTERING,
+            TRACE_OUT,
+            CHROME_TRACE,
+        ],
+        about: "map once, then attribute the mapping's quality: JSON report \
+                (loads, link traffic, hop histogram, critical path, refinement \
+                gain ledger) on stdout, human tables on stderr",
+        run: cmd_explain,
+    },
+    Command {
+        name: "batch",
+        positional: Some("<jobs.jsonl | ->"),
+        flags: &[
+            THREADS,
+            SUMMARY,
+            OUT,
+            PROFILE,
+            PROFILE_JSON,
+            TRACE_OUT,
+            CHROME_TRACE,
+        ],
+        about: "run a JSONL stream of JobSpecs through the engine, emitting one \
+                JobResult JSONL line per job (stdin with -); --profile prints \
+                the telemetry phase breakdown to stderr",
+        run: cmd_batch,
+    },
+    Command {
+        name: "sweep",
+        positional: None,
+        flags: &[
+            ("workloads", Some("<w1,w2,..>")),
+            ("specs", Some("<t1,t2,..>")),
+            ("algos", Some("<a1,a2,..>")),
+            ("seeds", Some("<n>")),
+            THREADS,
+            CLUSTERING,
+            SUMMARY,
+            OUT,
+            PROFILE,
+            PROFILE_JSON,
+            TRACE_OUT,
+            CHROME_TRACE,
+        ],
+        about: "run the cross-product workloads × topologies × algorithms × \
+                seeds through the engine",
+        run: cmd_sweep,
+    },
+    Command {
+        name: "trace",
+        positional: None,
+        flags: &[
+            TASKS, WORKLOAD, LOAD, WIDTH, SPEC, EVENTS, REGIME, SEED, OUT,
+        ],
+        about: "generate a synthetic churn trace (JSONL: header + events)",
+        run: cmd_trace,
+    },
+    Command {
+        name: "replay",
+        positional: None,
+        flags: &[
+            ("trace", Some("<file|->")),
+            SEED,
+            ("migration-penalty", Some("<t>")),
+            ("staleness", Some("<f>")),
+            ("local-rounds", Some("<n>")),
+            ("region-size", Some("<n>")),
+            ("scratch", None),
+            SUMMARY,
+            OUT,
+            PROFILE,
+            PROFILE_JSON,
+            TRACE_OUT,
+            CHROME_TRACE,
+        ],
+        about: "replay a trace through the incremental remapper, one JSONL \
+                record per event (--scratch forces a full V-cycle per event \
+                for comparison); --profile prints phase timing to stderr, \
+                never touching the stdout record stream; \
+                --trace-out/--chrome-trace export the event journal",
+        run: cmd_replay,
+    },
+    Command {
+        name: "serve",
+        positional: None,
+        flags: &[
+            ("max-sessions", Some("<n>")),
+            ("telemetry", None),
+            ("slow-ms", Some("<n>")),
+            ("stats-interval", Some("<secs>")),
+            ("listen", Some("<host:port|socket-path>")),
+            ("shards", Some("<n>")),
+            ("queue-depth", Some("<k>")),
+            TRACE_OUT,
+            CHROME_TRACE,
+        ],
+        about: "long-running MappingService loop: one JSONL Request per stdin \
+                line (map_once | open_session | apply | close_session | \
+                catalog | stats), one JSONL Response per stdout line; sessions \
+                share topology artifacts with one-shot jobs through one cache; \
+                --telemetry records spans/counters served back by the stats \
+                op; --slow-ms logs slow requests to stderr (stdin and --listen \
+                alike); --stats-interval prints a one-line stats snapshot to \
+                stderr every n seconds; --trace-out/--chrome-trace export the \
+                event journal on exit; --listen serves concurrent connections \
+                on a TCP address or Unix socket path instead of stdin — \
+                sessions hash to --shards worker shards (per-session FIFO \
+                kept), a full per-shard queue (--queue-depth) answers \
+                overloaded, and stdin EOF drains gracefully",
+        run: cmd_serve,
+    },
+    Command {
+        name: "loadgen",
+        positional: None,
+        flags: &[
+            ("connect", Some("<host:port|socket-path>")),
+            ("sessions", Some("<n>")),
+            ("connections", Some("<n>")),
+            EVENTS,
+            TASKS,
+            SPEC,
+            REGIME,
+            SEED,
+            ("rate", Some("<opens/sec>")),
+            ("json", None),
+        ],
+        about: "drive concurrent open/apply/close sessions against a listening \
+                `mimd serve --listen` and report sustained req/s plus \
+                p50/p90/p99 latency (human line on stderr, JSON report on \
+                stdout with --json)",
+        run: cmd_loadgen,
+    },
+    Command {
+        name: "bench",
+        positional: None,
+        flags: &[
+            ("suite", Some("quick|full")),
+            ("reps", Some("<k>")),
+            ("list", None),
+            ("out", Some("<file|->")),
+            ("history", Some("<file>")),
+            ("no-history", None),
+            ("compare", Some("<baseline.json>")),
+            ("with", Some("<report.json>")),
+            ("noise-floor", Some("<frac>")),
+            ("quality-tolerance", Some("<pts>")),
+        ],
+        about: "run a declarative benchmark suite (flat map, multilevel \
+                V-cycle, incremental replay, service stream) min-of-k and emit \
+                a versioned BenchReport; appends to BENCH_history.jsonl unless \
+                --no-history; --compare classifies each metric vs a baseline \
+                report as improvement/regression/noise (exit 1 on regression); \
+                --with compares an existing report instead of running",
+        run: cmd_bench,
+    },
+    Command {
+        name: "algorithms",
+        positional: None,
+        flags: &[],
+        about: "list every registry algorithm with a one-line description",
+        run: cmd_algorithms,
+    },
+    Command {
+        name: "paper",
+        positional: None,
+        flags: &[],
+        about: "reproduce the worked example's artifacts",
+        run: cmd_paper,
+    },
+];
 
+/// The spec and algorithm names usage lists after the commands.
+const SPEC_LINES: &str = "\
 topology specs : hypercube:3  mesh:3x4  torus:3x4  ring:8  chain:8
                  star:8  tree:15  complete:8  fattree:4x4  clusters:8x32
                  random:16@0.1
@@ -118,62 +284,51 @@ workload specs : ge:12  stencil:16x8  fft:5  dnc:4  pipe:4x16
 algorithms     : paper  multilevel  incremental  random  bokhari  lee
                  annealing  pairwise  (see `mimd algorithms`)";
 
+/// Usage text printed on errors, rendered from [`COMMANDS`].
+pub fn usage() -> String {
+    format!(
+        "usage: mimd <command> [flags]\n\ncommands:\n{}\n{SPEC_LINES}",
+        render_commands(COMMANDS)
+    )
+}
+
 /// Route a command line to its handler.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
-    let Some((cmd, rest)) = argv.split_first() else {
+    let Some((name, rest)) = argv.split_first() else {
         return Err("no command given".into());
     };
-    if cmd == "batch" {
-        // `batch` takes a positional input path before its flags.
-        let (input, rest) = match rest.split_first() {
-            Some((input, rest)) if !input.starts_with("--") => (input.as_str(), rest),
-            _ => return Err("batch needs a jobs file ('-' for stdin)".into()),
-        };
-        return cmd_batch(input, &Flags::parse(rest)?);
-    }
-    let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "topology" => cmd_topology(&flags),
-        "map" => cmd_map(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "explain" => cmd_explain(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "trace" => cmd_trace(&flags),
-        "replay" => cmd_replay(&flags),
-        "serve" => cmd_serve(&flags),
-        "loadgen" => cmd_loadgen(&flags),
-        "bench" => cmd_bench(&flags),
-        "algorithms" => cmd_algorithms(&flags),
-        "paper" => cmd_paper(&flags),
-        other => Err(format!("unknown command '{other}'")),
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command '{name}'"))?;
+    (command.run)(&Flags::parse(command, rest)?)
+}
+
+/// The workload `--workload` names, else the `--tasks`/`--width`
+/// layered DAG.
+fn workload_from_flags(flags: &Flags) -> Result<WorkloadSpec, String> {
+    match flags.get("workload") {
+        Some(spec) => WorkloadSpec::parse(spec),
+        None => Ok(WorkloadSpec::Layered {
+            tasks: flags.num("tasks", 96)?,
+            width: flags.opt("width")?,
+        }),
     }
 }
 
+/// The problem graph: the `--load` file, else [`workload_from_flags`]
+/// built from `rng`.
 fn problem_from_flags(flags: &Flags, rng: &mut StdRng) -> Result<ProblemGraph, String> {
     if let Some(path) = flags.get("load") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         return serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"));
     }
-    match flags.get("workload") {
-        Some(spec) => parse_workload(spec),
-        None => {
-            let tasks = flags.num("tasks", 96usize)?;
-            let width = flags.num("width", (tasks / 8).clamp(3, 16))?;
-            let gen = LayeredDagGenerator::new(GeneratorConfig {
-                tasks,
-                avg_width: width,
-                locality_window: Some(1),
-                ..GeneratorConfig::default()
-            })
-            .map_err(|e| e.to_string())?;
-            Ok(gen.generate(rng))
-        }
-    }
+    workload_from_flags(flags)?
+        .build(rng)
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&["tasks", "seed", "width", "dot", "json", "workload"])?;
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let p = problem_from_flags(flags, &mut rng)?;
     if flags.has("dot") {
@@ -206,7 +361,6 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_topology(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&["spec", "seed", "dot"])?;
     let spec = flags.get("spec").ok_or("topology needs --spec")?;
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let sys = build_topology(spec, &mut rng)?;
@@ -226,39 +380,16 @@ fn cmd_topology(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_map(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "tasks",
-        "workload",
-        "load",
-        "spec",
-        "seed",
-        "reps",
-        "width",
-        "algorithm",
-        "direct-threshold",
-        "refine-rounds",
-        "refine-batch",
-        "greedy-clustering",
-        "serialized",
-        "gantt",
-    ])?;
     let spec = flags.get("spec").ok_or("map needs --spec")?;
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let system = build_topology(spec, &mut rng)?;
     let problem = problem_from_flags(flags, &mut rng)?;
-    if problem.len() < system.len() {
-        return Err(format!(
-            "problem has {} tasks but the machine has {} processors; need np >= ns",
-            problem.len(),
-            system.len()
-        ));
-    }
     let clustering = if flags.has("greedy-clustering") {
-        comm_greedy_clustering(&problem, system.len(), 1.5).map_err(|e| e.to_string())?
+        ClusteringSpec::CommGreedy
     } else {
-        random_region_clustering(&problem, system.len(), &mut rng).map_err(|e| e.to_string())?
+        ClusteringSpec::Region
     };
-    let clustered = ClusteredProblemGraph::new(problem, clustering).map_err(|e| e.to_string())?;
+    let clustered = clustering.instance(problem, system.len(), &mut rng)?;
     let algorithm = flags.get("algorithm").unwrap_or("paper");
     if algorithm != "multilevel" {
         for only_multilevel in ["direct-threshold", "refine-rounds", "refine-batch"] {
@@ -363,19 +494,13 @@ fn map_via_registry(
     if flags.has("serialized") {
         return Err("--serialized only applies to --algorithm paper".into());
     }
-    let opt_num = |name: &str| -> Result<Option<usize>, String> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("bad --{name} '{v}'")))
-            .transpose()
-    };
     // cmd_map already rejected the multilevel-only flags for every
     // other algorithm.
     let spec = if algorithm == "multilevel" {
         mimd_engine::AlgorithmSpec::Multilevel {
-            direct_threshold: opt_num("direct-threshold")?,
-            refine_rounds: opt_num("refine-rounds")?,
-            refine_batch: opt_num("refine-batch")?,
+            direct_threshold: flags.opt("direct-threshold")?,
+            refine_rounds: flags.opt("refine-rounds")?,
+            refine_batch: flags.opt("refine-batch")?,
             refine_threads: None,
         }
     } else {
@@ -432,44 +557,18 @@ fn map_via_registry(
 /// `mimd trace`: generate a synthetic churn trace (header + events) for
 /// `mimd replay` and the online benchmarks.
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "tasks", "workload", "load", "width", "spec", "events", "regime", "seed", "out",
-    ])?;
     let spec_text = flags.get("spec").ok_or("trace needs --spec")?;
-    let topology = crate::args::parse_topology(spec_text)?;
+    let topology = parse_topology(spec_text)?;
     let seed = flags.num("seed", 1991u64)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let system = topology.build(&mut rng).map_err(|e| e.to_string())?;
     let problem = problem_from_flags(flags, &mut rng)?;
-    if problem.len() < system.len() {
-        return Err(format!(
-            "problem has {} tasks but the machine has {} processors; need np >= ns",
-            problem.len(),
-            system.len()
-        ));
-    }
-    let clustering =
-        random_region_clustering(&problem, system.len(), &mut rng).map_err(|e| e.to_string())?;
-    let base = ClusteredProblemGraph::new(problem, clustering).map_err(|e| e.to_string())?;
+    let base = ClusteringSpec::Region.instance(problem, system.len(), &mut rng)?;
     let events = flags.num("events", 100usize)?;
-    let regime =
-        mimd_taskgraph::workloads::ChurnRegime::parse(flags.get("regime").unwrap_or("mixed"))?;
-    let trace = mimd_taskgraph::workloads::churn_trace(&base, events, regime, &mut rng);
-    let header = mimd_online::TraceHeader {
-        topology,
-        topology_seed: Some(seed),
-        snapshot: mimd_online::DynamicWorkload::from_clustered(&base).snapshot(),
-    };
-    let write = |writer: &mut dyn std::io::Write| {
-        mimd_online::write_trace(writer, &header, &trace).map_err(|e| e.to_string())
-    };
-    match flags.get("out") {
-        Some(path) => {
-            let mut file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            write(&mut file)?;
-        }
-        None => write(&mut std::io::stdout().lock())?,
-    }
+    let regime = ChurnRegime::parse(flags.get("regime").unwrap_or("mixed"))?;
+    let (header, trace) =
+        mimd_online::synthesize_trace(topology, seed, &base, events, regime, &mut rng);
+    mimd_online::write_trace(output(flags)?, &header, &trace).map_err(|e| e.to_string())?;
     eprintln!(
         "trace: {} events ({regime:?}) on {} ({} tasks, {} clusters)",
         trace.len(),
@@ -484,21 +583,6 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
 /// emitting one JSONL record per event.
 fn cmd_replay(flags: &Flags) -> Result<(), String> {
     use std::io::Write;
-    flags.allow_only(&[
-        "trace",
-        "seed",
-        "migration-penalty",
-        "staleness",
-        "local-rounds",
-        "region-size",
-        "scratch",
-        "summary",
-        "out",
-        "profile",
-        "profile-json",
-        "trace-out",
-        "chrome-trace",
-    ])?;
     if flags.has("scratch") && flags.has("staleness") {
         return Err(
             "--scratch forces full V-cycles per event and overrides --staleness; \
@@ -506,13 +590,8 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
                 .into(),
         );
     }
-    let input = flags.get("trace").ok_or("replay needs --trace")?;
-    let (header, events) = if input == "-" {
-        mimd_online::read_trace(std::io::stdin().lock())?
-    } else {
-        let file = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
-        mimd_online::read_trace(std::io::BufReader::new(file))?
-    };
+    let (header, events) =
+        mimd_online::read_trace(input(flags.get("trace").ok_or("replay needs --trace")?)?)?;
 
     let defaults = mimd_online::OnlineConfig::default();
     let config = mimd_online::OnlineConfig {
@@ -533,15 +612,12 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
     // come from its shared cache, so replay and any co-resident
     // batch/session traffic share the hierarchy (and its counters).
     let service = mimd_service::MappingService::new(mimd_service::ServiceConfig {
-        telemetry: profiling(flags)?,
-        journal: journaling(flags)?,
+        telemetry: profiling(flags),
+        journal: journaling(flags),
         ..mimd_service::ServiceConfig::default()
     });
 
-    let mut sink: Box<dyn Write> = match flags.get("out") {
-        Some(path) => Box::new(std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?),
-        None => Box::new(std::io::stdout().lock()),
-    };
+    let mut sink = output(flags)?;
     let seed = flags.num("seed", 1991u64)?;
     let mut write_error: Option<std::io::Error> = None;
     let summary = service.replay(&header, &events, &config, seed, |record| {
@@ -551,15 +627,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
             }
         }
     })?;
-    match write_error {
-        Some(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
-        Some(e) => return Err(format!("writing records: {e}")),
-        None => {}
-    }
-    if let Err(e) = sink.flush() {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            return Err(format!("writing records: {e}"));
-        }
+    if !finish_stream(sink, write_error, "records")? {
         return Ok(());
     }
 
@@ -607,28 +675,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    flags.allow_only(&[
-        "max-sessions",
-        "telemetry",
-        "slow-ms",
-        "stats-interval",
-        "listen",
-        "shards",
-        "queue-depth",
-        "trace-out",
-        "chrome-trace",
-    ])?;
-    let slow_ms: Option<u64> = flags
-        .get("slow-ms")
-        .map(|v| v.parse().map_err(|_| format!("bad --slow-ms '{v}'")))
-        .transpose()?;
-    let stats_interval: Option<u64> = flags
-        .get("stats-interval")
-        .map(|v| v.parse().map_err(|_| format!("bad --stats-interval '{v}'")))
-        .transpose()?;
-    if flags.has("stats-interval") && stats_interval.is_none() {
-        return Err("--stats-interval needs a whole number of seconds".into());
-    }
+    let slow_ms: Option<u64> = flags.opt("slow-ms")?;
+    let stats_interval: Option<u64> = flags.opt("stats-interval")?;
     if stats_interval == Some(0) {
         return Err("--stats-interval must be at least 1 second".into());
     }
@@ -647,7 +695,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             // serve.slow_requests / serve.stats_emitted counters land in
             // the stats line printed on exit.
             telemetry: flags.has("telemetry") || slow_ms.is_some() || stats_interval.is_some(),
-            journal: journaling(flags)?,
+            journal: journaling(flags),
             ..defaults
         },
     ));
@@ -734,14 +782,8 @@ fn bind_server(
     slow_ms: Option<u64>,
 ) -> Result<mimd_server::Server, String> {
     let addr = mimd_server::ListenAddr::parse(listen)?;
-    let shards = flags.num("shards", 4usize)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let queue_depth = flags.num("queue-depth", 256usize)?;
-    if queue_depth == 0 {
-        return Err("--queue-depth must be at least 1".into());
-    }
+    let shards = flags.positive("shards", 4)?;
+    let queue_depth = flags.positive("queue-depth", 256)?;
     let config = mimd_server::ServerConfig {
         shards,
         queue_depth,
@@ -798,32 +840,11 @@ fn spawn_stats_emitter(
 /// many concurrent sessions against a listening `mimd serve --listen`,
 /// reporting sustained requests/sec and tail latency.
 fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "connect",
-        "sessions",
-        "connections",
-        "events",
-        "tasks",
-        "spec",
-        "regime",
-        "seed",
-        "rate",
-        "json",
-    ])?;
     let connect = flags.get("connect").ok_or("loadgen needs --connect")?;
     let addr = mimd_server::ListenAddr::parse(connect)?;
-    let sessions = flags.num("sessions", 64usize)?;
-    if sessions == 0 {
-        return Err("--sessions must be at least 1".into());
-    }
-    let connections = flags.num("connections", 8usize)?;
-    if connections == 0 {
-        return Err("--connections must be at least 1".into());
-    }
-    let rate: Option<f64> = flags
-        .get("rate")
-        .map(|v| v.parse().map_err(|_| format!("bad --rate '{v}'")))
-        .transpose()?;
+    let sessions = flags.positive("sessions", 64)?;
+    let connections = flags.positive("connections", 8)?;
+    let rate: Option<f64> = flags.opt("rate")?;
     if let Some(rate) = rate {
         if rate.is_nan() || rate <= 0.0 {
             return Err("--rate must be a positive opens/sec".into());
@@ -834,35 +855,19 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     // seed, so the per-session work is identical and the measured
     // spread is the server's.
     let seed = flags.num("seed", 1991u64)?;
-    let topology = crate::args::parse_topology(flags.get("spec").unwrap_or("torus:4x4"))?;
+    let topology = parse_topology(flags.get("spec").unwrap_or("torus:4x4"))?;
     let mut rng = StdRng::seed_from_u64(seed);
     let system = topology.build(&mut rng).map_err(|e| e.to_string())?;
-    let tasks = flags.num("tasks", 64usize)?;
-    if tasks < system.len() {
-        return Err(format!(
-            "--tasks {} on a {}-processor machine; need np >= ns",
-            tasks,
-            system.len()
-        ));
-    }
     let gen = LayeredDagGenerator::new(GeneratorConfig {
-        tasks,
+        tasks: flags.num("tasks", 64)?,
         ..GeneratorConfig::default()
     })
     .map_err(|e| e.to_string())?;
-    let problem = gen.generate(&mut rng);
-    let clustering =
-        random_region_clustering(&problem, system.len(), &mut rng).map_err(|e| e.to_string())?;
-    let base = ClusteredProblemGraph::new(problem, clustering).map_err(|e| e.to_string())?;
+    let base = ClusteringSpec::Region.instance(gen.generate(&mut rng), system.len(), &mut rng)?;
     let events = flags.num("events", 6usize)?;
-    let regime =
-        mimd_taskgraph::workloads::ChurnRegime::parse(flags.get("regime").unwrap_or("mixed"))?;
-    let trace = mimd_taskgraph::workloads::churn_trace(&base, events, regime, &mut rng);
-    let header = mimd_online::TraceHeader {
-        topology,
-        topology_seed: Some(seed),
-        snapshot: mimd_online::DynamicWorkload::from_clustered(&base).snapshot(),
-    };
+    let regime = ChurnRegime::parse(flags.get("regime").unwrap_or("mixed"))?;
+    let (header, trace) =
+        mimd_online::synthesize_trace(topology, seed, &base, events, regime, &mut rng);
 
     let report = mimd_server::run_loadgen(
         &addr,
@@ -895,23 +900,6 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
 /// trajectory, and — with `--compare` — classify every metric against
 /// a baseline report, exiting 1 on regression so CI can gate on it.
 fn cmd_bench(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "suite",
-        "reps",
-        "list",
-        "out",
-        "history",
-        "no-history",
-        "compare",
-        "with",
-        "noise-floor",
-        "quality-tolerance",
-    ])?;
-    for name in ["with", "compare", "out", "history"] {
-        if flags.has(name) && flags.get(name).is_none() {
-            return Err(format!("--{name} needs a file path"));
-        }
-    }
     if flags.has("list") {
         let mut table = Table::new(
             "bench suites (mimd bench --suite <name>)",
@@ -940,10 +928,7 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
         }
         None => {
             let suite = mimd_bench::suite_by_name(flags.get("suite").unwrap_or("quick"))?;
-            let reps = flags.num("reps", suite.reps)?;
-            if reps == 0 {
-                return Err("--reps must be at least 1".into());
-            }
+            let reps = flags.positive("reps", suite.reps)?;
             eprintln!(
                 "bench: suite '{}' ({} scenarios, min of {reps} reps)",
                 suite.name,
@@ -1010,8 +995,7 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_algorithms(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[])?;
+fn cmd_algorithms(_: &Flags) -> Result<(), String> {
     let mut table = Table::new(
         "algorithm registry (mimd map --algorithm, batch/sweep job specs)",
         &["name", "description"],
@@ -1024,22 +1008,11 @@ fn cmd_algorithms(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "tasks",
-        "workload",
-        "spec",
-        "seed",
-        "width",
-        "contention",
-        "serialize",
-    ])?;
     let spec = flags.get("spec").ok_or("simulate needs --spec")?;
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let system = build_topology(spec, &mut rng)?;
     let problem = problem_from_flags(flags, &mut rng)?;
-    let clustering =
-        random_region_clustering(&problem, system.len(), &mut rng).map_err(|e| e.to_string())?;
-    let clustered = ClusteredProblemGraph::new(problem, clustering).map_err(|e| e.to_string())?;
+    let clustered = ClusteringSpec::Region.instance(problem, system.len(), &mut rng)?;
     let result = Mapper::new()
         .map(&clustered, &system, &mut rng)
         .map_err(|e| e.to_string())?;
@@ -1071,13 +1044,43 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `true` iff a profiling flag asked for telemetry collection; rejects
-/// a valueless `--profile-json` up front, before any work runs.
-fn profiling(flags: &Flags) -> Result<bool, String> {
-    if flags.has("profile-json") && flags.get("profile-json").is_none() {
-        return Err("--profile-json needs a file path ('-' for stderr)".into());
+/// The `--out` file, else stdout.
+fn output(flags: &Flags) -> Result<Box<dyn std::io::Write>, String> {
+    Ok(match flags.get("out") {
+        Some(path) => Box::new(std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?),
+        None => Box::new(std::io::stdout().lock()),
+    })
+}
+
+/// The file at `path`, or stdin for `-`.
+fn input(path: &str) -> Result<Box<dyn std::io::BufRead>, String> {
+    Ok(if path == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+        Box::new(std::io::BufReader::new(file))
+    })
+}
+
+/// Flush a JSONL record stream unless writing it already failed.
+/// `Ok(false)` means the consumer closed the pipe (e.g. `mimd batch ...
+/// | head`): a conventional clean stop, like any line-oriented unix
+/// tool, after which nothing else is reported.
+fn finish_stream(
+    mut sink: Box<dyn std::io::Write>,
+    write_error: Option<std::io::Error>,
+    what: &str,
+) -> Result<bool, String> {
+    match write_error.map_or_else(|| sink.flush(), Err) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("writing {what}: {e}")),
     }
-    Ok(flags.has("profile") || flags.has("profile-json"))
+}
+
+/// `true` iff a profiling flag asked for telemetry collection.
+fn profiling(flags: &Flags) -> bool {
+    flags.has("profile") || flags.has("profile-json")
 }
 
 /// Shared tail of `--profile` / `--profile-json`: print the phase
@@ -1099,16 +1102,9 @@ fn emit_profile(service: &mimd_service::MappingService, flags: &Flags) -> Result
     Ok(())
 }
 
-/// `true` iff a journal-export flag asked for event capture; rejects a
-/// valueless `--trace-out`/`--chrome-trace` up front, before any work
-/// runs.
-fn journaling(flags: &Flags) -> Result<bool, String> {
-    for name in ["trace-out", "chrome-trace"] {
-        if flags.has(name) && flags.get(name).is_none() {
-            return Err(format!("--{name} needs a file path"));
-        }
-    }
-    Ok(flags.has("trace-out") || flags.has("chrome-trace"))
+/// `true` iff a journal-export flag asked for event capture.
+fn journaling(flags: &Flags) -> bool {
+    flags.has("trace-out") || flags.has("chrome-trace")
 }
 
 /// Shared tail of `--trace-out` / `--chrome-trace`: write the frozen
@@ -1133,33 +1129,16 @@ fn emit_journal(snapshot: &JournalSnapshot, flags: &Flags) -> Result<(), String>
 /// The JSON report goes to stdout; the human tables go to stderr, so
 /// the report stays machine-consumable.
 fn cmd_explain(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "tasks",
-        "workload",
-        "spec",
-        "seed",
-        "algorithm",
-        "clustering",
-        "trace-out",
-        "chrome-trace",
-    ])?;
     let spec_text = flags.get("spec").ok_or("explain needs --spec")?;
-    let workload = match flags.get("workload") {
-        Some(spec) => mimd_engine::WorkloadSpec::parse(spec)?,
-        None => {
-            let tasks = flags.num("tasks", 96usize)?;
-            mimd_engine::WorkloadSpec::parse(&format!("tasks:{tasks}"))?
-        }
-    };
     let clustering = flags
         .get("clustering")
-        .map(mimd_engine::ClusteringSpec::parse)
+        .map(ClusteringSpec::parse)
         .transpose()?;
     let job = mimd_engine::JobSpec {
         id: None,
-        workload,
+        workload: workload_from_flags(flags)?,
         clustering,
-        topology: crate::args::parse_topology(spec_text)?,
+        topology: parse_topology(spec_text)?,
         topology_seed: None,
         algorithm: mimd_engine::AlgorithmSpec::parse(flags.get("algorithm").unwrap_or("paper"))?,
         seed: flags.num("seed", 1991u64)?,
@@ -1168,7 +1147,7 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
     // The ledger is the whole point of explain; the journal only rides
     // along when an export was requested.
     let mut recorder = Recorder::disabled().with_ledger(GainLedger::enabled());
-    if journaling(flags)? {
+    if journaling(flags) {
         recorder = recorder.with_journal(Journal::enabled());
     }
     let cache = mimd_engine::TopologyCache::new();
@@ -1177,10 +1156,10 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
         return Err(message.clone());
     }
 
-    // Rebuild the instance the engine mapped — same seed, same
-    // derivation order as the engine's own execution path — so the
-    // report attributes the assignment against the exact graph it was
-    // computed for.
+    // Rebuild the instance the engine mapped — same seed, and the same
+    // derivation (`ClusteringSpec::instance`) as the engine's own
+    // execution path — so the report attributes the assignment against
+    // the exact graph it was computed for.
     let artifacts = cache
         .get_or_build(&job.topology, job.topology_seed())
         .map_err(|e| format!("topology: {e}"))?;
@@ -1190,11 +1169,7 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
         .workload
         .build(&mut rng)
         .map_err(|e| format!("workload: {e}"))?;
-    let clustering = job
-        .clustering()
-        .build(&problem, system.len(), &mut rng)
-        .map_err(|e| format!("clustering: {e}"))?;
-    let graph = ClusteredProblemGraph::new(problem, clustering).map_err(|e| e.to_string())?;
+    let graph = job.clustering().instance(problem, system.len(), &mut rng)?;
     let assignment =
         Assignment::from_sys_of(result.assignment.clone()).map_err(|e| e.to_string())?;
     let routing = mimd_sim::RoutingTable::new(system);
@@ -1232,23 +1207,18 @@ fn run_jobs_and_emit(
     flags: &Flags,
     what: &str,
 ) -> Result<(), String> {
-    use std::io::Write;
-
     let threads = flags.num("threads", 0usize)?;
     let service = mimd_service::MappingService::new(mimd_service::ServiceConfig {
         engine: mimd_engine::EngineConfig {
             threads,
             ..mimd_engine::EngineConfig::default()
         },
-        telemetry: profiling(flags)?,
-        journal: journaling(flags)?,
+        telemetry: profiling(flags),
+        journal: journaling(flags),
         ..mimd_service::ServiceConfig::default()
     });
 
-    let mut sink: Box<dyn Write> = match flags.get("out") {
-        Some(path) => Box::new(std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?),
-        None => Box::new(std::io::stdout().lock()),
-    };
+    let mut sink = output(flags)?;
 
     let mut input_error: Option<String> = None;
     let jobs = jobs.into_iter().map_while(|job| match job {
@@ -1283,17 +1253,7 @@ fn run_jobs_and_emit(
             }
         }
     });
-    match write_error {
-        // Consumer closed the pipe (e.g. `mimd batch ... | head`):
-        // conventional clean stop, like any line-oriented unix tool.
-        Some(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
-        Some(e) => return Err(format!("writing results: {e}")),
-        None => {}
-    }
-    if let Err(e) = sink.flush() {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            return Err(format!("writing results: {e}"));
-        }
+    if !finish_stream(sink, write_error, "results")? {
         return Ok(());
     }
 
@@ -1316,47 +1276,12 @@ fn run_jobs_and_emit(
     }
 }
 
-fn cmd_batch(input: &str, flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "threads",
-        "summary",
-        "out",
-        "profile",
-        "profile-json",
-        "trace-out",
-        "chrome-trace",
-    ])?;
-    if input == "-" {
-        run_jobs_and_emit(
-            mimd_engine::job_lines(std::io::stdin().lock()),
-            flags,
-            "batch",
-        )
-    } else {
-        let file = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
-        run_jobs_and_emit(
-            mimd_engine::job_lines(std::io::BufReader::new(file)),
-            flags,
-            "batch",
-        )
-    }
+fn cmd_batch(flags: &Flags) -> Result<(), String> {
+    let jobs = input(flags.positional().expect("batch takes a positional input"))?;
+    run_jobs_and_emit(mimd_engine::job_lines(jobs), flags, "batch")
 }
 
 fn cmd_sweep(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[
-        "workloads",
-        "specs",
-        "algos",
-        "seeds",
-        "clustering",
-        "threads",
-        "summary",
-        "out",
-        "profile",
-        "profile-json",
-        "trace-out",
-        "chrome-trace",
-    ])?;
     let parse_list = |name: &str| -> Result<Vec<String>, String> {
         let raw = flags
             .get(name)
@@ -1365,11 +1290,11 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     };
     let workloads = parse_list("workloads")?
         .iter()
-        .map(|s| mimd_engine::WorkloadSpec::parse(s))
+        .map(|s| WorkloadSpec::parse(s))
         .collect::<Result<Vec<_>, _>>()?;
     let topologies = parse_list("specs")?
         .iter()
-        .map(|s| crate::args::parse_topology(s))
+        .map(|s| parse_topology(s))
         .collect::<Result<Vec<_>, _>>()?;
     let algorithms = match flags.get("algos") {
         Some(raw) => raw
@@ -1378,21 +1303,16 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
             .collect::<Result<Vec<_>, _>>()?,
         None => vec![mimd_engine::AlgorithmSpec::parse("paper")?],
     };
-    let seed_count = flags.num("seeds", 1u64)?;
-    if seed_count == 0 {
-        return Err("--seeds must be >= 1".into());
-    }
-    let seeds: Vec<u64> = (0..seed_count).collect();
+    let seeds: Vec<u64> = (0..flags.positive("seeds", 1)? as u64).collect();
     let clustering = flags
         .get("clustering")
-        .map(mimd_engine::ClusteringSpec::parse)
+        .map(ClusteringSpec::parse)
         .transpose()?;
     let jobs = mimd_engine::sweep_jobs(&workloads, &topologies, &algorithms, &seeds, clustering);
     run_jobs_and_emit(jobs.into_iter().map(Ok), flags, "sweep")
 }
 
-fn cmd_paper(flags: &Flags) -> Result<(), String> {
-    flags.allow_only(&[])?;
+fn cmd_paper(_: &Flags) -> Result<(), String> {
     let g = paper::worked_example();
     let system = mimd_topology::ring(4).map_err(|e| e.to_string())?;
     let ideal = mimd_core::IdealSchedule::derive(&g);
@@ -1989,5 +1909,105 @@ mod tests {
         assert!(run(&["generate", "--frobnicate"]).is_err());
         // Flag validation fails before `serve` ever touches stdin.
         assert!(run(&["serve", "--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn flag_misuse_is_rejected_before_any_work() {
+        // A value flag given no value does not fall back to its default…
+        assert_eq!(
+            run(&["generate", "--tasks", "--seed", "3"]),
+            Err("--tasks needs <n>".to_string())
+        );
+        // …a repeated flag is not first-wins…
+        assert!(run(&["generate", "--tasks", "30", "--tasks", "50"]).is_err());
+        // …and a boolean flag does not swallow the next token.
+        assert!(run(&["generate", "--json", "nonsense"]).is_err());
+        // A flag of another command is as unknown as a typo.
+        assert_eq!(
+            run(&["generate", "--listen", "127.0.0.1:0"]),
+            Err("unknown flag --listen".to_string())
+        );
+    }
+
+    #[test]
+    fn usage_names_every_command_and_flag() {
+        let text = usage();
+        for (i, command) in COMMANDS.iter().enumerate() {
+            let header = format!("\n  {:<10} ", command.name);
+            let start = text.find(&header).unwrap_or_else(|| panic!("{header}"));
+            let end = match COMMANDS.get(i + 1) {
+                Some(next) => text.find(&format!("\n  {:<10} ", next.name)).unwrap(),
+                None => text.find("\n\ntopology specs").unwrap(),
+            };
+            let section = &text[start..end];
+            for (flag, placeholder) in command.flags {
+                let shown = match placeholder {
+                    Some(placeholder) => format!("[--{flag} {placeholder}]"),
+                    None => format!("[--{flag}]"),
+                };
+                assert!(section.contains(&shown), "{} lacks {shown}", command.name);
+            }
+        }
+    }
+
+    #[test]
+    fn documented_workload_specs_are_accepted() {
+        run(&[
+            "map",
+            "--workload",
+            "paper:64",
+            "--spec",
+            "ring:8",
+            "--reps",
+            "2",
+        ])
+        .unwrap();
+        run(&["simulate", "--workload", "tasks:40", "--spec", "ring:8"]).unwrap();
+        let dir = std::env::temp_dir().join("mimd-cli-workload-spec-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.jsonl");
+        run(&[
+            "trace",
+            "--workload",
+            "paper:48",
+            "--spec",
+            "ring:8",
+            "--events",
+            "3",
+            "--out",
+            trace.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert_eq!(std::fs::read_to_string(&trace).unwrap().lines().count(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batch_reports_np_below_ns_as_the_engine_does() {
+        let dir = std::env::temp_dir().join("mimd-cli-np-ns-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let jobs = dir.join("jobs.jsonl");
+        let out = dir.join("results.jsonl");
+        std::fs::write(
+            &jobs,
+            "{\"workload\":{\"kind\":\"layered\",\"tasks\":4},\
+              \"topology\":{\"kind\":\"ring\",\"n\":8},\
+              \"algorithm\":{\"kind\":\"paper\"},\"seed\":3}\n",
+        )
+        .unwrap();
+        run(&[
+            "batch",
+            jobs.to_str().unwrap(),
+            "--out",
+            out.to_str().unwrap(),
+        ])
+        .unwrap();
+        let line = std::fs::read_to_string(&out).unwrap();
+        let result = mimd_engine::JobResult::from_json_line(line.trim()).unwrap();
+        assert_eq!(
+            result.error.as_deref(),
+            Some("workload has 4 tasks but the machine has 8 processors; need np >= ns")
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

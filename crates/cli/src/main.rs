@@ -20,7 +20,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("{}", commands::USAGE);
+            eprintln!("{}", commands::usage());
             std::process::exit(2);
         }
     }

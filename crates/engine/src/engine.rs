@@ -16,7 +16,6 @@ use rand::SeedableRng;
 
 use mimd_core::parallel::deterministic_map;
 use mimd_core::IdealSchedule;
-use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_telemetry::Recorder;
 
 use crate::cache::{CacheStats, TopologyCache};
@@ -240,19 +239,8 @@ fn try_execute(
         .workload
         .build(&mut rng)
         .map_err(|e| format!("workload: {e}"))?;
-    if problem.len() < ns {
-        return Err(format!(
-            "workload has {} tasks but the machine has {ns} processors; need np >= ns",
-            problem.len()
-        ));
-    }
-    let np = problem.len();
-    let clustering = spec
-        .clustering()
-        .build(&problem, ns, &mut rng)
-        .map_err(|e| format!("clustering: {e}"))?;
-    let graph =
-        ClusteredProblemGraph::new(problem, clustering).map_err(|e| format!("instance: {e}"))?;
+    let graph = spec.clustering().instance(problem, ns, &mut rng)?;
+    let np = graph.num_tasks();
 
     let lower_bound = IdealSchedule::derive(&graph).lower_bound();
     // Hierarchy-consuming algorithms share the per-topology system

@@ -34,7 +34,4 @@ pub use io::{job_lines, read_jobs, sweep_jobs, write_result};
 pub use registry::{
     algorithm_catalog, instantiate, IncrementalStrategy, MultilevelStrategy, PaperStrategy,
 };
-pub use spec::{
-    paper_regime_config, AlgorithmSpec, ClusteringSpec, JobResult, JobSpec, TopologySpec,
-    WorkloadSpec,
-};
+pub use spec::{AlgorithmSpec, ClusteringSpec, JobResult, JobSpec, TopologySpec, WorkloadSpec};

@@ -15,7 +15,9 @@ use mimd_taskgraph::clustering::random::random_clustering;
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::clustering::sarkar::sarkar_clustering;
 use mimd_taskgraph::clustering::Clustering;
-use mimd_taskgraph::{workloads, GeneratorConfig, LayeredDagGenerator, ProblemGraph};
+use mimd_taskgraph::{
+    workloads, ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
+};
 pub use mimd_topology::TopologySpec;
 
 /// Declarative description of a problem graph.
@@ -81,7 +83,16 @@ impl WorkloadSpec {
                 Ok(gen.generate(rng))
             }
             WorkloadSpec::PaperRegime { tasks } => {
-                let gen = LayeredDagGenerator::new(paper_regime_config(tasks))?;
+                let gen = LayeredDagGenerator::new(GeneratorConfig {
+                    tasks,
+                    avg_width: (tasks / 8).clamp(3, 16),
+                    p_forward: 0.45,
+                    p_skip: 0.01,
+                    task_weight: (3, 24),
+                    edge_weight: (4, 16),
+                    connect_layers: true,
+                    locality_window: Some(1),
+                })?;
                 Ok(gen.generate(rng))
             }
             WorkloadSpec::GaussianElimination { n } => workloads::gaussian_elimination(n, 3, 5, 2),
@@ -150,21 +161,6 @@ impl WorkloadSpec {
     }
 }
 
-/// The generator parameters of the paper's §5 operating regime, shared
-/// with the experiment harness (`mimd-experiments` delegates here).
-pub fn paper_regime_config(tasks: usize) -> GeneratorConfig {
-    GeneratorConfig {
-        tasks,
-        avg_width: (tasks / 8).clamp(3, 16),
-        p_forward: 0.45,
-        p_skip: 0.01,
-        task_weight: (3, 24),
-        edge_weight: (4, 16),
-        connect_layers: true,
-        locality_window: Some(1),
-    }
-}
-
 /// Which clustering front-end groups tasks into `ns` clusters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
@@ -193,6 +189,28 @@ impl ClusteringSpec {
             ClusteringSpec::Sarkar => sarkar_clustering(problem, ns),
             ClusteringSpec::CommGreedy => comm_greedy_clustering(problem, ns, 1.5),
         }
+    }
+
+    /// Derive the instance a job maps: reject `np < ns`, then cluster
+    /// `problem` with [`ClusteringSpec::build`] — the engine's order,
+    /// workload then clustering, when `problem` came from the same RNG.
+    /// The errors are the ones a failed batch job reports.
+    pub fn instance(
+        self,
+        problem: ProblemGraph,
+        ns: usize,
+        rng: &mut StdRng,
+    ) -> Result<ClusteredProblemGraph, String> {
+        if problem.len() < ns {
+            return Err(format!(
+                "workload has {} tasks but the machine has {ns} processors; need np >= ns",
+                problem.len()
+            ));
+        }
+        let clustering = self
+            .build(&problem, ns, rng)
+            .map_err(|e| format!("clustering: {e}"))?;
+        ClusteredProblemGraph::new(problem, clustering).map_err(|e| format!("instance: {e}"))
     }
 
     /// Parse a CLI name. Accepts the JSONL wire names (snake_case of
@@ -483,11 +501,17 @@ mod tests {
             ("ge:6", 20),
             ("stencil:4x3", 12),
             ("fft:3", 32),
+            ("dnc:3", 22),
             ("pipe:2x3", 6),
         ] {
             let w = WorkloadSpec::parse(s).unwrap();
             assert_eq!(w.build(&mut rng).unwrap().len(), len, "{s}");
         }
+        // Parses, but a 1×1 elimination has no work to schedule.
+        assert!(WorkloadSpec::parse("ge:1")
+            .unwrap()
+            .build(&mut rng)
+            .is_err());
         assert_eq!(
             WorkloadSpec::parse("tasks:40").unwrap(),
             WorkloadSpec::Layered {

@@ -11,6 +11,7 @@ use mimd_baselines::random_map::random_baseline;
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::{IdealSchedule, Mapper};
+use mimd_engine::ClusteringSpec;
 use mimd_experiments::harness::build_instance;
 use mimd_experiments::CliArgs;
 use mimd_report::{Summary, Table};
@@ -34,7 +35,7 @@ fn main() {
         let mut pcts: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
         for i in 0..instances {
             let mut rng = StdRng::seed_from_u64(args.seed + i);
-            let graph = build_instance(128, system.len(), &mut rng);
+            let graph = build_instance(128, system.len(), ClusteringSpec::Region, &mut rng);
             let lb = IdealSchedule::derive(&graph).lower_bound() as f64;
             let pct = |t: u64| 100.0 * t as f64 / lb;
 

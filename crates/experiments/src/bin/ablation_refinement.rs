@@ -13,6 +13,7 @@ use mimd_core::ideal::IdealSchedule;
 use mimd_core::initial::initial_assignment;
 use mimd_core::refine::{refine, RefineConfig};
 use mimd_core::schedule::EvaluationModel;
+use mimd_engine::ClusteringSpec;
 use mimd_experiments::harness::build_instance;
 use mimd_experiments::CliArgs;
 use mimd_report::{Summary, Table};
@@ -39,7 +40,7 @@ fn main() {
 
     for i in 0..instances {
         let mut rng = StdRng::seed_from_u64(args.seed + i);
-        let graph = build_instance(120, system.len(), &mut rng);
+        let graph = build_instance(120, system.len(), ClusteringSpec::Region, &mut rng);
         let ideal = IdealSchedule::derive(&graph);
         let lb = ideal.lower_bound() as f64;
         let critical = CriticalAnalysis::analyze(&graph, &ideal, CriticalityMode::PaperExact);

@@ -9,6 +9,7 @@
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::Mapper;
+use mimd_engine::ClusteringSpec;
 use mimd_experiments::harness::build_instance;
 use mimd_experiments::CliArgs;
 use mimd_report::{Summary, Table};
@@ -29,7 +30,7 @@ fn main() {
 
     for i in 0..instances {
         let mut rng = StdRng::seed_from_u64(args.seed + i);
-        let graph = build_instance(100, system.len(), &mut rng);
+        let graph = build_instance(100, system.len(), ClusteringSpec::Region, &mut rng);
         let result = Mapper::new().map(&graph, &system, &mut rng).unwrap();
         let a = &result.assignment;
 

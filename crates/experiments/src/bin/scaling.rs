@@ -10,6 +10,7 @@ use std::time::Instant;
 use mimd_core::critical::{CriticalAnalysis, CriticalityMode};
 use mimd_core::ideal::IdealSchedule;
 use mimd_core::Mapper;
+use mimd_engine::ClusteringSpec;
 use mimd_experiments::harness::build_instance;
 use mimd_experiments::CliArgs;
 use mimd_report::Table;
@@ -38,7 +39,7 @@ fn main() {
     );
     for np in [100usize, 300, 1000, 3000] {
         let mut rng = StdRng::seed_from_u64(args.seed);
-        let graph = build_instance(np, system.len(), &mut rng);
+        let graph = build_instance(np, system.len(), ClusteringSpec::Region, &mut rng);
 
         let t0 = Instant::now();
         let ideal = IdealSchedule::derive(&graph);

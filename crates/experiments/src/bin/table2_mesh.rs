@@ -8,7 +8,7 @@
 //! ```
 
 use mimd_core::MapperConfig;
-use mimd_experiments::{run_series, CliArgs, ClusteringKind, RowSpec, SeriesConfig};
+use mimd_experiments::{run_series, CliArgs, RowSpec, SeriesConfig};
 use mimd_topology::TopologySpec;
 
 fn main() {
@@ -65,10 +65,7 @@ fn main() {
         reps: args.reps,
         seed: args.seed,
         mapper: MapperConfig::default(),
-        clustering: ClusteringKind::parse(&args.clustering).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
+        clustering: args.clustering,
     };
     let result = run_series(&config);
     mimd_experiments::harness::emit(&result, args.json.as_deref());

@@ -1,5 +1,7 @@
 //! Minimal argument parsing shared by the experiment binaries
-//! (no external CLI dependency needed for three flags).
+//! (no external CLI dependency needed for four flags).
+
+use mimd_engine::ClusteringSpec;
 
 /// Common experiment flags.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -10,8 +12,9 @@ pub struct CliArgs {
     pub reps: usize,
     /// Optional JSON-lines output path.
     pub json: Option<String>,
-    /// Clustering front-end name (region|iid|sarkar), default "region".
-    pub clustering: String,
+    /// Clustering front-end, any [`ClusteringSpec::parse`] name
+    /// (default `region`).
+    pub clustering: ClusteringSpec,
 }
 
 impl Default for CliArgs {
@@ -20,7 +23,7 @@ impl Default for CliArgs {
             seed: 1991,
             reps: 32,
             json: None,
-            clustering: "region".into(),
+            clustering: ClusteringSpec::Region,
         }
     }
 }
@@ -50,10 +53,7 @@ impl CliArgs {
                 }
                 "--clustering" => {
                     let v = it.next().ok_or("--clustering needs a value")?;
-                    if !["region", "iid", "random", "sarkar"].contains(&v.as_str()) {
-                        return Err(format!("bad --clustering '{v}'"));
-                    }
-                    out.clustering = v;
+                    out.clustering = ClusteringSpec::parse(&v)?;
                 }
                 other => return Err(format!("unknown flag '{other}'")),
             }
@@ -68,7 +68,8 @@ impl CliArgs {
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!(
-                    "usage: <bin> [--seed <u64>] [--reps <n>] [--json <path>] [--clustering region|iid|sarkar]"
+                    "usage: <bin> [--seed <u64>] [--reps <n>] [--json <path>] \
+                     [--clustering region|iid|sarkar|comm_greedy]"
                 );
                 std::process::exit(2);
             }
@@ -90,14 +91,26 @@ mod tests {
         assert_eq!(a.seed, 1991);
         assert_eq!(a.reps, 32);
         assert!(a.json.is_none());
+        assert_eq!(a.clustering, ClusteringSpec::Region);
     }
 
     #[test]
     fn all_flags() {
-        let a = parse(&["--seed", "7", "--reps", "10", "--json", "out.jsonl"]).unwrap();
+        let a = parse(&[
+            "--seed",
+            "7",
+            "--reps",
+            "10",
+            "--json",
+            "out.jsonl",
+            "--clustering",
+            "comm_greedy",
+        ])
+        .unwrap();
         assert_eq!(a.seed, 7);
         assert_eq!(a.reps, 10);
         assert_eq!(a.json.as_deref(), Some("out.jsonl"));
+        assert_eq!(a.clustering, ClusteringSpec::CommGreedy);
     }
 
     #[test]
@@ -105,6 +118,7 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "x"]).is_err());
         assert!(parse(&["--reps", "0"]).is_err());
+        assert!(parse(&["--clustering", "kmeans"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
     }
 }

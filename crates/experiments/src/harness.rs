@@ -17,31 +17,6 @@ use mimd_report::{ExperimentRecord, Histogram, Table};
 use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_topology::TopologySpec;
 
-/// Which clustering front-end the series uses (the paper's "random
-/// clustering program" is unpublished; see DESIGN.md §5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ClusteringKind {
-    /// Randomly grown contiguous regions (default interpretation).
-    Region,
-    /// I.i.d. random task assignment (the literal reading).
-    Iid,
-    /// Sarkar edge-zeroing (a quality front-end; with it the
-    /// termination condition fires at paper-like rates).
-    Sarkar,
-}
-
-impl ClusteringKind {
-    /// Parse from a CLI string.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "region" => Ok(ClusteringKind::Region),
-            "iid" | "random" => Ok(ClusteringKind::Iid),
-            "sarkar" => Ok(ClusteringKind::Sarkar),
-            other => Err(format!("unknown clustering '{other}' (region|iid|sarkar)")),
-        }
-    }
-}
-
 /// One table row: a problem size and a topology.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowSpec {
@@ -64,8 +39,11 @@ pub struct SeriesConfig {
     pub seed: u64,
     /// Mapper configuration (paper defaults unless ablating).
     pub mapper: MapperConfig,
-    /// Clustering front-end.
-    pub clustering: ClusteringKind,
+    /// Clustering front-end (the paper's "random clustering program"
+    /// is unpublished; see DESIGN.md §5): `Region` is the default
+    /// interpretation, `Iid` the literal reading, and with `Sarkar` the
+    /// termination condition fires at paper-like rates.
+    pub clustering: ClusteringSpec,
 }
 
 /// Rendered and raw outputs of a series.
@@ -88,39 +66,22 @@ pub struct SeriesResult {
 /// near the lower bound while random mappings pay multi-hop penalties on
 /// path edges (their Tables 1–3: ours 100–118%, random 132–188%) and in
 /// which the termination condition can actually fire.
-pub fn build_instance(np: usize, ns: usize, rng: &mut StdRng) -> ClusteredProblemGraph {
-    build_instance_with(np, ns, ClusteringKind::Region, rng)
-}
-
-/// [`build_instance`] with an explicit clustering front-end.
 ///
-/// Since the engine rebase, instance construction delegates to the
-/// `mimd-engine` spec model ([`WorkloadSpec::PaperRegime`] +
-/// [`ClusteringSpec`]) so the harness and the batch engine generate
-/// identical instances for identical seeds.
-pub fn build_instance_with(
+/// The instance is the engine's ([`WorkloadSpec::PaperRegime`] then
+/// [`ClusteringSpec::instance`]), so the harness and the batch engine
+/// generate identical instances for identical seeds.
+pub fn build_instance(
     np: usize,
     ns: usize,
-    clustering: ClusteringKind,
+    clustering: ClusteringSpec,
     rng: &mut StdRng,
 ) -> ClusteredProblemGraph {
     let problem = WorkloadSpec::PaperRegime { tasks: np }
         .build(rng)
         .expect("generator config is valid");
-    let clustering = ClusteringSpec::from(clustering)
-        .build(&problem, ns, rng)
-        .expect("1 <= ns <= np");
-    ClusteredProblemGraph::new(problem, clustering).expect("matching sizes")
-}
-
-impl From<ClusteringKind> for ClusteringSpec {
-    fn from(kind: ClusteringKind) -> ClusteringSpec {
-        match kind {
-            ClusteringKind::Region => ClusteringSpec::Region,
-            ClusteringKind::Iid => ClusteringSpec::Iid,
-            ClusteringKind::Sarkar => ClusteringSpec::Sarkar,
-        }
-    }
+    clustering
+        .instance(problem, ns, rng)
+        .expect("1 <= ns <= np")
 }
 
 /// Run a series and produce records, table and histogram.
@@ -150,7 +111,7 @@ pub fn run_series(config: &SeriesConfig) -> SeriesResult {
             .build(&mut rng)
             .expect("topology spec is valid");
         let ns = system.len();
-        let graph = build_instance_with(row.np, ns, config.clustering, &mut rng);
+        let graph = build_instance(row.np, ns, config.clustering, &mut rng);
         let result = mapper
             .map(&graph, &system, &mut rng)
             .expect("na == ns by construction");
@@ -249,7 +210,7 @@ mod tests {
             reps: 8,
             seed: 3,
             mapper: MapperConfig::default(),
-            clustering: ClusteringKind::Region,
+            clustering: ClusteringSpec::Region,
         }
     }
 
@@ -303,7 +264,7 @@ mod tests {
     #[test]
     fn build_instance_respects_sizes() {
         let mut rng = StdRng::seed_from_u64(0);
-        let g = build_instance(50, 8, &mut rng);
+        let g = build_instance(50, 8, ClusteringSpec::Region, &mut rng);
         assert_eq!(g.num_tasks(), 50);
         assert_eq!(g.num_clusters(), 8);
     }

@@ -18,15 +18,14 @@
 //!
 //! All binaries accept `--seed <u64>` (default 1991), `--reps <n>`
 //! (random-mapping repetitions, default 32) and `--json <path>` (write
-//! JSON-lines records).
+//! JSON-lines records); the table binaries also take `--clustering`,
+//! any `ClusteringSpec` name.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod cli;
 pub mod harness;
 
-pub use batch::{run_series_batched, series_jobs};
 pub use cli::CliArgs;
-pub use harness::{run_series, ClusteringKind, RowSpec, SeriesConfig, SeriesResult};
+pub use harness::{run_series, RowSpec, SeriesConfig, SeriesResult};

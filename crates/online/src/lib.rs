@@ -40,7 +40,10 @@ pub use mapper::{IncrementalMapper, OnlineConfig, OnlineSession};
 pub use refine::{
     count_moves, refine_with_migration, MigrationRefineConfig, MigrationRefineOutcome,
 };
-pub use replay::{read_trace, replay_trace, write_trace, ReplayRecord, ReplaySummary, TraceHeader};
+pub use replay::{
+    read_trace, replay_trace, synthesize_trace, write_trace, ReplayRecord, ReplaySummary,
+    TraceHeader,
+};
 
 // The delta model is defined next to the task-graph types it mutates;
 // re-export it so `mimd_online` presents the whole online surface.

@@ -18,7 +18,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use mimd_multilevel::SystemHierarchy;
-use mimd_taskgraph::{DynamicWorkload, TraceEvent, WorkloadSnapshot};
+use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
+use mimd_taskgraph::{ClusteredProblemGraph, DynamicWorkload, TraceEvent, WorkloadSnapshot};
 use mimd_telemetry::Recorder;
 use mimd_topology::TopologySpec;
 
@@ -133,6 +134,27 @@ pub fn read_trace(reader: impl BufRead) -> Result<(TraceHeader, Vec<TraceEvent>)
         Some(header) => Ok((header, events)),
         None => Err("trace has no header line".into()),
     }
+}
+
+/// Synthesize a trace over `base`: `events` valid churn events of
+/// `regime` drawn from `rng`, behind a header that maps `base`'s
+/// snapshot onto `topology` built with `topology_seed`. The one trace
+/// generator behind `mimd trace`, `mimd loadgen` and the bench suites.
+pub fn synthesize_trace(
+    topology: TopologySpec,
+    topology_seed: u64,
+    base: &ClusteredProblemGraph,
+    events: usize,
+    regime: ChurnRegime,
+    rng: &mut StdRng,
+) -> (TraceHeader, Vec<TraceEvent>) {
+    let events = churn_trace(base, events, regime, rng);
+    let header = TraceHeader {
+        topology,
+        topology_seed: Some(topology_seed),
+        snapshot: DynamicWorkload::from_clustered(base).snapshot(),
+    };
+    (header, events)
 }
 
 /// Aggregate statistics of one replay.

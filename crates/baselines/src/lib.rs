@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algorithm;
 pub mod annealing;
 pub mod bokhari;
 pub mod embedding;
@@ -27,7 +26,6 @@ pub mod lee;
 pub mod pairwise;
 pub mod random_map;
 
-pub use algorithm::{AlgorithmOutcome, MappingAlgorithm};
 pub use annealing::{simulated_annealing, AnnealingSchedule};
 pub use bokhari::{bokhari_mapping, cardinality};
 pub use embedding::{embed_chain, gray_code, snake_order, ChainOrder};

@@ -1,13 +1,16 @@
 //! The `mimd` subcommands.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use mimd_core::evaluate::{evaluate_assignment, random_mapping_average};
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::{Assignment, Mapper};
-use mimd_engine::{ClusteringSpec, WorkloadSpec};
-use mimd_graph::dot;
+use mimd_engine::{AlgorithmOutcome, AlgorithmSpec, ClusteringSpec, WorkloadSpec};
+use mimd_graph::{dot, Time};
+use mimd_multilevel::SystemHierarchy;
 use mimd_report::{Gantt, GanttTask, Table};
 use mimd_sim::{simulate, SimConfig};
 use mimd_taskgraph::workloads::ChurnRegime;
@@ -15,6 +18,7 @@ use mimd_taskgraph::{
     paper, ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
 };
 use mimd_telemetry::{GainLedger, Journal, JournalSnapshot, Recorder};
+use mimd_topology::SystemGraph;
 
 use crate::args::{build_topology, parse_topology, render_commands, Command, FlagSpec, Flags};
 
@@ -415,79 +419,28 @@ fn cmd_map(flags: &Flags) -> Result<(), String> {
     let result = mapper
         .map(&clustered, &system, &mut rng)
         .map_err(|e| e.to_string())?;
-    let reps = flags.num("reps", 32usize)?;
-    let (rand_mean, rand_min, rand_max) =
-        random_mapping_average(&clustered, &system, model, reps, &mut rng)
-            .map_err(|e| e.to_string())?;
-
-    let mut table = Table::new(
-        format!("mapping onto {}", system.name()),
-        &["metric", "value"],
-    );
-    table.push_row(vec!["lower bound".into(), result.lower_bound.to_string()]);
-    table.push_row(vec![
-        "initial assignment total".into(),
-        result.initial_total.to_string(),
-    ]);
-    table.push_row(vec!["final total".into(), result.total_time.to_string()]);
-    table.push_row(vec![
-        "% over lower bound".into(),
-        format!("{:.1}", result.percent_over_lower_bound()),
-    ]);
-    table.push_row(vec![
-        "refinement iterations".into(),
-        result.refinement.iterations_used.to_string(),
-    ]);
-    table.push_row(vec![
-        "provably optimal".into(),
-        result.is_provably_optimal().to_string(),
-    ]);
-    table.push_row(vec![
-        format!("random mapping mean (x{reps})"),
-        format!("{rand_mean:.1} (min {rand_min}, max {rand_max})"),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "assignment (cluster -> processor): {:?}",
-        result.assignment.sys_of_vec()
-    );
-    if flags.has("gantt") {
-        print_gantt(&clustered, &system, &result.assignment, model)?;
-    }
-    Ok(())
-}
-
-/// Render the schedule of `assignment` as the paper-style horizontal
-/// Gantt chart (`mimd map --gantt`, shared by every algorithm path).
-fn print_gantt(
-    clustered: &ClusteredProblemGraph,
-    system: &mimd_topology::SystemGraph,
-    assignment: &Assignment,
-    model: EvaluationModel,
-) -> Result<(), String> {
-    let eval =
-        evaluate_assignment(clustered, system, assignment, model).map_err(|e| e.to_string())?;
-    let mut gantt = Gantt::new("schedule (paper Figs 6/24 style, horizontal)");
-    for t in 0..clustered.num_tasks() {
-        gantt.push(GanttTask {
-            label: (t + 1).to_string(),
-            processor: assignment.sys_of(clustered.cluster_of(t)),
-            start: eval.schedule.start(t),
-            end: eval.schedule.end(t),
-        });
-    }
-    println!("{}", gantt.render(100));
-    Ok(())
+    let report = MapReport {
+        title: format!("mapping onto {}", system.name()),
+        model,
+        lower_bound: result.lower_bound,
+        initial_total: Some(result.initial_total),
+        outcome: AlgorithmOutcome {
+            evaluations: result.refinement.iterations_used,
+            total: result.total_time,
+            assignment: result.assignment,
+        },
+    };
+    report.print(&clustered, &system, flags, &mut rng)
 }
 
 /// The non-paper `mimd map` path: run any registry algorithm (selected
-/// with `--algorithm`) on the already-built instance and print the
-/// shared metrics. Multilevel accepts `--direct-threshold` and
-/// `--refine-rounds`; every algorithm reports precedence-model totals.
+/// with `--algorithm`) on the already-built instance. Multilevel accepts
+/// `--direct-threshold` and `--refine-*`; every algorithm reports
+/// precedence-model totals.
 fn map_via_registry(
     algorithm: &str,
     clustered: &ClusteredProblemGraph,
-    system: &mimd_topology::SystemGraph,
+    system: &SystemGraph,
     flags: &Flags,
     rng: &mut StdRng,
 ) -> Result<(), String> {
@@ -497,61 +450,123 @@ fn map_via_registry(
     // cmd_map already rejected the multilevel-only flags for every
     // other algorithm.
     let spec = if algorithm == "multilevel" {
-        mimd_engine::AlgorithmSpec::Multilevel {
+        AlgorithmSpec::Multilevel {
             direct_threshold: flags.opt("direct-threshold")?,
             refine_rounds: flags.opt("refine-rounds")?,
             refine_batch: flags.opt("refine-batch")?,
             refine_threads: None,
         }
     } else {
-        mimd_engine::AlgorithmSpec::parse(algorithm)?
+        AlgorithmSpec::parse(algorithm)?
     };
     let lower_bound = mimd_core::IdealSchedule::derive(clustered).lower_bound();
-    let algo = mimd_engine::instantiate(&spec, system.len(), None, &Recorder::disabled());
-    let outcome = algo
-        .run(clustered, system, lower_bound, rng)
-        .map_err(|e| e.to_string())?;
-    let reps = flags.num("reps", 32usize)?;
-    let (rand_mean, rand_min, rand_max) =
-        random_mapping_average(clustered, system, EvaluationModel::Precedence, reps, rng)
-            .map_err(|e| e.to_string())?;
+    let hierarchy = || {
+        SystemHierarchy::build(system)
+            .map(Arc::new)
+            .map_err(|e| e.to_string())
+    };
+    let outcome = spec.run(
+        clustered,
+        system,
+        lower_bound,
+        &hierarchy,
+        &Recorder::disabled(),
+        rng,
+    )?;
+    let report = MapReport {
+        title: format!("{} mapping onto {}", spec.name(), system.name()),
+        model: EvaluationModel::Precedence,
+        lower_bound,
+        initial_total: None,
+        outcome,
+    };
+    report.print(clustered, system, flags, rng)
+}
 
-    let mut table = Table::new(
-        format!("{} mapping onto {}", algo.name(), system.name()),
-        &["metric", "value"],
-    );
-    table.push_row(vec!["lower bound".into(), lower_bound.to_string()]);
-    table.push_row(vec!["final total".into(), outcome.total.to_string()]);
-    table.push_row(vec![
-        "% over lower bound".into(),
-        format!("{:.1}", 100.0 * outcome.total as f64 / lower_bound as f64),
-    ]);
-    table.push_row(vec![
-        "provably optimal".into(),
-        (outcome.total == lower_bound).to_string(),
-    ]);
-    table.push_row(vec![
-        "search effort (evaluations)".into(),
-        outcome.evaluations.to_string(),
-    ]);
-    table.push_row(vec![
-        format!("random mapping mean (x{reps})"),
-        format!("{rand_mean:.1} (min {rand_min}, max {rand_max})"),
-    ]);
-    println!("{}", table.render());
-    println!(
-        "assignment (cluster -> processor): {:?}",
-        outcome.assignment.sys_of_vec()
-    );
-    if flags.has("gantt") {
-        print_gantt(
-            clustered,
-            system,
-            &outcome.assignment,
-            EvaluationModel::Precedence,
-        )?;
+/// One mapping as `mimd map` reports it, whichever algorithm found it.
+struct MapReport {
+    title: String,
+    /// The model `outcome.total` was priced under.
+    model: EvaluationModel,
+    lower_bound: Time,
+    /// The paper pipeline's greedy start; `Some` selects the paper's
+    /// rows ("initial assignment total", "refinement iterations").
+    initial_total: Option<Time>,
+    outcome: AlgorithmOutcome,
+}
+
+impl MapReport {
+    /// Print the metric table (against `--reps` random mappings drawn
+    /// from `rng`), the assignment line and, with `--gantt`, the
+    /// schedule as the paper-style horizontal Gantt chart.
+    fn print(
+        &self,
+        clustered: &ClusteredProblemGraph,
+        system: &SystemGraph,
+        flags: &Flags,
+        rng: &mut StdRng,
+    ) -> Result<(), String> {
+        let reps = flags.num("reps", 32usize)?;
+        let (rand_mean, rand_min, rand_max) =
+            random_mapping_average(clustered, system, self.model, reps, rng)
+                .map_err(|e| e.to_string())?;
+        let AlgorithmOutcome {
+            assignment,
+            total,
+            evaluations,
+        } = &self.outcome;
+        let paper = self.initial_total.is_some();
+        let mut rows = vec![("lower bound".to_string(), self.lower_bound.to_string())];
+        if let Some(initial) = self.initial_total {
+            rows.push(("initial assignment total".into(), initial.to_string()));
+        }
+        rows.push(("final total".into(), total.to_string()));
+        rows.push((
+            "% over lower bound".into(),
+            format!("{:.1}", 100.0 * *total as f64 / self.lower_bound as f64),
+        ));
+        if paper {
+            rows.push(("refinement iterations".into(), evaluations.to_string()));
+        }
+        rows.push((
+            "provably optimal".into(),
+            (*total == self.lower_bound).to_string(),
+        ));
+        if !paper {
+            rows.push((
+                "search effort (evaluations)".into(),
+                evaluations.to_string(),
+            ));
+        }
+        rows.push((
+            format!("random mapping mean (x{reps})"),
+            format!("{rand_mean:.1} (min {rand_min}, max {rand_max})"),
+        ));
+        let mut table = Table::new(self.title.clone(), &["metric", "value"]);
+        for (metric, value) in rows {
+            table.push_row(vec![metric, value]);
+        }
+        println!("{}", table.render());
+        println!(
+            "assignment (cluster -> processor): {:?}",
+            assignment.sys_of_vec()
+        );
+        if flags.has("gantt") {
+            let eval = evaluate_assignment(clustered, system, assignment, self.model)
+                .map_err(|e| e.to_string())?;
+            let mut gantt = Gantt::new("schedule (paper Figs 6/24 style, horizontal)");
+            for t in 0..clustered.num_tasks() {
+                gantt.push(GanttTask {
+                    label: (t + 1).to_string(),
+                    processor: assignment.sys_of(clustered.cluster_of(t)),
+                    start: eval.schedule.start(t),
+                    end: eval.schedule.end(t),
+                });
+            }
+            println!("{}", gantt.render(100));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// `mimd trace`: generate a synthetic churn trace (header + events) for
@@ -593,20 +608,19 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
     let (header, events) =
         mimd_online::read_trace(input(flags.get("trace").ok_or("replay needs --trace")?)?)?;
 
-    let defaults = mimd_online::OnlineConfig::default();
-    let config = mimd_online::OnlineConfig {
-        migration_penalty: flags.num("migration-penalty", defaults.migration_penalty)?,
+    let config = mimd_online::SessionConfig {
+        migration_penalty: flags.opt("migration-penalty")?,
         // --scratch forces a full V-cycle per event (the from-scratch
         // baseline the incremental path is measured against).
         staleness_threshold: if flags.has("scratch") {
-            0.0
+            Some(0.0)
         } else {
-            flags.num("staleness", defaults.staleness_threshold)?
+            flags.opt("staleness")?
         },
-        local_rounds: flags.num("local-rounds", defaults.local_rounds)?,
-        region_size: flags.num("region-size", defaults.region_size)?,
-        multilevel: defaults.multilevel,
-    };
+        local_rounds: flags.opt("local-rounds")?,
+        region_size: flags.opt("region-size")?,
+    }
+    .resolve();
 
     // Replay through the unified MappingService: topology artifacts
     // come from its shared cache, so replay and any co-resident
@@ -1000,7 +1014,7 @@ fn cmd_algorithms(_: &Flags) -> Result<(), String> {
         "algorithm registry (mimd map --algorithm, batch/sweep job specs)",
         &["name", "description"],
     );
-    for &(name, description) in mimd_engine::algorithm_catalog() {
+    for &(name, description, _) in mimd_engine::algorithm_catalog() {
         table.push_row(vec![name.into(), description.into()]);
     }
     println!("{}", table.render());
@@ -1140,7 +1154,7 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
         clustering,
         topology: parse_topology(spec_text)?,
         topology_seed: None,
-        algorithm: mimd_engine::AlgorithmSpec::parse(flags.get("algorithm").unwrap_or("paper"))?,
+        algorithm: AlgorithmSpec::parse(flags.get("algorithm").unwrap_or("paper"))?,
         seed: flags.num("seed", 1991u64)?,
     };
 
@@ -1299,9 +1313,9 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     let algorithms = match flags.get("algos") {
         Some(raw) => raw
             .split(',')
-            .map(mimd_engine::AlgorithmSpec::parse)
+            .map(AlgorithmSpec::parse)
             .collect::<Result<Vec<_>, _>>()?,
-        None => vec![mimd_engine::AlgorithmSpec::parse("paper")?],
+        None => vec![AlgorithmSpec::parse("paper")?],
     };
     let seeds: Vec<u64> = (0..flags.positive("seeds", 1)? as u64).collect();
     let clustering = flags

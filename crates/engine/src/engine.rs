@@ -19,14 +19,7 @@ use mimd_core::IdealSchedule;
 use mimd_telemetry::Recorder;
 
 use crate::cache::{CacheStats, TopologyCache};
-use crate::registry;
-use crate::spec::{AlgorithmSpec, JobResult, JobSpec};
-
-/// The multilevel default `direct_threshold`, used to decide whether a
-/// multilevel job will actually consume the hierarchy.
-fn default_direct_threshold() -> usize {
-    mimd_multilevel::MultilevelConfig::default().direct_threshold
-}
+use crate::spec::{JobResult, JobSpec};
 
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
@@ -244,27 +237,15 @@ fn try_execute(
 
     let lower_bound = IdealSchedule::derive(&graph).lower_bound();
     // Hierarchy-consuming algorithms share the per-topology system
-    // hierarchy; built lazily so flat-only batches never pay for it
-    // (and multilevel jobs below the direct threshold skip it too).
-    let hierarchy = match &spec.algorithm {
-        AlgorithmSpec::Multilevel {
-            direct_threshold, ..
-        } if ns > direct_threshold.unwrap_or_else(default_direct_threshold) => Some(
-            recorder
-                .time("engine.cache_lookup", || cache.system_hierarchy(&artifacts))
-                .map_err(|e| format!("hierarchy: {e}"))?,
-        ),
-        AlgorithmSpec::Incremental { .. } => Some(
-            recorder
-                .time("engine.cache_lookup", || cache.system_hierarchy(&artifacts))
-                .map_err(|e| format!("hierarchy: {e}"))?,
-        ),
-        _ => None,
+    // hierarchy, looked up only when the algorithm asks for it.
+    let hierarchy = || {
+        recorder
+            .time("engine.cache_lookup", || cache.system_hierarchy(&artifacts))
+            .map_err(|e| format!("hierarchy: {e}"))
     };
-    let algorithm = registry::instantiate(&spec.algorithm, ns, hierarchy, recorder);
-    let outcome = algorithm
-        .run(&graph, system, lower_bound, &mut rng)
-        .map_err(|e| format!("{}: {e}", algorithm.name()))?;
+    let outcome =
+        spec.algorithm
+            .run(&graph, system, lower_bound, &hierarchy, recorder, &mut rng)?;
 
     Ok(JobResult {
         id: spec.id.clone().unwrap_or_default(),
@@ -364,6 +345,36 @@ mod tests {
         assert!(results[0].error.is_none());
         assert!(results[1].error.as_deref().unwrap().contains("np >= ns"));
         assert!(results[2].error.is_none());
+    }
+
+    #[test]
+    fn direct_multilevel_jobs_build_no_hierarchy() {
+        // `direct_threshold: 0` on a one-node machine: the mapper takes
+        // its direct path (`ns <= direct_threshold.max(1)`), so the job
+        // must not build the machine's hierarchy either.
+        let job = JobSpec {
+            id: None,
+            workload: WorkloadSpec::Layered {
+                tasks: 8,
+                width: None,
+            },
+            clustering: None,
+            topology: TopologySpec::Hypercube { dim: 0 },
+            topology_seed: None,
+            algorithm: AlgorithmSpec::Multilevel {
+                direct_threshold: Some(0),
+                refine_rounds: None,
+                refine_batch: None,
+                refine_threads: None,
+            },
+            seed: 1,
+        };
+        let engine = Engine::default();
+        let result = &engine.run_batch(&[job])[0];
+        assert!(result.error.is_none(), "{:?}", result.error);
+        let stats = engine.cache_stats();
+        assert_eq!(stats.hierarchy_misses, 0, "{stats:?}");
+        assert_eq!(stats.hierarchy_entries, 0, "{stats:?}");
     }
 
     #[test]

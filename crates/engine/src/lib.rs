@@ -10,8 +10,10 @@
 //!   JSONL framing in [`io`]);
 //! * [`cache`] — the interning [`TopologyCache`] sharing APSP matrices
 //!   and system hierarchies across jobs on the same machine;
-//! * [`registry`] — declarative dispatch to the paper pipeline
-//!   (`mimd-core::Mapper`) and every `mimd-baselines` algorithm;
+//! * [`registry`] — the one table of algorithms and the one dispatch,
+//!   [`AlgorithmSpec::run`], to the paper pipeline (`mimd-core::Mapper`),
+//!   the multilevel V-cycle, the incremental remapper's cold start and
+//!   every `mimd-baselines` algorithm;
 //! * [`engine`] — the worker pool with bounded queueing, deterministic
 //!   per-job seeding, cancellation, and in-order streaming.
 //!
@@ -31,7 +33,5 @@ pub mod spec;
 pub use cache::{CacheStats, TopologyArtifacts, TopologyCache};
 pub use engine::{execute_job, CancelToken, Engine, EngineConfig};
 pub use io::{job_lines, read_jobs, sweep_jobs, write_result};
-pub use registry::{
-    algorithm_catalog, instantiate, IncrementalStrategy, MultilevelStrategy, PaperStrategy,
-};
+pub use registry::{algorithm_catalog, AlgorithmOutcome};
 pub use spec::{AlgorithmSpec, ClusteringSpec, JobResult, JobSpec, TopologySpec, WorkloadSpec};

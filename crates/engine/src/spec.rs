@@ -228,8 +228,9 @@ impl ClusteringSpec {
     }
 }
 
-/// Which mapping algorithm to run (the engine's portfolio registry).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// Which mapping algorithm to run; its names, parsing and dispatch live
+/// in [`crate::registry`].
+#[derive(Clone, Debug, PartialEq, PartialOrd, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum AlgorithmSpec {
     /// The paper's full pipeline (ideal schedule → critical edges →
@@ -299,55 +300,6 @@ pub enum AlgorithmSpec {
         /// online default (8).
         region_size: Option<usize>,
     },
-}
-
-impl AlgorithmSpec {
-    /// Stable machine-readable name (matches `MappingAlgorithm::name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AlgorithmSpec::Paper { .. } => "paper",
-            AlgorithmSpec::Random { .. } => "random",
-            AlgorithmSpec::Bokhari { .. } => "bokhari",
-            AlgorithmSpec::Lee { .. } => "lee",
-            AlgorithmSpec::Annealing { .. } => "annealing",
-            AlgorithmSpec::Pairwise { .. } => "pairwise",
-            AlgorithmSpec::Multilevel { .. } => "multilevel",
-            AlgorithmSpec::Incremental { .. } => "incremental",
-        }
-    }
-
-    /// Parse a CLI name with default parameters.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "paper" => Ok(AlgorithmSpec::Paper {
-                refine_iterations: None,
-                exchange_pool: 0,
-            }),
-            "random" => Ok(AlgorithmSpec::Random { k: 32 }),
-            "bokhari" => Ok(AlgorithmSpec::Bokhari { jumps: 10 }),
-            "lee" => Ok(AlgorithmSpec::Lee { restarts: 5 }),
-            "annealing" => Ok(AlgorithmSpec::Annealing { slow: false }),
-            "pairwise" => Ok(AlgorithmSpec::Pairwise {
-                max_evaluations: 256,
-            }),
-            "multilevel" => Ok(AlgorithmSpec::Multilevel {
-                direct_threshold: None,
-                refine_rounds: None,
-                refine_batch: None,
-                refine_threads: None,
-            }),
-            "incremental" => Ok(AlgorithmSpec::Incremental {
-                migration_penalty: None,
-                staleness_threshold: None,
-                local_rounds: None,
-                region_size: None,
-            }),
-            other => Err(format!(
-                "unknown algorithm '{other}' \
-                 (paper|random|bokhari|lee|annealing|pairwise|multilevel|incremental)"
-            )),
-        }
-    }
 }
 
 /// One mapping request: a line of a JSONL batch.
@@ -525,17 +477,9 @@ mod tests {
 
     #[test]
     fn algorithm_parse_covers_the_portfolio() {
-        for name in [
-            "paper",
-            "random",
-            "bokhari",
-            "lee",
-            "annealing",
-            "pairwise",
-            "multilevel",
-            "incremental",
-        ] {
-            assert_eq!(AlgorithmSpec::parse(name).unwrap().name(), name);
+        assert_eq!(crate::algorithm_catalog().len(), 8);
+        for (name, ..) in crate::algorithm_catalog() {
+            assert_eq!(AlgorithmSpec::parse(name).unwrap().name(), *name);
         }
         assert!(AlgorithmSpec::parse("magic").is_err());
     }

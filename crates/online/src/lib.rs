@@ -16,9 +16,11 @@
 //!   clusters (each move is charged [`OnlineConfig::migration_penalty`]
 //!   against its predicted gain), falling back to a full
 //!   `mimd-multilevel` V-cycle when accumulated drift crosses
-//!   [`OnlineConfig::staleness_threshold`];
-//! * [`refine`] — the penalized-objective refiner, batch-deterministic
-//!   like its multilevel counterpart;
+//!   [`OnlineConfig::staleness_threshold`]; [`SessionConfig`] is the
+//!   one resolution of optional overrides against [`OnlineConfig`]'s
+//!   defaults;
+//! * [`refine`] — the penalized objective handed to the multilevel
+//!   group smoother;
 //! * [`bounds`] — the delta-aware [`IncrementalBound`]: ideal-schedule
 //!   ranks repaired per event by worklist propagation over the
 //!   disturbed cone, replacing a from-scratch `IdealSchedule::derive`
@@ -36,10 +38,8 @@ pub mod refine;
 pub mod replay;
 
 pub use bounds::IncrementalBound;
-pub use mapper::{IncrementalMapper, OnlineConfig, OnlineSession};
-pub use refine::{
-    count_moves, refine_with_migration, MigrationRefineConfig, MigrationRefineOutcome,
-};
+pub use mapper::{IncrementalMapper, OnlineConfig, OnlineSession, SessionConfig};
+pub use refine::{count_moves, migration_cost};
 pub use replay::{
     read_trace, replay_trace, synthesize_trace, write_trace, ReplayRecord, ReplaySummary,
     TraceHeader,

@@ -25,17 +25,20 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
 
 use mimd_core::delta::DeltaWorkspace;
 use mimd_core::Assignment;
 use mimd_graph::error::GraphError;
 use mimd_graph::{NodeId, Time};
-use mimd_multilevel::{MultilevelConfig, MultilevelMapper, SystemHierarchy};
+use mimd_multilevel::{
+    refine_within_groups, LocalRefineConfig, MultilevelConfig, MultilevelMapper, SystemHierarchy,
+};
 use mimd_taskgraph::{ClusterId, DynamicWorkload, TraceEvent};
 use mimd_telemetry::Recorder;
 
 use crate::bounds::IncrementalBound;
-use crate::refine::{count_moves, refine_with_migration, MigrationRefineConfig};
+use crate::refine::{count_moves, migration_cost};
 use crate::replay::ReplayRecord;
 
 /// Tuning knobs of the incremental remapper.
@@ -66,6 +69,41 @@ impl Default for OnlineConfig {
             staleness_threshold: 0.25,
             local_rounds: 6,
             region_size: 8,
+        }
+    }
+}
+
+/// Optional overrides of the [`OnlineConfig`] defaults: the knobs a
+/// served session, an `incremental` job and `mimd replay`'s flags all
+/// expose, resolved in one place so the three agree.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct SessionConfig {
+    /// Cost charged per migrated cluster; `None` uses the online
+    /// default.
+    pub migration_penalty: Option<u64>,
+    /// Drift fraction triggering a full V-cycle; `None` uses the online
+    /// default.
+    pub staleness_threshold: Option<f64>,
+    /// Candidate evaluations per incremental event; `None` uses the
+    /// online default.
+    pub local_rounds: Option<usize>,
+    /// Minimum processors per refinement region; `None` uses the online
+    /// default.
+    pub region_size: Option<usize>,
+}
+
+impl SessionConfig {
+    /// Resolve against the online defaults.
+    pub fn resolve(&self) -> OnlineConfig {
+        let defaults = OnlineConfig::default();
+        OnlineConfig {
+            migration_penalty: self.migration_penalty.unwrap_or(defaults.migration_penalty),
+            staleness_threshold: self
+                .staleness_threshold
+                .unwrap_or(defaults.staleness_threshold),
+            local_rounds: self.local_rounds.unwrap_or(defaults.local_rounds),
+            region_size: self.region_size.unwrap_or(defaults.region_size),
+            multilevel: defaults.multilevel,
         }
     }
 }
@@ -268,32 +306,32 @@ impl OnlineSession {
         } else {
             recorder.incr("online.incremental");
             let regions = self.regions_for(&impact.touched_clusters);
-            let config = MigrationRefineConfig {
+            let config = LocalRefineConfig {
+                lower_bound,
                 rounds: self.config.local_rounds,
                 batch: self.config.multilevel.refine_batch,
-                migration_penalty: self.config.migration_penalty,
                 model: self.config.multilevel.mapper.model,
-                lower_bound,
             };
             // Region repair runs on the finest level; ledger entries
             // attribute to the online pass rather than `local.refine`.
             let scoped = recorder.clone().with_gain_scope("online.region", 0);
             let out = recorder.time("online.region_refine", || {
-                refine_with_migration(
+                refine_within_groups(
                     &graph,
                     self.hierarchy.finest(),
                     &regions,
                     &self.assignment,
-                    &self.assignment,
                     &config,
+                    migration_cost(&self.assignment, self.config.migration_penalty),
                     &scoped,
                     &mut self.refine_ws,
                     &mut self.rng,
                 )
             })?;
+            let moves = count_moves(&out.assignment, &self.assignment);
             self.assignment = out.assignment;
             self.last_total = out.total;
-            ("incremental", out.moves, out.rounds_used)
+            ("incremental", moves, out.rounds_used)
         };
         recorder.add("online.migrations", moves as u64);
         self.last_lower_bound = lower_bound;

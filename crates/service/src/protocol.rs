@@ -14,7 +14,10 @@
 use serde::{Deserialize, Serialize};
 
 use mimd_engine::{CacheStats, JobResult, JobSpec};
-use mimd_online::{OnlineConfig, ReplayRecord, TraceEvent, TraceHeader};
+/// Per-session overrides of the online defaults — the same knobs
+/// `mimd replay` exposes as flags, resolved the same way.
+pub use mimd_online::SessionConfig;
+use mimd_online::{ReplayRecord, TraceEvent, TraceHeader};
 use mimd_telemetry::{JournalStats, TelemetrySnapshot};
 
 /// One request line of the service protocol.
@@ -89,41 +92,6 @@ impl Request {
         match self {
             Request::Apply { session, .. } | Request::CloseSession { session } => Some(*session),
             _ => None,
-        }
-    }
-}
-
-/// Per-session overrides of the [`OnlineConfig`] defaults — the same
-/// knobs `mimd replay` exposes as flags.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct SessionConfig {
-    /// Cost charged per migrated cluster; `None` uses the online
-    /// default.
-    pub migration_penalty: Option<u64>,
-    /// Drift fraction triggering a full V-cycle; `None` uses the online
-    /// default.
-    pub staleness_threshold: Option<f64>,
-    /// Candidate evaluations per incremental event; `None` uses the
-    /// online default.
-    pub local_rounds: Option<usize>,
-    /// Minimum processors per refinement region; `None` uses the online
-    /// default.
-    pub region_size: Option<usize>,
-}
-
-impl SessionConfig {
-    /// Resolve against the online defaults (exactly how `mimd replay`
-    /// resolves its flags, so served and replayed sessions agree).
-    pub fn resolve(&self) -> OnlineConfig {
-        let defaults = OnlineConfig::default();
-        OnlineConfig {
-            migration_penalty: self.migration_penalty.unwrap_or(defaults.migration_penalty),
-            staleness_threshold: self
-                .staleness_threshold
-                .unwrap_or(defaults.staleness_threshold),
-            local_rounds: self.local_rounds.unwrap_or(defaults.local_rounds),
-            region_size: self.region_size.unwrap_or(defaults.region_size),
-            multilevel: defaults.multilevel,
         }
     }
 }
@@ -369,7 +337,7 @@ impl ServiceError {
 mod tests {
     use super::*;
     use mimd_engine::{AlgorithmSpec, TopologySpec, WorkloadSpec};
-    use mimd_online::DynamicWorkload;
+    use mimd_online::{DynamicWorkload, OnlineConfig};
     use mimd_taskgraph::{ClusteredProblemGraph, Clustering, ProblemGraph};
 
     fn sample_header() -> TraceHeader {

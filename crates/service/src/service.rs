@@ -328,7 +328,7 @@ impl MappingService {
             Request::Catalog => Response::Catalog {
                 algorithms: algorithm_catalog()
                     .iter()
-                    .map(|&(name, description)| CatalogEntry {
+                    .map(|&(name, description, _)| CatalogEntry {
                         name: name.to_string(),
                         description: description.to_string(),
                     })

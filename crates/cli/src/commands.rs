@@ -378,7 +378,7 @@ fn cmd_topology(flags: &Flags) -> Result<(), String> {
         sys.len(),
         sys.graph().edge_count(),
         sys.diameter(),
-        sys.degrees()
+        (0..sys.len()).map(|s| sys.degree(s)).collect::<Vec<_>>()
     );
     Ok(())
 }

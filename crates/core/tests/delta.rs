@@ -55,10 +55,12 @@ fn relabelled(problem: &ProblemGraph, rng: &mut StdRng) -> ProblemGraph {
     let n = problem.len();
     let mut new_id: Vec<usize> = (0..n).collect();
     fisher_yates(&mut new_id, rng);
-    let mut graph = WeightedDigraph::new(n);
-    for (u, v, w) in problem.graph().edges() {
-        graph.add_edge(new_id[u], new_id[v], w).unwrap();
-    }
+    let edges: Vec<_> = problem
+        .graph()
+        .edges()
+        .map(|(u, v, w)| (new_id[u], new_id[v], w))
+        .collect();
+    let graph = WeightedDigraph::from_edges(n, &edges).unwrap();
     let mut sizes = vec![0; n];
     for t in 0..n {
         sizes[new_id[t]] = problem.size(t);

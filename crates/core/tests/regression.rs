@@ -44,11 +44,13 @@ fn golden_instance(seed: u64, np: usize, ns: usize) -> ClusteredProblemGraph {
 /// fires.
 fn twin_instance(seed: u64, np: usize, ns: usize) -> ClusteredProblemGraph {
     let half = golden_instance(seed, np, ns);
-    let mut g = WeightedDigraph::new(2 * np);
-    for (u, v, w) in half.problem().graph().edges() {
-        g.add_edge(u, v, w).unwrap();
-        g.add_edge(u + np, v + np, w).unwrap();
-    }
+    let edges: Vec<_> = half
+        .problem()
+        .graph()
+        .edges()
+        .flat_map(|(u, v, w)| [(u, v, w), (u + np, v + np, w)])
+        .collect();
+    let g = WeightedDigraph::from_edges(2 * np, &edges).unwrap();
     let sizes = [half.problem().sizes(), half.problem().sizes()].concat();
     let cluster_of = (0..2 * np)
         .map(|t| half.cluster_of(t % np) + ns * (t / np))

@@ -22,9 +22,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::csr::Csr;
 use crate::error::GraphError;
 use crate::matrix::SquareMatrix;
-use crate::ungraph::UnGraph;
 use crate::{NodeId, Weight};
 
 /// Hop-count distance matrix between all node pairs of a connected graph.
@@ -41,7 +41,7 @@ pub struct DistanceMatrix {
 impl DistanceMatrix {
     /// Compute hop counts by breadth-first search from every node, 64
     /// sources per sweep (see the module docs).
-    pub fn bfs_all_pairs(g: &UnGraph) -> Result<Self, GraphError> {
+    pub fn bfs_all_pairs(g: &Csr) -> Result<Self, GraphError> {
         let n = g.node_count();
         let mut dist = SquareMatrix::new(n);
         // Bit `b` of a node's word = the search from source `base + b`.
@@ -193,7 +193,7 @@ mod tests {
 
     /// The reference the 64-source kernel is held to: one queue BFS per
     /// source node.
-    fn bfs_per_source(g: &UnGraph) -> Result<DistanceMatrix, GraphError> {
+    fn bfs_per_source(g: &Csr) -> Result<DistanceMatrix, GraphError> {
         let n = g.node_count();
         let mut dist = SquareMatrix::filled(n, u32::MAX);
         let mut queue = std::collections::VecDeque::new();
@@ -235,27 +235,25 @@ mod tests {
         }
     }
 
-    /// A chain over `lo..hi` (no edges elsewhere).
-    fn chain_over(g: &mut UnGraph, lo: usize, hi: usize) {
-        for u in lo..hi.saturating_sub(1) {
-            g.add_edge(u, u + 1).unwrap();
-        }
+    /// `n` nodes linked by chains over each `lo..hi` (no edges
+    /// elsewhere).
+    fn chains(n: usize, spans: &[(usize, usize)]) -> Csr {
+        let links: Vec<_> = spans
+            .iter()
+            .flat_map(|&(lo, hi)| (lo + 1..hi).map(|v| (v - 1, v, 1)))
+            .collect();
+        Csr::from_contributions(n, &links)
     }
 
     #[test]
     fn a_stray_in_any_word_is_disconnected_on_both_kernels() {
         // n = 130: words [0, 64), [64, 128) and the 2-bit tail {128, 129}.
-        let mut tail_node = UnGraph::new(130);
-        chain_over(&mut tail_node, 0, 129); // node 129 isolated
-        let mut tail_component = UnGraph::new(130);
-        chain_over(&mut tail_component, 0, 128);
-        chain_over(&mut tail_component, 128, 130); // {128, 129} on its own
-        let mut head_node = UnGraph::new(130);
-        chain_over(&mut head_node, 1, 130); // node 0 isolated
-        let mut head_component = UnGraph::new(130);
-        chain_over(&mut head_component, 0, 3);
-        chain_over(&mut head_component, 3, 130); // {0, 1, 2} on its own
-        for g in [tail_node, tail_component, head_node, head_component] {
+        for g in [
+            chains(130, &[(0, 129)]),             // node 129 isolated
+            chains(130, &[(0, 128), (128, 130)]), // {128, 129} on its own
+            chains(130, &[(1, 130)]),             // node 0 isolated
+            chains(130, &[(0, 3), (3, 130)]),     // {0, 1, 2} on its own
+        ] {
             assert_eq!(
                 DistanceMatrix::bfs_all_pairs(&g),
                 Err(GraphError::Disconnected)
@@ -264,12 +262,9 @@ mod tests {
         }
     }
 
-    fn ring(n: usize) -> UnGraph {
-        let mut g = UnGraph::new(n);
-        for i in 0..n {
-            g.add_edge(i, (i + 1) % n).unwrap();
-        }
-        g
+    fn ring(n: usize) -> Csr {
+        let links: Vec<_> = (0..n).map(|i| (i, (i + 1) % n, 1)).collect();
+        Csr::from_contributions(n, &links)
     }
 
     #[test]
@@ -288,9 +283,7 @@ mod tests {
 
     #[test]
     fn disconnected_is_rejected() {
-        let mut g = UnGraph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(2, 3).unwrap();
+        let g = chains(4, &[(0, 2), (2, 4)]);
         assert_eq!(
             DistanceMatrix::bfs_all_pairs(&g),
             Err(GraphError::Disconnected)
@@ -352,8 +345,7 @@ mod tests {
     fn bfs_agrees_with_floyd_warshall_on_unweighted() {
         let g = ring(9);
         let bfs = DistanceMatrix::bfs_all_pairs(&g).unwrap();
-        let m = g.to_matrix().map(|&v| v as Weight);
-        let fw = floyd_warshall(&m).unwrap();
+        let fw = floyd_warshall(&g.to_matrix()).unwrap();
         for i in 0..9 {
             for j in 0..9 {
                 assert_eq!(bfs.hops(i, j) as Weight, fw.get(i, j));

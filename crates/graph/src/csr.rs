@@ -1,12 +1,14 @@
 //! Symmetric weighted compressed-sparse-row adjacency — the one
-//! representation of the cluster-level graph.
+//! representation of every undirected graph: the machine (`sys_edge`)
+//! and the cluster-level graph (`abs_edge`, `c_abs_edge`).
 //!
-//! The paper declares `abs_edge[na][na]` and `c_abs_edge[na][na+1]` as
-//! dense arrays; at `na = 4096` the abstract graph fills 11 % of such a
-//! matrix. [`Csr`] stores an undirected weighted graph as three flat
-//! arrays (row offsets, neighbor ids, weights) with every row sorted by
-//! ascending neighbor id, so consumers walk a cluster's neighbors in
-//! `O(deg)` and in the same order a dense row scan would visit them.
+//! The paper declares `sys_edge[ns][ns]`, `abs_edge[na][na]` and
+//! `c_abs_edge[na][na+1]` as dense arrays; at `na = 4096` the abstract
+//! graph fills 11 % of such a matrix. [`Csr`] stores an undirected
+//! weighted graph as three flat arrays (row offsets, neighbor ids,
+//! weights) with every row sorted by ascending neighbor id, so consumers
+//! walk a node's neighbors in `O(deg)` and in the same order a dense row
+//! scan would visit them.
 //! Neighbor ids and weights are parallel slices (struct of arrays): most
 //! walks need only the ids.
 //!
@@ -14,7 +16,11 @@
 //! a row's contributions are summed in a dense accumulator, then its
 //! distinct neighbors are sorted and emitted. [`Csr::contract`] builds a
 //! coarse graph from the fine one's rows, so a multilevel hierarchy reads
-//! its task edges once, at the finest level.
+//! its task edges once, at the finest level, and contracts the machine
+//! the same way. A machine's links carry weight 1 each; a link a builder
+//! lists twice (the wraparound of a 2-wide torus) weighs 2, and a
+//! contracted machine's link weighs the fine links it merges. Hop
+//! counts read only the rows, never the weights.
 
 use serde::{Deserialize, Serialize};
 
@@ -161,7 +167,13 @@ impl Csr {
         self.offsets.len() - 1
     }
 
-    /// Neighbors of `a`, ascending.
+    /// Number of edges (each `{a, b}` once).
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.neighbors.len() / 2
+    }
+
+    /// Neighbors of `a`, ascending; their count is `a`'s degree.
     #[inline]
     pub fn neighbors(&self, a: NodeId) -> &[NodeId] {
         &self.neighbors[self.offsets[a]..self.offsets[a + 1]]

@@ -182,12 +182,7 @@ mod tests {
     use super::*;
 
     fn diamond() -> WeightedDigraph {
-        let mut g = WeightedDigraph::new(4);
-        g.add_edge(0, 1, 2).unwrap();
-        g.add_edge(0, 2, 3).unwrap();
-        g.add_edge(1, 3, 4).unwrap();
-        g.add_edge(2, 3, 5).unwrap();
-        g
+        WeightedDigraph::from_edges(4, &[(0, 1, 2), (0, 2, 3), (1, 3, 4), (2, 3, 5)]).unwrap()
     }
 
     #[test]
@@ -204,18 +199,14 @@ mod tests {
     #[test]
     fn topo_is_deterministic_smallest_first() {
         // Two independent sources 0 and 1; 0 must come first.
-        let mut g = WeightedDigraph::new(3);
-        g.add_edge(1, 2, 1).unwrap();
+        let g = WeightedDigraph::from_edges(3, &[(1, 2, 1)]).unwrap();
         let t = TopoOrder::new(&g).unwrap();
         assert_eq!(t.order(), &[0, 1, 2]);
     }
 
     #[test]
     fn cycle_is_detected() {
-        let mut g = WeightedDigraph::new(3);
-        g.add_edge(0, 1, 1).unwrap();
-        g.add_edge(1, 2, 1).unwrap();
-        g.add_edge(2, 0, 1).unwrap();
+        let g = WeightedDigraph::from_edges(3, &[(0, 1, 1), (1, 2, 1), (2, 0, 1)]).unwrap();
         assert_eq!(TopoOrder::new(&g), Err(GraphError::CycleDetected));
         assert!(!is_acyclic(&g));
         assert!(is_acyclic(&diamond()));

@@ -6,139 +6,104 @@
 //! units. The weight matrix convention follows the paper exactly — entry
 //! `(i, j) > 0` means "edge from i to j with that weight", `0` means
 //! "no edge".
+//!
+//! The graph is frozen: [`WeightedDigraph::from_edges`] builds it once
+//! from an edge list into flat rows, one per direction, and nothing
+//! changes it afterwards (the mapper never edits the program it maps).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::error::GraphError;
 use crate::matrix::SquareMatrix;
 use crate::{NodeId, Weight};
 
-/// A directed graph with positive edge weights, stored both as adjacency
-/// lists (for fast traversal) and reconstructible as the paper's dense
-/// weight matrix (via [`WeightedDigraph::to_matrix`]).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// A directed graph with positive edge weights, stored as two CSR
+/// adjacencies (successor rows and predecessor rows, each ascending by
+/// node id) and reconstructible as the paper's dense weight matrix (via
+/// [`WeightedDigraph::to_matrix`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WeightedDigraph {
-    n: usize,
-    /// `succs[u]` = sorted list of `(v, w)` with an edge `u -> v` of weight `w`.
-    succs: Vec<Vec<(NodeId, Weight)>>,
-    /// `preds[v]` = sorted list of `(u, w)` with an edge `u -> v` of weight `w`.
-    preds: Vec<Vec<(NodeId, Weight)>>,
-    edge_count: usize,
+    /// `succ_off[u]..succ_off[u + 1]` is `u`'s row of `succ`: every
+    /// `(v, w)` with an edge `u -> v` of weight `w`.
+    succ_off: Vec<usize>,
+    succ: Vec<(NodeId, Weight)>,
+    /// `pred_off[v]..pred_off[v + 1]` is `v`'s row of `pred`: every
+    /// `(u, w)` with an edge `u -> v` of weight `w`.
+    pred_off: Vec<usize>,
+    pred: Vec<(NodeId, Weight)>,
 }
 
 impl WeightedDigraph {
-    /// Create a graph with `n` nodes and no edges.
-    pub fn new(n: usize) -> Self {
-        WeightedDigraph {
-            n,
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-            edge_count: 0,
+    /// Build the graph on `n` nodes from `edges` `(from, to, weight)`
+    /// in any order. Every edge is validated in input order (endpoints
+    /// in `0..n`, no self-loop, positive weight — zero encodes absence
+    /// in the paper's matrices); an edge listed twice is refused.
+    /// `O(n + E + Σ deg·log deg)`.
+    pub fn from_edges(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> Result<Self, GraphError> {
+        let mut succ_off = vec![0usize; n + 1];
+        let mut pred_off = vec![0usize; n + 1];
+        for &(from, to, w) in edges {
+            check_edge(n, from, to, w)?;
+            succ_off[from + 1] += 1;
+            pred_off[to + 1] += 1;
         }
+        for u in 0..n {
+            succ_off[u + 1] += succ_off[u];
+            pred_off[u + 1] += pred_off[u];
+        }
+        // Bucket by `from`, then sort each row by `to`.
+        let mut succ = vec![(0, 0); edges.len()];
+        let mut cursor = succ_off[..n].to_vec();
+        for &(from, to, w) in edges {
+            succ[cursor[from]] = (to, w);
+            cursor[from] += 1;
+        }
+        for u in 0..n {
+            let row = &mut succ[succ_off[u]..succ_off[u + 1]];
+            row.sort_unstable_by_key(|&(v, _)| v);
+            if let Some(twice) = row.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                return Err(GraphError::InvalidParameter(format!(
+                    "edge ({u},{}) is listed twice",
+                    twice[0].0
+                )));
+            }
+        }
+        // Walking the rows by ascending `from` fills every predecessor
+        // row in ascending order.
+        let mut pred = vec![(0, 0); edges.len()];
+        cursor.copy_from_slice(&pred_off[..n]);
+        for u in 0..n {
+            for &(v, w) in &succ[succ_off[u]..succ_off[u + 1]] {
+                pred[cursor[v]] = (u, w);
+                cursor[v] += 1;
+            }
+        }
+        Ok(WeightedDigraph {
+            succ_off,
+            succ,
+            pred_off,
+            pred,
+        })
     }
 
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.n
+        self.succ_off.len() - 1
     }
 
     /// Number of directed edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Build a graph from an edge list strictly ascending by `(from, to)`
-    /// — the order [`WeightedDigraph::edges`] yields. Every edge passes
-    /// the same validation as [`WeightedDigraph::add_edge`]; input that
-    /// is out of order or repeats an edge is rejected, because rows are
-    /// pushed as they come. Each row is allocated once at its final
-    /// length, so construction is `O(n + edges)` and rows built back to
-    /// back sit back to back in memory.
-    pub fn from_sorted_edges(
-        n: usize,
-        edges: &[(NodeId, NodeId, Weight)],
-    ) -> Result<Self, GraphError> {
-        let mut out_degree = vec![0usize; n];
-        let mut in_degree = vec![0usize; n];
-        let mut previous = None;
-        for &(from, to, w) in edges {
-            check_edge(n, from, to, w)?;
-            if let Some((pf, pt)) = previous.filter(|&p| p >= (from, to)) {
-                return Err(GraphError::InvalidParameter(format!(
-                    "edge ({from},{to}) does not sort after ({pf},{pt}); \
-                     edges must strictly ascend by (from, to)"
-                )));
-            }
-            previous = Some((from, to));
-            out_degree[from] += 1;
-            in_degree[to] += 1;
-        }
-        let rows = |degrees: &[usize]| -> Vec<Vec<(NodeId, Weight)>> {
-            degrees.iter().map(|&d| Vec::with_capacity(d)).collect()
-        };
-        let (mut succs, mut preds) = (rows(&out_degree), rows(&in_degree));
-        for &(from, to, w) in edges {
-            succs[from].push((to, w));
-            preds[to].push((from, w));
-        }
-        Ok(WeightedDigraph {
-            n,
-            succs,
-            preds,
-            edge_count: edges.len(),
-        })
-    }
-
-    /// Add (or overwrite) the edge `from -> to` with positive weight `w`.
-    ///
-    /// Errors on out-of-range endpoints, self-loops and zero weights (zero
-    /// encodes absence in the paper's matrices, so it is not a legal
-    /// weight).
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, w: Weight) -> Result<(), GraphError> {
-        check_edge(self.n, from, to, w)?;
-        match self.succs[from].binary_search_by_key(&to, |&(v, _)| v) {
-            Ok(pos) => {
-                self.succs[from][pos].1 = w;
-                let ppos = self.preds[to]
-                    .binary_search_by_key(&from, |&(u, _)| u)
-                    .unwrap();
-                self.preds[to][ppos].1 = w;
-            }
-            Err(pos) => {
-                self.succs[from].insert(pos, (to, w));
-                let ppos = self.preds[to]
-                    .binary_search_by_key(&from, |&(u, _)| u)
-                    .unwrap_err();
-                self.preds[to].insert(ppos, (from, w));
-                self.edge_count += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Remove the edge `from -> to` if present; returns its weight.
-    pub fn remove_edge(&mut self, from: NodeId, to: NodeId) -> Option<Weight> {
-        let pos = self.succs[from]
-            .binary_search_by_key(&to, |&(v, _)| v)
-            .ok()?;
-        let (_, w) = self.succs[from].remove(pos);
-        let ppos = self.preds[to]
-            .binary_search_by_key(&from, |&(u, _)| u)
-            .ok()?;
-        self.preds[to].remove(ppos);
-        self.edge_count -= 1;
-        Some(w)
+        self.succ.len()
     }
 
     /// Weight of the edge `from -> to`, or `None` if absent.
     #[inline]
     pub fn weight(&self, from: NodeId, to: NodeId) -> Option<Weight> {
-        self.succs[from]
-            .binary_search_by_key(&to, |&(v, _)| v)
-            .ok()
-            .map(|p| self.succs[from][p].1)
+        let row = self.successors(from);
+        let k = row.binary_search_by_key(&to, |&(v, _)| v).ok()?;
+        Some(row[k].1)
     }
 
     /// `true` iff the edge `from -> to` exists.
@@ -150,7 +115,7 @@ impl WeightedDigraph {
     /// Successors of `u` with weights, sorted by node id.
     #[inline]
     pub fn successors(&self, u: NodeId) -> &[(NodeId, Weight)] {
-        &self.succs[u]
+        &self.succ[self.succ_off[u]..self.succ_off[u + 1]]
     }
 
     /// Predecessors of `v` with weights, sorted by node id.
@@ -158,19 +123,19 @@ impl WeightedDigraph {
     /// This is the paper's "scan column `v` of `prob_edge`" operation.
     #[inline]
     pub fn predecessors(&self, v: NodeId) -> &[(NodeId, Weight)] {
-        &self.preds[v]
+        &self.pred[self.pred_off[v]..self.pred_off[v + 1]]
     }
 
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        self.succs[u].len()
+        self.succ_off[u + 1] - self.succ_off[u]
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.preds[v].len()
+        self.pred_off[v + 1] - self.pred_off[v]
     }
 
     /// Total degree (in + out) of `u` — the paper compares problem-node
@@ -180,60 +145,25 @@ impl WeightedDigraph {
         self.in_degree(u) + self.out_degree(u)
     }
 
-    /// Iterate over all edges as `(from, to, weight)`.
+    /// Iterate over all edges as `(from, to, weight)`, ascending by
+    /// `(from, to)`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Weight)> + '_ {
-        self.succs
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&(v, w)| (u, v, w)))
+        (0..self.node_count())
+            .flat_map(move |u| self.successors(u).iter().map(move |&(v, w)| (u, v, w)))
     }
 
     /// Sum of all edge weights.
     pub fn total_edge_weight(&self) -> Weight {
-        self.edges().map(|(_, _, w)| w).sum()
-    }
-
-    /// Build from the paper's dense weight-matrix representation, where
-    /// entry `(i, j) > 0` is the weight of edge `i -> j`.
-    pub fn from_matrix(m: &SquareMatrix<Weight>) -> Result<Self, GraphError> {
-        let mut g = WeightedDigraph::new(m.n());
-        for i in 0..m.n() {
-            for j in 0..m.n() {
-                let w = m.get(i, j);
-                if w > 0 {
-                    g.add_edge(i, j, w)?;
-                }
-            }
-        }
-        Ok(g)
+        self.succ.iter().map(|&(_, w)| w).sum()
     }
 
     /// Convert to the paper's dense weight matrix (0 = no edge).
     pub fn to_matrix(&self) -> SquareMatrix<Weight> {
-        let mut m = SquareMatrix::new(self.n);
+        let mut m = SquareMatrix::new(self.node_count());
         for (u, v, w) in self.edges() {
             m.set(u, v, w);
         }
         m
-    }
-
-    /// Sum of the weights of all edges incident to `u` (in either
-    /// direction). For the clustered problem graph aggregated per cluster
-    /// this is the paper's `mca` "communication intensity".
-    pub fn incident_weight(&self, u: NodeId) -> Weight {
-        let out: Weight = self.succs[u].iter().map(|&(_, w)| w).sum();
-        let inc: Weight = self.preds[u].iter().map(|&(_, w)| w).sum();
-        out + inc
-    }
-
-    /// Nodes with no predecessors (the tasks that can start at time 0).
-    pub fn sources(&self) -> Vec<NodeId> {
-        (0..self.n).filter(|&v| self.preds[v].is_empty()).collect()
-    }
-
-    /// Nodes with no successors.
-    pub fn sinks(&self) -> Vec<NodeId> {
-        (0..self.n).filter(|&u| self.succs[u].is_empty()).collect()
     }
 }
 
@@ -255,18 +185,62 @@ fn check_edge(n: usize, from: NodeId, to: NodeId, w: Weight) -> Result<(), Graph
     Ok(())
 }
 
+/// The JSON form `{n, succs, preds, edge_count}`: both row lists in full,
+/// as files written before the graph was frozen spell it.
+impl Serialize for WeightedDigraph {
+    fn to_value(&self) -> Value {
+        let rows = |offsets: &[usize], flat: &[(NodeId, Weight)]| {
+            let row = |bounds: &[usize]| flat[bounds[0]..bounds[1]].to_value();
+            Value::Arr(offsets.windows(2).map(row).collect())
+        };
+        Value::Obj(vec![
+            ("n".into(), self.node_count().to_value()),
+            ("succs".into(), rows(&self.succ_off, &self.succ)),
+            ("preds".into(), rows(&self.pred_off, &self.pred)),
+            ("edge_count".into(), self.edge_count().to_value()),
+        ])
+    }
+}
+
+/// Rebuilds the graph from `succs` through [`WeightedDigraph::from_edges`]
+/// and refuses `preds` or `edge_count` that do not describe those edges.
+impl Deserialize for WeightedDigraph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v.as_obj().ok_or_else(|| DeError::expected("object", v))?;
+        let n: usize = serde::field(obj, "n")?;
+        let succs: Vec<Vec<(NodeId, Weight)>> = serde::field(obj, "succs")?;
+        let preds: Vec<Vec<(NodeId, Weight)>> = serde::field(obj, "preds")?;
+        let edge_count: usize = serde::field(obj, "edge_count")?;
+        if succs.len() != n {
+            return Err(DeError(format!(
+                "succs: {} rows for {n} nodes",
+                succs.len()
+            )));
+        }
+        let edges: Vec<_> = (0..n)
+            .flat_map(|u| succs[u].iter().map(move |&(v, w)| (u, v, w)))
+            .collect();
+        let g = WeightedDigraph::from_edges(n, &edges).map_err(|e| DeError(e.to_string()))?;
+        if edge_count != g.edge_count() {
+            return Err(DeError(format!(
+                "edge_count {edge_count}, but succs lists {} edges",
+                g.edge_count()
+            )));
+        }
+        if preds.len() != n || (0..n).any(|v| preds[v] != g.predecessors(v)) {
+            return Err(DeError("preds do not mirror succs".into()));
+        }
+        Ok(g)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn diamond() -> WeightedDigraph {
-        // 0 -> 1 -> 3, 0 -> 2 -> 3
-        let mut g = WeightedDigraph::new(4);
-        g.add_edge(0, 1, 2).unwrap();
-        g.add_edge(0, 2, 3).unwrap();
-        g.add_edge(1, 3, 4).unwrap();
-        g.add_edge(2, 3, 5).unwrap();
-        g
+        // 0 -> 1 -> 3, 0 -> 2 -> 3, listed out of order.
+        WeightedDigraph::from_edges(4, &[(2, 3, 5), (0, 2, 3), (1, 3, 4), (0, 1, 2)]).unwrap()
     }
 
     #[test]
@@ -281,40 +255,32 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_keeps_edge_count() {
-        let mut g = diamond();
-        g.add_edge(0, 1, 9).unwrap();
-        assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.weight(0, 1), Some(9));
-        assert_eq!(g.predecessors(1), &[(0, 9)]);
-    }
-
-    #[test]
-    fn remove_edge_updates_both_directions() {
-        let mut g = diamond();
-        assert_eq!(g.remove_edge(0, 1), Some(2));
-        assert_eq!(g.remove_edge(0, 1), None);
-        assert_eq!(g.edge_count(), 3);
-        assert!(g.predecessors(1).is_empty());
-        assert!(!g.successors(0).iter().any(|&(v, _)| v == 1));
-    }
-
-    #[test]
     fn rejects_invalid_edges() {
-        let mut g = WeightedDigraph::new(3);
+        let build =
+            |edges: &[(NodeId, NodeId, Weight)]| WeightedDigraph::from_edges(3, edges).unwrap_err();
         assert_eq!(
-            g.add_edge(0, 3, 1),
-            Err(GraphError::NodeOutOfRange { node: 3, len: 3 })
+            build(&[(0, 3, 1)]),
+            GraphError::NodeOutOfRange { node: 3, len: 3 }
         );
-        assert_eq!(g.add_edge(1, 1, 1), Err(GraphError::SelfLoop(1)));
+        assert_eq!(build(&[(1, 1, 1)]), GraphError::SelfLoop(1));
         assert_eq!(
-            g.add_edge(0, 1, 0),
-            Err(GraphError::ZeroWeight { from: 0, to: 1 })
+            build(&[(0, 1, 0)]),
+            GraphError::ZeroWeight { from: 0, to: 1 }
         );
+        // The first invalid edge in input order is the one reported,
+        // ahead of any duplicate.
+        assert_eq!(
+            build(&[(0, 1, 1), (0, 1, 2), (2, 2, 1), (0, 5, 1)]),
+            GraphError::SelfLoop(2)
+        );
+        match build(&[(0, 2, 1), (0, 1, 1), (0, 2, 4)]) {
+            GraphError::InvalidParameter(msg) => assert!(msg.contains("(0,2)"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
-    fn from_sorted_edges_equals_the_add_edge_build_on_random_dags() {
+    fn any_edge_order_builds_the_same_graph() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         for seed in 0..40 {
@@ -329,39 +295,23 @@ mod tests {
                     }
                 }
             }
-            let mut expected = WeightedDigraph::new(n);
-            for &(u, v, w) in &edges {
-                expected.add_edge(u, v, w).unwrap();
+            let sorted = WeightedDigraph::from_edges(n, &edges).unwrap();
+            assert_eq!(sorted.edges().collect::<Vec<_>>(), edges, "seed {seed}");
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, rng.gen_range(0..=i));
             }
-            let bulk = WeightedDigraph::from_sorted_edges(n, &edges).unwrap();
-            assert_eq!(bulk, expected, "seed {seed}");
-            assert_eq!(bulk.edge_count(), edges.len());
-            assert_eq!(bulk.edges().collect::<Vec<_>>(), edges);
-        }
-    }
-
-    #[test]
-    fn from_sorted_edges_rejects_what_add_edge_rejects_and_disorder() {
-        let build = |edges: &[(NodeId, NodeId, Weight)]| {
-            WeightedDigraph::from_sorted_edges(3, edges).unwrap_err()
-        };
-        let via_add_edge = |from, to, w| WeightedDigraph::new(3).add_edge(from, to, w).unwrap_err();
-        assert_eq!(build(&[(0, 1, 1), (3, 1, 1)]), via_add_edge(3, 1, 1));
-        assert_eq!(build(&[(0, 3, 1)]), via_add_edge(0, 3, 1));
-        assert_eq!(build(&[(1, 1, 1)]), via_add_edge(1, 1, 1));
-        assert_eq!(build(&[(0, 1, 0)]), via_add_edge(0, 1, 0));
-        for disorder in [
-            [(0, 2, 1), (0, 1, 1)], // `to` descends within a row
-            [(1, 2, 1), (0, 1, 1)], // `from` descends
-            [(0, 1, 1), (0, 1, 2)], // duplicate
-        ] {
-            match build(&disorder) {
-                GraphError::InvalidParameter(msg) => assert!(msg.contains("ascend"), "{msg}"),
-                other => panic!("{disorder:?}: {other:?}"),
+            let shuffled = WeightedDigraph::from_edges(n, &edges).unwrap();
+            assert_eq!(shuffled, sorted, "seed {seed}");
+            for v in 0..n {
+                let mut column: Vec<_> = edges
+                    .iter()
+                    .filter(|e| e.1 == v)
+                    .map(|&(u, _, w)| (u, w))
+                    .collect();
+                column.sort_unstable();
+                assert_eq!(sorted.predecessors(v), column);
             }
         }
-        // An invalid edge is reported before the disorder after it.
-        assert_eq!(build(&[(0, 2, 1), (0, 0, 1)]), GraphError::SelfLoop(0));
     }
 
     #[test]
@@ -372,6 +322,8 @@ mod tests {
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.successors(0), &[(1, 2), (2, 3)]);
         assert_eq!(g.predecessors(3), &[(1, 4), (2, 5)]);
+        assert!(g.predecessors(0).is_empty() && g.successors(3).is_empty());
+        assert_eq!(g.total_edge_weight(), 2 + 3 + 4 + 5);
     }
 
     #[test]
@@ -380,24 +332,61 @@ mod tests {
         let m = g.to_matrix();
         assert_eq!(m.get(0, 2), 3);
         assert_eq!(m.get(2, 0), 0);
-        let g2 = WeightedDigraph::from_matrix(&m).unwrap();
-        assert_eq!(g, g2);
+        assert_eq!(m.count_nonzero(), 4);
+        let entries: Vec<_> = (0..4)
+            .flat_map(|i| (0..4).map(move |j| (i, j)))
+            .filter(|&(i, j)| m.get(i, j) > 0)
+            .map(|(i, j)| (i, j, m.get(i, j)))
+            .collect();
+        assert_eq!(WeightedDigraph::from_edges(4, &entries).unwrap(), g);
     }
 
     #[test]
     fn sources_sinks_incident_weight() {
         let g = diamond();
-        assert_eq!(g.sources(), vec![0]);
-        assert_eq!(g.sinks(), vec![3]);
-        assert_eq!(g.incident_weight(1), 2 + 4);
-        assert_eq!(g.total_edge_weight(), 2 + 3 + 4 + 5);
+        let sources: Vec<_> = (0..4).filter(|&v| g.in_degree(v) == 0).collect();
+        let sinks: Vec<_> = (0..4).filter(|&u| g.out_degree(u) == 0).collect();
+        assert_eq!((sources, sinks), (vec![0], vec![3]));
+        let incident = |u| -> Weight {
+            let rows = g.successors(u).iter().chain(g.predecessors(u));
+            rows.map(|&(_, w)| w).sum()
+        };
+        assert_eq!(incident(1), 2 + 4);
     }
 
     #[test]
     fn edges_iterates_all() {
-        let g = diamond();
-        let mut es: Vec<_> = g.edges().collect();
-        es.sort_unstable();
+        let es: Vec<_> = diamond().edges().collect();
         assert_eq!(es, vec![(0, 1, 2), (0, 2, 3), (1, 3, 4), (2, 3, 5)]);
+    }
+
+    #[test]
+    fn json_keeps_both_row_lists_and_refuses_inconsistent_ones() {
+        let g = diamond();
+        let value = g.to_value();
+        let keys: Vec<_> = value
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["n", "succs", "preds", "edge_count"]);
+        assert_eq!(WeightedDigraph::from_value(&value).unwrap(), g);
+        let with = |key: &str, field: Value| {
+            let mut obj = value.as_obj().unwrap().to_vec();
+            obj.iter_mut().find(|(k, _)| k == key).unwrap().1 = field;
+            WeightedDigraph::from_value(&Value::Obj(obj)).unwrap_err().0
+        };
+        // A back edge in `succs` only, so `preds` no longer mirror it.
+        let mut succs: Vec<Vec<(NodeId, Weight)>> =
+            (0..4).map(|u| g.successors(u).to_vec()).collect();
+        succs[3].push((0, 1));
+        assert!(with("succs", succs.to_value()).contains("edge_count"));
+        assert!(with("edge_count", 5usize.to_value()).contains("edge_count"));
+        let preds: Vec<Vec<(NodeId, Weight)>> = vec![vec![]; 4];
+        assert!(with("preds", preds.to_value()).contains("preds"));
+        assert!(with("n", 9usize.to_value()).contains("rows"));
+        succs[3] = vec![(3, 1)];
+        assert!(with("succs", succs.to_value()).contains("self-loop"));
     }
 }

@@ -5,8 +5,8 @@
 
 use std::fmt::Write as _;
 
+use crate::csr::Csr;
 use crate::digraph::WeightedDigraph;
-use crate::ungraph::UnGraph;
 
 /// Render a weighted digraph as a DOT `digraph`, with edge weights as
 /// labels and optional node labels (e.g. `"3 (w=2)"` for task 3 of
@@ -29,14 +29,15 @@ where
     out
 }
 
-/// Render an undirected graph as a DOT `graph`.
-pub fn ungraph_to_dot(g: &UnGraph, name: &str) -> String {
+/// Render an undirected graph as a DOT `graph` (edge weights are not
+/// drawn: a system graph's links are all alike).
+pub fn ungraph_to_dot(g: &Csr, name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "graph {name} {{");
     for v in 0..g.node_count() {
         let _ = writeln!(out, "  n{v} [label=\"{v}\"];");
     }
-    for (u, v) in g.edges() {
+    for (u, v, _) in g.edges() {
         let _ = writeln!(out, "  n{u} -- n{v};");
     }
     out.push_str("}\n");
@@ -49,8 +50,7 @@ mod tests {
 
     #[test]
     fn digraph_dot_contains_edges_and_labels() {
-        let mut g = WeightedDigraph::new(2);
-        g.add_edge(0, 1, 7).unwrap();
+        let g = WeightedDigraph::from_edges(2, &[(0, 1, 7)]).unwrap();
         let dot = digraph_to_dot(&g, "tasks", |v| Some(format!("T{v}")));
         assert!(dot.starts_with("digraph tasks {"));
         assert!(dot.contains("n0 -> n1 [label=\"7\"]"));
@@ -60,15 +60,14 @@ mod tests {
 
     #[test]
     fn digraph_dot_default_labels() {
-        let g = WeightedDigraph::new(1);
+        let g = WeightedDigraph::from_edges(1, &[]).unwrap();
         let dot = digraph_to_dot(&g, "g", |_| None);
         assert!(dot.contains("label=\"0\""));
     }
 
     #[test]
     fn ungraph_dot_uses_undirected_edges() {
-        let mut g = UnGraph::new(3);
-        g.add_edge(0, 2).unwrap();
+        let g = Csr::from_contributions(3, &[(2, 0, 1)]);
         let dot = ungraph_to_dot(&g, "sys");
         assert!(dot.starts_with("graph sys {"));
         assert!(dot.contains("n0 -- n2;"));

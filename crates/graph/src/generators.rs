@@ -10,10 +10,11 @@
 
 use rand::Rng;
 
+use crate::csr::Csr;
 use crate::error::GraphError;
-use crate::ungraph::UnGraph;
 
-/// Generate a connected random graph on `n` nodes.
+/// Generate a connected random graph on `n` nodes, every edge of
+/// weight 1.
 ///
 /// Construction: a random spanning tree (each node `i > 0` attaches to a
 /// uniformly random earlier node, then node labels are shuffled so the
@@ -23,7 +24,7 @@ pub fn random_connected(
     n: usize,
     extra_edge_prob: f64,
     rng: &mut impl Rng,
-) -> Result<UnGraph, GraphError> {
+) -> Result<Csr, GraphError> {
     if n == 0 {
         return Err(GraphError::InvalidParameter(
             "random graph needs n >= 1".into(),
@@ -41,69 +42,31 @@ pub fn random_connected(
         let j = rng.gen_range(0..=i);
         labels.swap(i, j);
     }
-    let mut g = UnGraph::new(n);
-    for i in 1..n {
-        let parent = rng.gen_range(0..i);
-        g.add_edge(labels[i], labels[parent])?;
-    }
+    let mut tree: Vec<(usize, usize)> = (1..n)
+        .map(|i| {
+            let (a, b) = (labels[i], labels[rng.gen_range(0..i)]);
+            (a.min(b), a.max(b))
+        })
+        .collect();
+    tree.sort_unstable();
+    let mut links: Vec<_> = tree.iter().map(|&(u, v)| (u, v, 1)).collect();
+    // Pairs are visited in ascending `(u, v)`, so the tree edges they
+    // skip come off the sorted list in order.
+    let mut tree = tree.into_iter().peekable();
     for u in 0..n {
         for v in (u + 1)..n {
-            if !g.has_edge(u, v) && rng.gen_bool(extra_edge_prob) {
-                g.add_edge(u, v)?;
+            if tree.next_if_eq(&(u, v)).is_none() && rng.gen_bool(extra_edge_prob) {
+                links.push((u, v, 1));
             }
         }
     }
-    Ok(g)
-}
-
-/// Generate a connected random graph whose maximum degree does not exceed
-/// `max_deg` (useful to mimic physical machines whose routers have a
-/// bounded number of ports). Falls back to the spanning tree when the
-/// bound is tight.
-pub fn random_connected_bounded_degree(
-    n: usize,
-    extra_edge_prob: f64,
-    max_deg: usize,
-    rng: &mut impl Rng,
-) -> Result<UnGraph, GraphError> {
-    if n >= 2 && max_deg < 2 {
-        return Err(GraphError::InvalidParameter(format!(
-            "max_deg {max_deg} cannot yield a connected graph on {n} >= 2 nodes"
-        )));
-    }
-    if n == 0 {
-        return Err(GraphError::InvalidParameter(
-            "random graph needs n >= 1".into(),
-        ));
-    }
-    // Spanning chain keeps every degree <= 2, then extra edges respect the cap.
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
-    }
-    let mut g = UnGraph::new(n);
-    for w in order.windows(2) {
-        g.add_edge(w[0], w[1])?;
-    }
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if !g.has_edge(u, v)
-                && g.degree(u) < max_deg
-                && g.degree(v) < max_deg
-                && rng.gen_bool(extra_edge_prob)
-            {
-                g.add_edge(u, v)?;
-            }
-        }
-    }
-    Ok(g)
+    Ok(Csr::from_contributions(n, &links))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::properties::{is_connected, max_degree};
+    use crate::properties::is_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -114,6 +77,7 @@ mod tests {
             let g = random_connected(17, 0.1, &mut rng).unwrap();
             assert!(is_connected(&g), "seed {seed}");
             assert!(g.edge_count() >= 16, "at least a spanning tree");
+            assert!(g.edges().all(|(_, _, w)| w == 1), "no pair is drawn twice");
         }
     }
 
@@ -144,17 +108,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         assert!(random_connected(0, 0.5, &mut rng).is_err());
         assert!(random_connected(3, 1.5, &mut rng).is_err());
-        assert!(random_connected_bounded_degree(5, 0.5, 1, &mut rng).is_err());
-    }
-
-    #[test]
-    fn bounded_degree_respects_cap() {
-        for seed in 0..10u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = random_connected_bounded_degree(20, 0.5, 4, &mut rng).unwrap();
-            assert!(is_connected(&g));
-            assert!(max_degree(&g) <= 4, "seed {seed}");
-        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Nicolau) declares every structure — problem graphs, clustered problem
 //! graphs, abstract graphs, ideal graphs and system graphs — as a dense
 //! array (`prob_edge[np][np]`, `abs_edge[na][na]`, `sys_edge[ns][ns]`,
-//! `shortest[ns][ns]`, ...). The pipeline here runs on sparse forms:
-//! problem-side digraphs and system graphs as adjacency lists, the
+//! `shortest[ns][ns]`, ...). The pipeline here runs on sparse forms,
+//! each built once from an edge list and never changed afterwards:
+//! problem-side digraphs as a two-sided CSR, the machine and the
 //! cluster-level (abstract and critical abstract) graph as one [`Csr`].
 //! Dense matrices remain where the algorithm needs random access (the
 //! system-side `shortest[ns][ns]`) and as exports that reproduce the
@@ -15,10 +16,10 @@
 //! * [`SquareMatrix`] — the dense row-major matrix behind the distance
 //!   matrix and the figure exports.
 //! * [`WeightedDigraph`] — directed graphs with positive integer edge
-//!   weights (problem graphs, clustered problem graphs, ideal graphs).
-//! * [`UnGraph`] — undirected unweighted graphs (system graphs).
-//! * [`Csr`] — symmetric weighted CSR adjacency (abstract graph,
-//!   critical abstract edges), rows ascending by neighbor id.
+//!   weights (problem graphs, clustered problem graphs, ideal graphs),
+//!   successor and predecessor rows ascending by node id.
+//! * [`Csr`] — symmetric weighted CSR adjacency (system graphs, abstract
+//!   graph, critical abstract edges), rows ascending by neighbor id.
 //! * [`dag`] — topological ordering, levels, longest paths, reachability.
 //! * [`apsp`] — all-pairs shortest paths (unweighted BFS and
 //!   Floyd–Warshall), producing the paper's `shortest[ns][ns]` matrix.
@@ -45,7 +46,6 @@ pub mod generators;
 pub mod matching;
 pub mod matrix;
 pub mod properties;
-pub mod ungraph;
 
 pub use apsp::DistanceMatrix;
 pub use bitset::BitSet;
@@ -53,7 +53,6 @@ pub use csr::Csr;
 pub use digraph::WeightedDigraph;
 pub use error::GraphError;
 pub use matrix::SquareMatrix;
-pub use ungraph::UnGraph;
 
 /// Node identifier. The paper indexes tasks from 1 and processors from 0;
 /// internally everything is 0-based.

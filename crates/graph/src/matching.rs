@@ -2,25 +2,26 @@
 //!
 //! A multilevel V-cycle (VieM-style) contracts matched node pairs to
 //! halve a graph per level. Two deterministic greedy variants cover the
-//! two sides of the mapping problem: [`greedy_matching`] for the
-//! unweighted system graph (processor pairing) and
+//! two sides of the mapping problem: [`greedy_matching`] for the system
+//! graph (processor pairing, link weights ignored) and
 //! [`heavy_edge_matching`] for the weighted abstract graph (cluster
 //! merging, heaviest communication first, so the heaviest edges become
-//! internal and vanish from the coarse cut).
+//! internal and vanish from the coarse cut). Both sides then turn their
+//! pairs into a map with [`contraction_map`] and contract along it with
+//! [`Csr::contract`].
 
 use std::cmp::Reverse;
 
 use crate::csr::Csr;
-use crate::ungraph::UnGraph;
 use crate::NodeId;
 
-/// Maximal matching on an undirected graph.
+/// Maximal matching on an undirected graph, ignoring edge weights.
 ///
 /// Deterministic rule: scan nodes in ascending id; an unmatched node is
 /// matched to its lowest-id unmatched neighbor. The result is maximal
 /// (no edge has both endpoints unmatched) and each pair is reported as
 /// `(u, v)` with `u < v`, in discovery order.
-pub fn greedy_matching(g: &UnGraph) -> Vec<(NodeId, NodeId)> {
+pub fn greedy_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
     let n = g.node_count();
     let mut matched = vec![false; n];
     let mut pairs = Vec::with_capacity(n / 2);
@@ -61,6 +62,30 @@ pub fn heavy_edge_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
     pairs
 }
 
+/// The contraction map of a matching on `n` nodes: the two ends of a
+/// pair share a coarse node, an unmatched node stays alone, and coarse
+/// ids ascend with each group's smallest member. Returns the map
+/// (`map[a]` = coarse node absorbing `a`) and the coarse node count
+/// `n - pairs.len()`.
+pub fn contraction_map(n: usize, pairs: &[(NodeId, NodeId)]) -> (Vec<NodeId>, usize) {
+    // `mate[a] == a`: unmatched.
+    let mut mate: Vec<NodeId> = (0..n).collect();
+    for &(a, b) in pairs {
+        mate[a] = b;
+        mate[b] = a;
+    }
+    let mut map = vec![usize::MAX; n];
+    let mut m = 0;
+    for a in 0..n {
+        if map[a] == usize::MAX {
+            map[a] = m;
+            map[mate[a]] = m;
+            m += 1;
+        }
+    }
+    (map, m)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,12 +93,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn path(n: usize) -> UnGraph {
-        let mut g = UnGraph::new(n);
-        for i in 1..n {
-            g.add_edge(i - 1, i).unwrap();
-        }
-        g
+    fn unit_links(n: usize, links: &[(NodeId, NodeId)]) -> Csr {
+        let links: Vec<_> = links.iter().map(|&(u, v)| (u, v, 1)).collect();
+        Csr::from_contributions(n, &links)
+    }
+
+    fn path(n: usize) -> Csr {
+        unit_links(n, &(1..n).map(|i| (i - 1, i)).collect::<Vec<_>>())
     }
 
     fn assert_is_matching(n: usize, pairs: &[(NodeId, NodeId)]) {
@@ -98,18 +124,16 @@ mod tests {
     #[test]
     fn greedy_matching_is_maximal() {
         // 4x4 grid.
-        let mut g = UnGraph::new(16);
-        for r in 0..4 {
-            for c in 0..4 {
-                let id = r * 4 + c;
-                if c + 1 < 4 {
-                    g.add_edge(id, id + 1).unwrap();
-                }
-                if r + 1 < 4 {
-                    g.add_edge(id, id + 4).unwrap();
-                }
+        let mut links = Vec::new();
+        for id in 0..16 {
+            if id % 4 + 1 < 4 {
+                links.push((id, id + 1));
+            }
+            if id / 4 + 1 < 4 {
+                links.push((id, id + 4));
             }
         }
+        let g = unit_links(16, &links);
         let pairs = greedy_matching(&g);
         assert_is_matching(16, &pairs);
         let mut matched = [false; 16];
@@ -117,7 +141,7 @@ mod tests {
             matched[u] = true;
             matched[v] = true;
         }
-        for (u, v) in g.edges() {
+        for (u, v, _) in g.edges() {
             assert!(
                 matched[u] || matched[v],
                 "edge ({u},{v}) violates maximality"
@@ -129,17 +153,23 @@ mod tests {
 
     #[test]
     fn greedy_matching_star_matches_one_pair() {
-        let mut g = UnGraph::new(5);
-        for leaf in 1..5 {
-            g.add_edge(0, leaf).unwrap();
-        }
+        let g = unit_links(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         assert_eq!(greedy_matching(&g), vec![(0, 1)]);
     }
 
     #[test]
     fn greedy_matching_empty_graph() {
-        assert!(greedy_matching(&UnGraph::new(4)).is_empty());
-        assert!(greedy_matching(&UnGraph::new(0)).is_empty());
+        assert!(greedy_matching(&unit_links(4, &[])).is_empty());
+        assert!(greedy_matching(&unit_links(0, &[])).is_empty());
+    }
+
+    #[test]
+    fn contraction_maps_number_groups_by_their_smallest_member() {
+        assert_eq!(contraction_map(0, &[]), (vec![], 0));
+        assert_eq!(contraction_map(3, &[]), (vec![0, 1, 2], 3));
+        // Pairs in any order and orientation; 2 stays alone.
+        let (map, m) = contraction_map(7, &[(6, 3), (4, 0), (1, 5)]);
+        assert_eq!((map, m), (vec![0, 1, 2, 3, 0, 1, 3], 4));
     }
 
     #[test]

@@ -3,20 +3,20 @@
 //! generated system topologies before mapping onto them.
 
 use crate::bitset::BitSet;
-use crate::ungraph::UnGraph;
+use crate::csr::Csr;
 use crate::NodeId;
 use std::collections::VecDeque;
 
 /// `true` iff `g` is connected (the empty graph and singletons count as
 /// connected). The paper's cost model is undefined on disconnected system
 /// graphs, so generators must guarantee this.
-pub fn is_connected(g: &UnGraph) -> bool {
+pub fn is_connected(g: &Csr) -> bool {
     connected_components(g).len() <= 1
 }
 
 /// The connected components of `g`, each a sorted list of nodes; the
 /// component list itself is sorted by smallest member.
-pub fn connected_components(g: &UnGraph) -> Vec<Vec<NodeId>> {
+pub fn connected_components(g: &Csr) -> Vec<Vec<NodeId>> {
     let n = g.node_count();
     let mut seen = BitSet::new(n);
     let mut comps = Vec::new();
@@ -45,70 +45,64 @@ pub fn connected_components(g: &UnGraph) -> Vec<Vec<NodeId>> {
 /// `true` iff every node has the same degree `k`; returns that `k`.
 /// Hypercubes and rings are regular; the paper notes "every node in the
 /// system graph [Fig 8] has degree 3".
-pub fn regularity(g: &UnGraph) -> Option<usize> {
+pub fn regularity(g: &Csr) -> Option<usize> {
+    let degree = |u| g.neighbors(u).len();
     let n = g.node_count();
     if n == 0 {
         return Some(0);
     }
-    let k = g.degree(0);
-    (1..n).all(|u| g.degree(u) == k).then_some(k)
+    let k = degree(0);
+    (1..n).all(|u| degree(u) == k).then_some(k)
 }
 
 /// Maximum degree over all nodes (0 for the empty graph).
-pub fn max_degree(g: &UnGraph) -> usize {
-    (0..g.node_count()).map(|u| g.degree(u)).max().unwrap_or(0)
-}
-
-/// Minimum degree over all nodes (0 for the empty graph).
-pub fn min_degree(g: &UnGraph) -> usize {
-    (0..g.node_count()).map(|u| g.degree(u)).min().unwrap_or(0)
+pub fn max_degree(g: &Csr) -> usize {
+    (0..g.node_count())
+        .map(|u| g.neighbors(u).len())
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn unit_links(n: usize, links: &[(NodeId, NodeId)]) -> Csr {
+        let links: Vec<_> = links.iter().map(|&(u, v)| (u, v, 1)).collect();
+        Csr::from_contributions(n, &links)
+    }
+
     #[test]
     fn connectivity_of_path_and_split() {
-        let mut g = UnGraph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(2, 3).unwrap();
+        let g = unit_links(4, &[(0, 1), (2, 3)]);
         assert!(!is_connected(&g));
         let comps = connected_components(&g);
         assert_eq!(comps, vec![vec![0, 1], vec![2, 3]]);
-        g.add_edge(1, 2).unwrap();
-        assert!(is_connected(&g));
+        assert!(is_connected(&unit_links(4, &[(0, 1), (2, 3), (1, 2)])));
     }
 
     #[test]
     fn empty_and_singleton_are_connected() {
-        assert!(is_connected(&UnGraph::new(0)));
-        assert!(is_connected(&UnGraph::new(1)));
-        let two = UnGraph::new(2);
+        assert!(is_connected(&unit_links(0, &[])));
+        assert!(is_connected(&unit_links(1, &[])));
+        let two = unit_links(2, &[]);
         assert!(!is_connected(&two), "two isolated nodes are disconnected");
     }
 
     #[test]
     fn regularity_detects_rings() {
-        let mut ring = UnGraph::new(5);
-        for i in 0..5 {
-            ring.add_edge(i, (i + 1) % 5).unwrap();
-        }
+        let ring = unit_links(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
         assert_eq!(regularity(&ring), Some(2));
-        let mut path = UnGraph::new(3);
-        path.add_edge(0, 1).unwrap();
-        path.add_edge(1, 2).unwrap();
+        let path = unit_links(3, &[(0, 1), (1, 2)]);
         assert_eq!(regularity(&path), None);
     }
 
     #[test]
     fn degree_extremes() {
-        let mut g = UnGraph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(0, 2).unwrap();
-        g.add_edge(0, 3).unwrap();
+        let g = unit_links(4, &[(0, 1), (0, 2), (0, 3)]);
         assert_eq!(max_degree(&g), 3);
-        assert_eq!(min_degree(&g), 1);
-        assert_eq!(max_degree(&UnGraph::new(0)), 0);
+        assert_eq!(max_degree(&unit_links(0, &[])), 0);
+        // A link listed twice is one neighbor.
+        assert_eq!(max_degree(&unit_links(2, &[(0, 1), (1, 0)])), 1);
     }
 }

@@ -14,7 +14,10 @@
 //! Every level keeps the paper's `na = ns` invariant: the system graph
 //! is contracted along a maximal matching into `m` connected processor
 //! groups, and the clustering is merged by heavy-edge matching on the
-//! abstract graph until exactly `m` clusters remain. Both projections
+//! abstract graph until exactly `m` clusters remain. Both sides follow
+//! one recipe: matched pairs become a map through
+//! [`contraction_map`], and [`Csr::contract`](mimd_graph::Csr::contract)
+//! builds the coarse graph from the fine one's rows. Both projections
 //! conserve weight — task weight trivially (tasks never merge), cut
 //! weight as `fine_cut = coarse_cut + internalized`. Because tasks never
 //! merge, the levels' [`ClusteredProblemGraph`]s share one problem graph
@@ -33,8 +36,7 @@
 use std::sync::Arc;
 
 use mimd_graph::error::GraphError;
-use mimd_graph::matching::{greedy_matching, heavy_edge_matching};
-use mimd_graph::ungraph::UnGraph;
+use mimd_graph::matching::{contraction_map, greedy_matching, heavy_edge_matching};
 use mimd_graph::{NodeId, Weight};
 use mimd_taskgraph::{AbstractGraph, ClusterId, ClusteredProblemGraph};
 use mimd_topology::SystemGraph;
@@ -87,36 +89,10 @@ impl SystemHierarchy {
             if (n - pairs.len()) as f64 > STALL_RATIO * n as f64 {
                 break; // pathological topology (e.g. star): give up early
             }
-            let mut partner = vec![usize::MAX; n];
-            for &(a, b) in &pairs {
-                partner[a] = b;
-                partner[b] = a;
-            }
-            let mut proc_map = vec![usize::MAX; n];
-            let mut groups: Vec<Vec<NodeId>> = Vec::with_capacity(n - pairs.len());
-            for u in 0..n {
-                if proc_map[u] != usize::MAX {
-                    continue;
-                }
-                let gid = groups.len();
-                proc_map[u] = gid;
-                let mut members = vec![u];
-                let p = partner[u];
-                if p != usize::MAX {
-                    proc_map[p] = gid;
-                    members.push(p);
-                    members.sort_unstable();
-                }
-                groups.push(members);
-            }
-            let m = groups.len();
-            let mut contracted = UnGraph::new(m);
-            for (u, v) in current.graph().edges() {
-                if proc_map[u] != proc_map[v] {
-                    contracted.add_edge(proc_map[u], proc_map[v])?;
-                }
-            }
+            let (proc_map, m) = contraction_map(n, &pairs);
+            let (contracted, _) = current.graph().contract(&proc_map, m);
             let coarse = SystemGraph::new(format!("{}/coarse[{m}]", system.name()), contracted)?;
+            let groups = members_of(&proc_map, m);
             steps.push(Arc::new(SystemCoarsening { proc_map, groups }));
             systems.push(Arc::new(coarse));
         }
@@ -171,12 +147,17 @@ impl SystemHierarchy {
     /// The finest-level processors of every level-`level` node — the
     /// "processor neighborhoods" the online remapper refines within.
     pub fn members_at(&self, level: usize) -> Vec<Vec<NodeId>> {
-        let mut members = vec![Vec::new(); self.systems[level].len()];
-        for (s, &g) in self.image_at(level).iter().enumerate() {
-            members[g].push(s);
-        }
-        members
+        members_of(&self.image_at(level), self.systems[level].len())
     }
+}
+
+/// `members[g]` = the nodes `map` sends to `g` (of `m`), ascending.
+fn members_of(map: &[NodeId], m: usize) -> Vec<Vec<NodeId>> {
+    let mut members = vec![Vec::new(); m];
+    for (s, &g) in map.iter().enumerate() {
+        members[g].push(s);
+    }
+    members
 }
 
 /// The projection maps from one level to the next-coarser one.
@@ -352,24 +333,8 @@ fn merge_clusters(
         }
     }
     debug_assert_eq!(chosen.len(), merges_needed);
-    let mut mate = vec![usize::MAX; na];
-    for &(a, b) in &chosen {
-        mate[a] = b;
-        mate[b] = a;
-    }
-    let mut cluster_map = vec![usize::MAX; na];
-    let mut next = 0;
-    for a in 0..na {
-        if cluster_map[a] != usize::MAX {
-            continue;
-        }
-        cluster_map[a] = next;
-        if mate[a] != usize::MAX {
-            cluster_map[mate[a]] = next;
-        }
-        next += 1;
-    }
-    debug_assert_eq!(next, m);
+    let (cluster_map, coarse) = contraction_map(na, &chosen);
+    debug_assert_eq!(coarse, m);
 
     let (abs, internalized_weight) = abs.contract(&cluster_map, m);
     let graph = graph.coarsen(&cluster_map)?;

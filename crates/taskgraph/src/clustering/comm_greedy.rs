@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn handles_edgeless_graph() {
         // All merges fall back to smallest-pair merging.
-        let g = mimd_graph::digraph::WeightedDigraph::new(6);
+        let g = mimd_graph::digraph::WeightedDigraph::from_edges(6, &[]).unwrap();
         let p = ProblemGraph::new(g, vec![1; 6]).unwrap();
         let c = comm_greedy_clustering(&p, 2, 2.0).unwrap();
         assert_eq!(c.num_clusters(), 2);

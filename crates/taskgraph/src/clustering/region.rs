@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn handles_edgeless_graphs() {
-        let g = mimd_graph::digraph::WeightedDigraph::new(10);
+        let g = mimd_graph::digraph::WeightedDigraph::from_edges(10, &[]).unwrap();
         let p = ProblemGraph::new(g, vec![1; 10]).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let c = random_region_clustering(&p, 3, &mut rng).unwrap();

@@ -134,7 +134,7 @@ impl LayeredDagGenerator {
             layers.push((next..next + width).collect());
             next += width;
         }
-        let mut g = WeightedDigraph::new(c.tasks);
+        let mut edges = Vec::new();
         // A plain fn (not a dyn-RngCore closure): `gen_range` needs a
         // sized receiver.
         fn edge_w<R: Rng>(c: &GeneratorConfig, rng: &mut R) -> Weight {
@@ -157,8 +157,7 @@ impl LayeredDagGenerator {
                     };
                     for &v in &next[lo..=hi] {
                         if rng.gen_bool(c.p_forward) {
-                            let w = edge_w(c, rng);
-                            g.add_edge(u, v, w).expect("layered edges are acyclic");
+                            edges.push((u, v, edge_w(c, rng)));
                         }
                     }
                 }
@@ -166,17 +165,22 @@ impl LayeredDagGenerator {
                 for later in layers.iter().skip(li + 2) {
                     for &v in later {
                         if rng.gen_bool(c.p_skip) {
-                            let w = edge_w(c, rng);
-                            g.add_edge(u, v, w).expect("layered edges are acyclic");
+                            edges.push((u, v, edge_w(c, rng)));
                         }
                     }
                 }
             }
         }
         if c.connect_layers {
+            // Guaranteed edges only ever enter their own task, so whether
+            // a task has a predecessor is settled before they are drawn.
+            let mut has_pred = vec![false; c.tasks];
+            for &(_, v, _) in &edges {
+                has_pred[v] = true;
+            }
             for li in 1..layers.len() {
                 for (pos, &v) in layers[li].iter().enumerate() {
-                    if g.predecessors(v).is_empty() {
+                    if !has_pred[v] {
                         let prev = &layers[li - 1];
                         let u = match c.locality_window {
                             // Nearest previous-layer task by scaled
@@ -184,12 +188,13 @@ impl LayeredDagGenerator {
                             Some(_) => prev[pos * prev.len() / layers[li].len().max(1)],
                             None => prev[rng.gen_range(0..prev.len())],
                         };
-                        let w = edge_w(c, rng);
-                        g.add_edge(u, v, w).expect("layered edges are acyclic");
+                        edges.push((u, v, edge_w(c, rng)));
                     }
                 }
             }
         }
+        let g = WeightedDigraph::from_edges(c.tasks, &edges)
+            .expect("layered edges join distinct tasks once each");
         let sizes: Vec<Time> = (0..c.tasks)
             .map(|_| rng.gen_range(c.task_weight.0..=c.task_weight.1))
             .collect();
@@ -239,7 +244,8 @@ mod tests {
         let p = gen.generate(&mut rng);
         // Sources exist only in the first layer; with avg_width 6 the
         // first layer has at most 11 tasks.
-        assert!(p.graph().sources().len() <= 11);
+        let sources = (0..p.len()).filter(|&t| p.predecessors(t).is_empty());
+        assert!(sources.count() <= 11);
     }
 
     #[test]

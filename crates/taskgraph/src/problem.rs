@@ -1,7 +1,7 @@
 //! The paper's *problem graph*: a precedence DAG with task execution
 //! times (`task_size[np]`) and communication times (`prob_edge[np][np]`).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use mimd_graph::dag::{self, TopoOrder};
 use mimd_graph::digraph::WeightedDigraph;
@@ -20,7 +20,10 @@ use crate::TaskId;
 /// * every task has a positive execution time (the paper measures tasks
 ///   in whole time units; a zero-time task would make "latest task"
 ///   ambiguous).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Deserializing goes through [`ProblemGraph::new`], so a loaded file
+/// meets the same invariants.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ProblemGraph {
     graph: WeightedDigraph,
     task_size: Vec<Time>,
@@ -56,16 +59,19 @@ impl ProblemGraph {
         sizes: &[Time],
         edges_1based: &[(usize, usize, Weight)],
     ) -> Result<Self, GraphError> {
-        let mut g = WeightedDigraph::new(sizes.len());
-        for &(i, j, w) in edges_1based {
-            if i == 0 || j == 0 {
-                return Err(GraphError::InvalidParameter(
+        let edges = edges_1based
+            .iter()
+            .map(|&(i, j, w)| match (i.checked_sub(1), j.checked_sub(1)) {
+                (Some(u), Some(v)) => Ok((u, v, w)),
+                _ => Err(GraphError::InvalidParameter(
                     "paper edges are 1-based; 0 is not a valid endpoint".into(),
-                ));
-            }
-            g.add_edge(i - 1, j - 1, w)?;
-        }
-        ProblemGraph::new(g, sizes.to_vec())
+                )),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        ProblemGraph::new(
+            WeightedDigraph::from_edges(sizes.len(), &edges)?,
+            sizes.to_vec(),
+        )
     }
 
     /// Number of tasks `np`.
@@ -139,6 +145,22 @@ impl ProblemGraph {
     }
 }
 
+/// Rebuilds through [`ProblemGraph::new`] and refuses a `topo` that is
+/// not the order `new` derives.
+impl Deserialize for ProblemGraph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v.as_obj().ok_or_else(|| DeError::expected("object", v))?;
+        let graph = serde::field(obj, "graph")?;
+        let task_size = serde::field(obj, "task_size")?;
+        let topo: Vec<TaskId> = serde::field(obj, "topo")?;
+        let p = ProblemGraph::new(graph, task_size).map_err(|e| DeError(e.to_string()))?;
+        if topo != p.topo {
+            return Err(DeError("topo is not the topological order of graph".into()));
+        }
+        Ok(p)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,15 +193,13 @@ mod tests {
 
     #[test]
     fn rejects_cycles_zero_sizes_and_mismatches() {
-        let mut g = WeightedDigraph::new(2);
-        g.add_edge(0, 1, 1).unwrap();
-        g.add_edge(1, 0, 1).unwrap();
+        let g = WeightedDigraph::from_edges(2, &[(0, 1, 1), (1, 0, 1)]).unwrap();
         assert_eq!(
             ProblemGraph::new(g, vec![1, 1]),
             Err(GraphError::CycleDetected)
         );
 
-        let g2 = WeightedDigraph::new(2);
+        let g2 = WeightedDigraph::from_edges(2, &[]).unwrap();
         assert!(ProblemGraph::new(g2.clone(), vec![1, 0]).is_err());
         assert!(matches!(
             ProblemGraph::new(g2, vec![1]),
@@ -207,6 +227,30 @@ mod tests {
         let p = small();
         // 1(1) -2-> 3(1) -3-> 4(1): 1 + 2 + 1 + 3 + 1 = 8.
         assert_eq!(p.critical_path(), 8);
+    }
+
+    #[test]
+    fn json_round_trips_and_refuses_what_new_refuses() {
+        let p = small();
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(serde_json::from_str::<ProblemGraph>(&json).unwrap(), p);
+        let refused = |from: &str, to: &str| {
+            assert!(json.contains(from), "{from}");
+            let edited = json.replacen(from, to, 1);
+            serde_json::from_str::<ProblemGraph>(&edited)
+                .unwrap_err()
+                .to_string()
+        };
+        // A back edge 4 -> 1 in both row lists: the graph is cyclic.
+        let cyclic = json
+            .replacen("[[3,3]],[]]", "[[3,3]],[[0,1]]]", 1)
+            .replacen("\"preds\":[[]", "\"preds\":[[[3,1]]", 1)
+            .replacen("\"edge_count\":4", "\"edge_count\":5", 1);
+        let err = serde_json::from_str::<ProblemGraph>(&cyclic).unwrap_err();
+        assert!(err.to_string().contains("cycle"), "{cyclic}: {err}");
+        assert!(refused("\"task_size\":[1,", "\"task_size\":[0,").contains("zero"));
+        assert!(refused(",3]}", "]}").contains("topo"));
+        assert!(refused("\"topo\":[0,1,2,3]", "\"topo\":[0,2,1,3]").contains("topo"));
     }
 
     #[test]

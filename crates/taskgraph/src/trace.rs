@@ -594,8 +594,7 @@ impl DynamicWorkload {
     }
 
     /// The dependency graph over dense indices `0..np` (ascending
-    /// external-id order), built in bulk: the edge map is already in
-    /// the `(from, to)` order the rows need.
+    /// external-id order), built in bulk from the edge map.
     fn digraph(&self) -> Result<WeightedDigraph, GraphError> {
         let ids: Vec<TaskId> = self.tasks.keys().copied().collect();
         let mut from_dense = 0;
@@ -611,7 +610,7 @@ impl DynamicWorkload {
                 (from_dense, to_dense, w)
             })
             .collect();
-        WeightedDigraph::from_sorted_edges(ids.len(), &edges)
+        WeightedDigraph::from_edges(ids.len(), &edges)
     }
 
     /// Raise the id high-water mark past `id`.

@@ -56,25 +56,25 @@ pub fn gaussian_elimination(
         move |k: usize, j: usize| offsets[k] + (j - k - 1)
     };
     let total = pivots + (n - 1) * n / 2;
-    let mut g = WeightedDigraph::new(total);
+    let mut edges = Vec::new();
     let mut sizes = vec![update_time; total];
     sizes[..pivots].fill(pivot_time);
     for k in 0..pivots {
         for j in (k + 1)..n {
             let u = update_id(k, j);
             // Pivot k feeds update (k, j).
-            g.add_edge(k, u, msg)?;
+            edges.push((k, u, msg));
             // Update (k-1, j) feeds update (k, j).
             if k > 0 {
-                g.add_edge(update_id(k - 1, j), u, msg)?;
+                edges.push((update_id(k - 1, j), u, msg));
             }
             // Update (k, k+1) produces the next pivot column.
             if j == k + 1 && k + 1 < pivots {
-                g.add_edge(u, k + 1, msg)?;
+                edges.push((u, k + 1, msg));
             }
         }
     }
-    ProblemGraph::new(g, sizes)
+    ProblemGraph::new(WeightedDigraph::from_edges(total, &edges)?, sizes)
 }
 
 /// A 1-D stencil sweep: `width` cells iterated for `steps` time steps;
@@ -96,18 +96,16 @@ pub fn stencil_1d(
         return Err(GraphError::InvalidParameter("weights must be >= 1".into()));
     }
     let id = |t: usize, x: usize| t * width + x;
-    let mut g = WeightedDigraph::new(width * steps);
+    let mut edges = Vec::new();
     for t in 1..steps {
         for x in 0..width {
-            g.add_edge(id(t - 1, x), id(t, x), msg)?;
-            if x > 0 {
-                g.add_edge(id(t - 1, x - 1), id(t, x), msg)?;
-            }
-            if x + 1 < width {
-                g.add_edge(id(t - 1, x + 1), id(t, x), msg)?;
+            // Cells x - 1, x and x + 1 of the previous step, where they exist.
+            for from in x.saturating_sub(1)..(x + 2).min(width) {
+                edges.push((id(t - 1, from), id(t, x), msg));
             }
         }
     }
+    let g = WeightedDigraph::from_edges(width * steps, &edges)?;
     ProblemGraph::new(g, vec![task_time; width * steps])
 }
 
@@ -126,14 +124,15 @@ pub fn fft_butterfly(log2n: u32, task_time: Time, msg: Weight) -> Result<Problem
     let n = 1usize << log2n;
     let stages = log2n as usize + 1; // data stage 0 + log2n butterfly stages
     let id = |s: usize, i: usize| s * n + i;
-    let mut g = WeightedDigraph::new(n * stages);
+    let mut edges = Vec::with_capacity(2 * n * log2n as usize);
     for s in 1..stages {
         let stride = 1usize << (s - 1);
         for i in 0..n {
-            g.add_edge(id(s - 1, i), id(s, i), msg)?;
-            g.add_edge(id(s - 1, i ^ stride), id(s, i), msg)?;
+            edges.push((id(s - 1, i), id(s, i), msg));
+            edges.push((id(s - 1, i ^ stride), id(s, i), msg));
         }
     }
+    let g = WeightedDigraph::from_edges(n * stages, &edges)?;
     ProblemGraph::new(g, vec![task_time; n * stages])
 }
 
@@ -161,7 +160,7 @@ pub fn divide_and_conquer(
     let leaves = 1usize << depth;
     let total = inner + leaves + inner; // splits + leaves + merges
     let merge_base = inner + leaves;
-    let mut g = WeightedDigraph::new(total);
+    let mut edges = Vec::new();
     let mut sizes = vec![split_time; total];
     for s in sizes.iter_mut().skip(inner).take(leaves) {
         *s = leaf_time;
@@ -174,12 +173,12 @@ pub fn divide_and_conquer(
         let (l, r) = (2 * i + 1, 2 * i + 2);
         for child in [l, r] {
             if child < inner {
-                g.add_edge(i, child, msg)?;
+                edges.push((i, child, msg));
             } else {
                 // Child is a leaf: leaf ids are inner..inner+leaves in
                 // left-to-right order of the last tree level.
                 let leaf = inner + (child - inner);
-                g.add_edge(i, leaf, msg)?;
+                edges.push((i, leaf, msg));
             }
         }
     }
@@ -188,14 +187,14 @@ pub fn divide_and_conquer(
         let (l, r) = (2 * i + 1, 2 * i + 2);
         for child in [l, r] {
             if child < inner {
-                g.add_edge(merge_base + child, merge_base + i, msg)?;
+                edges.push((merge_base + child, merge_base + i, msg));
             } else {
                 let leaf = inner + (child - inner);
-                g.add_edge(leaf, merge_base + i, msg)?;
+                edges.push((leaf, merge_base + i, msg));
             }
         }
     }
-    ProblemGraph::new(g, sizes)
+    ProblemGraph::new(WeightedDigraph::from_edges(total, &edges)?, sizes)
 }
 
 /// A pipeline of `stages` sequential stages, each a chain of `tasks`
@@ -216,17 +215,18 @@ pub fn pipeline(
         return Err(GraphError::InvalidParameter("weights must be >= 1".into()));
     }
     let id = |s: usize, t: usize| s * tasks + t;
-    let mut g = WeightedDigraph::new(stages * tasks);
+    let mut edges = Vec::new();
     for s in 0..stages {
         for t in 0..tasks {
             if t + 1 < tasks {
-                g.add_edge(id(s, t), id(s, t + 1), msg)?;
+                edges.push((id(s, t), id(s, t + 1), msg));
             }
             if s + 1 < stages {
-                g.add_edge(id(s, t), id(s + 1, t), msg)?;
+                edges.push((id(s, t), id(s + 1, t), msg));
             }
         }
     }
+    let g = WeightedDigraph::from_edges(stages * tasks, &edges)?;
     ProblemGraph::new(g, vec![task_time; stages * tasks])
 }
 
@@ -436,7 +436,10 @@ mod tests {
         assert!(is_acyclic(p.graph()));
         assert!(p.predecessors(0).is_empty(), "root split starts");
         // Root merge is the unique sink.
-        assert_eq!(p.graph().sinks(), vec![7]);
+        let sinks: Vec<_> = (0..p.len())
+            .filter(|&t| p.successors(t).is_empty())
+            .collect();
+        assert_eq!(sinks, vec![7]);
         assert!(divide_and_conquer(0, 1, 1, 1, 1).is_err());
     }
 
@@ -446,7 +449,10 @@ mod tests {
         assert_eq!(p.len(), 12);
         assert!(is_acyclic(p.graph()));
         // First task of first stage is the only source.
-        assert_eq!(p.graph().sources(), vec![0]);
+        let sources: Vec<_> = (0..p.len())
+            .filter(|&t| p.predecessors(t).is_empty())
+            .collect();
+        assert_eq!(sources, vec![0]);
         // Sequential time = 24; critical path includes comm.
         assert_eq!(p.sequential_time(), 24);
         assert!(pipeline(0, 1, 1, 1).is_err());

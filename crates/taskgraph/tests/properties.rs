@@ -15,7 +15,7 @@ use mimd_taskgraph::clustering::random::random_clustering;
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::clustering::round_robin::round_robin_clustering;
 use mimd_taskgraph::trace::{EdgeInit, TaskInit};
-use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
+use mimd_taskgraph::workloads::{self, churn_trace, ChurnRegime};
 use mimd_taskgraph::{
     AbstractGraph, ClusteredProblemGraph, Clustering, DynamicWorkload, GeneratorConfig,
     LayeredDagGenerator, ProblemGraph, TaskId, TraceEvent, WorkloadSnapshot,
@@ -276,8 +276,8 @@ fn oracle_from_snapshot(snapshot: &WorkloadSnapshot) -> Result<WorkloadSnapshot,
 
 /// Everything a [`DynamicWorkload`] stores twice must agree: adjacency
 /// rows with `edge_list()`, the state with a rebuild from its own
-/// snapshot, and the bulk-built `materialize()` with the graph grown
-/// one `add_edge` at a time.
+/// snapshot, and `materialize()` with the graph frozen from
+/// `edge_list()` renumbered densely.
 fn assert_consistent(state: &DynamicWorkload) {
     let mut succs: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
     let mut preds: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
@@ -299,10 +299,11 @@ fn assert_consistent(state: &DynamicWorkload) {
     assert_eq!(&DynamicWorkload::from_snapshot(&snapshot).unwrap(), state);
 
     let index: BTreeMap<TaskId, usize> = state.task_ids().zip(0..).collect();
-    let mut graph = WeightedDigraph::new(index.len());
-    for (u, v, w) in state.edge_list() {
-        graph.add_edge(index[&u], index[&v], w).unwrap();
-    }
+    let edges: Vec<_> = state
+        .edge_list()
+        .map(|(u, v, w)| (index[&u], index[&v], w))
+        .collect();
+    let graph = WeightedDigraph::from_edges(index.len(), &edges).unwrap();
     let sizes = snapshot.tasks.iter().map(|t| t.size).collect();
     let clusters = snapshot.tasks.iter().map(|t| t.cluster).collect();
     let expected = ClusteredProblemGraph::new(
@@ -496,5 +497,105 @@ proptest! {
             assert_consistent(state);
         }
         prop_assert_eq!(loaded.map(|state| state.snapshot()), expected);
+    }
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The layered generator as each workload spec configures it.
+fn layered_spec(tasks: usize, avg_width: usize, rng: &mut StdRng) -> ProblemGraph {
+    let cfg = GeneratorConfig {
+        tasks,
+        avg_width,
+        locality_window: Some(1),
+        ..GeneratorConfig::default()
+    };
+    LayeredDagGenerator::new(cfg).unwrap().generate(rng)
+}
+
+fn paper_regime_spec(tasks: usize, rng: &mut StdRng) -> ProblemGraph {
+    let cfg = GeneratorConfig {
+        tasks,
+        avg_width: (tasks / 8).clamp(3, 16),
+        p_forward: 0.45,
+        p_skip: 0.01,
+        task_weight: (3, 24),
+        edge_weight: (4, 16),
+        connect_layers: true,
+        locality_window: Some(1),
+    };
+    LayeredDagGenerator::new(cfg).unwrap().generate(rng)
+}
+
+/// Every workload kind, built with the parameters its spec passes.
+fn pinned_workload(label: &str, rng: &mut StdRng) -> ProblemGraph {
+    match label {
+        "layered:60" => layered_spec(60, 7, rng),
+        "layered:200/5" => layered_spec(200, 5, rng),
+        "paper:80" => paper_regime_spec(80, rng),
+        "ge:7" => workloads::gaussian_elimination(7, 3, 5, 2).unwrap(),
+        "stencil:6x5" => workloads::stencil_1d(6, 5, 5, 2).unwrap(),
+        "fft:4" => workloads::fft_butterfly(4, 3, 2).unwrap(),
+        "dnc:3" => workloads::divide_and_conquer(3, 1, 6, 2, 2).unwrap(),
+        "pipe:3x5" => workloads::pipeline(3, 5, 4, 2).unwrap(),
+        other => panic!("no workload {other}"),
+    }
+}
+
+/// `(np, FNV of edges(), FNV of the sizes, FNV of the topological
+/// order)`.
+type WorkloadPin = (usize, u64, u64, u64);
+
+/// `(label, seed, pin)`, recorded from generators that grew the graph
+/// one `add_edge` insert at a time: freezing an edge list must
+/// reproduce every graph and every RNG draw.
+#[rustfmt::skip]
+const WORKLOAD_PINS: &[(&str, u64, WorkloadPin)] = &[
+    ("layered:60", 1, (60, 0xe4917fb8605985e9, 0xcf76da0c2184952f, 0xd823ee269a8105e5)),
+    ("layered:60", 2, (60, 0xf9d075975934c0ff, 0x79ca17d2838330e8, 0xd823ee269a8105e5)),
+    ("layered:200/5", 1, (200, 0x66b3812ca7068635, 0x16bfcb74f8516aab, 0xa0cfc4c21fcfff25)),
+    ("layered:200/5", 2, (200, 0x91c9b03e2c016302, 0x37ed63c3d46edb47, 0xa0cfc4c21fcfff25)),
+    ("paper:80", 1, (80, 0xd9d38274776db887, 0x734a8b4140edf990, 0x5acb94b422a3cd25)),
+    ("paper:80", 2, (80, 0x94be0856b2803bb7, 0x58cfbb52a0f86e39, 0x5acb94b422a3cd25)),
+    ("ge:7", 1, (27, 0xd61c9c4900e88be0, 0x532fdc07898a6b80, 0x878986652c920cde)),
+    ("ge:7", 2, (27, 0xd61c9c4900e88be0, 0x532fdc07898a6b80, 0x878986652c920cde)),
+    ("stencil:6x5", 1, (30, 0x02ee0e7d258858a5, 0x5527551de9657a85, 0xad3f3e0237073944)),
+    ("stencil:6x5", 2, (30, 0x02ee0e7d258858a5, 0x5527551de9657a85, 0xad3f3e0237073944)),
+    ("fft:4", 1, (80, 0xff23706b53b31a25, 0x1c90f3272f2eaa25, 0x5acb94b422a3cd25)),
+    ("fft:4", 2, (80, 0xff23706b53b31a25, 0x1c90f3272f2eaa25, 0x5acb94b422a3cd25)),
+    ("dnc:3", 1, (22, 0x27045dafcedd1cc3, 0xef405d271ab3dc86, 0x2e20d1dfb4829344)),
+    ("dnc:3", 2, (22, 0x27045dafcedd1cc3, 0xef405d271ab3dc86, 0x2e20d1dfb4829344)),
+    ("pipe:3x5", 1, (15, 0xd5427451391311e3, 0x8e9f25482bad6681, 0x65332cec4b3cfc8a)),
+    ("pipe:3x5", 2, (15, 0xd5427451391311e3, 0x8e9f25482bad6681, 0x65332cec4b3cfc8a)),
+];
+
+#[test]
+fn frozen_generators_reproduce_the_pinned_workloads() {
+    for &(label, seed, pin) in WORKLOAD_PINS {
+        let p = pinned_workload(label, &mut StdRng::seed_from_u64(seed));
+        let edges = p
+            .graph()
+            .edges()
+            .flat_map(|(u, v, w)| [u as u64, v as u64, w]);
+        let got = (
+            p.len(),
+            fnv(edges),
+            fnv(p.sizes().iter().copied()),
+            fnv(p.topo_order().iter().map(|&t| t as u64)),
+        );
+        assert_eq!(got, pin, "{label} seed {seed}");
+        // The JSON form round-trips through `ProblemGraph::new`.
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(serde_json::from_str::<ProblemGraph>(&json).unwrap(), p);
     }
 }

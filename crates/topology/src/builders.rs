@@ -3,15 +3,31 @@
 //! Table 1 maps onto hypercubes, Table 2 onto meshes, Table 3 onto random
 //! connected graphs; the remaining shapes (ring, chain, star, tree, torus,
 //! complete) round out the library for examples and ablations. Every
-//! builder returns a validated [`SystemGraph`].
+//! builder lists its links and freezes them into a validated
+//! [`SystemGraph`] in one step.
 
 use rand::Rng;
 
 use mimd_graph::error::GraphError;
-use mimd_graph::generators;
-use mimd_graph::ungraph::UnGraph;
+use mimd_graph::{generators, Csr, NodeId};
 
 use crate::system::SystemGraph;
+
+/// Freeze the links `{u, v}` of an `n`-processor machine: one unit
+/// contribution each, so a link listed twice weighs 2 (see [`Csr`]).
+fn machine(
+    name: String,
+    n: usize,
+    links: impl IntoIterator<Item = (NodeId, NodeId)>,
+) -> Result<SystemGraph, GraphError> {
+    let links: Vec<_> = links.into_iter().map(|(u, v)| (u, v, 1)).collect();
+    SystemGraph::new(name, Csr::from_contributions(n, &links))
+}
+
+/// Every pair of `0..n` once.
+pub(crate) fn all_pairs(n: usize) -> impl Iterator<Item = (NodeId, NodeId)> {
+    (0..n).flat_map(move |u| (u + 1..n).map(move |v| (u, v)))
+}
 
 /// `d`-dimensional binary hypercube on `2^d` processors: nodes are bit
 /// strings, edges join strings at Hamming distance 1. The paper's Table 1
@@ -23,16 +39,12 @@ pub fn hypercube(dim: u32) -> Result<SystemGraph, GraphError> {
         )));
     }
     let n = 1usize << dim;
-    let mut g = UnGraph::new(n);
-    for u in 0..n {
-        for b in 0..dim {
-            let v = u ^ (1usize << b);
-            if u < v {
-                g.add_edge(u, v)?;
-            }
-        }
-    }
-    SystemGraph::new(format!("hypercube(d={dim})"), g)
+    let links = (0..n).flat_map(|u| (0..dim).map(move |b| (u, u ^ (1 << b))));
+    machine(
+        format!("hypercube(d={dim})"),
+        n,
+        links.filter(|&(u, v)| u < v),
+    )
 }
 
 /// `rows × cols` 2-D mesh (grid without wraparound); node `(r, c)` has id
@@ -43,48 +55,35 @@ pub fn mesh2d(rows: usize, cols: usize) -> Result<SystemGraph, GraphError> {
             "mesh needs rows, cols >= 1".into(),
         ));
     }
-    let mut g = UnGraph::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let id = r * cols + c;
-            if c + 1 < cols {
-                g.add_edge(id, id + 1)?;
-            }
-            if r + 1 < rows {
-                g.add_edge(id, id + cols)?;
-            }
-        }
-    }
-    SystemGraph::new(format!("mesh({rows}x{cols})"), g)
+    let n = rows * cols;
+    let right = (0..n)
+        .filter(|id| id % cols + 1 < cols)
+        .map(|id| (id, id + 1));
+    let down = (0..n.saturating_sub(cols)).map(|id| (id, id + cols));
+    machine(format!("mesh({rows}x{cols})"), n, right.chain(down))
 }
 
-/// `rows × cols` 2-D torus (mesh with wraparound links). Degenerate sizes
-/// (a dimension of 1 or 2) collapse duplicate wraparound edges, which the
-/// simple-graph representation de-duplicates automatically.
+/// `rows × cols` 2-D torus (mesh with wraparound links). In a dimension
+/// of 2 both neighbours along it are the same node, so that link is
+/// listed twice; in a dimension of 1 the wraparound is a self-loop and
+/// is dropped.
 pub fn torus2d(rows: usize, cols: usize) -> Result<SystemGraph, GraphError> {
     if rows == 0 || cols == 0 {
         return Err(GraphError::InvalidParameter(
             "torus needs rows, cols >= 1".into(),
         ));
     }
-    if rows * cols == 1 {
-        return SystemGraph::new("torus(1x1)", UnGraph::new(1));
-    }
-    let mut g = UnGraph::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let id = r * cols + c;
-            let right = r * cols + (c + 1) % cols;
-            let down = ((r + 1) % rows) * cols + c;
-            if right != id {
-                g.add_edge(id, right)?;
-            }
-            if down != id {
-                g.add_edge(id, down)?;
-            }
-        }
-    }
-    SystemGraph::new(format!("torus({rows}x{cols})"), g)
+    let links = (0..rows * cols).flat_map(|id| {
+        let (r, c) = (id / cols, id % cols);
+        let right = r * cols + (c + 1) % cols;
+        let down = ((r + 1) % rows) * cols + c;
+        [(id, right), (id, down)]
+    });
+    machine(
+        format!("torus({rows}x{cols})"),
+        rows * cols,
+        links.filter(|&(u, v)| u != v),
+    )
 }
 
 /// Ring (cycle) of `n >= 3` processors. The paper's worked example (Figs
@@ -95,11 +94,7 @@ pub fn ring(n: usize) -> Result<SystemGraph, GraphError> {
             "ring needs n >= 3, got {n}"
         )));
     }
-    let mut g = UnGraph::new(n);
-    for i in 0..n {
-        g.add_edge(i, (i + 1) % n)?;
-    }
-    SystemGraph::new(format!("ring({n})"), g)
+    machine(format!("ring({n})"), n, (0..n).map(|i| (i, (i + 1) % n)))
 }
 
 /// Chain (path) of `n >= 1` processors.
@@ -107,11 +102,7 @@ pub fn chain(n: usize) -> Result<SystemGraph, GraphError> {
     if n == 0 {
         return Err(GraphError::InvalidParameter("chain needs n >= 1".into()));
     }
-    let mut g = UnGraph::new(n);
-    for i in 1..n {
-        g.add_edge(i - 1, i)?;
-    }
-    SystemGraph::new(format!("chain({n})"), g)
+    machine(format!("chain({n})"), n, (1..n).map(|i| (i - 1, i)))
 }
 
 /// Star: processor 0 is the hub connected to all `n - 1` leaves.
@@ -119,11 +110,7 @@ pub fn star(n: usize) -> Result<SystemGraph, GraphError> {
     if n == 0 {
         return Err(GraphError::InvalidParameter("star needs n >= 1".into()));
     }
-    let mut g = UnGraph::new(n);
-    for leaf in 1..n {
-        g.add_edge(0, leaf)?;
-    }
-    SystemGraph::new(format!("star({n})"), g)
+    machine(format!("star({n})"), n, (1..n).map(|leaf| (0, leaf)))
 }
 
 /// Complete binary tree on `n >= 1` processors in heap order
@@ -132,11 +119,7 @@ pub fn binary_tree(n: usize) -> Result<SystemGraph, GraphError> {
     if n == 0 {
         return Err(GraphError::InvalidParameter("tree needs n >= 1".into()));
     }
-    let mut g = UnGraph::new(n);
-    for i in 1..n {
-        g.add_edge(i, (i - 1) / 2)?;
-    }
-    SystemGraph::new(format!("btree({n})"), g)
+    machine(format!("btree({n})"), n, (1..n).map(|i| (i, (i - 1) / 2)))
 }
 
 /// Complete graph on `n` processors — the closure topology itself; every
@@ -147,7 +130,7 @@ pub fn complete(n: usize) -> Result<SystemGraph, GraphError> {
             "complete graph needs n >= 1".into(),
         ));
     }
-    SystemGraph::new(format!("complete({n})"), UnGraph::new(n).closure())
+    machine(format!("complete({n})"), n, all_pairs(n))
 }
 
 /// Fat-tree-style hierarchical topology on `(arity^levels - 1)/(arity-1)`
@@ -177,26 +160,19 @@ pub fn fat_tree(levels: u32, arity: usize) -> Result<SystemGraph, GraphError> {
             })?;
         layer = layer.saturating_mul(arity);
     }
-    let mut g = UnGraph::new(n);
+    let mut links = Vec::new();
     for level in 1..levels as usize {
         let start = layer_starts[level];
-        let end = if level + 1 < levels as usize {
-            layer_starts[level + 1]
-        } else {
-            n
-        };
+        let end = layer_starts.get(level + 1).copied().unwrap_or(n);
         for v in start..end {
             // Parent link: nodes of a layer are ordered by parent.
-            let parent = layer_starts[level - 1] + (v - start) / arity;
-            g.add_edge(v, parent)?;
+            links.push((v, layer_starts[level - 1] + (v - start) / arity));
             // Sibling clique within the same parent's child group.
             let group_first = start + ((v - start) / arity) * arity;
-            for u in group_first..v {
-                g.add_edge(u, v)?;
-            }
+            links.extend((group_first..v).map(|u| (u, v)));
         }
     }
-    SystemGraph::new(format!("fattree(l={levels},a={arity})"), g)
+    machine(format!("fattree(l={levels},a={arity})"), n, links)
 }
 
 /// PERCS-style two-level "clustered complete" topology on
@@ -218,21 +194,21 @@ pub fn clustered_complete(groups: usize, group_size: usize) -> Result<SystemGrap
         .ok_or_else(|| {
             GraphError::InvalidParameter(format!("clusters({groups}x{group_size}) too large"))
         })?;
-    let mut g = UnGraph::new(n);
-    for a in 0..groups {
+    let local = (0..groups).flat_map(|a| {
         let base = a * group_size;
-        for i in 0..group_size {
-            for j in (i + 1)..group_size {
-                g.add_edge(base + i, base + j)?;
-            }
-        }
-        for b in (a + 1)..groups {
-            let u = base + b % group_size;
-            let v = b * group_size + a % group_size;
-            g.add_edge(u, v)?;
-        }
-    }
-    SystemGraph::new(format!("clusters({groups}x{group_size})"), g)
+        all_pairs(group_size).map(move |(i, j)| (base + i, base + j))
+    });
+    let global = all_pairs(groups).map(|(a, b)| {
+        (
+            a * group_size + b % group_size,
+            b * group_size + a % group_size,
+        )
+    });
+    machine(
+        format!("clusters({groups}x{group_size})"),
+        n,
+        local.chain(global),
+    )
 }
 
 /// Random connected topology on `n` processors: spanning tree plus each

@@ -5,7 +5,7 @@
 //! graph (8 nodes, all degree 3) illustrates.
 
 use mimd_graph::error::GraphError;
-use mimd_graph::ungraph::UnGraph;
+use mimd_graph::Csr;
 
 use crate::system::SystemGraph;
 
@@ -22,24 +22,28 @@ pub fn cube_connected_cycles(d: u32) -> Result<SystemGraph, GraphError> {
     let corners = 1usize << d;
     let d = d as usize;
     let id = |x: usize, i: usize| x * d + i;
-    let mut g = UnGraph::new(corners * d);
+    let mut links = Vec::with_capacity(2 * corners * d);
     for x in 0..corners {
         for i in 0..d {
             // Cycle edge.
-            g.add_edge(id(x, i), id(x, (i + 1) % d))?;
+            links.push((id(x, i), id(x, (i + 1) % d), 1));
             // Cube edge along dimension i.
             let y = x ^ (1usize << i);
             if x < y {
-                g.add_edge(id(x, i), id(y, i))?;
+                links.push((id(x, i), id(y, i), 1));
             }
         }
     }
-    SystemGraph::new(format!("ccc(d={d})"), g)
+    SystemGraph::new(
+        format!("ccc(d={d})"),
+        Csr::from_contributions(corners * d, &links),
+    )
 }
 
 /// Undirected binary de Bruijn network DB(d): `2^d` nodes; node `x`
 /// connects to its shift neighbors `(2x) mod 2^d` and `(2x + 1) mod 2^d`
-/// (self-loops and multi-edges collapse, so degrees are ≤ 4).
+/// (self-loops are dropped and a pair two shifts join is one link of
+/// weight 2, so degrees are ≤ 4).
 pub fn de_bruijn(d: u32) -> Result<SystemGraph, GraphError> {
     if !(2..=12).contains(&d) {
         return Err(GraphError::InvalidParameter(format!(
@@ -47,16 +51,14 @@ pub fn de_bruijn(d: u32) -> Result<SystemGraph, GraphError> {
         )));
     }
     let n = 1usize << d;
-    let mut g = UnGraph::new(n);
-    for x in 0..n {
-        for b in 0..2usize {
-            let y = (2 * x + b) % n;
-            if x != y {
-                g.add_edge(x, y)?;
-            }
-        }
-    }
-    SystemGraph::new(format!("debruijn(d={d})"), g)
+    let links: Vec<_> = (0..n)
+        .flat_map(|x| [(x, 2 * x % n, 1), (x, (2 * x + 1) % n, 1)])
+        .filter(|&(x, y, _)| x != y)
+        .collect();
+    SystemGraph::new(
+        format!("debruijn(d={d})"),
+        Csr::from_contributions(n, &links),
+    )
 }
 
 #[cfg(test)]

@@ -25,5 +25,5 @@ pub use builders::{
     ring, star, torus2d,
 };
 pub use exotic::{cube_connected_cycles, de_bruijn};
-pub use spec::TopologySpec;
+pub use spec::{TopologySpec, MAX_NODES};
 pub use system::SystemGraph;

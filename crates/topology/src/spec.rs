@@ -10,6 +10,12 @@ use mimd_graph::error::GraphError;
 use crate::builders;
 use crate::system::SystemGraph;
 
+/// The most processors [`TopologySpec::build`] will build: twice the
+/// largest machine (a 64 × 64 torus) anything in this workspace maps
+/// onto. A machine holds an `ns × ns` hop matrix, so the cap bounds what
+/// one request can make a server allocate (256 MiB here).
+pub const MAX_NODES: usize = 8192;
+
 /// A declarative description of a system topology.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
@@ -84,11 +90,14 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Number of processors this spec will produce.
+    /// Number of processors this spec will produce, saturating at
+    /// `usize::MAX` for specs too large to build.
     pub fn node_count(&self) -> usize {
         match *self {
-            TopologySpec::Hypercube { dim } => 1usize << dim,
-            TopologySpec::Mesh { rows, cols } | TopologySpec::Torus { rows, cols } => rows * cols,
+            TopologySpec::Hypercube { dim } => 1usize.checked_shl(dim).unwrap_or(usize::MAX),
+            TopologySpec::Mesh { rows, cols } | TopologySpec::Torus { rows, cols } => {
+                rows.saturating_mul(cols)
+            }
             TopologySpec::Ring { n }
             | TopologySpec::Chain { n }
             | TopologySpec::Star { n }
@@ -120,8 +129,14 @@ impl TopologySpec {
     }
 
     /// Build the topology. Only [`TopologySpec::Random`] consumes the RNG;
-    /// the deterministic shapes ignore it.
+    /// the deterministic shapes ignore it. A spec of more than
+    /// [`MAX_NODES`] processors is refused before anything is allocated.
     pub fn build(&self, rng: &mut impl Rng) -> Result<SystemGraph, GraphError> {
+        if self.node_count() > MAX_NODES {
+            return Err(GraphError::InvalidParameter(format!(
+                "{self} has more than {MAX_NODES} processors"
+            )));
+        }
         match *self {
             TopologySpec::Hypercube { dim } => builders::hypercube(dim),
             TopologySpec::Mesh { rows, cols } => builders::mesh2d(rows, cols),
@@ -192,6 +207,36 @@ mod tests {
             let built = spec.build(&mut rng).unwrap();
             assert_eq!(built.len(), spec.node_count(), "{spec}");
         }
+    }
+
+    #[test]
+    fn oversized_specs_are_refused_before_they_are_built() {
+        let mut rng = StdRng::seed_from_u64(1);
+        for spec in [
+            TopologySpec::Mesh {
+                rows: 100_000,
+                cols: 100_000,
+            },
+            TopologySpec::Torus {
+                rows: usize::MAX,
+                cols: 3,
+            },
+            TopologySpec::Hypercube { dim: 64 },
+            TopologySpec::Hypercube { dim: 14 },
+            TopologySpec::Ring { n: usize::MAX },
+            TopologySpec::Random { n: 1 << 20, p: 0.5 },
+            TopologySpec::FatTree {
+                levels: 40,
+                arity: 40,
+            },
+        ] {
+            let err = spec.build(&mut rng).unwrap_err().to_string();
+            assert!(err.contains("8192"), "{spec}: {err}");
+        }
+        assert_eq!(TopologySpec::Hypercube { dim: 64 }.node_count(), usize::MAX);
+        assert_eq!(TopologySpec::Hypercube { dim: 13 }.node_count(), MAX_NODES);
+        let largest = TopologySpec::Ring { n: MAX_NODES };
+        assert_eq!(largest.node_count(), MAX_NODES);
     }
 
     #[test]

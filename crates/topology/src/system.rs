@@ -8,44 +8,40 @@ use serde::{Deserialize, Serialize};
 
 use mimd_graph::apsp::DistanceMatrix;
 use mimd_graph::error::GraphError;
-use mimd_graph::properties::is_connected;
-use mimd_graph::ungraph::UnGraph;
-use mimd_graph::NodeId;
+use mimd_graph::{Csr, NodeId};
+
+use crate::builders::all_pairs;
 
 /// A connected MIMD interconnection topology with precomputed shortest
-/// paths and degrees.
+/// paths.
 ///
 /// The paper's evaluator multiplies every clustered-edge weight by
 /// `shortest[vs_l][vs_m]` (§4.3.4 Algorithm I); caching the BFS results
-/// here keeps each total-time evaluation at the paper's `O(np²)`.
+/// here keeps each total-time evaluation at the paper's `O(np²)`. The
+/// links are one frozen [`Csr`]: a processor's degree is its row length,
+/// and no code on the mapping path reads a link's weight.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SystemGraph {
     name: String,
-    graph: UnGraph,
+    graph: Csr,
     /// Shared, so cloning a machine (level 0 of a `SystemHierarchy`)
     /// does not copy `ns²` hop counts.
     distances: Arc<DistanceMatrix>,
-    degrees: Vec<usize>,
 }
 
 impl SystemGraph {
     /// Wrap a topology, validating that it is connected and non-empty.
-    pub fn new(name: impl Into<String>, graph: UnGraph) -> Result<Self, GraphError> {
+    pub fn new(name: impl Into<String>, graph: Csr) -> Result<Self, GraphError> {
         if graph.node_count() == 0 {
             return Err(GraphError::InvalidParameter(
                 "system graph needs >= 1 node".into(),
             ));
         }
-        if !is_connected(&graph) {
-            return Err(GraphError::Disconnected);
-        }
         let distances = Arc::new(DistanceMatrix::bfs_all_pairs(&graph)?);
-        let degrees = graph.degree_vector();
         Ok(SystemGraph {
             name: name.into(),
             graph,
             distances,
-            degrees,
         })
     }
 
@@ -68,7 +64,7 @@ impl SystemGraph {
 
     /// The underlying adjacency structure (the paper's `sys_edge`).
     #[inline]
-    pub fn graph(&self) -> &UnGraph {
+    pub fn graph(&self) -> &Csr {
         &self.graph
     }
 
@@ -84,21 +80,16 @@ impl SystemGraph {
         self.distances.hops(u, v)
     }
 
-    /// Degree of processor `u` (the paper's `deg[u]`).
+    /// Degree of processor `u` (the paper's `deg[u]`): its row length.
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
-        self.degrees[u]
-    }
-
-    /// All degrees (the paper's `deg[ns]` matrix).
-    pub fn degrees(&self) -> &[usize] {
-        &self.degrees
+        self.graph.neighbors(u).len()
     }
 
     /// `true` iff processors `u` and `v` share a physical link.
     #[inline]
     pub fn adjacent(&self, u: NodeId, v: NodeId) -> bool {
-        self.graph.has_edge(u, v)
+        self.graph.weight(u, v).is_some()
     }
 
     /// Network diameter in hops.
@@ -109,7 +100,9 @@ impl SystemGraph {
     /// The closure of this topology (complete graph on the same
     /// processors) — mapping onto it yields the paper's *ideal graph*.
     pub fn closure(&self) -> SystemGraph {
-        SystemGraph::new(format!("{}-closure", self.name), self.graph.closure())
+        let links: Vec<_> = all_pairs(self.len()).map(|(u, v)| (u, v, 1)).collect();
+        let complete = Csr::from_contributions(self.len(), &links);
+        SystemGraph::new(format!("{}-closure", self.name), complete)
             .expect("closure of a nonempty graph is connected")
     }
 
@@ -117,7 +110,7 @@ impl SystemGraph {
     /// the order in which the initial assignment consumes processors.
     pub fn by_descending_degree(&self) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = (0..self.len()).collect();
-        ids.sort_by_key(|&u| (std::cmp::Reverse(self.degrees[u]), u));
+        ids.sort_by_key(|&u| (std::cmp::Reverse(self.degree(u)), u));
         ids
     }
 }
@@ -126,19 +119,20 @@ impl SystemGraph {
 mod tests {
     use super::*;
 
+    fn links(n: usize, links: &[(NodeId, NodeId)]) -> Csr {
+        let links: Vec<_> = links.iter().map(|&(u, v)| (u, v, 1)).collect();
+        Csr::from_contributions(n, &links)
+    }
+
     fn ring4() -> SystemGraph {
-        let mut g = UnGraph::new(4);
-        for i in 0..4 {
-            g.add_edge(i, (i + 1) % 4).unwrap();
-        }
-        SystemGraph::new("ring4", g).unwrap()
+        SystemGraph::new("ring4", links(4, &[(0, 1), (1, 2), (2, 3), (3, 0)])).unwrap()
     }
 
     #[test]
     fn caches_match_paper_fig21() {
         let s = ring4();
         assert_eq!(s.len(), 4);
-        assert_eq!(s.degrees(), &[2, 2, 2, 2]);
+        assert!((0..4).all(|u| s.degree(u) == 2));
         assert_eq!(s.hops(0, 2), 2);
         assert_eq!(s.hops(0, 1), 1);
         assert_eq!(s.diameter(), 2);
@@ -148,13 +142,11 @@ mod tests {
 
     #[test]
     fn rejects_disconnected_and_empty() {
-        let mut g = UnGraph::new(3);
-        g.add_edge(0, 1).unwrap();
         assert!(matches!(
-            SystemGraph::new("bad", g),
+            SystemGraph::new("bad", links(3, &[(0, 1)])),
             Err(GraphError::Disconnected)
         ));
-        assert!(SystemGraph::new("empty", UnGraph::new(0)).is_err());
+        assert!(SystemGraph::new("empty", links(0, &[])).is_err());
     }
 
     #[test]
@@ -170,19 +162,23 @@ mod tests {
 
     #[test]
     fn descending_degree_order() {
-        let mut g = UnGraph::new(4);
-        g.add_edge(0, 1).unwrap();
-        g.add_edge(1, 2).unwrap();
-        g.add_edge(1, 3).unwrap();
-        g.add_edge(2, 3).unwrap();
-        let s = SystemGraph::new("t", g).unwrap();
+        let s = SystemGraph::new("t", links(4, &[(0, 1), (1, 2), (1, 3), (2, 3)])).unwrap();
         // degrees: 0->1, 1->3, 2->2, 3->2
         assert_eq!(s.by_descending_degree(), vec![1, 2, 3, 0]);
     }
 
     #[test]
+    fn a_link_listed_twice_is_one_link() {
+        let s = SystemGraph::new("2-ring", links(2, &[(0, 1), (1, 0)])).unwrap();
+        assert_eq!(
+            (s.degree(0), s.graph().edge_count(), s.hops(0, 1)),
+            (1, 1, 1)
+        );
+    }
+
+    #[test]
     fn singleton_system_is_valid() {
-        let s = SystemGraph::new("one", UnGraph::new(1)).unwrap();
+        let s = SystemGraph::new("one", links(1, &[])).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.diameter(), 0);
     }

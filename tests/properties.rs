@@ -11,7 +11,7 @@ use mimd::core::evaluate::evaluate_assignment;
 use mimd::core::ideal::IdealSchedule;
 use mimd::core::schedule::{EvaluationModel, Schedule};
 use mimd::core::{Assignment, Mapper};
-use mimd::graph::SquareMatrix;
+use mimd::graph::{SquareMatrix, WeightedDigraph};
 use mimd::sim::{simulate, SimConfig};
 use mimd::taskgraph::clustering::random::random_clustering;
 use mimd::taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, ProblemGraph};
@@ -126,8 +126,13 @@ proptest! {
 
         for (u, v, w) in graph.cross_edges().collect::<Vec<_>>() {
             // Bump edge (u, v) by 1 and re-derive the ideal schedule.
-            let mut g2 = graph.problem().graph().clone();
-            g2.add_edge(u, v, w + 1).unwrap();
+            let bumped: Vec<_> = graph
+                .problem()
+                .graph()
+                .edges()
+                .map(|(a, b, x)| (a, b, if (a, b) == (u, v) { w + 1 } else { x }))
+                .collect();
+            let g2 = WeightedDigraph::from_edges(graph.num_tasks(), &bumped).unwrap();
             let p2 = ProblemGraph::new(g2, graph.problem().sizes().to_vec()).unwrap();
             let graph2 =
                 ClusteredProblemGraph::new(p2, graph.clustering().clone()).unwrap();

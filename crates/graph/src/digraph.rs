@@ -280,6 +280,37 @@ mod tests {
     }
 
     #[test]
+    fn from_edges_refuses_a_repeated_edge_in_any_order() {
+        let build = |edges: &[(NodeId, NodeId, Weight)]| WeightedDigraph::from_edges(3, edges);
+        // Disorder is no error: descending `to` or `from` builds the graph.
+        for disorder in [[(0, 2, 1), (0, 1, 1)], [(1, 2, 1), (0, 1, 1)]] {
+            let g = build(&disorder).unwrap();
+            assert_eq!(g.edge_count(), 2);
+        }
+        // A repeated edge is refused whether its copies are adjacent or not,
+        // and whatever weights they carry.
+        for twice in [
+            vec![(0, 1, 1), (0, 1, 2)],
+            vec![(0, 1, 1), (1, 2, 1), (0, 1, 1)],
+        ] {
+            match build(&twice).unwrap_err() {
+                GraphError::InvalidParameter(msg) => assert!(msg.contains("(0,1)"), "{msg}"),
+                other => panic!("{twice:?}: {other:?}"),
+            }
+        }
+        // An out-of-range `from` is reported, not indexed.
+        assert_eq!(
+            build(&[(0, 1, 1), (3, 1, 1)]).unwrap_err(),
+            GraphError::NodeOutOfRange { node: 3, len: 3 }
+        );
+        // An invalid edge is reported ahead of a repeat listed before it.
+        assert_eq!(
+            build(&[(0, 2, 1), (0, 2, 1), (0, 0, 1)]).unwrap_err(),
+            GraphError::SelfLoop(0)
+        );
+    }
+
+    #[test]
     fn any_edge_order_builds_the_same_graph() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};

@@ -37,8 +37,9 @@
 //! pins on and off, on graphs whose task ids are not topologically
 //! numbered). The precedence model is repaired incrementally; the
 //! serialized model's greedy list schedule reorders globally under any
-//! move, so it is recomputed in full — but allocation-free, into
-//! workspace scratch.
+//! move, so every candidate reruns the one list scheduler
+//! (`Schedule::serialized`'s) in full — allocation-free, on scratch the
+//! workspace keeps.
 //!
 //! All buffers live in a caller-owned [`DeltaWorkspace`] so batch loops
 //! (flat refinement, the multilevel V-cycle, online sessions) reuse one
@@ -48,12 +49,12 @@
 use mimd_graph::error::GraphError;
 use mimd_graph::matrix::SquareMatrix;
 use mimd_graph::{Time, Weight};
-use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
+use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_topology::SystemGraph;
 
 use crate::assignment::Assignment;
 use crate::evaluate::{check_sizes, edge_cost};
-use crate::schedule::EvaluationModel;
+use crate::schedule::{EvaluationModel, ListScratch};
 
 /// Flag: the position must be recomputed by the current sweep.
 const DIRTY: u8 = 1;
@@ -97,14 +98,8 @@ pub struct DeltaWorkspace {
     /// Undo log of `(cluster, old_processor)` for staged moves; also the
     /// list of clusters the sweep starts from.
     undo_moves: Vec<(usize, usize)>,
-    /// Serialized-model scratch: scheduled flag per task.
-    ser_scheduled: Vec<bool>,
-    /// Serialized-model scratch: unfinished predecessor count per task.
-    ser_remaining: Vec<usize>,
-    /// Serialized-model scratch: data-ready time per task.
-    ser_ready: Vec<Time>,
-    /// Serialized-model scratch: processor-free time per cluster.
-    ser_free: Vec<Time>,
+    /// The serialized model's list-scheduler buffers.
+    list: ListScratch,
 }
 
 impl DeltaWorkspace {
@@ -283,7 +278,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
                 ws.undo_end.clear();
                 total
             }
-            EvaluationModel::Serialized => evaluator.eval_serialized(),
+            EvaluationModel::Serialized => evaluator.list_schedule(),
         };
         Ok(evaluator)
     }
@@ -370,7 +365,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     fn eval_staged(&mut self) -> Time {
         let total = match self.model {
             EvaluationModel::Precedence => self.eval_precedence(),
-            EvaluationModel::Serialized => self.eval_serialized(),
+            EvaluationModel::Serialized => self.list_schedule(),
         };
         self.staged = Some(total);
         total
@@ -399,49 +394,13 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         ws.sweep(self.system.distances().as_matrix(), lo, hi)
     }
 
-    /// Allocation-free recompute of the serialized (greedy list
-    /// scheduling) total — the algorithm of `Schedule::serialized`
-    /// verbatim, against workspace scratch instead of fresh vectors.
-    fn eval_serialized(&mut self) -> Time {
-        let ws = &mut *self.ws;
-        let graph = self.graph;
-        let system = self.system;
-        let assignment = &self.assignment;
-        let problem = graph.problem();
-        let n = problem.len();
-        ws.ser_scheduled.clear();
-        ws.ser_scheduled.resize(n, false);
-        ws.ser_ready.clear();
-        ws.ser_ready.resize(n, 0);
-        ws.ser_free.clear();
-        ws.ser_free.resize(graph.num_clusters(), 0);
-        ws.ser_remaining.clear();
-        ws.ser_remaining
-            .extend((0..n).map(|t| problem.predecessors(t).len()));
-        let mut total: Time = 0;
-        for _ in 0..n {
-            let mut best: Option<(Time, TaskId)> = None;
-            for t in 0..n {
-                if ws.ser_scheduled[t] || ws.ser_remaining[t] > 0 {
-                    continue;
-                }
-                let feasible = ws.ser_ready[t].max(ws.ser_free[graph.cluster_of(t)]);
-                if best.is_none_or(|(bt, bid)| (feasible, t) < (bt, bid)) {
-                    best = Some((feasible, t));
-                }
-            }
-            let (s, t) = best.expect("DAG always has a ready task");
-            ws.ser_scheduled[t] = true;
-            let e = s + problem.size(t);
-            ws.ser_free[graph.cluster_of(t)] = e;
-            total = total.max(e);
-            for &(v, w) in problem.successors(t) {
-                ws.ser_remaining[v] -= 1;
-                let arrive = e + edge_cost(graph, system, assignment, t, v, w);
-                ws.ser_ready[v] = ws.ser_ready[v].max(arrive);
-            }
-        }
-        total
+    /// The serialized total of the current assignment: the one list
+    /// scheduler, run on the workspace's scratch.
+    fn list_schedule(&mut self) -> Time {
+        let (graph, system, assignment) = (self.graph, self.system, &self.assignment);
+        self.ws.list.run(graph, |u, v, w| {
+            edge_cost(graph, system, assignment, u, v, w)
+        })
     }
 
     /// Accept the staged candidate: it becomes the committed state. The

@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod assignment;
-pub mod bounds;
 pub mod critical;
 pub mod delta;
 pub mod evaluate;

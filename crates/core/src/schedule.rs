@@ -71,43 +71,18 @@ impl Schedule {
     /// predecessors are all finished, repeatedly start the one with the
     /// earliest feasible start (`max(data ready, processor free)`), ties
     /// by task id. `comm` as in [`Schedule::precedence`].
-    pub fn serialized<F>(graph: &ClusteredProblemGraph, mut comm: F) -> Self
+    pub fn serialized<F>(graph: &ClusteredProblemGraph, comm: F) -> Self
     where
         F: FnMut(TaskId, TaskId, Weight) -> Time,
     {
-        let problem = graph.problem();
-        let n = problem.len();
-        let mut start = vec![0 as Time; n];
-        let mut end = vec![0 as Time; n];
-        let mut scheduled = vec![false; n];
-        let mut remaining_preds: Vec<usize> =
-            (0..n).map(|t| problem.predecessors(t).len()).collect();
-        // Cache per-edge communication so `comm` is called once per edge.
-        let mut data_ready = vec![0 as Time; n];
-        let mut proc_free = vec![0 as Time; graph.num_clusters()];
-        for _ in 0..n {
-            // Pick the ready task with the earliest feasible start.
-            let mut best: Option<(Time, TaskId)> = None;
-            for t in 0..n {
-                if scheduled[t] || remaining_preds[t] > 0 {
-                    continue;
-                }
-                let feasible = data_ready[t].max(proc_free[graph.cluster_of(t)]);
-                if best.is_none_or(|(bt, bid)| (feasible, t) < (bt, bid)) {
-                    best = Some((feasible, t));
-                }
-            }
-            let (s, t) = best.expect("DAG always has a ready task");
-            scheduled[t] = true;
-            start[t] = s;
-            end[t] = s + problem.size(t);
-            proc_free[graph.cluster_of(t)] = end[t];
-            for &(v, w) in problem.successors(t) {
-                remaining_preds[v] -= 1;
-                data_ready[v] = data_ready[v].max(end[t] + comm(t, v, w));
-            }
-        }
-        let total = end.iter().copied().max().unwrap_or(0);
+        let mut scratch = ListScratch::default();
+        let total = scratch.run(graph, comm);
+        let start = scratch.start;
+        let end = start
+            .iter()
+            .zip(graph.problem().sizes())
+            .map(|(&s, &size)| s + size)
+            .collect();
         Schedule { start, end, total }
     }
 
@@ -158,10 +133,79 @@ impl Schedule {
     }
 }
 
+/// `ListScratch::start` of a task the list scheduler has not placed.
+const UNSCHEDULED: Time = Time::MAX;
+
+/// The buffers of the serialized model's list scheduler, reusable
+/// across runs: [`Schedule::serialized`] runs it on fresh scratch, the
+/// delta evaluator on the scratch its workspace keeps, so pricing a
+/// candidate allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ListScratch {
+    /// Start time per task; [`UNSCHEDULED`] until the task is placed.
+    start: Vec<Time>,
+    /// Unfinished predecessor count per task.
+    remaining: Vec<usize>,
+    /// Data-ready time per task: its latest message arrival so far.
+    ready: Vec<Time>,
+    /// Time each cluster's processor falls free.
+    free: Vec<Time>,
+}
+
+impl ListScratch {
+    /// The list schedule [`Schedule::serialized`] describes. Leaves
+    /// every task's start time in the scratch and returns the makespan.
+    pub(crate) fn run<F>(&mut self, graph: &ClusteredProblemGraph, mut comm: F) -> Time
+    where
+        F: FnMut(TaskId, TaskId, Weight) -> Time,
+    {
+        let problem = graph.problem();
+        let n = problem.len();
+        self.start.clear();
+        self.start.resize(n, UNSCHEDULED);
+        self.remaining.clear();
+        self.remaining
+            .extend((0..n).map(|t| problem.predecessors(t).len()));
+        self.ready.clear();
+        self.ready.resize(n, 0);
+        self.free.clear();
+        self.free.resize(graph.num_clusters(), 0);
+        let mut total: Time = 0;
+        for _ in 0..n {
+            let mut best: Option<(Time, TaskId)> = None;
+            for t in 0..n {
+                if self.start[t] != UNSCHEDULED || self.remaining[t] > 0 {
+                    continue;
+                }
+                let feasible = self.ready[t].max(self.free[graph.cluster_of(t)]);
+                if best.is_none_or(|(bt, bid)| (feasible, t) < (bt, bid)) {
+                    best = Some((feasible, t));
+                }
+            }
+            let (s, t) = best.expect("DAG always has a ready task");
+            self.start[t] = s;
+            let e = s + problem.size(t);
+            self.free[graph.cluster_of(t)] = e;
+            total = total.max(e);
+            for &(v, w) in problem.successors(t) {
+                self.remaining[v] -= 1;
+                self.ready[v] = self.ready[v].max(e + comm(t, v, w));
+            }
+        }
+        total
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimd_taskgraph::{Clustering, ProblemGraph};
+    use crate::evaluate::evaluate_total;
+    use crate::{Assignment, IdealSchedule};
+    use mimd_taskgraph::clustering::random::random_clustering;
+    use mimd_taskgraph::{Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph};
+    use mimd_topology::ring;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// Two independent 3-unit tasks in one cluster feeding a sink in
     /// another; cross edge weight 2.
@@ -204,6 +248,36 @@ mod tests {
         assert!(s.total() >= p.total());
         for t in 0..3 {
             assert!(s.start(t) >= p.start(t), "task {t}");
+        }
+    }
+
+    #[test]
+    fn serialized_schedules_respect_the_combined_bound() {
+        // No schedule running one task at a time per processor beats the
+        // ideal graph, the machine's capacity (⌈work / ns⌉) or the
+        // zero-communication critical path.
+        let gen = LayeredDagGenerator::new(GeneratorConfig {
+            tasks: 40,
+            ..GeneratorConfig::default()
+        })
+        .unwrap();
+        let sys = ring(5).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..10 {
+            let p = gen.generate(&mut rng);
+            let c = random_clustering(&p, 5, &mut rng).unwrap();
+            let g = ClusteredProblemGraph::new(p, c).unwrap();
+            let work: Time = g.problem().sizes().iter().sum();
+            let bound = IdealSchedule::derive(&g)
+                .lower_bound()
+                .max(work.div_ceil(5))
+                .max(Schedule::precedence(&g, |_, _, _| 0).total());
+            let a = Assignment::random(5, &mut rng);
+            let total = evaluate_total(&g, &sys, &a, EvaluationModel::Serialized).unwrap();
+            assert!(
+                total >= bound,
+                "serialized total {total} below bound {bound}"
+            );
         }
     }
 

@@ -248,17 +248,16 @@ impl MultilevelMapper {
     ) -> Result<MultilevelResult, GraphError> {
         self.recorder.incr("vcycle.runs");
         self.recorder.add("vcycle.levels", 1);
-        let lower_bound = IdealSchedule::derive(graph).lower_bound();
         let flat =
             Mapper::with_config(self.config.mapper.clone()).with_recorder(self.recorder.clone());
         let result = self
             .recorder
             .time("vcycle.initial_map", || flat.map(graph, system, rng))?;
         Ok(MultilevelResult {
-            reached_lower_bound: result.total_time == lower_bound,
+            reached_lower_bound: result.total_time == result.lower_bound,
             assignment: result.assignment,
             total_time: result.total_time,
-            lower_bound,
+            lower_bound: result.lower_bound,
             levels: 1,
             top_ns: system.len(),
             evaluations: result.refinement.iterations_used,

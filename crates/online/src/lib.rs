@@ -16,15 +16,12 @@
 //!   clusters (each move is charged [`OnlineConfig::migration_penalty`]
 //!   against its predicted gain), falling back to a full
 //!   `mimd-multilevel` V-cycle when accumulated drift crosses
-//!   [`OnlineConfig::staleness_threshold`]; [`SessionConfig`] is the
-//!   one resolution of optional overrides against [`OnlineConfig`]'s
-//!   defaults;
+//!   [`OnlineConfig::staleness_threshold`]. Each event's lower bound is
+//!   the ideal schedule of the graph the event materialized, derived
+//!   once. [`SessionConfig`] is the one resolution of optional
+//!   overrides against [`OnlineConfig`]'s defaults;
 //! * [`refine`] — the penalized objective handed to the multilevel
 //!   group smoother;
-//! * [`bounds`] — the delta-aware [`IncrementalBound`]: ideal-schedule
-//!   ranks repaired per event by worklist propagation over the
-//!   disturbed cone, replacing a from-scratch `IdealSchedule::derive`
-//!   per replayed event;
 //! * [`replay`] — the trace wire format ([`TraceHeader`] + events) and
 //!   the [`replay_trace`] driver emitting per-event [`ReplayRecord`]
 //!   JSONL (the `mimd replay` subcommand).
@@ -32,12 +29,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bounds;
 pub mod mapper;
 pub mod refine;
 pub mod replay;
 
-pub use bounds::IncrementalBound;
 pub use mapper::{IncrementalMapper, OnlineConfig, OnlineSession, SessionConfig};
 pub use refine::{count_moves, migration_cost};
 pub use replay::{

@@ -28,7 +28,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use mimd_core::delta::DeltaWorkspace;
-use mimd_core::Assignment;
+use mimd_core::{Assignment, IdealSchedule};
 use mimd_graph::error::GraphError;
 use mimd_graph::{NodeId, Time};
 use mimd_multilevel::{
@@ -37,7 +37,6 @@ use mimd_multilevel::{
 use mimd_taskgraph::{ClusterId, DynamicWorkload, TraceEvent};
 use mimd_telemetry::Recorder;
 
-use crate::bounds::IncrementalBound;
 use crate::refine::{count_moves, migration_cost};
 use crate::replay::ReplayRecord;
 
@@ -165,14 +164,12 @@ impl IncrementalMapper {
             });
         }
         let graph = workload.materialize()?;
-        let bound = IncrementalBound::new(&workload);
         let mut rng = StdRng::seed_from_u64(seed);
         let vcycle = MultilevelMapper::with_config(self.config.multilevel.clone())
             .with_recorder(self.recorder.clone());
         let result = self.recorder.time("online.initial_map", || {
             vcycle.map_with_hierarchy(&graph, &hierarchy, &mut rng)
         })?;
-        debug_assert_eq!(bound.lower_bound(), result.lower_bound);
         let record = ReplayRecord {
             index: 0,
             kind: "init".into(),
@@ -192,7 +189,6 @@ impl IncrementalMapper {
             recorder: self.recorder.clone(),
             hierarchy,
             workload,
-            bound,
             assignment: result.assignment,
             rng,
             drift: 0.0,
@@ -212,9 +208,6 @@ pub struct OnlineSession {
     recorder: Recorder,
     hierarchy: Arc<SystemHierarchy>,
     workload: DynamicWorkload,
-    /// Delta-maintained ideal-schedule lower bound (kept exactly equal
-    /// to a from-scratch derivation on the materialized state).
-    bound: IncrementalBound,
     assignment: Assignment,
     rng: StdRng,
     /// Moved weight since the last full map, as a fraction of total
@@ -275,14 +268,11 @@ impl OnlineSession {
 
     fn try_apply(&mut self, event: &TraceEvent) -> Result<ReplayRecord, GraphError> {
         let impact = self.workload.apply(event)?;
-        // The bound tracker follows the workload delta-by-delta: only
-        // the disturbed cone's ranks are recomputed per event.
-        self.bound.apply(event, &impact, &self.workload);
         let graph = self.workload.materialize()?;
         let total_weight = self.workload.total_weight().max(1);
         self.drift += impact.weight_delta as f64 / total_weight as f64;
 
-        let lower_bound = self.bound.lower_bound();
+        let lower_bound = IdealSchedule::derive(&graph).lower_bound();
         let stale = impact.global || self.drift >= self.config.staleness_threshold;
         // A local handle keeps the timing closures free to borrow the
         // rest of `self` mutably.
@@ -413,8 +403,10 @@ mod tests {
     use mimd_core::schedule::EvaluationModel;
     use mimd_taskgraph::clustering::region::random_region_clustering;
     use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
-    use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
-    use mimd_topology::torus2d;
+    use mimd_taskgraph::{
+        ClusteredProblemGraph, Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
+    };
+    use mimd_topology::{chain, torus2d};
 
     fn instance(np: usize, ns: usize, seed: u64) -> ClusteredProblemGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -539,5 +531,93 @@ mod tests {
         assert!(IncrementalMapper::new()
             .begin(DynamicWorkload::from_clustered(&base), hierarchy, 7)
             .is_err());
+    }
+
+    /// 4 tasks in 2 clusters: 0 -> 1 (w5), 0 -> 2 (w2), 1 -> 3 (w1),
+    /// 2 -> 3 (w7); clusters {0,1} and {2,3}.
+    fn two_clusters() -> ClusteredProblemGraph {
+        let p = ProblemGraph::from_paper_edges(
+            &[2, 3, 1, 4],
+            &[(1, 2, 5), (1, 3, 2), (2, 4, 1), (3, 4, 7)],
+        )
+        .unwrap();
+        let c = Clustering::new(vec![0, 0, 1, 1]).unwrap();
+        ClusteredProblemGraph::new(p, c).unwrap()
+    }
+
+    fn two_cluster_session() -> (OnlineSession, ReplayRecord) {
+        let hierarchy = Arc::new(SystemHierarchy::build(&chain(2).unwrap()).unwrap());
+        let workload = DynamicWorkload::from_clustered(&two_clusters());
+        IncrementalMapper::new()
+            .begin(workload, hierarchy, 1)
+            .unwrap()
+    }
+
+    fn scratch(session: &OnlineSession) -> Time {
+        IdealSchedule::derive(&session.workload().materialize().unwrap()).lower_bound()
+    }
+
+    #[test]
+    fn initial_bound_matches_from_scratch_derivation() {
+        let (session, record) = two_cluster_session();
+        assert_eq!(
+            record.lower_bound,
+            IdealSchedule::derive(&two_clusters()).lower_bound()
+        );
+        assert_eq!(record.lower_bound, scratch(&session));
+    }
+
+    #[test]
+    fn every_event_kind_records_the_scratch_bound() {
+        let (mut session, _) = two_cluster_session();
+        let events = [
+            TraceEvent::AddTask {
+                task: 4,
+                size: 6,
+                cluster: 1,
+            },
+            TraceEvent::AddEdge {
+                from: 3,
+                to: 4,
+                weight: 9,
+            },
+            TraceEvent::SetTaskSize { task: 1, size: 8 },
+            TraceEvent::SetEdgeWeight {
+                from: 0,
+                to: 1,
+                weight: 2,
+            },
+            TraceEvent::ScaleEdgeWeights { percent: 150 },
+            TraceEvent::RemoveEdge { from: 0, to: 2 },
+            TraceEvent::RemoveTask { task: 3 },
+        ];
+        for event in &events {
+            let record = session.apply(event);
+            assert!(record.error.is_none(), "{event:?}: {:?}", record.error);
+            assert_eq!(record.lower_bound, scratch(&session), "{event:?}");
+        }
+    }
+
+    #[test]
+    fn rank_decreases_lower_the_recorded_bound() {
+        // 0 -> 2 is the cross-cluster edge feeding the heavy 2 -> 3
+        // chain: raising it raises the bound; shrinking it again lowers
+        // ranks two hops downstream, and the bound with them.
+        let (mut session, init) = two_cluster_session();
+        let raised = session.apply(&TraceEvent::SetEdgeWeight {
+            from: 0,
+            to: 2,
+            weight: 9,
+        });
+        assert_eq!(raised.lower_bound, scratch(&session));
+        assert!(raised.lower_bound > init.lower_bound);
+        let lowered = session.apply(&TraceEvent::SetEdgeWeight {
+            from: 0,
+            to: 2,
+            weight: 1,
+        });
+        assert_eq!(lowered.lower_bound, scratch(&session));
+        assert!(lowered.lower_bound < raised.lower_bound);
+        assert!(lowered.lower_bound <= init.lower_bound);
     }
 }

@@ -1,7 +1,7 @@
-//! Property tests for the online invariants the ISSUE pins down:
-//! incremental assignments always pass `mimd_core::validate_schedule`,
-//! the recorded totals match independent evaluations, and same-seed
-//! replay of the same trace is bit-for-bit reproducible.
+//! Property tests for the online invariants: incremental assignments
+//! always pass `mimd_core::validate_schedule`, the recorded totals and
+//! lower bounds match independent derivations, and same-seed replay of
+//! the same trace is bit-for-bit reproducible.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
-use mimd_core::validate_schedule;
+use mimd_core::{validate_schedule, IdealSchedule};
 use mimd_multilevel::SystemHierarchy;
 use mimd_online::{replay_trace, DynamicWorkload, IncrementalMapper, OnlineConfig, TraceHeader};
 use mimd_taskgraph::clustering::region::random_region_clustering;
@@ -53,8 +53,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// After every event the session's assignment is a bijection whose
-    /// derived schedule passes the core validator, and the record's
-    /// total matches an independent evaluation.
+    /// derived schedule passes the core validator, the record's total
+    /// matches an independent evaluation, and its lower bound is the
+    /// ideal schedule of the current workload (the init record too).
     #[test]
     fn incremental_assignments_always_validate(
         topo in 0usize..4,
@@ -75,10 +76,13 @@ proptest! {
             .begin(DynamicWorkload::from_clustered(&base), hierarchy, seed)
             .unwrap();
         prop_assert!(init.total_time >= init.lower_bound);
+        let ideal = |graph: &ClusteredProblemGraph| IdealSchedule::derive(graph).lower_bound();
+        prop_assert_eq!(init.lower_bound, ideal(&session.workload().materialize().unwrap()));
         for event in &trace {
             let record = session.apply(event);
             prop_assert!(record.error.is_none(), "{:?}", record.error);
             let graph = session.workload().materialize().unwrap();
+            prop_assert_eq!(record.lower_bound, ideal(&graph), "{:?}", event);
             // Bijection: re-validation through the constructor.
             let rebuilt = mimd_core::Assignment::from_sys_of(
                 session.assignment().sys_of_vec().to_vec(),
@@ -104,43 +108,6 @@ proptest! {
                 EvaluationModel::Precedence,
             );
             prop_assert!(violations.is_empty(), "{:?}", violations);
-        }
-    }
-
-    /// The delta-aware ideal-schedule bound equals the from-scratch
-    /// derivation on *every* replayed event (the ISSUE's incremental
-    /// lower-bound contract): only touched clusters' ranks are repaired
-    /// per event, yet the bound never drifts from
-    /// `IdealSchedule::derive`.
-    #[test]
-    fn incremental_bound_equals_scratch_on_every_event(
-        topo in 0usize..4,
-        extra in 16usize..96,
-        events in 5usize..40,
-        regime in 0usize..3,
-        seed in 0u64..1_000_000,
-    ) {
-        let (_, system) = topology(topo);
-        let ns = system.len();
-        let base = instance(extra, ns, seed);
-        let regime = [ChurnRegime::Arrivals, ChurnRegime::Drift, ChurnRegime::Mixed][regime];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trace = churn_trace(&base, events, regime, &mut rng);
-
-        let mut workload = DynamicWorkload::from_clustered(&base);
-        let mut bound = mimd_online::IncrementalBound::new(&workload);
-        prop_assert_eq!(
-            bound.lower_bound(),
-            mimd_core::IdealSchedule::derive(&base).lower_bound()
-        );
-        for event in &trace {
-            let Ok(impact) = workload.apply(event) else {
-                continue; // rejected events must not touch the bound
-            };
-            bound.apply(event, &impact, &workload);
-            let scratch = mimd_core::IdealSchedule::derive(&workload.materialize().unwrap())
-                .lower_bound();
-            prop_assert_eq!(bound.lower_bound(), scratch, "{:?}", event);
         }
     }
 

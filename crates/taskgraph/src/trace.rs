@@ -11,10 +11,9 @@
 //! paper's `na = ns` invariant — and the dependency graph stays
 //! acyclic), and [`DynamicWorkload::materialize`]s back into the
 //! immutable [`ClusteredProblemGraph`] the mapping algorithms consume.
-//! Each applied event reports an [`EventImpact`] (touched clusters,
-//! moved weight and the tasks whose ideal rank must be recomputed) that
-//! the incremental remapper in `mimd-online` uses to scope refinement,
-//! meter staleness and repair its lower bound.
+//! Each applied event reports an [`EventImpact`] (touched clusters and
+//! moved weight) that the incremental remapper in `mimd-online` uses to
+//! scope refinement and meter staleness.
 //!
 //! The session's problem graph is stored once, here: edge weights in
 //! one ordered map and, per task, its sorted successor and predecessor
@@ -132,12 +131,6 @@ pub struct EventImpact {
     /// `true` for events without locality (global weight scaling):
     /// every cluster is affected.
     pub global: bool,
-    /// Live tasks whose ideal-schedule rank the event changed directly
-    /// (own size, predecessor set or an incoming weight), ascending —
-    /// where a rank repair starts. A removed task lists its former
-    /// successors, which the post-event state no longer records. Empty
-    /// for a global event: every rank may have changed.
-    pub rerank: Vec<TaskId>,
 }
 
 /// Per-task mutable state, adjacency included: `succs`/`preds` hold the
@@ -457,7 +450,6 @@ impl DynamicWorkload {
                     touched_clusters: vec![cluster],
                     weight_delta: size,
                     global: false,
-                    rerank: vec![task],
                 })
             }
             TraceEvent::RemoveTask { task } => {
@@ -492,7 +484,6 @@ impl DynamicWorkload {
                     touched_clusters: touched,
                     weight_delta: delta,
                     global: false,
-                    rerank: state.succs,
                 })
             }
             TraceEvent::AddEdge { from, to, weight } => {
@@ -505,7 +496,6 @@ impl DynamicWorkload {
                     touched_clusters: self.clusters_of_pair(from, to),
                     weight_delta: weight,
                     global: false,
-                    rerank: vec![to],
                 })
             }
             TraceEvent::RemoveEdge { from, to } => {
@@ -518,7 +508,6 @@ impl DynamicWorkload {
                     touched_clusters: self.clusters_of_pair(from, to),
                     weight_delta: w,
                     global: false,
-                    rerank: vec![to],
                 })
             }
             TraceEvent::SetTaskSize { task, size } => {
@@ -536,7 +525,6 @@ impl DynamicWorkload {
                     touched_clusters: vec![state.cluster],
                     weight_delta: delta,
                     global: false,
-                    rerank: vec![task],
                 })
             }
             TraceEvent::SetEdgeWeight { from, to, weight } => {
@@ -554,7 +542,6 @@ impl DynamicWorkload {
                     touched_clusters: self.clusters_of_pair(from, to),
                     weight_delta: delta,
                     global: false,
-                    rerank: vec![to],
                 })
             }
             TraceEvent::ScaleEdgeWeights { percent } => {
@@ -578,7 +565,6 @@ impl DynamicWorkload {
                     touched_clusters: (0..self.num_clusters()).collect(),
                     weight_delta: delta,
                     global: true,
-                    rerank: Vec::new(),
                 })
             }
         }
@@ -753,8 +739,6 @@ mod tests {
         let impact = state.apply(&TraceEvent::RemoveTask { task: 3 }).unwrap();
         assert_eq!(impact.touched_clusters, vec![0, 1]);
         assert_eq!(impact.weight_delta, 4 + 1 + 7 + 9);
-        // Its former successor must be re-ranked; nothing else records it.
-        assert_eq!(impact.rerank, vec![4]);
         assert_eq!(state.predecessors(4), &[] as &[TaskId]);
         assert_eq!(state.successors(1), &[] as &[TaskId]);
         assert_eq!(state.num_edges(), 2);

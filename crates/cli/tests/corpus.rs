@@ -27,7 +27,6 @@ use mimd_bench::report::fnv64_hex;
 const EXEMPT: &[&str] = &["loadgen"];
 
 /// One corpus row: the invocation and what it must produce.
-#[derive(Clone, Debug, PartialEq)]
 struct Row {
     name: String,
     argv: String,
@@ -36,7 +35,7 @@ struct Row {
 }
 
 /// What one invocation produced, in the corpus's columns.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 struct Outcome {
     exit: String,
     stdout_len: String,

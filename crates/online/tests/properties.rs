@@ -53,9 +53,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// After every event the session's assignment is a bijection whose
-    /// derived schedule passes the core validator, the record's total
-    /// matches an independent evaluation, and its lower bound is the
-    /// ideal schedule of the current workload (the init record too).
+    /// derived schedule passes the core validator, and the record's
+    /// total matches an independent evaluation.
     #[test]
     fn incremental_assignments_always_validate(
         topo in 0usize..4,
@@ -76,13 +75,10 @@ proptest! {
             .begin(DynamicWorkload::from_clustered(&base), hierarchy, seed)
             .unwrap();
         prop_assert!(init.total_time >= init.lower_bound);
-        let ideal = |graph: &ClusteredProblemGraph| IdealSchedule::derive(graph).lower_bound();
-        prop_assert_eq!(init.lower_bound, ideal(&session.workload().materialize().unwrap()));
         for event in &trace {
             let record = session.apply(event);
             prop_assert!(record.error.is_none(), "{:?}", record.error);
             let graph = session.workload().materialize().unwrap();
-            prop_assert_eq!(record.lower_bound, ideal(&graph), "{:?}", event);
             // Bijection: re-validation through the constructor.
             let rebuilt = mimd_core::Assignment::from_sys_of(
                 session.assignment().sys_of_vec().to_vec(),
@@ -108,6 +104,43 @@ proptest! {
                 EvaluationModel::Precedence,
             );
             prop_assert!(violations.is_empty(), "{:?}", violations);
+        }
+    }
+
+    /// Every record's lower bound is the ideal schedule of the workload
+    /// as it stands after that event (the init record too); a rejected
+    /// event leaves the recorded bound where it was.
+    #[test]
+    fn incremental_bound_equals_scratch_on_every_event(
+        topo in 0usize..4,
+        extra in 16usize..96,
+        events in 5usize..40,
+        regime in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (_, system) = topology(topo);
+        let ns = system.len();
+        let base = instance(extra, ns, seed);
+        let regime = [ChurnRegime::Arrivals, ChurnRegime::Drift, ChurnRegime::Mixed][regime];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = churn_trace(&base, events, regime, &mut rng);
+
+        let hierarchy = Arc::new(SystemHierarchy::build(&system).unwrap());
+        let (mut session, init) = IncrementalMapper::new()
+            .begin(DynamicWorkload::from_clustered(&base), hierarchy, seed)
+            .unwrap();
+        prop_assert_eq!(init.lower_bound, IdealSchedule::derive(&base).lower_bound());
+        let mut bound = init.lower_bound;
+        for event in &trace {
+            let record = session.apply(event);
+            if record.error.is_some() {
+                prop_assert_eq!(record.lower_bound, bound, "{:?}", event);
+                continue;
+            }
+            let scratch = IdealSchedule::derive(&session.workload().materialize().unwrap())
+                .lower_bound();
+            prop_assert_eq!(record.lower_bound, scratch, "{:?}", event);
+            bound = record.lower_bound;
         }
     }
 

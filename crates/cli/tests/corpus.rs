@@ -13,8 +13,11 @@
 //! Columns (tab-separated; `-` is "none"): name, argv (split on
 //! spaces), stdin fixture under `tests/fixtures/`, exit code, stdout
 //! length, stdout FNV-1a 64, stderr prefix. Lines starting with `#` are
-//! comments. `fixtures/churn.jsonl` is the stdout of the `trace` row,
-//! so `trace` → `replay` is one chain.
+//! comments. `fixtures/churn.jsonl`, `arrivals.jsonl` and `drift.jsonl`
+//! are the stdout of the `trace`, `trace_arrivals` and `trace_drift`
+//! rows, so `trace` → `replay` is one chain; `backward.jsonl` is
+//! written by hand (edges against id order, removals down to one task
+//! per cluster, arrivals wired after they land, a global rescale).
 
 use std::fs;
 use std::io::Write;
@@ -171,17 +174,23 @@ fn every_corpus_row_reproduces_its_pinned_output() {
     names.dedup();
     assert_eq!(names.len(), before, "row names must be unique");
 
-    // The replay rows read what the `trace` row prints.
-    let churn = fs::read(tests_dir().join("fixtures/churn.jsonl")).unwrap();
-    let (_, trace) = rows
-        .iter()
-        .find(|(row, _)| row.name == "trace")
-        .expect("a row named trace");
-    assert_eq!(
-        (trace.stdout_len.clone(), trace.stdout_fnv.clone()),
-        (churn.len().to_string(), fnv64_hex(&churn)),
-        "fixtures/churn.jsonl is not the trace row's stdout"
-    );
+    // The replay rows read what the `trace` rows print.
+    for (name, fixture) in [
+        ("trace", "churn.jsonl"),
+        ("trace_arrivals", "arrivals.jsonl"),
+        ("trace_drift", "drift.jsonl"),
+    ] {
+        let bytes = fs::read(tests_dir().join("fixtures").join(fixture)).unwrap();
+        let (_, trace) = rows
+            .iter()
+            .find(|(row, _)| row.name == name)
+            .unwrap_or_else(|| panic!("a row named {name}"));
+        assert_eq!(
+            (trace.stdout_len.clone(), trace.stdout_fnv.clone()),
+            (bytes.len().to_string(), fnv64_hex(&bytes)),
+            "fixtures/{fixture} is not the {name} row's stdout"
+        );
+    }
 
     if bless {
         fs::write(&path, rewritten).expect("corpus.tsv is writable");

@@ -10,7 +10,7 @@ use mimd_graph::error::GraphError;
 ///
 /// The paper stores `assi[s] = a` ("abstract node `a` is mapped to system
 /// node `s`"); we keep the inverse too so both lookups are `O(1)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
     /// `sys_of[a]` = processor hosting cluster `a`.
     sys_of: Vec<usize>,

@@ -1,5 +1,6 @@
 //! Incremental (delta) evaluation of assignment changes — the
-//! refinement hot path.
+//! refinement hot path — and the live instance an online session
+//! patches event by event.
 //!
 //! Every refinement loop in the repo asks the same question thousands of
 //! times: *what would the total time be if these clusters moved?*
@@ -8,11 +9,13 @@
 //!
 //! **Position space.** [`DeltaEvaluator::attach`] freezes the instance
 //! into flat arrays indexed by a task's *position in
-//! `problem.topo_order()`*: task sizes, a predecessor CSR carrying the
-//! edge weights, a successor CSR, the positions of every cluster, the
+//! `problem.topo_order()`*: task sizes, predecessor rows carrying the
+//! edge weights, successor rows, the positions of every cluster, the
 //! processor hosting each position's cluster, and the committed end
-//! times. Ascending position *is* topological order, so no candidate
-//! ever sorts, queues or looks a weight up.
+//! times. Every row is a `(start, end)` range into one pool per kind,
+//! packed back to back by the attach. Ascending position *is*
+//! topological order, so no candidate ever sorts, queues or looks a
+//! weight up.
 //!
 //! **Flag window.** Staging a candidate marks the moved clusters'
 //! positions in a byte-per-position flag array and notes the window
@@ -29,22 +32,44 @@
 //! sweep degenerates to a branch-predictable linear pass; a pairwise
 //! swap flags two clusters and the sweep is a scan of `hi − lo` bytes
 //! plus the disturbed cone. Both are the same code — there is no
-//! density threshold and no second path.
+//! density threshold and no second path. The kernel takes its distance
+//! as a parameter: the machine's hop matrix, or the system graph
+//! closure of §4.1 (one hop between clusters, none within), under which
+//! the same sweep yields the ideal schedule and its lower bound.
+//!
+//! **Live instance.** An online session keeps one attached precedence
+//! instance across trace events instead of rebuilding it per event:
+//! [`DeltaEvaluator::track_bound`] adds a second set of end times, the
+//! ideal schedule, and [`DeltaEvaluator::patch`] — the one entry point
+//! through which the instance changes shape — applies an event's
+//! effect in place (an arrival appends a position, a departure leaves a
+//! tombstone with size 0 and no rows, a removed edge is swap-removed
+//! from its rows, a row that outgrows its range moves to the tail of
+//! its pool) and repairs the total and the bound with one sweep each
+//! from the positions the event touched.
+//! [`DeltaEvaluator::resume`] picks the instance up again without a
+//! graph. An edge against the position order is refused: the caller
+//! re-attaches from a materialized graph, which also compacts the
+//! pools.
 //!
 //! Exactness contract: every staged total equals
 //! `evaluate_assignment(graph, system, candidate, model)?.total()`
 //! **bit for bit** (property-tested in `tests/delta.rs` for both models,
 //! pins on and off, on graphs whose task ids are not topologically
-//! numbered). The precedence model is repaired incrementally; the
-//! serialized model's greedy list schedule reorders globally under any
-//! move, so every candidate reruns the one list scheduler
-//! (`Schedule::serialized`'s) in full — allocation-free, on scratch the
-//! workspace keeps.
+//! numbered), and a patched instance prices every candidate, and
+//! reports the bound, exactly as a fresh attach to the materialized
+//! graph would (`mimd-online`'s `tests/properties.rs`). The precedence
+//! model is repaired incrementally; the serialized model's greedy list
+//! schedule reorders globally under any move, so every candidate reruns
+//! the one list scheduler (`Schedule::serialized`'s) in full —
+//! allocation-free, on scratch the workspace keeps.
 //!
 //! All buffers live in a caller-owned [`DeltaWorkspace`] so batch loops
 //! (flat refinement, the multilevel V-cycle, online sessions) reuse one
 //! workspace across attachments — zero allocation per candidate, and
 //! none per level either once the buffers have grown to size.
+
+use std::ops::Range;
 
 use mimd_graph::error::GraphError;
 use mimd_graph::matrix::SquareMatrix;
@@ -62,44 +87,235 @@ const DIRTY: u8 = 1;
 /// and its successors are dirty whether or not its own end shifted.
 const MOVED: u8 = 2;
 
-/// Reusable buffer bag for [`DeltaEvaluator`]. Create once, pass to
-/// every [`DeltaEvaluator::attach`]; buffers are resized (never shrunk
-/// below capacity) on attach and reused across candidates and
-/// attachments. Everything indexed "per position" is indexed by
-/// position in the attached problem's topological order.
+/// One row of a pool: `pool[start..end]`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// An empty row at `at`.
+    fn empty(at: usize) -> Span {
+        Span {
+            start: at as u32,
+            end: at as u32,
+        }
+    }
+
+    #[inline]
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// Append `item` to row `span` of `pool`, moving the row to the pool's
+/// tail first unless it already ends there; returns the row's new
+/// span. The slots a moved row leaves are dead until the next attach.
+fn push_row<T: Copy>(pool: &mut Vec<T>, span: Span, item: T) -> Span {
+    let start = if span.end as usize == pool.len() {
+        span.start as usize
+    } else {
+        let start = pool.len();
+        pool.extend_from_within(span.range());
+        start
+    };
+    pool.push(item);
+    Span {
+        start: start as u32,
+        end: u32::try_from(pool.len()).expect("a row pool outgrew the u32 index range"),
+    }
+}
+
+/// The index in `pool` of `item` within row `span`.
+fn find_in_row(pool: &[u32], span: Span, item: u32) -> usize {
+    span.range()
+        .find(|&i| pool[i] == item)
+        .expect("a patched edge is in its rows")
+}
+
+/// Drop slot `i` of row `span` by moving the row's last entry into it
+/// (rows are unordered: the sweep takes a max and ORs flags); returns
+/// the row's new span.
+fn swap_remove_row<T: Copy>(pool: &mut [T], span: Span, i: usize) -> Span {
+    pool[i] = pool[span.end as usize - 1];
+    Span {
+        start: span.start,
+        end: span.end - 1,
+    }
+}
+
+/// A distance the schedule kernel charges edges by: a predecessor edge
+/// of weight `w` into a position hosted on `host` costs `w ×
+/// hops(row_of(host), host of the predecessor)`. The row is read once
+/// per position.
+trait Distance {
+    type Row<'d>: Copy
+    where
+        Self: 'd;
+    fn row_of(&self, host: u32) -> Self::Row<'_>;
+    fn hops(row: Self::Row<'_>, other: u32) -> Time;
+}
+
+/// The machine: hosts are processors, hops come from the distance
+/// matrix.
+impl Distance for SquareMatrix<u32> {
+    type Row<'d> = &'d [u32];
+
+    #[inline]
+    fn row_of(&self, host: u32) -> &[u32] {
+        self.row(host as usize)
+    }
+
+    #[inline]
+    fn hops(row: &[u32], other: u32) -> Time {
+        Time::from(row[other as usize])
+    }
+}
+
+/// The system graph closure of the ideal schedule (§4.1): hosts are
+/// clusters, every cross-cluster message costs its weight once and an
+/// intra-cluster one nothing.
+struct Closure;
+
+impl Distance for Closure {
+    type Row<'d> = u32;
+
+    #[inline]
+    fn row_of(&self, host: u32) -> u32 {
+        host
+    }
+
+    #[inline]
+    fn hops(row: u32, other: u32) -> Time {
+        Time::from(row != other)
+    }
+}
+
+/// One schedule over the frozen rows: the host of every position and
+/// its end time.
 #[derive(Clone, Debug, Default)]
-pub struct DeltaWorkspace {
-    /// Attach-time scratch: position per task id.
-    pos_of: Vec<u32>,
-    /// Execution time per position.
+struct Track {
+    host: Vec<u32>,
+    end: Vec<Time>,
+}
+
+/// The arrays the schedule kernel sweeps, all per position except the
+/// pools.
+#[derive(Clone, Debug, Default)]
+struct Kernel {
+    /// Execution time per position (0 for a tombstone).
     size: Vec<Time>,
-    /// Predecessor CSR: row `p` is `pred_off[p]..pred_off[p + 1]` of
-    /// the parallel `pred_pos` / `pred_w` arrays.
-    pred_off: Vec<u32>,
+    /// Predecessor row per position into the parallel `pred_pos` /
+    /// `pred_w` pools.
+    pred: Vec<Span>,
     pred_pos: Vec<u32>,
     pred_w: Vec<Weight>,
-    /// Successor CSR (positions only). Rows follow the problem graph's
-    /// successor lists, which ascend by task id, not by position.
-    succ_off: Vec<u32>,
+    /// Successor row per position into `succ_pos`. Rows are unordered.
+    succ: Vec<Span>,
     succ_pos: Vec<u32>,
-    /// Positions grouped by owning cluster, ascending within a cluster;
-    /// cluster `c` owns `cluster_pos[cluster_off[c]..cluster_off[c + 1]]`.
-    cluster_off: Vec<u32>,
-    cluster_pos: Vec<u32>,
-    /// Processor hosting each position's cluster under the committed
-    /// assignment plus the staged moves (precedence model).
-    proc: Vec<u32>,
-    /// End time per position (precedence model), same state as `proc`.
-    end: Vec<Time>,
     /// `DIRTY | MOVED` bits per position; all zero between sweeps.
     flags: Vec<u8>,
     /// Undo log of `(position, old_end)` for the staged sweep.
     undo_end: Vec<(u32, Time)>,
+}
+
+impl Kernel {
+    /// The schedule kernel: recompute every flagged position of
+    /// `lo..hi` of `track` in ascending (= topological) order under
+    /// `dist`, propagating flags downstream, and return the makespan.
+    /// Shifted end times land in `undo_end`; every flag is clear again
+    /// on return.
+    fn sweep<D: Distance>(
+        &mut self,
+        track: &mut Track,
+        dist: &D,
+        lo: usize,
+        mut hi: usize,
+    ) -> Time {
+        let mut p = lo;
+        while p < hi {
+            let flag = std::mem::take(&mut self.flags[p]);
+            if flag != 0 {
+                let row = dist.row_of(track.host[p]);
+                let preds = self.pred[p].range();
+                let mut s: Time = 0;
+                for (&u, &w) in self.pred_pos[preds.clone()].iter().zip(&self.pred_w[preds]) {
+                    let u = u as usize;
+                    s = s.max(track.end[u] + w * D::hops(row, track.host[u]));
+                }
+                let e = s + self.size[p];
+                let shifted = e != track.end[p];
+                if shifted {
+                    self.undo_end.push((p as u32, track.end[p]));
+                    track.end[p] = e;
+                }
+                if shifted || flag & MOVED != 0 {
+                    for &v in &self.succ_pos[self.succ[p].range()] {
+                        self.flags[v as usize] |= DIRTY;
+                        hi = hi.max(v as usize + 1);
+                    }
+                }
+            }
+            p += 1;
+        }
+        track.end.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Flag the `touched` positions and sweep the window they span.
+    fn sweep_from<D: Distance>(&mut self, touched: &[u32], track: &mut Track, dist: &D) -> Time {
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &p in touched {
+            self.flags[p as usize] |= DIRTY;
+            lo = lo.min(p as usize);
+            hi = hi.max(p as usize + 1);
+        }
+        self.sweep(track, dist, lo.min(hi), hi)
+    }
+}
+
+/// Reusable buffer bag for [`DeltaEvaluator`]. Create once, pass to
+/// every [`DeltaEvaluator::attach`]; buffers are resized (never shrunk
+/// below capacity) on attach and reused across candidates and
+/// attachments. Everything indexed "per position" is indexed by
+/// position in the attached problem's topological order. The workspace
+/// also holds the committed state — assignment, total and, once
+/// tracked, the lower bound — so a precedence instance can be
+/// [resumed](DeltaEvaluator::resume) after its evaluator is gone.
+#[derive(Clone, Debug, Default)]
+pub struct DeltaWorkspace {
+    /// Position per task id of the attached graph.
+    pos_of: Vec<u32>,
+    kernel: Kernel,
+    /// Positions grouped by owning cluster, ascending within a cluster;
+    /// cluster `c` owns `cluster_pos[clusters[c]]`. Tombstones belong to
+    /// no cluster.
+    clusters: Vec<Span>,
+    cluster_pos: Vec<u32>,
+    /// The machine schedule (precedence model): the processor hosting
+    /// each position's cluster under the committed assignment plus the
+    /// staged moves, and the end times of the same state.
+    machine: Track,
+    /// The ideal schedule of a tracked bound: each position's cluster
+    /// and its end time on the system graph closure.
+    ideal: Track,
+    /// Patch scratch: the positions an event touched.
+    touched: Vec<u32>,
     /// Undo log of `(cluster, old_processor)` for staged moves; also the
     /// list of clusters the sweep starts from.
     undo_moves: Vec<(usize, usize)>,
     /// The serialized model's list-scheduler buffers.
     list: ListScratch,
+    /// The committed assignment (plus the staged moves while a
+    /// candidate is staged).
+    assignment: Assignment,
+    /// The committed total.
+    total: Time,
+    /// The ideal-graph lower bound, once tracked.
+    bound: Option<Time>,
+    /// `true` while the workspace holds a precedence instance, which
+    /// [`DeltaEvaluator::resume`] can pick up.
+    live: bool,
 }
 
 impl DeltaWorkspace {
@@ -107,6 +323,12 @@ impl DeltaWorkspace {
     /// [`DeltaEvaluator::attach`].
     pub fn new() -> Self {
         DeltaWorkspace::default()
+    }
+
+    /// The committed assignment of the instance last attached (and
+    /// patched or committed to since).
+    pub fn assignment(&self) -> &Assignment {
+        &self.assignment
     }
 
     /// Freeze `graph` into the position-space arrays and host every
@@ -121,98 +343,68 @@ impl DeltaWorkspace {
         for (p, &t) in topo.iter().enumerate() {
             self.pos_of[t] = p as u32;
         }
-        self.size.clear();
-        self.proc.clear();
-        self.pred_off.clear();
-        self.pred_pos.clear();
-        self.pred_w.clear();
-        self.succ_off.clear();
-        self.succ_pos.clear();
-        // Counting sort of positions by cluster. Cluster `c` is counted
-        // into slot `c + 2`, so after the prefix sum slot `c + 1` is
-        // its first index — and, once the fill below has advanced it
-        // past the cluster's positions, the first index of `c + 1`.
-        self.cluster_off.clear();
-        self.cluster_off.resize(nc + 2, 0);
-        self.pred_off.push(0);
-        self.succ_off.push(0);
+        let k = &mut self.kernel;
+        k.size.clear();
+        k.pred.clear();
+        k.pred_pos.clear();
+        k.pred_w.clear();
+        k.succ.clear();
+        k.succ_pos.clear();
+        self.machine.host.clear();
+        // Counting sort of positions by cluster: count into each span's
+        // `end`, turn the counts into empty spans at their offsets, then
+        // let the fill below advance every `end` past its positions.
+        self.clusters.clear();
+        self.clusters.resize(nc, Span::default());
         for &t in topo {
             let c = graph.cluster_of(t);
-            self.cluster_off[c + 2] += 1;
-            self.size.push(problem.size(t));
-            self.proc.push(assignment.sys_of(c) as u32);
+            self.clusters[c].end += 1;
+            k.size.push(problem.size(t));
+            self.machine.host.push(assignment.sys_of(c) as u32);
+            let start = k.pred_pos.len();
             for &(u, w) in problem.predecessors(t) {
-                self.pred_pos.push(self.pos_of[u]);
-                self.pred_w.push(w);
+                k.pred_pos.push(self.pos_of[u]);
+                k.pred_w.push(w);
             }
-            self.pred_off.push(self.pred_pos.len() as u32);
+            k.pred.push(Span {
+                start: start as u32,
+                end: k.pred_pos.len() as u32,
+            });
+            let start = k.succ_pos.len();
             let pos_of = &self.pos_of;
-            self.succ_pos
+            k.succ_pos
                 .extend(problem.successors(t).iter().map(|&(v, _)| pos_of[v]));
-            self.succ_off.push(self.succ_pos.len() as u32);
+            k.succ.push(Span {
+                start: start as u32,
+                end: k.succ_pos.len() as u32,
+            });
         }
-        for c in 0..nc {
-            self.cluster_off[c + 2] += self.cluster_off[c + 1];
+        let mut offset = 0;
+        for span in &mut self.clusters {
+            let count = span.end as usize;
+            *span = Span::empty(offset);
+            offset += count;
         }
         self.cluster_pos.clear();
         self.cluster_pos.resize(n, 0);
         for (p, &t) in topo.iter().enumerate() {
-            let slot = &mut self.cluster_off[graph.cluster_of(t) + 1];
-            self.cluster_pos[*slot as usize] = p as u32;
-            *slot += 1;
+            let span = &mut self.clusters[graph.cluster_of(t)];
+            self.cluster_pos[span.end as usize] = p as u32;
+            span.end += 1;
         }
-        self.cluster_off.truncate(nc + 1);
-        self.end.clear();
-        self.end.resize(n, 0);
-        self.flags.clear();
-        self.flags.resize(n, 0);
-        self.undo_end.clear();
+        self.machine.end.clear();
+        self.machine.end.resize(n, 0);
+        k.flags.clear();
+        k.flags.resize(n, 0);
+        k.undo_end.clear();
         self.undo_moves.clear();
-    }
-
-    /// The positions cluster `c` owns, ascending.
-    #[inline]
-    fn positions_of(&self, c: usize) -> std::ops::Range<usize> {
-        self.cluster_off[c] as usize..self.cluster_off[c + 1] as usize
-    }
-
-    /// The schedule kernel: recompute every flagged position of
-    /// `lo..hi` in ascending (= topological) order, propagating flags
-    /// downstream, and return the makespan. Shifted end times land in
-    /// `undo_end`; every flag is clear again on return.
-    fn sweep(&mut self, hops: &SquareMatrix<u32>, lo: usize, mut hi: usize) -> Time {
-        let mut p = lo;
-        while p < hi {
-            let flag = std::mem::take(&mut self.flags[p]);
-            if flag != 0 {
-                let row = hops.row(self.proc[p] as usize);
-                let preds = self.pred_off[p] as usize..self.pred_off[p + 1] as usize;
-                let mut s: Time = 0;
-                for (&u, &w) in self.pred_pos[preds.clone()].iter().zip(&self.pred_w[preds]) {
-                    let u = u as usize;
-                    s = s.max(self.end[u] + w * Time::from(row[self.proc[u] as usize]));
-                }
-                let e = s + self.size[p];
-                let shifted = e != self.end[p];
-                if shifted {
-                    self.undo_end.push((p as u32, self.end[p]));
-                    self.end[p] = e;
-                }
-                if shifted || flag & MOVED != 0 {
-                    let succs = self.succ_off[p] as usize..self.succ_off[p + 1] as usize;
-                    for &v in &self.succ_pos[succs] {
-                        self.flags[v as usize] |= DIRTY;
-                        hi = hi.max(v as usize + 1);
-                    }
-                }
-            }
-            p += 1;
-        }
-        self.end.iter().copied().max().unwrap_or(0)
+        self.assignment.clone_from(assignment);
+        self.bound = None;
+        self.live = false;
     }
 }
 
-/// Positions, processor ids and CSR offsets are stored as `u32`: the
+/// Positions, processor ids and row offsets are stored as `u32`: the
 /// error [`DeltaEvaluator::attach`] answers a count that would wrap
 /// with.
 fn fit_u32(what: &str, n: usize) -> Result<(), GraphError> {
@@ -224,20 +416,75 @@ fn fit_u32(what: &str, n: usize) -> Result<(), GraphError> {
     }
 }
 
+/// One event's effect on a live instance, in position space: what
+/// [`DeltaEvaluator::patch`] applies. Positions name tasks as the
+/// instance knows them; the caller maps its own task ids.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Patch {
+    /// A task of execution time `size` arrives in `cluster`. It takes
+    /// the position [`DeltaEvaluator::positions`] reported before the
+    /// patch.
+    AddTask {
+        /// Execution time.
+        size: Time,
+        /// Owning cluster.
+        cluster: usize,
+    },
+    /// The task at `pos` leaves with its edges. The position stays, as
+    /// a tombstone: size 0, no rows, in no cluster.
+    RemoveTask {
+        /// The departing task.
+        pos: u32,
+    },
+    /// Edge `from -> to` appears.
+    AddEdge {
+        /// Producer.
+        from: u32,
+        /// Consumer.
+        to: u32,
+        /// Communication weight.
+        weight: Weight,
+    },
+    /// Edge `from -> to` disappears.
+    RemoveEdge {
+        /// Producer.
+        from: u32,
+        /// Consumer.
+        to: u32,
+    },
+    /// The task at `pos` changes execution time.
+    SetSize {
+        /// The task.
+        pos: u32,
+        /// New execution time.
+        size: Time,
+    },
+    /// Edge `from -> to` changes weight.
+    SetWeight {
+        /// Producer.
+        from: u32,
+        /// Consumer.
+        to: u32,
+        /// New weight.
+        weight: Weight,
+    },
+}
+
 /// Incremental evaluator over one `(graph, system, model)` triple.
 ///
-/// Owns the committed assignment and schedule; candidates are *staged*
-/// (moves applied, schedule swept, total read) and then either
-/// [`commit`](DeltaEvaluator::commit)ted — the candidate becomes the new
-/// committed state — or [`discard`](DeltaEvaluator::discard)ed, rolling
-/// every touched buffer back via the undo logs.
+/// Owns the committed assignment and schedule (kept in its workspace);
+/// candidates are *staged* (moves applied, schedule swept, total read)
+/// and then either [`commit`](DeltaEvaluator::commit)ted — the
+/// candidate becomes the new committed state — or
+/// [`discard`](DeltaEvaluator::discard)ed, rolling every touched buffer
+/// back via the undo logs.
 pub struct DeltaEvaluator<'a, 'w> {
-    graph: &'a ClusteredProblemGraph,
+    /// The attached graph; only the serialized model's list scheduler
+    /// reads it, so a resumed precedence instance has none.
+    graph: Option<&'a ClusteredProblemGraph>,
     system: &'a SystemGraph,
     model: EvaluationModel,
     ws: &'w mut DeltaWorkspace,
-    assignment: Assignment,
-    total: Time,
     staged: Option<Time>,
 }
 
@@ -260,22 +507,24 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         fit_u32("edge count", graph.problem().graph().edge_count())?;
         ws.freeze(graph, start);
         let mut evaluator = DeltaEvaluator {
-            graph,
+            graph: Some(graph),
             system,
             model,
             ws,
-            assignment: start.clone(),
-            total: 0,
             staged: None,
         };
-        evaluator.total = match model {
+        evaluator.ws.total = match model {
             EvaluationModel::Precedence => {
                 // With every position dirty the sweep is the
                 // from-scratch schedule; what it logs is no candidate's.
                 let ws = &mut *evaluator.ws;
-                ws.flags.fill(DIRTY);
-                let total = ws.sweep(system.distances().as_matrix(), 0, ws.flags.len());
-                ws.undo_end.clear();
+                ws.kernel.flags.fill(DIRTY);
+                let n = ws.kernel.flags.len();
+                let total = ws
+                    .kernel
+                    .sweep(&mut ws.machine, system.distances().as_matrix(), 0, n);
+                ws.kernel.undo_end.clear();
+                ws.live = true;
                 total
             }
             EvaluationModel::Serialized => evaluator.list_schedule(),
@@ -283,16 +532,45 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         Ok(evaluator)
     }
 
+    /// Pick up the precedence instance `ws` holds — as its last attach
+    /// left it, with every commit and patch since — on `system`, the
+    /// machine it was attached on. Needs no graph: the frozen rows, the
+    /// committed assignment and the end times all live in the
+    /// workspace. Panics if the workspace holds no precedence instance
+    /// or `system` has another size.
+    pub fn resume(ws: &'w mut DeltaWorkspace, system: &'a SystemGraph) -> Self {
+        assert!(
+            ws.live,
+            "resume needs a workspace attached under the precedence model"
+        );
+        assert!(
+            ws.undo_moves.is_empty(),
+            "an evaluator left a candidate staged"
+        );
+        assert_eq!(
+            ws.assignment.len(),
+            system.len(),
+            "resumed on another machine"
+        );
+        DeltaEvaluator {
+            graph: None,
+            system,
+            model: EvaluationModel::Precedence,
+            ws,
+            staged: None,
+        }
+    }
+
     /// The committed total time.
     #[inline]
     pub fn total(&self) -> Time {
-        self.total
+        self.ws.total
     }
 
     /// The committed assignment.
     #[inline]
     pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+        &self.ws.assignment
     }
 
     /// The evaluation model.
@@ -307,14 +585,162 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         self.staged.is_some()
     }
 
+    /// The number of positions, tombstones included: the position the
+    /// next [`Patch::AddTask`] takes.
+    pub fn positions(&self) -> usize {
+        self.ws.kernel.size.len()
+    }
+
+    /// The position of every task of the graph last attached, by task
+    /// index (patches since do not update it).
+    pub fn attached_positions(&self) -> &[u32] {
+        &self.ws.pos_of
+    }
+
+    /// The tracked ideal-graph lower bound (`None` until
+    /// [`track_bound`](DeltaEvaluator::track_bound)).
+    pub fn lower_bound(&self) -> Option<Time> {
+        self.ws.bound
+    }
+
+    /// Derive the ideal schedule (§4.1) in the instance's second set of
+    /// end times — the schedule kernel swept over the system graph
+    /// closure — and keep it: from here on every
+    /// [`patch`](DeltaEvaluator::patch) repairs the lower bound along
+    /// with the total. Returns the bound. Batch refinement never calls
+    /// this, so its attach does no extra work. Precedence model only.
+    pub fn track_bound(&mut self) -> Time {
+        assert_eq!(
+            self.model,
+            EvaluationModel::Precedence,
+            "bounds track the precedence model"
+        );
+        assert!(self.staged.is_none(), "candidate still staged");
+        let ws = &mut *self.ws;
+        let n = ws.kernel.size.len();
+        ws.ideal.host.clear();
+        ws.ideal.host.resize(n, 0);
+        for (c, span) in ws.clusters.iter().enumerate() {
+            for &p in &ws.cluster_pos[span.range()] {
+                ws.ideal.host[p as usize] = c as u32;
+            }
+        }
+        ws.ideal.end.clear();
+        ws.ideal.end.resize(n, 0);
+        ws.kernel.flags.fill(DIRTY);
+        let bound = ws.kernel.sweep(&mut ws.ideal, &Closure, 0, n);
+        ws.kernel.undo_end.clear();
+        ws.bound = Some(bound);
+        bound
+    }
+
+    /// Apply one event's effect to the instance in place, then repair
+    /// the committed total and the tracked bound with one sweep each,
+    /// started from the positions the event touched. Returns `false`,
+    /// changing nothing, for an [`Patch::AddEdge`] that runs against
+    /// the position order (`from` at or after `to`): the caller
+    /// re-attaches from a materialized graph, whose topological order
+    /// places it. Every other patch must describe a change the
+    /// instance can take — an existing edge, a live position. Panics
+    /// while a candidate is staged or before
+    /// [`track_bound`](DeltaEvaluator::track_bound).
+    pub fn patch(&mut self, patch: Patch) -> bool {
+        assert!(self.staged.is_none(), "candidate still staged");
+        assert!(self.ws.bound.is_some(), "patching needs a tracked bound");
+        let ws = &mut *self.ws;
+        let k = &mut ws.kernel;
+        ws.touched.clear();
+        match patch {
+            Patch::AddTask { size, cluster } => {
+                let p = k.size.len();
+                assert!(
+                    p < u32::MAX as usize,
+                    "positions exceed the u32 index range"
+                );
+                k.size.push(size);
+                k.pred.push(Span::empty(k.pred_pos.len()));
+                k.succ.push(Span::empty(k.succ_pos.len()));
+                k.flags.push(0);
+                ws.machine.host.push(ws.assignment.sys_of(cluster) as u32);
+                ws.machine.end.push(0);
+                ws.ideal.host.push(cluster as u32);
+                ws.ideal.end.push(0);
+                ws.clusters[cluster] =
+                    push_row(&mut ws.cluster_pos, ws.clusters[cluster], p as u32);
+                ws.touched.push(p as u32);
+            }
+            Patch::RemoveTask { pos } => {
+                let p = pos as usize;
+                for i in k.pred[p].range() {
+                    let u = k.pred_pos[i] as usize;
+                    let j = find_in_row(&k.succ_pos, k.succ[u], pos);
+                    k.succ[u] = swap_remove_row(&mut k.succ_pos, k.succ[u], j);
+                }
+                for i in k.succ[p].range() {
+                    let v = k.succ_pos[i];
+                    let row = k.pred[v as usize];
+                    let j = find_in_row(&k.pred_pos, row, pos);
+                    swap_remove_row(&mut k.pred_w, row, j);
+                    k.pred[v as usize] = swap_remove_row(&mut k.pred_pos, row, j);
+                    ws.touched.push(v);
+                }
+                k.pred[p].end = k.pred[p].start;
+                k.succ[p].end = k.succ[p].start;
+                k.size[p] = 0;
+                let c = ws.ideal.host[p] as usize;
+                let span = ws.clusters[c];
+                let i = find_in_row(&ws.cluster_pos, span, pos);
+                // Cluster rows stay ascending: shift rather than swap.
+                ws.cluster_pos.copy_within(i + 1..span.end as usize, i);
+                ws.clusters[c].end -= 1;
+                ws.touched.push(pos);
+            }
+            Patch::AddEdge { from, to, weight } => {
+                if from >= to {
+                    return false;
+                }
+                let row = k.pred[to as usize];
+                push_row(&mut k.pred_w, row, weight);
+                k.pred[to as usize] = push_row(&mut k.pred_pos, row, from);
+                let f = from as usize;
+                k.succ[f] = push_row(&mut k.succ_pos, k.succ[f], to);
+                ws.touched.push(to);
+            }
+            Patch::RemoveEdge { from, to } => {
+                let row = k.pred[to as usize];
+                let i = find_in_row(&k.pred_pos, row, from);
+                swap_remove_row(&mut k.pred_w, row, i);
+                k.pred[to as usize] = swap_remove_row(&mut k.pred_pos, row, i);
+                let f = from as usize;
+                let j = find_in_row(&k.succ_pos, k.succ[f], to);
+                k.succ[f] = swap_remove_row(&mut k.succ_pos, k.succ[f], j);
+                ws.touched.push(to);
+            }
+            Patch::SetSize { pos, size } => {
+                k.size[pos as usize] = size;
+                ws.touched.push(pos);
+            }
+            Patch::SetWeight { from, to, weight } => {
+                let i = find_in_row(&k.pred_pos, k.pred[to as usize], from);
+                k.pred_w[i] = weight;
+                ws.touched.push(to);
+            }
+        }
+        let hops = self.system.distances().as_matrix();
+        ws.total = k.sweep_from(&ws.touched, &mut ws.machine, hops);
+        ws.bound = Some(k.sweep_from(&ws.touched, &mut ws.ideal, &Closure));
+        k.undo_end.clear();
+        true
+    }
+
     /// Move cluster `a` to processor `s` if that is an actual change,
     /// recording the undo entry.
     #[inline]
     fn push_move(&mut self, a: usize, s: usize) {
-        let old = self.assignment.sys_of(a);
+        let old = self.ws.assignment.sys_of(a);
         if old != s {
             self.ws.undo_moves.push((a, old));
-            self.assignment.place(a, s);
+            self.ws.assignment.place(a, s);
         }
     }
 
@@ -344,7 +770,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     /// committed assignment's length.
     pub fn stage_candidate(&mut self, candidate: &Assignment) -> Time {
         assert!(self.staged.is_none(), "previous candidate still staged");
-        assert_eq!(candidate.len(), self.assignment.len(), "candidate size");
+        assert_eq!(candidate.len(), self.ws.assignment.len(), "candidate size");
         for a in 0..candidate.len() {
             self.push_move(a, candidate.sys_of(a));
         }
@@ -354,7 +780,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     /// Stage the pairwise exchange of clusters `a` and `b`.
     pub fn stage_swap(&mut self, a: usize, b: usize) -> Time {
         assert!(self.staged.is_none(), "previous candidate still staged");
-        let (sa, sb) = (self.assignment.sys_of(a), self.assignment.sys_of(b));
+        let (sa, sb) = (self.ws.assignment.sys_of(a), self.ws.assignment.sys_of(b));
         self.push_move(a, sb);
         self.push_move(b, sa);
         self.eval_staged()
@@ -378,27 +804,33 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         let (mut lo, mut hi) = (usize::MAX, 0);
         for i in 0..ws.undo_moves.len() {
             let c = ws.undo_moves[i].0;
-            let s = self.assignment.sys_of(c) as u32;
-            let owned = ws.positions_of(c);
+            let s = ws.assignment.sys_of(c) as u32;
+            let owned = ws.clusters[c].range();
             for &p in &ws.cluster_pos[owned.clone()] {
-                ws.proc[p as usize] = s;
-                ws.flags[p as usize] = DIRTY | MOVED;
+                ws.machine.host[p as usize] = s;
+                ws.kernel.flags[p as usize] = DIRTY | MOVED;
             }
             // Clusters are never empty and their positions ascend.
             lo = lo.min(ws.cluster_pos[owned.start] as usize);
             hi = hi.max(ws.cluster_pos[owned.end - 1] as usize + 1);
         }
         if lo >= hi {
-            return self.total; // nothing moved
+            return ws.total; // nothing moved
         }
-        ws.sweep(self.system.distances().as_matrix(), lo, hi)
+        ws.kernel
+            .sweep(&mut ws.machine, self.system.distances().as_matrix(), lo, hi)
     }
 
     /// The serialized total of the current assignment: the one list
     /// scheduler, run on the workspace's scratch.
     fn list_schedule(&mut self) -> Time {
-        let (graph, system, assignment) = (self.graph, self.system, &self.assignment);
-        self.ws.list.run(graph, |u, v, w| {
+        let graph = self
+            .graph
+            .expect("a serialized evaluator is attached to its graph");
+        let system = self.system;
+        let ws = &mut *self.ws;
+        let assignment = &ws.assignment;
+        ws.list.run(graph, |u, v, w| {
             edge_cost(graph, system, assignment, u, v, w)
         })
     }
@@ -407,9 +839,9 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     /// undo logs are simply dropped.
     pub fn commit(&mut self) {
         let total = self.staged.take().expect("no candidate staged");
-        self.ws.undo_end.clear();
+        self.ws.kernel.undo_end.clear();
         self.ws.undo_moves.clear();
-        self.total = total;
+        self.ws.total = total;
     }
 
     /// Reject the staged candidate: every touched buffer is rolled back
@@ -417,15 +849,14 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     pub fn discard(&mut self) {
         assert!(self.staged.take().is_some(), "no candidate staged");
         let ws = &mut *self.ws;
-        for (p, e) in ws.undo_end.drain(..) {
-            ws.end[p as usize] = e;
+        for (p, e) in ws.kernel.undo_end.drain(..) {
+            ws.machine.end[p as usize] = e;
         }
         while let Some((a, old)) = ws.undo_moves.pop() {
-            self.assignment.place(a, old);
+            ws.assignment.place(a, old);
             if self.model == EvaluationModel::Precedence {
-                let owned = ws.positions_of(a);
-                for &p in &ws.cluster_pos[owned] {
-                    ws.proc[p as usize] = old as u32;
+                for &p in &ws.cluster_pos[ws.clusters[a].range()] {
+                    ws.machine.host[p as usize] = old as u32;
                 }
             }
         }
@@ -610,6 +1041,161 @@ mod tests {
             ev.total(),
             full_total(&g, &sys, &a, EvaluationModel::Precedence)
         );
+    }
+
+    #[test]
+    fn patches_match_a_fresh_attach_and_refuse_edges_against_the_order() {
+        use crate::ideal::IdealSchedule;
+        use mimd_taskgraph::{DynamicWorkload, TraceEvent};
+        let (g, sys) = worked();
+        let a = Assignment::from_sys_of(vec![1, 3, 0, 2]).unwrap();
+        let mut ws = DeltaWorkspace::new();
+        let mut ev =
+            DeltaEvaluator::attach(&mut ws, &g, &sys, EvaluationModel::Precedence, &a).unwrap();
+        assert_eq!(ev.lower_bound(), None);
+        assert_eq!(ev.track_bound(), IdealSchedule::derive(&g).lower_bound());
+        let mut pos = ev.attached_positions().to_vec();
+        let mut workload = DynamicWorkload::from_clustered(&g);
+        let events = [
+            (TraceEvent::SetTaskSize { task: 6, size: 5 }, None),
+            (
+                TraceEvent::SetEdgeWeight {
+                    from: 6,
+                    to: 8,
+                    weight: 7,
+                },
+                None,
+            ),
+            (TraceEvent::RemoveEdge { from: 2, to: 4 }, None),
+            (
+                TraceEvent::AddTask {
+                    task: 11,
+                    size: 4,
+                    cluster: 3,
+                },
+                Some(Patch::AddTask {
+                    size: 4,
+                    cluster: 3,
+                }),
+            ),
+            (
+                TraceEvent::AddEdge {
+                    from: 7,
+                    to: 11,
+                    weight: 5,
+                },
+                None,
+            ),
+            (
+                TraceEvent::AddEdge {
+                    from: 0,
+                    to: 4,
+                    weight: 3,
+                },
+                None,
+            ),
+            (TraceEvent::RemoveTask { task: 3 }, None),
+            (TraceEvent::RemoveTask { task: 11 }, None),
+        ];
+        for (event, appended) in events {
+            workload.apply(&event).unwrap();
+            let patch = match (event, appended) {
+                (_, Some(patch)) => {
+                    pos.push(ev.positions() as u32);
+                    patch
+                }
+                (TraceEvent::SetTaskSize { task, size }, _) => Patch::SetSize {
+                    pos: pos[task],
+                    size,
+                },
+                (TraceEvent::SetEdgeWeight { from, to, weight }, _) => Patch::SetWeight {
+                    from: pos[from],
+                    to: pos[to],
+                    weight,
+                },
+                (TraceEvent::RemoveEdge { from, to }, _) => Patch::RemoveEdge {
+                    from: pos[from],
+                    to: pos[to],
+                },
+                (TraceEvent::AddEdge { from, to, weight }, _) => Patch::AddEdge {
+                    from: pos[from],
+                    to: pos[to],
+                    weight,
+                },
+                (TraceEvent::RemoveTask { task }, _) => Patch::RemoveTask { pos: pos[task] },
+                (other, _) => unreachable!("{other:?}"),
+            };
+            assert!(ev.patch(patch), "{patch:?}");
+            let fresh = workload.materialize().unwrap();
+            let model = EvaluationModel::Precedence;
+            assert_eq!(ev.total(), full_total(&fresh, &sys, &a, model), "{patch:?}");
+            assert_eq!(
+                ev.lower_bound(),
+                Some(IdealSchedule::derive(&fresh).lower_bound()),
+                "{patch:?}"
+            );
+            let mut swapped = a.clone();
+            swapped.swap_clusters(0, 2);
+            assert_eq!(
+                ev.stage_swap(0, 2),
+                full_total(&fresh, &sys, &swapped, model)
+            );
+            ev.discard();
+        }
+        // Task 10 sits after task 2: an edge from it into task 2 runs
+        // against the order and changes nothing.
+        let (total, bound) = (ev.total(), ev.lower_bound());
+        assert!(!ev.patch(Patch::AddEdge {
+            from: pos[10],
+            to: pos[2],
+            weight: 1
+        }));
+        assert_eq!((ev.total(), ev.lower_bound()), (total, bound));
+        assert_eq!(ev.positions(), 12, "the departed arrival is a tombstone");
+    }
+
+    #[test]
+    fn a_precedence_instance_resumes_without_its_graph() {
+        let (g, sys) = worked();
+        let mut ws = DeltaWorkspace::new();
+        let committed = {
+            let mut ev = DeltaEvaluator::attach(
+                &mut ws,
+                &g,
+                &sys,
+                EvaluationModel::Precedence,
+                &Assignment::identity(4),
+            )
+            .unwrap();
+            ev.stage_swap(1, 3);
+            ev.commit();
+            (ev.assignment().clone(), ev.total())
+        };
+        assert_eq!(ws.assignment(), &committed.0);
+        let mut ev = DeltaEvaluator::resume(&mut ws, &sys);
+        assert_eq!((ev.assignment().clone(), ev.total()), committed);
+        let mut swapped = committed.0.clone();
+        swapped.swap_clusters(0, 2);
+        assert_eq!(
+            ev.stage_swap(0, 2),
+            full_total(&g, &sys, &swapped, EvaluationModel::Precedence)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "precedence model")]
+    fn a_serialized_instance_does_not_resume() {
+        let (g, sys) = worked();
+        let mut ws = DeltaWorkspace::new();
+        DeltaEvaluator::attach(
+            &mut ws,
+            &g,
+            &sys,
+            EvaluationModel::Serialized,
+            &Assignment::identity(4),
+        )
+        .unwrap();
+        DeltaEvaluator::resume(&mut ws, &sys);
     }
 
     #[test]

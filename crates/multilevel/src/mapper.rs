@@ -3,7 +3,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mimd_core::delta::DeltaWorkspace;
+use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
 use mimd_core::evaluate::evaluate_total;
 use mimd_core::{Assignment, IdealSchedule, Mapper, MapperConfig};
 use mimd_graph::error::GraphError;
@@ -201,24 +201,27 @@ impl MultilevelMapper {
                 },
                 rounds: self.config.refine_rounds,
                 batch: self.config.refine_batch,
-                model: self.config.mapper.model,
             };
             let scoped = self
                 .recorder
                 .clone()
                 .with_gain_scope("vcycle.refine", k as u32);
             let out = self.recorder.time("vcycle.refine", || {
-                refine_within_groups(
+                let mut evaluator = DeltaEvaluator::attach(
+                    &mut refine_ws,
                     &level.graph,
                     &level.system,
-                    coarsening.groups(),
+                    self.config.mapper.model,
                     &assignment,
+                )?;
+                Ok::<_, GraphError>(refine_within_groups(
+                    &mut evaluator,
+                    coarsening.groups(),
                     &config,
                     |_, total| u128::from(total),
                     &scoped,
-                    &mut refine_ws,
                     rng,
-                )
+                ))
             })?;
             assignment = out.assignment;
             evaluations += out.rounds_used;

@@ -21,20 +21,19 @@
 //!
 //! There is one loop, [`refine_within_groups`], parameterized by the
 //! cost a candidate is judged on: the V-cycle passes the plain total,
-//! `mimd-online` its migration-penalized total. The caller owns the
-//! [`Recorder`], the [`DeltaWorkspace`] and the RNG.
+//! `mimd-online` its migration-penalized total. It refines whatever
+//! instance the caller's [`DeltaEvaluator`] holds, from its committed
+//! assignment: a V-cycle level attaches one per level, an online session
+//! resumes the live instance it patches event by event. The caller owns
+//! the evaluator, the [`Recorder`] and the RNG.
 
 use rand::Rng;
 
-use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
-use mimd_core::schedule::EvaluationModel;
+use mimd_core::delta::DeltaEvaluator;
 use mimd_core::shuffle::fisher_yates;
 use mimd_core::Assignment;
-use mimd_graph::error::GraphError;
 use mimd_graph::{NodeId, Time};
-use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_telemetry::Recorder;
-use mimd_topology::SystemGraph;
 
 /// Objective and budget of a group-local refinement pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,8 +46,6 @@ pub struct LocalRefineConfig {
     /// Candidates generated per batch (the unit of acceptance); 1
     /// reproduces the sequential accept-any-improvement loop.
     pub batch: usize,
-    /// The evaluation model (paper: precedence).
-    pub model: EvaluationModel,
 }
 
 /// What a group-local refinement pass did.
@@ -67,37 +64,31 @@ pub struct LocalRefineOutcome {
     pub reached_lower_bound: bool,
 }
 
-/// Refine `start` by randomly re-arranging clusters within each
-/// processor group for up to `config.rounds` candidate evaluations,
-/// accepting per batch the candidate with the lowest
-/// `score(candidate, total)` that beats the incumbent's (ties to the
-/// earliest). The random stream, the batch accounting and the early
+/// Refine the evaluator's committed assignment by randomly
+/// re-arranging clusters within each processor group for up to
+/// `config.rounds` candidate evaluations, accepting per batch the
+/// candidate with the lowest `score(candidate, total)` that beats the
+/// incumbent's (ties to the earliest) and committing it to the
+/// evaluator. The random stream, the batch accounting and the early
 /// stop (on the *total* reaching `lower_bound`) are the same for every
-/// scorer. `ws` is reused across calls (V-cycle levels, session
-/// events); `recorder` receives the `refine.candidates` /
+/// scorer. `recorder` receives the `refine.candidates` /
 /// `refine.accepted` counters, batched once per call, and one
 /// `local.refine` gain-ledger entry per accepted batch.
-#[allow(clippy::too_many_arguments)]
 pub fn refine_within_groups(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
+    evaluator: &mut DeltaEvaluator<'_, '_>,
     groups: &[Vec<NodeId>],
-    start: &Assignment,
     config: &LocalRefineConfig,
     score: impl Fn(&Assignment, Time) -> u128,
     recorder: &Recorder,
-    ws: &mut DeltaWorkspace,
     rng: &mut impl Rng,
-) -> Result<LocalRefineOutcome, GraphError> {
+) -> LocalRefineOutcome {
     let LocalRefineConfig {
         lower_bound,
         rounds,
         batch,
-        model,
     } = *config;
     let batch = batch.max(1);
-    let mut evaluator = DeltaEvaluator::attach(ws, graph, system, model, start)?;
-    let mut best = start.clone();
+    let mut best = evaluator.assignment().clone();
     let mut best_total = evaluator.total();
     let mut best_cost = score(&best, best_total);
     recorder.gain_run_start("local.refine", best_total);
@@ -109,11 +100,11 @@ pub fn refine_within_groups(
         reached_lower_bound: best_total == lower_bound,
     };
     if outcome.reached_lower_bound {
-        return Ok(outcome);
+        return outcome;
     }
     let multi: Vec<&Vec<NodeId>> = groups.iter().filter(|g| g.len() >= 2).collect();
     if multi.is_empty() {
-        return Ok(outcome);
+        return outcome;
     }
 
     let mut clusters = Vec::new();
@@ -168,13 +159,15 @@ pub fn refine_within_groups(
     }
     outcome.assignment = best;
     outcome.total = best_total;
-    Ok(outcome)
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimd_core::delta::DeltaWorkspace;
     use mimd_core::evaluate::evaluate_total;
+    use mimd_core::schedule::EvaluationModel;
     use mimd_taskgraph::paper;
     use mimd_topology::ring;
     use rand::rngs::StdRng;
@@ -185,7 +178,6 @@ mod tests {
             lower_bound,
             rounds,
             batch: 1,
-            model: EvaluationModel::Precedence,
         }
     }
 
@@ -196,18 +188,23 @@ mod tests {
         config: &LocalRefineConfig,
         seed: u64,
     ) -> LocalRefineOutcome {
-        refine_within_groups(
-            &paper::worked_example(),
-            &ring(4).unwrap(),
+        let (graph, system) = (paper::worked_example(), ring(4).unwrap());
+        let mut ws = DeltaWorkspace::new();
+        let mut evaluator =
+            DeltaEvaluator::attach(&mut ws, &graph, &system, EvaluationModel::Precedence, start)
+                .unwrap();
+        let out = refine_within_groups(
+            &mut evaluator,
             groups,
-            start,
             config,
             |_, total| u128::from(total),
             &Recorder::disabled(),
-            &mut DeltaWorkspace::new(),
             &mut StdRng::seed_from_u64(seed),
-        )
-        .unwrap()
+        );
+        // The evaluator holds the outcome as its committed state.
+        assert_eq!(evaluator.assignment(), &out.assignment);
+        assert_eq!(evaluator.total(), out.total);
+        out
     }
 
     #[test]

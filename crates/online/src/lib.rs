@@ -16,10 +16,16 @@
 //!   clusters (each move is charged [`OnlineConfig::migration_penalty`]
 //!   against its predicted gain), falling back to a full
 //!   `mimd-multilevel` V-cycle when accumulated drift crosses
-//!   [`OnlineConfig::staleness_threshold`]. Each event's lower bound is
-//!   the ideal schedule of the graph the event materialized, derived
-//!   once. [`SessionConfig`] is the one resolution of optional
-//!   overrides against [`OnlineConfig`]'s defaults;
+//!   [`OnlineConfig::staleness_threshold`]. A session keeps one live
+//!   position-space instance of its workload (`mimd-core`'s
+//!   `DeltaWorkspace`) and patches it with each local event's effect:
+//!   one sweep from the touched positions repairs the committed total
+//!   and the event's lower bound, the ideal schedule kept beside it.
+//!   The whole graph is materialized only at `begin`, on a full
+//!   V-cycle and for an edge against the instance's position order.
+//!   Sessions are precedence-model only. [`SessionConfig`] is the one
+//!   resolution of optional overrides against [`OnlineConfig`]'s
+//!   defaults;
 //! * [`refine`] — the penalized objective handed to the multilevel
 //!   group smoother;
 //! * [`replay`] — the trace wire format ([`TraceHeader`] + events) and

@@ -1,16 +1,21 @@
 //! The incremental mapper: a long-lived session that keeps the previous
-//! assignment and the (cached) system-side multilevel hierarchy alive
-//! across trace events.
+//! assignment, the (cached) system-side multilevel hierarchy and one
+//! live position-space instance of the workload alive across trace
+//! events.
 //!
 //! Per event the session applies the delta to its [`DynamicWorkload`],
 //! then chooses between two paths:
 //!
-//! * **Incremental** (the common case): re-run migration-cost-aware
-//!   group-local refinement only inside the *regions* around the
-//!   touched clusters — the smallest hierarchy groups of at least
-//!   [`OnlineConfig::region_size`] processors containing the touched
-//!   clusters' hosts. Everything else keeps its placement, so the cost
-//!   per event is a handful of full evaluations instead of a V-cycle.
+//! * **Incremental** (the common case): patch the live instance with
+//!   the event's effect — one sweep from the touched positions repairs
+//!   the committed total and the ideal-graph lower bound — and re-run
+//!   migration-cost-aware group-local refinement on it, only inside the
+//!   *regions* around the touched clusters: the smallest hierarchy
+//!   groups of at least [`OnlineConfig::region_size`] processors
+//!   containing the touched clusters' hosts, looked up in a table built
+//!   once per session. Everything else keeps its placement, so an event
+//!   costs its cone plus a handful of candidate sweeps instead of a
+//!   V-cycle.
 //! * **Full V-cycle**: when accumulated drift (moved weight divided by
 //!   total weight since the last full map) crosses
 //!   [`OnlineConfig::staleness_threshold`], or the event has no
@@ -18,23 +23,32 @@
 //!   with [`MultilevelMapper::map_with_hierarchy`] — still reusing the
 //!   shared system-side hierarchy — and resets the drift meter.
 //!
+//! The whole graph is materialized only where one is really needed: at
+//! `begin`, on a full V-cycle, and for an edge that runs against the
+//! live instance's position order. Each re-attaches the live instance,
+//! which also compacts it. Sessions evaluate under the precedence
+//! model, the one the live instance repairs incrementally.
+//!
 //! All randomness flows from the session seed in event order, so a
 //! replay of the same trace with the same seed is bit-identical.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use mimd_core::delta::DeltaWorkspace;
-use mimd_core::{Assignment, IdealSchedule};
+use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace, Patch};
+use mimd_core::schedule::EvaluationModel;
+use mimd_core::Assignment;
 use mimd_graph::error::GraphError;
 use mimd_graph::{NodeId, Time};
 use mimd_multilevel::{
-    refine_within_groups, LocalRefineConfig, MultilevelConfig, MultilevelMapper, SystemHierarchy,
+    refine_within_groups, LocalRefineConfig, MultilevelConfig, MultilevelMapper, MultilevelResult,
+    SystemHierarchy,
 };
-use mimd_taskgraph::{ClusterId, DynamicWorkload, TraceEvent};
+use mimd_taskgraph::{ClusterId, ClusteredProblemGraph, DynamicWorkload, TaskId, TraceEvent};
 use mimd_telemetry::Recorder;
 
 use crate::refine::{count_moves, migration_cost};
@@ -44,7 +58,8 @@ use crate::replay::ReplayRecord;
 #[derive(Clone, Debug, PartialEq)]
 pub struct OnlineConfig {
     /// The V-cycle used for the initial mapping and staleness resets
-    /// (its `mapper.model` is also the incremental objective).
+    /// (its `mapper.model` is also the incremental objective; sessions
+    /// take only the precedence model).
     pub multilevel: MultilevelConfig,
     /// Cost charged per migrated cluster when weighing an incremental
     /// move against its predicted gain.
@@ -132,8 +147,9 @@ impl IncrementalMapper {
 
     /// Attach a telemetry recorder: sessions started by this mapper
     /// record the structural counters `online.events`,
-    /// `online.incremental`, `online.fallbacks`, `online.errors` and
-    /// `online.migrations`, plus latency spans `online.initial_map`,
+    /// `online.incremental`, `online.fallbacks`, `online.errors`,
+    /// `online.migrations` and `online.materializations` (whole-graph
+    /// rebuilds), plus latency spans `online.initial_map`,
     /// `online.region_refine` and `online.full_vcycle` (and, through
     /// the embedded V-cycle, the `vcycle.*` series). Recording never
     /// changes results.
@@ -149,13 +165,21 @@ impl IncrementalMapper {
 
     /// Start a session: map the initial workload with a full V-cycle
     /// against the (typically cached) system hierarchy. Returns the
-    /// session plus the record of the initial mapping (index 0).
+    /// session plus the record of the initial mapping (index 0). A
+    /// configuration evaluating under the serialized model is refused
+    /// with `InvalidParameter`: a session's live instance repairs the
+    /// precedence schedule.
     pub fn begin(
         &self,
         workload: DynamicWorkload,
         hierarchy: Arc<SystemHierarchy>,
         seed: u64,
     ) -> Result<(OnlineSession, ReplayRecord), GraphError> {
+        if self.config.multilevel.mapper.model != EvaluationModel::Precedence {
+            return Err(GraphError::InvalidParameter(
+                "online sessions evaluate under the precedence model".into(),
+            ));
+        }
         let ns = hierarchy.finest().len();
         if workload.num_clusters() != ns {
             return Err(GraphError::SizeMismatch {
@@ -163,18 +187,26 @@ impl IncrementalMapper {
                 right: ns,
             });
         }
-        let graph = workload.materialize()?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let vcycle = MultilevelMapper::with_config(self.config.multilevel.clone())
-            .with_recorder(self.recorder.clone());
-        let result = self.recorder.time("online.initial_map", || {
-            vcycle.map_with_hierarchy(&graph, &hierarchy, &mut rng)
-        })?;
+        let mut session = OnlineSession {
+            config: self.config.clone(),
+            recorder: self.recorder.clone(),
+            regions: RegionTable::build(&hierarchy, self.config.region_size),
+            hierarchy,
+            workload,
+            live: DeltaWorkspace::new(),
+            positions: BTreeMap::new(),
+            rng: StdRng::seed_from_u64(seed),
+            drift: 0.0,
+            events_applied: 0,
+            last_lower_bound: 0,
+            last_total: 0,
+        };
+        let result = session.rebuild(|s, graph| s.vcycle(graph, "online.initial_map"))?;
         let record = ReplayRecord {
             index: 0,
             kind: "init".into(),
             action: "full".into(),
-            np: graph.num_tasks(),
+            np: session.workload.num_tasks(),
             ns,
             lower_bound: result.lower_bound,
             total_time: result.total_time,
@@ -184,31 +216,74 @@ impl IncrementalMapper {
             drift: 0.0,
             error: None,
         };
-        let session = OnlineSession {
-            config: self.config.clone(),
-            recorder: self.recorder.clone(),
-            hierarchy,
-            workload,
-            assignment: result.assignment,
-            rng,
-            drift: 0.0,
-            events_applied: 0,
-            last_lower_bound: result.lower_bound,
-            last_total: result.total_time,
-            refine_ws: DeltaWorkspace::new(),
-        };
         Ok((session, record))
     }
 }
 
-/// A live remapping session: the mutable workload, the current
-/// assignment, the drift meter and the shared system hierarchy.
+/// The refinement region of every processor: the smallest hierarchy
+/// group containing it with at least `region_size` members, or the
+/// whole machine where the hierarchy stalls first (e.g. a star). The
+/// hierarchy is fixed, so a session builds this once.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct RegionTable {
+    /// Index into `members` per processor.
+    of: Vec<usize>,
+    /// The distinct regions, members ascending.
+    members: Vec<Vec<NodeId>>,
+}
+
+impl RegionTable {
+    fn build(hierarchy: &SystemHierarchy, region_size: usize) -> RegionTable {
+        let ns = hierarchy.finest().len();
+        let target = region_size.max(2);
+        let mut of = vec![usize::MAX; ns];
+        let mut members = Vec::new();
+        // Levels ascend, so a processor keeps the first (smallest)
+        // group big enough; the groups of one level are disjoint.
+        for level in 0..hierarchy.depth() {
+            for group in hierarchy.members_at(level) {
+                if group.len() < target || group.iter().all(|&s| of[s] != usize::MAX) {
+                    continue;
+                }
+                for &s in &group {
+                    if of[s] == usize::MAX {
+                        of[s] = members.len();
+                    }
+                }
+                members.push(group);
+            }
+        }
+        if of.contains(&usize::MAX) {
+            for slot in of.iter_mut().filter(|slot| **slot == usize::MAX) {
+                *slot = members.len();
+            }
+            members.push((0..ns).collect());
+        }
+        RegionTable { of, members }
+    }
+
+    /// The region of processor `host`.
+    fn region_of(&self, host: NodeId) -> &[NodeId] {
+        &self.members[self.of[host]]
+    }
+}
+
+/// A live remapping session: the mutable workload, its live
+/// position-space instance (which holds the current assignment), the
+/// drift meter and the shared system hierarchy.
 pub struct OnlineSession {
     config: OnlineConfig,
     recorder: Recorder,
     hierarchy: Arc<SystemHierarchy>,
     workload: DynamicWorkload,
-    assignment: Assignment,
+    /// The live instance: the frozen rows of the workload in position
+    /// space, the committed assignment, and the end times of both its
+    /// machine schedule and its ideal schedule.
+    live: DeltaWorkspace,
+    /// Position in `live` of every live task id.
+    positions: BTreeMap<TaskId, u32>,
+    /// Refinement region per processor.
+    regions: RegionTable,
     rng: StdRng,
     /// Moved weight since the last full map, as a fraction of total
     /// weight (summed per event).
@@ -216,15 +291,12 @@ pub struct OnlineSession {
     events_applied: usize,
     last_lower_bound: Time,
     last_total: Time,
-    /// Delta-evaluator buffers reused across every incremental
-    /// region-refinement pass of the session.
-    refine_ws: DeltaWorkspace,
 }
 
 impl OnlineSession {
     /// The current cluster→processor assignment.
     pub fn assignment(&self) -> &Assignment {
-        &self.assignment
+        self.live.assignment()
     }
 
     /// The current workload state.
@@ -235,6 +307,23 @@ impl OnlineSession {
     /// Accumulated drift fraction since the last full V-cycle.
     pub fn drift(&self) -> f64 {
         self.drift
+    }
+
+    /// The total `candidate` would reach on the current workload,
+    /// priced on the session's live instance and discarded again: the
+    /// session is unchanged.
+    pub fn price(&mut self, candidate: &Assignment) -> Result<Time, GraphError> {
+        let ns = self.hierarchy.finest().len();
+        if candidate.len() != ns {
+            return Err(GraphError::SizeMismatch {
+                left: candidate.len(),
+                right: ns,
+            });
+        }
+        let mut live = DeltaEvaluator::resume(&mut self.live, self.hierarchy.finest());
+        let total = live.stage_candidate(candidate);
+        live.discard();
+        Ok(total)
     }
 
     /// Apply one trace event and remap. Never fails: an invalid event
@@ -268,72 +357,61 @@ impl OnlineSession {
 
     fn try_apply(&mut self, event: &TraceEvent) -> Result<ReplayRecord, GraphError> {
         let impact = self.workload.apply(event)?;
-        let graph = self.workload.materialize()?;
         let total_weight = self.workload.total_weight().max(1);
         self.drift += impact.weight_delta as f64 / total_weight as f64;
 
-        let lower_bound = IdealSchedule::derive(&graph).lower_bound();
         let stale = impact.global || self.drift >= self.config.staleness_threshold;
+        let previous = self.live.assignment().clone();
         // A local handle keeps the timing closures free to borrow the
         // rest of `self` mutably.
         let recorder = self.recorder.clone();
-        let (action, moves, evaluations) = if stale {
+        let (action, evaluations) = if stale {
             recorder.incr("online.fallbacks");
-            let previous = self.assignment.clone();
-            let vcycle = MultilevelMapper::with_config(self.config.multilevel.clone())
-                .with_recorder(recorder.clone());
-            let result = recorder.time("online.full_vcycle", || {
-                vcycle.map_with_hierarchy(&graph, &self.hierarchy, &mut self.rng)
-            })?;
-            self.assignment = result.assignment;
-            self.last_total = result.total_time;
+            let result = self.rebuild(|s, graph| s.vcycle(graph, "online.full_vcycle"))?;
             self.drift = 0.0;
-            (
-                "full",
-                count_moves(&self.assignment, &previous),
-                result.evaluations,
-            )
+            ("full", result.evaluations)
         } else {
             recorder.incr("online.incremental");
+            if !self.patch(event) {
+                self.rebuild(|s, _| Ok((s.live.assignment().clone(), ())))?;
+            }
             let regions = self.regions_for(&impact.touched_clusters);
+            let mut live = DeltaEvaluator::resume(&mut self.live, self.hierarchy.finest());
             let config = LocalRefineConfig {
-                lower_bound,
+                lower_bound: live
+                    .lower_bound()
+                    .expect("the live instance tracks its bound"),
                 rounds: self.config.local_rounds,
                 batch: self.config.multilevel.refine_batch,
-                model: self.config.multilevel.mapper.model,
             };
             // Region repair runs on the finest level; ledger entries
             // attribute to the online pass rather than `local.refine`.
             let scoped = recorder.clone().with_gain_scope("online.region", 0);
             let out = recorder.time("online.region_refine", || {
                 refine_within_groups(
-                    &graph,
-                    self.hierarchy.finest(),
+                    &mut live,
                     &regions,
-                    &self.assignment,
                     &config,
-                    migration_cost(&self.assignment, self.config.migration_penalty),
+                    migration_cost(&previous, self.config.migration_penalty),
                     &scoped,
-                    &mut self.refine_ws,
                     &mut self.rng,
                 )
-            })?;
-            let moves = count_moves(&out.assignment, &self.assignment);
-            self.assignment = out.assignment;
+            });
             self.last_total = out.total;
-            ("incremental", moves, out.rounds_used)
+            self.last_lower_bound = config.lower_bound;
+            ("incremental", out.rounds_used)
         };
+        let moves = count_moves(self.live.assignment(), &previous);
         recorder.add("online.migrations", moves as u64);
-        self.last_lower_bound = lower_bound;
         Ok(ReplayRecord {
             index: self.events_applied,
             kind: event.kind().into(),
             action: action.into(),
-            np: graph.num_tasks(),
+            np: self.workload.num_tasks(),
             ns: self.hierarchy.finest().len(),
-            lower_bound,
+            lower_bound: self.last_lower_bound,
             total_time: self.last_total,
-            percent_over_lower_bound: percent_over(self.last_total, lower_bound),
+            percent_over_lower_bound: percent_over(self.last_total, self.last_lower_bound),
             moves,
             evaluations,
             drift: self.drift,
@@ -341,17 +419,103 @@ impl OnlineSession {
         })
     }
 
+    /// The one place a session materializes its workload: build the
+    /// whole graph, let `place` choose the assignment for it (a
+    /// V-cycle's, or the current one) and re-attach the live instance —
+    /// compacted, with a fresh position order and a derived bound.
+    fn rebuild<R>(
+        &mut self,
+        place: impl FnOnce(&mut Self, &ClusteredProblemGraph) -> Result<(Assignment, R), GraphError>,
+    ) -> Result<R, GraphError> {
+        self.recorder.incr("online.materializations");
+        let graph = self.workload.materialize()?;
+        let (assignment, out) = place(self, &graph)?;
+        let mut live = DeltaEvaluator::attach(
+            &mut self.live,
+            &graph,
+            self.hierarchy.finest(),
+            EvaluationModel::Precedence,
+            &assignment,
+        )?;
+        self.last_lower_bound = live.track_bound();
+        self.last_total = live.total();
+        let positions = live.attached_positions();
+        self.positions = self
+            .workload
+            .task_ids()
+            .zip(positions.iter().copied())
+            .collect();
+        Ok(out)
+    }
+
+    /// A V-cycle of `graph` against the shared hierarchy, timed as
+    /// `span`.
+    fn vcycle(
+        &mut self,
+        graph: &ClusteredProblemGraph,
+        span: &str,
+    ) -> Result<(Assignment, MultilevelResult), GraphError> {
+        let vcycle = MultilevelMapper::with_config(self.config.multilevel.clone())
+            .with_recorder(self.recorder.clone());
+        let result = self.recorder.time(span, || {
+            vcycle.map_with_hierarchy(graph, &self.hierarchy, &mut self.rng)
+        })?;
+        Ok((result.assignment.clone(), result))
+    }
+
+    /// Apply the effect of an event the workload accepted to the live
+    /// instance, repairing its total and bound. `false` when only a
+    /// re-attach can place it: an edge against the position order, or
+    /// a global rescale.
+    fn patch(&mut self, event: &TraceEvent) -> bool {
+        let mut live = DeltaEvaluator::resume(&mut self.live, self.hierarchy.finest());
+        let positions = &mut self.positions;
+        let at = |positions: &BTreeMap<TaskId, u32>, task: TaskId| positions[&task];
+        let patch = match *event {
+            TraceEvent::AddTask {
+                task,
+                size,
+                cluster,
+            } => {
+                positions.insert(task, live.positions() as u32);
+                Patch::AddTask { size, cluster }
+            }
+            TraceEvent::RemoveTask { task } => Patch::RemoveTask {
+                pos: positions.remove(&task).expect("the task was live"),
+            },
+            TraceEvent::AddEdge { from, to, weight } => Patch::AddEdge {
+                from: at(positions, from),
+                to: at(positions, to),
+                weight,
+            },
+            TraceEvent::RemoveEdge { from, to } => Patch::RemoveEdge {
+                from: at(positions, from),
+                to: at(positions, to),
+            },
+            TraceEvent::SetTaskSize { task, size } => Patch::SetSize {
+                pos: at(positions, task),
+                size,
+            },
+            TraceEvent::SetEdgeWeight { from, to, weight } => Patch::SetWeight {
+                from: at(positions, from),
+                to: at(positions, to),
+                weight,
+            },
+            TraceEvent::ScaleEdgeWeights { .. } => return false,
+        };
+        live.patch(patch)
+    }
+
     /// The refinement regions around `touched` clusters: each touched
-    /// cluster's processor widened to its smallest hierarchy group of
-    /// at least `region_size` members, deduplicated to a disjoint
-    /// family (hierarchy groups are laminar: overlapping regions nest,
-    /// and the larger one wins).
+    /// cluster's processor widened to its region, deduplicated to a
+    /// disjoint family (hierarchy groups are laminar: overlapping
+    /// regions nest, and the larger one wins).
     fn regions_for(&self, touched: &[ClusterId]) -> Vec<Vec<NodeId>> {
-        let mut candidates: Vec<Vec<NodeId>> = Vec::new();
-        for &cluster in touched {
-            let host = self.assignment.sys_of(cluster);
-            candidates.push(self.region_around(host));
-        }
+        let assignment = self.live.assignment();
+        let mut candidates: Vec<&[NodeId]> = touched
+            .iter()
+            .map(|&cluster| self.regions.region_of(assignment.sys_of(cluster)))
+            .collect();
         candidates.sort_by_key(|r| std::cmp::Reverse(r.len()));
         let ns = self.hierarchy.finest().len();
         let mut covered = vec![false; ns];
@@ -361,30 +525,12 @@ impl OnlineSession {
             if covered[first] {
                 continue; // nested inside an already-kept region
             }
-            for &s in &region {
+            for &s in region {
                 covered[s] = true;
             }
-            regions.push(region);
+            regions.push(region.to_vec());
         }
         regions
-    }
-
-    /// The smallest hierarchy group containing processor `host` with at
-    /// least `region_size` members (or the coarsest available group on
-    /// stalling topologies).
-    fn region_around(&self, host: NodeId) -> Vec<NodeId> {
-        let target = self.config.region_size.max(2);
-        for level in 0..self.hierarchy.depth() {
-            let image = self.hierarchy.image_at(level);
-            let members: Vec<NodeId> = (0..image.len())
-                .filter(|&s| image[s] == image[host])
-                .collect();
-            if members.len() >= target {
-                return members;
-            }
-        }
-        // Stalled hierarchy (e.g. a star): refine the whole machine.
-        (0..self.hierarchy.finest().len()).collect()
     }
 }
 
@@ -400,13 +546,13 @@ fn percent_over(total: Time, lower_bound: Time) -> f64 {
 mod tests {
     use super::*;
     use mimd_core::evaluate::evaluate_assignment;
-    use mimd_core::schedule::EvaluationModel;
+    use mimd_core::IdealSchedule;
     use mimd_taskgraph::clustering::region::random_region_clustering;
     use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
     use mimd_taskgraph::{
         ClusteredProblemGraph, Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
     };
-    use mimd_topology::{chain, torus2d};
+    use mimd_topology::{chain, hypercube, star, torus2d};
 
     fn instance(np: usize, ns: usize, seed: u64) -> ClusteredProblemGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -619,5 +765,81 @@ mod tests {
         assert_eq!(lowered.lower_bound, scratch(&session));
         assert!(lowered.lower_bound < raised.lower_bound);
         assert!(lowered.lower_bound <= init.lower_bound);
+    }
+
+    /// The per-event lookup the region table replaced: scan the
+    /// hierarchy's levels for the first group around `host` with at
+    /// least `region_size` members, rebuilding each level's image.
+    fn region_around(hierarchy: &SystemHierarchy, region_size: usize, host: NodeId) -> Vec<NodeId> {
+        let target = region_size.max(2);
+        for level in 0..hierarchy.depth() {
+            let image = hierarchy.image_at(level);
+            let members: Vec<NodeId> = (0..image.len())
+                .filter(|&s| image[s] == image[host])
+                .collect();
+            if members.len() >= target {
+                return members;
+            }
+        }
+        (0..hierarchy.finest().len()).collect()
+    }
+
+    #[test]
+    fn region_table_matches_the_per_event_lookup() {
+        // A torus and a hypercube coarsen level by level; a star's
+        // hierarchy stalls, so its regions are the whole machine.
+        for system in [
+            torus2d(8, 8).unwrap(),
+            hypercube(6).unwrap(),
+            star(12).unwrap(),
+        ] {
+            let hierarchy = SystemHierarchy::build(&system).unwrap();
+            for region_size in [1, 4, 8, 20] {
+                let table = RegionTable::build(&hierarchy, region_size);
+                for host in 0..system.len() {
+                    assert_eq!(
+                        table.region_of(host),
+                        region_around(&hierarchy, region_size, host),
+                        "{} region_size {region_size} host {host}",
+                        system.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serialized_configs_are_refused_at_begin() {
+        let mut config = OnlineConfig::default();
+        config.multilevel.mapper.model = EvaluationModel::Serialized;
+        let hierarchy = Arc::new(SystemHierarchy::build(&chain(2).unwrap()).unwrap());
+        let workload = DynamicWorkload::from_clustered(&two_clusters());
+        match IncrementalMapper::with_config(config).begin(workload, hierarchy, 1) {
+            Err(GraphError::InvalidParameter(message)) => {
+                assert!(message.contains("precedence"), "{message}");
+            }
+            Err(other) => panic!("wrong error: {other:?}"),
+            Ok(_) => panic!("a serialized session was opened"),
+        }
+    }
+
+    #[test]
+    fn pricing_a_candidate_leaves_the_session_unchanged() {
+        let (mut session, _, _) = session(8);
+        let system = torus2d(8, 8).unwrap();
+        let before = session.assignment().clone();
+        let mut rng = StdRng::seed_from_u64(8);
+        let candidate = Assignment::random(64, &mut rng);
+        let graph = session.workload().materialize().unwrap();
+        let expected =
+            evaluate_assignment(&graph, &system, &candidate, EvaluationModel::Precedence)
+                .unwrap()
+                .total();
+        assert_eq!(session.price(&candidate).unwrap(), expected);
+        assert_eq!(session.assignment(), &before);
+        assert!(matches!(
+            session.price(&Assignment::identity(3)),
+            Err(GraphError::SizeMismatch { .. })
+        ));
     }
 }

@@ -40,7 +40,7 @@ pub fn migration_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimd_core::delta::DeltaWorkspace;
+    use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
     use mimd_core::evaluate::evaluate_assignment;
     use mimd_core::schedule::EvaluationModel;
     use mimd_graph::NodeId;
@@ -55,7 +55,6 @@ mod tests {
         lower_bound: paper::WORKED_LOWER_BOUND,
         rounds: 60,
         batch: 1,
-        model: EvaluationModel::Precedence,
     };
 
     /// Refine the worked example over `ring(4)` with a fresh workspace,
@@ -68,18 +67,19 @@ mod tests {
         config: &LocalRefineConfig,
         seed: u64,
     ) -> LocalRefineOutcome {
+        let (graph, system) = (paper::worked_example(), ring(4).unwrap());
+        let mut ws = DeltaWorkspace::new();
+        let mut evaluator =
+            DeltaEvaluator::attach(&mut ws, &graph, &system, EvaluationModel::Precedence, start)
+                .unwrap();
         refine_within_groups(
-            &paper::worked_example(),
-            &ring(4).unwrap(),
+            &mut evaluator,
             regions,
-            start,
             config,
             migration_cost(reference, penalty),
             &Recorder::disabled(),
-            &mut DeltaWorkspace::new(),
             &mut StdRng::seed_from_u64(seed),
         )
-        .unwrap()
     }
 
     #[test]
@@ -123,7 +123,6 @@ mod tests {
             lower_bound: 0,
             rounds: 20,
             batch: 4,
-            model: EvaluationModel::Precedence,
         };
         let a = run(&regions, &start, &reference, 1, &config, 5);
         assert_eq!(run(&regions, &start, &reference, 1, &config, 5), a);

@@ -1,24 +1,30 @@
 //! Property tests for the online invariants: incremental assignments
 //! always pass `mimd_core::validate_schedule`, the recorded totals and
-//! lower bounds match independent derivations, and same-seed replay of
-//! the same trace is bit-for-bit reproducible.
+//! lower bounds match independent derivations, the live instance a
+//! session patches prices every candidate as a fresh attach to the
+//! materialized graph would, and same-seed replay of the same trace is
+//! bit-for-bit reproducible.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
-use mimd_core::{validate_schedule, IdealSchedule};
+use mimd_core::{validate_schedule, Assignment, IdealSchedule};
 use mimd_multilevel::SystemHierarchy;
-use mimd_online::{replay_trace, DynamicWorkload, IncrementalMapper, OnlineConfig, TraceHeader};
+use mimd_online::{
+    replay_trace, DynamicWorkload, IncrementalMapper, OnlineConfig, OnlineSession, TraceEvent,
+    TraceHeader,
+};
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
-use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator};
+use mimd_taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, TaskId};
 use mimd_telemetry::Recorder;
 use mimd_topology::{SystemGraph, TopologySpec};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Machines big enough to force real V-cycles and meaningful regions.
 fn topology(index: usize) -> (TopologySpec, SystemGraph) {
@@ -49,8 +55,236 @@ fn instance(extra: usize, ns: usize, seed: u64) -> ClusteredProblemGraph {
     ClusteredProblemGraph::new(problem, clustering).unwrap()
 }
 
+/// After an event, the session's live instance agrees with the graph
+/// its workload materializes: the committed total with
+/// `evaluate_assignment`, the bound with `IdealSchedule::derive`, and a
+/// random candidate priced on the live instance with the same
+/// candidate staged on a fresh attach.
+fn assert_live_matches_fresh(
+    session: &mut OnlineSession,
+    system: &SystemGraph,
+    total: u64,
+    bound: u64,
+    rng: &mut StdRng,
+) {
+    let graph = session.workload().materialize().unwrap();
+    let eval = evaluate_assignment(
+        &graph,
+        system,
+        session.assignment(),
+        EvaluationModel::Precedence,
+    )
+    .unwrap();
+    assert_eq!(total, eval.total(), "committed total");
+    assert_eq!(bound, IdealSchedule::derive(&graph).lower_bound(), "bound");
+    let committed = session.assignment().clone();
+    assert_eq!(session.price(&committed).unwrap(), total);
+    let candidate = Assignment::random(system.len(), rng);
+    let mut ws = DeltaWorkspace::new();
+    let mut fresh = DeltaEvaluator::attach(
+        &mut ws,
+        &graph,
+        system,
+        EvaluationModel::Precedence,
+        session.assignment(),
+    )
+    .unwrap();
+    assert_eq!(
+        session.price(&candidate).unwrap(),
+        fresh.stage_candidate(&candidate),
+        "staged candidate"
+    );
+}
+
+/// A trace a churn generator never writes: arrivals wired *into* older
+/// tasks (edges against the id order, which the live instance cannot
+/// place without a re-attach) as well as out of them, departures until
+/// a cluster is down to one task (the next one is refused), weight
+/// changes and removals of live edges, and global rescales. Events are
+/// drawn against a shadow workload so most apply; the cycle-closing
+/// and cluster-emptying ones come back as error records.
+fn hand_written_trace(base: &ClusteredProblemGraph, len: usize, seed: u64) -> Vec<TraceEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut shadow = DynamicWorkload::from_clustered(base);
+    let mut events = Vec::with_capacity(len);
+    while events.len() < len {
+        let tasks: Vec<TaskId> = shadow.task_ids().collect();
+        let edges: Vec<(TaskId, TaskId, u64)> = shadow.edge_list().collect();
+        let pick = |rng: &mut StdRng| tasks[rng.gen_range(0..tasks.len())];
+        let event = match rng.gen_range(0..9) {
+            0 => TraceEvent::AddTask {
+                task: shadow.next_task_id(),
+                size: rng.gen_range(1..=20),
+                cluster: rng.gen_range(0..shadow.num_clusters()),
+            },
+            // The newest task feeds an older one: against the order.
+            1 => TraceEvent::AddEdge {
+                from: *tasks.last().unwrap(),
+                to: pick(&mut rng),
+                weight: rng.gen_range(1..=12),
+            },
+            2 => TraceEvent::AddEdge {
+                from: pick(&mut rng),
+                to: pick(&mut rng),
+                weight: rng.gen_range(1..=12),
+            },
+            // Departures from cluster 0 until it has one task left.
+            3 | 4 => {
+                let in_zero: Vec<TaskId> = tasks
+                    .iter()
+                    .copied()
+                    .filter(|&t| shadow.cluster_of(t) == Some(0))
+                    .collect();
+                TraceEvent::RemoveTask {
+                    task: in_zero[rng.gen_range(0..in_zero.len())],
+                }
+            }
+            5 => TraceEvent::RemoveTask {
+                task: pick(&mut rng),
+            },
+            6 if !edges.is_empty() => {
+                let (from, to, _) = edges[rng.gen_range(0..edges.len())];
+                TraceEvent::SetEdgeWeight {
+                    from,
+                    to,
+                    weight: rng.gen_range(1..=40),
+                }
+            }
+            7 if !edges.is_empty() => {
+                let (from, to, _) = edges[rng.gen_range(0..edges.len())];
+                TraceEvent::RemoveEdge { from, to }
+            }
+            8 if rng.gen_range(0..4) == 0 => TraceEvent::ScaleEdgeWeights {
+                percent: rng.gen_range(50..=180),
+            },
+            _ => TraceEvent::SetTaskSize {
+                task: pick(&mut rng),
+                size: rng.gen_range(1..=30),
+            },
+        };
+        let _ = shadow.apply(&event);
+        events.push(event);
+    }
+    events
+}
+
+/// Replay `trace` and check the live instance after every event.
+/// Returns the session's telemetry.
+fn replay_checking_the_live_instance(
+    system: &SystemGraph,
+    base: &ClusteredProblemGraph,
+    trace: &[TraceEvent],
+    config: OnlineConfig,
+    seed: u64,
+) -> mimd_telemetry::TelemetrySnapshot {
+    let recorder = Recorder::enabled();
+    let hierarchy = Arc::new(SystemHierarchy::build(system).unwrap());
+    let (mut session, init) = IncrementalMapper::with_config(config)
+        .with_recorder(recorder.clone())
+        .begin(DynamicWorkload::from_clustered(base), hierarchy, seed)
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+    assert_live_matches_fresh(
+        &mut session,
+        system,
+        init.total_time,
+        init.lower_bound,
+        &mut rng,
+    );
+    for event in trace {
+        let before = (session.assignment().clone(), session.workload().clone());
+        let record = session.apply(event);
+        if record.error.is_some() {
+            assert_eq!(session.assignment(), &before.0, "{event:?}");
+            assert_eq!(session.workload(), &before.1, "{event:?}");
+        }
+        assert_live_matches_fresh(
+            &mut session,
+            system,
+            record.total_time,
+            record.lower_bound,
+            &mut rng,
+        );
+    }
+    recorder.snapshot()
+}
+
+#[test]
+fn hand_written_traces_keep_the_live_instance_exact() {
+    for (topo, seed) in [(0usize, 1u64), (1, 2), (2, 3), (3, 4)] {
+        let (_, system) = topology(topo);
+        let base = instance(40, system.len(), seed);
+        let trace = hand_written_trace(&base, 120, seed);
+        // Every local event incremental (most patched, some
+        // re-attached), then the default drift meter.
+        for staleness_threshold in [f64::INFINITY, 0.25] {
+            let config = OnlineConfig {
+                staleness_threshold,
+                ..OnlineConfig::default()
+            };
+            let t = replay_checking_the_live_instance(&system, &base, &trace, config, seed);
+            assert!(
+                t.counter("online.errors") > 0,
+                "the trace has refused events"
+            );
+            assert!(
+                t.counter("online.materializations") > t.counter("online.fallbacks") + 1,
+                "edges against the order re-attach: {t:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_replay_churn_shaped_trace_materializes_only_on_full_remaps() {
+    // `replay_churn`'s shape: a layered DAG of 2 tasks per processor on
+    // a torus, region clustering, mixed churn (edges old -> new only).
+    let system = TopologySpec::Torus { rows: 8, cols: 8 }
+        .build(&mut StdRng::seed_from_u64(0))
+        .unwrap();
+    let base = instance(64, 64, 29);
+    let mut rng = StdRng::seed_from_u64(29);
+    let trace = churn_trace(&base, 120, ChurnRegime::Mixed, &mut rng);
+    let t = replay_checking_the_live_instance(&system, &base, &trace, OnlineConfig::default(), 29);
+    assert!(t.counter("online.incremental") > 0);
+    assert!(t.counter("online.fallbacks") > 0);
+    // One rebuild at begin, one per full remap, none per local event.
+    assert_eq!(
+        t.counter("online.materializations"),
+        t.counter("online.fallbacks") + 1
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// In every churn regime, the live instance agrees with a fresh
+    /// attach to the materialized workload after every event.
+    #[test]
+    fn live_instance_matches_a_fresh_attach_on_every_event(
+        topo in 0usize..4,
+        extra in 16usize..96,
+        events in 5usize..40,
+        regime in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (_, system) = topology(topo);
+        let base = instance(extra, system.len(), seed);
+        let regime = [ChurnRegime::Arrivals, ChurnRegime::Drift, ChurnRegime::Mixed][regime];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = churn_trace(&base, events, regime, &mut rng);
+        let t = replay_checking_the_live_instance(
+            &system,
+            &base,
+            &trace,
+            OnlineConfig::default(),
+            seed,
+        );
+        prop_assert_eq!(
+            t.counter("online.materializations"),
+            t.counter("online.fallbacks") + 1
+        );
+    }
 
     /// After every event the session's assignment is a bijection whose
     /// derived schedule passes the core validator, and the record's

@@ -26,7 +26,13 @@
 //! | `AddEdge` | the cone reachable from `to` (the cycle check) |
 //! | `RemoveTask` | `deg(task)` map entries |
 //! | other local events | `O(log)` |
+//! | [`DynamicWorkload::total_weight`] | `O(1)`: a running `u128` total every change keeps |
 //! | [`DynamicWorkload::materialize`] | `O(V + E log V)`, rows built in bulk |
+//!
+//! An online session materializes only to (re)attach its live
+//! instance — at its start, on a full remap, and for an edge against
+//! the instance's order; every other event reaches that instance as a
+//! patch.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -126,7 +132,8 @@ pub struct EventImpact {
     /// a no-op event.
     pub touched_clusters: Vec<ClusterId>,
     /// Total task/edge weight moved by the event (sum of absolute
-    /// changes) — the numerator of the remapper's drift fraction.
+    /// changes, saturating) — the numerator of the remapper's drift
+    /// fraction.
     pub weight_delta: u64,
     /// `true` for events without locality (global weight scaling):
     /// every cluster is affected.
@@ -224,6 +231,10 @@ pub struct DynamicWorkload {
     /// Generator bookkeeping only — excluded from equality (a snapshot
     /// does not record history).
     next_id: TaskId,
+    /// Total task weight plus total edge weight, kept by every change
+    /// (wide enough that no `u64` weights can overflow it). A function
+    /// of the state, so excluded from equality too.
+    total_weight: u128,
 }
 
 impl PartialEq for DynamicWorkload {
@@ -245,13 +256,14 @@ impl DynamicWorkload {
             edges: BTreeMap::new(),
             cluster_sizes: vec![0; graph.num_clusters()],
             next_id: graph.num_tasks(),
+            total_weight: 0,
         };
         for t in 0..graph.num_tasks() {
             let cluster = graph.cluster_of(t);
-            state
-                .tasks
-                .insert(t, TaskState::new(graph.problem().size(t), cluster));
+            let size = graph.problem().size(t);
+            state.tasks.insert(t, TaskState::new(size, cluster));
             state.cluster_sizes[cluster] += 1;
+            state.total_weight += u128::from(size);
         }
         for (u, v, w) in graph.problem().graph().edges() {
             state.insert_edge(u, v, w);
@@ -274,6 +286,7 @@ impl DynamicWorkload {
             edges: BTreeMap::new(),
             cluster_sizes: vec![0; snapshot.num_clusters],
             next_id: 0,
+            total_weight: 0,
         };
         for task in &snapshot.tasks {
             if task.size == 0 {
@@ -299,6 +312,7 @@ impl DynamicWorkload {
                 )));
             }
             state.cluster_sizes[task.cluster] += 1;
+            state.total_weight += u128::from(task.size);
             state.note_id(task.id);
         }
         if let Some(empty) = state.cluster_sizes.iter().position(|&n| n == 0) {
@@ -411,11 +425,10 @@ impl DynamicWorkload {
     }
 
     /// Total task weight plus total edge weight — the denominator of
-    /// the remapper's drift fraction.
-    pub fn total_weight(&self) -> u64 {
-        let tasks: u64 = self.tasks.values().map(|s| s.size).sum();
-        let edges: u64 = self.edges.values().sum();
-        tasks + edges
+    /// the remapper's drift fraction. Kept up to date by every change,
+    /// so reading it costs nothing.
+    pub fn total_weight(&self) -> u128 {
+        self.total_weight
     }
 
     /// Apply one event, returning its impact. On error the state is
@@ -445,6 +458,7 @@ impl DynamicWorkload {
                 }
                 self.tasks.insert(task, TaskState::new(size, cluster));
                 self.cluster_sizes[cluster] += 1;
+                self.total_weight += u128::from(size);
                 self.note_id(task);
                 Ok(EventImpact {
                     touched_clusters: vec![cluster],
@@ -465,19 +479,25 @@ impl DynamicWorkload {
                 let state = self.tasks.remove(&task).expect("looked up above");
                 self.cluster_sizes[cluster] -= 1;
                 let mut delta = state.size;
+                let mut removed = u128::from(state.size);
                 let mut touched = vec![cluster];
                 for &succ in &state.succs {
-                    delta += self.edges.remove(&(task, succ)).expect("row mirrors map");
+                    let w = self.edges.remove(&(task, succ)).expect("row mirrors map");
+                    delta = delta.saturating_add(w);
+                    removed += u128::from(w);
                     let partner = self.tasks.get_mut(&succ).expect("endpoints are live");
                     remove_sorted(&mut partner.preds, task);
                     touched.push(partner.cluster);
                 }
                 for &pred in &state.preds {
-                    delta += self.edges.remove(&(pred, task)).expect("row mirrors map");
+                    let w = self.edges.remove(&(pred, task)).expect("row mirrors map");
+                    delta = delta.saturating_add(w);
+                    removed += u128::from(w);
                     let partner = self.tasks.get_mut(&pred).expect("endpoints are live");
                     remove_sorted(&mut partner.succs, task);
                     touched.push(partner.cluster);
                 }
+                self.total_weight -= removed;
                 touched.sort_unstable();
                 touched.dedup();
                 Ok(EventImpact {
@@ -504,6 +524,7 @@ impl DynamicWorkload {
                 })?;
                 remove_sorted(&mut self.task_mut(from).succs, to);
                 remove_sorted(&mut self.task_mut(to).preds, from);
+                self.total_weight -= u128::from(w);
                 Ok(EventImpact {
                     touched_clusters: self.clusters_of_pair(from, to),
                     weight_delta: w,
@@ -520,6 +541,7 @@ impl DynamicWorkload {
                     GraphError::InvalidParameter(format!("task {task} does not exist"))
                 })?;
                 let delta = state.size.abs_diff(size);
+                self.total_weight = self.total_weight - u128::from(state.size) + u128::from(size);
                 state.size = size;
                 Ok(EventImpact {
                     touched_clusters: vec![state.cluster],
@@ -537,6 +559,7 @@ impl DynamicWorkload {
                     GraphError::InvalidParameter(format!("edge {from} -> {to} does not exist"))
                 })?;
                 let delta = slot.abs_diff(weight);
+                self.total_weight = self.total_weight - u128::from(*slot) + u128::from(weight);
                 *slot = weight;
                 Ok(EventImpact {
                     touched_clusters: self.clusters_of_pair(from, to),
@@ -558,7 +581,8 @@ impl DynamicWorkload {
                     let scaled = (u128::from(*w) * u128::from(percent) / 100)
                         .min(u128::from(u64::MAX)) as u64;
                     let scaled = scaled.max(1);
-                    delta += w.abs_diff(scaled);
+                    delta = delta.saturating_add(w.abs_diff(scaled));
+                    self.total_weight = self.total_weight - u128::from(*w) + u128::from(scaled);
                     *w = scaled;
                 }
                 Ok(EventImpact {
@@ -611,6 +635,7 @@ impl DynamicWorkload {
     /// Store a validated edge: its weight and both adjacency entries.
     fn insert_edge(&mut self, from: TaskId, to: TaskId, weight: Weight) {
         self.edges.insert((from, to), weight);
+        self.total_weight += u128::from(weight);
         insert_sorted(&mut self.task_mut(from).succs, to);
         insert_sorted(&mut self.task_mut(to).preds, from);
     }
@@ -922,6 +947,79 @@ mod tests {
             .unwrap()
             .weight;
         assert_eq!(scaled, u64::MAX, "saturated, not wrapped");
+    }
+
+    /// The total weight recounted from the state, the way it was
+    /// computed before the workload kept it.
+    fn recount(state: &DynamicWorkload) -> u128 {
+        let tasks: u128 = state
+            .task_ids()
+            .map(|t| u128::from(state.task_size(t).unwrap()))
+            .sum();
+        let edges: u128 = state.edge_list().map(|(_, _, w)| u128::from(w)).sum();
+        tasks + edges
+    }
+
+    #[test]
+    fn max_weight_edges_neither_overflow_the_total_nor_the_delta() {
+        // An intra-cluster edge of weight u64::MAX used to overflow the
+        // recount: a panic in debug, a wrapped drift denominator in
+        // release.
+        let mut snapshot = DynamicWorkload::from_clustered(&base()).snapshot();
+        snapshot.edges[0].weight = u64::MAX; // 0 -> 1, inside cluster 0
+        let mut state = DynamicWorkload::from_snapshot(&snapshot).unwrap();
+        let expected = u128::from(u64::MAX) + (2 + 3 + 1 + 4) + (2 + 1 + 7);
+        assert_eq!(state.total_weight(), expected);
+        assert_eq!(state.total_weight(), recount(&state));
+        // Both of task 1's edges leave with it: u64::MAX + 1 + 3.
+        let impact = state.apply(&TraceEvent::RemoveTask { task: 1 }).unwrap();
+        assert_eq!(impact.weight_delta, u64::MAX, "saturated, not wrapped");
+        assert_eq!(state.total_weight(), recount(&state));
+        for (from, to) in [(0, 2), (2, 3)] {
+            state
+                .apply(&TraceEvent::SetEdgeWeight {
+                    from,
+                    to,
+                    weight: u64::MAX,
+                })
+                .unwrap();
+        }
+        assert_eq!(state.total_weight(), recount(&state));
+        let impact = state
+            .apply(&TraceEvent::ScaleEdgeWeights { percent: 1 })
+            .unwrap();
+        assert_eq!(impact.weight_delta, u64::MAX, "saturated, not wrapped");
+        assert_eq!(state.total_weight(), recount(&state));
+    }
+
+    #[test]
+    fn running_total_weight_matches_a_recount_in_every_regime() {
+        use crate::workloads::{churn_trace, ChurnRegime};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let problem = crate::workloads::stencil_1d(6, 5, 3, 2).unwrap();
+        let clustering = Clustering::new((0..30).map(|t| t % 5).collect()).unwrap();
+        let graph = ClusteredProblemGraph::new(problem, clustering).unwrap();
+        for regime in [
+            ChurnRegime::Arrivals,
+            ChurnRegime::Drift,
+            ChurnRegime::Mixed,
+        ] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let trace = churn_trace(&graph, 120, regime, &mut rng);
+            let mut state = DynamicWorkload::from_clustered(&graph);
+            assert_eq!(state.total_weight(), recount(&state));
+            for event in &trace {
+                state.apply(event).unwrap();
+                assert_eq!(
+                    state.total_weight(),
+                    recount(&state),
+                    "{regime:?} {event:?}"
+                );
+            }
+            let rebuilt = DynamicWorkload::from_snapshot(&state.snapshot()).unwrap();
+            assert_eq!(rebuilt.total_weight(), state.total_weight());
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ const DIRTY: u8 = 1;
 const MOVED: u8 = 2;
 
 /// One row of a pool: `pool[start..end]`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Span {
     start: u32,
     end: u32,

@@ -224,7 +224,6 @@ impl IncrementalMapper {
 /// group containing it with at least `region_size` members, or the
 /// whole machine where the hierarchy stalls first (e.g. a star). The
 /// hierarchy is fixed, so a session builds this once.
-#[derive(Clone, Debug, PartialEq, Eq)]
 struct RegionTable {
     /// Index into `members` per processor.
     of: Vec<usize>,

@@ -744,6 +744,25 @@ mod tests {
     }
 
     #[test]
+    fn a_max_weight_edge_neither_panics_nor_forces_remaps() {
+        // The per-event weight recount overflowed on this snapshot
+        // (debug: a panic; release: a wrapped denominator that drove
+        // every event into a full V-cycle).
+        let mut snapshot = DynamicWorkload::from_clustered(&two_clusters()).snapshot();
+        snapshot.edges[0].weight = u64::MAX; // 0 -> 1, inside cluster 0
+        let hierarchy = Arc::new(SystemHierarchy::build(&chain(2).unwrap()).unwrap());
+        let workload = DynamicWorkload::from_snapshot(&snapshot).unwrap();
+        let (mut session, _) = IncrementalMapper::new()
+            .begin(workload, hierarchy, 1)
+            .unwrap();
+        let record = session.apply(&TraceEvent::SetTaskSize { task: 2, size: 5 });
+        assert!(record.error.is_none(), "{:?}", record.error);
+        assert_eq!(record.action, "incremental");
+        assert!(record.drift < 1e-9, "drift {}", record.drift);
+        assert_eq!(record.lower_bound, scratch(&session));
+    }
+
+    #[test]
     fn rank_decreases_lower_the_recorded_bound() {
         // 0 -> 2 is the cross-cluster edge feeding the heavy 2 -> 3
         // chain: raising it raises the bound; shrinking it again lowers

@@ -13,11 +13,15 @@
 //! Columns (tab-separated; `-` is "none"): name, argv (split on
 //! spaces), stdin fixture under `tests/fixtures/`, exit code, stdout
 //! length, stdout FNV-1a 64, stderr prefix. Lines starting with `#` are
-//! comments. `fixtures/churn.jsonl`, `arrivals.jsonl` and `drift.jsonl`
-//! are the stdout of the `trace`, `trace_arrivals` and `trace_drift`
-//! rows, so `trace` → `replay` is one chain; `backward.jsonl` is
-//! written by hand (edges against id order, removals down to one task
-//! per cluster, arrivals wired after they land, a global rescale).
+//! comments. `fixtures/churn.jsonl`, `arrivals.jsonl`, `drift.jsonl`
+//! and `mixed_torus8x8.jsonl` are the stdout of the `trace`,
+//! `trace_arrivals`, `trace_drift` and `trace_mixed_torus8x8` rows, so
+//! `trace` → `replay` is one chain; `backward.jsonl` is written by hand
+//! (edges against id order, removals down to one task per cluster,
+//! arrivals wired after they land, a global rescale).
+//! `serve_mixed_ring8.jsonl` is three `map_once` jobs and one session
+//! over the stdout of `trace --tasks 64 --spec ring:8 --events 12
+//! --regime mixed --seed 11`.
 
 use std::fs;
 use std::io::Write;
@@ -25,9 +29,23 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use mimd_bench::report::fnv64_hex;
+use mimd_engine::{algorithm_catalog, TopologySpec, WorkloadSpec};
 
 /// Commands with no row: `loadgen` needs a live server to talk to.
 const EXEMPT: &[&str] = &["loadgen"];
+
+/// The argv words naming the variants of `$ty`, checked against the
+/// type: the match has no wildcard arm, so a new variant does not
+/// compile until it has a word here, and the kind fence then asks for
+/// a row that uses it.
+macro_rules! kind_words {
+    ($ty:ident { $($variant:ident => $word:literal),* $(,)? }) => {{
+        let _names_every_variant: fn(&$ty) = |kind| match kind {
+            $($ty::$variant { .. } => {})*
+        };
+        [$($word),*]
+    }};
+}
 
 /// One corpus row: the invocation and what it must produce.
 struct Row {
@@ -179,6 +197,7 @@ fn every_corpus_row_reproduces_its_pinned_output() {
         ("trace", "churn.jsonl"),
         ("trace_arrivals", "arrivals.jsonl"),
         ("trace_drift", "drift.jsonl"),
+        ("trace_mixed_torus8x8", "mixed_torus8x8.jsonl"),
     ] {
         let bytes = fs::read(tests_dir().join("fixtures").join(fixture)).unwrap();
         let (_, trace) = rows
@@ -208,11 +227,9 @@ fn every_corpus_row_reproduces_its_pinned_output() {
 
 #[test]
 fn every_command_has_a_corpus_row() {
-    let text = fs::read_to_string(tests_dir().join("corpus.tsv")).unwrap();
-    let covered: Vec<String> = text
-        .lines()
-        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
-        .map(|line| parse_row(line).argv.split(' ').next().unwrap().to_string())
+    let covered: Vec<String> = corpus_argvs()
+        .iter()
+        .map(|argv| argv.split(' ').next().unwrap().to_string())
         .collect();
     let commands = commands_in_usage();
     assert!(commands.len() >= 10, "usage parse found {commands:?}");
@@ -221,5 +238,74 @@ fn every_command_has_a_corpus_row() {
             EXEMPT.contains(&command.as_str()) || covered.contains(&command),
             "command `{command}` has no corpus row"
         );
+    }
+}
+
+/// The argv column of every row.
+fn corpus_argvs() -> Vec<String> {
+    let text = fs::read_to_string(tests_dir().join("corpus.tsv")).unwrap();
+    text.lines()
+        .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
+        .map(|line| parse_row(line).argv)
+        .collect()
+}
+
+/// The kind words the rows pass to any of `flags`: each value is split
+/// on `,`, and a word is what precedes its `:` (`torus:8x8` → `torus`).
+fn named_by(argvs: &[String], flags: &[&str]) -> Vec<String> {
+    let mut named = Vec::new();
+    for argv in argvs {
+        let words: Vec<&str> = argv.split(' ').collect();
+        for pair in words.windows(2) {
+            if flags.contains(&pair[0]) {
+                named.extend(
+                    pair[1]
+                        .split(',')
+                        .map(|v| v.split(':').next().unwrap().to_string()),
+                );
+            }
+        }
+    }
+    named
+}
+
+#[test]
+fn every_algorithm_topology_and_workload_kind_has_a_corpus_row() {
+    let argvs = corpus_argvs();
+    let topologies = kind_words!(TopologySpec {
+        Hypercube => "hypercube",
+        Mesh => "mesh",
+        Torus => "torus",
+        Ring => "ring",
+        Chain => "chain",
+        Star => "star",
+        BinaryTree => "tree",
+        Complete => "complete",
+        FatTree => "fattree",
+        ClusteredComplete => "clusters",
+        Random => "random",
+    });
+    let workloads = kind_words!(WorkloadSpec {
+        Layered => "layered",
+        PaperRegime => "paper",
+        GaussianElimination => "ge",
+        Stencil => "stencil",
+        Fft => "fft",
+        DivideAndConquer => "dnc",
+        Pipeline => "pipe",
+    });
+    let algorithms: Vec<&str> = algorithm_catalog().iter().map(|&(name, ..)| name).collect();
+    for (what, flags, kinds) in [
+        ("algorithm", &["--algorithm", "--algos"], &algorithms[..]),
+        ("topology", &["--spec", "--specs"], &topologies[..]),
+        ("workload", &["--workload", "--workloads"], &workloads[..]),
+    ] {
+        let named = named_by(&argvs, flags);
+        for kind in kinds {
+            assert!(
+                named.iter().any(|n| n == kind),
+                "{what} `{kind}` appears in no corpus row's argv"
+            );
+        }
     }
 }

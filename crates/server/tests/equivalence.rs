@@ -13,7 +13,7 @@ use mimd_online::{DynamicWorkload, TraceEvent, TraceHeader};
 use mimd_server::{ListenAddr, LoadgenConfig, Server, ServerConfig, ServerSummary};
 use mimd_service::{
     serve_jsonl, trace_requests, MappingService, Response, ServiceConfig, ServiceStats,
-    SessionConfig,
+    SessionConfig, MAX_LINE_BYTES,
 };
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::workloads::{churn_trace, ChurnRegime};
@@ -173,10 +173,11 @@ fn socket_serve_matches_stdin_serve_and_replay() {
         .collect();
     assert_eq!(records, expected, "served records must equal replay bytes");
 
-    // The same trace with framing noise and three kinds of bad line
+    // The same trace with framing noise and four kinds of bad line
     // around it: both modes run one framing function, so they answer
-    // the same bytes (down to the `line N:` in each bad_request) and
-    // count the same things.
+    // the same bytes (down to the `line N:` in each error) and count
+    // the same things. The line over the read cap is dropped unread,
+    // and the session's close right after it is still served.
     let (open, rest) = lines.split_first().unwrap();
     let (close, applies) = rest.split_last().unwrap();
     let mut mixed: Vec<Vec<u8>> = vec![b"".to_vec(), b"# a comment".to_vec(), b"{oops".to_vec()];
@@ -185,9 +186,10 @@ fn socket_serve_matches_stdin_serve_and_replay() {
     mixed.extend([
         b"{\"op\":\"no_such_op\"}".to_vec(),
         b"   ".to_vec(),
+        vec![b'{'; MAX_LINE_BYTES + 1],
         close.clone(),
     ]);
-    let bad = 3;
+    let bad = 4;
 
     let (responses, stats, summary) = serve_both_ways("mixed", &mixed);
     assert_eq!(responses.len(), lines.len() + bad);
@@ -198,7 +200,9 @@ fn socket_serve_matches_stdin_serve_and_replay() {
     assert_eq!(errors.len(), bad);
     assert!(errors[0].contains("line 3: "), "{}", errors[0]);
     assert!(errors[1].contains("line 5: invalid utf-8"), "{}", errors[1]);
-    assert_eq!(stats.errors.bad_request, bad);
+    assert!(errors[3].contains("\"too_large\""), "{}", errors[3]);
+    assert_eq!(stats.errors.bad_request, bad - 1);
+    assert_eq!(stats.errors.too_large, 1);
     assert_eq!(stats.errors.total(), bad);
     assert_eq!(stats.telemetry.counter("serve.malformed_lines"), bad as u64);
     assert_eq!(summary.malformed_lines(), bad as u64);

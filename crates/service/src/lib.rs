@@ -36,5 +36,6 @@ pub use protocol::{
 };
 pub use serve::{
     handle_timed, serve_jsonl, serve_lines, stats_line, trace_requests, ConnectionSummary,
+    MAX_LINE_BYTES,
 };
 pub use service::{MappingService, ServerGaugeSource, ServiceConfig};

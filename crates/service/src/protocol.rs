@@ -258,6 +258,10 @@ pub struct ErrorCounters {
     /// server existed still deserialize).
     #[serde(default)]
     pub overloaded: usize,
+    /// [`ErrorCode::TooLarge`] responses (request lines over the read
+    /// cap; defaults so older stats still deserialize).
+    #[serde(default)]
+    pub too_large: usize,
 }
 
 impl ErrorCounters {
@@ -270,6 +274,7 @@ impl ErrorCounters {
             + self.unknown_session
             + self.session_limit
             + self.overloaded
+            + self.too_large
     }
 
     /// The tally for one error code.
@@ -282,6 +287,7 @@ impl ErrorCounters {
             ErrorCode::UnknownSession => self.unknown_session,
             ErrorCode::SessionLimit => self.session_limit,
             ErrorCode::Overloaded => self.overloaded,
+            ErrorCode::TooLarge => self.too_large,
         }
     }
 }
@@ -306,6 +312,10 @@ pub enum ErrorCode {
     /// bounded queue was full, or the server was draining for shutdown.
     /// Back off and retry; the request was never handled.
     Overloaded,
+    /// The request line was longer than
+    /// [`MAX_LINE_BYTES`](crate::MAX_LINE_BYTES); it was read past and
+    /// dropped, unparsed, and the connection keeps serving.
+    TooLarge,
 }
 
 /// A structured failure: every failed request maps to exactly one of

@@ -6,7 +6,9 @@
 //! JSON, unknown op, invalid UTF-8) is *not* fatal — it answers
 //! [`ErrorCode::BadRequest`], is counted against its connection, and the
 //! loop keeps serving, because a resource-manager sidecar must outlive
-//! one bad client line. [`handle_timed`] handles one decoded request.
+//! one bad client line. A line longer than [`MAX_LINE_BYTES`] is read
+//! past without being held and answers [`ErrorCode::TooLarge`] the same
+//! way. [`handle_timed`] handles one decoded request.
 //!
 //! The two modes differ only in the *dispatch* between them.
 //! [`serve_jsonl`] (stdin) dispatches inline: the reader handles each
@@ -14,13 +16,57 @@
 //! is back-pressured, never rejected. `mimd-server` dispatches onto
 //! shard queues whose workers call the same [`handle_timed`].
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::time::Instant;
 
 use mimd_online::{TraceEvent, TraceHeader};
 
 use crate::protocol::{ErrorCode, Request, Response, ServiceError, SessionConfig};
 use crate::service::MappingService;
+
+/// The longest request line [`serve_lines`] holds, newline included:
+/// about 3.6× the largest request the benchmark sends (a 2.2 MB
+/// session header, 2 048 tasks on `torus:32x32`). A longer line costs
+/// the connection this many bytes of buffer, not its length.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
+
+/// Read one line of at most [`MAX_LINE_BYTES`] into `line` (cleared
+/// first). `Ok(None)` at end of input; `Ok(Some(true))` when the line
+/// was over the cap, in which case the rest of it, up to and including
+/// the next `\n`, has been read and dropped.
+fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let read = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', line)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if read < MAX_LINE_BYTES || line.ends_with(b"\n") {
+        return Ok(Some(false));
+    }
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(Some(true));
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                reader.consume(end + 1);
+                return Ok(Some(true));
+            }
+            None => {
+                let len = buf.len();
+                reader.consume(len);
+            }
+        }
+    }
+}
 
 /// What one connection (a server socket, or stdin as connection 1)
 /// read.
@@ -57,32 +103,35 @@ pub fn serve_lines(
     let mut line = Vec::new();
     let mut lineno = 0u64;
     let ended = loop {
-        line.clear();
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break Ok(()),
-            Ok(_) => lineno += 1,
+        let too_large = match read_line(&mut reader, &mut line) {
+            Ok(None) => break Ok(()),
+            Ok(Some(too_large)) => too_large,
             Err(e) => break Err(e),
-        }
+        };
+        lineno += 1;
         // Bytes, not `lines()`: a line that is not UTF-8 is one bad
         // request, not the end of the connection.
         let decoded = match std::str::from_utf8(&line) {
+            _ if too_large => Err((
+                ErrorCode::TooLarge,
+                format!("longer than {MAX_LINE_BYTES} bytes"),
+            )),
             Ok(text) => {
                 let text = text.trim();
                 if text.is_empty() || text.starts_with('#') {
                     continue;
                 }
-                Request::from_json_line(text).map_err(|e| e.to_string())
+                Request::from_json_line(text).map_err(|e| (ErrorCode::BadRequest, e.to_string()))
             }
-            Err(e) => Err(e.to_string()),
+            Err(e) => Err((ErrorCode::BadRequest, e.to_string())),
         };
         summary.requests += 1;
         let response = match decoded {
             Ok(request) => dispatch(request),
-            Err(reason) => {
+            Err((code, reason)) => {
                 summary.malformed_lines += 1;
-                service.note_malformed_line(conn);
-                let error =
-                    ServiceError::new(ErrorCode::BadRequest, format!("line {lineno}: {reason}"));
+                service.note_malformed_line(conn, code);
+                let error = ServiceError::new(code, format!("line {lineno}: {reason}"));
                 Some(error.into_response())
             }
         };
@@ -241,6 +290,54 @@ mod tests {
         );
         assert!(matches!(lines[2], Response::Catalog { .. }));
         assert!(lines[3].is_error(), "unknown op is a bad request");
+    }
+
+    #[test]
+    fn an_oversized_line_answers_too_large_and_the_next_line_is_served() {
+        let service = MappingService::default();
+        let mut input = vec![b'{'; MAX_LINE_BYTES + 10];
+        input.extend_from_slice(b"\n{\"op\":\"catalog\"}\n");
+        let mut output = Vec::new();
+        let summary = serve_jsonl(&service, &input[..], &mut output, io::sink(), None).unwrap();
+        assert_eq!((summary.requests, summary.malformed_lines), (2, 1));
+        let stats = service.stats();
+        assert_eq!(stats.requests_served, 2);
+        assert_eq!((stats.errors.too_large, stats.errors.total()), (1, 1));
+        let lines: Vec<Response> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| Response::from_json_line(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2, "one response per request");
+        assert!(
+            matches!(&lines[0], Response::Error { error }
+                if error.code == ErrorCode::TooLarge && error.message.starts_with("line 1: ")),
+            "{:?}",
+            lines[0]
+        );
+        assert!(matches!(lines[1], Response::Catalog { .. }));
+    }
+
+    #[test]
+    fn a_line_over_the_cap_is_dropped_without_being_held() {
+        // Three caps of bytes with no newline, then a short line: the
+        // buffer never outgrows the cap, and the short line is next.
+        let endless = io::repeat(b'x').take(3 * MAX_LINE_BYTES as u64);
+        let mut reader = io::BufReader::new(endless.chain(&b"\nnext\nlast"[..]));
+        let mut line = Vec::new();
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), Some(true));
+        assert!(line.capacity() <= MAX_LINE_BYTES, "{}", line.capacity());
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), Some(false));
+        assert_eq!(line, b"next\n");
+        // A final line without a newline is a line; a line of exactly
+        // the cap, newline included, is not too large.
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), Some(false));
+        assert_eq!(line, b"last");
+        assert_eq!(read_line(&mut reader, &mut line).unwrap(), None);
+        let mut exact = vec![b'x'; MAX_LINE_BYTES - 1];
+        exact.push(b'\n');
+        assert_eq!(read_line(&mut &exact[..], &mut line).unwrap(), Some(false));
+        assert_eq!(line.len(), MAX_LINE_BYTES);
     }
 
     #[test]

@@ -86,7 +86,7 @@ struct SessionEntry {
 
 /// Lock-free per-[`ErrorCode`] tallies (one atomic per category).
 #[derive(Default)]
-struct ErrorTallies([AtomicUsize; 7]);
+struct ErrorTallies([AtomicUsize; 8]);
 
 impl ErrorTallies {
     fn slot(code: ErrorCode) -> usize {
@@ -98,6 +98,7 @@ impl ErrorTallies {
             ErrorCode::UnknownSession => 4,
             ErrorCode::SessionLimit => 5,
             ErrorCode::Overloaded => 6,
+            ErrorCode::TooLarge => 7,
         }
     }
 
@@ -115,6 +116,7 @@ impl ErrorTallies {
             unknown_session: of(ErrorCode::UnknownSession),
             session_limit: of(ErrorCode::SessionLimit),
             overloaded: of(ErrorCode::Overloaded),
+            too_large: of(ErrorCode::TooLarge),
         }
     }
 }
@@ -346,12 +348,13 @@ impl MappingService {
 
     /// Count a line read off connection `conn` that failed to decode as
     /// a [`Request`]: it still consumed a request slot and answered
-    /// [`ErrorCode::BadRequest`], so the stats reflect it even though
+    /// `code` ([`ErrorCode::BadRequest`], or [`ErrorCode::TooLarge`] for
+    /// a line over the read cap), so the stats reflect it even though
     /// `handle` never saw it. The journal event carries the connection
     /// id (stdin is connection 1).
-    pub fn note_malformed_line(&self, conn: u64) {
+    pub fn note_malformed_line(&self, conn: u64, code: ErrorCode) {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
-        self.errors.bump(ErrorCode::BadRequest);
+        self.errors.bump(code);
         self.recorder
             .clone()
             .with_conn(conn)
@@ -736,13 +739,15 @@ mod tests {
     fn admission_notes_count_as_served_errors() {
         let service = MappingService::default();
         service.note_overloaded();
-        service.note_malformed_line(7);
+        service.note_malformed_line(7, ErrorCode::BadRequest);
+        service.note_malformed_line(7, ErrorCode::TooLarge);
         let stats = service.stats();
-        assert_eq!(stats.requests_served, 2);
+        assert_eq!(stats.requests_served, 3);
         assert_eq!(stats.errors.overloaded, 1);
         assert_eq!(stats.errors.of(ErrorCode::Overloaded), 1);
         assert_eq!(stats.errors.of(ErrorCode::BadRequest), 1);
-        assert_eq!(stats.errors.total(), 2);
+        assert_eq!(stats.errors.too_large, 1);
+        assert_eq!(stats.errors.total(), 3);
     }
 
     #[test]

@@ -240,29 +240,6 @@ static COMMANDS: &[Command] = &[
         run: cmd_loadgen,
     },
     Command {
-        name: "bench",
-        positional: None,
-        flags: &[
-            ("suite", Some("quick|full")),
-            ("reps", Some("<k>")),
-            ("list", None),
-            ("out", Some("<file|->")),
-            ("history", Some("<file>")),
-            ("no-history", None),
-            ("compare", Some("<baseline.json>")),
-            ("with", Some("<report.json>")),
-            ("noise-floor", Some("<frac>")),
-            ("quality-tolerance", Some("<pts>")),
-        ],
-        about: "run a declarative benchmark suite (flat map, multilevel \
-                V-cycle, incremental replay, service stream) min-of-k and emit \
-                a versioned BenchReport; appends to BENCH_history.jsonl unless \
-                --no-history; --compare classifies each metric vs a baseline \
-                report as improvement/regression/noise (exit 1 on regression); \
-                --with compares an existing report instead of running",
-        run: cmd_bench,
-    },
-    Command {
         name: "algorithms",
         positional: None,
         flags: &[],
@@ -908,107 +885,6 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `mimd bench`: run a declarative benchmark suite min-of-k through
-/// the engine/service entry points, emit a versioned `BenchReport`
-/// (stdout or `--out`), append it to the `BENCH_history.jsonl`
-/// trajectory, and — with `--compare` — classify every metric against
-/// a baseline report, exiting 1 on regression so CI can gate on it.
-fn cmd_bench(flags: &Flags) -> Result<(), String> {
-    if flags.has("list") {
-        let mut table = Table::new(
-            "bench suites (mimd bench --suite <name>)",
-            &["suite", "reps", "scenario", "kind"],
-        );
-        for suite in mimd_bench::suites() {
-            for scenario in &suite.scenarios {
-                table.push_row(vec![
-                    suite.name.clone(),
-                    suite.reps.to_string(),
-                    scenario.name.clone(),
-                    scenario.kind_label(),
-                ]);
-            }
-        }
-        println!("{}", table.render());
-        return Ok(());
-    }
-
-    // The current report: --with loads an existing one from disk,
-    // otherwise the suite runs here.
-    let current = match flags.get("with") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            mimd_bench::BenchReport::from_json(&text)?
-        }
-        None => {
-            let suite = mimd_bench::suite_by_name(flags.get("suite").unwrap_or("quick"))?;
-            let reps = flags.positive("reps", suite.reps)?;
-            eprintln!(
-                "bench: suite '{}' ({} scenarios, min of {reps} reps)",
-                suite.name,
-                suite.scenarios.len()
-            );
-            let report = mimd_bench::run_suite(&suite, reps)?.with_environment();
-
-            let json = report.to_json_pretty();
-            match flags.get("out") {
-                Some("-") => println!("{json}"),
-                Some(path) => {
-                    std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))?
-                }
-                // No --out: the report goes to stdout unless a compare
-                // is the point of the run.
-                None if flags.get("compare").is_none() => println!("{json}"),
-                None => {}
-            }
-            if !flags.has("no-history") {
-                let path = flags.get("history").unwrap_or("BENCH_history.jsonl");
-                mimd_bench::append_history(path, &report)?;
-                eprintln!("bench: appended to {path}");
-            }
-
-            let mut table = Table::new(
-                "bench results (min-of-k wall-clock)",
-                &["scenario", "kind", "wall", "items/s", "% over LB"],
-            );
-            for s in &report.scenarios {
-                table.push_row(vec![
-                    s.name.clone(),
-                    s.kind.clone(),
-                    format!("{:.2}ms", s.wall_ns as f64 / 1e6),
-                    format!("{:.0}", s.items_per_sec),
-                    s.quality_percent_over
-                        .map(|q| format!("{q:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                ]);
-            }
-            eprintln!("{}", table.render());
-            report
-        }
-    };
-
-    if let Some(path) = flags.get("compare") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = mimd_bench::BenchReport::from_json(&text)?;
-        let defaults = mimd_bench::CompareConfig::default();
-        let config = mimd_bench::CompareConfig {
-            noise_floor: flags.num("noise-floor", defaults.noise_floor)?,
-            quality_tolerance: flags.num("quality-tolerance", defaults.quality_tolerance)?,
-            ..defaults
-        };
-        let comparison = mimd_bench::Comparison::compare(&baseline, &current, &config)?;
-        eprintln!("{}", comparison.table().render());
-        eprintln!("{}", comparison.verdict_line());
-        if comparison.regressions() > 0 {
-            // A gate failure is a verdict, not a usage error: exit 1
-            // directly instead of bubbling an Err (which would print
-            // the usage text and exit 2).
-            std::process::exit(1);
-        }
-    }
-    Ok(())
-}
-
 fn cmd_algorithms(_: &Flags) -> Result<(), String> {
     let mut table = Table::new(
         "algorithm registry (mimd map --algorithm, batch/sweep job specs)",
@@ -1526,17 +1402,6 @@ mod tests {
     fn algorithms_lists_the_registry() {
         run(&["algorithms"]).unwrap();
         assert!(run(&["algorithms", "--verbose"]).is_err());
-    }
-
-    #[test]
-    fn bench_lists_suites_and_rejects_misuse() {
-        run(&["bench", "--list"]).unwrap();
-        // Every validation error below fires before any scenario runs.
-        assert!(run(&["bench", "--bogus"]).is_err());
-        assert!(run(&["bench", "--suite", "nope"]).is_err());
-        assert!(run(&["bench", "--reps", "0"]).is_err());
-        assert!(run(&["bench", "--with", "/nonexistent/bench-report.json"]).is_err());
-        assert!(run(&["bench", "--with"]).is_err());
     }
 
     #[test]

@@ -28,8 +28,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use mimd_bench::report::fnv64_hex;
 use mimd_engine::{algorithm_catalog, TopologySpec, WorkloadSpec};
+use mimd_report::fnv64_hex;
 
 /// Commands with no row: `loadgen` needs a live server to talk to.
 const EXEMPT: &[&str] = &["loadgen"];

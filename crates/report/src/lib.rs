@@ -5,7 +5,8 @@
 //! mappings, plus the improvement; Figs 25–27 plot the same data as
 //! dashed-line histograms. [`table`] and [`histogram`] regenerate both
 //! forms; [`stats`] provides the aggregates; [`records`] serializes raw
-//! experiment rows to JSON for machine-readable archival; [`profile`]
+//! experiment rows to JSON for machine-readable archival (and
+//! [`fnv64_hex`] digests output bytes); [`profile`]
 //! renders telemetry snapshots as the `--profile` phase breakdown.
 
 #![warn(missing_docs)]
@@ -25,6 +26,6 @@ pub use explain::render_explain;
 pub use gantt::{Gantt, GanttTask};
 pub use histogram::{BucketChart, Histogram};
 pub use profile::render_profile;
-pub use records::ExperimentRecord;
+pub use records::{fnv64_hex, ExperimentRecord};
 pub use stats::Summary;
 pub use table::Table;

@@ -49,6 +49,18 @@ impl ExperimentRecord {
     }
 }
 
+/// FNV-1a 64-bit over `bytes`, as 16 hex digits: a digest of output
+/// bytes that is stable across platforms and runs, with no hashing
+/// dependency. The byte-identity corpus pins `mimd` stdout with it.
+pub fn fnv64_hex(bytes: &[u8]) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{hash:016x}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,5 +95,13 @@ mod tests {
     #[test]
     fn bad_json_rejected() {
         assert!(ExperimentRecord::from_json_line("{not json").is_err());
+    }
+
+    #[test]
+    fn fnv64_hex_is_stable_and_input_sensitive() {
+        assert_eq!(fnv64_hex(b""), "cbf29ce484222325");
+        assert_eq!(fnv64_hex(b"a"), fnv64_hex(b"a"));
+        assert_ne!(fnv64_hex(b"a"), fnv64_hex(b"b"));
+        assert_eq!(fnv64_hex(b"mimd").len(), 16);
     }
 }

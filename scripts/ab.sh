@@ -55,37 +55,40 @@ results() {
 }
 
 echo "ab: $(git rev-parse --short "$base_rev") vs this checkout, $PAIRS pairs of ${workloads[*]}" >&2
+for tree in "$base" "$root"; do (cd "$tree" && benchmark/run.sh describe >/dev/null); done # build before timing
 for ((p = 1; p <= PAIRS; p++)); do
     if ((p % 2)); then order=("$base" "$root"); else order=("$root" "$base"); fi
     for tree in "${order[@]}"; do
         side="$([ "$tree" = "$base" ] && echo a || echo b)"
         for w in "${workloads[@]}"; do run "$tree" "$w" || exit 2; done | results >"$work/pairs/$p$side.json"
     done
-    status=0
-    benchmark/run.sh compare "$work/pairs/${p}a.json" "$work/pairs/${p}b.json" \
-        >"$work/pairs/$p.txt" || status=$?
-    [ "$status" -le 1 ] || { cat "$work/pairs/$p.txt" >&2; exit 2; }
+    # `compare` exits 1 when the pair breaks its A/A bounds: not an error here.
+    benchmark/run.sh compare "$work/pairs/${p}a.json" "$work/pairs/${p}b.json" >"$work/pairs/$p.txt" ||
+        [ $? -eq 1 ] || { cat "$work/pairs/$p.txt" >&2; exit 2; }
     echo "ab: pair $p of $PAIRS done" >&2
 done
 
 cat "$work"/pairs/*.txt | awk -v ws=" ${workloads[*]} " -v min="$MIN_WORSE" -v floor="$FLOOR_PCT" '
-function q(k, f,   i, j, t, m) { # the f-quantile of the changes under key k
-    m = n[k]; for (i = 1; i <= m; i++) s[i] = v[k, i]
+function q(x, k, f,   i, j, t, m, s) { # the f-quantile of x[k, 1..n[k]]
+    m = n[k]; for (i = 1; i <= m; i++) s[i] = x[k, i]
     for (i = 2; i <= m; i++) for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
     i = 1 + f * (m - 1); j = int(i); return s[j] + (i - j) * (s[j + 1 < m ? j + 1 : m] - s[j])
 }
+function side(x, k) { return sprintf("%.4g (%.2g)", q(x, k, 0.5), q(x, k, 0.75) - q(x, k, 0.25)) }
 index(ws, " " $1 " ") == 0 { next }
 $3 == "DIFFERS:" { x = $4; y = $6; gsub(/^[^0-9]*|[^0-9]*$/, "", x); gsub(/^[^0-9]*|[^0-9]*$/, "", y)
     if ($2 == "failed_share" && y + 0 > x + 0) rose[$1]++; else if ($2 == "digest") dig[$1]++; next }
 $4 == "->" { k = $1 " " $2; moved = substr($8, 2, length($8) - 2); c = $7; sub(/%$/, "", c)
     c = (c ~ /[0-9]/) ? c + 0 : 0; if (c < 0) c = -c
-    v[k, ++n[k]] = moved == "worse" ? c : moved == "better" ? -c : 0
+    a[k, ++n[k]] = $3; b[k, n[k]] = $5; v[k, n[k]] = moved == "worse" ? c : moved == "better" ? -c : 0
     if (moved == "worse") worse[k]++; if (!(k in seen)) { seen[k] = 1; keys[++nk] = k } }
 END {
-    printf "%-14s %-20s %7s %9s  %-21s %s\n", "workload", "metric", "worse", "median", "IQR of change (worse+)", "verdict"
-    for (i = 1; i <= nk; i++) { k = keys[i]; split(k, f, " "); med = q(k, 0.5)
+    printf "%-13s %-19s %-19s %-19s %-6s %-26s %s\n", "workload", "metric", "base median (IQR)",
+        "this median (IQR)", "worse", "change worse+: median [IQR]", "verdict"
+    for (i = 1; i <= nk; i++) { k = keys[i]; split(k, f, " "); med = q(v, k, 0.5)
         bad = worse[k] >= min && med > floor; failed += bad
-        printf "%-14s %-20s %3d/%-3d %+8.2f%%  [%+7.2f%%, %+7.2f%%]  %s\n", f[1], f[2], worse[k], n[k], med, q(k, 0.25), q(k, 0.75), bad ? "FAIL" : "ok" }
-    for (w in rose) { printf "%-14s failed_share rose in %d pair(s): FAIL\n", w, rose[w]; failed++ }
-    for (w in dig) printf "%-14s digest differs in %d pair(s) (not gated; the corpus pins bytes)\n", w, dig[w]
+        printf "%-13s %-19s %-19s %-19s %2d/%-3d %+7.2f%% [%+6.1f%%, %+6.1f%%]  %s\n", f[1], f[2], side(a, k), side(b, k),
+            worse[k], n[k], med, q(v, k, 0.25), q(v, k, 0.75), bad ? "FAIL" : "ok" }
+    for (w in rose) { printf "%-13s failed_share rose in %d pair(s): FAIL\n", w, rose[w]; failed++ }
+    for (w in dig) printf "%-13s digest differs in %d pair(s) (not gated; the corpus pins bytes)\n", w, dig[w]
     print failed ? "ab: FAILED" : "ab: no metric reads worse"; exit failed ? 1 : 0 }'

@@ -6,14 +6,15 @@
 #
 # BASE (any commit) is checked out in a git worktree under .ab/. Each
 # pair runs `benchmark/run.sh --workload W --seed 1 --seconds S --trace 0`
-# once in each tree, BASE first in odd pairs and this checkout first in
-# even ones, and `benchmark/run.sh compare` reads the pair, so metric
-# names, units and directions are defined once, in benchmark/. A metric
-# fails when this checkout reads worse in at least MIN_WORSE of PAIRS
-# pairs and its median change is worse by more than FLOOR_PCT; a rise in
-# failed_share fails too. Digest differences are printed, not gated:
-# byte identity is the corpus's job (crates/cli/tests/corpus.tsv).
-# Exit 0 pass, 1 a metric failed, 2 misuse or a broken run.
+# once in each tree, back to back, BASE first in odd pairs and this
+# checkout first in even ones. `benchmark/run.sh compare` reads each
+# pair, so metric names, units and directions are defined once, in
+# benchmark/. A metric fails when this checkout reads worse in at least
+# MIN_WORSE of PAIRS pairs and its median change is worse by more than
+# FLOOR_PCT; a rise in failed_share fails too. Digest differences are
+# printed, not gated: byte identity is the corpus's job
+# (crates/cli/tests/corpus.tsv). Exit 0 pass, 1 a metric failed, 2
+# misuse or a broken run.
 set -euo pipefail
 
 # Ten alternating pairs, nine of them worse: order effects cancel and
@@ -36,11 +37,11 @@ git worktree prune && git worktree add --quiet --detach "$base" "$base_rev"
 trap 'git worktree remove --force "$base"' EXIT
 unset CARGO_TARGET_DIR # each tree builds into its own benchmark/target
 
-# One run of workload $2 in tree $1, as a `workloads` entry of the
-# results.json that `compare` reads.
+# One run of workload $2 on side $1 (a = BASE, b = this checkout), as a
+# `workloads` entry of the results.json that `compare` reads.
 run() {
     local out detail
-    out="$(cd "$1" && benchmark/run.sh --workload "$2" --seed 1 \
+    out="$(cd "${tree[$1]}" && benchmark/run.sh --workload "$2" --seed 1 \
         --seconds "$RUN_SECONDS" --trace 0 2>>"$work/runs.log")" || return 2
     detail="$(grep '^detail ' <<<"$out" | tail -n 1)"
     jq -n --argjson r "$(tail -n 1 <<<"$out")" --argjson d "${detail#detail }" --arg w "$2" \
@@ -54,14 +55,17 @@ results() {
         workloads: (reduce $all[] as $n ($w; .[$n] //= $w[$w | keys[0]]))}'
 }
 
+declare -A tree=([a]="$base" [b]="$root")
 echo "ab: $(git rev-parse --short "$base_rev") vs this checkout, $PAIRS pairs of ${workloads[*]}" >&2
-for tree in "$base" "$root"; do (cd "$tree" && benchmark/run.sh describe >/dev/null); done # build before timing
+for side in a b; do (cd "${tree[$side]}" && benchmark/run.sh describe >/dev/null); done # build before timing
 for ((p = 1; p <= PAIRS; p++)); do
-    if ((p % 2)); then order=("$base" "$root"); else order=("$root" "$base"); fi
-    for tree in "${order[@]}"; do
-        side="$([ "$tree" = "$base" ] && echo a || echo b)"
-        for w in "${workloads[@]}"; do run "$tree" "$w" || exit 2; done | results >"$work/pairs/$p$side.json"
+    # A workload's two runs are back to back, so a slow spell of the host
+    # tends to cover both; which side goes first alternates.
+    if ((p % 2)); then order="a b"; else order="b a"; fi
+    for w in "${workloads[@]}"; do
+        for side in $order; do run "$side" "$w" >>"$work/pairs/$p$side.part" || exit 2; done
     done
+    for side in a b; do results <"$work/pairs/$p$side.part" >"$work/pairs/$p$side.json"; done
     # `compare` exits 1 when the pair breaks its A/A bounds: not an error here.
     benchmark/run.sh compare "$work/pairs/${p}a.json" "$work/pairs/${p}b.json" >"$work/pairs/$p.txt" ||
         [ $? -eq 1 ] || { cat "$work/pairs/$p.txt" >&2; exit 2; }

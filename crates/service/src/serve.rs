@@ -30,41 +30,25 @@ use crate::service::MappingService;
 /// the connection this many bytes of buffer, not its length.
 pub const MAX_LINE_BYTES: usize = 8 << 20;
 
-/// Read one line of at most [`MAX_LINE_BYTES`] into `line` (cleared
-/// first). `Ok(None)` at end of input; `Ok(Some(true))` when the line
-/// was over the cap, in which case the rest of it, up to and including
-/// the next `\n`, has been read and dropped.
+/// Read one line of at most [`MAX_LINE_BYTES`] into `line`. `Ok(None)`
+/// at end of input; `Ok(Some(true))` when the line was over the cap, in
+/// which case the rest of it, up to and including the next `\n`, has
+/// been read and dropped a cap's worth at a time.
 fn read_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
-    line.clear();
-    let read = reader
-        .by_ref()
-        .take(MAX_LINE_BYTES as u64)
-        .read_until(b'\n', line)?;
-    if read == 0 {
-        return Ok(None);
-    }
-    if read < MAX_LINE_BYTES || line.ends_with(b"\n") {
-        return Ok(Some(false));
-    }
+    let mut too_large = false;
     loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if buf.is_empty() {
-            return Ok(Some(true));
+        line.clear();
+        let read = reader
+            .by_ref()
+            .take(MAX_LINE_BYTES as u64)
+            .read_until(b'\n', line)?;
+        if read == 0 && !too_large {
+            return Ok(None);
         }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(end) => {
-                reader.consume(end + 1);
-                return Ok(Some(true));
-            }
-            None => {
-                let len = buf.len();
-                reader.consume(len);
-            }
+        if read < MAX_LINE_BYTES || line.ends_with(b"\n") {
+            return Ok(Some(too_large));
         }
+        too_large = true;
     }
 }
 
@@ -109,21 +93,25 @@ pub fn serve_lines(
             Err(e) => break Err(e),
         };
         lineno += 1;
-        // Bytes, not `lines()`: a line that is not UTF-8 is one bad
-        // request, not the end of the connection.
-        let decoded = match std::str::from_utf8(&line) {
-            _ if too_large => Err((
+        let decoded = if too_large {
+            Err((
                 ErrorCode::TooLarge,
                 format!("longer than {MAX_LINE_BYTES} bytes"),
-            )),
-            Ok(text) => {
-                let text = text.trim();
-                if text.is_empty() || text.starts_with('#') {
-                    continue;
+            ))
+        } else {
+            // Bytes, not `lines()`: a line that is not UTF-8 is one bad
+            // request, not the end of the connection.
+            match std::str::from_utf8(&line) {
+                Ok(text) => {
+                    let text = text.trim();
+                    if text.is_empty() || text.starts_with('#') {
+                        continue;
+                    }
+                    Request::from_json_line(text)
+                        .map_err(|e| (ErrorCode::BadRequest, e.to_string()))
                 }
-                Request::from_json_line(text).map_err(|e| (ErrorCode::BadRequest, e.to_string()))
+                Err(e) => Err((ErrorCode::BadRequest, e.to_string())),
             }
-            Err(e) => Err((ErrorCode::BadRequest, e.to_string())),
         };
         summary.requests += 1;
         let response = match decoded {

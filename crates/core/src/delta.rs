@@ -27,15 +27,30 @@
 //! (its out-edges changed cost even when its own end did not). The
 //! total is a flat `max` over the end times.
 //!
-//! **One loop.** The flat and V-cycle refinements permute every movable
-//! cluster per candidate, so there every position is flagged and the
-//! sweep degenerates to a branch-predictable linear pass; a pairwise
-//! swap flags two clusters and the sweep is a scan of `hi − lo` bytes
-//! plus the disturbed cone. Both are the same code — there is no
-//! density threshold and no second path. The kernel takes its distance
-//! as a parameter: the machine's hop matrix, or the system graph
-//! closure of §4.1 (one hop between clusters, none within), under which
-//! the same sweep yields the ideal schedule and its lower bound.
+//! **One loop, two densities.** Propagation is a compile-time parameter
+//! of the one sweep. A candidate whose moved clusters own at least
+//! 1/[`DENSE_CUT`] (¼) of all positions flags every position from its
+//! first moved one to the end and sweeps them without propagating:
+//! its cone is the whole tail anyway, and pushing flags through every
+//! successor row was 35–50 % of such a sweep. Flat refinement
+//! candidates (87–100 % of positions), the V-cycle's group permutations
+//! (40–100 % at `layered:4096` on 1024 nodes) and the from-scratch
+//! sweeps of [`DeltaEvaluator::attach`] and
+//! [`DeltaEvaluator::track_bound`] land there. Pairwise swaps, every
+//! [`patch`](DeltaEvaluator::patch) and a session's region candidates
+//! stay below: 1–6 % of positions on a 256-node torus. Region
+//! candidates of an event that touches many regions (up to 47 %), or
+//! of a region that is most of a small machine, go dense. The cut is
+//! the measured break-even with margin. Timing both forms on the same
+//! candidates (release build, 2 vCPUs), the sparse one is ahead below
+//! 4 % of positions on a 256-node torus and below 17 % on a 64-node
+//! one, whose region candidates have small cones; from 18 % up the
+//! dense one never loses — 0.5–0.7× on flat, V-cycle and 256-node
+//! session candidates, 0.95–1.0× on a 64-node session. The kernel
+//! takes its distance as a parameter: the machine's hop matrix, or the
+//! system graph closure of §4.1 (one hop between clusters, none
+//! within), under which the same sweep yields the ideal schedule and
+//! its lower bound.
 //!
 //! **Live instance.** An online session keeps one attached precedence
 //! instance across trace events instead of rebuilding it per event:
@@ -86,6 +101,14 @@ const DIRTY: u8 = 1;
 /// Flag: the position's cluster moved, so its out-edges changed cost
 /// and its successors are dirty whether or not its own end shifted.
 const MOVED: u8 = 2;
+
+/// A staged candidate whose moved clusters own at least one in
+/// `DENSE_CUT` of all positions (tombstones included) is swept densely:
+/// every position from the first moved one on is flagged and recomputed,
+/// and nothing propagates. Below the cut the sweep follows the flags
+/// downstream. The module's "One loop, two densities" gives the
+/// break-even this comes from.
+pub const DENSE_CUT: usize = 4;
 
 /// One row of a pool: `pool[start..end]`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -223,10 +246,13 @@ struct Kernel {
 impl Kernel {
     /// The schedule kernel: recompute every flagged position of
     /// `lo..hi` of `track` in ascending (= topological) order under
-    /// `dist`, propagating flags downstream, and return the makespan.
+    /// `dist`, and return the makespan. With `PROPAGATE` a recomputed
+    /// position flags its successors — raising `hi` — when it shifted
+    /// or its cluster moved; without it the caller has flagged every
+    /// position that can change, and the sweep only recomputes them.
     /// Shifted end times land in `undo_end`; every flag is clear again
     /// on return.
-    fn sweep<D: Distance>(
+    fn sweep<const PROPAGATE: bool, D: Distance>(
         &mut self,
         track: &mut Track,
         dist: &D,
@@ -250,7 +276,7 @@ impl Kernel {
                     self.undo_end.push((p as u32, track.end[p]));
                     track.end[p] = e;
                 }
-                if shifted || flag & MOVED != 0 {
+                if PROPAGATE && (shifted || flag & MOVED != 0) {
                     for &v in &self.succ_pos[self.succ[p].range()] {
                         self.flags[v as usize] |= DIRTY;
                         hi = hi.max(v as usize + 1);
@@ -259,10 +285,15 @@ impl Kernel {
             }
             p += 1;
         }
+        debug_assert!(
+            self.flags.iter().all(|&f| f == 0),
+            "a sweep left a flag set"
+        );
         track.end.iter().copied().max().unwrap_or(0)
     }
 
-    /// Flag the `touched` positions and sweep the window they span.
+    /// Flag the `touched` positions and sweep the window they span,
+    /// propagating from there.
     fn sweep_from<D: Distance>(&mut self, touched: &[u32], track: &mut Track, dist: &D) -> Time {
         let (mut lo, mut hi) = (usize::MAX, 0);
         for &p in touched {
@@ -270,7 +301,16 @@ impl Kernel {
             lo = lo.min(p as usize);
             hi = hi.max(p as usize + 1);
         }
-        self.sweep(track, dist, lo.min(hi), hi)
+        self.sweep::<true, D>(track, dist, lo.min(hi), hi)
+    }
+
+    /// Flag every position from `lo` on and recompute them all, with no
+    /// propagation: the sweep for a change that disturbs most of the
+    /// schedule from `lo` on, and, from 0, the from-scratch schedule.
+    fn sweep_tail<D: Distance>(&mut self, track: &mut Track, dist: &D, lo: usize) -> Time {
+        let n = self.flags.len();
+        self.flags[lo..].fill(DIRTY);
+        self.sweep::<false, D>(track, dist, lo, n)
     }
 }
 
@@ -515,14 +555,12 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         };
         evaluator.ws.total = match model {
             EvaluationModel::Precedence => {
-                // With every position dirty the sweep is the
-                // from-scratch schedule; what it logs is no candidate's.
+                // The from-scratch schedule; what it logs is no
+                // candidate's.
                 let ws = &mut *evaluator.ws;
-                ws.kernel.flags.fill(DIRTY);
-                let n = ws.kernel.flags.len();
-                let total = ws
-                    .kernel
-                    .sweep(&mut ws.machine, system.distances().as_matrix(), 0, n);
+                let total =
+                    ws.kernel
+                        .sweep_tail(&mut ws.machine, system.distances().as_matrix(), 0);
                 ws.kernel.undo_end.clear();
                 ws.live = true;
                 total
@@ -627,8 +665,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         }
         ws.ideal.end.clear();
         ws.ideal.end.resize(n, 0);
-        ws.kernel.flags.fill(DIRTY);
-        let bound = ws.kernel.sweep(&mut ws.ideal, &Closure, 0, n);
+        let bound = ws.kernel.sweep_tail(&mut ws.ideal, &Closure, 0);
         ws.kernel.undo_end.clear();
         ws.bound = Some(bound);
         bound
@@ -798,10 +835,12 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     }
 
     /// Re-host the moved clusters' positions, flag them, and sweep the
-    /// window they span.
+    /// window they span — or, when they own at least
+    /// 1/[`DENSE_CUT`] of all positions, every position from the first
+    /// of them on.
     fn eval_precedence(&mut self) -> Time {
         let ws = &mut *self.ws;
-        let (mut lo, mut hi) = (usize::MAX, 0);
+        let (mut lo, mut hi, mut moved) = (usize::MAX, 0, 0);
         for i in 0..ws.undo_moves.len() {
             let c = ws.undo_moves[i].0;
             let s = ws.assignment.sys_of(c) as u32;
@@ -813,12 +852,17 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
             // Clusters are never empty and their positions ascend.
             lo = lo.min(ws.cluster_pos[owned.start] as usize);
             hi = hi.max(ws.cluster_pos[owned.end - 1] as usize + 1);
+            moved += owned.len();
         }
         if lo >= hi {
             return ws.total; // nothing moved
         }
-        ws.kernel
-            .sweep(&mut ws.machine, self.system.distances().as_matrix(), lo, hi)
+        let hops = self.system.distances().as_matrix();
+        if moved >= ws.kernel.size.len().div_ceil(DENSE_CUT) {
+            ws.kernel.sweep_tail(&mut ws.machine, hops, lo)
+        } else {
+            ws.kernel.sweep::<true, _>(&mut ws.machine, hops, lo, hi)
+        }
     }
 
     /// The serialized total of the current assignment: the one list

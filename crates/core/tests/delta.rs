@@ -1,14 +1,14 @@
 //! Property tests for the incremental evaluation engine: on a replayed
 //! refinement run, every candidate the [`DeltaEvaluator`] prices must
 //! equal `evaluate_assignment` on the materialized candidate —
-//! bit-for-bit, under both models, with and without pins, on graphs
-//! whose task ids are and are not numbered topologically — and the
-//! [`GainTable`] must stay equal to a from-scratch rebuild after every
-//! accepted swap.
+//! bit-for-bit, under both models, with and without pins, on both
+//! sides of the dense cut, on graphs whose task ids are and are not
+//! numbered topologically — and the [`GainTable`] must stay equal to a
+//! from-scratch rebuild after every accepted swap.
 
 use proptest::prelude::*;
 
-use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
+use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace, DENSE_CUT};
 use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::gain::GainTable;
 use mimd_core::schedule::EvaluationModel;
@@ -164,6 +164,73 @@ fn replay_against_full_evaluation(
     }
 }
 
+/// Stage candidates on both sides of the dense cut and check each
+/// against the full evaluator: in a random order of the movable
+/// clusters, the shortest prefix owning at least 1/[`DENSE_CUT`] of all
+/// tasks (swept densely) and that prefix without its last cluster
+/// (swept sparsely), each rotated among its own processors so every
+/// cluster in it moves. Discarding restores the committed state; after
+/// committing the dense candidate, the sparse one is priced again from
+/// there.
+fn stage_both_sides_of_the_dense_cut(
+    graph: &ClusteredProblemGraph,
+    system: &SystemGraph,
+    model: EvaluationModel,
+    with_pins: bool,
+    seed: u64,
+) {
+    let ns = system.len();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xC07);
+    let start = Assignment::random(ns, &mut rng);
+    let mut owned = vec![0; ns];
+    for t in 0..graph.num_tasks() {
+        owned[graph.cluster_of(t)] += 1;
+    }
+    let mut order: Vec<usize> = (0..ns).filter(|c| !with_pins || c % 3 != 0).collect();
+    fisher_yates(&mut order, &mut rng);
+    let cut = graph.num_tasks().div_ceil(DENSE_CUT);
+    let mut moved = 0;
+    let at = 1 + order
+        .iter()
+        .position(|&c| {
+            moved += owned[c];
+            moved >= cut
+        })
+        .expect("the movable clusters own a quarter of the tasks");
+    prop_assert!(at >= 3, "the sparse side moves at least two clusters");
+    let (below, dense) = (&order[..at - 1], &order[..at]);
+
+    let mut ws = DeltaWorkspace::new();
+    let mut evaluator = DeltaEvaluator::attach(&mut ws, graph, system, model, &start).unwrap();
+    let committed = evaluator.total();
+    let stage = |evaluator: &mut DeltaEvaluator, clusters: &[usize]| {
+        let processors: Vec<usize> = clusters
+            .iter()
+            .map(|&c| evaluator.assignment().sys_of(c))
+            .collect();
+        let rotation: Vec<usize> = (1..=clusters.len()).map(|i| i % clusters.len()).collect();
+        let mut expected = evaluator.assignment().clone();
+        expected.place_subset(clusters, &processors, &rotation);
+        let staged = evaluator.stage_place(clusters, &processors, &rotation);
+        (staged, full_total(graph, system, &expected, model))
+    };
+    for clusters in [below, dense] {
+        let (staged, expected) = stage(&mut evaluator, clusters);
+        prop_assert_eq!(staged, expected, "{} clusters", clusters.len());
+        evaluator.discard();
+        prop_assert_eq!(evaluator.total(), committed);
+        prop_assert_eq!(evaluator.assignment(), &start);
+    }
+    stage(&mut evaluator, dense);
+    evaluator.commit();
+    prop_assert_eq!(
+        evaluator.total(),
+        full_total(graph, system, evaluator.assignment(), model)
+    );
+    let (staged, expected) = stage(&mut evaluator, below);
+    prop_assert_eq!(staged, expected, "sparse after a dense commit");
+}
+
 /// Two source tasks alone in cluster 0 feed clusters 1 and 2; cluster
 /// 5 holds one task with no edges at all.
 fn sources_only_cluster() -> ClusteredProblemGraph {
@@ -313,6 +380,26 @@ proptest! {
         let system = if topo == 0 { torus2d(8, 8) } else { hypercube(6) }.unwrap();
         let graph = unordered_instance(kind, 64, scale, seed);
         replay_against_full_evaluation(&graph, &system, MODELS[model_ix], with_pins == 1, seed);
+    }
+
+    /// Candidates just below and just at the dense cut price exactly,
+    /// on graphs whose ids are and are not topological positions.
+    #[test]
+    fn candidates_on_both_sides_of_the_dense_cut_match_full_evaluation(
+        kind in 0usize..4,
+        topo in 0usize..2,
+        scale in 0usize..236,
+        seed in 0u64..1_000_000,
+        model_ix in 0usize..2,
+        with_pins in 0usize..2,
+    ) {
+        let system = if topo == 0 { torus2d(8, 8) } else { hypercube(6) }.unwrap();
+        let graph = if kind == 3 {
+            instance(64, 8 + scale, seed)
+        } else {
+            unordered_instance(kind, 64, scale, seed)
+        };
+        stage_both_sides_of_the_dense_cut(&graph, &system, MODELS[model_ix], with_pins == 1, seed);
     }
 
     /// After any sequence of accepted swaps, the incrementally repaired

@@ -4,7 +4,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
-use mimd_core::evaluate::evaluate_total;
 use mimd_core::{Assignment, IdealSchedule, Mapper, MapperConfig};
 use mimd_graph::error::GraphError;
 use mimd_graph::Time;
@@ -179,6 +178,10 @@ impl MultilevelMapper {
             flat.map(&top.graph, &top.system, rng)
         })?;
         let mut assignment = top_result.assignment;
+        // The result's total is level 0's committed total — the input
+        // graph on the finest machine, and delta totals are exact — or
+        // the top-level map's when nothing was coarsened.
+        let mut total_time = top_result.total_time;
         let mut evaluations = top_result.refinement.iterations_used;
         let mut improvements = 0;
 
@@ -224,11 +227,11 @@ impl MultilevelMapper {
                 ))
             })?;
             assignment = out.assignment;
+            total_time = out.total;
             evaluations += out.rounds_used;
             improvements += out.improvements;
         }
 
-        let total_time = evaluate_total(graph, system, &assignment, self.config.mapper.model)?;
         Ok(MultilevelResult {
             assignment,
             total_time,

@@ -131,14 +131,20 @@ pub fn refine_within_groups(
         let mut winner: Option<(Time, u128, usize)> = None;
         for (i, candidate) in candidates.iter().enumerate() {
             let total = evaluator.stage_candidate(candidate);
-            evaluator.discard();
             let cost = score(candidate, total);
             if cost < best_cost && winner.is_none_or(|(_, c, _)| cost < c) {
                 winner = Some((total, cost, i));
             }
+            // The batch's last candidate stays staged if it won, so
+            // committing it costs no second sweep.
+            if i + 1 < width || winner.is_none_or(|(_, _, w)| w != i) {
+                evaluator.discard();
+            }
         }
         if let Some((total, cost, i)) = winner {
-            evaluator.stage_candidate(&candidates[i]);
+            if !evaluator.is_staged() {
+                evaluator.stage_candidate(&candidates[i]);
+            }
             evaluator.commit();
             best = candidates.swap_remove(i);
             recorder.gain("local.refine", best_total as i64 - total as i64, total);

@@ -255,6 +255,92 @@ fn a_replay_churn_shaped_trace_materializes_only_on_full_remaps() {
     );
 }
 
+#[test]
+fn a_full_permutation_prices_exactly_on_a_patched_instance() {
+    // Every cluster moves, so the candidate takes the delta evaluator's
+    // dense sweep — on a live instance that patches have left with
+    // tombstones and rows moved to their pools' tails, never
+    // re-attached since `begin`.
+    for topo in 0..4 {
+        let (_, system) = topology(topo);
+        let ns = system.len();
+        let base = instance(40, ns, 50 + topo as u64);
+        let recorder = Recorder::enabled();
+        let config = OnlineConfig {
+            staleness_threshold: f64::INFINITY,
+            ..OnlineConfig::default()
+        };
+        let (mut session, _) = IncrementalMapper::with_config(config)
+            .with_recorder(recorder.clone())
+            .begin(
+                DynamicWorkload::from_clustered(&base),
+                Arc::new(SystemHierarchy::build(&system).unwrap()),
+                7,
+            )
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(topo as u64);
+        for _ in 0..12 {
+            let workload = session.workload();
+            let tasks: Vec<TaskId> = workload.task_ids().collect();
+            let mut owned = vec![0; ns];
+            for &t in &tasks {
+                owned[workload.cluster_of(t).unwrap()] += 1;
+            }
+            let shared: Vec<TaskId> = tasks
+                .iter()
+                .copied()
+                .filter(|&t| owned[workload.cluster_of(t).unwrap()] >= 2)
+                .collect();
+            let new = workload.next_task_id();
+            // An arrival fed by an older task, whose successor row
+            // moves to its pool's tail, and a departure, which leaves a
+            // tombstone.
+            let events = [
+                TraceEvent::AddTask {
+                    task: new,
+                    size: rng.gen_range(1..=20),
+                    cluster: rng.gen_range(0..ns),
+                },
+                TraceEvent::AddEdge {
+                    from: tasks[rng.gen_range(0..tasks.len())],
+                    to: new,
+                    weight: rng.gen_range(1..=12),
+                },
+                TraceEvent::RemoveTask {
+                    task: shared[rng.gen_range(0..shared.len())],
+                },
+            ];
+            for event in &events {
+                let record = session.apply(event);
+                assert_eq!(record.error, None, "{event:?}");
+            }
+        }
+        let t = recorder.snapshot();
+        assert_eq!(t.counter("online.materializations"), 1, "patched only");
+        assert_eq!(t.counter("online.fallbacks"), 0);
+
+        let committed = session.assignment().clone();
+        let rotated =
+            Assignment::from_sys_of((0..ns).map(|c| (committed.sys_of(c) + 1) % ns).collect())
+                .unwrap();
+        let graph = session.workload().materialize().unwrap();
+        let mut ws = DeltaWorkspace::new();
+        let mut fresh = DeltaEvaluator::attach(
+            &mut ws,
+            &graph,
+            &system,
+            EvaluationModel::Precedence,
+            &committed,
+        )
+        .unwrap();
+        let priced = session.price(&rotated).unwrap();
+        assert_eq!(priced, fresh.stage_candidate(&rotated), "topology {topo}");
+        let full = evaluate_assignment(&graph, &system, &rotated, EvaluationModel::Precedence);
+        assert_eq!(priced, full.unwrap().total(), "topology {topo}");
+        assert_eq!(session.assignment(), &committed, "pricing changes nothing");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -13,10 +13,12 @@
 //! Columns (tab-separated; `-` is "none"): name, argv (split on
 //! spaces), stdin fixture under `tests/fixtures/`, exit code, stdout
 //! length, stdout FNV-1a 64, stderr prefix. Lines starting with `#` are
-//! comments. `fixtures/churn.jsonl`, `arrivals.jsonl`, `drift.jsonl`
-//! and `mixed_torus8x8.jsonl` are the stdout of the `trace`,
-//! `trace_arrivals`, `trace_drift` and `trace_mixed_torus8x8` rows, so
-//! `trace` → `replay` is one chain; `backward.jsonl` is written by hand
+//! comments. `fixtures/churn.jsonl`, `arrivals.jsonl`, `drift.jsonl`,
+//! `mixed_torus8x8.jsonl` and `long_arrivals.jsonl` are the stdout of
+//! the `trace`, `trace_arrivals`, `trace_drift`, `trace_mixed_torus8x8`
+//! and `trace_long_arrivals` rows, so `trace` → `replay` is one chain
+//! (`long_arrivals.jsonl` is 1 500 arrivals and departures, long
+//! enough that a session compacts its graph several times); `backward.jsonl` is written by hand
 //! (edges against id order, removals down to one task per cluster,
 //! arrivals wired after they land, a global rescale).
 //! `serve_mixed_ring8.jsonl` is three `map_once` jobs and one session
@@ -198,6 +200,7 @@ fn every_corpus_row_reproduces_its_pinned_output() {
         ("trace_arrivals", "arrivals.jsonl"),
         ("trace_drift", "drift.jsonl"),
         ("trace_mixed_torus8x8", "mixed_torus8x8.jsonl"),
+        ("trace_long_arrivals", "long_arrivals.jsonl"),
     ] {
         let bytes = fs::read(tests_dir().join("fixtures").join(fixture)).unwrap();
         let (_, trace) = rows

@@ -16,14 +16,14 @@
 //!   clusters (each move is charged [`OnlineConfig::migration_penalty`]
 //!   against its predicted gain), falling back to a full
 //!   `mimd-multilevel` V-cycle when accumulated drift crosses
-//!   [`OnlineConfig::staleness_threshold`]. A session keeps one live
-//!   position-space instance of its workload (`mimd-core`'s
-//!   `DeltaWorkspace`) and patches it with each local event's effect:
-//!   one sweep from the touched positions repairs the committed total
-//!   and the event's lower bound, the ideal schedule kept beside it.
-//!   The whole graph is materialized only at `begin`, on a full
-//!   V-cycle and for an edge against the instance's position order.
-//!   Sessions are precedence-model only. [`SessionConfig`] is the one
+//!   [`OnlineConfig::staleness_threshold`]. A session holds its graph
+//!   once, as the position-space rows of its [`DynamicWorkload`], which
+//!   each event edits in place and `mimd-core`'s delta evaluator sweeps
+//!   directly: one sweep from the touched positions repairs the
+//!   committed total and the event's lower bound, the ideal schedule
+//!   kept beside it. The whole graph is materialized only for a
+//!   V-cycle (at `begin` and on a full remap). Sessions are
+//!   precedence-model only. [`SessionConfig`] is the one
 //!   resolution of optional overrides against [`OnlineConfig`]'s
 //!   defaults;
 //! * [`refine`] — the penalized objective handed to the multilevel

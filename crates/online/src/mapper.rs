@@ -3,19 +3,24 @@
 //! live position-space instance of the workload alive across trace
 //! events.
 //!
-//! Per event the session applies the delta to its [`DynamicWorkload`],
-//! then chooses between two paths:
+//! The session holds its graph once: the rows of its
+//! [`DynamicWorkload`], which the delta evaluator sweeps directly, plus
+//! the evaluator's per-position schedules. Per event the workload
+//! validates the delta and edits its rows in place, then the session
+//! chooses between two paths:
 //!
-//! * **Incremental** (the common case): patch the live instance with
-//!   the event's effect — one sweep from the touched positions repairs
-//!   the committed total and the ideal-graph lower bound — and re-run
+//! * **Incremental** (the common case): repair the live instance — one
+//!   sweep from the positions the event touched repairs the committed
+//!   total and the ideal-graph lower bound — and re-run
 //!   migration-cost-aware group-local refinement on it, only inside the
 //!   *regions* around the touched clusters: the smallest hierarchy
 //!   groups of at least [`OnlineConfig::region_size`] processors
 //!   containing the touched clusters' hosts, looked up in a table built
 //!   once per session. Everything else keeps its placement, so an event
 //!   costs its cone plus a handful of candidate sweeps instead of a
-//!   V-cycle.
+//!   V-cycle. When the event renumbered the rows (an edge against the
+//!   position order, or a compaction of what departures and grown rows
+//!   left behind), both schedules are swept again from scratch instead.
 //! * **Full V-cycle**: when accumulated drift (moved weight divided by
 //!   total weight since the last full map) crosses
 //!   [`OnlineConfig::staleness_threshold`], or the event has no
@@ -23,23 +28,20 @@
 //!   with [`MultilevelMapper::map_with_hierarchy`] — still reusing the
 //!   shared system-side hierarchy — and resets the drift meter.
 //!
-//! The whole graph is materialized only where one is really needed: at
-//! `begin`, on a full V-cycle, and for an edge that runs against the
-//! live instance's position order. Each re-attaches the live instance,
-//! which also compacts it. Sessions evaluate under the precedence
-//! model, the one the live instance repairs incrementally.
+//! The whole graph is materialized only for a V-cycle: at `begin` and
+//! on a full remap. Sessions evaluate under the precedence model, the
+//! one the live instance repairs incrementally.
 //!
 //! All randomness flows from the session seed in event order, so a
 //! replay of the same trace with the same seed is bit-identical.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace, Patch};
+use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace};
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::Assignment;
 use mimd_graph::error::GraphError;
@@ -48,7 +50,7 @@ use mimd_multilevel::{
     refine_within_groups, LocalRefineConfig, MultilevelConfig, MultilevelMapper, MultilevelResult,
     SystemHierarchy,
 };
-use mimd_taskgraph::{ClusterId, ClusteredProblemGraph, DynamicWorkload, TaskId, TraceEvent};
+use mimd_taskgraph::{ClusterId, DynamicWorkload, TraceEvent};
 use mimd_telemetry::Recorder;
 
 use crate::refine::{count_moves, migration_cost};
@@ -148,9 +150,11 @@ impl IncrementalMapper {
     /// Attach a telemetry recorder: sessions started by this mapper
     /// record the structural counters `online.events`,
     /// `online.incremental`, `online.fallbacks`, `online.errors`,
-    /// `online.migrations` and `online.materializations` (whole-graph
-    /// rebuilds), plus latency spans `online.initial_map`,
-    /// `online.region_refine` and `online.full_vcycle` (and, through
+    /// `online.migrations`, `online.materializations` (whole-graph
+    /// rebuilds, one per V-cycle) and `online.compactions` (events that
+    /// renumbered the workload's rows), plus latency spans
+    /// `online.initial_map`, `online.region_refine` and
+    /// `online.full_vcycle` (and, through
     /// the embedded V-cycle, the `vcycle.*` series). Recording never
     /// changes results.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
@@ -194,28 +198,15 @@ impl IncrementalMapper {
             hierarchy,
             workload,
             live: DeltaWorkspace::new(),
-            positions: BTreeMap::new(),
             rng: StdRng::seed_from_u64(seed),
             drift: 0.0,
             events_applied: 0,
             last_lower_bound: 0,
             last_total: 0,
         };
-        let result = session.rebuild(|s, graph| s.vcycle(graph, "online.initial_map"))?;
-        let record = ReplayRecord {
-            index: 0,
-            kind: "init".into(),
-            action: "full".into(),
-            np: session.workload.num_tasks(),
-            ns,
-            lower_bound: result.lower_bound,
-            total_time: result.total_time,
-            percent_over_lower_bound: percent_over(result.total_time, result.lower_bound),
-            moves: ns, // everything is placed for the first time
-            evaluations: result.evaluations,
-            drift: 0.0,
-            error: None,
-        };
+        let result = session.remap("online.initial_map")?;
+        // Everything is placed for the first time.
+        let record = session.record("init", "full", ns, result.evaluations, None);
         Ok((session, record))
     }
 }
@@ -267,20 +258,18 @@ impl RegionTable {
     }
 }
 
-/// A live remapping session: the mutable workload, its live
-/// position-space instance (which holds the current assignment), the
-/// drift meter and the shared system hierarchy.
+/// A live remapping session: the mutable workload (the graph, once),
+/// the evaluator state on its rows (which holds the current
+/// assignment), the drift meter and the shared system hierarchy.
 pub struct OnlineSession {
     config: OnlineConfig,
     recorder: Recorder,
     hierarchy: Arc<SystemHierarchy>,
     workload: DynamicWorkload,
-    /// The live instance: the frozen rows of the workload in position
-    /// space, the committed assignment, and the end times of both its
-    /// machine schedule and its ideal schedule.
+    /// The live instance on the workload's rows: the committed
+    /// assignment, and the hosts and end times of both its machine
+    /// schedule and its ideal schedule.
     live: DeltaWorkspace,
-    /// Position in `live` of every live task id.
-    positions: BTreeMap<TaskId, u32>,
     /// Refinement region per processor.
     regions: RegionTable,
     rng: StdRng,
@@ -308,6 +297,13 @@ impl OnlineSession {
         self.drift
     }
 
+    /// Bytes held by the session's buffers that grow with its workload:
+    /// the workload's rows and id table, and the evaluator's
+    /// per-position state (capacities).
+    pub fn resident_bytes(&self) -> usize {
+        self.workload.resident_bytes() + self.live.resident_bytes()
+    }
+
     /// The total `candidate` would reach on the current workload,
     /// priced on the session's live instance and discarded again: the
     /// session is unchanged.
@@ -319,7 +315,11 @@ impl OnlineSession {
                 right: ns,
             });
         }
-        let mut live = DeltaEvaluator::resume(&mut self.live, self.hierarchy.finest());
+        let mut live = DeltaEvaluator::resume(
+            &mut self.live,
+            self.workload.rows(),
+            self.hierarchy.finest(),
+        );
         let total = live.stage_candidate(candidate);
         live.discard();
         Ok(total)
@@ -331,27 +331,10 @@ impl OnlineSession {
     pub fn apply(&mut self, event: &TraceEvent) -> ReplayRecord {
         self.events_applied += 1;
         self.recorder.incr("online.events");
-        let index = self.events_applied;
-        match self.try_apply(event) {
-            Ok(record) => record,
-            Err(e) => {
-                self.recorder.incr("online.errors");
-                ReplayRecord {
-                    index,
-                    kind: event.kind().into(),
-                    action: "error".into(),
-                    np: self.workload.num_tasks(),
-                    ns: self.hierarchy.finest().len(),
-                    lower_bound: self.last_lower_bound,
-                    total_time: self.last_total,
-                    percent_over_lower_bound: percent_over(self.last_total, self.last_lower_bound),
-                    moves: 0,
-                    evaluations: 0,
-                    drift: self.drift,
-                    error: Some(e.to_string()),
-                }
-            }
-        }
+        self.try_apply(event).unwrap_or_else(|e| {
+            self.recorder.incr("online.errors");
+            self.record(event.kind(), "error", 0, 0, Some(e.to_string()))
+        })
     }
 
     fn try_apply(&mut self, event: &TraceEvent) -> Result<ReplayRecord, GraphError> {
@@ -359,6 +342,9 @@ impl OnlineSession {
         let total_weight = self.workload.total_weight().max(1);
         self.drift += impact.weight_delta as f64 / total_weight as f64;
 
+        if impact.renumbered {
+            self.recorder.incr("online.compactions");
+        }
         let stale = impact.global || self.drift >= self.config.staleness_threshold;
         let previous = self.live.assignment().clone();
         // A local handle keeps the timing closures free to borrow the
@@ -366,16 +352,21 @@ impl OnlineSession {
         let recorder = self.recorder.clone();
         let (action, evaluations) = if stale {
             recorder.incr("online.fallbacks");
-            let result = self.rebuild(|s, graph| s.vcycle(graph, "online.full_vcycle"))?;
+            let result = self.remap("online.full_vcycle")?;
             self.drift = 0.0;
             ("full", result.evaluations)
         } else {
             recorder.incr("online.incremental");
-            if !self.patch(event) {
-                self.rebuild(|s, _| Ok((s.live.assignment().clone(), ())))?;
+            if impact.renumbered {
+                self.attach(&previous)?;
             }
             let regions = self.regions_for(&impact.touched_clusters);
-            let mut live = DeltaEvaluator::resume(&mut self.live, self.hierarchy.finest());
+            let mut live = DeltaEvaluator::resume(
+                &mut self.live,
+                self.workload.rows(),
+                self.hierarchy.finest(),
+            );
+            live.repair(&impact.touched_positions);
             let config = LocalRefineConfig {
                 lower_bound: live
                     .lower_bound()
@@ -402,107 +393,62 @@ impl OnlineSession {
         };
         let moves = count_moves(self.live.assignment(), &previous);
         recorder.add("online.migrations", moves as u64);
-        Ok(ReplayRecord {
+        Ok(self.record(event.kind(), action, moves, evaluations, None))
+    }
+
+    /// The record of the session as it stands after the latest event.
+    fn record(
+        &self,
+        kind: &str,
+        action: &str,
+        moves: usize,
+        evaluations: usize,
+        error: Option<String>,
+    ) -> ReplayRecord {
+        let (lower_bound, total_time) = (self.last_lower_bound, self.last_total);
+        ReplayRecord {
             index: self.events_applied,
-            kind: event.kind().into(),
+            kind: kind.into(),
             action: action.into(),
             np: self.workload.num_tasks(),
             ns: self.hierarchy.finest().len(),
-            lower_bound: self.last_lower_bound,
-            total_time: self.last_total,
-            percent_over_lower_bound: percent_over(self.last_total, self.last_lower_bound),
+            lower_bound,
+            total_time,
+            percent_over_lower_bound: percent_over(total_time, lower_bound),
             moves,
             evaluations,
             drift: self.drift,
-            error: None,
-        })
+            error,
+        }
     }
 
-    /// The one place a session materializes its workload: build the
-    /// whole graph, let `place` choose the assignment for it (a
-    /// V-cycle's, or the current one) and re-attach the live instance —
-    /// compacted, with a fresh position order and a derived bound.
-    fn rebuild<R>(
-        &mut self,
-        place: impl FnOnce(&mut Self, &ClusteredProblemGraph) -> Result<(Assignment, R), GraphError>,
-    ) -> Result<R, GraphError> {
+    /// The one place a session materializes its workload: a V-cycle of
+    /// the whole graph against the shared hierarchy, timed as `span`,
+    /// whose assignment the live instance is attached under.
+    fn remap(&mut self, span: &str) -> Result<MultilevelResult, GraphError> {
         self.recorder.incr("online.materializations");
         let graph = self.workload.materialize()?;
-        let (assignment, out) = place(self, &graph)?;
-        let mut live = DeltaEvaluator::attach(
-            &mut self.live,
-            &graph,
-            self.hierarchy.finest(),
-            EvaluationModel::Precedence,
-            &assignment,
-        )?;
-        self.last_lower_bound = live.track_bound();
-        self.last_total = live.total();
-        let positions = live.attached_positions();
-        self.positions = self
-            .workload
-            .task_ids()
-            .zip(positions.iter().copied())
-            .collect();
-        Ok(out)
-    }
-
-    /// A V-cycle of `graph` against the shared hierarchy, timed as
-    /// `span`.
-    fn vcycle(
-        &mut self,
-        graph: &ClusteredProblemGraph,
-        span: &str,
-    ) -> Result<(Assignment, MultilevelResult), GraphError> {
         let vcycle = MultilevelMapper::with_config(self.config.multilevel.clone())
             .with_recorder(self.recorder.clone());
         let result = self.recorder.time(span, || {
-            vcycle.map_with_hierarchy(graph, &self.hierarchy, &mut self.rng)
+            vcycle.map_with_hierarchy(&graph, &self.hierarchy, &mut self.rng)
         })?;
-        Ok((result.assignment.clone(), result))
+        self.attach(&result.assignment)?;
+        Ok(result)
     }
 
-    /// Apply the effect of an event the workload accepted to the live
-    /// instance, repairing its total and bound. `false` when only a
-    /// re-attach can place it: an edge against the position order, or
-    /// a global rescale.
-    fn patch(&mut self, event: &TraceEvent) -> bool {
-        let mut live = DeltaEvaluator::resume(&mut self.live, self.hierarchy.finest());
-        let positions = &mut self.positions;
-        let at = |positions: &BTreeMap<TaskId, u32>, task: TaskId| positions[&task];
-        let patch = match *event {
-            TraceEvent::AddTask {
-                task,
-                size,
-                cluster,
-            } => {
-                positions.insert(task, live.positions() as u32);
-                Patch::AddTask { size, cluster }
-            }
-            TraceEvent::RemoveTask { task } => Patch::RemoveTask {
-                pos: positions.remove(&task).expect("the task was live"),
-            },
-            TraceEvent::AddEdge { from, to, weight } => Patch::AddEdge {
-                from: at(positions, from),
-                to: at(positions, to),
-                weight,
-            },
-            TraceEvent::RemoveEdge { from, to } => Patch::RemoveEdge {
-                from: at(positions, from),
-                to: at(positions, to),
-            },
-            TraceEvent::SetTaskSize { task, size } => Patch::SetSize {
-                pos: at(positions, task),
-                size,
-            },
-            TraceEvent::SetEdgeWeight { from, to, weight } => Patch::SetWeight {
-                from: at(positions, from),
-                to: at(positions, to),
-                weight,
-            },
-            TraceEvent::ScaleEdgeWeights { .. } => return false,
-        };
-        live.patch(patch)
+    /// Attach the live instance to the workload's rows under
+    /// `assignment`, sweeping both of its schedules from scratch.
+    fn attach(&mut self, assignment: &Assignment) -> Result<(), GraphError> {
+        let mut live = DeltaEvaluator::attach_rows(
+            &mut self.live,
+            self.workload.rows(),
+            self.hierarchy.finest(),
+            assignment,
+        )?;
+        self.last_lower_bound = live.track_bound();
+        self.last_total = live.total();
+        Ok(())
     }
 
     /// The refinement regions around `touched` clusters: each touched
@@ -552,6 +498,7 @@ mod tests {
         ClusteredProblemGraph, Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
     };
     use mimd_topology::{chain, hypercube, star, torus2d};
+    use rand::Rng;
 
     fn instance(np: usize, ns: usize, seed: u64) -> ClusteredProblemGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -839,6 +786,74 @@ mod tests {
             Err(other) => panic!("wrong error: {other:?}"),
             Ok(_) => panic!("a serialized session was opened"),
         }
+    }
+
+    #[test]
+    fn a_session_that_never_remaps_keeps_its_memory_bounded() -> Result<(), GraphError> {
+        // 100 000 balanced arrivals and departures with no V-cycle and
+        // no refinement: what grows is the workload's rows and the
+        // evaluator's per-position state, and compaction holds both
+        // near the live size. Each arrival is fed by a task of the base
+        // graph, whose successor row moves to its pool's tail, and now
+        // and then feeds the oldest arrival, against the order.
+        let hierarchy = Arc::new(SystemHierarchy::build(&torus2d(4, 4)?)?);
+        let base = instance(64, 16, 9);
+        let config = OnlineConfig {
+            staleness_threshold: f64::INFINITY,
+            local_rounds: 0,
+            ..OnlineConfig::default()
+        };
+        let recorder = Recorder::enabled();
+        let (mut session, _) = IncrementalMapper::with_config(config)
+            .with_recorder(recorder.clone())
+            .begin(DynamicWorkload::from_clustered(&base), hierarchy, 9)?;
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut arrivals = std::collections::VecDeque::new();
+        let (mut applied, mut at_1000) = (0, 0);
+        while applied < 100_000 {
+            let task = session.workload().next_task_id();
+            let mut events = vec![
+                TraceEvent::AddTask {
+                    task,
+                    size: rng.gen_range(1..=20),
+                    cluster: rng.gen_range(0..16),
+                },
+                TraceEvent::AddEdge {
+                    from: rng.gen_range(0..64),
+                    to: task,
+                    weight: rng.gen_range(1..=12),
+                },
+            ];
+            if let Some(&oldest) = arrivals.front().filter(|_| rng.gen_range(0..5) == 0) {
+                events.push(TraceEvent::AddEdge {
+                    from: task,
+                    to: oldest,
+                    weight: 1,
+                });
+            }
+            arrivals.push_back(task);
+            if arrivals.len() > 32 {
+                let oldest = arrivals.pop_front();
+                events.extend(oldest.map(|task| TraceEvent::RemoveTask { task }));
+            }
+            for event in events.iter().take(100_000 - applied) {
+                let record = session.apply(event);
+                assert_eq!(record.error, None, "{event:?}");
+                applied += 1;
+                if applied == 1_000 {
+                    at_1000 = session.resident_bytes();
+                }
+            }
+        }
+        let t = recorder.snapshot();
+        assert_eq!(t.counter("online.materializations"), 1);
+        assert!(t.counter("online.compactions") > 100, "{t:?}");
+        let at_end = session.resident_bytes();
+        assert!(
+            at_end <= 2 * at_1000,
+            "{at_end} bytes after 100 000 events, {at_1000} after 1 000"
+        );
+        Ok(())
     }
 
     #[test]

@@ -97,8 +97,8 @@ fn assert_live_matches_fresh(
 }
 
 /// A trace a churn generator never writes: arrivals wired *into* older
-/// tasks (edges against the id order, which the live instance cannot
-/// place without a re-attach) as well as out of them, departures until
+/// tasks (edges against the id order, which renumber the workload's
+/// rows) as well as out of them, departures until
 /// a cluster is down to one task (the next one is refused), weight
 /// changes and removals of live edges, and global rescales. Events are
 /// drawn against a shadow workload so most apply; the cycle-closing
@@ -215,8 +215,8 @@ fn hand_written_traces_keep_the_live_instance_exact() {
         let (_, system) = topology(topo);
         let base = instance(40, system.len(), seed);
         let trace = hand_written_trace(&base, 120, seed);
-        // Every local event incremental (most patched, some
-        // re-attached), then the default drift meter.
+        // Every local event incremental (edges against the order
+        // renumber the rows), then the default drift meter.
         for staleness_threshold in [f64::INFINITY, 0.25] {
             let config = OnlineConfig {
                 staleness_threshold,
@@ -227,9 +227,10 @@ fn hand_written_traces_keep_the_live_instance_exact() {
                 t.counter("online.errors") > 0,
                 "the trace has refused events"
             );
-            assert!(
-                t.counter("online.materializations") > t.counter("online.fallbacks") + 1,
-                "edges against the order re-attach: {t:?}"
+            assert_eq!(
+                t.counter("online.materializations"),
+                t.counter("online.fallbacks") + 1,
+                "only V-cycles materialize, not edges against the order: {t:?}"
             );
         }
     }

@@ -307,6 +307,28 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_with_a_huge_cluster_count_is_refused_and_the_next_line_is_served(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let service = MappingService::default();
+        let open = r#"{"op":"open_session","header":{"topology":{"kind":"ring","n":4},"topology_seed":null,"snapshot":{"num_clusters":1000000000000000000,"tasks":[{"id":0,"size":2,"cluster":0}],"edges":[]}},"seed":11,"config":null}"#;
+        let input = format!("{open}\n{{\"op\":\"catalog\"}}\n");
+        let mut output = Vec::new();
+        serve_jsonl(&service, input.as_bytes(), &mut output, io::sink(), None)?;
+        let output = String::from_utf8(output)?;
+        let lines: Vec<Response> =
+            (output.lines().map(Response::from_json_line)).collect::<Result<_, _>>()?;
+        assert_eq!(lines.len(), 2, "one response per request");
+        assert!(
+            matches!(&lines[0], Response::Error { error }
+                if error.code == ErrorCode::Workload && error.message.contains("cluster 1 is empty")),
+            "{:?}",
+            lines[0]
+        );
+        assert!(matches!(lines[1], Response::Catalog { .. }));
+        Ok(())
+    }
+
+    #[test]
     fn a_line_over_the_cap_is_dropped_without_being_held() {
         // Three caps of bytes with no newline, then a short line: the
         // buffer never outgrows the cap, and the short line is next.

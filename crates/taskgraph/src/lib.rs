@@ -26,6 +26,9 @@
 //! * [`trace`] — the dynamic-workload delta model: [`TraceEvent`]s
 //!   mutating a [`DynamicWorkload`], the mutable counterpart of
 //!   [`ClusteredProblemGraph`] that `mimd-online` remaps incrementally.
+//! * [`rows`] — [`PositionRows`], a clustered DAG laid out in
+//!   topological position order: what the delta evaluator sweeps, and
+//!   the one copy of a [`DynamicWorkload`]'s graph.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,6 +39,7 @@ pub mod clustering;
 pub mod generator;
 pub mod paper;
 pub mod problem;
+pub mod rows;
 pub mod trace;
 pub mod workloads;
 
@@ -44,6 +48,7 @@ pub use clustered::ClusteredProblemGraph;
 pub use clustering::Clustering;
 pub use generator::{GeneratorConfig, LayeredDagGenerator};
 pub use problem::ProblemGraph;
+pub use rows::PositionRows;
 pub use trace::{DynamicWorkload, EventImpact, TraceEvent, WorkloadSnapshot};
 
 /// Identifier of a cluster / abstract node (`0..na`).

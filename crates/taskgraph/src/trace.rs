@@ -5,46 +5,53 @@
 //! The paper maps a static problem graph once; online workloads change
 //! — tasks arrive and finish, communication weights drift. A trace is a
 //! sequence of small deltas against a running clustered problem graph.
-//! [`DynamicWorkload`] keeps that state mutable (tasks and edges keyed
-//! by *stable* external ids, so removals never renumber survivors),
+//! [`DynamicWorkload`] keeps that state mutable (tasks addressed by
+//! *stable* external ids, so removals never renumber survivors),
 //! validates every delta (sizes ≥ 1, clusters never emptied — the
 //! paper's `na = ns` invariant — and the dependency graph stays
 //! acyclic), and [`DynamicWorkload::materialize`]s back into the
 //! immutable [`ClusteredProblemGraph`] the mapping algorithms consume.
-//! Each applied event reports an [`EventImpact`] (touched clusters and
-//! moved weight) that the incremental remapper in `mimd-online` uses to
-//! scope refinement and meter staleness.
+//! Each applied event reports an [`EventImpact`]: the touched clusters
+//! and moved weight that the incremental remapper in `mimd-online` uses
+//! to scope refinement and meter staleness, and the touched positions
+//! it repairs its schedules from.
 //!
-//! The session's problem graph is stored once, here: edge weights in
-//! one ordered map and, per task, its sorted successor and predecessor
-//! ids. Every operation costs what it touches — with `V` tasks, `E`
+//! The graph is stored once, as [`PositionRows`] — the layout the delta
+//! evaluator sweeps, so an online session's live instance *is* its
+//! workload — plus one ordered `id → position` table (the rows map
+//! positions back to ids). [`DynamicWorkload::apply`] edits the rows in
+//! place. Every operation costs what it touches — with `V` tasks, `E`
 //! edges and `log` the ordered-map lookup:
 //!
 //! | operation | cost |
 //! |---|---|
-//! | [`DynamicWorkload::from_snapshot`] | `O((V + E) log V)`: shape checks in snapshot order, then one topological pass |
-//! | `AddEdge` | the cone reachable from `to` (the cycle check) |
-//! | `RemoveTask` | `deg(task)` map entries |
-//! | other local events | `O(log)` |
+//! | [`DynamicWorkload::from_snapshot`] | `O((V + E) log V)`: checks in snapshot order, a sort for repeated edges, one topological layout |
+//! | `AddEdge` along the position order | `O(log + deg)`: ascending position is topological, so it cannot close a cycle |
+//! | `AddEdge` against the position order | the positions between its endpoints (the cycle check), then a renumber, `O(V + E)` |
+//! | `RemoveTask` | `deg(task)` row entries |
+//! | other local events | `O(log + deg)` |
+//! | compaction | `O(V + E)`, once dead entries outnumber live ones and pass [`MIN_DEAD`](crate::rows::MIN_DEAD) |
 //! | [`DynamicWorkload::total_weight`] | `O(1)`: a running `u128` total every change keeps |
-//! | [`DynamicWorkload::materialize`] | `O(V + E log V)`, rows built in bulk |
+//! | [`DynamicWorkload::materialize`] | `O(V + E log V)`, the graph built in bulk from the rows |
 //!
-//! An online session materializes only to (re)attach its live
-//! instance — at its start, on a full remap, and for an edge against
-//! the instance's order; every other event reaches that instance as a
-//! patch.
+//! A renumber — for an edge against the order, or a compaction — lays
+//! the live positions out again in a topological order and packs every
+//! row, dropping the tombstones departures leave and the slots of rows
+//! that moved to grow. No event materializes the graph: an online
+//! session does so only to run a full V-cycle.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::mem::size_of;
 
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::dag::is_acyclic;
 use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
 
 use crate::clustering::Clustering;
 use crate::problem::ProblemGraph;
+use crate::rows::{fit_u32, PositionRows};
 use crate::{ClusterId, ClusteredProblemGraph, TaskId};
 
 /// One delta of a dynamic-workload trace (one JSONL line after the
@@ -126,7 +133,7 @@ impl TraceEvent {
 
 /// What one applied event disturbed — the locality information the
 /// incremental remapper keys on.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventImpact {
     /// Clusters whose content changed (sorted, deduplicated). Empty for
     /// a no-op event.
@@ -138,44 +145,16 @@ pub struct EventImpact {
     /// `true` for events without locality (global weight scaling):
     /// every cluster is affected.
     pub global: bool,
-}
-
-/// Per-task mutable state, adjacency included: `succs`/`preds` hold the
-/// far endpoints of the task's live edges, ascending, so they are a
-/// function of the edge map and a state reached delta-by-delta equals
-/// one rebuilt from its snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct TaskState {
-    size: Time,
-    cluster: ClusterId,
-    succs: Vec<TaskId>,
-    preds: Vec<TaskId>,
-}
-
-impl TaskState {
-    fn new(size: Time, cluster: ClusterId) -> TaskState {
-        TaskState {
-            size,
-            cluster,
-            succs: Vec::new(),
-            preds: Vec::new(),
-        }
-    }
-}
-
-/// Insert `id` into an ascending row (an append when ids arrive in
-/// order, as they do from a sorted snapshot).
-fn insert_sorted(row: &mut Vec<TaskId>, id: TaskId) {
-    if let Err(pos) = row.binary_search(&id) {
-        row.insert(pos, id);
-    }
-}
-
-/// Remove `id` from an ascending row.
-fn remove_sorted(row: &mut Vec<TaskId>, id: TaskId) {
-    if let Ok(pos) = row.binary_search(&id) {
-        row.remove(pos);
-    }
+    /// Positions the event changed directly — an arrival, a new size, a
+    /// predecessor row that gained, lost or re-weighted an edge, a
+    /// departure and its successors. A schedule swept from them
+    /// repairs everything downstream. Empty for a global event and
+    /// when `renumbered`.
+    pub touched_positions: Vec<u32>,
+    /// `true` when the event renumbered the positions — an edge against
+    /// the position order, or a compaction — so a schedule kept per
+    /// position must be swept again from scratch.
+    pub renumbered: bool,
 }
 
 /// One task of a [`WorkloadSnapshot`].
@@ -214,17 +193,17 @@ pub struct WorkloadSnapshot {
 
 /// A mutable clustered problem graph under a fixed cluster count.
 ///
-/// Tasks and edges are keyed by stable external ids in ordered maps
-/// (ids are sparse user input: nothing here is sized by the largest
-/// id), so a state reached delta-by-delta is structurally identical to
-/// one rebuilt from the final snapshot — the reproducibility property
-/// the trace format relies on.
+/// The graph is its [`PositionRows`], addressed by stable external ids
+/// through one ordered `id → position` table (ids are sparse user
+/// input: nothing here is sized by the largest id). Equality compares
+/// the canonical state — tasks and edges by id — so a state reached
+/// delta-by-delta equals one rebuilt from its snapshot whatever the
+/// positions: the reproducibility property the trace format relies on.
 #[derive(Clone, Debug)]
 pub struct DynamicWorkload {
-    tasks: BTreeMap<TaskId, TaskState>,
-    edges: BTreeMap<(TaskId, TaskId), Weight>,
-    /// `cluster_sizes[c]` = number of tasks currently in cluster `c`.
-    cluster_sizes: Vec<usize>,
+    rows: PositionRows,
+    /// Position of every live task id.
+    index: BTreeMap<TaskId, u32>,
     /// High-water mark for [`DynamicWorkload::next_task_id`]: one past
     /// the largest id ever seen (saturating at `usize::MAX`), so removed
     /// ids are never recycled even after the current maximum departs.
@@ -239,168 +218,227 @@ pub struct DynamicWorkload {
 
 impl PartialEq for DynamicWorkload {
     fn eq(&self, other: &Self) -> bool {
-        self.tasks == other.tasks
-            && self.edges == other.edges
-            && self.cluster_sizes == other.cluster_sizes
+        self.num_clusters() == other.num_clusters()
+            && self.tasks().eq(other.tasks())
+            && self.edge_list().eq(other.edge_list())
     }
 }
 
 impl Eq for DynamicWorkload {}
 
+/// The error of a refused event or snapshot.
+fn invalid(message: String) -> GraphError {
+    GraphError::InvalidParameter(message)
+}
+
+/// The positions of an edge's endpoints, after the checks every new edge
+/// passes first: not a self-loop, non-zero weight, live endpoints.
+fn endpoints(
+    index: &BTreeMap<TaskId, u32>,
+    from: TaskId,
+    to: TaskId,
+    weight: Weight,
+) -> Result<(u32, u32), GraphError> {
+    if from == to {
+        return Err(invalid(format!("self-loop on task {from}")));
+    }
+    if weight == 0 {
+        return Err(invalid(format!("edge {from} -> {to} needs weight >= 1")));
+    }
+    let at =
+        |t| (index.get(&t).copied()).ok_or_else(|| invalid(format!("task {t} does not exist")));
+    Ok((at(from)?, at(to)?))
+}
+
 impl DynamicWorkload {
     /// Start from an existing clustered problem graph; external ids are
     /// the graph's task indices `0..np`.
     pub fn from_clustered(graph: &ClusteredProblemGraph) -> DynamicWorkload {
-        let mut state = DynamicWorkload {
-            tasks: BTreeMap::new(),
-            edges: BTreeMap::new(),
-            cluster_sizes: vec![0; graph.num_clusters()],
-            next_id: graph.num_tasks(),
-            total_weight: 0,
-        };
-        for t in 0..graph.num_tasks() {
-            let cluster = graph.cluster_of(t);
-            let size = graph.problem().size(t);
-            state.tasks.insert(t, TaskState::new(size, cluster));
-            state.cluster_sizes[cluster] += 1;
-            state.total_weight += u128::from(size);
+        let index = (0..graph.num_tasks()).map(|t| (t, t as u32)).collect();
+        DynamicWorkload::laid_out(graph, index)
+    }
+
+    /// The workload of `graph` whose task `t` has the external id `index`
+    /// maps to `t` (ids ascend with `t`), laid out by the one freeze
+    /// batch instances use.
+    fn laid_out(
+        graph: &ClusteredProblemGraph,
+        mut index: BTreeMap<TaskId, u32>,
+    ) -> DynamicWorkload {
+        let ids: Vec<TaskId> = index.keys().copied().collect();
+        let mut rows = PositionRows::default();
+        rows.freeze(graph);
+        rows.relabel(&ids);
+        let problem = graph.problem();
+        let mut pos_of = vec![0; ids.len()];
+        for (p, &t) in problem.topo_order().iter().enumerate() {
+            pos_of[t] = p as u32;
         }
-        for (u, v, w) in graph.problem().graph().edges() {
-            state.insert_edge(u, v, w);
+        for slot in index.values_mut() {
+            *slot = pos_of[*slot as usize];
         }
-        state
+        let sizes: u128 = problem.sizes().iter().map(|&s| u128::from(s)).sum();
+        let weights: u128 = problem.graph().edges().map(|(_, _, w)| u128::from(w)).sum();
+        DynamicWorkload {
+            rows,
+            index,
+            next_id: ids.last().map_or(0, |id| id.saturating_add(1)),
+            total_weight: sizes + weights,
+        }
     }
 
     /// Rebuild from a snapshot (the trace-file header). Validates the
     /// same invariants `apply` maintains, and reports what inserting
-    /// the edges one by one in snapshot order would report: the first
-    /// edge that is malformed *or* closes a cycle decides the error.
+    /// the tasks and then the edges one by one in snapshot order would
+    /// report: the first task at fault, else the first cluster no task
+    /// owns, else the first edge that is malformed *or* closes a cycle.
+    /// Nothing is sized by `num_clusters` before the tasks are checked
+    /// against it.
     pub fn from_snapshot(snapshot: &WorkloadSnapshot) -> Result<DynamicWorkload, GraphError> {
-        if snapshot.num_clusters == 0 {
-            return Err(GraphError::InvalidParameter(
-                "workload needs >= 1 cluster".into(),
-            ));
+        let na = snapshot.num_clusters;
+        if na == 0 {
+            return Err(invalid("workload needs >= 1 cluster".into()));
         }
-        let mut state = DynamicWorkload {
-            tasks: BTreeMap::new(),
-            edges: BTreeMap::new(),
-            cluster_sizes: vec![0; snapshot.num_clusters],
-            next_id: 0,
-            total_weight: 0,
-        };
+        let mut index = BTreeMap::new();
         for task in &snapshot.tasks {
             if task.size == 0 {
-                return Err(GraphError::InvalidParameter(format!(
-                    "task {} has zero execution time",
-                    task.id
-                )));
+                return Err(invalid(format!("task {} has zero execution time", task.id)));
             }
-            if task.cluster >= snapshot.num_clusters {
+            if task.cluster >= na {
                 return Err(GraphError::NodeOutOfRange {
                     node: task.cluster,
-                    len: snapshot.num_clusters,
+                    len: na,
                 });
             }
-            if state
-                .tasks
-                .insert(task.id, TaskState::new(task.size, task.cluster))
-                .is_some()
-            {
-                return Err(GraphError::InvalidParameter(format!(
+            if index.insert(task.id, 0).is_some() {
+                return Err(invalid(format!(
                     "task {} appears twice in the snapshot",
                     task.id
                 )));
             }
-            state.cluster_sizes[task.cluster] += 1;
-            state.total_weight += u128::from(task.size);
-            state.note_id(task.id);
         }
-        if let Some(empty) = state.cluster_sizes.iter().position(|&n| n == 0) {
-            return Err(GraphError::InvalidParameter(format!(
+        fit_u32("np", index.len())?;
+        let mut owned: Vec<ClusterId> = snapshot.tasks.iter().map(|t| t.cluster).collect();
+        owned.sort_unstable();
+        owned.dedup();
+        if owned.len() < na {
+            let empty = (0..owned.len())
+                .find(|&c| owned[c] != c)
+                .unwrap_or(owned.len());
+            return Err(invalid(format!(
                 "cluster {empty} is empty; every cluster must own >= 1 task"
             )));
         }
-        // Shape checks need only the edges before them; acyclicity is
-        // proved once for the whole prefix they accepted. A cycle among
-        // the edges before a malformed one was closed first, so it wins.
+        // Dense task indices ascend with the ids.
+        for (t, slot) in index.values_mut().enumerate() {
+            *slot = t as u32;
+        }
+        let (mut sizes, mut clusters) = (vec![0; index.len()], vec![0; index.len()]);
+        for task in &snapshot.tasks {
+            let t = index[&task.id] as usize;
+            (sizes[t], clusters[t]) = (task.size, task.cluster);
+        }
+        let mut edges = Vec::with_capacity(snapshot.edges.len());
         let mut malformed = None;
-        for edge in &snapshot.edges {
-            if let Err(e) = state.check_edge_shape(edge.from, edge.to, edge.weight) {
-                malformed = Some(e);
-                break;
+        for e in &snapshot.edges {
+            match endpoints(&index, e.from, e.to, e.weight) {
+                Ok((u, v)) => edges.push((u as usize, v as usize, e.weight)),
+                Err(error) => {
+                    malformed = Some(error);
+                    break;
+                }
             }
-            state.insert_edge(edge.from, edge.to, edge.weight);
         }
-        if !is_acyclic(&state.digraph()?) {
-            return Err(GraphError::CycleDetected);
+        // An edge is refused at its second occurrence: sorted, the first
+        // repeat in snapshot order is the smallest index right after an
+        // equal pair.
+        let mut keys: Vec<_> = (edges.iter().enumerate())
+            .map(|(i, &(u, v, _))| (u, v, i))
+            .collect();
+        keys.sort_unstable();
+        let repeats = keys
+            .windows(2)
+            .filter(|k| (k[0].0, k[0].1) == (k[1].0, k[1].1));
+        if let Some(i) = repeats.map(|k| k[1].2).min() {
+            let EdgeInit { from, to, .. } = snapshot.edges[i];
+            malformed = Some(invalid(format!("edge {from} -> {to} already exists")));
+            edges.truncate(i);
         }
-        malformed.map_or(Ok(state), Err)
+        // Acyclicity is proved once for the prefix the shape checks
+        // accepted; a cycle among the edges before a malformed one was
+        // closed first, so it wins.
+        let problem = ProblemGraph::new(WeightedDigraph::from_edges(sizes.len(), &edges)?, sizes)?;
+        let graph = ClusteredProblemGraph::new(problem, Clustering::new(clusters)?)?;
+        match malformed {
+            Some(e) => Err(e),
+            None => Ok(DynamicWorkload::laid_out(&graph, index)),
+        }
     }
 
     /// The serializable image of the current state.
     pub fn snapshot(&self) -> WorkloadSnapshot {
+        let edges = self
+            .edge_list()
+            .map(|(from, to, weight)| EdgeInit { from, to, weight });
         WorkloadSnapshot {
-            num_clusters: self.cluster_sizes.len(),
-            tasks: self
-                .tasks
-                .iter()
-                .map(|(&id, state)| TaskInit {
-                    id,
-                    size: state.size,
-                    cluster: state.cluster,
-                })
-                .collect(),
-            edges: self
-                .edges
-                .iter()
-                .map(|(&(from, to), &weight)| EdgeInit { from, to, weight })
-                .collect(),
+            num_clusters: self.num_clusters(),
+            tasks: self.tasks().collect(),
+            edges: edges.collect(),
         }
+    }
+
+    /// Live tasks, ascending by id.
+    fn tasks(&self) -> impl Iterator<Item = TaskInit> + '_ {
+        self.index.iter().map(|(&id, &p)| TaskInit {
+            id,
+            size: self.rows.size(p as usize),
+            cluster: self.rows.cluster(p as usize),
+        })
+    }
+
+    /// The position-space rows: the graph itself, in the layout the
+    /// delta evaluator sweeps.
+    pub fn rows(&self) -> &PositionRows {
+        &self.rows
+    }
+
+    /// Bytes held by the rows and the id table (capacities; the table
+    /// counted at one entry per live task).
+    pub fn resident_bytes(&self) -> usize {
+        self.rows.resident_bytes() + self.index.len() * size_of::<(TaskId, u32)>()
     }
 
     /// Number of live tasks `np`.
     pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
+        self.index.len()
     }
 
     /// Number of clusters `na` (constant for the workload's lifetime).
     pub fn num_clusters(&self) -> usize {
-        self.cluster_sizes.len()
+        self.rows.num_clusters()
     }
 
     /// Number of live edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// `true` iff external task id `t` is live.
-    pub fn has_task(&self, t: TaskId) -> bool {
-        self.tasks.contains_key(&t)
+        self.rows.num_edges()
     }
 
     /// Cluster owning live task `t`.
     pub fn cluster_of(&self, t: TaskId) -> Option<ClusterId> {
-        self.tasks.get(&t).map(|s| s.cluster)
+        self.index.get(&t).map(|&p| self.rows.cluster(p as usize))
     }
 
     /// Execution time of live task `t`.
     pub fn task_size(&self, t: TaskId) -> Option<Time> {
-        self.tasks.get(&t).map(|s| s.size)
+        self.index.get(&t).map(|&p| self.rows.size(p as usize))
     }
 
-    /// Tasks `t` feeds, ascending (empty for an unknown task).
-    pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        self.tasks.get(&t).map_or(&[], |s| &s.succs)
-    }
-
-    /// Tasks feeding `t`, ascending (empty for an unknown task).
-    pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
-        self.tasks.get(&t).map_or(&[], |s| &s.preds)
-    }
-
-    /// Weight of the live edge `from -> to`.
+    /// Weight of the live edge `from -> to`: a scan of `to`'s
+    /// predecessor row.
     pub fn edge_weight(&self, from: TaskId, to: TaskId) -> Option<Weight> {
-        self.edges.get(&(from, to)).copied()
+        let (&u, &v) = (self.index.get(&from)?, self.index.get(&to)?);
+        let (preds, weights) = self.rows.preds(v as usize);
+        preds.iter().position(|&p| p == u).map(|i| weights[i])
     }
 
     /// A fresh external task id: one past the largest id ever seen
@@ -411,17 +449,24 @@ impl DynamicWorkload {
 
     /// Live task ids, ascending.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.tasks.keys().copied()
+        self.index.keys().copied()
     }
 
-    /// Live edges `(from, to, weight)`, ascending by key.
-    pub fn edge_list(&self) -> impl Iterator<Item = (TaskId, TaskId, Weight)> + '_ {
-        self.edges.iter().map(|(&(u, v), &w)| (u, v, w))
+    /// Live edges `(from, to, weight)`, ascending by `(from, to)`: each
+    /// task's successor row in id order, gathered at their exact count.
+    pub fn edge_list(&self) -> impl ExactSizeIterator<Item = (TaskId, TaskId, Weight)> {
+        let mut edges = Vec::with_capacity(self.num_edges());
+        for (&from, &p) in &self.index {
+            let (succs, weights) = self.rows.succs(p as usize);
+            let row = succs.iter().zip(weights);
+            edges.extend(row.map(|(&v, &w)| (from, self.rows.task(v as usize), w)));
+        }
+        edges.into_iter()
     }
 
     /// Number of tasks currently in cluster `c`.
     pub fn cluster_size(&self, c: ClusterId) -> usize {
-        self.cluster_sizes[c]
+        self.rows.cluster_positions(c).len()
     }
 
     /// Total task weight plus total edge weight — the denominator of
@@ -431,24 +476,21 @@ impl DynamicWorkload {
         self.total_weight
     }
 
-    /// Apply one event, returning its impact. On error the state is
-    /// unchanged.
+    /// Apply one event to the rows in place, returning its impact. On
+    /// error the state is unchanged.
     pub fn apply(&mut self, event: &TraceEvent) -> Result<EventImpact, GraphError> {
+        let mut impact = EventImpact::default();
         match *event {
             TraceEvent::AddTask {
                 task,
                 size,
                 cluster,
             } => {
-                if self.tasks.contains_key(&task) {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "task {task} already exists"
-                    )));
+                if self.index.contains_key(&task) {
+                    return Err(invalid(format!("task {task} already exists")));
                 }
                 if size == 0 {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "task {task} has zero execution time"
-                    )));
+                    return Err(invalid(format!("task {task} has zero execution time")));
                 }
                 if cluster >= self.num_clusters() {
                     return Err(GraphError::NodeOutOfRange {
@@ -456,243 +498,184 @@ impl DynamicWorkload {
                         len: self.num_clusters(),
                     });
                 }
-                self.tasks.insert(task, TaskState::new(size, cluster));
-                self.cluster_sizes[cluster] += 1;
+                let p = self.rows.push_task(task, size, cluster)?;
+                self.index.insert(task, p);
                 self.total_weight += u128::from(size);
-                self.note_id(task);
-                Ok(EventImpact {
-                    touched_clusters: vec![cluster],
-                    weight_delta: size,
-                    global: false,
-                })
+                self.next_id = self.next_id.max(task.saturating_add(1));
+                impact.touched_clusters = vec![cluster];
+                (impact.weight_delta, impact.touched_positions) = (size, vec![p]);
             }
             TraceEvent::RemoveTask { task } => {
-                let state = self.tasks.get(&task).ok_or_else(|| {
-                    GraphError::InvalidParameter(format!("task {task} does not exist"))
-                })?;
-                let cluster = state.cluster;
-                if self.cluster_sizes[cluster] <= 1 {
-                    return Err(GraphError::InvalidParameter(format!(
+                let p = self.position(task)?;
+                let cluster = self.rows.cluster(p as usize);
+                if self.cluster_size(cluster) <= 1 {
+                    return Err(invalid(format!(
                         "removing task {task} would empty cluster {cluster} (na = ns must hold)"
                     )));
                 }
-                let state = self.tasks.remove(&task).expect("looked up above");
-                self.cluster_sizes[cluster] -= 1;
-                let mut delta = state.size;
-                let mut removed = u128::from(state.size);
-                let mut touched = vec![cluster];
-                for &succ in &state.succs {
-                    let w = self.edges.remove(&(task, succ)).expect("row mirrors map");
-                    delta = delta.saturating_add(w);
-                    removed += u128::from(w);
-                    let partner = self.tasks.get_mut(&succ).expect("endpoints are live");
-                    remove_sorted(&mut partner.preds, task);
-                    touched.push(partner.cluster);
+                let size = self.rows.size(p as usize);
+                let (mut delta, mut removed) = (size, u128::from(size));
+                impact.touched_clusters.push(cluster);
+                let ((preds, pw), (succs, sw)) =
+                    (self.rows.preds(p as usize), self.rows.succs(p as usize));
+                for (&q, &w) in preds.iter().zip(pw).chain(succs.iter().zip(sw)) {
+                    (delta, removed) = (delta.saturating_add(w), removed + u128::from(w));
+                    impact.touched_clusters.push(self.rows.cluster(q as usize));
                 }
-                for &pred in &state.preds {
-                    let w = self.edges.remove(&(pred, task)).expect("row mirrors map");
-                    delta = delta.saturating_add(w);
-                    removed += u128::from(w);
-                    let partner = self.tasks.get_mut(&pred).expect("endpoints are live");
-                    remove_sorted(&mut partner.succs, task);
-                    touched.push(partner.cluster);
-                }
+                impact.touched_clusters.sort_unstable();
+                impact.touched_clusters.dedup();
+                impact.touched_positions = succs.to_vec();
+                impact.touched_positions.push(p);
+                impact.weight_delta = delta;
+                self.rows.remove_task(p);
+                self.index.remove(&task);
                 self.total_weight -= removed;
-                touched.sort_unstable();
-                touched.dedup();
-                Ok(EventImpact {
-                    touched_clusters: touched,
-                    weight_delta: delta,
-                    global: false,
-                })
             }
             TraceEvent::AddEdge { from, to, weight } => {
-                self.check_edge_shape(from, to, weight)?;
-                if self.reaches(to, from) {
-                    return Err(GraphError::CycleDetected);
+                let (u, v) = endpoints(&self.index, from, to, weight)?;
+                let exists = || invalid(format!("edge {from} -> {to} already exists"));
+                let at = self
+                    .rows
+                    .succ_slot(u as usize, to)
+                    .err()
+                    .ok_or_else(exists)?;
+                // Ascending position is topological, so only an edge
+                // against it can close a cycle: search between its ends.
+                let cone = match u > v {
+                    true => Some(self.rows.cone(v, u).ok_or(GraphError::CycleDetected)?),
+                    false => None,
+                };
+                self.rows.add_edge(u, v, at, weight)?;
+                self.total_weight += u128::from(weight);
+                impact.touched_clusters = self.clusters_of_pair(u, v);
+                (impact.weight_delta, impact.touched_positions) = (weight, vec![v]);
+                if let Some(cone) = cone {
+                    // What `to` reaches moves after the rest of the
+                    // window; the order stays topological elsewhere.
+                    let (lo, hi) = (v as usize, u as usize);
+                    let order: Vec<usize> = (0..lo)
+                        .chain((lo..=hi).filter(|&p| !cone[p - lo]))
+                        .chain((lo..=hi).filter(|&p| cone[p - lo]))
+                        .chain(hi + 1..self.rows.len())
+                        .collect();
+                    self.relayout(&order, &mut impact);
                 }
-                self.insert_edge(from, to, weight);
-                Ok(EventImpact {
-                    touched_clusters: self.clusters_of_pair(from, to),
-                    weight_delta: weight,
-                    global: false,
-                })
             }
             TraceEvent::RemoveEdge { from, to } => {
-                let w = self.edges.remove(&(from, to)).ok_or_else(|| {
-                    GraphError::InvalidParameter(format!("edge {from} -> {to} does not exist"))
-                })?;
-                remove_sorted(&mut self.task_mut(from).succs, to);
-                remove_sorted(&mut self.task_mut(to).preds, from);
+                let (u, v) = self.edge(from, to)?;
+                let w = self.rows.remove_edge(u, v);
                 self.total_weight -= u128::from(w);
-                Ok(EventImpact {
-                    touched_clusters: self.clusters_of_pair(from, to),
-                    weight_delta: w,
-                    global: false,
-                })
+                impact.touched_clusters = self.clusters_of_pair(u, v);
+                (impact.weight_delta, impact.touched_positions) = (w, vec![v]);
             }
             TraceEvent::SetTaskSize { task, size } => {
                 if size == 0 {
-                    return Err(GraphError::InvalidParameter(format!(
+                    return Err(invalid(format!(
                         "task {task} cannot shrink to zero execution time"
                     )));
                 }
-                let state = self.tasks.get_mut(&task).ok_or_else(|| {
-                    GraphError::InvalidParameter(format!("task {task} does not exist"))
-                })?;
-                let delta = state.size.abs_diff(size);
-                self.total_weight = self.total_weight - u128::from(state.size) + u128::from(size);
-                state.size = size;
-                Ok(EventImpact {
-                    touched_clusters: vec![state.cluster],
-                    weight_delta: delta,
-                    global: false,
-                })
+                let p = self.position(task)?;
+                let old = self.rows.size(p as usize);
+                self.rows.set_size(p, size);
+                self.total_weight = self.total_weight - u128::from(old) + u128::from(size);
+                impact.touched_clusters = vec![self.rows.cluster(p as usize)];
+                (impact.weight_delta, impact.touched_positions) = (old.abs_diff(size), vec![p]);
             }
             TraceEvent::SetEdgeWeight { from, to, weight } => {
                 if weight == 0 {
-                    return Err(GraphError::InvalidParameter(format!(
+                    return Err(invalid(format!(
                         "edge {from} -> {to} cannot have zero weight"
                     )));
                 }
-                let slot = self.edges.get_mut(&(from, to)).ok_or_else(|| {
-                    GraphError::InvalidParameter(format!("edge {from} -> {to} does not exist"))
-                })?;
-                let delta = slot.abs_diff(weight);
-                self.total_weight = self.total_weight - u128::from(*slot) + u128::from(weight);
-                *slot = weight;
-                Ok(EventImpact {
-                    touched_clusters: self.clusters_of_pair(from, to),
-                    weight_delta: delta,
-                    global: false,
-                })
+                let (u, v) = self.edge(from, to)?;
+                let old = self.rows.set_weight(u, v, weight);
+                self.total_weight = self.total_weight - u128::from(old) + u128::from(weight);
+                impact.touched_clusters = self.clusters_of_pair(u, v);
+                (impact.weight_delta, impact.touched_positions) = (old.abs_diff(weight), vec![v]);
             }
             TraceEvent::ScaleEdgeWeights { percent } => {
                 if percent == 0 {
-                    return Err(GraphError::InvalidParameter(
-                        "scale percent must be >= 1".into(),
-                    ));
+                    return Err(invalid("scale percent must be >= 1".into()));
                 }
-                let mut delta = 0u64;
-                for w in self.edges.values_mut() {
-                    // Widen before multiplying: traces are user input,
-                    // and a near-u64::MAX weight must scale saturating,
-                    // not wrapping.
-                    let scaled = (u128::from(*w) * u128::from(percent) / 100)
-                        .min(u128::from(u64::MAX)) as u64;
-                    let scaled = scaled.max(1);
-                    delta = delta.saturating_add(w.abs_diff(scaled));
-                    self.total_weight = self.total_weight - u128::from(*w) + u128::from(scaled);
-                    *w = scaled;
+                // Widen before multiplying: traces are user input, and a
+                // near-u64::MAX weight must scale saturating, not
+                // wrapping.
+                let scale = |w: Weight| {
+                    let scaled = u128::from(w) * u128::from(percent) / 100;
+                    (scaled.min(u128::from(u64::MAX)) as u64).max(1)
+                };
+                let (mut before, mut after) = (0u128, 0u128);
+                for (_, _, w) in self.edge_list() {
+                    impact.weight_delta = impact.weight_delta.saturating_add(w.abs_diff(scale(w)));
+                    (before, after) = (before + u128::from(w), after + u128::from(scale(w)));
                 }
-                Ok(EventImpact {
-                    touched_clusters: (0..self.num_clusters()).collect(),
-                    weight_delta: delta,
-                    global: true,
-                })
+                self.total_weight = self.total_weight - before + after;
+                self.rows.scale_weights(scale);
+                impact.touched_clusters = (0..self.num_clusters()).collect();
+                impact.global = true;
             }
         }
+        if !impact.renumbered && self.rows.is_sparse() {
+            let order: Vec<usize> = (0..self.rows.len()).collect();
+            self.relayout(&order, &mut impact);
+        }
+        Ok(impact)
+    }
+
+    /// Renumber the live positions of `order` (every position once, in a
+    /// topological order; tombstones are dropped) and compact the rows.
+    fn relayout(&mut self, order: &[usize], impact: &mut EventImpact) {
+        let live = order.iter().filter(|&&p| self.rows.size(p) != 0);
+        self.rows
+            .relayout(&live.map(|&p| p as u32).collect::<Vec<_>>());
+        for p in self.index.values_mut() {
+            *p = self.rows.relaid(*p);
+        }
+        impact.renumbered = true;
+        impact.touched_positions.clear();
     }
 
     /// Build the immutable [`ClusteredProblemGraph`] for the current
     /// state: tasks densely renumbered in ascending external-id order.
     pub fn materialize(&self) -> Result<ClusteredProblemGraph, GraphError> {
-        let sizes: Vec<Time> = self.tasks.values().map(|s| s.size).collect();
-        let problem = ProblemGraph::new(self.digraph()?, sizes)?;
-        let clustering = Clustering::new(self.tasks.values().map(|s| s.cluster).collect())?;
-        ClusteredProblemGraph::new(problem, clustering)
+        let rows = &self.rows;
+        let mut dense = vec![0; rows.len()];
+        for (t, &p) in self.index.values().enumerate() {
+            dense[p as usize] = t;
+        }
+        let mut edges = Vec::with_capacity(rows.num_edges());
+        for (t, &p) in self.index.values().enumerate() {
+            let (succs, weights) = rows.succs(p as usize);
+            edges.extend((succs.iter().zip(weights)).map(|(&v, &w)| (t, dense[v as usize], w)));
+        }
+        let sizes = self.index.values().map(|&p| rows.size(p as usize));
+        let clusters = self.index.values().map(|&p| rows.cluster(p as usize));
+        let graph = WeightedDigraph::from_edges(self.index.len(), &edges)?;
+        let problem = ProblemGraph::new(graph, sizes.collect())?;
+        ClusteredProblemGraph::new(problem, Clustering::new(clusters.collect())?)
     }
 
-    /// The dependency graph over dense indices `0..np` (ascending
-    /// external-id order), built in bulk from the edge map.
-    fn digraph(&self) -> Result<WeightedDigraph, GraphError> {
-        let ids: Vec<TaskId> = self.tasks.keys().copied().collect();
-        let mut from_dense = 0;
-        let edges: Vec<(usize, usize, Weight)> = self
-            .edges
-            .iter()
-            .map(|(&(u, v), &w)| {
-                // Keys ascend by `from`, so its index only ever advances.
-                while ids[from_dense] != u {
-                    from_dense += 1;
-                }
-                let to_dense = ids.binary_search(&v).expect("endpoints are live");
-                (from_dense, to_dense, w)
-            })
-            .collect();
-        WeightedDigraph::from_edges(ids.len(), &edges)
+    /// The position of live task `t`.
+    fn position(&self, t: TaskId) -> Result<u32, GraphError> {
+        let missing = || invalid(format!("task {t} does not exist"));
+        self.index.get(&t).copied().ok_or_else(missing)
     }
 
-    /// Raise the id high-water mark past `id`.
-    fn note_id(&mut self, id: TaskId) {
-        self.next_id = self.next_id.max(id.saturating_add(1));
+    /// The endpoint positions of the live edge `from -> to`.
+    fn edge(&self, from: TaskId, to: TaskId) -> Result<(u32, u32), GraphError> {
+        let found = (self.index.get(&from).zip(self.index.get(&to)))
+            .filter(|&(&u, _)| self.rows.succ_slot(u as usize, to).is_ok());
+        let missing = || invalid(format!("edge {from} -> {to} does not exist"));
+        found.map(|(&u, &v)| (u, v)).ok_or_else(missing)
     }
 
-    fn task_mut(&mut self, t: TaskId) -> &mut TaskState {
-        self.tasks.get_mut(&t).expect("endpoints are live")
-    }
-
-    /// Store a validated edge: its weight and both adjacency entries.
-    fn insert_edge(&mut self, from: TaskId, to: TaskId, weight: Weight) {
-        self.edges.insert((from, to), weight);
-        self.total_weight += u128::from(weight);
-        insert_sorted(&mut self.task_mut(from).succs, to);
-        insert_sorted(&mut self.task_mut(to).preds, from);
-    }
-
-    /// The clusters of an edge's two endpoints (sorted, deduplicated).
-    fn clusters_of_pair(&self, from: TaskId, to: TaskId) -> Vec<ClusterId> {
-        let mut touched = vec![self.tasks[&from].cluster, self.tasks[&to].cluster];
+    /// The clusters of an edge's two endpoint positions (sorted,
+    /// deduplicated).
+    fn clusters_of_pair(&self, u: u32, v: u32) -> Vec<ClusterId> {
+        let mut touched = vec![self.rows.cluster(u as usize), self.rows.cluster(v as usize)];
         touched.sort_unstable();
         touched.dedup();
         touched
-    }
-
-    /// Validate the shape of an edge about to be inserted: not a
-    /// self-loop, non-zero weight, live endpoints, not a duplicate.
-    /// Whether it closes a cycle is the caller's separate question.
-    fn check_edge_shape(&self, from: TaskId, to: TaskId, weight: Weight) -> Result<(), GraphError> {
-        if from == to {
-            return Err(GraphError::InvalidParameter(format!(
-                "self-loop on task {from}"
-            )));
-        }
-        if weight == 0 {
-            return Err(GraphError::InvalidParameter(format!(
-                "edge {from} -> {to} needs weight >= 1"
-            )));
-        }
-        for t in [from, to] {
-            if !self.tasks.contains_key(&t) {
-                return Err(GraphError::InvalidParameter(format!(
-                    "task {t} does not exist"
-                )));
-            }
-        }
-        if self.edges.contains_key(&(from, to)) {
-            return Err(GraphError::InvalidParameter(format!(
-                "edge {from} -> {to} already exists"
-            )));
-        }
-        Ok(())
-    }
-
-    /// `true` iff `target` is reachable from `start` along live edges
-    /// (depth-first over the successor rows: only `start`'s cone is
-    /// visited). A new edge `from -> to` closes a cycle iff `to`
-    /// already reaches `from`.
-    fn reaches(&self, start: TaskId, target: TaskId) -> bool {
-        let mut stack = vec![start];
-        let mut seen = BTreeSet::new();
-        while let Some(t) = stack.pop() {
-            if t == target {
-                return true;
-            }
-            if seen.insert(t) {
-                stack.extend_from_slice(&self.tasks[&t].succs);
-            }
-        }
-        false
     }
 }
 
@@ -764,8 +747,8 @@ mod tests {
         let impact = state.apply(&TraceEvent::RemoveTask { task: 3 }).unwrap();
         assert_eq!(impact.touched_clusters, vec![0, 1]);
         assert_eq!(impact.weight_delta, 4 + 1 + 7 + 9);
-        assert_eq!(state.predecessors(4), &[] as &[TaskId]);
-        assert_eq!(state.successors(1), &[] as &[TaskId]);
+        assert!(state.edge_list().all(|(u, v, _)| u != 3 && v != 3));
+        assert_eq!(state.edge_weight(3, 4), None);
         assert_eq!(state.num_edges(), 2);
         let graph = state.materialize().unwrap();
         assert_eq!(graph.num_tasks(), 4);
@@ -856,6 +839,89 @@ mod tests {
         // first.
         state.apply(&TraceEvent::RemoveTask { task: 1 }).unwrap();
         assert!(state.apply(&TraceEvent::RemoveTask { task: 0 }).is_err());
+    }
+
+    #[test]
+    fn a_huge_cluster_count_is_refused_before_anything_is_sized_by_it() {
+        // `num_clusters` is client input: the first cluster no task owns
+        // is named without allocating one counter per cluster.
+        for (num_clusters, owned, empty) in [
+            (1_000_000_000_000_000_000, vec![0], 1),
+            (3, vec![0, 2, 2], 1),
+            (4, vec![1, 0, 2], 3),
+        ] {
+            let snapshot = WorkloadSnapshot {
+                num_clusters,
+                tasks: (owned.iter().enumerate())
+                    .map(|(id, &cluster)| TaskInit {
+                        id,
+                        size: 2,
+                        cluster,
+                    })
+                    .collect(),
+                edges: Vec::new(),
+            };
+            let expected = format!("cluster {empty} is empty; every cluster must own >= 1 task");
+            assert_eq!(
+                DynamicWorkload::from_snapshot(&snapshot),
+                Err(GraphError::InvalidParameter(expected))
+            );
+        }
+    }
+
+    #[test]
+    fn edges_against_the_order_and_sparse_rows_renumber() -> Result<(), GraphError> {
+        let mut state = DynamicWorkload::from_clustered(&base());
+        // Task 3 is the sink: an edge out of it into a fresh arrival
+        // runs along the order; one from the arrival into task 1 runs
+        // against it.
+        for (event, renumbered) in [
+            (
+                TraceEvent::AddTask {
+                    task: 4,
+                    size: 1,
+                    cluster: 0,
+                },
+                false,
+            ),
+            (
+                TraceEvent::AddEdge {
+                    from: 4,
+                    to: 1,
+                    weight: 2,
+                },
+                true,
+            ),
+            (TraceEvent::SetTaskSize { task: 1, size: 5 }, false),
+        ] {
+            let impact = state.apply(&event)?;
+            assert_eq!(impact.renumbered, renumbered, "{event:?}");
+            assert_eq!(impact.touched_positions.is_empty(), renumbered);
+        }
+        let rebuilt = DynamicWorkload::from_snapshot(&state.snapshot())?;
+        assert_eq!(rebuilt, state);
+        assert_eq!(rebuilt.materialize()?, state.materialize()?);
+        // Departures leave tombstones and dead row slots until some kind
+        // outnumbers the living and passes `MIN_DEAD`.
+        let mut relaid = 0;
+        for _ in 0..=crate::rows::MIN_DEAD {
+            let task = state.next_task_id();
+            let size = 1;
+            for event in [
+                TraceEvent::AddTask {
+                    task,
+                    size,
+                    cluster: 1,
+                },
+                TraceEvent::RemoveTask { task },
+            ] {
+                relaid += usize::from(state.apply(&event)?.renumbered);
+            }
+        }
+        assert!(relaid >= 1);
+        assert!(state.rows().len() < state.num_tasks() + crate::rows::MIN_DEAD);
+        assert_eq!(DynamicWorkload::from_snapshot(&state.snapshot())?, state);
+        Ok(())
     }
 
     #[test]

@@ -274,26 +274,18 @@ fn oracle_from_snapshot(snapshot: &WorkloadSnapshot) -> Result<WorkloadSnapshot,
     })
 }
 
-/// Everything a [`DynamicWorkload`] stores twice must agree: adjacency
-/// rows with `edge_list()`, the state with a rebuild from its own
-/// snapshot, and `materialize()` with the graph frozen from
-/// `edge_list()` renumbered densely.
+/// Everything a [`DynamicWorkload`] stores twice must agree: every edge
+/// of `edge_list()` (the successor rows) with `edge_weight` (a scan of
+/// the predecessor rows) and with the edge count, the state with a
+/// rebuild from its own snapshot, and `materialize()` with the graph
+/// frozen from `edge_list()` renumbered densely.
 fn assert_consistent(state: &DynamicWorkload) {
-    let mut succs: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
-    let mut preds: BTreeMap<TaskId, Vec<TaskId>> = BTreeMap::new();
+    let mut count = 0;
     for (u, v, w) in state.edge_list() {
-        succs.entry(u).or_default().push(v);
-        preds.entry(v).or_default().push(u);
         assert_eq!(state.edge_weight(u, v), Some(w));
+        count += 1;
     }
-    for rows in [&mut succs, &mut preds] {
-        rows.values_mut().for_each(|row| row.sort_unstable());
-    }
-    for t in state.task_ids() {
-        assert_eq!(state.successors(t), succs.remove(&t).unwrap_or_default());
-        assert_eq!(state.predecessors(t), preds.remove(&t).unwrap_or_default());
-    }
-    assert!(succs.is_empty() && preds.is_empty(), "edge at a dead task");
+    assert_eq!(count, state.num_edges());
 
     let snapshot = state.snapshot();
     assert_eq!(&DynamicWorkload::from_snapshot(&snapshot).unwrap(), state);

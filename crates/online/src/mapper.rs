@@ -792,10 +792,11 @@ mod tests {
     fn a_session_that_never_remaps_keeps_its_memory_bounded() -> Result<(), GraphError> {
         // 100 000 balanced arrivals and departures with no V-cycle and
         // no refinement: what grows is the workload's rows and the
-        // evaluator's per-position state, and compaction holds both
-        // near the live size. Each arrival is fed by a task of the base
-        // graph, whose successor row moves to its pool's tail, and now
-        // and then feeds the oldest arrival, against the order.
+        // evaluator's per-position state, and compaction alone holds
+        // both near the live size (every edge runs along the position
+        // order, so nothing else renumbers). Each arrival is fed by a
+        // task of the base graph, whose successor row moves to its
+        // pool's tail.
         let hierarchy = Arc::new(SystemHierarchy::build(&torus2d(4, 4)?)?);
         let base = instance(64, 16, 9);
         let config = OnlineConfig {
@@ -824,13 +825,6 @@ mod tests {
                     weight: rng.gen_range(1..=12),
                 },
             ];
-            if let Some(&oldest) = arrivals.front().filter(|_| rng.gen_range(0..5) == 0) {
-                events.push(TraceEvent::AddEdge {
-                    from: task,
-                    to: oldest,
-                    weight: 1,
-                });
-            }
             arrivals.push_back(task);
             if arrivals.len() > 32 {
                 let oldest = arrivals.pop_front();

@@ -232,6 +232,10 @@ fn hand_written_traces_keep_the_live_instance_exact() {
                 t.counter("online.fallbacks") + 1,
                 "only V-cycles materialize, not edges against the order: {t:?}"
             );
+            assert!(
+                t.counter("online.compactions") > 0,
+                "edges against the order renumber: {t:?}"
+            );
         }
     }
 }

@@ -278,7 +278,8 @@ fn oracle_from_snapshot(snapshot: &WorkloadSnapshot) -> Result<WorkloadSnapshot,
 /// of `edge_list()` (the successor rows) with `edge_weight` (a scan of
 /// the predecessor rows) and with the edge count, the state with a
 /// rebuild from its own snapshot, and `materialize()` with the graph
-/// frozen from `edge_list()` renumbered densely.
+/// frozen from `edge_list()` renumbered densely. Every edge runs
+/// forward in position order, the order the delta evaluator sweeps in.
 fn assert_consistent(state: &DynamicWorkload) {
     let mut count = 0;
     for (u, v, w) in state.edge_list() {
@@ -286,6 +287,10 @@ fn assert_consistent(state: &DynamicWorkload) {
         count += 1;
     }
     assert_eq!(count, state.num_edges());
+    let rows = state.rows();
+    for p in 0..rows.len() {
+        assert!(rows.successors(p).iter().all(|&v| v as usize > p), "{p}");
+    }
 
     let snapshot = state.snapshot();
     assert_eq!(&DynamicWorkload::from_snapshot(&snapshot).unwrap(), state);

@@ -1,7 +1,7 @@
 //! Property tests for the online invariants: incremental assignments
 //! always pass `mimd_core::validate_schedule`, the recorded totals and
 //! lower bounds match independent derivations, the live instance a
-//! session patches prices every candidate as a fresh attach to the
+//! session repairs prices every candidate as a fresh attach to the
 //! materialized graph would, and same-seed replay of the same trace is
 //! bit-for-bit reproducible.
 

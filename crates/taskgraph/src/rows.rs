@@ -33,7 +33,8 @@ use crate::{ClusterId, ClusteredProblemGraph, TaskId};
 /// live ones `DEAD_PER_LIVE` to one and number more than [`MIN_DEAD`];
 /// then the workload relays it out. A relayout costs `O(V + E)` and
 /// follows at least as many deaths, so it is amortized into the
-/// events, and a layout holds at most about twice its live entries.
+/// events, and a layout holds at most about twice its live entries (or
+/// `MIN_DEAD` dead ones beside a small workload).
 pub const DEAD_PER_LIVE: usize = 1;
 
 /// The dead entries a layout may always keep, so a workload of a few
@@ -62,7 +63,7 @@ pub fn bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * size_of::<T>()
 }
 
-/// One row of a pool: slots `.0...1`.
+/// One row of a pool: the slot range `(start, end)`.
 #[derive(Clone, Copy, Debug, Default)]
 struct Span(u32, u32);
 
@@ -373,7 +374,7 @@ impl PositionRows {
 
     /// Add the edge `from -> to` of weight `w` at offset `at` of
     /// `from`'s successor row (the `Err` of [`Self::succ_slot`]).
-    pub(crate) fn add_edge(
+    pub(crate) fn insert_edge(
         &mut self,
         from: u32,
         to: u32,
@@ -390,7 +391,7 @@ impl PositionRows {
     }
 
     /// Remove the live edge `from -> to`; returns its weight.
-    pub(crate) fn remove_edge(&mut self, from: u32, to: u32) -> Weight {
+    pub(crate) fn delete_edge(&mut self, from: u32, to: u32) -> Weight {
         self.pred.remove(to as usize, from);
         self.edges -= 1;
         self.succ.remove(from as usize, to)
@@ -542,11 +543,11 @@ mod tests {
         for (from, w) in [(0, 3), (1, 5)] {
             let at = rows.succ_slot(from, 99);
             assert!(at.is_err(), "the edge is new");
-            rows.add_edge(from as u32, new, at.unwrap_or_else(|at| at), w)?;
+            rows.insert_edge(from as u32, new, at.unwrap_or_else(|at| at), w)?;
         }
         assert_rows_agree(&rows);
         assert_eq!(rows.set_weight(0, new, 7), 3);
-        assert_eq!(rows.remove_edge(0, new), 7);
+        assert_eq!(rows.delete_edge(0, new), 7);
         rows.remove_task(1);
         assert_rows_agree(&rows);
         assert_eq!(rows.preds(new as usize).0, &[] as &[u32]);

@@ -258,9 +258,9 @@ impl DynamicWorkload {
         DynamicWorkload::laid_out(graph, index)
     }
 
-    /// The workload of `graph` whose task `t` has the external id `index`
-    /// maps to `t` (ids ascend with `t`), laid out by the one freeze
-    /// batch instances use.
+    /// The workload of `graph` laid out by the one freeze batch
+    /// instances use; `index` maps each external id to its task of
+    /// `graph` (ids ascend with the tasks).
     fn laid_out(
         graph: &ClusteredProblemGraph,
         mut index: BTreeMap<TaskId, u32>,
@@ -545,7 +545,7 @@ impl DynamicWorkload {
                     true => Some(self.rows.cone(v, u).ok_or(GraphError::CycleDetected)?),
                     false => None,
                 };
-                self.rows.add_edge(u, v, at, weight)?;
+                self.rows.insert_edge(u, v, at, weight)?;
                 self.total_weight += u128::from(weight);
                 impact.touched_clusters = self.clusters_of_pair(u, v);
                 (impact.weight_delta, impact.touched_positions) = (weight, vec![v]);
@@ -563,7 +563,7 @@ impl DynamicWorkload {
             }
             TraceEvent::RemoveEdge { from, to } => {
                 let (u, v) = self.edge(from, to)?;
-                let w = self.rows.remove_edge(u, v);
+                let w = self.rows.delete_edge(u, v);
                 self.total_weight -= u128::from(w);
                 impact.touched_clusters = self.clusters_of_pair(u, v);
                 (impact.weight_delta, impact.touched_positions) = (w, vec![v]);

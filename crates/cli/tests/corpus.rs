@@ -23,7 +23,10 @@
 //! arrivals wired after they land, a global rescale).
 //! `serve_mixed_ring8.jsonl` is three `map_once` jobs and one session
 //! over the stdout of `trace --tasks 64 --spec ring:8 --events 12
-//! --regime mixed --seed 11`.
+//! --regime mixed --seed 11`. `huge_weights.json` (a 6-task problem
+//! file, read by `map --load /dev/stdin`) and `serve_huge_weights.jsonl`
+//! (a session header, then `catalog`) carry `u64::MAX` edge weights,
+//! which no schedule time can hold: both are refused.
 
 use std::fs;
 use std::io::Write;

@@ -7,16 +7,16 @@
 //! [`DeltaEvaluator`] keeps the committed schedule alive and answers it
 //! at the cost of the edges the candidate actually disturbs.
 //!
-//! **Position space.** The evaluator sweeps [`PositionRows`]: the
-//! instance laid out by position in a topological order — task sizes,
-//! predecessor rows carrying the edge weights, successor rows and the
-//! positions of every cluster, each row a range into one pool per kind.
-//! [`DeltaEvaluator::attach`] freezes a batch instance into the
-//! workspace's own rows; an online session's evaluator borrows the rows
-//! of its workload instead. Per position the evaluator keeps the
-//! processor hosting the position's cluster and the committed end time.
-//! Ascending position *is* topological order, so no candidate ever
-//! sorts, queues or looks a weight up.
+//! **Position space.** The evaluator sweeps [`PositionRows`], the DAG
+//! laid out by position in a topological order (sizes, predecessor rows
+//! carrying the edge weights, successor rows), beside [`ClusterRows`],
+//! the positions of each cluster. A problem graph is frozen into its
+//! rows once, when it is built; [`DeltaEvaluator::attach`] borrows them
+//! and fills only the `O(np)` cluster rows, in the workspace. An online
+//! session's evaluator borrows both from its workload. Per position the
+//! evaluator keeps the host of the position's cluster and the committed
+//! end time. Ascending position *is* topological order, so no candidate
+//! ever sorts, queues or looks a weight up.
 //!
 //! **Flag window.** Staging a candidate marks the moved clusters'
 //! positions in a byte-per-position flag array and notes the window
@@ -42,21 +42,22 @@
 //! stay below: 1–6 % of positions on a 256-node torus. Region
 //! candidates of an event that touches many regions (up to 47 %), or
 //! of a region that is most of a small machine, go dense. The cut is
-//! the measured break-even with margin. Timing both forms on the same
-//! candidates (release build, 2 vCPUs), the sparse one is ahead below
-//! 4 % of positions on a 256-node torus and below 17 % on a 64-node
-//! one, whose region candidates have small cones; from 18 % up the
-//! dense one never loses — 0.5–0.7× on flat, V-cycle and 256-node
-//! session candidates, 0.95–1.0× on a 64-node session. The kernel
-//! takes its distance as a parameter: the machine's hop matrix, or the
-//! system graph closure of §4.1 (one hop between clusters, none
-//! within), under which the same sweep yields the ideal schedule and
-//! its lower bound.
+//! the measured break-even with margin (README, "Performance").
+//!
+//! **One recurrence.** The kernel takes its distance as a parameter:
+//! the machine's hop matrix, or the system graph closure of §4.1 (one
+//! hop between clusters, none within). It is the only place a
+//! precedence schedule is derived: swept once from scratch, it is
+//! [`evaluate_assignment`](crate::evaluate_assignment) under the hop
+//! matrix and [`IdealSchedule::derive`](crate::IdealSchedule::derive)
+//! under the closure, mapped back to task ids. The serialized model has
+//! one list scheduler, on the same rows and hosts.
 //!
 //! **Live instance.** An online session's evaluator runs on the rows
 //! of its `DynamicWorkload`, which are the session's only copy of the
-//! graph: [`DeltaEvaluator::attach_rows`] hosts them under an
-//! assignment and sweeps the machine's schedule from scratch, and
+//! graph: [`DeltaEvaluator::attach_rows`] — the constructor
+//! [`DeltaEvaluator::attach`] shares — hosts them under an assignment
+//! and sweeps the machine's schedule from scratch, and
 //! [`DeltaEvaluator::track_bound`] adds a second one, the ideal
 //! schedule, whose makespan is the lower bound. The workload edits
 //! its rows in place per event and reports the positions it touched;
@@ -67,17 +68,18 @@
 //! the order, or a compaction), the session attaches to the rows again;
 //! neither path builds a graph.
 //!
-//! Exactness contract: every staged total equals
-//! `evaluate_assignment(graph, system, candidate, model)?.total()`
-//! **bit for bit** (property-tested in `tests/delta.rs` for both models,
-//! pins on and off, on graphs whose task ids are not topologically
-//! numbered), and a repaired instance prices every candidate, and
-//! reports the bound, exactly as a fresh attach to the materialized
-//! graph would (`mimd-online`'s `tests/properties.rs`). The precedence
-//! model is repaired incrementally; the serialized model's greedy list
-//! schedule reorders globally under any move, so every candidate reruns
-//! the one list scheduler (`Schedule::serialized`'s) in full —
-//! allocation-free, on scratch the workspace keeps.
+//! Exactness contract: every staged total equals the total of the
+//! paper's task-space recurrence — an independent reference kept under
+//! `tests/reference/` — **bit for bit**, and each from-scratch
+//! evaluation and ideal schedule equals it task by task
+//! (property-tested in `tests/delta.rs` for both models, pins on and
+//! off, on graphs whose task ids are not topologically numbered). A
+//! repaired instance prices every candidate, and reports the bound,
+//! exactly as a fresh attach to the materialized graph would
+//! (`mimd-online`'s `tests/properties.rs`). The precedence model is
+//! repaired incrementally; the serialized model's greedy list schedule
+//! reorders globally under any move, so every candidate reruns the list
+//! scheduler in full — allocation-free, on scratch the workspace keeps.
 //!
 //! All buffers live in a caller-owned [`DeltaWorkspace`] so batch loops
 //! (flat refinement, the multilevel V-cycle, online sessions) reuse one
@@ -87,13 +89,12 @@
 use mimd_graph::error::GraphError;
 use mimd_graph::matrix::SquareMatrix;
 use mimd_graph::Time;
-use mimd_taskgraph::rows::{bytes, fit_u32, PositionRows};
-use mimd_taskgraph::ClusteredProblemGraph;
+use mimd_taskgraph::rows::{bytes, fit_u32, ClusterRows, PositionRows};
+use mimd_taskgraph::{ClusterId, ClusteredProblemGraph};
 use mimd_topology::SystemGraph;
 
 use crate::assignment::Assignment;
-use crate::evaluate::{check_sizes, edge_cost};
-use crate::schedule::{EvaluationModel, ListScratch};
+use crate::schedule::{EvaluationModel, Schedule};
 
 /// Flag: the position must be recomputed by the current sweep.
 const DIRTY: u8 = 1;
@@ -113,7 +114,7 @@ pub const DENSE_CUT: usize = 4;
 /// of weight `w` into a position hosted on `host` costs `w ×
 /// hops(row_of(host), host of the predecessor)`. The row is read once
 /// per position.
-trait Distance {
+pub(crate) trait Distance {
     type Row<'d>: Copy
     where
         Self: 'd;
@@ -140,7 +141,7 @@ impl Distance for SquareMatrix<u32> {
 /// The system graph closure of the ideal schedule (§4.1): hosts are
 /// clusters, every cross-cluster message costs its weight once and an
 /// intra-cluster one nothing.
-struct Closure;
+pub(crate) struct Closure;
 
 impl Distance for Closure {
     type Row<'d> = u32;
@@ -208,7 +209,7 @@ impl Kernel {
                     track.end[p] = e;
                 }
                 if PROPAGATE && (shifted || flag & MOVED != 0) {
-                    for &v in rows.successors(p) {
+                    for &v in rows.succs(p).0 {
                         self.flags[v as usize] |= DIRTY;
                         hi = hi.max(v as usize + 1);
                     }
@@ -257,24 +258,150 @@ impl Kernel {
     }
 }
 
+/// `Track::end` of a position the list scheduler has not placed.
+const UNSCHEDULED: Time = Time::MAX;
+
+/// The serialized model's list scheduler (ablation A3): each host runs
+/// one task at a time. Among the positions whose predecessors have all
+/// finished it repeatedly starts the one with the earliest feasible
+/// start, `max(data ready, host free)`, ties by *task id*, so the
+/// schedule does not depend on the layout. The workspace keeps its
+/// buffers.
+#[derive(Clone, Debug, Default)]
+struct ListScratch {
+    /// Unfinished predecessor count per position.
+    remaining: Vec<u32>,
+    /// Data-ready time per position: its latest message arrival so far.
+    ready: Vec<Time>,
+    /// Time each host falls free.
+    free: Vec<Time>,
+}
+
+impl ListScratch {
+    /// List-schedule `rows` with position `p` on `track.host[p]` (one of
+    /// `hosts`) under `dist`; leaves every end time in `track.end` and
+    /// returns the makespan.
+    fn run<D: Distance>(
+        &mut self,
+        rows: &PositionRows,
+        track: &mut Track,
+        dist: &D,
+        hosts: usize,
+    ) -> Time {
+        let n = rows.len();
+        self.remaining.clear();
+        (self.remaining).extend((0..n).map(|p| rows.preds(p).0.len() as u32));
+        self.ready.clear();
+        self.ready.resize(n, 0);
+        self.free.clear();
+        self.free.resize(hosts, 0);
+        track.end.clear();
+        track.end.resize(n, UNSCHEDULED);
+        for _ in 0..n {
+            let mut best = None;
+            for p in 0..n {
+                if track.end[p] != UNSCHEDULED || self.remaining[p] > 0 {
+                    continue;
+                }
+                let feasible = self.ready[p].max(self.free[track.host[p] as usize]);
+                let key = (feasible, rows.task(p));
+                if best.is_none_or(|(best, _)| key < best) {
+                    best = Some((key, p));
+                }
+            }
+            let ((s, _), p) = best.expect("a DAG always has a ready task");
+            let e = s + rows.size(p);
+            track.end[p] = e;
+            self.free[track.host[p] as usize] = e;
+            let row = dist.row_of(track.host[p]);
+            let (succs, weights) = rows.succs(p);
+            for (&v, &w) in succs.iter().zip(weights) {
+                let v = v as usize;
+                self.remaining[v] -= 1;
+                self.ready[v] = self.ready[v].max(e + w * D::hops(row, track.host[v]));
+            }
+        }
+        track.end.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// The paper's `na = ns` for `clusters` clusters, and the assignment's
+/// size: the one validation every evaluator entry point runs.
+fn check_sizes(
+    clusters: usize,
+    system: &SystemGraph,
+    assignment: &Assignment,
+) -> Result<(), GraphError> {
+    for left in [clusters, assignment.len()] {
+        if left != system.len() {
+            let right = system.len();
+            return Err(GraphError::SizeMismatch { left, right });
+        }
+    }
+    Ok(())
+}
+
+/// One schedule of `graph` from scratch: every position of its frozen
+/// rows on `host_of` its cluster (one of `hosts`), swept once under
+/// `dist` — by the kernel under the precedence model, by the list
+/// scheduler under the serialized one.
+pub(crate) fn from_scratch<D: Distance>(
+    graph: &ClusteredProblemGraph,
+    model: EvaluationModel,
+    dist: &D,
+    hosts: usize,
+    host_of: impl Fn(ClusterId) -> u32,
+) -> Schedule {
+    let rows = graph.problem().rows();
+    let n = rows.len();
+    let host = (0..n).map(|p| host_of(graph.cluster_of(rows.task(p))));
+    let mut track = Track {
+        host: host.collect(),
+        end: vec![0; n],
+    };
+    if model == EvaluationModel::Precedence {
+        // Every position shifts once from 0: room for the whole log.
+        let (flags, undo_end) = (vec![0; n], Vec::with_capacity(n));
+        Kernel { flags, undo_end }.sweep_tail(rows, &mut track, dist, 0);
+    } else {
+        ListScratch::default().run(rows, &mut track, dist, hosts);
+    }
+    Schedule::from_ends(rows, &track.end)
+}
+
+/// The schedule of `assignment` (§4.3.4): each cluster on its processor,
+/// each edge charged `w × hops`.
+pub(crate) fn machine_schedule(
+    graph: &ClusteredProblemGraph,
+    system: &SystemGraph,
+    assignment: &Assignment,
+    model: EvaluationModel,
+) -> Result<Schedule, GraphError> {
+    check_sizes(graph.num_clusters(), system, assignment)?;
+    let hops = system.distances().as_matrix();
+    let host_of = |c| assignment.sys_of(c) as u32;
+    Ok(from_scratch(graph, model, hops, system.len(), host_of))
+}
+
 /// Reusable buffer bag for [`DeltaEvaluator`]. Create once, pass to
 /// every [`DeltaEvaluator::attach`]; buffers are resized (never shrunk
 /// below capacity) on attach and reused across candidates and
 /// attachments. Everything indexed "per position" is indexed by
-/// position in the rows the evaluator sweeps. The workspace also holds
-/// the committed state — assignment, total and, once tracked, the lower
-/// bound — so a precedence instance can be
-/// [resumed](DeltaEvaluator::resume) after its evaluator is gone.
+/// position in the rows the evaluator sweeps; every buffer is `O(np +
+/// ns)`, and none holds an edge. The workspace also holds the committed
+/// state — assignment, total and, once tracked, the lower bound — so a
+/// precedence instance can be [resumed](DeltaEvaluator::resume) after
+/// its evaluator is gone.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaWorkspace {
-    /// The rows a batch [`attach`](DeltaEvaluator::attach) freezes its
-    /// graph into (an evaluator on a workload's rows leaves them empty).
-    rows: PositionRows,
+    /// The cluster rows a batch [`attach`](DeltaEvaluator::attach) fills
+    /// (an evaluator on a workload's rows borrows the workload's).
+    clusters: ClusterRows,
     state: State,
 }
 
-/// Everything of a workspace but the rows, so an evaluator can borrow
-/// rows from elsewhere.
+/// Everything of a workspace but the cluster rows, so an evaluator can
+/// borrow them from elsewhere.
 #[derive(Clone, Debug, Default)]
 struct State {
     kernel: Kernel,
@@ -315,12 +442,13 @@ impl DeltaWorkspace {
         &self.state.assignment
     }
 
-    /// Bytes held by the buffers that grow with the instance: the rows
-    /// and the per-position schedules, flags and undo logs (capacities).
+    /// Bytes held by the buffers that grow with the instance: the
+    /// cluster rows and the per-position schedules, flags and undo logs
+    /// (capacities).
     pub fn resident_bytes(&self) -> usize {
         let s = &self.state;
         let tracks = [&s.machine, &s.ideal].map(|t| bytes(&t.host) + bytes(&t.end));
-        self.rows.resident_bytes()
+        self.clusters.resident_bytes()
             + tracks.iter().sum::<usize>()
             + bytes(&s.kernel.flags)
             + bytes(&s.kernel.undo_end)
@@ -337,71 +465,67 @@ impl DeltaWorkspace {
 /// [`discard`](DeltaEvaluator::discard)ed, rolling every touched buffer
 /// back via the undo logs.
 pub struct DeltaEvaluator<'a, 'w> {
-    /// The attached graph; only the serialized model's list scheduler
-    /// reads it, so an evaluator on a workload's rows has none.
-    graph: Option<&'a ClusteredProblemGraph>,
     system: &'a SystemGraph,
     model: EvaluationModel,
     rows: &'w PositionRows,
+    clusters: &'w ClusterRows,
     ws: &'w mut State,
     staged: Option<Time>,
 }
 
 impl<'a, 'w> DeltaEvaluator<'a, 'w> {
     /// Attach `ws` to an instance and build the committed schedule of
-    /// `start`. Validation (and the error cases) are identical to
+    /// `start`: the problem's frozen rows, borrowed, under the graph's
+    /// clustering, filled into the workspace. Validation (and the error
+    /// cases) are identical to
     /// [`evaluate_assignment`](crate::evaluate_assignment), plus
-    /// `InvalidParameter` for an instance whose task, processor or edge
-    /// count does not fit the `u32` indices of the rows.
+    /// `InvalidParameter` for a machine whose processor count does not
+    /// fit the `u32` hosts.
     pub fn attach(
         ws: &'w mut DeltaWorkspace,
-        graph: &'a ClusteredProblemGraph,
+        graph: &'w ClusteredProblemGraph,
         system: &'a SystemGraph,
         model: EvaluationModel,
         start: &Assignment,
     ) -> Result<Self, GraphError> {
-        check_sizes(graph, system, start)?;
-        fit_u32("np", graph.num_tasks())?;
-        fit_u32("ns", system.len())?;
-        fit_u32("edge count", graph.problem().graph().edge_count())?;
-        let DeltaWorkspace { rows, state } = ws;
-        rows.freeze(graph);
-        let mut evaluator = DeltaEvaluator {
-            graph: Some(graph),
-            system,
-            model,
-            rows,
-            ws: state,
-            staged: None,
-        };
-        evaluator.host(start);
-        Ok(evaluator)
+        let DeltaWorkspace { clusters, state } = ws;
+        let rows = graph.problem().rows();
+        clusters.fill(rows, graph.clustering());
+        DeltaEvaluator::new(state, rows, clusters, system, model, start)
     }
 
     /// Attach `ws` to a precedence instance whose rows the caller keeps
     /// — an online session's workload — and build the committed
-    /// schedule of `start` from scratch. `rows` must have one cluster
-    /// per processor of `system`.
+    /// schedule of `start` from scratch. `clusters` must have one
+    /// cluster per processor of `system`.
     pub fn attach_rows(
         ws: &'w mut DeltaWorkspace,
-        rows: &'w PositionRows,
+        (rows, clusters): (&'w PositionRows, &'w ClusterRows),
         system: &'a SystemGraph,
         start: &Assignment,
     ) -> Result<Self, GraphError> {
-        for left in [rows.num_clusters(), start.len()] {
-            if left != system.len() {
-                return Err(GraphError::SizeMismatch {
-                    left,
-                    right: system.len(),
-                });
-            }
-        }
+        let model = EvaluationModel::Precedence;
+        DeltaEvaluator::new(&mut ws.state, rows, clusters, system, model, start)
+    }
+
+    /// The one constructor: validate, host every position under
+    /// `start` and build the committed schedule.
+    fn new(
+        ws: &'w mut State,
+        rows: &'w PositionRows,
+        clusters: &'w ClusterRows,
+        system: &'a SystemGraph,
+        model: EvaluationModel,
+        start: &Assignment,
+    ) -> Result<Self, GraphError> {
+        check_sizes(clusters.num_clusters(), system, start)?;
+        fit_u32("ns", system.len())?;
         let mut evaluator = DeltaEvaluator {
-            graph: None,
             system,
-            model: EvaluationModel::Precedence,
+            model,
             rows,
-            ws: &mut ws.state,
+            clusters,
+            ws,
             staged: None,
         };
         evaluator.host(start);
@@ -414,9 +538,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         let (rows, ws) = (self.rows, &mut *self.ws);
         let n = rows.len();
         ws.machine.host.clear();
-        ws.machine
-            .host
-            .extend((0..n).map(|p| start.sys_of(rows.cluster(p)) as u32));
+        (ws.machine.host).extend((0..n).map(|p| start.sys_of(self.clusters.cluster(p)) as u32));
         ws.machine.end.clear();
         ws.machine.end.resize(n, 0);
         ws.kernel.flags.clear();
@@ -426,31 +548,33 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         ws.assignment.clone_from(start);
         ws.bound = None;
         ws.live = false;
-        let total = match self.model {
+        let hops = self.system.distances().as_matrix();
+        ws.total = match self.model {
             EvaluationModel::Precedence => {
                 // The from-scratch schedule; what it logs is no
                 // candidate's.
-                let hops = self.system.distances().as_matrix();
                 let total = ws.kernel.sweep_tail(rows, &mut ws.machine, hops, 0);
                 ws.kernel.undo_end.clear();
                 ws.live = true;
                 total
             }
-            EvaluationModel::Serialized => self.list_schedule(),
+            EvaluationModel::Serialized => {
+                (ws.list).run(rows, &mut ws.machine, hops, self.system.len())
+            }
         };
-        self.ws.total = total;
     }
 
-    /// Pick up the precedence instance `ws` holds on `rows` — the rows
-    /// it was last attached to, edited since only as the workload edits
-    /// them (call [`repair`](DeltaEvaluator::repair) before pricing) —
-    /// on `system`, the machine it was attached on. Needs no graph: the
-    /// committed assignment and the end times live in the workspace.
-    /// Panics if the workspace holds no precedence instance or `system`
-    /// has another size.
+    /// Pick up the precedence instance `ws` holds on `rows` and
+    /// `clusters` — the rows it was last attached to, edited since only
+    /// as the workload edits them (call
+    /// [`repair`](DeltaEvaluator::repair) before pricing) — on `system`,
+    /// the machine it was attached on. Needs no graph: the committed
+    /// assignment and the end times live in the workspace. Panics if the
+    /// workspace holds no precedence instance or `system` has another
+    /// size.
     pub fn resume(
         ws: &'w mut DeltaWorkspace,
-        rows: &'w PositionRows,
+        (rows, clusters): (&'w PositionRows, &'w ClusterRows),
         system: &'a SystemGraph,
     ) -> Self {
         assert!(
@@ -467,10 +591,10 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
             "resumed on another machine"
         );
         DeltaEvaluator {
-            graph: None,
             system,
             model: EvaluationModel::Precedence,
             rows,
+            clusters,
             ws: &mut ws.state,
             staged: None,
         }
@@ -521,9 +645,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         assert!(self.staged.is_none(), "candidate still staged");
         let (rows, ws) = (self.rows, &mut *self.ws);
         ws.ideal.host.clear();
-        ws.ideal
-            .host
-            .extend((0..rows.len()).map(|p| rows.cluster(p) as u32));
+        (ws.ideal.host).extend((0..rows.len()).map(|p| self.clusters.cluster(p) as u32));
         ws.ideal.end.clear();
         ws.ideal.end.resize(rows.len(), 0);
         let bound = ws.kernel.sweep_tail(rows, &mut ws.ideal, &Closure, 0);
@@ -543,7 +665,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         assert!(self.ws.bound.is_some(), "repairing needs a tracked bound");
         let (rows, ws) = (self.rows, &mut *self.ws);
         for p in ws.machine.host.len()..rows.len() {
-            let c = rows.cluster(p);
+            let c = self.clusters.cluster(p);
             ws.machine.host.push(ws.assignment.sys_of(c) as u32);
             ws.ideal.host.push(c as u32);
         }
@@ -610,61 +732,42 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         self.eval_staged()
     }
 
-    /// Evaluate the staged moves; one sweep of the flag window for
-    /// precedence, allocation-free full recompute for serialized.
-    fn eval_staged(&mut self) -> Time {
-        let total = match self.model {
-            EvaluationModel::Precedence => self.eval_precedence(),
-            EvaluationModel::Serialized => self.list_schedule(),
-        };
-        self.staged = Some(total);
-        total
-    }
-
-    /// Re-host the moved clusters' positions, flag them, and sweep the
-    /// window they span — or, when they own at least
+    /// Re-host the moved clusters' positions and price the staged
+    /// assignment. Under the precedence model the positions are flagged
+    /// and the window they span is swept — or, when they own at least
     /// 1/[`DENSE_CUT`] of all positions, every position from the first
-    /// of them on.
-    fn eval_precedence(&mut self) -> Time {
+    /// of them on; under the serialized model the list scheduler reruns
+    /// in full, allocation-free.
+    fn eval_staged(&mut self) -> Time {
         let (rows, ws) = (self.rows, &mut *self.ws);
+        let precedence = self.model == EvaluationModel::Precedence;
         let (mut lo, mut hi, mut moved) = (usize::MAX, 0, 0);
-        for i in 0..ws.undo_moves.len() {
-            let c = ws.undo_moves[i].0;
+        for &(c, _) in &ws.undo_moves {
             let s = ws.assignment.sys_of(c) as u32;
-            let owned = rows.cluster_positions(c);
+            let owned = self.clusters.positions(c);
             for &p in owned {
                 ws.machine.host[p as usize] = s;
-                ws.kernel.flags[p as usize] = DIRTY | MOVED;
+                if precedence {
+                    ws.kernel.flags[p as usize] = DIRTY | MOVED;
+                }
             }
             // Clusters are never empty and their positions ascend.
             lo = lo.min(owned[0] as usize);
             hi = hi.max(owned[owned.len() - 1] as usize + 1);
             moved += owned.len();
         }
-        if lo >= hi {
-            return ws.total; // nothing moved
-        }
         let hops = self.system.distances().as_matrix();
-        if moved >= rows.len().div_ceil(DENSE_CUT) {
+        let total = if lo >= hi {
+            ws.total // nothing moved
+        } else if !precedence {
+            (ws.list).run(rows, &mut ws.machine, hops, self.system.len())
+        } else if moved >= rows.len().div_ceil(DENSE_CUT) {
             ws.kernel.sweep_tail(rows, &mut ws.machine, hops, lo)
         } else {
-            ws.kernel
-                .sweep::<true, _>(rows, &mut ws.machine, hops, lo, hi)
-        }
-    }
-
-    /// The serialized total of the current assignment: the one list
-    /// scheduler, run on the workspace's scratch.
-    fn list_schedule(&mut self) -> Time {
-        let graph = self
-            .graph
-            .expect("a serialized evaluator is attached to its graph");
-        let system = self.system;
-        let ws = &mut *self.ws;
-        let assignment = &ws.assignment;
-        ws.list.run(graph, |u, v, w| {
-            edge_cost(graph, system, assignment, u, v, w)
-        })
+            (ws.kernel).sweep::<true, _>(rows, &mut ws.machine, hops, lo, hi)
+        };
+        self.staged = Some(total);
+        total
     }
 
     /// Accept the staged candidate: it becomes the committed state. The
@@ -686,10 +789,8 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         }
         while let Some((a, old)) = ws.undo_moves.pop() {
             ws.assignment.place(a, old);
-            if self.model == EvaluationModel::Precedence {
-                for &p in self.rows.cluster_positions(a) {
-                    ws.machine.host[p as usize] = old as u32;
-                }
+            for &p in self.clusters.positions(a) {
+                ws.machine.host[p as usize] = old as u32;
             }
         }
     }
@@ -849,6 +950,30 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_attach_holds_no_edge_rows() -> Result<(), GraphError> {
+        // The same tasks and clusters with and without their edges: the
+        // workspace borrows the frozen rows, so it holds the same bytes.
+        use mimd_graph::digraph::WeightedDigraph;
+        use mimd_taskgraph::ProblemGraph;
+        let (g, sys) = worked();
+        let sizes = g.problem().sizes().to_vec();
+        let edgeless = WeightedDigraph::from_edges(sizes.len(), &[])?;
+        let problem = ProblemGraph::new(edgeless, sizes)?;
+        let bare = ClusteredProblemGraph::new(problem, g.clustering().clone())?;
+        assert!(g.problem().graph().edge_count() > 0);
+        for model in [EvaluationModel::Precedence, EvaluationModel::Serialized] {
+            let mut bytes = Vec::new();
+            for graph in [&g, &bare] {
+                let mut ws = DeltaWorkspace::new();
+                DeltaEvaluator::attach(&mut ws, graph, &sys, model, &Assignment::identity(4))?;
+                bytes.push(ws.resident_bytes());
+            }
+            assert_eq!(bytes[0], bytes[1], "{model:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
     fn workspace_reuse_across_instances() {
         let (g, sys) = worked();
         let mut ws = DeltaWorkspace::new();
@@ -965,9 +1090,9 @@ mod tests {
             (ev.assignment().clone(), ev.total())
         };
         assert_eq!(ws.assignment(), &committed.0);
-        let mut rows = PositionRows::default();
-        rows.freeze(&g);
-        let mut ev = DeltaEvaluator::resume(&mut ws, &rows, &sys);
+        let mut clusters = ClusterRows::default();
+        clusters.fill(g.problem().rows(), g.clustering());
+        let mut ev = DeltaEvaluator::resume(&mut ws, (g.problem().rows(), &clusters), &sys);
         assert_eq!((ev.assignment().clone(), ev.total()), committed);
         let mut swapped = committed.0.clone();
         swapped.swap_clusters(0, 2);
@@ -990,8 +1115,8 @@ mod tests {
             &Assignment::identity(4),
         )
         .unwrap();
-        let rows = PositionRows::default();
-        DeltaEvaluator::resume(&mut ws, &rows, &sys);
+        let (rows, clusters) = (PositionRows::default(), ClusterRows::default());
+        DeltaEvaluator::resume(&mut ws, (&rows, &clusters), &sys);
     }
 
     #[test]

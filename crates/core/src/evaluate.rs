@@ -3,18 +3,20 @@
 //! Under an assignment, a clustered edge `u -> v` costs
 //! `clus_edge[u][v] × shortest[s_u][s_v]` where `s_u`, `s_v` are the
 //! processors hosting the two clusters (§4.3.4 Algorithm I: the
-//! communication matrix `comm[np][np]`) — `edge_cost`, the one
-//! expression every evaluator shares. The start/end times then follow
-//! from the same traversal as the ideal graph.
+//! communication matrix `comm[np][np]`, never materialized). The
+//! start/end times then follow from the same sweep as the ideal graph:
+//! the schedule kernel of [`delta`](crate::delta) over the problem's
+//! frozen rows, under the machine's hop matrix instead of the closure.
 
 use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
-use mimd_graph::{Time, Weight};
-use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
+use mimd_graph::Time;
+use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_topology::SystemGraph;
 
 use crate::assignment::Assignment;
+use crate::delta::machine_schedule;
 use crate::schedule::{EvaluationModel, Schedule};
 
 /// The result of evaluating one assignment.
@@ -36,56 +38,6 @@ impl Evaluation {
     }
 }
 
-/// The paper's `na = ns` requirement and the assignment's size — the
-/// one validation every evaluator entry point runs.
-pub(crate) fn check_sizes(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    assignment: &Assignment,
-) -> Result<(), GraphError> {
-    for left in [graph.num_clusters(), assignment.len()] {
-        if left != system.len() {
-            return Err(GraphError::SizeMismatch {
-                left,
-                right: system.len(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// What problem edge `u -> v` of weight `w` costs under `assignment`:
-/// `w × shortest[s_u][s_v]`, 0 within a cluster.
-#[inline]
-pub(crate) fn edge_cost(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    assignment: &Assignment,
-    u: TaskId,
-    v: TaskId,
-    w: Weight,
-) -> Time {
-    let (cu, cv) = (graph.cluster_of(u), graph.cluster_of(v));
-    if cu == cv {
-        0
-    } else {
-        w * Time::from(system.hops(assignment.sys_of(cu), assignment.sys_of(cv)))
-    }
-}
-
-/// The schedule behind both evaluation entry points.
-fn schedule_of(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    assignment: &Assignment,
-    model: EvaluationModel,
-) -> Result<Schedule, GraphError> {
-    check_sizes(graph, system, assignment)?;
-    Ok(Schedule::compute(graph, model, |u, v, w| {
-        edge_cost(graph, system, assignment, u, v, w)
-    }))
-}
-
 /// Evaluate `assignment` of `graph`'s clusters onto `system` under
 /// `model`. Errors when the cluster count and processor count differ
 /// (the paper requires `na = ns`) or the assignment has the wrong size.
@@ -96,7 +48,7 @@ pub fn evaluate_assignment(
     model: EvaluationModel,
 ) -> Result<Evaluation, GraphError> {
     Ok(Evaluation {
-        schedule: schedule_of(graph, system, assignment, model)?,
+        schedule: machine_schedule(graph, system, assignment, model)?,
         assignment: assignment.clone(),
         model,
     })
@@ -113,25 +65,7 @@ pub fn evaluate_total(
     assignment: &Assignment,
     model: EvaluationModel,
 ) -> Result<Time, GraphError> {
-    Ok(schedule_of(graph, system, assignment, model)?.total())
-}
-
-/// The paper's §4.3.4 Algorithm I: the explicit communication matrix
-/// `comm[np][np]` under an assignment, where `comm[i][j] =
-/// clus_edge[i][j] × shortest[s_i][s_j]` (0 within a cluster). The
-/// evaluator computes these values on the fly; this function
-/// materializes the matrix for reports and debugging (cf. Fig 23-c).
-pub fn communication_matrix(
-    graph: &ClusteredProblemGraph,
-    system: &SystemGraph,
-    assignment: &Assignment,
-) -> Result<mimd_graph::SquareMatrix<Time>, GraphError> {
-    check_sizes(graph, system, assignment)?;
-    let mut m = mimd_graph::SquareMatrix::new(graph.num_tasks());
-    for (u, v, w) in graph.cross_edges() {
-        m.set(u, v, edge_cost(graph, system, assignment, u, v, w));
-    }
-    Ok(m)
+    Ok(machine_schedule(graph, system, assignment, model)?.total())
 }
 
 /// Mean total time over `reps` uniformly random assignments — the
@@ -247,31 +181,6 @@ mod tests {
         assert!(
             random_mapping_average(&g, &sys, EvaluationModel::Precedence, 0, &mut rng).is_err()
         );
-    }
-
-    #[test]
-    fn communication_matrix_matches_evaluator() {
-        let g = paper::worked_example();
-        let sys = ring(4).unwrap();
-        let a = Assignment::from_sys_of(paper::WORKED_OPTIMAL_ASSIGNMENT.to_vec()).unwrap();
-        let m = communication_matrix(&g, &sys, &a).unwrap();
-        // Every entry equals clustered weight × hops; intra-cluster rows
-        // stay zero.
-        for (u, v, w) in g.cross_edges() {
-            let su = a.sys_of(g.cluster_of(u));
-            let sv = a.sys_of(g.cluster_of(v));
-            assert_eq!(m.get(u, v), w * u64::from(sys.hops(su, sv)));
-        }
-        assert_eq!(
-            m.get(0, 3),
-            0,
-            "intra-cluster edge (1,4) has no network cost"
-        );
-        // The schedule recomputed from the matrix matches the evaluator.
-        let from_matrix = crate::schedule::Schedule::precedence(&g, |u, v, _| m.get(u, v));
-        let eval = evaluate_assignment(&g, &sys, &a, EvaluationModel::Precedence).unwrap();
-        assert_eq!(from_matrix.total(), eval.total());
-        assert!(communication_matrix(&g, &ring(5).unwrap(), &a).is_err());
     }
 
     #[test]

@@ -14,7 +14,8 @@ use serde::{Deserialize, Serialize};
 use mimd_graph::Time;
 use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
 
-use crate::schedule::Schedule;
+use crate::delta::{from_scratch, Closure};
+use crate::schedule::{EvaluationModel, Schedule};
 
 /// The ideal schedule plus the derived ideal-edge weights.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,20 +25,11 @@ pub struct IdealSchedule {
 
 impl IdealSchedule {
     /// Derive the ideal graph of a clustered problem graph (§4.1
-    /// algorithms I–III).
+    /// algorithms I–III): one from-scratch sweep of the schedule kernel
+    /// over the system graph closure.
     pub fn derive(graph: &ClusteredProblemGraph) -> Self {
-        let clustering = graph.clustering();
-        let schedule =
-            Schedule::precedence(
-                graph,
-                |u, v, w| {
-                    if clustering.same_cluster(u, v) {
-                        0
-                    } else {
-                        w
-                    }
-                },
-            );
+        let (model, hosts) = (EvaluationModel::Precedence, graph.num_clusters());
+        let schedule = from_scratch(graph, model, &Closure, hosts, |c| c as u32);
         IdealSchedule { schedule }
     }
 

@@ -18,8 +18,9 @@
 //!    the moment the total equals the lower bound (§4.3.3).
 //! 5. **Evaluation** ([`evaluate`]) — total execution time under an
 //!    assignment: `comm = clus_edge × hops` then a precedence schedule
-//!    (§4.3.4). [`schedule`] also offers a processor-serialized variant
-//!    for the model ablation.
+//!    (§4.3.4), the same sweep of the [`delta`] kernel as the ideal
+//!    graph. [`EvaluationModel`] also selects a processor-serialized
+//!    variant for the model ablation.
 //!
 //! [`Mapper`] bundles the whole pipeline behind one call.
 

@@ -1,19 +1,21 @@
-//! Schedule derivation: start/end times of every task given a
-//! communication-cost function.
+//! Schedules: start/end times of every task and the makespan.
 //!
-//! This is the paper's §4.1 algorithm ("derive start and end time of each
-//! task") factored out so the *ideal graph* (communication = clustered
-//! weight) and *assignment evaluation* (communication = clustered weight
-//! × hop count, §4.3.4) share one implementation. Predecessors are taken
-//! from the **problem graph** while weights come from the **clustered**
-//! view — the subtlety the paper demonstrates with task 4 (§4.1): the
-//! walk hands every problem edge's weight to the caller's cost function,
-//! which zeroes it inside a cluster.
+//! The paper's §4.1 algorithm ("derive start and end time of each
+//! task") runs in one place: the schedule kernel of
+//! [`delta`](crate::delta), swept in position order over the rows
+//! [`ProblemGraph::new`](mimd_taskgraph::ProblemGraph::new) froze. The
+//! *ideal graph* (the system graph closure) and *assignment evaluation*
+//! (clustered weight × hop count, §4.3.4) are that one sweep under two
+//! distances. Predecessors come from the **problem graph**, while an
+//! edge inside a cluster costs nothing, both of its tasks sharing a
+//! host: the subtlety the paper demonstrates with task 4 (§4.1). A
+//! [`Schedule`] is what a sweep hands back, mapped to task ids.
 
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::{Time, Weight};
-use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
+use mimd_graph::Time;
+use mimd_taskgraph::rows::PositionRows;
+use mimd_taskgraph::TaskId;
 
 /// Which execution model the schedule uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,63 +40,17 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Compute a precedence-model schedule. `comm(u, v, w)` is called
-    /// once per problem edge `u -> v` with that edge's weight `w` (read
-    /// from the adjacency row being walked, so no caller has to look it
-    /// up again) and must return the communication delay charged on the
-    /// edge (already multiplied by hops if applicable; 0 for
-    /// intra-cluster edges).
-    pub fn precedence<F>(graph: &ClusteredProblemGraph, mut comm: F) -> Self
-    where
-        F: FnMut(TaskId, TaskId, Weight) -> Time,
-    {
-        let problem = graph.problem();
-        let n = problem.len();
-        let mut start = vec![0 as Time; n];
-        let mut end = vec![0 as Time; n];
-        for &t in problem.topo_order() {
-            let s = problem
-                .predecessors(t)
-                .iter()
-                .map(|&(u, w)| end[u] + comm(u, t, w))
-                .max()
-                .unwrap_or(0);
-            start[t] = s;
-            end[t] = s + problem.size(t);
+    /// The schedule whose position `p` of `rows` ends at `end[p]`:
+    /// every task starts its size before it ends.
+    pub(crate) fn from_ends(rows: &PositionRows, end_at: &[Time]) -> Self {
+        let mut start = vec![0; rows.len()];
+        let mut end = vec![0; rows.len()];
+        for (p, &e) in end_at.iter().enumerate() {
+            let t = rows.task(p);
+            (start[t], end[t]) = (e - rows.size(p), e);
         }
         let total = end.iter().copied().max().unwrap_or(0);
         Schedule { start, end, total }
-    }
-
-    /// Compute a serialized schedule: one task at a time per cluster
-    /// (processor). Greedy list scheduling — among tasks whose
-    /// predecessors are all finished, repeatedly start the one with the
-    /// earliest feasible start (`max(data ready, processor free)`), ties
-    /// by task id. `comm` as in [`Schedule::precedence`].
-    pub fn serialized<F>(graph: &ClusteredProblemGraph, comm: F) -> Self
-    where
-        F: FnMut(TaskId, TaskId, Weight) -> Time,
-    {
-        let mut scratch = ListScratch::default();
-        let total = scratch.run(graph, comm);
-        let start = scratch.start;
-        let end = start
-            .iter()
-            .zip(graph.problem().sizes())
-            .map(|(&s, &size)| s + size)
-            .collect();
-        Schedule { start, end, total }
-    }
-
-    /// Dispatch on [`EvaluationModel`].
-    pub fn compute<F>(graph: &ClusteredProblemGraph, model: EvaluationModel, comm: F) -> Self
-    where
-        F: FnMut(TaskId, TaskId, Weight) -> Time,
-    {
-        match model {
-            EvaluationModel::Precedence => Schedule::precedence(graph, comm),
-            EvaluationModel::Serialized => Schedule::serialized(graph, comm),
-        }
     }
 
     /// Start time of task `t`.
@@ -133,104 +89,59 @@ impl Schedule {
     }
 }
 
-/// `ListScratch::start` of a task the list scheduler has not placed.
-const UNSCHEDULED: Time = Time::MAX;
-
-/// The buffers of the serialized model's list scheduler, reusable
-/// across runs: [`Schedule::serialized`] runs it on fresh scratch, the
-/// delta evaluator on the scratch its workspace keeps, so pricing a
-/// candidate allocates nothing.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct ListScratch {
-    /// Start time per task; [`UNSCHEDULED`] until the task is placed.
-    start: Vec<Time>,
-    /// Unfinished predecessor count per task.
-    remaining: Vec<usize>,
-    /// Data-ready time per task: its latest message arrival so far.
-    ready: Vec<Time>,
-    /// Time each cluster's processor falls free.
-    free: Vec<Time>,
-}
-
-impl ListScratch {
-    /// The list schedule [`Schedule::serialized`] describes. Leaves
-    /// every task's start time in the scratch and returns the makespan.
-    pub(crate) fn run<F>(&mut self, graph: &ClusteredProblemGraph, mut comm: F) -> Time
-    where
-        F: FnMut(TaskId, TaskId, Weight) -> Time,
-    {
-        let problem = graph.problem();
-        let n = problem.len();
-        self.start.clear();
-        self.start.resize(n, UNSCHEDULED);
-        self.remaining.clear();
-        self.remaining
-            .extend((0..n).map(|t| problem.predecessors(t).len()));
-        self.ready.clear();
-        self.ready.resize(n, 0);
-        self.free.clear();
-        self.free.resize(graph.num_clusters(), 0);
-        let mut total: Time = 0;
-        for _ in 0..n {
-            let mut best: Option<(Time, TaskId)> = None;
-            for t in 0..n {
-                if self.start[t] != UNSCHEDULED || self.remaining[t] > 0 {
-                    continue;
-                }
-                let feasible = self.ready[t].max(self.free[graph.cluster_of(t)]);
-                if best.is_none_or(|(bt, bid)| (feasible, t) < (bt, bid)) {
-                    best = Some((feasible, t));
-                }
-            }
-            let (s, t) = best.expect("DAG always has a ready task");
-            self.start[t] = s;
-            let e = s + problem.size(t);
-            self.free[graph.cluster_of(t)] = e;
-            total = total.max(e);
-            for &(v, w) in problem.successors(t) {
-                self.remaining[v] -= 1;
-                self.ready[v] = self.ready[v].max(e + comm(t, v, w));
-            }
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::evaluate_total;
+    use crate::evaluate::{evaluate_assignment, evaluate_total};
     use crate::{Assignment, IdealSchedule};
+    use mimd_graph::error::GraphError;
     use mimd_taskgraph::clustering::random::random_clustering;
-    use mimd_taskgraph::{Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph};
-    use mimd_topology::ring;
+    use mimd_taskgraph::{
+        ClusteredProblemGraph, Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
+    };
+    use mimd_topology::{chain, ring};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    type Result<T = ()> = std::result::Result<T, GraphError>;
+
     /// Two independent 3-unit tasks in one cluster feeding a sink in
     /// another; cross edge weight 2.
-    fn fixture() -> ClusteredProblemGraph {
-        let p = ProblemGraph::from_paper_edges(&[3, 3, 1], &[(1, 3, 2), (2, 3, 2)]).unwrap();
-        let c = Clustering::new(vec![0, 0, 1]).unwrap();
-        ClusteredProblemGraph::new(p, c).unwrap()
+    fn fixture() -> Result<ClusteredProblemGraph> {
+        let p = ProblemGraph::from_paper_edges(&[3, 3, 1], &[(1, 3, 2), (2, 3, 2)])?;
+        ClusteredProblemGraph::new(p, Clustering::new(vec![0, 0, 1])?)
+    }
+
+    /// `g`'s two clusters on the two processors of a chain, one hop
+    /// apart: every cross edge costs its clustered weight.
+    fn on_two(g: &ClusteredProblemGraph, model: EvaluationModel) -> Result<Schedule> {
+        let a = Assignment::identity(2);
+        Ok(evaluate_assignment(g, &chain(2)?, &a, model)?.schedule)
+    }
+
+    /// The same problem graph with every task in one cluster.
+    fn one_cluster(g: &ClusteredProblemGraph) -> Result<ClusteredProblemGraph> {
+        let c = Clustering::new(vec![0; g.num_tasks()])?;
+        ClusteredProblemGraph::new(g.problem().clone(), c)
     }
 
     #[test]
-    fn precedence_allows_same_processor_overlap() {
-        let g = fixture();
-        let s = Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v));
+    fn precedence_allows_same_processor_overlap() -> Result {
+        let g = fixture()?;
+        let s = on_two(&g, EvaluationModel::Precedence)?;
         // Both sources start at 0 despite sharing cluster 0.
         assert_eq!(s.start(0), 0);
         assert_eq!(s.start(1), 0);
         assert_eq!(s.start(2), 5);
         assert_eq!(s.total(), 6);
         assert_eq!(s.latest_tasks(), vec![2]);
+        assert_eq!(&s, IdealSchedule::derive(&g).schedule());
+        Ok(())
     }
 
     #[test]
-    fn serialized_forbids_overlap() {
-        let g = fixture();
-        let s = Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v));
+    fn serialized_forbids_overlap() -> Result {
+        let s = on_two(&fixture()?, EvaluationModel::Serialized)?;
         // Cluster 0 runs tasks 0 then 1 back to back.
         assert_eq!(s.start(0), 0);
         assert_eq!(s.start(1), 3);
@@ -238,101 +149,93 @@ mod tests {
         // Sink waits for the later message: end(1)=6 + comm 2 = 8.
         assert_eq!(s.start(2), 8);
         assert_eq!(s.total(), 9);
+        Ok(())
     }
 
     #[test]
-    fn serialized_never_beats_precedence() {
-        let g = fixture();
-        let p = Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v));
-        let s = Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v));
+    fn serialized_never_beats_precedence() -> Result {
+        let g = fixture()?;
+        let p = on_two(&g, EvaluationModel::Precedence)?;
+        let s = on_two(&g, EvaluationModel::Serialized)?;
         assert!(s.total() >= p.total());
         for t in 0..3 {
             assert!(s.start(t) >= p.start(t), "task {t}");
         }
+        Ok(())
     }
 
     #[test]
-    fn serialized_schedules_respect_the_combined_bound() {
+    fn serialized_schedules_respect_the_combined_bound() -> Result {
         // No schedule running one task at a time per processor beats the
         // ideal graph, the machine's capacity (⌈work / ns⌉) or the
         // zero-communication critical path.
         let gen = LayeredDagGenerator::new(GeneratorConfig {
             tasks: 40,
             ..GeneratorConfig::default()
-        })
-        .unwrap();
-        let sys = ring(5).unwrap();
+        })?;
+        let sys = ring(5)?;
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
             let p = gen.generate(&mut rng);
-            let c = random_clustering(&p, 5, &mut rng).unwrap();
-            let g = ClusteredProblemGraph::new(p, c).unwrap();
+            let c = random_clustering(&p, 5, &mut rng)?;
+            let g = ClusteredProblemGraph::new(p, c)?;
             let work: Time = g.problem().sizes().iter().sum();
             let bound = IdealSchedule::derive(&g)
                 .lower_bound()
                 .max(work.div_ceil(5))
-                .max(Schedule::precedence(&g, |_, _, _| 0).total());
+                .max(IdealSchedule::derive(&one_cluster(&g)?).lower_bound());
             let a = Assignment::random(5, &mut rng);
-            let total = evaluate_total(&g, &sys, &a, EvaluationModel::Serialized).unwrap();
+            let total = evaluate_total(&g, &sys, &a, EvaluationModel::Serialized)?;
             assert!(
                 total >= bound,
                 "serialized total {total} below bound {bound}"
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn compute_dispatches() {
-        let g = fixture();
-        assert_eq!(
-            Schedule::compute(&g, EvaluationModel::Precedence, |u, v, _| g
-                .clus_weight(u, v)),
-            Schedule::precedence(&g, |u, v, _| g.clus_weight(u, v))
-        );
-        assert_eq!(
-            Schedule::compute(&g, EvaluationModel::Serialized, |u, v, _| g
-                .clus_weight(u, v)),
-            Schedule::serialized(&g, |u, v, _| g.clus_weight(u, v))
-        );
-    }
-
-    #[test]
-    fn comm_sees_every_problem_edge_once_with_its_weight() {
-        // Distinct weights, cross- and intra-cluster edges alike.
+    fn comm_sees_every_problem_edge_once_with_its_weight() -> Result {
+        // Distinct weights, cross- and intra-cluster edges alike: each
+        // start is at least the latest predecessor end plus that edge's
+        // weight across clusters (one hop), plus nothing within one.
         let p = ProblemGraph::from_paper_edges(
             &[3, 3, 1, 2],
             &[(1, 3, 2), (2, 3, 5), (1, 4, 7), (3, 4, 1)],
-        )
-        .unwrap();
-        let g = ClusteredProblemGraph::new(p, Clustering::new(vec![0, 0, 1, 1]).unwrap()).unwrap();
+        )?;
+        let g = ClusteredProblemGraph::new(p, Clustering::new(vec![0, 0, 1, 1])?)?;
         let problem = g.problem();
         for model in [EvaluationModel::Precedence, EvaluationModel::Serialized] {
-            let mut seen = Vec::new();
-            Schedule::compute(&g, model, |u, v, w| {
-                assert_eq!(Some(w), problem.graph().weight(u, v), "{model:?} {u}->{v}");
-                seen.push((u, v, w));
-                0
-            });
-            seen.sort_unstable();
-            let edges: Vec<_> = problem.graph().edges().collect();
-            assert_eq!(seen, edges, "{model:?}");
+            let s = on_two(&g, model)?;
+            for t in 0..4 {
+                let ready = (problem.predecessors(t).iter())
+                    .map(|&(u, _)| s.end(u) + g.clus_weight(u, t))
+                    .max()
+                    .unwrap_or(0);
+                assert!(s.start(t) >= ready, "{model:?} task {t}");
+                assert_eq!(s.end(t), s.start(t) + problem.size(t));
+            }
         }
+        // Task 3 (paper task 4) hears from task 0 across clusters and
+        // from task 2 inside one: 3 + 7 = 10 beats end(2) + 0 = 9.
+        assert_eq!(on_two(&g, EvaluationModel::Precedence)?.start(3), 10);
+        Ok(())
     }
 
     #[test]
-    fn zero_comm_reduces_to_critical_path() {
-        let g = fixture();
-        let s = Schedule::precedence(&g, |_, _, _| 0);
-        assert_eq!(s.total(), 4, "3-unit source + 1-unit sink");
+    fn zero_comm_reduces_to_critical_path() -> Result {
+        let s = IdealSchedule::derive(&one_cluster(&fixture()?)?);
+        assert_eq!(s.lower_bound(), 4, "3-unit source + 1-unit sink");
+        Ok(())
     }
 
     #[test]
-    fn single_task_schedule() {
-        let p = ProblemGraph::from_paper_edges(&[7], &[]).unwrap();
-        let c = Clustering::new(vec![0]).unwrap();
-        let g = ClusteredProblemGraph::new(p, c).unwrap();
-        let s = Schedule::precedence(&g, |_, _, _| 0);
-        assert_eq!(s.total(), 7);
+    fn single_task_schedule() -> Result {
+        let p = ProblemGraph::from_paper_edges(&[7], &[])?;
+        let g = ClusteredProblemGraph::new(p, Clustering::new(vec![0])?)?;
+        let s = IdealSchedule::derive(&g);
+        assert_eq!(s.lower_bound(), 7);
         assert_eq!(s.latest_tasks(), vec![0]);
+        Ok(())
     }
 }

@@ -213,10 +213,19 @@ mod tests {
     }
 
     #[test]
-    fn detects_broken_precedence() {
+    fn detects_broken_precedence() -> Result<(), mimd_graph::GraphError> {
+        use crate::IdealSchedule;
+        use mimd_graph::digraph::WeightedDigraph;
+        use mimd_taskgraph::ProblemGraph;
         let (g, sys, a) = setup();
-        // A schedule where everything starts at 0 breaks precedence.
-        let broken = Schedule::precedence(&g, |_, _, _| 0);
+        // A schedule where everything starts at 0 breaks precedence: the
+        // ideal schedule of the same tasks without their edges.
+        let sizes = g.problem().sizes().to_vec();
+        let edgeless = WeightedDigraph::from_edges(sizes.len(), &[])?;
+        let problem = ProblemGraph::new(edgeless, sizes)?;
+        let bare = ClusteredProblemGraph::new(problem, g.clustering().clone())?;
+        let broken = IdealSchedule::derive(&bare).schedule().clone();
+        assert!(broken.starts().iter().all(|&s| s == 0));
         let v = validate_schedule(&g, &sys, &a, &broken, EvaluationModel::Precedence);
         assert!(v
             .iter()
@@ -224,6 +233,7 @@ mod tests {
         // Display is informative.
         let msg = v[0].to_string();
         assert!(msg.contains("starts at") || msg.contains("end"));
+        Ok(())
     }
 
     #[test]

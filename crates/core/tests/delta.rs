@@ -1,18 +1,23 @@
-//! Property tests for the incremental evaluation engine: on a replayed
-//! refinement run, every candidate the [`DeltaEvaluator`] prices must
-//! equal `evaluate_assignment` on the materialized candidate —
-//! bit-for-bit, under both models, with and without pins, on both
-//! sides of the dense cut, on graphs whose task ids are and are not
-//! numbered topologically — and the [`GainTable`] must stay equal to a
-//! from-scratch rebuild after every accepted swap.
+//! Property tests for the schedule kernel, against the task-space
+//! recurrence of `reference/`: on a replayed refinement run, every
+//! candidate the [`DeltaEvaluator`] prices must equal the reference
+//! total of the candidate — bit-for-bit, under both models, with and
+//! without pins, on both sides of the dense cut, on graphs whose task
+//! ids are and are not numbered topologically; `evaluate_assignment`
+//! and `IdealSchedule::derive`, one from-scratch sweep each, must equal
+//! the reference task by task; and the [`GainTable`] must stay equal to
+//! a from-scratch rebuild after every accepted swap.
+
+mod reference;
 
 use proptest::prelude::*;
 
 use mimd_core::delta::{DeltaEvaluator, DeltaWorkspace, DENSE_CUT};
-use mimd_core::evaluate::evaluate_assignment;
+use mimd_core::evaluate::{evaluate_assignment, evaluate_total};
 use mimd_core::gain::GainTable;
 use mimd_core::schedule::EvaluationModel;
-use mimd_core::{fisher_yates, Assignment};
+use mimd_core::validate::validate_schedule;
+use mimd_core::{fisher_yates, Assignment, IdealSchedule};
 use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::BitSet;
 use mimd_taskgraph::clustering::random::random_clustering;
@@ -85,15 +90,14 @@ fn unordered_instance(kind: usize, ns: usize, scale: usize, seed: u64) -> Cluste
     ClusteredProblemGraph::new(problem, clustering).unwrap()
 }
 
+/// The reference total of `assignment`.
 fn full_total(
     graph: &ClusteredProblemGraph,
     system: &SystemGraph,
     assignment: &Assignment,
     model: EvaluationModel,
 ) -> u64 {
-    evaluate_assignment(graph, system, assignment, model)
-        .unwrap()
-        .total()
+    reference::on_machine(graph, system, assignment, model).total
 }
 
 /// Replay a refinement-shaped run — alternating random subset
@@ -351,6 +355,47 @@ fn restaging_a_candidate_and_staging_the_committed_assignment() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One from-scratch sweep is the reference schedule, task by task:
+    /// an evaluation under either model on the machine, and the ideal
+    /// schedule on the closure. Each is feasible where it claims to be.
+    #[test]
+    fn evaluations_and_the_ideal_schedule_equal_the_reference_per_task(
+        kind in 0usize..4,
+        topo in 0usize..3,
+        scale in 0usize..120,
+        seed in 0u64..1_000_000,
+    ) {
+        let system = topology(topo, 6);
+        let ns = system.len();
+        let graph = if kind == 3 {
+            instance(ns, 8 + scale, seed)
+        } else {
+            unordered_instance(kind, ns, scale, seed)
+        };
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let assignment = Assignment::random(ns, &mut rng);
+        for model in MODELS {
+            let eval = evaluate_assignment(&graph, &system, &assignment, model).unwrap();
+            let expected = reference::on_machine(&graph, &system, &assignment, model);
+            prop_assert_eq!(eval.schedule.starts(), &expected.start[..]);
+            prop_assert_eq!(eval.schedule.ends(), &expected.end[..]);
+            prop_assert_eq!(eval.total(), expected.total);
+            let total = evaluate_total(&graph, &system, &assignment, model).unwrap();
+            prop_assert_eq!(total, expected.total);
+            let violations = validate_schedule(&graph, &system, &assignment, &eval.schedule, model);
+            prop_assert!(violations.is_empty(), "{:?}: {:?}", model, violations);
+        }
+        let ideal = IdealSchedule::derive(&graph);
+        let expected = reference::ideal(&graph);
+        prop_assert_eq!(ideal.schedule().starts(), &expected.start[..]);
+        prop_assert_eq!(ideal.schedule().ends(), &expected.end[..]);
+        prop_assert_eq!(ideal.lower_bound(), expected.total);
+        let closure = system.closure();
+        let precedence = EvaluationModel::Precedence;
+        let violations = validate_schedule(&graph, &closure, &assignment, ideal.schedule(), precedence);
+        prop_assert!(violations.is_empty(), "ideal: {:?}", violations);
+    }
 
     #[test]
     fn delta_totals_match_full_evaluation_on_every_candidate(

@@ -10,8 +10,8 @@
 //! cluster-level (abstract and critical abstract) graph as one [`Csr`].
 //! Dense matrices remain where the algorithm needs random access (the
 //! system-side `shortest[ns][ns]`) and as exports that reproduce the
-//! paper's figures (`edge_matrix`, `clus_edge_matrix`,
-//! [`Csr::to_matrix`]). The crate provides:
+//! paper's figures ([`WeightedDigraph::to_matrix`], [`Csr::to_matrix`]).
+//! The crate provides:
 //!
 //! * [`SquareMatrix`] — the dense row-major matrix behind the distance
 //!   matrix and the figure exports.
@@ -53,6 +53,14 @@ pub use csr::Csr;
 pub use digraph::WeightedDigraph;
 pub use error::GraphError;
 pub use matrix::SquareMatrix;
+
+/// The most processors a machine may have: twice the largest machine (a
+/// 64 × 64 torus) anything in this workspace maps onto. A machine holds
+/// an `ns × ns` hop matrix, so the cap bounds what one request can make
+/// a server allocate (256 MiB here), and no path in an admitted machine
+/// is longer than `MAX_NODES − 1` hops, which bounds every schedule time
+/// (`mimd_taskgraph::problem::MAX_TOTAL_WEIGHT`).
+pub const MAX_NODES: usize = 8192;
 
 /// Node identifier. The paper indexes tasks from 1 and processors from 0;
 /// internally everything is 0-based.

@@ -692,11 +692,17 @@ mod tests {
 
     #[test]
     fn a_max_weight_edge_neither_panics_nor_forces_remaps() {
-        // The per-event weight recount overflowed on this snapshot
+        // The per-event weight recount overflowed on a u64::MAX edge
         // (debug: a panic; release: a wrapped denominator that drove
-        // every event into a full V-cycle).
+        // every event into a full V-cycle). Such a snapshot is refused
+        // now; the heaviest edge admitted leaves room for the event's
+        // +4 and no more.
+        use mimd_taskgraph::problem::MAX_TOTAL_WEIGHT;
         let mut snapshot = DynamicWorkload::from_clustered(&two_clusters()).snapshot();
         snapshot.edges[0].weight = u64::MAX; // 0 -> 1, inside cluster 0
+        assert!(DynamicWorkload::from_snapshot(&snapshot).is_err());
+        let rest = (2 + 3 + 1 + 4) + (2 + 1 + 7);
+        snapshot.edges[0].weight = MAX_TOTAL_WEIGHT - rest - 4;
         let hierarchy = Arc::new(SystemHierarchy::build(&chain(2).unwrap()).unwrap());
         let workload = DynamicWorkload::from_snapshot(&snapshot).unwrap();
         let (mut session, _) = IncrementalMapper::new()

@@ -329,6 +329,54 @@ mod tests {
     }
 
     #[test]
+    fn weights_past_the_schedule_range_are_refused_and_the_next_line_is_served(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        // Two u64::MAX cross edges used to wrap the served bound and total
+        // (both answered 6); an event that raises a weight that far is
+        // refused the same way, with the session unchanged.
+        let service = MappingService::default();
+        let header = |weight: u64| {
+            format!(
+                r#"{{"op":"open_session","header":{{"topology":{{"kind":"ring","n":4}},"topology_seed":null,"snapshot":{{"num_clusters":4,"tasks":[{{"id":0,"size":2,"cluster":0}},{{"id":1,"size":3,"cluster":1}},{{"id":2,"size":1,"cluster":2}},{{"id":3,"size":4,"cluster":3}}],"edges":[{{"from":0,"to":1,"weight":{weight}}},{{"from":2,"to":3,"weight":{weight}}}]}}}},"seed":11,"config":null}}"#
+            )
+        };
+        let apply = format!(
+            r#"{{"op":"apply","session":1,"event":{{"kind":"set_edge_weight","from":0,"to":1,"weight":{}}}}}"#,
+            u64::MAX
+        );
+        let input = format!(
+            "{}\n{}\n{apply}\n{{\"op\":\"catalog\"}}\n",
+            header(u64::MAX),
+            header(5)
+        );
+        let mut output = Vec::new();
+        serve_jsonl(&service, input.as_bytes(), &mut output, io::sink(), None)?;
+        let output = String::from_utf8(output)?;
+        let lines: Vec<Response> =
+            (output.lines().map(Response::from_json_line)).collect::<Result<_, _>>()?;
+        assert_eq!(lines.len(), 4, "one response per request");
+        assert!(
+            matches!(&lines[0], Response::Error { error }
+                if error.code == ErrorCode::Workload && error.message.contains("exceeds")),
+            "{:?}",
+            lines[0]
+        );
+        assert!(
+            matches!(lines[1], Response::SessionOpened { .. }),
+            "{:?}",
+            lines[1]
+        );
+        assert!(
+            matches!(&lines[2], Response::Applied { record, .. }
+                if record.error.as_deref().is_some_and(|e| e.contains("exceeds"))),
+            "{:?}",
+            lines[2]
+        );
+        assert!(matches!(lines[3], Response::Catalog { .. }));
+        Ok(())
+    }
+
+    #[test]
     fn a_line_over_the_cap_is_dropped_without_being_held() {
         // Three caps of bytes with no newline, then a short line: the
         // buffer never outgrows the cap, and the short line is next.

@@ -16,8 +16,9 @@
 //!
 //! Everything in the report is structural and exact — no clocks — and
 //! internally consistent by construction: [`ExplainReport::validate`]
-//! cross-checks the totals (links vs `communication_matrix`, loads vs
-//! total compute, ledger telescoping) and tests assert it.
+//! cross-checks the totals (links vs the hop histogram, loads vs total
+//! compute, ledger telescoping), and tests also check the links against
+//! the communication-matrix total, summed over the cross edges.
 
 use serde::{Deserialize, Serialize};
 
@@ -340,7 +341,6 @@ impl ExplainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimd_core::evaluate::communication_matrix;
     use mimd_taskgraph::paper;
     use mimd_topology::ring;
 
@@ -374,13 +374,16 @@ mod tests {
                 .iter()
                 .sum::<u64>()
         );
-        // Link traffic equals the communication-matrix total.
+        // Link traffic equals the communication-matrix total: every
+        // cross edge's weight times the hops between its processors.
         let graph = paper::worked_example();
         let system = ring(4).unwrap();
         let assignment =
             Assignment::from_sys_of(paper::WORKED_OPTIMAL_ASSIGNMENT.to_vec()).unwrap();
-        let matrix = communication_matrix(&graph, &system, &assignment).unwrap();
-        let matrix_total: u64 = matrix.iter().map(|(_, _, &w)| w).sum();
+        let on = |t| assignment.sys_of(graph.cluster_of(t));
+        let matrix_total: u64 = (graph.cross_edges())
+            .map(|(u, v, w)| w * u64::from(system.hops(on(u), on(v))))
+            .sum();
         assert_eq!(report.total_traffic, matrix_total);
     }
 

@@ -10,7 +10,8 @@
 //! the 1991 model for the ablations:
 //!
 //! * [`SimConfig::serialize_processors`] — processors execute one task
-//!   at a time (matches [`mimd_core::schedule::Schedule::serialized`]).
+//!   at a time (matches
+//!   [`EvaluationModel::Serialized`](mimd_core::schedule::EvaluationModel::Serialized)).
 //! * [`SimConfig::link_contention`] — each directed channel carries one
 //!   message at a time; messages queue per hop (store-and-forward).
 //!

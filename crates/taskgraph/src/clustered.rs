@@ -12,7 +12,6 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
-use mimd_graph::matrix::SquareMatrix;
 use mimd_graph::Weight;
 
 use crate::clustering::Clustering;
@@ -22,7 +21,8 @@ use crate::{ClusterId, TaskId};
 /// A problem graph together with a clustering; the pair the mapping
 /// algorithms consume. The problem graph is shared: clones and the
 /// coarser members of a multilevel hierarchy ([`Self::coarsen`]) differ
-/// only in the clustering, so one job holds one copy of its tasks.
+/// only in the clustering, so one job holds one copy of its tasks and
+/// of the position rows they were frozen into.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClusteredProblemGraph {
     problem: Arc<ProblemGraph>,
@@ -95,15 +95,6 @@ impl ClusteredProblemGraph {
             .filter(move |&(u, v, _)| !self.clustering.same_cluster(u, v))
     }
 
-    /// The dense `clus_edge[np][np]` matrix (Fig 19-a).
-    pub fn clus_edge_matrix(&self) -> SquareMatrix<Weight> {
-        let mut m = SquareMatrix::new(self.num_tasks());
-        for (u, v, w) in self.cross_edges() {
-            m.set(u, v, w);
-        }
-        m
-    }
-
     /// Total weight crossing clusters — the communication volume the
     /// mapping must place on the network.
     pub fn total_cut_weight(&self) -> Weight {
@@ -158,17 +149,6 @@ mod tests {
         cross.sort_unstable();
         assert_eq!(cross, vec![(0, 2, 2), (1, 3, 1)]);
         assert_eq!(g.total_cut_weight(), 3);
-    }
-
-    #[test]
-    fn matrix_matches_clus_weight() {
-        let g = fixture();
-        let m = g.clus_edge_matrix();
-        for u in 0..4 {
-            for v in 0..4 {
-                assert_eq!(m.get(u, v), g.clus_weight(u, v), "({u},{v})");
-            }
-        }
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //! * [`trace`] — the dynamic-workload delta model: [`TraceEvent`]s
 //!   mutating a [`DynamicWorkload`], the mutable counterpart of
 //!   [`ClusteredProblemGraph`] that `mimd-online` remaps incrementally.
-//! * [`rows`] — [`PositionRows`], a clustered DAG laid out in
-//!   topological position order: what the delta evaluator sweeps, and
-//!   the one copy of a [`DynamicWorkload`]'s graph.
+//! * [`rows`] — [`PositionRows`], a task DAG laid out in topological
+//!   position order (frozen once per [`ProblemGraph`]), and
+//!   [`ClusterRows`](rows::ClusterRows), a clustering of it: what the
+//!   delta evaluator sweeps, and the one copy of a [`DynamicWorkload`]'s
+//!   graph.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

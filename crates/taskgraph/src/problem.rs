@@ -1,15 +1,40 @@
 //! The paper's *problem graph*: a precedence DAG with task execution
 //! times (`task_size[np]`) and communication times (`prob_edge[np][np]`).
+//!
+//! [`ProblemGraph::new`] validates the graph and freezes it, once, into
+//! the [`PositionRows`] every schedule of every clustering of it is
+//! swept over.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use mimd_graph::dag::{self, TopoOrder};
 use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
-use mimd_graph::matrix::SquareMatrix;
-use mimd_graph::{Time, Weight};
+use mimd_graph::{Time, Weight, MAX_NODES};
 
+use crate::rows::{fit_u32, PositionRows};
 use crate::TaskId;
+
+/// The largest total weight — task sizes plus edge weights — a problem
+/// graph or a dynamic workload may carry. Any schedule time (an end, a
+/// message arrival `end + w × hops`, a makespan) is at most the total
+/// size plus edge weights times the hops of a path, and no admitted
+/// machine has a path of [`MAX_NODES`] hops, so this keeps every one
+/// inside `u64`. [`ProblemGraph::new`] (generated, loaded and
+/// materialized graphs) and every workload snapshot and event check it
+/// ([`check_total_weight`]) before any schedule is computed.
+pub const MAX_TOTAL_WEIGHT: u64 = u64::MAX / MAX_NODES as u64;
+
+/// Refuse a total weight above [`MAX_TOTAL_WEIGHT`].
+pub fn check_total_weight(total: u128) -> Result<(), GraphError> {
+    if total > u128::from(MAX_TOTAL_WEIGHT) {
+        return Err(GraphError::InvalidParameter(format!(
+            "total task size plus edge weight {total} exceeds {MAX_TOTAL_WEIGHT}, \
+             the most whose schedules on {MAX_NODES} processors fit u64"
+        )));
+    }
+    Ok(())
+}
 
 /// A parallel program: tasks with execution times connected by weighted
 /// data-dependency edges (Fig 2). Internally 0-based; the paper's figures
@@ -19,15 +44,19 @@ use crate::TaskId;
 /// * the dependency graph is acyclic,
 /// * every task has a positive execution time (the paper measures tasks
 ///   in whole time units; a zero-time task would make "latest task"
-///   ambiguous).
+///   ambiguous),
+/// * the task and edge counts fit the `u32` indices of the rows, and
+///   the total weight is at most [`MAX_TOTAL_WEIGHT`].
 ///
 /// Deserializing goes through [`ProblemGraph::new`], so a loaded file
 /// meets the same invariants.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProblemGraph {
     graph: WeightedDigraph,
     task_size: Vec<Time>,
     topo: Vec<TaskId>,
+    /// The DAG frozen in `topo` order: a function of the other fields.
+    rows: PositionRows,
 }
 
 impl ProblemGraph {
@@ -45,10 +74,17 @@ impl ProblemGraph {
             )));
         }
         let topo = TopoOrder::new(&graph)?.order().to_vec();
+        fit_u32("np", task_size.len())?;
+        fit_u32("edge count", graph.edge_count())?;
+        let sizes: u128 = task_size.iter().map(|&s| u128::from(s)).sum();
+        let weights: u128 = graph.edges().map(|(_, _, w)| u128::from(w)).sum();
+        check_total_weight(sizes + weights)?;
+        let rows = PositionRows::freeze(&graph, &task_size, &topo);
         Ok(ProblemGraph {
             graph,
             task_size,
             topo,
+            rows,
         })
     }
 
@@ -124,9 +160,15 @@ impl ProblemGraph {
         self.graph.successors(t)
     }
 
-    /// The dense `prob_edge[np][np]` matrix (0 = no edge).
-    pub fn edge_matrix(&self) -> SquareMatrix<Weight> {
-        self.graph.to_matrix()
+    /// The DAG laid out by position in [`Self::topo_order`].
+    #[inline]
+    pub fn rows(&self) -> &PositionRows {
+        &self.rows
+    }
+
+    /// The frozen DAG, for a workload that edits its own copy.
+    pub(crate) fn into_rows(self) -> PositionRows {
+        self.rows
     }
 
     /// Total execution time if run sequentially (sum of task sizes) — a
@@ -142,6 +184,18 @@ impl ProblemGraph {
     pub fn critical_path(&self) -> Time {
         dag::longest_path(&self.graph, &self.task_size)
             .expect("problem graphs are DAGs by construction")
+    }
+}
+
+/// The JSON form `{graph, task_size, topo}`: the rows are derived, so
+/// a file does not carry them.
+impl Serialize for ProblemGraph {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("graph".into(), self.graph.to_value()),
+            ("task_size".into(), self.task_size.to_value()),
+            ("topo".into(), self.topo.to_value()),
+        ])
     }
 }
 
@@ -254,11 +308,22 @@ mod tests {
     }
 
     #[test]
-    fn edge_matrix_matches_graph() {
-        let p = small();
-        let m = p.edge_matrix();
-        assert_eq!(m.get(0, 2), 2);
-        assert_eq!(m.get(2, 0), 0);
-        assert_eq!(m.count_nonzero(), 4);
+    fn totals_past_the_schedule_range_are_refused() -> Result<(), GraphError> {
+        // The largest total admitted, then one past it, reached by a
+        // task size and by an edge weight alike.
+        let g = WeightedDigraph::from_edges(2, &[(0, 1, 1)])?;
+        assert!(ProblemGraph::new(g.clone(), vec![1, MAX_TOTAL_WEIGHT - 2]).is_ok());
+        let refused = ProblemGraph::new(g, vec![1, MAX_TOTAL_WEIGHT - 1]);
+        assert!(
+            matches!(&refused, Err(e) if e.to_string().contains("exceeds")),
+            "{refused:?}"
+        );
+        let heavy = WeightedDigraph::from_edges(2, &[(0, 1, u64::MAX)])?;
+        assert!(ProblemGraph::new(heavy, vec![1, 1]).is_err());
+        // (total + 1) × MAX_NODES would not fit u64.
+        let limit = u128::from(MAX_TOTAL_WEIGHT);
+        assert!(limit * MAX_NODES as u128 <= u128::from(u64::MAX));
+        assert!((limit + 1) * MAX_NODES as u128 > u128::from(u64::MAX));
+        Ok(())
     }
 }

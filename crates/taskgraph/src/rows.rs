@@ -1,32 +1,32 @@
-//! Position-space rows: a clustered task DAG laid out by *position* in a
-//! topological order — the one layout the schedule kernel sweeps and an
-//! online session edits.
+//! Position-space rows: a task DAG laid out by *position* in a
+//! topological order, so a sweep in position order meets every
+//! predecessor first — the one layout the schedule kernel sweeps and an
+//! online session edits. It comes in two parts:
 //!
-//! Ascending position is a topological order, so a sweep in position
-//! order meets every predecessor first. Per position the rows hold the
-//! task's size, cluster and id, a predecessor row (positions with edge
-//! weights, unordered) and a successor row (positions with edge
-//! weights, ascending by task id); per cluster they hold its positions,
-//! ascending. Every row is a range into one pool per kind.
+//! * [`PositionRows`], the DAG: per position the task's size and id, a
+//!   predecessor row (positions with edge weights, unordered) and a
+//!   successor row (the same, ascending by task id), each row a range
+//!   into one pool per kind. The kernel reads only this part.
+//!   [`ProblemGraph::new`](crate::ProblemGraph::new) freezes it once per
+//!   problem graph, and every clustering of the graph shares it.
+//! * [`ClusterRows`], one clustering of it (`O(np)`): the cluster at each
+//!   position and each cluster's positions, ascending.
 //!
-//! [`PositionRows::freeze`] packs the rows of a [`ClusteredProblemGraph`]
-//! back to back in its `topo_order`: the delta evaluator freezes every
-//! batch instance this way, and a
-//! [`DynamicWorkload`](crate::DynamicWorkload) starts from it and then
-//! edits in place. A row that grows moves to the tail of its pool
-//! unless it already ends there, leaving its old slots dead; a departed
-//! task leaves a *tombstone* (size 0, no rows, in no cluster).
-//! [`PositionRows::relayout`] renumbers the live positions into a new
-//! topological order and packs every pool again, which drops the
-//! tombstones and the dead slots.
+//! A [`DynamicWorkload`](crate::DynamicWorkload) edits a copy of both in
+//! place. A row that grows moves to the tail of its pool unless it
+//! already ends there, leaving its old slots dead; a departed task leaves
+//! a *tombstone* (size 0, no rows, in no cluster). A relayout renumbers
+//! the live positions into a new topological order and packs every pool
+//! again, which drops the tombstones and the dead slots.
 
 use std::mem::size_of;
 use std::ops::Range;
 
+use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
 
-use crate::{ClusterId, ClusteredProblemGraph, TaskId};
+use crate::{ClusterId, Clustering, TaskId};
 
 /// A layout keeps its dead entries — tombstones, and pool slots no live
 /// row covers — until, in positions or in any pool, they outnumber its
@@ -64,7 +64,7 @@ pub fn bytes<T>(v: &Vec<T>) -> usize {
 }
 
 /// One row of a pool: the slot range `(start, end)`.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Span(u32, u32);
 
 impl Span {
@@ -75,28 +75,22 @@ impl Span {
 }
 
 /// Rows sharing one pool: row `i` is `pos[span[i]]`, with a weight per
-/// entry in `w` (`W = ()` for rows without weights).
-#[derive(Clone, Debug, Default)]
-struct Pool<W> {
+/// entry in `w`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Pool {
     span: Vec<Span>,
     pos: Vec<u32>,
-    w: Vec<W>,
+    w: Vec<Weight>,
 }
 
-impl<W: Copy> Pool<W> {
-    /// An empty pool with `other`'s capacities.
-    fn like(other: &Pool<W>) -> Pool<W> {
+impl Pool {
+    /// An empty pool with room for `rows` rows of `entries` entries.
+    fn with_capacity(rows: usize, entries: usize) -> Pool {
         Pool {
-            span: Vec::with_capacity(other.span.capacity()),
-            pos: Vec::with_capacity(other.pos.capacity()),
-            w: Vec::with_capacity(other.w.capacity()),
+            span: Vec::with_capacity(rows),
+            pos: Vec::with_capacity(entries),
+            w: Vec::with_capacity(entries),
         }
-    }
-
-    fn clear(&mut self) {
-        self.span.clear();
-        self.pos.clear();
-        self.w.clear();
     }
 
     #[inline]
@@ -105,13 +99,13 @@ impl<W: Copy> Pool<W> {
     }
 
     #[inline]
-    fn weighted(&self, i: usize) -> (&[u32], &[W]) {
+    fn weighted(&self, i: usize) -> (&[u32], &[Weight]) {
         let r = self.span[i].range();
         (&self.pos[r.clone()], &self.w[r])
     }
 
     /// Append a row holding `entries` at the pool's end.
-    fn push_row(&mut self, entries: impl Iterator<Item = (u32, W)>) {
+    fn push_row(&mut self, entries: impl Iterator<Item = (u32, Weight)>) {
         let start = self.pos.len() as u32;
         for (p, w) in entries {
             self.pos.push(p);
@@ -128,7 +122,7 @@ impl<W: Copy> Pool<W> {
     /// Insert `(p, w)` at offset `at` of row `i`, first moving the row to
     /// the pool's tail unless it already ends there. [`Pool::room`]
     /// has been checked.
-    fn insert(&mut self, i: usize, at: usize, p: u32, w: W) {
+    fn insert(&mut self, i: usize, at: usize, p: u32, w: Weight) {
         let span = self.span[i];
         if span.1 as usize != self.pos.len() {
             let start = self.pos.len() as u32;
@@ -153,7 +147,7 @@ impl<W: Copy> Pool<W> {
 
     /// Remove `p` from row `i`, keeping the rest in order; returns its
     /// weight.
-    fn remove(&mut self, i: usize, p: u32) -> W {
+    fn remove(&mut self, i: usize, p: u32) -> Weight {
         let (k, end) = (self.slot(i, p), self.span[i].1 as usize);
         let w = self.w[k];
         self.pos.copy_within(k + 1..end, k);
@@ -173,72 +167,53 @@ impl<W: Copy> Pool<W> {
     }
 }
 
-/// The rows of one clustered task DAG in position space (module docs).
-#[derive(Clone, Debug, Default)]
+/// The task DAG in position space (module docs).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PositionRows {
     /// Execution time per position; 0 marks a tombstone.
     size: Vec<Time>,
-    /// Owning cluster per position.
-    cluster: Vec<u32>,
     /// Task per position: the graph's task index after a freeze, the
     /// external id in a workload.
     task: Vec<TaskId>,
     /// Predecessor rows per position (unordered).
-    pred: Pool<Weight>,
+    pred: Pool,
     /// Successor rows per position, ascending by task.
-    succ: Pool<Weight>,
-    /// Positions per cluster, ascending.
-    clusters: Pool<()>,
+    succ: Pool,
     /// Live (not tombstoned) positions and live edges.
     live: usize,
     edges: usize,
-    /// Freeze and relayout scratch: the position of each task, or the
-    /// new position of each old one.
+    /// Relayout scratch: the new position of each old one.
     scratch: Vec<u32>,
 }
 
 impl PositionRows {
-    /// Lay `graph` out in its `topo_order`, reusing this layout's
-    /// buffers. Position, cluster and edge counts must fit `u32`
-    /// ([`fit_u32`]).
-    pub fn freeze(&mut self, graph: &ClusteredProblemGraph) {
-        let problem = graph.problem();
-        let topo = problem.topo_order();
-        let mut pos_of = std::mem::take(&mut self.scratch);
-        pos_of.clear();
-        pos_of.resize(problem.len(), 0);
+    /// Lay out the DAG `graph` with execution times `sizes` in the
+    /// topological order `topo`, whose task and edge counts
+    /// [`ProblemGraph::new`](crate::ProblemGraph::new) has fit to `u32`.
+    pub(crate) fn freeze(graph: &WeightedDigraph, sizes: &[Time], topo: &[TaskId]) -> PositionRows {
+        let mut pos_of = vec![0u32; topo.len()];
         for (p, &t) in topo.iter().enumerate() {
             pos_of[t] = p as u32;
         }
-        self.size.clear();
-        self.cluster.clear();
-        self.task.clear();
-        self.pred.clear();
-        self.succ.clear();
+        let (n, e) = (topo.len(), graph.edge_count());
+        let mut rows = PositionRows {
+            size: Vec::with_capacity(n),
+            task: Vec::with_capacity(n),
+            pred: Pool::with_capacity(n, e),
+            succ: Pool::with_capacity(n, e),
+            live: n,
+            edges: e,
+            scratch: Vec::new(),
+        };
         for &t in topo {
-            self.size.push(problem.size(t));
-            self.cluster.push(graph.cluster_of(t) as u32);
-            self.task.push(t);
-            let preds = problem.predecessors(t).iter();
-            self.pred.push_row(preds.map(|&(u, w)| (pos_of[u], w)));
-            let succs = problem.successors(t).iter();
-            self.succ.push_row(succs.map(|&(v, w)| (pos_of[v], w)));
+            rows.size.push(sizes[t]);
+            rows.task.push(t);
+            let preds = graph.predecessors(t).iter();
+            rows.pred.push_row(preds.map(|&(u, w)| (pos_of[u], w)));
+            let succs = graph.successors(t).iter();
+            rows.succ.push_row(succs.map(|&(v, w)| (pos_of[v], w)));
         }
-        let members = |c| graph.clustering().members(c).iter().map(|&t| pos_of[t]);
-        self.set_clusters(graph.num_clusters(), members);
-        self.scratch = pos_of;
-        self.live = problem.len();
-        self.edges = problem.graph().edge_count();
-    }
-
-    /// Replace the cluster rows: row `c` holds `members(c)`, ascending.
-    fn set_clusters<I: Iterator<Item = u32>>(&mut self, nc: usize, members: impl Fn(usize) -> I) {
-        self.clusters.clear();
-        for c in 0..nc {
-            let start = self.clusters.pos.len();
-            self.clusters.push_row(members(c).map(|p| (p, ())));
-            self.clusters.pos[start..].sort_unstable();
-        }
+        rows
     }
 
     /// Number of positions, tombstones included.
@@ -252,11 +227,6 @@ impl PositionRows {
         self.size.is_empty()
     }
 
-    /// Number of clusters.
-    pub fn num_clusters(&self) -> usize {
-        self.clusters.span.len()
-    }
-
     /// Number of live edges.
     pub fn num_edges(&self) -> usize {
         self.edges
@@ -266,12 +236,6 @@ impl PositionRows {
     #[inline]
     pub fn size(&self, p: usize) -> Time {
         self.size[p]
-    }
-
-    /// Cluster of position `p`.
-    #[inline]
-    pub fn cluster(&self, p: usize) -> ClusterId {
-        self.cluster[p] as usize
     }
 
     /// Task at position `p`.
@@ -293,28 +257,13 @@ impl PositionRows {
         self.succ.weighted(p)
     }
 
-    /// Successor positions of position `p` (the positions of
-    /// [`Self::succs`]).
-    #[inline]
-    pub fn successors(&self, p: usize) -> &[u32] {
-        self.succ.row(p)
-    }
-
-    /// Positions of cluster `c`, ascending (never a tombstone).
-    #[inline]
-    pub fn cluster_positions(&self, c: ClusterId) -> &[u32] {
-        self.clusters.row(c)
-    }
-
     /// Bytes held by the layout's buffers (capacities, not lengths).
     pub fn resident_bytes(&self) -> usize {
         bytes(&self.size)
-            + bytes(&self.cluster)
             + bytes(&self.task)
             + bytes(&self.scratch)
             + self.pred.bytes()
             + self.succ.bytes()
-            + self.clusters.bytes()
     }
 
     /// Rename every task through `ids` (task `t` becomes `ids[t]`).
@@ -333,28 +282,19 @@ impl PositionRows {
     }
 
     /// Append a task at a new last position; returns it.
-    pub(crate) fn push_task(
-        &mut self,
-        task: TaskId,
-        size: Time,
-        cluster: ClusterId,
-    ) -> Result<u32, GraphError> {
+    pub(crate) fn push_task(&mut self, task: TaskId, size: Time) -> Result<u32, GraphError> {
         let p = self.size.len();
         fit_u32("positions", p + 1)?;
-        self.clusters.room(cluster)?;
         self.size.push(size);
-        self.cluster.push(cluster as u32);
         self.task.push(task);
         self.pred.push_row(std::iter::empty());
         self.succ.push_row(std::iter::empty());
-        let at = self.clusters.row(cluster).len();
-        self.clusters.insert(cluster, at, p as u32, ());
         self.live += 1;
         Ok(p as u32)
     }
 
     /// Make position `p` a tombstone: its edges leave its partners'
-    /// rows and it leaves its cluster's row.
+    /// rows.
     pub(crate) fn remove_task(&mut self, p: u32) {
         let at = p as usize;
         for k in self.pred.span[at].range() {
@@ -368,7 +308,6 @@ impl PositionRows {
             pool.span[at].1 = pool.span[at].0;
         }
         self.size[at] = 0;
-        self.clusters.remove(self.cluster[at] as usize, p);
         self.live -= 1;
     }
 
@@ -397,12 +336,12 @@ impl PositionRows {
         self.succ.remove(from as usize, to)
     }
 
-    /// Set the weight of the live edge `from -> to`; returns the old one.
-    pub(crate) fn set_weight(&mut self, from: u32, to: u32, w: Weight) -> Weight {
+    /// Set the weight of the live edge `from -> to`.
+    pub(crate) fn set_weight(&mut self, from: u32, to: u32, w: Weight) {
         let k = self.pred.slot(to as usize, from);
         self.pred.w[k] = w;
         let k = self.succ.slot(from as usize, to);
-        std::mem::replace(&mut self.succ.w[k], w)
+        self.succ.w[k] = w;
     }
 
     /// Set the execution time at live position `p`.
@@ -443,19 +382,19 @@ impl PositionRows {
     }
 
     /// `true` once dead entries are too many beside live ones
-    /// ([`DEAD_PER_LIVE`], [`MIN_DEAD`]) in positions or in any pool.
+    /// ([`DEAD_PER_LIVE`], [`MIN_DEAD`]) in positions or in either edge
+    /// pool.
     pub(crate) fn is_sparse(&self) -> bool {
         sparse(self.size.len() - self.live, self.live)
-            || self.clusters.is_sparse(self.live)
             || self.pred.is_sparse(self.edges)
             || self.succ.is_sparse(self.edges)
     }
 
     /// Renumber: the live position `order[i]` becomes position `i`, and
-    /// every pool is packed again in the new order. `order` lists every
-    /// live position once, in a topological order. Each buffer keeps its
-    /// capacity, so a layout's bytes follow its high-water size rather
-    /// than rising and falling with every relayout.
+    /// both edge pools are packed again in the new order. `order` lists
+    /// every live position once, in a topological order. Each buffer
+    /// keeps its capacity, so a layout's bytes follow its high-water
+    /// size rather than rising and falling with every relayout.
     pub(crate) fn relayout(&mut self, order: &[u32]) {
         let mut old = std::mem::take(self);
         old.scratch.resize(old.size.len(), 0);
@@ -464,22 +403,18 @@ impl PositionRows {
         }
         self.size = Vec::with_capacity(old.size.capacity());
         self.task = Vec::with_capacity(old.task.capacity());
-        self.cluster = Vec::with_capacity(old.cluster.capacity());
-        (self.pred, self.succ) = (Pool::like(&old.pred), Pool::like(&old.succ));
+        let like = |pool: &Pool| Pool::with_capacity(pool.span.capacity(), pool.pos.capacity());
+        (self.pred, self.succ) = (like(&old.pred), like(&old.succ));
         let new_pos = &old.scratch;
         for &p in order {
             let p = p as usize;
             self.size.push(old.size[p]);
-            self.cluster.push(old.cluster[p]);
             self.task.push(old.task[p]);
             for (pool, rows) in [(&mut self.pred, &old.pred), (&mut self.succ, &old.succ)] {
                 let (at, w) = rows.weighted(p);
                 pool.push_row(at.iter().zip(w).map(|(&u, &w)| (new_pos[u as usize], w)));
             }
         }
-        self.clusters = Pool::like(&old.clusters);
-        let members = |c| old.clusters.row(c).iter().map(|&p| new_pos[p as usize]);
-        self.set_clusters(old.num_clusters(), members);
         (self.live, self.edges) = (old.live, old.edges);
         self.scratch = old.scratch;
     }
@@ -491,16 +426,97 @@ impl PositionRows {
     }
 }
 
+/// One clustering of a [`PositionRows`] (module docs): the cluster at
+/// each position and the positions of each cluster, ascending.
+#[derive(Clone, Debug, Default)]
+pub struct ClusterRows {
+    /// Owning cluster per position.
+    cluster: Vec<u32>,
+    /// Positions per cluster, ascending (never a tombstone).
+    members: Vec<Vec<u32>>,
+}
+
+impl ClusterRows {
+    /// Lay `clustering` out over the positions of `rows`, reusing this
+    /// layout's buffers.
+    pub fn fill(&mut self, rows: &PositionRows, clustering: &Clustering) {
+        let clusters = (0..rows.len()).map(|p| clustering.cluster_of(rows.task(p)));
+        self.set(clustering.num_clusters(), clusters);
+    }
+
+    /// Put position `p` in cluster `clusters[p]` (of `nc`).
+    fn set(&mut self, nc: usize, clusters: impl Iterator<Item = ClusterId>) {
+        self.cluster.clear();
+        self.cluster.extend(clusters.map(|c| c as u32));
+        self.members.resize_with(nc, Vec::new);
+        self.members.iter_mut().for_each(Vec::clear);
+        for (p, &c) in self.cluster.iter().enumerate() {
+            self.members[c as usize].push(p as u32);
+        }
+    }
+
+    /// Number of clusters.
+    pub fn num_clusters(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Cluster of position `p`.
+    #[inline]
+    pub fn cluster(&self, p: usize) -> ClusterId {
+        self.cluster[p] as usize
+    }
+
+    /// Positions of cluster `c`, ascending (never a tombstone).
+    #[inline]
+    pub fn positions(&self, c: ClusterId) -> &[u32] {
+        &self.members[c]
+    }
+
+    /// Bytes held by the layout's buffers (capacities, not lengths).
+    pub fn resident_bytes(&self) -> usize {
+        let members: usize = self.members.iter().map(bytes).sum();
+        bytes(&self.cluster) + bytes(&self.members) + members
+    }
+
+    /// Put the new last position `p` in cluster `c`.
+    pub(crate) fn push(&mut self, p: u32, c: ClusterId) {
+        self.cluster.push(c as u32);
+        self.members[c].push(p);
+    }
+
+    /// Take position `p` out of its cluster (it becomes a tombstone).
+    pub(crate) fn remove(&mut self, p: u32) {
+        let members = &mut self.members[self.cluster[p as usize] as usize];
+        members.retain(|&q| q != p);
+    }
+
+    /// Renumber as [`PositionRows::relayout`] does with the same
+    /// `order`.
+    pub(crate) fn relayout(&mut self, order: &[u32]) {
+        let clusters: Vec<ClusterId> = order.iter().map(|&p| self.cluster(p as usize)).collect();
+        self.set(self.num_clusters(), clusters.into_iter());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper;
 
+    /// The worked example's frozen DAG and its clustering's rows.
+    fn worked() -> (PositionRows, ClusterRows) {
+        let graph = paper::worked_example();
+        let rows = graph.problem().rows().clone();
+        let mut clusters = ClusterRows::default();
+        clusters.fill(&rows, graph.clustering());
+        (rows, clusters)
+    }
+
     /// Every edge sits in both of its rows with one weight, successor
     /// rows ascend by task, cluster rows list exactly the live
     /// positions of their cluster in ascending order, every edge runs
     /// forward, and the counts match.
-    fn assert_rows_agree(rows: &PositionRows) {
+    fn assert_rows_agree(rows: &PositionRows, clusters: &ClusterRows) {
         let mut edges = 0;
         for p in 0..rows.len() {
             let (succs, weights) = rows.succs(p);
@@ -522,50 +538,85 @@ mod tests {
             assert_eq!(rows.preds(p).0.len(), in_degree);
         }
         assert_eq!(edges, rows.num_edges());
-        for c in 0..rows.num_clusters() {
+        for c in 0..clusters.num_clusters() {
             let expected: Vec<u32> = (0..rows.len())
-                .filter(|&p| rows.size(p) != 0 && rows.cluster(p) == c)
+                .filter(|&p| rows.size(p) != 0 && clusters.cluster(p) == c)
                 .map(|p| p as u32)
                 .collect();
-            assert_eq!(rows.cluster_positions(c), expected, "cluster {c}");
+            assert_eq!(clusters.positions(c), expected, "cluster {c}");
         }
     }
 
     #[test]
     fn edits_and_relayouts_keep_the_rows_consistent() -> Result<(), GraphError> {
-        let graph = paper::worked_example();
-        let mut rows = PositionRows::default();
-        rows.freeze(&graph);
-        assert_rows_agree(&rows);
+        let (mut rows, mut clusters) = worked();
+        assert_rows_agree(&rows, &clusters);
         let n = rows.len() as u32;
-        let new = rows.push_task(99, 4, 2)?;
+        let new = rows.push_task(99, 4)?;
+        clusters.push(new, 2);
         assert_eq!(new, n);
         for (from, w) in [(0, 3), (1, 5)] {
             let at = rows.succ_slot(from, 99);
             assert!(at.is_err(), "the edge is new");
             rows.insert_edge(from as u32, new, at.unwrap_or_else(|at| at), w)?;
         }
-        assert_rows_agree(&rows);
-        assert_eq!(rows.set_weight(0, new, 7), 3);
+        assert_rows_agree(&rows, &clusters);
+        assert_eq!(rows.preds(new as usize), (&[0, 1][..], &[3, 5][..]));
+        rows.set_weight(0, new, 7);
         assert_eq!(rows.delete_edge(0, new), 7);
         rows.remove_task(1);
-        assert_rows_agree(&rows);
+        clusters.remove(1);
+        assert_rows_agree(&rows, &clusters);
         assert_eq!(rows.preds(new as usize).0, &[] as &[u32]);
         // Dead entries now exceed live ones in the successor pool.
         let order: Vec<u32> = (0..rows.len() as u32)
             .filter(|&p| rows.size(p as usize) != 0)
             .collect();
         rows.relayout(&order);
-        assert_rows_agree(&rows);
+        clusters.relayout(&order);
+        assert_rows_agree(&rows, &clusters);
         assert_eq!(rows.len(), order.len());
         assert_eq!(rows.relaid(new), new - 1, "one tombstone before it");
         Ok(())
     }
 
     #[test]
+    fn the_frozen_dag_holds_every_problem_edge_once_with_its_weight() -> Result<(), GraphError> {
+        // Task ids that are not topologically numbered: the rows are laid
+        // out by position, and map back to the graph's task ids.
+        let problem = crate::workloads::gaussian_elimination(6, 3, 5, 2)?;
+        let rows = problem.rows();
+        let mut seen = Vec::new();
+        for p in 0..rows.len() {
+            assert_eq!(problem.topo_order()[p], rows.task(p));
+            assert_eq!(rows.size(p), problem.size(rows.task(p)));
+            let (preds, weights) = rows.preds(p);
+            for (&u, &w) in preds.iter().zip(weights) {
+                seen.push((rows.task(u as usize), rows.task(p), w));
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, problem.graph().edges().collect::<Vec<_>>());
+        Ok(())
+    }
+
+    #[test]
+    fn cluster_rows_hold_no_edge() -> Result<(), GraphError> {
+        // The cluster part is the same size for a graph with no edges.
+        let graph = paper::worked_example();
+        let sizes = graph.problem().sizes().to_vec();
+        let empty = WeightedDigraph::from_edges(sizes.len(), &[])?;
+        let bare = crate::ProblemGraph::new(empty, sizes)?;
+        let (mut full, mut none) = (ClusterRows::default(), ClusterRows::default());
+        full.fill(graph.problem().rows(), graph.clustering());
+        none.fill(bare.rows(), graph.clustering());
+        assert_eq!(full.resident_bytes(), none.resident_bytes());
+        Ok(())
+    }
+
+    #[test]
     fn the_cone_is_the_forward_reach_inside_the_window() {
-        let mut rows = PositionRows::default();
-        rows.freeze(&paper::worked_example());
+        let (rows, _) = worked();
         let n = rows.len();
         let reach = |from: usize| {
             let mut seen = vec![false; n];

@@ -16,12 +16,13 @@
 //! to scope refinement and meter staleness, and the touched positions
 //! it repairs its schedules from.
 //!
-//! The graph is stored once, as [`PositionRows`] — the layout the delta
-//! evaluator sweeps, so an online session's live instance *is* its
-//! workload — plus one ordered `id → position` table (the rows map
-//! positions back to ids). [`DynamicWorkload::apply`] edits the rows in
-//! place. Every operation costs what it touches — with `V` tasks, `E`
-//! edges and `log` the ordered-map lookup:
+//! The graph is stored once, as [`PositionRows`] and [`ClusterRows`] —
+//! the layout the delta evaluator sweeps, so an online session's live
+//! instance *is* its workload — plus one ordered `id → position` table
+//! (the rows map positions back to ids). [`DynamicWorkload::apply`]
+//! edits a copy of the rows its problem graph was frozen into in place.
+//! Every operation costs what it touches — with `V` tasks, `E` edges
+//! and `log` the ordered-map lookup:
 //!
 //! | operation | cost |
 //! |---|---|
@@ -50,8 +51,8 @@ use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
 
 use crate::clustering::Clustering;
-use crate::problem::ProblemGraph;
-use crate::rows::{fit_u32, PositionRows};
+use crate::problem::{check_total_weight, ProblemGraph};
+use crate::rows::{fit_u32, ClusterRows, PositionRows};
 use crate::{ClusterId, ClusteredProblemGraph, TaskId};
 
 /// One delta of a dynamic-workload trace (one JSONL line after the
@@ -139,8 +140,7 @@ pub struct EventImpact {
     /// a no-op event.
     pub touched_clusters: Vec<ClusterId>,
     /// Total task/edge weight moved by the event (sum of absolute
-    /// changes, saturating) — the numerator of the remapper's drift
-    /// fraction.
+    /// changes) — the numerator of the remapper's drift fraction.
     pub weight_delta: u64,
     /// `true` for events without locality (global weight scaling):
     /// every cluster is affected.
@@ -193,7 +193,8 @@ pub struct WorkloadSnapshot {
 
 /// A mutable clustered problem graph under a fixed cluster count.
 ///
-/// The graph is its [`PositionRows`], addressed by stable external ids
+/// The graph is its [`PositionRows`] and [`ClusterRows`], addressed by
+/// stable external ids
 /// through one ordered `id → position` table (ids are sparse user
 /// input: nothing here is sized by the largest id). Equality compares
 /// the canonical state — tasks and edges by id — so a state reached
@@ -202,6 +203,7 @@ pub struct WorkloadSnapshot {
 #[derive(Clone, Debug)]
 pub struct DynamicWorkload {
     rows: PositionRows,
+    clusters: ClusterRows,
     /// Position of every live task id.
     index: BTreeMap<TaskId, u32>,
     /// High-water mark for [`DynamicWorkload::next_task_id`]: one past
@@ -210,9 +212,9 @@ pub struct DynamicWorkload {
     /// Generator bookkeeping only — excluded from equality (a snapshot
     /// does not record history).
     next_id: TaskId,
-    /// Total task weight plus total edge weight, kept by every change
-    /// (wide enough that no `u64` weights can overflow it). A function
-    /// of the state, so excluded from equality too.
+    /// Total task weight plus total edge weight, kept and checked
+    /// ([`check_total_weight`]) by every change. A function of the
+    /// state, so excluded from equality too.
     total_weight: u128,
 }
 
@@ -254,36 +256,31 @@ impl DynamicWorkload {
     /// Start from an existing clustered problem graph; external ids are
     /// the graph's task indices `0..np`.
     pub fn from_clustered(graph: &ClusteredProblemGraph) -> DynamicWorkload {
-        let index = (0..graph.num_tasks()).map(|t| (t, t as u32)).collect();
-        DynamicWorkload::laid_out(graph, index)
+        let rows = graph.problem().rows().clone();
+        DynamicWorkload::laid_out(rows, graph.clustering(), (0..graph.num_tasks()).collect())
     }
 
-    /// The workload of `graph` laid out by the one freeze batch
-    /// instances use; `index` maps each external id to its task of
-    /// `graph` (ids ascend with the tasks).
+    /// The workload on `rows`, the rows a problem graph was frozen into,
+    /// under `clustering`; task `t` of that graph has external id
+    /// `ids[t]` (ids ascend with the tasks).
     fn laid_out(
-        graph: &ClusteredProblemGraph,
-        mut index: BTreeMap<TaskId, u32>,
+        mut rows: PositionRows,
+        clustering: &Clustering,
+        ids: Vec<TaskId>,
     ) -> DynamicWorkload {
-        let ids: Vec<TaskId> = index.keys().copied().collect();
-        let mut rows = PositionRows::default();
-        rows.freeze(graph);
+        let mut clusters = ClusterRows::default();
+        clusters.fill(&rows, clustering);
         rows.relabel(&ids);
-        let problem = graph.problem();
-        let mut pos_of = vec![0; ids.len()];
-        for (p, &t) in problem.topo_order().iter().enumerate() {
-            pos_of[t] = p as u32;
-        }
-        for slot in index.values_mut() {
-            *slot = pos_of[*slot as usize];
-        }
-        let sizes: u128 = problem.sizes().iter().map(|&s| u128::from(s)).sum();
-        let weights: u128 = problem.graph().edges().map(|(_, _, w)| u128::from(w)).sum();
+        let weight = |p| {
+            let edges = rows.preds(p).1.iter().map(|&w| u128::from(w));
+            u128::from(rows.size(p)) + edges.sum::<u128>()
+        };
         DynamicWorkload {
+            total_weight: (0..rows.len()).map(weight).sum(),
+            index: (0..rows.len()).map(|p| (rows.task(p), p as u32)).collect(),
             rows,
-            index,
+            clusters,
             next_id: ids.last().map_or(0, |id| id.saturating_add(1)),
-            total_weight: sizes + weights,
         }
     }
 
@@ -292,8 +289,9 @@ impl DynamicWorkload {
     /// the tasks and then the edges one by one in snapshot order would
     /// report: the first task at fault, else the first cluster no task
     /// owns, else the first edge that is malformed *or* closes a cycle.
-    /// Nothing is sized by `num_clusters` before the tasks are checked
-    /// against it.
+    /// A cycle or a total past [`check_total_weight`] before a malformed
+    /// edge wins. Nothing is sized by `num_clusters` before the tasks
+    /// are checked against it.
     pub fn from_snapshot(snapshot: &WorkloadSnapshot) -> Result<DynamicWorkload, GraphError> {
         let na = snapshot.num_clusters;
         if na == 0 {
@@ -364,14 +362,15 @@ impl DynamicWorkload {
             malformed = Some(invalid(format!("edge {from} -> {to} already exists")));
             edges.truncate(i);
         }
-        // Acyclicity is proved once for the prefix the shape checks
-        // accepted; a cycle among the edges before a malformed one was
-        // closed first, so it wins.
+        // Acyclicity and the total are proved once for the prefix the
+        // shape checks accepted; a cycle among the edges before a
+        // malformed one was closed first, so it wins.
         let problem = ProblemGraph::new(WeightedDigraph::from_edges(sizes.len(), &edges)?, sizes)?;
-        let graph = ClusteredProblemGraph::new(problem, Clustering::new(clusters)?)?;
+        let (rows, ids) = (problem.into_rows(), index.into_keys().collect());
+        let clustering = Clustering::new(clusters)?;
         match malformed {
             Some(e) => Err(e),
-            None => Ok(DynamicWorkload::laid_out(&graph, index)),
+            None => Ok(DynamicWorkload::laid_out(rows, &clustering, ids)),
         }
     }
 
@@ -392,20 +391,22 @@ impl DynamicWorkload {
         self.index.iter().map(|(&id, &p)| TaskInit {
             id,
             size: self.rows.size(p as usize),
-            cluster: self.rows.cluster(p as usize),
+            cluster: self.cluster(p),
         })
     }
 
-    /// The position-space rows: the graph itself, in the layout the
-    /// delta evaluator sweeps.
-    pub fn rows(&self) -> &PositionRows {
-        &self.rows
+    /// The position-space rows — the graph itself, in the layout the
+    /// delta evaluator sweeps — and their clustering.
+    pub fn rows(&self) -> (&PositionRows, &ClusterRows) {
+        (&self.rows, &self.clusters)
     }
 
     /// Bytes held by the rows and the id table (capacities; the table
     /// counted at one entry per live task).
     pub fn resident_bytes(&self) -> usize {
-        self.rows.resident_bytes() + self.index.len() * size_of::<(TaskId, u32)>()
+        self.rows.resident_bytes()
+            + self.clusters.resident_bytes()
+            + self.index.len() * size_of::<(TaskId, u32)>()
     }
 
     /// Number of live tasks `np`.
@@ -415,7 +416,7 @@ impl DynamicWorkload {
 
     /// Number of clusters `na` (constant for the workload's lifetime).
     pub fn num_clusters(&self) -> usize {
-        self.rows.num_clusters()
+        self.clusters.num_clusters()
     }
 
     /// Number of live edges.
@@ -425,7 +426,7 @@ impl DynamicWorkload {
 
     /// Cluster owning live task `t`.
     pub fn cluster_of(&self, t: TaskId) -> Option<ClusterId> {
-        self.index.get(&t).map(|&p| self.rows.cluster(p as usize))
+        self.index.get(&t).map(|&p| self.cluster(p))
     }
 
     /// Execution time of live task `t`.
@@ -433,12 +434,10 @@ impl DynamicWorkload {
         self.index.get(&t).map(|&p| self.rows.size(p as usize))
     }
 
-    /// Weight of the live edge `from -> to`: a scan of `to`'s
-    /// predecessor row.
+    /// Weight of the live edge `from -> to`: a search of `from`'s
+    /// successor row.
     pub fn edge_weight(&self, from: TaskId, to: TaskId) -> Option<Weight> {
-        let (&u, &v) = (self.index.get(&from)?, self.index.get(&to)?);
-        let (preds, weights) = self.rows.preds(v as usize);
-        preds.iter().position(|&p| p == u).map(|i| weights[i])
+        self.edge(from, to).ok().map(|(_, _, w)| w)
     }
 
     /// A fresh external task id: one past the largest id ever seen
@@ -466,7 +465,7 @@ impl DynamicWorkload {
 
     /// Number of tasks currently in cluster `c`.
     pub fn cluster_size(&self, c: ClusterId) -> usize {
-        self.rows.cluster_positions(c).len()
+        self.clusters.positions(c).len()
     }
 
     /// Total task weight plus total edge weight — the denominator of
@@ -477,7 +476,7 @@ impl DynamicWorkload {
     }
 
     /// Apply one event to the rows in place, returning its impact. On
-    /// error the state is unchanged.
+    /// error — [`check_total_weight`] included — the state is unchanged.
     pub fn apply(&mut self, event: &TraceEvent) -> Result<EventImpact, GraphError> {
         let mut impact = EventImpact::default();
         match *event {
@@ -498,36 +497,40 @@ impl DynamicWorkload {
                         len: self.num_clusters(),
                     });
                 }
-                let p = self.rows.push_task(task, size, cluster)?;
+                let total = self.total_weight + u128::from(size);
+                check_total_weight(total)?;
+                let p = self.rows.push_task(task, size)?;
+                self.clusters.push(p, cluster);
                 self.index.insert(task, p);
-                self.total_weight += u128::from(size);
+                self.total_weight = total;
                 self.next_id = self.next_id.max(task.saturating_add(1));
                 impact.touched_clusters = vec![cluster];
                 (impact.weight_delta, impact.touched_positions) = (size, vec![p]);
             }
             TraceEvent::RemoveTask { task } => {
                 let p = self.position(task)?;
-                let cluster = self.rows.cluster(p as usize);
+                let cluster = self.cluster(p);
                 if self.cluster_size(cluster) <= 1 {
                     return Err(invalid(format!(
                         "removing task {task} would empty cluster {cluster} (na = ns must hold)"
                     )));
                 }
-                let size = self.rows.size(p as usize);
-                let (mut delta, mut removed) = (size, u128::from(size));
+                let mut removed = u128::from(self.rows.size(p as usize));
                 impact.touched_clusters.push(cluster);
                 let ((preds, pw), (succs, sw)) =
                     (self.rows.preds(p as usize), self.rows.succs(p as usize));
                 for (&q, &w) in preds.iter().zip(pw).chain(succs.iter().zip(sw)) {
-                    (delta, removed) = (delta.saturating_add(w), removed + u128::from(w));
-                    impact.touched_clusters.push(self.rows.cluster(q as usize));
+                    removed += u128::from(w);
+                    impact.touched_clusters.push(self.cluster(q));
                 }
                 impact.touched_clusters.sort_unstable();
                 impact.touched_clusters.dedup();
                 impact.touched_positions = succs.to_vec();
                 impact.touched_positions.push(p);
-                impact.weight_delta = delta;
+                // At most the total weight, which fits `u64`.
+                impact.weight_delta = removed as u64;
                 self.rows.remove_task(p);
+                self.clusters.remove(p);
                 self.index.remove(&task);
                 self.total_weight -= removed;
             }
@@ -545,8 +548,10 @@ impl DynamicWorkload {
                     true => Some(self.rows.cone(v, u).ok_or(GraphError::CycleDetected)?),
                     false => None,
                 };
+                let total = self.total_weight + u128::from(weight);
+                check_total_weight(total)?;
                 self.rows.insert_edge(u, v, at, weight)?;
-                self.total_weight += u128::from(weight);
+                self.total_weight = total;
                 impact.touched_clusters = self.clusters_of_pair(u, v);
                 (impact.weight_delta, impact.touched_positions) = (weight, vec![v]);
                 if let Some(cone) = cone {
@@ -562,7 +567,7 @@ impl DynamicWorkload {
                 }
             }
             TraceEvent::RemoveEdge { from, to } => {
-                let (u, v) = self.edge(from, to)?;
+                let (u, v, _) = self.edge(from, to)?;
                 let w = self.rows.delete_edge(u, v);
                 self.total_weight -= u128::from(w);
                 impact.touched_clusters = self.clusters_of_pair(u, v);
@@ -576,9 +581,11 @@ impl DynamicWorkload {
                 }
                 let p = self.position(task)?;
                 let old = self.rows.size(p as usize);
+                let total = self.total_weight - u128::from(old) + u128::from(size);
+                check_total_weight(total)?;
                 self.rows.set_size(p, size);
-                self.total_weight = self.total_weight - u128::from(old) + u128::from(size);
-                impact.touched_clusters = vec![self.rows.cluster(p as usize)];
+                self.total_weight = total;
+                impact.touched_clusters = vec![self.cluster(p)];
                 (impact.weight_delta, impact.touched_positions) = (old.abs_diff(size), vec![p]);
             }
             TraceEvent::SetEdgeWeight { from, to, weight } => {
@@ -587,9 +594,11 @@ impl DynamicWorkload {
                         "edge {from} -> {to} cannot have zero weight"
                     )));
                 }
-                let (u, v) = self.edge(from, to)?;
-                let old = self.rows.set_weight(u, v, weight);
-                self.total_weight = self.total_weight - u128::from(old) + u128::from(weight);
+                let (u, v, old) = self.edge(from, to)?;
+                let total = self.total_weight - u128::from(old) + u128::from(weight);
+                check_total_weight(total)?;
+                self.rows.set_weight(u, v, weight);
+                self.total_weight = total;
                 impact.touched_clusters = self.clusters_of_pair(u, v);
                 (impact.weight_delta, impact.touched_positions) = (old.abs_diff(weight), vec![v]);
             }
@@ -598,19 +607,21 @@ impl DynamicWorkload {
                     return Err(invalid("scale percent must be >= 1".into()));
                 }
                 // Widen before multiplying: traces are user input, and a
-                // near-u64::MAX weight must scale saturating, not
-                // wrapping.
-                let scale = |w: Weight| {
-                    let scaled = u128::from(w) * u128::from(percent) / 100;
-                    (scaled.min(u128::from(u64::MAX)) as u64).max(1)
-                };
-                let (mut before, mut after) = (0u128, 0u128);
+                // scaled total must be checked, not wrapped.
+                let scale = |w: Weight| (u128::from(w) * u128::from(percent) / 100).max(1);
+                let (mut before, mut after, mut delta) = (0u128, 0u128, 0u128);
                 for (_, _, w) in self.edge_list() {
-                    impact.weight_delta = impact.weight_delta.saturating_add(w.abs_diff(scale(w)));
-                    (before, after) = (before + u128::from(w), after + u128::from(scale(w)));
+                    let (w, scaled) = (u128::from(w), scale(w));
+                    (before, after) = (before + w, after + scaled);
+                    delta += w.abs_diff(scaled);
                 }
-                self.total_weight = self.total_weight - before + after;
-                self.rows.scale_weights(scale);
+                let total = self.total_weight - before + after;
+                check_total_weight(total)?;
+                // Each scaled weight and the delta are at most the
+                // checked totals, which fit `u64`.
+                self.rows.scale_weights(|w| scale(w) as Weight);
+                self.total_weight = total;
+                impact.weight_delta = delta as u64;
                 impact.touched_clusters = (0..self.num_clusters()).collect();
                 impact.global = true;
             }
@@ -626,8 +637,9 @@ impl DynamicWorkload {
     /// topological order; tombstones are dropped) and compact the rows.
     fn relayout(&mut self, order: &[usize], impact: &mut EventImpact) {
         let live = order.iter().filter(|&&p| self.rows.size(p) != 0);
-        self.rows
-            .relayout(&live.map(|&p| p as u32).collect::<Vec<_>>());
+        let live: Vec<u32> = live.map(|&p| p as u32).collect();
+        self.rows.relayout(&live);
+        self.clusters.relayout(&live);
         for p in self.index.values_mut() {
             *p = self.rows.relaid(*p);
         }
@@ -649,10 +661,15 @@ impl DynamicWorkload {
             edges.extend((succs.iter().zip(weights)).map(|(&v, &w)| (t, dense[v as usize], w)));
         }
         let sizes = self.index.values().map(|&p| rows.size(p as usize));
-        let clusters = self.index.values().map(|&p| rows.cluster(p as usize));
+        let clusters = self.index.values().map(|&p| self.cluster(p));
         let graph = WeightedDigraph::from_edges(self.index.len(), &edges)?;
         let problem = ProblemGraph::new(graph, sizes.collect())?;
         ClusteredProblemGraph::new(problem, Clustering::new(clusters.collect())?)
+    }
+
+    /// The cluster of position `p`.
+    fn cluster(&self, p: u32) -> ClusterId {
+        self.clusters.cluster(p as usize)
     }
 
     /// The position of live task `t`.
@@ -661,18 +678,19 @@ impl DynamicWorkload {
         self.index.get(&t).copied().ok_or_else(missing)
     }
 
-    /// The endpoint positions of the live edge `from -> to`.
-    fn edge(&self, from: TaskId, to: TaskId) -> Result<(u32, u32), GraphError> {
-        let found = (self.index.get(&from).zip(self.index.get(&to)))
-            .filter(|&(&u, _)| self.rows.succ_slot(u as usize, to).is_ok());
+    /// The endpoint positions and the weight of the live edge
+    /// `from -> to`.
+    fn edge(&self, from: TaskId, to: TaskId) -> Result<(u32, u32, Weight), GraphError> {
         let missing = || invalid(format!("edge {from} -> {to} does not exist"));
-        found.map(|(&u, &v)| (u, v)).ok_or_else(missing)
+        let (&u, &v) = (self.index.get(&from).zip(self.index.get(&to))).ok_or_else(missing)?;
+        let at = (self.rows.succ_slot(u as usize, to)).map_err(|_| missing())?;
+        Ok((u, v, self.rows.succs(u as usize).1[at]))
     }
 
     /// The clusters of an edge's two endpoint positions (sorted,
     /// deduplicated).
     fn clusters_of_pair(&self, u: u32, v: u32) -> Vec<ClusterId> {
-        let mut touched = vec![self.rows.cluster(u as usize), self.rows.cluster(v as usize)];
+        let mut touched = vec![self.cluster(u), self.cluster(v)];
         touched.sort_unstable();
         touched.dedup();
         touched
@@ -919,7 +937,7 @@ mod tests {
             }
         }
         assert!(relaid >= 1);
-        assert!(state.rows().len() < state.num_tasks() + crate::rows::MIN_DEAD);
+        assert!(state.rows().0.len() < state.num_tasks() + crate::rows::MIN_DEAD);
         assert_eq!(DynamicWorkload::from_snapshot(&state.snapshot())?, state);
         Ok(())
     }
@@ -992,29 +1010,6 @@ mod tests {
         assert_eq!(state, opened);
     }
 
-    #[test]
-    fn scaling_huge_weights_saturates_instead_of_wrapping() {
-        let mut state = DynamicWorkload::from_clustered(&base());
-        state
-            .apply(&TraceEvent::SetEdgeWeight {
-                from: 0,
-                to: 1,
-                weight: u64::MAX - 1,
-            })
-            .unwrap();
-        state
-            .apply(&TraceEvent::ScaleEdgeWeights { percent: 300 })
-            .unwrap();
-        let snapshot = state.snapshot();
-        let scaled = snapshot
-            .edges
-            .iter()
-            .find(|e| e.from == 0 && e.to == 1)
-            .unwrap()
-            .weight;
-        assert_eq!(scaled, u64::MAX, "saturated, not wrapped");
-    }
-
     /// The total weight recounted from the state, the way it was
     /// computed before the workload kept it.
     fn recount(state: &DynamicWorkload) -> u128 {
@@ -1028,33 +1023,63 @@ mod tests {
 
     #[test]
     fn max_weight_edges_neither_overflow_the_total_nor_the_delta() {
-        // An intra-cluster edge of weight u64::MAX used to overflow the
-        // recount: a panic in debug, a wrapped drift denominator in
-        // release.
+        use crate::problem::MAX_TOTAL_WEIGHT;
+        // A u64::MAX edge used to wrap every schedule over it; the
+        // largest weights the schedule range admits are kept exactly,
+        // and anything past it is refused, in a snapshot and by every
+        // event that raises the total.
         let mut snapshot = DynamicWorkload::from_clustered(&base()).snapshot();
         snapshot.edges[0].weight = u64::MAX; // 0 -> 1, inside cluster 0
+        assert!(DynamicWorkload::from_snapshot(&snapshot).is_err());
+        let rest = (2 + 3 + 1 + 4) + (2 + 1 + 7);
+        snapshot.edges[0].weight = MAX_TOTAL_WEIGHT - rest;
         let mut state = DynamicWorkload::from_snapshot(&snapshot).unwrap();
-        let expected = u128::from(u64::MAX) + (2 + 3 + 1 + 4) + (2 + 1 + 7);
-        assert_eq!(state.total_weight(), expected);
+        assert_eq!(state.total_weight(), u128::from(MAX_TOTAL_WEIGHT));
         assert_eq!(state.total_weight(), recount(&state));
-        // Both of task 1's edges leave with it: u64::MAX + 1 + 3.
-        let impact = state.apply(&TraceEvent::RemoveTask { task: 1 }).unwrap();
-        assert_eq!(impact.weight_delta, u64::MAX, "saturated, not wrapped");
-        assert_eq!(state.total_weight(), recount(&state));
-        for (from, to) in [(0, 2), (2, 3)] {
-            state
-                .apply(&TraceEvent::SetEdgeWeight {
-                    from,
-                    to,
-                    weight: u64::MAX,
-                })
-                .unwrap();
+        let before = state.clone();
+        for event in [
+            TraceEvent::AddTask {
+                task: 9,
+                size: 1,
+                cluster: 0,
+            },
+            TraceEvent::AddEdge {
+                from: 1,
+                to: 2,
+                weight: 1,
+            },
+            TraceEvent::SetTaskSize { task: 0, size: 3 },
+            TraceEvent::SetEdgeWeight {
+                from: 2,
+                to: 3,
+                weight: 8,
+            },
+            TraceEvent::ScaleEdgeWeights { percent: 101 },
+        ] {
+            let refused = state.apply(&event).unwrap_err();
+            assert!(refused.to_string().contains("exceeds"), "{event:?}");
+            assert_eq!(state, before, "{event:?} mutated the state");
+            assert_eq!(state.total_weight(), before.total_weight());
         }
+        // Both of task 1's edges leave with it, and its size.
+        let impact = state.apply(&TraceEvent::RemoveTask { task: 1 }).unwrap();
+        assert_eq!(impact.weight_delta, MAX_TOTAL_WEIGHT - rest + 1 + 3);
         assert_eq!(state.total_weight(), recount(&state));
+        // Sizes 2 + 1 + 4 and the 2 -> 3 edge's 7 leave room for one
+        // edge of MAX_TOTAL_WEIGHT - 14.
+        let heavy = MAX_TOTAL_WEIGHT - 14;
+        state
+            .apply(&TraceEvent::SetEdgeWeight {
+                from: 0,
+                to: 2,
+                weight: heavy,
+            })
+            .unwrap();
+        assert_eq!(state.total_weight(), u128::from(MAX_TOTAL_WEIGHT));
         let impact = state
             .apply(&TraceEvent::ScaleEdgeWeights { percent: 1 })
             .unwrap();
-        assert_eq!(impact.weight_delta, u64::MAX, "saturated, not wrapped");
+        assert_eq!(impact.weight_delta, heavy - heavy / 100 + 6);
         assert_eq!(state.total_weight(), recount(&state));
     }
 

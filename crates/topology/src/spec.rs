@@ -10,11 +10,8 @@ use mimd_graph::error::GraphError;
 use crate::builders;
 use crate::system::SystemGraph;
 
-/// The most processors [`TopologySpec::build`] will build: twice the
-/// largest machine (a 64 × 64 torus) anything in this workspace maps
-/// onto. A machine holds an `ns × ns` hop matrix, so the cap bounds what
-/// one request can make a server allocate (256 MiB here).
-pub const MAX_NODES: usize = 8192;
+/// The most processors [`TopologySpec::build`] will build.
+pub use mimd_graph::MAX_NODES;
 
 /// A declarative description of a system topology.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

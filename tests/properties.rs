@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use mimd::core::critical::{CriticalAnalysis, CriticalityMode};
 use mimd::core::evaluate::evaluate_assignment;
 use mimd::core::ideal::IdealSchedule;
-use mimd::core::schedule::{EvaluationModel, Schedule};
+use mimd::core::schedule::EvaluationModel;
 use mimd::core::{Assignment, Mapper};
 use mimd::graph::{SquareMatrix, WeightedDigraph};
 use mimd::sim::{simulate, SimConfig};
@@ -207,19 +207,24 @@ proptest! {
         prop_assert_eq!(eval.total(), ideal.lower_bound());
     }
 
-    /// Scheduling with a comm function that adds a constant never makes
-    /// any task start earlier (monotonicity of the schedule operator).
+    /// Adding a constant to every edge weight never makes any task of
+    /// the ideal schedule start earlier (monotonicity of the schedule
+    /// operator in communication).
     #[test]
     fn schedule_monotone_in_comm(seed in 0u64..5000, bump in 1u64..4) {
         let graph = instance(30, 5, seed);
-        let base = Schedule::precedence(&graph, |u, v, _| graph.clus_weight(u, v));
-        let bumped = Schedule::precedence(&graph, |u, v, _| {
-            let w = graph.clus_weight(u, v);
-            if w == 0 { 0 } else { w + bump }
-        });
+        let problem = graph.problem();
+        let edges: Vec<_> = (problem.graph().edges())
+            .map(|(u, v, w)| (u, v, w + bump))
+            .collect();
+        let heavier = WeightedDigraph::from_edges(problem.len(), &edges).unwrap();
+        let heavier = ProblemGraph::new(heavier, problem.sizes().to_vec()).unwrap();
+        let heavier = ClusteredProblemGraph::new(heavier, graph.clustering().clone()).unwrap();
+        let base = IdealSchedule::derive(&graph);
+        let bumped = IdealSchedule::derive(&heavier);
         for t in 0..graph.num_tasks() {
-            prop_assert!(bumped.start(t) >= base.start(t));
+            prop_assert!(bumped.schedule().start(t) >= base.schedule().start(t));
         }
-        prop_assert!(bumped.total() >= base.total());
+        prop_assert!(bumped.lower_bound() >= base.lower_bound());
     }
 }

@@ -1010,6 +1010,38 @@ mod tests {
         assert_eq!(state, opened);
     }
 
+    #[test]
+    fn scaling_huge_weights_saturates_instead_of_wrapping() -> Result<(), GraphError> {
+        use crate::problem::MAX_TOTAL_WEIGHT;
+        // Scaling widens before it multiplies. Since the total-weight
+        // cap, a scaled weight past it is refused rather than clamped;
+        // either way it never wraps.
+        let mut state = DynamicWorkload::from_clustered(&base());
+        let rest = (2 + 3 + 1 + 4) + (2 + 1 + 7);
+        let huge = MAX_TOTAL_WEIGHT - rest;
+        state.apply(&TraceEvent::SetEdgeWeight {
+            from: 0,
+            to: 1,
+            weight: huge,
+        })?;
+        let before = state.clone();
+        let refused = state.apply(&TraceEvent::ScaleEdgeWeights { percent: 300 });
+        assert!(
+            matches!(&refused, Err(e) if e.to_string().contains("exceeds")),
+            "{refused:?}"
+        );
+        assert_eq!(state, before, "a refused scale left the state as it was");
+        state.apply(&TraceEvent::ScaleEdgeWeights { percent: 50 })?;
+        let scaled: Vec<_> = state
+            .edge_list()
+            .filter(|&(from, to, _)| from == 0 && to == 1)
+            .map(|(_, _, w)| w)
+            .collect();
+        assert_eq!(scaled, [huge / 2], "scaled exactly, not wrapped");
+        assert_eq!(state.total_weight(), recount(&state));
+        Ok(())
+    }
+
     /// The total weight recounted from the state, the way it was
     /// computed before the workload kept it.
     fn recount(state: &DynamicWorkload) -> u128 {

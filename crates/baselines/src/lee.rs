@@ -18,34 +18,49 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::dag::levels;
 use mimd_graph::error::GraphError;
-use mimd_graph::Time;
-use mimd_taskgraph::{ClusteredProblemGraph, TaskId};
+use mimd_graph::{Time, Weight};
+use mimd_taskgraph::{ClusteredProblemGraph, ProblemGraph, TaskId};
 use mimd_topology::SystemGraph;
 
 use mimd_core::Assignment;
 
-/// Phases as lists of `(from, to)` communication pairs.
-pub type Phases = Vec<Vec<(TaskId, TaskId)>>;
+/// Phases as lists of `(from, to, weight)` communications, each with
+/// its clustered weight (`clus_edge[from][to]`).
+pub type Phases = Vec<Vec<(TaskId, TaskId, Weight)>>;
+
+/// Per-task DAG level: sources are level 0 and every other task is one
+/// more than its deepest predecessor — one sweep over the problem's
+/// rows in position order.
+pub fn levels(problem: &ProblemGraph) -> Vec<usize> {
+    let rows = problem.graph();
+    let mut level = vec![0; rows.len()];
+    for p in 0..rows.len() {
+        let deepest = rows.preds(p).0.iter().map(|&u| level[u as usize] + 1).max();
+        level[p] = deepest.unwrap_or(0);
+    }
+    (0..problem.len())
+        .map(|t| level[problem.position(t)])
+        .collect()
+}
 
 /// Group the clustered (cross) edges by the DAG level of the receiving
 /// task: every message arriving at a level-`k` task belongs to phase
 /// `k - 1`.
 pub fn phases_by_level(graph: &ClusteredProblemGraph) -> Phases {
-    let lvl = levels(graph.problem().graph()).expect("problem graphs are DAGs");
+    let lvl = levels(graph.problem());
     let max_level = lvl.iter().copied().max().unwrap_or(0);
     let mut phases: Phases = vec![Vec::new(); max_level];
-    for (u, v, _) in graph.cross_edges() {
+    for (u, v, w) in graph.cross_edges() {
         debug_assert!(lvl[v] >= 1, "a task with a predecessor has level >= 1");
-        phases[lvl[v] - 1].push((u, v));
+        phases[lvl[v] - 1].push((u, v, w));
     }
     phases.retain(|p| !p.is_empty());
     phases
 }
 
-/// Lee's objective: `Σ_phase max_{(u,v) ∈ phase} clus_edge[u][v] ×
-/// hops(s_u, s_v)`.
+/// Lee's objective: `Σ_phase max_{(u,v,w) ∈ phase} w × hops(s_u, s_v)`,
+/// `w` the clustered weight `clus_edge[u][v]` each phase carries.
 pub fn lee_cost(
     graph: &ClusteredProblemGraph,
     system: &SystemGraph,
@@ -57,8 +72,7 @@ pub fn lee_cost(
         .map(|phase| {
             phase
                 .iter()
-                .map(|&(u, v)| {
-                    let w = graph.clus_weight(u, v);
+                .map(|&(u, v, w)| {
                     let su = assignment.sys_of(graph.cluster_of(u));
                     let sv = assignment.sys_of(graph.cluster_of(v));
                     w * Time::from(system.hops(su, sv))
@@ -192,6 +206,18 @@ mod tests {
         let a3 = Assignment::from_sys_of(ce.indirect_optimal.clone()).unwrap();
         assert_eq!(lee_cost(&g, &sys, &a3, &phases), min_cost);
         assert_eq!(min_cost, 11);
+    }
+
+    #[test]
+    fn levels_are_longest_hop_depth() -> Result<(), GraphError> {
+        // 0 -> 1 -> 3, 0 -> 2 -> 3, and 4 -> 3 from a second source.
+        let edges = [(0, 1, 2), (0, 2, 3), (1, 3, 4), (2, 3, 5), (4, 3, 1)];
+        let p = ProblemGraph::new(vec![1; 5], &edges)?;
+        assert_eq!(levels(&p), vec![0, 1, 1, 2, 0]);
+        // Ids that are not topological: 3 -> 2 -> 1 -> 0.
+        let chain = ProblemGraph::new(vec![1; 4], &[(3, 2, 1), (2, 1, 1), (1, 0, 1)])?;
+        assert_eq!(levels(&chain), vec![3, 2, 1, 0]);
+        Ok(())
     }
 
     #[test]

@@ -313,14 +313,10 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let p = problem_from_flags(flags, &mut rng)?;
     if flags.has("dot") {
-        let sizes = p.sizes().to_vec();
+        let label = |v: usize| Some(format!("{} (w={})", v + 1, p.size(v)));
         print!(
             "{}",
-            dot::digraph_to_dot(p.graph(), "problem", |v| Some(format!(
-                "{} (w={})",
-                v + 1,
-                sizes[v]
-            )))
+            dot::digraph_to_dot(p.len(), p.edges(), "problem", label)
         );
         return Ok(());
     }

@@ -67,7 +67,7 @@ impl CriticalAnalysis {
         // predecessor once, so every edge `(u, v)` is examined once.
         let mut critical_edges = Vec::new();
         while let Some(v) = stack.pop() {
-            for &(u, w) in problem.predecessors(v) {
+            for (u, w) in problem.predecessors(v) {
                 if !clustering.same_cluster(u, v) {
                     // Cross-cluster edge: critical iff zero slack.
                     if ideal.ideal_edge(u, v) == w {

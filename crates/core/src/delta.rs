@@ -352,7 +352,7 @@ pub(crate) fn from_scratch<D: Distance>(
     hosts: usize,
     host_of: impl Fn(ClusterId) -> u32,
 ) -> Schedule {
-    let rows = graph.problem().rows();
+    let rows = graph.problem().graph();
     let n = rows.len();
     let host = (0..n).map(|p| host_of(graph.cluster_of(rows.task(p))));
     let mut track = Track {
@@ -489,7 +489,7 @@ impl<'a, 'w> DeltaEvaluator<'a, 'w> {
         start: &Assignment,
     ) -> Result<Self, GraphError> {
         let DeltaWorkspace { clusters, state } = ws;
-        let rows = graph.problem().rows();
+        let rows = graph.problem().graph();
         clusters.fill(rows, graph.clustering());
         DeltaEvaluator::new(state, rows, clusters, system, model, start)
     }
@@ -953,12 +953,9 @@ mod tests {
     fn a_batch_attach_holds_no_edge_rows() -> Result<(), GraphError> {
         // The same tasks and clusters with and without their edges: the
         // workspace borrows the frozen rows, so it holds the same bytes.
-        use mimd_graph::digraph::WeightedDigraph;
         use mimd_taskgraph::ProblemGraph;
         let (g, sys) = worked();
-        let sizes = g.problem().sizes().to_vec();
-        let edgeless = WeightedDigraph::from_edges(sizes.len(), &[])?;
-        let problem = ProblemGraph::new(edgeless, sizes)?;
+        let problem = ProblemGraph::new(g.problem().sizes().to_vec(), &[])?;
         let bare = ClusteredProblemGraph::new(problem, g.clustering().clone())?;
         assert!(g.problem().graph().edge_count() > 0);
         for model in [EvaluationModel::Precedence, EvaluationModel::Serialized] {
@@ -1091,8 +1088,8 @@ mod tests {
         };
         assert_eq!(ws.assignment(), &committed.0);
         let mut clusters = ClusterRows::default();
-        clusters.fill(g.problem().rows(), g.clustering());
-        let mut ev = DeltaEvaluator::resume(&mut ws, (g.problem().rows(), &clusters), &sys);
+        clusters.fill(g.problem().graph(), g.clustering());
+        let mut ev = DeltaEvaluator::resume(&mut ws, (g.problem().graph(), &clusters), &sys);
         assert_eq!((ev.assignment().clone(), ev.total()), committed);
         let mut swapped = committed.0.clone();
         swapped.swap_clusters(0, 2);

@@ -208,8 +208,8 @@ mod tests {
         for model in [EvaluationModel::Precedence, EvaluationModel::Serialized] {
             let s = on_two(&g, model)?;
             for t in 0..4 {
-                let ready = (problem.predecessors(t).iter())
-                    .map(|&(u, _)| s.end(u) + g.clus_weight(u, t))
+                let ready = (problem.predecessors(t))
+                    .map(|(u, _)| s.end(u) + g.clus_weight(u, t))
                     .max()
                     .unwrap_or(0);
                 assert!(s.start(t) >= ready, "{model:?} task {t}");

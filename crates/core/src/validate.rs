@@ -112,9 +112,8 @@ pub fn validate_schedule(
     }
     // Precedence + communication.
     for t in 0..n {
-        for &(u, _) in problem.predecessors(t) {
-            let w = graph.clus_weight(u, t);
-            let comm = if w == 0 {
+        for (u, w) in problem.predecessors(t) {
+            let comm = if graph.clustering().same_cluster(u, t) {
                 0
             } else {
                 let su = assignment.sys_of(graph.cluster_of(u));
@@ -215,14 +214,11 @@ mod tests {
     #[test]
     fn detects_broken_precedence() -> Result<(), mimd_graph::GraphError> {
         use crate::IdealSchedule;
-        use mimd_graph::digraph::WeightedDigraph;
         use mimd_taskgraph::ProblemGraph;
         let (g, sys, a) = setup();
         // A schedule where everything starts at 0 breaks precedence: the
         // ideal schedule of the same tasks without their edges.
-        let sizes = g.problem().sizes().to_vec();
-        let edgeless = WeightedDigraph::from_edges(sizes.len(), &[])?;
-        let problem = ProblemGraph::new(edgeless, sizes)?;
+        let problem = ProblemGraph::new(g.problem().sizes().to_vec(), &[])?;
         let bare = ClusteredProblemGraph::new(problem, g.clustering().clone())?;
         let broken = IdealSchedule::derive(&bare).schedule().clone();
         assert!(broken.starts().iter().all(|&s| s == 0));

@@ -18,7 +18,6 @@ use mimd_core::gain::GainTable;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::validate::validate_schedule;
 use mimd_core::{fisher_yates, Assignment, IdealSchedule};
-use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::BitSet;
 use mimd_taskgraph::clustering::random::random_clustering;
 use mimd_taskgraph::{
@@ -61,16 +60,14 @@ fn relabelled(problem: &ProblemGraph, rng: &mut StdRng) -> ProblemGraph {
     let mut new_id: Vec<usize> = (0..n).collect();
     fisher_yates(&mut new_id, rng);
     let edges: Vec<_> = problem
-        .graph()
         .edges()
         .map(|(u, v, w)| (new_id[u], new_id[v], w))
         .collect();
-    let graph = WeightedDigraph::from_edges(n, &edges).unwrap();
     let mut sizes = vec![0; n];
     for t in 0..n {
         sizes[new_id[t]] = problem.size(t);
     }
-    ProblemGraph::new(graph, sizes).unwrap()
+    ProblemGraph::new(sizes, &edges).unwrap()
 }
 
 /// An instance whose topological order is *not* `0, 1, 2, …` — the

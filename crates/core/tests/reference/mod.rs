@@ -65,8 +65,8 @@ fn precedence(
     let n = problem.len();
     let (mut start, mut end) = (vec![0; n], vec![0; n]);
     for &t in problem.topo_order() {
-        let s = (problem.predecessors(t).iter())
-            .map(|&(u, w)| end[u] + comm(u, t, w))
+        let s = (problem.predecessors(t))
+            .map(|(u, w)| end[u] + comm(u, t, w))
             .max()
             .unwrap_or(0);
         (start[t], end[t]) = (s, s + problem.size(t));
@@ -94,7 +94,7 @@ fn serialized(
         start[t] = Some(s);
         let e = s + problem.size(t);
         free[graph.cluster_of(t)] = e;
-        for &(v, w) in problem.successors(t) {
+        for (v, w) in problem.successors(t) {
             remaining[v] -= 1;
             ready[v] = ready[v].max(e + comm(t, v, w));
         }

@@ -11,7 +11,6 @@
 use mimd_core::critical::{CriticalAnalysis, CriticalityMode};
 use mimd_core::ideal::IdealSchedule;
 use mimd_core::{Mapper, MapperConfig};
-use mimd_graph::WeightedDigraph;
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::{
     ClusteredProblemGraph, Clustering, GeneratorConfig, LayeredDagGenerator, ProblemGraph,
@@ -46,17 +45,15 @@ fn twin_instance(seed: u64, np: usize, ns: usize) -> ClusteredProblemGraph {
     let half = golden_instance(seed, np, ns);
     let edges: Vec<_> = half
         .problem()
-        .graph()
         .edges()
         .flat_map(|(u, v, w)| [(u, v, w), (u + np, v + np, w)])
         .collect();
-    let g = WeightedDigraph::from_edges(2 * np, &edges).unwrap();
     let sizes = [half.problem().sizes(), half.problem().sizes()].concat();
     let cluster_of = (0..2 * np)
         .map(|t| half.cluster_of(t % np) + ns * (t / np))
         .collect();
     ClusteredProblemGraph::new(
-        ProblemGraph::new(g, sizes).unwrap(),
+        ProblemGraph::new(sizes, &edges).unwrap(),
         Clustering::new(cluster_of).unwrap(),
     )
     .unwrap()

@@ -1,5 +1,6 @@
-//! A small fixed-capacity bit set used for DAG reachability and visited
-//! marks. `u64`-word backed; no external dependencies.
+//! A small fixed-capacity bit set for visited marks and the refiner's
+//! cluster-pair and movability flags. `u64`-word backed; no external
+//! dependencies.
 
 use serde::{Deserialize, Serialize};
 

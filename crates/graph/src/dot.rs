@@ -6,23 +6,29 @@
 use std::fmt::Write as _;
 
 use crate::csr::Csr;
-use crate::digraph::WeightedDigraph;
+use crate::{NodeId, Weight};
 
-/// Render a weighted digraph as a DOT `digraph`, with edge weights as
-/// labels and optional node labels (e.g. `"3 (w=2)"` for task 3 of
-/// weight 2). `node_label(v)` returning `None` falls back to the index.
-pub fn digraph_to_dot<F>(g: &WeightedDigraph, name: &str, mut node_label: F) -> String
+/// Render the weighted digraph on nodes `0..n` with `edges`
+/// `(from, to, weight)` as a DOT `digraph`, with edge weights as labels
+/// and optional node labels (e.g. `"3 (w=2)"` for task 3 of weight 2).
+/// `node_label(v)` returning `None` falls back to the index.
+pub fn digraph_to_dot<F>(
+    n: usize,
+    edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>,
+    name: &str,
+    mut node_label: F,
+) -> String
 where
     F: FnMut(usize) -> Option<String>,
 {
     let mut out = String::new();
     let _ = writeln!(out, "digraph {name} {{");
     let _ = writeln!(out, "  rankdir=TB;");
-    for v in 0..g.node_count() {
+    for v in 0..n {
         let label = node_label(v).unwrap_or_else(|| v.to_string());
         let _ = writeln!(out, "  n{v} [label=\"{label}\"];");
     }
-    for (u, v, w) in g.edges() {
+    for (u, v, w) in edges {
         let _ = writeln!(out, "  n{u} -> n{v} [label=\"{w}\"];");
     }
     out.push_str("}\n");
@@ -50,8 +56,7 @@ mod tests {
 
     #[test]
     fn digraph_dot_contains_edges_and_labels() {
-        let g = WeightedDigraph::from_edges(2, &[(0, 1, 7)]).unwrap();
-        let dot = digraph_to_dot(&g, "tasks", |v| Some(format!("T{v}")));
+        let dot = digraph_to_dot(2, [(0, 1, 7)], "tasks", |v| Some(format!("T{v}")));
         assert!(dot.starts_with("digraph tasks {"));
         assert!(dot.contains("n0 -> n1 [label=\"7\"]"));
         assert!(dot.contains("label=\"T0\""));
@@ -60,8 +65,7 @@ mod tests {
 
     #[test]
     fn digraph_dot_default_labels() {
-        let g = WeightedDigraph::from_edges(1, &[]).unwrap();
-        let dot = digraph_to_dot(&g, "g", |_| None);
+        let dot = digraph_to_dot(1, [], "g", |_| None);
         assert!(dot.contains("label=\"0\""));
     }
 

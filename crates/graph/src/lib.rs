@@ -5,22 +5,18 @@
 //! graphs, abstract graphs, ideal graphs and system graphs — as a dense
 //! array (`prob_edge[np][np]`, `abs_edge[na][na]`, `sys_edge[ns][ns]`,
 //! `shortest[ns][ns]`, ...). The pipeline here runs on sparse forms,
-//! each built once from an edge list and never changed afterwards:
-//! problem-side digraphs as a two-sided CSR, the machine and the
-//! cluster-level (abstract and critical abstract) graph as one [`Csr`].
+//! each built once from an edge list and never changed afterwards: the
+//! machine and the cluster-level (abstract and critical abstract) graph
+//! as one [`Csr`] each. The problem graph's DAG is laid out once, in
+//! topological position order, by `mimd_taskgraph`'s `ProblemGraph`.
 //! Dense matrices remain where the algorithm needs random access (the
 //! system-side `shortest[ns][ns]`) and as exports that reproduce the
-//! paper's figures ([`WeightedDigraph::to_matrix`], [`Csr::to_matrix`]).
-//! The crate provides:
+//! paper's figures ([`Csr::to_matrix`]). The crate provides:
 //!
 //! * [`SquareMatrix`] — the dense row-major matrix behind the distance
 //!   matrix and the figure exports.
-//! * [`WeightedDigraph`] — directed graphs with positive integer edge
-//!   weights (problem graphs, clustered problem graphs, ideal graphs),
-//!   successor and predecessor rows ascending by node id.
 //! * [`Csr`] — symmetric weighted CSR adjacency (system graphs, abstract
 //!   graph, critical abstract edges), rows ascending by neighbor id.
-//! * [`dag`] — topological ordering, levels, longest paths, reachability.
 //! * [`apsp`] — all-pairs shortest paths (unweighted BFS and
 //!   Floyd–Warshall), producing the paper's `shortest[ns][ns]` matrix.
 //! * [`matching`] — deterministic greedy / heavy-edge matchings, the
@@ -38,8 +34,6 @@
 pub mod apsp;
 pub mod bitset;
 pub mod csr;
-pub mod dag;
-pub mod digraph;
 pub mod dot;
 pub mod error;
 pub mod generators;
@@ -50,7 +44,6 @@ pub mod properties;
 pub use apsp::DistanceMatrix;
 pub use bitset::BitSet;
 pub use csr::Csr;
-pub use digraph::WeightedDigraph;
 pub use error::GraphError;
 pub use matrix::SquareMatrix;
 

@@ -12,7 +12,6 @@ use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::validate_schedule;
 use mimd_graph::apsp::floyd_warshall;
-use mimd_graph::WeightedDigraph;
 use mimd_multilevel::{Hierarchy, MultilevelConfig, MultilevelMapper, SystemHierarchy};
 use mimd_taskgraph::clustering::region::random_region_clustering;
 use mimd_taskgraph::workloads;
@@ -66,7 +65,6 @@ fn relabelled(problem: &ProblemGraph, rng: &mut StdRng) -> ProblemGraph {
         perm.swap(i, rng.gen_range(0..i + 1));
     }
     let edges: Vec<_> = problem
-        .graph()
         .edges()
         .map(|(u, v, w)| (perm[u], perm[v], w))
         .collect();
@@ -74,7 +72,7 @@ fn relabelled(problem: &ProblemGraph, rng: &mut StdRng) -> ProblemGraph {
     for (t, &s) in problem.sizes().iter().enumerate() {
         sizes[perm[t]] = s;
     }
-    ProblemGraph::new(WeightedDigraph::from_edges(np, &edges).unwrap(), sizes).unwrap()
+    ProblemGraph::new(sizes, &edges).unwrap()
 }
 
 /// A clustered instance on `ns` clusters from one of three families:

@@ -197,9 +197,8 @@ pub fn simulate_heterogeneous(
                     touched.push(p);
                     // Satisfy successors: local ones immediately, remote
                     // ones via messages.
-                    for &(v, _) in problem.successors(t) {
-                        let w = graph.clus_weight(t, v);
-                        if w == 0 {
+                    for (v, w) in problem.successors(t) {
+                        if graph.clustering().same_cluster(t, v) {
                             // Same cluster: satisfied the moment t ends.
                             pending[v] -= 1;
                             if pending[v] == 0 {

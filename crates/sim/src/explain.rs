@@ -26,7 +26,7 @@ use mimd_core::evaluate::evaluate_assignment;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::Assignment;
 use mimd_graph::error::GraphError;
-use mimd_graph::Time;
+use mimd_graph::{Time, Weight};
 use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_telemetry::{split_runs, GainEntry};
 use mimd_topology::SystemGraph;
@@ -200,9 +200,8 @@ impl ExplainReport {
         // makespan, repeatedly step to the predecessor whose finish +
         // message flight pins the start (ties to the lowest task id) —
         // exactly the precedence rule the schedule was computed with.
-        let comm = |u: usize, v: usize| -> Time {
-            let w = graph.clus_weight(u, v);
-            if w == 0 {
+        let comm = |u: usize, v: usize, w: Weight| -> Time {
+            if graph.clustering().same_cluster(u, v) {
                 0
             } else {
                 let su = assignment.sys_of(graph.cluster_of(u));
@@ -228,8 +227,7 @@ impl ExplainReport {
                 });
                 let next = problem
                     .predecessors(cur)
-                    .iter()
-                    .map(|&(u, _)| (schedule.end(u) + comm(u, cur), u))
+                    .map(|(u, w)| (schedule.end(u) + comm(u, cur, w), u))
                     .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
                     .map(|(_, u)| u);
                 match next {

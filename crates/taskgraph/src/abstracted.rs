@@ -37,7 +37,7 @@ impl AbstractGraph {
         let (problem, clustering) = (clustered.problem(), clustered.clustering());
         let adjacency = Csr::from_rows(clustered.num_clusters(), |a, row| {
             for &t in clustering.members(a) {
-                for &(v, w) in problem.successors(t).iter().chain(problem.predecessors(t)) {
+                for (v, w) in problem.successors(t).chain(problem.predecessors(t)) {
                     let b = clustering.cluster_of(v);
                     if b != a {
                         row.add(b, w);

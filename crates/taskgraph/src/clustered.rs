@@ -82,7 +82,7 @@ impl ClusteredProblemGraph {
         if self.clustering.same_cluster(u, v) {
             0
         } else {
-            self.problem.graph().weight(u, v).unwrap_or(0)
+            self.problem.weight(u, v).unwrap_or(0)
         }
     }
 
@@ -90,7 +90,6 @@ impl ClusteredProblemGraph {
     /// survive into the clustered problem graph.
     pub fn cross_edges(&self) -> impl Iterator<Item = (TaskId, TaskId, Weight)> + '_ {
         self.problem
-            .graph()
             .edges()
             .filter(move |&(u, v, _)| !self.clustering.same_cluster(u, v))
     }

@@ -35,10 +35,9 @@ pub fn chain_clustering(problem: &ProblemGraph, na: usize) -> Result<Clustering,
         loop {
             let next = problem
                 .successors(cur)
-                .iter()
-                .filter(|&&(v, _)| !claimed[v])
-                .max_by_key(|&&(v, w)| (w, std::cmp::Reverse(v)))
-                .map(|&(v, _)| v);
+                .filter(|&(v, _)| !claimed[v])
+                .max_by_key(|&(v, w)| (w, std::cmp::Reverse(v)))
+                .map(|(v, _)| v);
             match next {
                 Some(v) => {
                     claimed[v] = true;

@@ -62,7 +62,7 @@ pub fn comm_greedy_clustering(
         // that respects the cap. Rebuilding per round is O(E) and np is
         // paper-scale; total O(np·E).
         let mut agg: HashMap<(usize, usize), Weight> = HashMap::new();
-        for (u, v, w) in problem.graph().edges() {
+        for (u, v, w) in problem.edges() {
             let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
             if ru != rv {
                 let key = (ru.min(rv), ru.max(rv));
@@ -121,8 +121,7 @@ mod tests {
 
     /// Total weight of edges crossing clusters.
     fn cut_weight(p: &ProblemGraph, c: &Clustering) -> u64 {
-        p.graph()
-            .edges()
+        p.edges()
             .filter(|&(u, v, _)| !c.same_cluster(u, v))
             .map(|(_, _, w)| w)
             .sum()
@@ -153,8 +152,7 @@ mod tests {
     #[test]
     fn handles_edgeless_graph() {
         // All merges fall back to smallest-pair merging.
-        let g = mimd_graph::digraph::WeightedDigraph::from_edges(6, &[]).unwrap();
-        let p = ProblemGraph::new(g, vec![1; 6]).unwrap();
+        let p = ProblemGraph::new(vec![1; 6], &[]).unwrap();
         let c = comm_greedy_clustering(&p, 2, 2.0).unwrap();
         assert_eq!(c.num_clusters(), 2);
     }

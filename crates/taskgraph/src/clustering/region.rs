@@ -40,7 +40,7 @@ pub fn random_region_clustering(
     }
     // Undirected adjacency over the dependency edges.
     let mut adj: Vec<Vec<TaskId>> = vec![Vec::new(); np];
-    for (u, v, _) in problem.graph().edges() {
+    for (u, v, _) in problem.edges() {
         adj[u].push(v);
         adj[v].push(u);
     }
@@ -184,8 +184,7 @@ mod tests {
 
     #[test]
     fn handles_edgeless_graphs() {
-        let g = mimd_graph::digraph::WeightedDigraph::from_edges(10, &[]).unwrap();
-        let p = ProblemGraph::new(g, vec![1; 10]).unwrap();
+        let p = ProblemGraph::new(vec![1; 10], &[]).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let c = random_region_clustering(&p, 3, &mut rng).unwrap();
         assert_eq!(c.num_clusters(), 3);

@@ -29,19 +29,9 @@ use crate::problem::ProblemGraph;
 /// Parallel time of `problem` under a raw cluster assignment (edges
 /// inside one cluster cost zero).
 fn parallel_time(problem: &ProblemGraph, cluster_of: &[usize]) -> Time {
-    let mut end = vec![0 as Time; problem.len()];
-    let mut total = 0;
-    for &t in problem.topo_order() {
-        let start = problem
-            .predecessors(t)
-            .iter()
-            .map(|&(u, w)| end[u] + if cluster_of[u] == cluster_of[t] { 0 } else { w })
-            .max()
-            .unwrap_or(0);
-        end[t] = start + problem.size(t);
-        total = total.max(end[t]);
-    }
-    total
+    let rows = problem.graph();
+    let inside = |u: usize, v: usize| cluster_of[rows.task(u)] == cluster_of[rows.task(v)];
+    rows.longest_path(|u, v, w| if inside(u, v) { 0 } else { w })
 }
 
 /// Edge-zeroing clustering into exactly `na` clusters.
@@ -54,7 +44,7 @@ pub fn sarkar_clustering(problem: &ProblemGraph, na: usize) -> Result<Clustering
     }
     // Phase 1: Sarkar's edge zeroing over singleton clusters.
     let mut cluster_of: Vec<usize> = (0..np).collect();
-    let mut edges: Vec<(usize, usize, Weight)> = problem.graph().edges().collect();
+    let mut edges: Vec<(usize, usize, Weight)> = problem.edges().collect();
     edges.sort_by_key(|&(u, v, w)| (std::cmp::Reverse(w), u, v));
     let mut best_time = parallel_time(problem, &cluster_of);
     let mut clusters = np;
@@ -90,7 +80,7 @@ pub fn sarkar_clustering(problem: &ProblemGraph, na: usize) -> Result<Clustering
     // communicates.
     while clusters > na {
         let mut agg: HashMap<(usize, usize), Weight> = HashMap::new();
-        for (u, v, w) in problem.graph().edges() {
+        for (u, v, w) in problem.edges() {
             let (a, b) = (cluster_of[u], cluster_of[v]);
             if a != b {
                 *agg.entry((a.min(b), a.max(b))).or_insert(0) += w;

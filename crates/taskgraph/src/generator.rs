@@ -14,7 +14,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
 
@@ -193,12 +192,10 @@ impl LayeredDagGenerator {
                 }
             }
         }
-        let g = WeightedDigraph::from_edges(c.tasks, &edges)
-            .expect("layered edges join distinct tasks once each");
         let sizes: Vec<Time> = (0..c.tasks)
             .map(|_| rng.gen_range(c.task_weight.0..=c.task_weight.1))
             .collect();
-        ProblemGraph::new(g, sizes).expect("generator output is a valid problem graph")
+        ProblemGraph::new(sizes, &edges).expect("generator output is a valid problem graph")
     }
 }
 
@@ -216,7 +213,7 @@ mod tests {
             let p = gen.generate(&mut rng);
             assert_eq!(p.len(), 100);
             assert!(p.sizes().iter().all(|&s| (1..=10).contains(&s)));
-            assert!(p.graph().edges().all(|(_, _, w)| (1..=5).contains(&w)));
+            assert!(p.edges().all(|(_, _, w)| (1..=5).contains(&w)));
         }
     }
 

@@ -16,7 +16,7 @@
 //! * [`lee_counterexample`] — Figs 13–17: comm-cost-optimal ≠
 //!   time-optimal (cost 11 / total 23 vs cost 15 / total 21).
 
-use mimd_graph::Time;
+use mimd_graph::{Time, Weight};
 
 use crate::clustered::ClusteredProblemGraph;
 use crate::clustering::Clustering;
@@ -186,14 +186,15 @@ pub fn lee_counterexample() -> Counterexample {
 }
 
 /// The paper's Lee-phase grouping for [`lee_counterexample`] (Fig 15):
-/// phase `k` lists 0-based `(from, to)` pairs whose communications are
-/// assumed simultaneous.
-pub fn lee_paper_phases() -> Vec<Vec<(usize, usize)>> {
+/// phase `k` lists 0-based `(from, to, weight)` communications assumed
+/// simultaneous, each with its edge's weight (every edge crosses the
+/// instance's singleton clusters).
+pub fn lee_paper_phases() -> Vec<Vec<(usize, usize, Weight)>> {
     vec![
-        vec![(0, 2), (1, 2), (1, 6)],
-        vec![(2, 3), (2, 4)],
-        vec![(3, 5)],
-        vec![(4, 7)],
+        vec![(0, 2, 3), (1, 2, 3), (1, 6, 2)],
+        vec![(2, 3, 4), (2, 4, 2)],
+        vec![(3, 5, 1)],
+        vec![(4, 7, 3)],
     ]
 }
 
@@ -234,18 +235,23 @@ mod tests {
         assert_eq!(g.clus_weight(5, 8), 0);
     }
 
+    /// In- plus out-degree of task `t`.
+    fn degree(p: &ProblemGraph, t: usize) -> usize {
+        p.predecessors(t).len() + p.successors(t).len()
+    }
+
     #[test]
     fn counterexample_shapes() {
         let b = bokhari_counterexample();
         assert_eq!(b.problem.len(), 8);
         assert_eq!(b.problem.graph().edge_count(), 9);
         // Task 3 (0-based 2) has degree 4, exceeding the system degree 3.
-        assert_eq!(b.problem.graph().degree(2), 4);
+        assert_eq!(degree(&b.problem, 2), 4);
 
         let l = lee_counterexample();
         assert_eq!(l.problem.len(), 8);
         assert_eq!(l.problem.graph().edge_count(), 7);
-        assert_eq!(l.problem.graph().degree(2), 4);
+        assert_eq!(degree(&l.problem, 2), 4);
     }
 
     #[test]
@@ -263,12 +269,9 @@ mod tests {
     fn lee_phases_cover_all_edges() {
         let l = lee_counterexample();
         let phases = lee_paper_phases();
-        let mut covered: Vec<(usize, usize)> = phases.concat();
+        let mut covered: Vec<(usize, usize, Weight)> = phases.concat();
         covered.sort_unstable();
-        let mut edges: Vec<(usize, usize)> =
-            l.problem.graph().edges().map(|(u, v, _)| (u, v)).collect();
-        edges.sort_unstable();
-        assert_eq!(covered, edges);
+        assert_eq!(covered, l.problem.edges().collect::<Vec<_>>());
     }
 
     #[test]

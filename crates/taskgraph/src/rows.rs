@@ -4,11 +4,13 @@
 //! online session edits. It comes in two parts:
 //!
 //! * [`PositionRows`], the DAG: per position the task's size and id, a
-//!   predecessor row (positions with edge weights, unordered) and a
-//!   successor row (the same, ascending by task id), each row a range
-//!   into one pool per kind. The kernel reads only this part.
-//!   [`ProblemGraph::new`](crate::ProblemGraph::new) freezes it once per
-//!   problem graph, and every clustering of the graph shares it.
+//!   predecessor row and a successor row (positions with edge weights,
+//!   each ascending by task id once frozen), each row a range into one
+//!   pool per kind. The kernel reads only this part. A
+//!   [`ProblemGraph`](crate::ProblemGraph) *is* these rows:
+//!   [`ProblemGraph::new`](crate::ProblemGraph::new) lays them out
+//!   straight from its edge list, every task-space query reads them, and
+//!   every clustering of the graph shares them.
 //! * [`ClusterRows`], one clustering of it (`O(np)`): the cluster at each
 //!   position and each cluster's positions, ascending.
 //!
@@ -22,7 +24,6 @@
 use std::mem::size_of;
 use std::ops::Range;
 
-use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
 
@@ -175,7 +176,8 @@ pub struct PositionRows {
     /// Task per position: the graph's task index after a freeze, the
     /// external id in a workload.
     task: Vec<TaskId>,
-    /// Predecessor rows per position (unordered).
+    /// Predecessor rows per position: ascending by task when frozen,
+    /// unordered once a workload appends to them.
     pred: Pool,
     /// Successor rows per position, ascending by task.
     succ: Pool,
@@ -187,32 +189,57 @@ pub struct PositionRows {
 }
 
 impl PositionRows {
-    /// Lay out the DAG `graph` with execution times `sizes` in the
-    /// topological order `topo`, whose task and edge counts
-    /// [`ProblemGraph::new`](crate::ProblemGraph::new) has fit to `u32`.
-    pub(crate) fn freeze(graph: &WeightedDigraph, sizes: &[Time], topo: &[TaskId]) -> PositionRows {
-        let mut pos_of = vec![0u32; topo.len()];
-        for (p, &t) in topo.iter().enumerate() {
-            pos_of[t] = p as u32;
-        }
-        let (n, e) = (topo.len(), graph.edge_count());
+    /// Lay the tasks out in the topological order `topo` (`pos[t]` is
+    /// task `t`'s position in it), with execution times `sizes` and
+    /// `succ(t)` the successor row of task `t`, ascending by task id;
+    /// both row kinds come out ascending by task id.
+    /// [`ProblemGraph::new`](crate::ProblemGraph::new) has fit the task
+    /// and edge counts to `u32`.
+    pub(crate) fn freeze<'a>(
+        sizes: &[Time],
+        topo: Vec<TaskId>,
+        pos: &[u32],
+        succ: impl Fn(TaskId) -> &'a [(TaskId, Weight)],
+    ) -> PositionRows {
+        let n = topo.len();
+        let e = (0..n).map(|t| succ(t).len()).sum();
         let mut rows = PositionRows {
-            size: Vec::with_capacity(n),
-            task: Vec::with_capacity(n),
-            pred: Pool::with_capacity(n, e),
+            size: topo.iter().map(|&t| sizes[t]).collect(),
+            task: Vec::new(),
+            pred: Pool {
+                span: Vec::with_capacity(n),
+                pos: vec![0; e],
+                w: vec![0; e],
+            },
             succ: Pool::with_capacity(n, e),
             live: n,
             edges: e,
             scratch: Vec::new(),
         };
-        for &t in topo {
-            rows.size.push(sizes[t]);
-            rows.task.push(t);
-            let preds = graph.predecessors(t).iter();
-            rows.pred.push_row(preds.map(|&(u, w)| (pos_of[u], w)));
-            let succs = graph.successors(t).iter();
-            rows.succ.push_row(succs.map(|&(v, w)| (pos_of[v], w)));
+        let mut in_degree = vec![0u32; n];
+        for &t in &topo {
+            let row = succ(t);
+            rows.succ.push_row(row.iter().map(|&(v, w)| (pos[v], w)));
+            for &(v, _) in row {
+                in_degree[pos[v] as usize] += 1;
+            }
         }
+        // Predecessor rows are filled walking the tasks by ascending id,
+        // so each ascends by task too.
+        let mut end = 0;
+        for d in in_degree {
+            rows.pred.span.push(Span(end, end));
+            end += d;
+        }
+        for u in 0..n {
+            for &(v, w) in succ(u) {
+                let span = &mut rows.pred.span[pos[v] as usize];
+                rows.pred.pos[span.1 as usize] = pos[u];
+                rows.pred.w[span.1 as usize] = w;
+                span.1 += 1;
+            }
+        }
+        rows.task = topo;
         rows
     }
 
@@ -228,7 +255,7 @@ impl PositionRows {
     }
 
     /// Number of live edges.
-    pub fn num_edges(&self) -> usize {
+    pub fn edge_count(&self) -> usize {
         self.edges
     }
 
@@ -244,7 +271,14 @@ impl PositionRows {
         self.task[p]
     }
 
-    /// Predecessor row of position `p`: positions and edge weights.
+    /// Task per position: a topological order of the tasks.
+    #[inline]
+    pub fn tasks(&self) -> &[TaskId] {
+        &self.task
+    }
+
+    /// Predecessor row of position `p`: positions and edge weights,
+    /// ascending by task in a frozen layout.
     #[inline]
     pub fn preds(&self, p: usize) -> (&[u32], &[Weight]) {
         self.pred.weighted(p)
@@ -255,6 +289,24 @@ impl PositionRows {
     #[inline]
     pub fn succs(&self, p: usize) -> (&[u32], &[Weight]) {
         self.succ.weighted(p)
+    }
+
+    /// The longest path through the DAG, one sweep in position order:
+    /// each position costs its size, and an edge `u -> v` of weight `w`
+    /// (positions) costs `cost(u, v, w)` — its weight, or 0 inside a
+    /// cluster.
+    pub fn longest_path(&self, cost: impl Fn(usize, usize, Weight) -> Weight) -> Time {
+        let mut end = vec![0 as Time; self.len()];
+        let mut longest = 0;
+        for p in 0..self.len() {
+            let (preds, weights) = self.preds(p);
+            let ready = (preds.iter().zip(weights))
+                .map(|(&u, &w)| end[u as usize] + cost(u as usize, p, w))
+                .max();
+            end[p] = ready.unwrap_or(0) + self.size[p];
+            longest = longest.max(end[p]);
+        }
+        longest
     }
 
     /// Bytes held by the layout's buffers (capacities, not lengths).
@@ -506,7 +558,7 @@ mod tests {
     /// The worked example's frozen DAG and its clustering's rows.
     fn worked() -> (PositionRows, ClusterRows) {
         let graph = paper::worked_example();
-        let rows = graph.problem().rows().clone();
+        let rows = graph.problem().graph().clone();
         let mut clusters = ClusterRows::default();
         clusters.fill(&rows, graph.clustering());
         (rows, clusters)
@@ -537,7 +589,7 @@ mod tests {
                 .count();
             assert_eq!(rows.preds(p).0.len(), in_degree);
         }
-        assert_eq!(edges, rows.num_edges());
+        assert_eq!(edges, rows.edge_count());
         for c in 0..clusters.num_clusters() {
             let expected: Vec<u32> = (0..rows.len())
                 .filter(|&p| rows.size(p) != 0 && clusters.cluster(p) == c)
@@ -585,7 +637,7 @@ mod tests {
         // Task ids that are not topologically numbered: the rows are laid
         // out by position, and map back to the graph's task ids.
         let problem = crate::workloads::gaussian_elimination(6, 3, 5, 2)?;
-        let rows = problem.rows();
+        let rows = problem.graph();
         let mut seen = Vec::new();
         for p in 0..rows.len() {
             assert_eq!(problem.topo_order()[p], rows.task(p));
@@ -596,7 +648,7 @@ mod tests {
             }
         }
         seen.sort_unstable();
-        assert_eq!(seen, problem.graph().edges().collect::<Vec<_>>());
+        assert_eq!(seen, problem.edges().collect::<Vec<_>>());
         Ok(())
     }
 
@@ -605,11 +657,10 @@ mod tests {
         // The cluster part is the same size for a graph with no edges.
         let graph = paper::worked_example();
         let sizes = graph.problem().sizes().to_vec();
-        let empty = WeightedDigraph::from_edges(sizes.len(), &[])?;
-        let bare = crate::ProblemGraph::new(empty, sizes)?;
+        let bare = crate::ProblemGraph::new(sizes, &[])?;
         let (mut full, mut none) = (ClusterRows::default(), ClusterRows::default());
-        full.fill(graph.problem().rows(), graph.clustering());
-        none.fill(bare.rows(), graph.clustering());
+        full.fill(graph.problem().graph(), graph.clustering());
+        none.fill(bare.graph(), graph.clustering());
         assert_eq!(full.resident_bytes(), none.resident_bytes());
         Ok(())
     }

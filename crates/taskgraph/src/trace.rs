@@ -46,7 +46,6 @@ use std::mem::size_of;
 
 use serde::{Deserialize, Serialize};
 
-use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
 
@@ -256,7 +255,7 @@ impl DynamicWorkload {
     /// Start from an existing clustered problem graph; external ids are
     /// the graph's task indices `0..np`.
     pub fn from_clustered(graph: &ClusteredProblemGraph) -> DynamicWorkload {
-        let rows = graph.problem().rows().clone();
+        let rows = graph.problem().graph().clone();
         DynamicWorkload::laid_out(rows, graph.clustering(), (0..graph.num_tasks()).collect())
     }
 
@@ -365,7 +364,7 @@ impl DynamicWorkload {
         // Acyclicity and the total are proved once for the prefix the
         // shape checks accepted; a cycle among the edges before a
         // malformed one was closed first, so it wins.
-        let problem = ProblemGraph::new(WeightedDigraph::from_edges(sizes.len(), &edges)?, sizes)?;
+        let problem = ProblemGraph::new(sizes, &edges)?;
         let (rows, ids) = (problem.into_rows(), index.into_keys().collect());
         let clustering = Clustering::new(clusters)?;
         match malformed {
@@ -421,7 +420,7 @@ impl DynamicWorkload {
 
     /// Number of live edges.
     pub fn num_edges(&self) -> usize {
-        self.rows.num_edges()
+        self.rows.edge_count()
     }
 
     /// Cluster owning live task `t`.
@@ -655,15 +654,14 @@ impl DynamicWorkload {
         for (t, &p) in self.index.values().enumerate() {
             dense[p as usize] = t;
         }
-        let mut edges = Vec::with_capacity(rows.num_edges());
+        let mut edges = Vec::with_capacity(rows.edge_count());
         for (t, &p) in self.index.values().enumerate() {
             let (succs, weights) = rows.succs(p as usize);
             edges.extend((succs.iter().zip(weights)).map(|(&v, &w)| (t, dense[v as usize], w)));
         }
         let sizes = self.index.values().map(|&p| rows.size(p as usize));
         let clusters = self.index.values().map(|&p| self.cluster(p));
-        let graph = WeightedDigraph::from_edges(self.index.len(), &edges)?;
-        let problem = ProblemGraph::new(graph, sizes.collect())?;
+        let problem = ProblemGraph::new(sizes.collect(), &edges)?;
         ClusteredProblemGraph::new(problem, Clustering::new(clusters.collect())?)
     }
 
@@ -801,7 +799,7 @@ mod tests {
             .apply(&TraceEvent::ScaleEdgeWeights { percent: 1 })
             .unwrap();
         let graph = state.materialize().unwrap();
-        assert!(graph.problem().graph().edges().all(|(_, _, w)| w == 1));
+        assert!(graph.problem().edges().all(|(_, _, w)| w == 1));
     }
 
     #[test]

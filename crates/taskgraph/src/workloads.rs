@@ -11,7 +11,6 @@
 
 use rand::Rng;
 
-use mimd_graph::digraph::WeightedDigraph;
 use mimd_graph::error::GraphError;
 use mimd_graph::{Time, Weight};
 
@@ -74,7 +73,7 @@ pub fn gaussian_elimination(
             }
         }
     }
-    ProblemGraph::new(WeightedDigraph::from_edges(total, &edges)?, sizes)
+    ProblemGraph::new(sizes, &edges)
 }
 
 /// A 1-D stencil sweep: `width` cells iterated for `steps` time steps;
@@ -105,8 +104,7 @@ pub fn stencil_1d(
             }
         }
     }
-    let g = WeightedDigraph::from_edges(width * steps, &edges)?;
-    ProblemGraph::new(g, vec![task_time; width * steps])
+    ProblemGraph::new(vec![task_time; width * steps], &edges)
 }
 
 /// FFT butterfly: `2^log2n` points over `log2n` stages; stage `s` task
@@ -132,8 +130,7 @@ pub fn fft_butterfly(log2n: u32, task_time: Time, msg: Weight) -> Result<Problem
             edges.push((id(s - 1, i ^ stride), id(s, i), msg));
         }
     }
-    let g = WeightedDigraph::from_edges(n * stages, &edges)?;
-    ProblemGraph::new(g, vec![task_time; n * stages])
+    ProblemGraph::new(vec![task_time; n * stages], &edges)
 }
 
 /// Divide-and-conquer: a binary splitting tree of depth `depth`, leaf
@@ -194,7 +191,7 @@ pub fn divide_and_conquer(
             }
         }
     }
-    ProblemGraph::new(WeightedDigraph::from_edges(total, &edges)?, sizes)
+    ProblemGraph::new(sizes, &edges)
 }
 
 /// A pipeline of `stages` sequential stages, each a chain of `tasks`
@@ -226,8 +223,7 @@ pub fn pipeline(
             }
         }
     }
-    let g = WeightedDigraph::from_edges(stages * tasks, &edges)?;
-    ProblemGraph::new(g, vec![task_time; stages * tasks])
+    ProblemGraph::new(vec![task_time; stages * tasks], &edges)
 }
 
 /// Which kind of churn a synthetic trace exercises.
@@ -374,14 +370,18 @@ fn propose_drift(state: &DynamicWorkload, rng: &mut impl Rng) -> TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimd_graph::dag::is_acyclic;
+
+    /// Every edge runs forward in the topological order.
+    fn is_acyclic(p: &ProblemGraph) -> bool {
+        p.edges().all(|(u, v, _)| p.position(u) < p.position(v))
+    }
 
     #[test]
     fn gaussian_elimination_structure() {
         let p = gaussian_elimination(4, 2, 3, 1).unwrap();
         // 3 pivots + 3+2+1 updates = 9 tasks.
         assert_eq!(p.len(), 9);
-        assert!(is_acyclic(p.graph()));
+        assert!(is_acyclic(&p));
         // Pivot 0 has no predecessors; the last update column feeds
         // nothing.
         assert!(p.predecessors(0).is_empty());
@@ -403,7 +403,7 @@ mod tests {
     fn stencil_shape() {
         let p = stencil_1d(5, 3, 2, 1).unwrap();
         assert_eq!(p.len(), 15);
-        assert!(is_acyclic(p.graph()));
+        assert!(is_acyclic(&p));
         // Interior cell at step 1 has 3 predecessors; border has 2.
         assert_eq!(p.predecessors(5 + 2).len(), 3);
         assert_eq!(p.predecessors(5).len(), 2);
@@ -417,7 +417,7 @@ mod tests {
         let p = fft_butterfly(3, 1, 2).unwrap();
         // 8 points, 4 stages.
         assert_eq!(p.len(), 32);
-        assert!(is_acyclic(p.graph()));
+        assert!(is_acyclic(&p));
         // Every stage >= 1 task has exactly 2 predecessors.
         for s in 1..4 {
             for i in 0..8 {
@@ -433,7 +433,7 @@ mod tests {
         let p = divide_and_conquer(2, 1, 5, 2, 1).unwrap();
         // 3 splits + 4 leaves + 3 merges.
         assert_eq!(p.len(), 10);
-        assert!(is_acyclic(p.graph()));
+        assert!(is_acyclic(&p));
         assert!(p.predecessors(0).is_empty(), "root split starts");
         // Root merge is the unique sink.
         let sinks: Vec<_> = (0..p.len())
@@ -447,7 +447,7 @@ mod tests {
     fn pipeline_shape() {
         let p = pipeline(3, 4, 2, 1).unwrap();
         assert_eq!(p.len(), 12);
-        assert!(is_acyclic(p.graph()));
+        assert!(is_acyclic(&p));
         // First task of first stage is the only source.
         let sources: Vec<_> = (0..p.len())
             .filter(|&t| p.predecessors(t).is_empty())
@@ -468,7 +468,7 @@ mod tests {
             pipeline(4, 5, 3, 2).unwrap(),
         ] {
             assert!(p.sizes().iter().all(|&s| s > 0));
-            assert!(p.graph().edges().all(|(_, _, w)| w > 0));
+            assert!(p.edges().all(|(_, _, w)| w > 0));
         }
     }
 
@@ -499,7 +499,7 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{regime:?} event {i} ({event:?}) failed: {e}"));
                 let graph = state.materialize().unwrap();
                 assert_eq!(graph.num_clusters(), 4, "na is pinned to ns");
-                assert!(is_acyclic(graph.problem().graph()));
+                assert!(is_acyclic(graph.problem()));
             }
         }
     }

@@ -5,9 +5,8 @@ use proptest::prelude::*;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mimd_graph::dag::is_acyclic;
 use mimd_graph::error::GraphError;
-use mimd_graph::{SquareMatrix, WeightedDigraph};
+use mimd_graph::{SquareMatrix, Time};
 use mimd_taskgraph::clustering::chains::chain_clustering;
 use mimd_taskgraph::clustering::comm_greedy::comm_greedy_clustering;
 use mimd_taskgraph::clustering::load_balance::load_balanced_clustering;
@@ -34,17 +33,72 @@ fn generated(np: usize, seed: u64, locality: Option<usize>) -> mimd_taskgraph::P
         .generate(&mut StdRng::seed_from_u64(seed))
 }
 
+/// Every edge runs forward in the topological order.
+fn is_acyclic(p: &ProblemGraph) -> bool {
+    p.edges().all(|(u, v, _)| p.position(u) < p.position(v))
+}
+
+/// Sum of every edge weight.
+fn total_edge_weight(p: &ProblemGraph) -> u64 {
+    p.edges().map(|(_, _, w)| w).sum()
+}
+
+/// A random DAG on `n` tasks whose ids are not topological: forward
+/// edges over a shuffled ranking, listed in shuffled order.
+fn random_dag(n: usize, seed: u64, density: f64) -> ProblemGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rank: Vec<TaskId> = (0..n).collect();
+    for i in (1..n).rev() {
+        rank.swap(i, rng.gen_range(0..=i));
+    }
+    let mut edges = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.gen_bool(density) {
+                edges.push((rank[i], rank[j], rng.gen_range(1..=9)));
+            }
+        }
+    }
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.gen_range(0..=i));
+    }
+    let sizes = (0..n as Time).map(|i| 1 + i % 5).collect();
+    ProblemGraph::new(sizes, &edges).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn topo_order_is_a_valid_linearization(seed in 0u64..1000, n in 1usize..40) {
+        let g = random_dag(n, seed, 0.2);
+        prop_assert_eq!(g.topo_order().len(), n);
+        for (p, &t) in g.topo_order().iter().enumerate() {
+            prop_assert_eq!(g.position(t), p);
+        }
+        prop_assert!(is_acyclic(&g));
+    }
+
+    #[test]
+    fn longest_path_bounds(seed in 0u64..1000, n in 1usize..25) {
+        let g = random_dag(n, seed, 0.25);
+        let lp = g.critical_path();
+        let max_cost = g.sizes().iter().copied().max().unwrap_or(0);
+        prop_assert!(lp >= max_cost, "at least the heaviest single task");
+        prop_assert!(lp <= g.sequential_time() + total_edge_weight(&g), "at most everything serialized");
+        for (u, v, w) in g.edges() {
+            prop_assert!(lp >= g.size(u) + w + g.size(v), "at least any one edge");
+        }
+    }
 
     #[test]
     fn generated_graphs_are_valid_dags(np in 1usize..120, seed in 0u64..500) {
         let p = generated(np, seed, None);
         prop_assert_eq!(p.len(), np);
-        prop_assert!(is_acyclic(p.graph()));
+        prop_assert!(is_acyclic(&p));
         prop_assert!(p.sizes().iter().all(|&s| s >= 1));
         prop_assert!(p.sequential_time() >= p.len() as u64);
-        prop_assert!(p.critical_path() <= p.sequential_time() + p.graph().total_edge_weight());
+        prop_assert!(p.critical_path() <= p.sequential_time() + total_edge_weight(&p));
     }
 
     #[test]
@@ -54,7 +108,7 @@ proptest! {
         // expectation; verify the hard guarantee instead: edges exist
         // and the DAG is valid.
         let local = generated(np, seed, Some(1));
-        prop_assert!(is_acyclic(local.graph()));
+        prop_assert!(is_acyclic(&local));
         prop_assert!(local.graph().edge_count() >= 1);
     }
 
@@ -99,7 +153,7 @@ proptest! {
         let c = random_clustering(&p, na, &mut rng).unwrap();
         let g = ClusteredProblemGraph::new(p, c).unwrap();
         // clus_weight is the problem weight iff cross-cluster, else 0.
-        for (u, v, w) in g.problem().graph().edges() {
+        for (u, v, w) in g.problem().edges() {
             if g.clustering().same_cluster(u, v) {
                 prop_assert_eq!(g.clus_weight(u, v), 0);
             } else {
@@ -107,7 +161,7 @@ proptest! {
             }
         }
         // The cross edges are exactly the edges with a clustered weight.
-        let weighted: Vec<_> = (g.problem().graph().edges())
+        let weighted: Vec<_> = (g.problem().edges())
             .filter(|&(u, v, _)| g.clus_weight(u, v) != 0)
             .collect();
         prop_assert_eq!(g.cross_edges().collect::<Vec<_>>(), weighted);
@@ -178,7 +232,7 @@ proptest! {
         // Not a theorem for adversarial graphs, but holds for these
         // generator settings; failures would flag a regression in the
         // merge heuristic.
-        prop_assert!(greedy.total_cut_weight() <= random.total_cut_weight() + p.graph().total_edge_weight() / 10);
+        prop_assert!(greedy.total_cut_weight() <= random.total_cut_weight() + total_edge_weight(&p) / 10);
     }
 }
 
@@ -298,11 +352,10 @@ fn assert_consistent(state: &DynamicWorkload) {
         .edge_list()
         .map(|(u, v, w)| (index[&u], index[&v], w))
         .collect();
-    let graph = WeightedDigraph::from_edges(index.len(), &edges).unwrap();
     let sizes = snapshot.tasks.iter().map(|t| t.size).collect();
     let clusters = snapshot.tasks.iter().map(|t| t.cluster).collect();
     let expected = ClusteredProblemGraph::new(
-        ProblemGraph::new(graph, sizes).unwrap(),
+        ProblemGraph::new(sizes, &edges).unwrap(),
         Clustering::new(clusters).unwrap(),
     )
     .unwrap();
@@ -388,7 +441,7 @@ proptest! {
             prop_assert!(impact.touched_clusters.iter().all(|&c| c < na));
             let graph = state.materialize().unwrap();
             prop_assert_eq!(graph.num_clusters(), na);
-            prop_assert!(is_acyclic(graph.problem().graph()));
+            prop_assert!(is_acyclic(graph.problem()));
             assert_consistent(&state);
 
             let hostile = hostile_event(&state, &mut rng);
@@ -578,10 +631,7 @@ const WORKLOAD_PINS: &[(&str, u64, WorkloadPin)] = &[
 fn frozen_generators_reproduce_the_pinned_workloads() {
     for &(label, seed, pin) in WORKLOAD_PINS {
         let p = pinned_workload(label, &mut StdRng::seed_from_u64(seed));
-        let edges = p
-            .graph()
-            .edges()
-            .flat_map(|(u, v, w)| [u as u64, v as u64, w]);
+        let edges = p.edges().flat_map(|(u, v, w)| [u as u64, v as u64, w]);
         let got = (
             p.len(),
             fnv(edges),

@@ -6,18 +6,20 @@
 
 use proptest::prelude::*;
 
+use mimd::baselines::lee::levels;
 use mimd::core::critical::{CriticalAnalysis, CriticalityMode};
 use mimd::core::evaluate::evaluate_assignment;
 use mimd::core::ideal::IdealSchedule;
 use mimd::core::schedule::EvaluationModel;
 use mimd::core::{Assignment, Mapper};
-use mimd::graph::{SquareMatrix, WeightedDigraph};
+use mimd::engine::WorkloadSpec;
+use mimd::graph::SquareMatrix;
 use mimd::sim::{simulate, SimConfig};
 use mimd::taskgraph::clustering::random::random_clustering;
 use mimd::taskgraph::{ClusteredProblemGraph, GeneratorConfig, LayeredDagGenerator, ProblemGraph};
 use mimd::topology::{hypercube, mesh2d, ring, SystemGraph, TopologySpec};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn instance(np: usize, ns: usize, seed: u64) -> ClusteredProblemGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -128,12 +130,10 @@ proptest! {
             // Bump edge (u, v) by 1 and re-derive the ideal schedule.
             let bumped: Vec<_> = graph
                 .problem()
-                .graph()
                 .edges()
                 .map(|(a, b, x)| (a, b, if (a, b) == (u, v) { w + 1 } else { x }))
                 .collect();
-            let g2 = WeightedDigraph::from_edges(graph.num_tasks(), &bumped).unwrap();
-            let p2 = ProblemGraph::new(g2, graph.problem().sizes().to_vec()).unwrap();
+            let p2 = ProblemGraph::new(graph.problem().sizes().to_vec(), &bumped).unwrap();
             let graph2 =
                 ClusteredProblemGraph::new(p2, graph.clustering().clone()).unwrap();
             let lb2 = IdealSchedule::derive(&graph2).lower_bound();
@@ -181,7 +181,7 @@ proptest! {
         let a = Assignment::random(8, &mut StdRng::seed_from_u64(assign_seed));
         let eval = evaluate_assignment(&graph, &system, &a, EvaluationModel::Precedence).unwrap();
         for t in 0..graph.num_tasks() {
-            for &(u, _) in graph.problem().predecessors(t) {
+            for (u, _) in graph.problem().predecessors(t) {
                 let w = graph.clus_weight(u, t);
                 let comm = if w == 0 {
                     0
@@ -214,11 +214,10 @@ proptest! {
     fn schedule_monotone_in_comm(seed in 0u64..5000, bump in 1u64..4) {
         let graph = instance(30, 5, seed);
         let problem = graph.problem();
-        let edges: Vec<_> = (problem.graph().edges())
+        let edges: Vec<_> = (problem.edges())
             .map(|(u, v, w)| (u, v, w + bump))
             .collect();
-        let heavier = WeightedDigraph::from_edges(problem.len(), &edges).unwrap();
-        let heavier = ProblemGraph::new(heavier, problem.sizes().to_vec()).unwrap();
+        let heavier = ProblemGraph::new(problem.sizes().to_vec(), &edges).unwrap();
         let heavier = ClusteredProblemGraph::new(heavier, graph.clustering().clone()).unwrap();
         let base = IdealSchedule::derive(&graph);
         let bumped = IdealSchedule::derive(&heavier);
@@ -226,5 +225,145 @@ proptest! {
             prop_assert!(bumped.schedule().start(t) >= base.schedule().start(t));
         }
         prop_assert!(bumped.lower_bound() >= base.lower_bound());
+    }
+}
+
+type Edge = (usize, usize, u64);
+
+fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+/// Sizes and edges of a random DAG on `n` tasks whose ids are not
+/// topological: forward edges over a shuffled ranking of the tasks.
+fn random_dag(n: usize, density: f64, rng: &mut StdRng) -> (Vec<u64>, Vec<Edge>) {
+    let mut rank: Vec<usize> = (0..n).collect();
+    shuffle(&mut rank, rng);
+    let mut edges = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if rng.gen_bool(density) {
+                edges.push((rank[i], rank[j], rng.gen_range(1..=9)));
+            }
+        }
+    }
+    let sizes = (0..n).map(|_| rng.gen_range(1..=6)).collect();
+    (sizes, edges)
+}
+
+/// Kahn's algorithm in task space, the smallest ready id first, by
+/// rescanning the edge list.
+fn smallest_first_kahn(n: usize, edges: &[Edge]) -> Vec<usize> {
+    let mut indeg = vec![0; n];
+    for &(_, v, _) in edges {
+        indeg[v] += 1;
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut done = vec![false; n];
+    while let Some(t) = (0..n).find(|&t| !done[t] && indeg[t] == 0) {
+        done[t] = true;
+        order.push(t);
+        for &(_, v, _) in edges.iter().filter(|e| e.0 == t) {
+            indeg[v] -= 1;
+        }
+    }
+    order
+}
+
+/// The longest path in task space, relaxing every edge until nothing
+/// moves: a task ends its size after its latest predecessor's end plus
+/// the edge weight.
+fn task_space_longest_path(sizes: &[u64], edges: &[Edge]) -> u64 {
+    let mut end = sizes.to_vec();
+    let mut moved = true;
+    while moved {
+        moved = false;
+        for &(u, v, w) in edges {
+            if end[u] + w + sizes[v] > end[v] {
+                end[v] = end[u] + w + sizes[v];
+                moved = true;
+            }
+        }
+    }
+    end.into_iter().max().unwrap_or(0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A problem graph built from any workload's edges, or from a random
+    /// edge list, in shuffled order reads its input back in task space:
+    /// sorted edges, ascending and mirrored neighbor rows with the input
+    /// weights, the smallest-id-first topological order, the task-space
+    /// longest path, and identical JSON bytes after a round trip.
+    #[test]
+    fn problem_graphs_read_their_edge_list_back(kind in 0usize..8, scale in 0usize..40, seed in 0u64..5000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spec = match kind {
+            0 => Some(WorkloadSpec::Layered { tasks: 10 + 4 * scale, width: None }),
+            1 => Some(WorkloadSpec::PaperRegime { tasks: 10 + 4 * scale }),
+            2 => Some(WorkloadSpec::GaussianElimination { n: 2 + scale % 9 }),
+            3 => Some(WorkloadSpec::Stencil { width: 1 + scale % 9, steps: 1 + scale / 5 }),
+            4 => Some(WorkloadSpec::Fft { log2n: 1 + (scale % 5) as u32 }),
+            5 => Some(WorkloadSpec::DivideAndConquer { depth: 1 + (scale % 5) as u32 }),
+            6 => Some(WorkloadSpec::Pipeline { stages: 1 + scale % 6, tasks: 1 + scale / 4 }),
+            _ => None,
+        };
+        let (sizes, mut edges) = match spec {
+            Some(spec) => {
+                let p = spec.build(&mut rng).unwrap();
+                (p.sizes().to_vec(), p.edges().collect::<Vec<_>>())
+            }
+            None => random_dag(scale, 0.2, &mut rng),
+        };
+        let n = sizes.len();
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        shuffle(&mut edges, &mut rng);
+        let p = ProblemGraph::new(sizes.clone(), &edges).unwrap();
+
+        prop_assert_eq!(p.edges().collect::<Vec<_>>(), sorted.clone());
+        prop_assert_eq!(p.graph().edge_count(), edges.len());
+        let mut mirrored = 0;
+        for t in 0..n {
+            let succs: Vec<_> = p.successors(t).collect();
+            let preds: Vec<_> = p.predecessors(t).collect();
+            prop_assert_eq!(p.successors(t).len(), succs.len());
+            prop_assert_eq!(p.predecessors(t).is_empty(), preds.is_empty());
+            prop_assert!(succs.windows(2).all(|w| w[0].0 < w[1].0), "successors of {} ascend", t);
+            prop_assert!(preds.windows(2).all(|w| w[0].0 < w[1].0), "predecessors of {} ascend", t);
+            for &(v, w) in &succs {
+                prop_assert!(p.predecessors(v).any(|back| back == (t, w)), "{} -> {} mirrored", t, v);
+                prop_assert_eq!(p.weight(t, v), Some(w));
+                prop_assert!(sorted.binary_search(&(t, v, w)).is_ok());
+            }
+            mirrored += preds.len();
+        }
+        prop_assert_eq!(mirrored, edges.len());
+        prop_assert_eq!(p.topo_order(), &smallest_first_kahn(n, &edges)[..]);
+        prop_assert_eq!(p.critical_path(), task_space_longest_path(&sizes, &edges));
+
+        let json = serde_json::to_string(&p).unwrap();
+        let back: ProblemGraph = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &p);
+        prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
+    fn levels_increase_along_edges(seed in 0u64..1000, n in 2usize..30) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (sizes, edges) = random_dag(n, 0.25, &mut rng);
+        let p = ProblemGraph::new(sizes, &edges).unwrap();
+        let lvl = levels(&p);
+        for (u, v, _) in p.edges() {
+            prop_assert!(lvl[u] < lvl[v]);
+        }
+        // Each level is exactly one past the deepest predecessor.
+        for t in 0..n {
+            let deepest = p.predecessors(t).map(|(u, _)| lvl[u] + 1).max();
+            prop_assert_eq!(lvl[t], deepest.unwrap_or(0));
+        }
     }
 }

@@ -63,7 +63,7 @@ impl CriticalAnalysis {
             in_worklist[t] = true;
             stack.push(t);
         }
-        // Each task enters the worklist once and the digraph lists each
+        // Each task enters the worklist once and the rows list each
         // predecessor once, so every edge `(u, v)` is examined once.
         let mut critical_edges = Vec::new();
         while let Some(v) = stack.pop() {

@@ -1,6 +1,5 @@
 //! A small fixed-capacity bit set for visited marks and the refiner's
-//! cluster-pair and movability flags. `u64`-word backed; no external
-//! dependencies.
+//! pair and movability flags. `u64`-word backed; no external dependencies.
 
 use serde::{Deserialize, Serialize};
 

@@ -8,10 +8,9 @@ use std::fmt::Write as _;
 use crate::csr::Csr;
 use crate::{NodeId, Weight};
 
-/// Render the weighted digraph on nodes `0..n` with `edges`
-/// `(from, to, weight)` as a DOT `digraph`, with edge weights as labels
-/// and optional node labels (e.g. `"3 (w=2)"` for task 3 of weight 2).
-/// `node_label(v)` returning `None` falls back to the index.
+/// Render nodes `0..n` and `(from, to, weight)` edges as a DOT `digraph`
+/// with edge weights as labels and optional node labels (e.g. `"3 (w=2)"`
+/// for task 3 of weight 2); `node_label(v)` of `None` shows the index.
 pub fn digraph_to_dot<F>(
     n: usize,
     edges: impl IntoIterator<Item = (NodeId, NodeId, Weight)>,

@@ -1,11 +1,12 @@
 //! The *clustered problem graph* (Fig 3): the problem graph with
 //! intra-cluster edge weights removed.
 //!
-//! The paper's subtlety (§4.1): a task's *predecessors* must still be
-//! looked up in the original problem graph — the clustered matrix has
-//! lost intra-cluster edges — while *communication weights* come from the
-//! clustered matrix (zero within a cluster). [`ClusteredProblemGraph`]
-//! bundles both views so schedule derivations cannot get this wrong.
+//! The paper's subtlety (§4.1): a task's *predecessors* are still those
+//! of the original problem graph, while *communication weights* are zero
+//! within a cluster. No clustered matrix is stored: a
+//! [`ClusteredProblemGraph`] pairs the problem graph's rows with a
+//! clustering, and a clustered weight is the weight of the row entry
+//! read, or 0 inside a cluster.
 
 use std::sync::Arc;
 
@@ -76,7 +77,7 @@ impl ClusteredProblemGraph {
 
     /// The clustered communication weight `clus_edge[u][v]`: the problem
     /// edge weight if `u -> v` crosses clusters, 0 if they share a
-    /// cluster (or there is no edge).
+    /// cluster (or there is no edge), found by a search of `u`'s row.
     #[inline]
     pub fn clus_weight(&self, u: TaskId, v: TaskId) -> Weight {
         if self.clustering.same_cluster(u, v) {

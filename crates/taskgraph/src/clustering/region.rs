@@ -38,12 +38,16 @@ pub fn random_region_clustering(
             "need 1 <= na <= np, got na={na}, np={np}"
         )));
     }
-    // Undirected adjacency over the dependency edges.
-    let mut adj: Vec<Vec<TaskId>> = vec![Vec::new(); np];
-    for (u, v, _) in problem.edges() {
-        adj[u].push(v);
-        adj[v].push(u);
-    }
+    // Undirected neighbors, read from the rows in the order of the
+    // edges `(from, to)`: predecessors below `t`, successors, then
+    // predecessors above `t`.
+    let adj = |t: TaskId| {
+        let preds = problem.predecessors(t).map(|(u, _)| u);
+        let succs = problem.successors(t).map(|(v, _)| v);
+        (preds.clone().filter(move |&u| u < t))
+            .chain(succs)
+            .chain(preds.filter(move |&u| u > t))
+    };
     let target = np.div_ceil(na);
     let mut cluster_of = vec![usize::MAX; np];
     let mut unassigned: Vec<TaskId> = (0..np).collect();
@@ -65,11 +69,8 @@ pub fn random_region_clustering(
         let seed = unassigned[rng.gen_range(0..unassigned.len())];
         cluster_of[seed] = c;
         remove_unassigned(&mut unassigned, seed);
-        let mut frontier: Vec<TaskId> = adj[seed]
-            .iter()
-            .copied()
-            .filter(|&t| cluster_of[t] == usize::MAX)
-            .collect();
+        let mut frontier: Vec<TaskId> =
+            adj(seed).filter(|&t| cluster_of[t] == usize::MAX).collect();
         let mut size = 1;
         while size < budget && !unassigned.is_empty() {
             frontier.retain(|&t| cluster_of[t] == usize::MAX);
@@ -82,20 +83,12 @@ pub fn random_region_clustering(
             cluster_of[next] = c;
             remove_unassigned(&mut unassigned, next);
             size += 1;
-            frontier.extend(
-                adj[next]
-                    .iter()
-                    .copied()
-                    .filter(|&t| cluster_of[t] == usize::MAX),
-            );
+            frontier.extend(adj(next).filter(|&t| cluster_of[t] == usize::MAX));
         }
     }
     // Leftovers: join a random assigned neighbor's region.
     while let Some(&t) = unassigned.last() {
-        let neighbor_cluster = adj[t]
-            .iter()
-            .map(|&x| cluster_of[x])
-            .find(|&c| c != usize::MAX);
+        let neighbor_cluster = adj(t).map(|x| cluster_of[x]).find(|&c| c != usize::MAX);
         let c = neighbor_cluster.unwrap_or_else(|| rng.gen_range(0..na));
         cluster_of[t] = c;
         unassigned.pop();

@@ -27,7 +27,7 @@
 //!   mutating a [`DynamicWorkload`], the mutable counterpart of
 //!   [`ClusteredProblemGraph`] that `mimd-online` remaps incrementally.
 //! * [`rows`] — [`PositionRows`], a task DAG laid out in topological
-//!   position order (frozen once per [`ProblemGraph`]), and
+//!   position order (the one form of a [`ProblemGraph`]), and
 //!   [`ClusterRows`](rows::ClusterRows), a clustering of it: what the
 //!   delta evaluator sweeps, and the one copy of a [`DynamicWorkload`]'s
 //!   graph.

@@ -11,6 +11,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::Zip;
+use std::slice;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -78,25 +80,21 @@ impl ProblemGraph {
         task_size: Vec<Time>,
         edges: &[(TaskId, TaskId, Weight)],
     ) -> Result<Self, GraphError> {
-        check_sizes(&task_size)?;
-        let succ = Successors::new(task_size.len(), edges)?;
+        check_sizes(task_size.len(), &task_size)?;
+        let succ = Successors::new(task_size.len(), edges.iter().copied())?;
         ProblemGraph::freeze(task_size, &succ)
     }
 
     /// Order the checked successor rows topologically and lay them out:
     /// the checks past the edges'.
     fn freeze(task_size: Vec<Time>, succ: &Successors) -> Result<Self, GraphError> {
-        let topo = succ.topo_order()?;
+        let (topo, pos) = succ.topo_order()?;
         fit_u32("np", task_size.len())?;
-        fit_u32("edge count", succ.adj.len())?;
+        fit_u32("edge count", succ.edges().count())?;
         let sizes: u128 = task_size.iter().map(|&s| u128::from(s)).sum();
-        let weights: u128 = succ.adj.iter().map(|&(_, w)| u128::from(w)).sum();
+        let weights: u128 = succ.edges().map(|&(_, w)| u128::from(w)).sum();
         check_total_weight(sizes + weights)?;
-        let mut pos = vec![0u32; topo.len()];
-        for (p, &t) in topo.iter().enumerate() {
-            pos[t] = p as u32;
-        }
-        let rows = PositionRows::freeze(&task_size, topo, &pos, |t| succ.row(t));
+        let rows = PositionRows::freeze(&task_size, topo, &pos, &succ.0);
         Ok(ProblemGraph {
             rows,
             task_size,
@@ -172,14 +170,23 @@ impl ProblemGraph {
     /// task id — the paper scans column `t` of `prob_edge` for this.
     #[inline]
     pub fn predecessors(&self, t: TaskId) -> Neighbors<'_> {
-        Neighbors::new(self.rows.preds(self.position(t)), self.rows.tasks())
+        self.neighbors(self.rows.preds(self.position(t)))
     }
 
     /// Successors of `t` with communication weights, ascending by task
     /// id.
     #[inline]
     pub fn successors(&self, t: TaskId) -> Neighbors<'_> {
-        Neighbors::new(self.rows.succs(self.position(t)), self.rows.tasks())
+        self.neighbors(self.rows.succs(self.position(t)))
+    }
+
+    #[inline]
+    fn neighbors<'a>(&'a self, (at, w): (&'a [u32], &'a [Weight])) -> Neighbors<'a> {
+        let task = self.rows.tasks();
+        Neighbors {
+            row: at.iter().zip(w),
+            task,
+        }
     }
 
     /// Every edge as `(from, to, weight)`, ascending by `(from, to)`.
@@ -219,20 +226,11 @@ impl ProblemGraph {
 /// ascending by task id: one row of the DAG read back in task space.
 #[derive(Clone, Debug)]
 pub struct Neighbors<'a> {
-    at: std::slice::Iter<'a, u32>,
-    w: std::slice::Iter<'a, Weight>,
+    row: Zip<slice::Iter<'a, u32>, slice::Iter<'a, Weight>>,
     task: &'a [TaskId],
 }
 
-impl<'a> Neighbors<'a> {
-    fn new((at, w): (&'a [u32], &'a [Weight]), task: &'a [TaskId]) -> Self {
-        Neighbors {
-            at: at.iter(),
-            w: w.iter(),
-            task,
-        }
-    }
-
+impl Neighbors<'_> {
     /// `true` iff no neighbor is left.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -244,18 +242,24 @@ impl Iterator for Neighbors<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(TaskId, Weight)> {
-        Some((self.task[*self.at.next()? as usize], *self.w.next()?))
+        let (&p, &w) = self.row.next()?;
+        Some((self.task[p as usize], w))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.at.size_hint()
+        self.row.size_hint()
     }
 }
 
 impl ExactSizeIterator for Neighbors<'_> {}
 
-/// Refuse a zero task size.
-fn check_sizes(task_size: &[Time]) -> Result<(), GraphError> {
+/// Refuse `task_size` unless it holds one positive size for each of `n`
+/// tasks.
+fn check_sizes(n: usize, task_size: &[Time]) -> Result<(), GraphError> {
+    if n != task_size.len() {
+        let (left, right) = (n, task_size.len());
+        return Err(GraphError::SizeMismatch { left, right });
+    }
     match task_size.iter().position(|&s| s == 0) {
         Some(t) => Err(GraphError::InvalidParameter(format!(
             "task {t} has zero execution time; tasks take >= 1 time unit"
@@ -265,35 +269,32 @@ fn check_sizes(task_size: &[Time]) -> Result<(), GraphError> {
 }
 
 /// Successor rows by task, each ascending by task id: the scratch a
-/// problem graph's edge list is checked into and ordered from, dropped
+/// problem graph's edges are checked into and ordered from, dropped
 /// once the rows are laid out.
-struct Successors {
-    /// `off[u]..off[u + 1]` is `u`'s row of `adj`.
-    off: Vec<usize>,
-    adj: Vec<(TaskId, Weight)>,
-}
+struct Successors(Vec<Vec<(TaskId, Weight)>>);
 
 impl Successors {
     /// Check every edge in input order (endpoints in `0..n`, no
     /// self-loop, positive weight), bucket the edges by `from`, sort
     /// each row and refuse an edge listed twice.
-    fn new(n: usize, edges: &[(TaskId, TaskId, Weight)]) -> Result<Self, GraphError> {
-        let mut off = vec![0usize; n + 1];
-        for &(from, to, w) in edges {
-            check_edge(n, from, to, w)?;
-            off[from + 1] += 1;
+    fn new(
+        n: usize,
+        edges: impl IntoIterator<Item = (TaskId, TaskId, Weight)>,
+    ) -> Result<Self, GraphError> {
+        let mut rows = vec![Vec::new(); n];
+        for (from, to, w) in edges {
+            if let Some(node) = [from, to].into_iter().find(|&node| node >= n) {
+                return Err(GraphError::NodeOutOfRange { node, len: n });
+            }
+            if from == to {
+                return Err(GraphError::SelfLoop(from));
+            }
+            if w == 0 {
+                return Err(GraphError::ZeroWeight { from, to });
+            }
+            rows[from].push((to, w));
         }
-        for u in 0..n {
-            off[u + 1] += off[u];
-        }
-        let mut adj = vec![(0, 0); edges.len()];
-        let mut cursor = off[..n].to_vec();
-        for &(from, to, w) in edges {
-            adj[cursor[from]] = (to, w);
-            cursor[from] += 1;
-        }
-        for u in 0..n {
-            let row = &mut adj[off[u]..off[u + 1]];
+        for (u, row) in rows.iter_mut().enumerate() {
             row.sort_unstable_by_key(|&(v, _)| v);
             if let Some(twice) = row.windows(2).find(|pair| pair[0].0 == pair[1].0) {
                 return Err(GraphError::InvalidParameter(format!(
@@ -302,84 +303,42 @@ impl Successors {
                 )));
             }
         }
-        Ok(Successors { off, adj })
+        Ok(Successors(rows))
     }
 
-    fn len(&self) -> usize {
-        self.off.len() - 1
-    }
-
-    fn row(&self, u: TaskId) -> &[(TaskId, Weight)] {
-        &self.adj[self.off[u]..self.off[u + 1]]
+    fn edges(&self) -> impl Iterator<Item = &(TaskId, Weight)> {
+        self.0.iter().flatten()
     }
 
     /// Kahn's algorithm, the smallest ready id first so the order is
-    /// deterministic, in `O(E + V log V)`; a cycle leaves tasks unordered.
-    fn topo_order(&self) -> Result<Vec<TaskId>, GraphError> {
-        let mut indeg = vec![0usize; self.len()];
-        for &(v, _) in &self.adj {
-            indeg[v] += 1;
-        }
-        let mut ready: BinaryHeap<Reverse<TaskId>> = (0..self.len())
-            .filter(|&v| indeg[v] == 0)
-            .map(Reverse)
-            .collect();
-        let mut order = Vec::with_capacity(self.len());
+    /// deterministic, in `O(E + V log V)`: the order and each task's
+    /// position in it. A cycle leaves tasks unordered.
+    fn topo_order(&self) -> Result<(Vec<TaskId>, Vec<u32>), GraphError> {
+        let n = self.0.len();
+        let mut indeg = vec![0usize; n];
+        self.edges().for_each(|&(v, _)| indeg[v] += 1);
+        let mut ready: BinaryHeap<_> = (0..n).filter(|&v| indeg[v] == 0).map(Reverse).collect();
+        let (mut order, mut pos) = (Vec::with_capacity(n), vec![0; n]);
         while let Some(Reverse(u)) = ready.pop() {
+            pos[u] = order.len() as u32;
             order.push(u);
-            for &(v, _) in self.row(u) {
+            for &(v, _) in &self.0[u] {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     ready.push(Reverse(v));
                 }
             }
         }
-        if order.len() != self.len() {
+        if order.len() != n {
             return Err(GraphError::CycleDetected);
         }
-        Ok(order)
+        Ok((order, pos))
     }
-
-    /// `true` iff `preds` lists, per task, exactly the edges into it in
-    /// ascending order of their source.
-    fn mirrored_by(&self, preds: &[Vec<(TaskId, Weight)>]) -> bool {
-        if preds.len() != self.len() {
-            return false;
-        }
-        let mut seen = vec![0; preds.len()];
-        for u in 0..self.len() {
-            for &(v, w) in self.row(u) {
-                if preds[v].get(seen[v]) != Some(&(u, w)) {
-                    return false;
-                }
-                seen[v] += 1;
-            }
-        }
-        (0..preds.len()).all(|v| seen[v] == preds[v].len())
-    }
-}
-
-/// What every edge must satisfy: endpoints in `0..n`, no self-loop,
-/// positive weight.
-fn check_edge(n: usize, from: TaskId, to: TaskId, w: Weight) -> Result<(), GraphError> {
-    for node in [from, to] {
-        if node >= n {
-            return Err(GraphError::NodeOutOfRange { node, len: n });
-        }
-    }
-    if from == to {
-        return Err(GraphError::SelfLoop(from));
-    }
-    if w == 0 {
-        return Err(GraphError::ZeroWeight { from, to });
-    }
-    Ok(())
 }
 
 /// The JSON form `{graph: {n, succs, preds, edge_count}, task_size,
 /// topo}`: both row lists in task space, as files written before the
-/// graph was laid out by position spell it. The position rows are
-/// derived, so a file does not carry them.
+/// graph was laid out by position spell it.
 impl Serialize for ProblemGraph {
     fn to_value(&self) -> Value {
         let rows = |row: fn(&Self, TaskId) -> Neighbors<'_>| {
@@ -415,17 +374,20 @@ impl Deserialize for Successors {
                 succs.len()
             )));
         }
-        let edges: Vec<_> = (0..n)
-            .flat_map(|u| succs[u].iter().map(move |&(v, w)| (u, v, w)))
-            .collect();
-        let succ = Successors::new(n, &edges).map_err(|e| DeError(e.to_string()))?;
-        if edge_count != succ.adj.len() {
+        let edges = (succs.iter().enumerate())
+            .flat_map(|(u, row)| row.iter().map(move |&(v, w)| (u, v, w)));
+        let succ = Successors::new(n, edges).map_err(|e| DeError(e.to_string()))?;
+        let listed = succ.edges().count();
+        if edge_count != listed {
             return Err(DeError(format!(
-                "edge_count {edge_count}, but succs lists {} edges",
-                succ.adj.len()
+                "edge_count {edge_count}, but succs lists {listed} edges"
             )));
         }
-        if !succ.mirrored_by(&preds) {
+        let mut mirror = vec![Vec::new(); n];
+        for (u, row) in succ.0.iter().enumerate() {
+            row.iter().for_each(|&(v, w)| mirror[v].push((u, w)));
+        }
+        if preds != mirror {
             return Err(DeError("preds do not mirror succs".into()));
         }
         Ok(succ)
@@ -441,13 +403,7 @@ impl Deserialize for ProblemGraph {
         let task_size: Vec<Time> = serde::field(obj, "task_size")?;
         let topo: Vec<TaskId> = serde::field(obj, "topo")?;
         let refused = |e: GraphError| DeError(e.to_string());
-        if succ.len() != task_size.len() {
-            return Err(refused(GraphError::SizeMismatch {
-                left: succ.len(),
-                right: task_size.len(),
-            }));
-        }
-        check_sizes(&task_size).map_err(refused)?;
+        check_sizes(succ.0.len(), &task_size).map_err(refused)?;
         let p = ProblemGraph::freeze(task_size, &succ).map_err(refused)?;
         if topo != p.topo_order() {
             return Err(DeError("topo is not the topological order of graph".into()));
@@ -626,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_cycles_and_zero_sizes() {
+    fn rejects_cycles_zero_sizes_and_mismatches() {
         assert_eq!(
             build(2, &[(0, 1, 1), (1, 0, 1)]),
             Err(GraphError::CycleDetected)
@@ -637,6 +593,11 @@ mod tests {
             Err(GraphError::InvalidParameter(msg)) => assert!(msg.contains("zero"), "{msg}"),
             other => panic!("{other:?}"),
         }
+        // A file whose sizes do not match its tasks is refused.
+        let json = serde_json::to_string(&build(2, &[(0, 1, 1)]).unwrap()).unwrap();
+        let edited = json.replacen("\"task_size\":[1,1]", "\"task_size\":[1]", 1);
+        let err = serde_json::from_str::<ProblemGraph>(&edited).unwrap_err();
+        assert!(err.to_string().contains("size mismatch"), "{err}");
     }
 
     #[test]
@@ -707,11 +668,6 @@ mod tests {
         assert_eq!(path(vec![1; 4]), 11);
         assert_eq!(path(vec![1, 1, 4, 1]), 14);
         assert_eq!(path(vec![1, 3, 1, 1]), 11);
-        // A file whose sizes do not match its tasks is refused.
-        let json = serde_json::to_string(&build(2, &[(0, 1, 1)]).unwrap()).unwrap();
-        let edited = json.replacen("\"task_size\":[1,1]", "\"task_size\":[1]", 1);
-        let err = serde_json::from_str::<ProblemGraph>(&edited).unwrap_err();
-        assert!(err.to_string().contains("size mismatch"), "{err}");
     }
 
     #[test]

@@ -190,22 +190,19 @@ pub struct PositionRows {
 
 impl PositionRows {
     /// Lay the tasks out in the topological order `topo` (`pos[t]` is
-    /// task `t`'s position in it), with execution times `sizes` and
-    /// `succ(t)` the successor row of task `t`, ascending by task id;
-    /// both row kinds come out ascending by task id.
+    /// task `t`'s position), with execution times `sizes` and successor
+    /// rows `succ[t]` ascending by task id, as both row kinds come out.
     /// [`ProblemGraph::new`](crate::ProblemGraph::new) has fit the task
     /// and edge counts to `u32`.
-    pub(crate) fn freeze<'a>(
+    pub(crate) fn freeze(
         sizes: &[Time],
         topo: Vec<TaskId>,
         pos: &[u32],
-        succ: impl Fn(TaskId) -> &'a [(TaskId, Weight)],
+        succ: &[Vec<(TaskId, Weight)>],
     ) -> PositionRows {
-        let n = topo.len();
-        let e = (0..n).map(|t| succ(t).len()).sum();
+        let (n, e) = (topo.len(), succ.iter().map(Vec::len).sum());
         let mut rows = PositionRows {
             size: topo.iter().map(|&t| sizes[t]).collect(),
-            task: Vec::new(),
             pred: Pool {
                 span: Vec::with_capacity(n),
                 pos: vec![0; e],
@@ -214,13 +211,13 @@ impl PositionRows {
             succ: Pool::with_capacity(n, e),
             live: n,
             edges: e,
-            scratch: Vec::new(),
+            ..PositionRows::default()
         };
         let mut in_degree = vec![0u32; n];
         for &t in &topo {
-            let row = succ(t);
-            rows.succ.push_row(row.iter().map(|&(v, w)| (pos[v], w)));
-            for &(v, _) in row {
+            rows.succ
+                .push_row(succ[t].iter().map(|&(v, w)| (pos[v], w)));
+            for &(v, _) in &succ[t] {
                 in_degree[pos[v] as usize] += 1;
             }
         }
@@ -231,8 +228,8 @@ impl PositionRows {
             rows.pred.span.push(Span(end, end));
             end += d;
         }
-        for u in 0..n {
-            for &(v, w) in succ(u) {
+        for (u, row) in succ.iter().enumerate() {
+            for &(v, w) in row {
                 let span = &mut rows.pred.span[pos[v] as usize];
                 rows.pred.pos[span.1 as usize] = pos[u];
                 rows.pred.w[span.1 as usize] = w;
@@ -297,16 +294,13 @@ impl PositionRows {
     /// cluster.
     pub fn longest_path(&self, cost: impl Fn(usize, usize, Weight) -> Weight) -> Time {
         let mut end = vec![0 as Time; self.len()];
-        let mut longest = 0;
         for p in 0..self.len() {
             let (preds, weights) = self.preds(p);
-            let ready = (preds.iter().zip(weights))
-                .map(|(&u, &w)| end[u as usize] + cost(u as usize, p, w))
-                .max();
-            end[p] = ready.unwrap_or(0) + self.size[p];
-            longest = longest.max(end[p]);
+            let ready = preds.iter().zip(weights);
+            let ready = ready.map(|(&u, &w)| end[u as usize] + cost(u as usize, p, w));
+            end[p] = ready.max().unwrap_or(0) + self.size[p];
         }
-        longest
+        end.into_iter().max().unwrap_or(0)
     }
 
     /// Bytes held by the layout's buffers (capacities, not lengths).

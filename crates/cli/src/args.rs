@@ -1,6 +1,7 @@
 //! The command table's types, its flag parser and usage renderer, and
 //! the `--spec` topology mini-language.
 
+use std::io;
 use std::str::FromStr;
 
 use rand::Rng;
@@ -22,8 +23,40 @@ pub struct Command {
     pub flags: &'static [FlagSpec],
     /// What the command does, for the usage text.
     pub about: &'static str,
-    /// The handler.
-    pub run: fn(&Flags) -> Result<(), String>,
+    /// The handler: everything it prints goes to the writer, stdout.
+    pub run: fn(&Flags, &mut dyn io::Write) -> Result<(), Stop>,
+}
+
+/// Why a command stopped before it finished.
+#[derive(Debug)]
+pub enum Stop {
+    /// A refusal or a failure, reported on stderr with the usage text.
+    Failed(String),
+    /// The reader closed stdout (`mimd … | head`): a clean stop, with
+    /// nothing more to report.
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Stop {
+        Stop::Failed(message)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(message: &str) -> Stop {
+        Stop::Failed(message.into())
+    }
+}
+
+/// A failed write to stdout.
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Failed(format!("writing stdout: {e}")),
+        }
+    }
 }
 
 /// A command line parsed against its [`Command`]: every flag is known,
@@ -237,7 +270,7 @@ pub fn build_topology(spec: &str, rng: &mut impl Rng) -> Result<SystemGraph, Str
 mod tests {
     use super::*;
 
-    fn noop(_: &Flags) -> Result<(), String> {
+    fn noop(_: &Flags, _: &mut dyn io::Write) -> Result<(), Stop> {
         Ok(())
     }
 

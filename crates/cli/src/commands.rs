@@ -1,5 +1,6 @@
 //! The `mimd` subcommands.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -20,7 +21,9 @@ use mimd_taskgraph::{
 use mimd_telemetry::{GainLedger, Journal, JournalSnapshot, Recorder};
 use mimd_topology::SystemGraph;
 
-use crate::args::{build_topology, parse_topology, render_commands, Command, FlagSpec, Flags};
+use crate::args::{
+    build_topology, parse_topology, render_commands, Command, FlagSpec, Flags, Stop,
+};
 
 const TASKS: FlagSpec = ("tasks", Some("<n>"));
 const WORKLOAD: FlagSpec = ("workload", Some("<kind:params>"));
@@ -273,8 +276,8 @@ pub fn usage() -> String {
     )
 }
 
-/// Route a command line to its handler.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// Route a command line to its handler, which prints to `out`.
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), Stop> {
     let Some((name, rest)) = argv.split_first() else {
         return Err("no command given".into());
     };
@@ -282,7 +285,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         .iter()
         .find(|c| c.name == name)
         .ok_or_else(|| format!("unknown command '{name}'"))?;
-    (command.run)(&Flags::parse(command, rest)?)
+    (command.run)(&Flags::parse(command, rest)?, out)
 }
 
 /// The workload `--workload` names, else the `--tasks`/`--width`
@@ -309,54 +312,58 @@ fn problem_from_flags(flags: &Flags, rng: &mut StdRng) -> Result<ProblemGraph, S
         .map_err(|e| e.to_string())
 }
 
-fn cmd_generate(flags: &Flags) -> Result<(), String> {
+fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let p = problem_from_flags(flags, &mut rng)?;
     if flags.has("dot") {
         let label = |v: usize| Some(format!("{} (w={})", v + 1, p.size(v)));
-        print!(
+        write!(
+            out,
             "{}",
             dot::digraph_to_dot(p.len(), p.edges(), "problem", label)
-        );
+        )?;
         return Ok(());
     }
     if flags.has("json") {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&p).map_err(|e| e.to_string())?
-        );
+        )?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "problem graph: {} tasks, {} edges, sequential {}, critical path {}",
         p.len(),
         p.graph().edge_count(),
         p.sequential_time(),
         p.critical_path()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_topology(flags: &Flags) -> Result<(), String> {
+fn cmd_topology(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let spec = flags.get("spec").ok_or("topology needs --spec")?;
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let sys = build_topology(spec, &mut rng)?;
     if flags.has("dot") {
-        print!("{}", dot::ungraph_to_dot(sys.graph(), "system"));
+        write!(out, "{}", dot::ungraph_to_dot(sys.graph(), "system"))?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{}: {} processors, {} links, diameter {}, degrees {:?}",
         sys.name(),
         sys.len(),
         sys.graph().edge_count(),
         sys.diameter(),
         (0..sys.len()).map(|s| sys.degree(s)).collect::<Vec<_>>()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_map(flags: &Flags) -> Result<(), String> {
+fn cmd_map(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let spec = flags.get("spec").ok_or("map needs --spec")?;
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let system = build_topology(spec, &mut rng)?;
@@ -371,14 +378,12 @@ fn cmd_map(flags: &Flags) -> Result<(), String> {
     if algorithm != "multilevel" {
         for only_multilevel in ["direct-threshold", "refine-rounds", "refine-batch"] {
             if flags.has(only_multilevel) {
-                return Err(format!(
-                    "--{only_multilevel} requires --algorithm multilevel"
-                ));
+                return Err(format!("--{only_multilevel} requires --algorithm multilevel").into());
             }
         }
     }
     if algorithm != "paper" {
-        return map_via_registry(algorithm, &clustered, &system, flags, &mut rng);
+        return map_via_registry(algorithm, &clustered, &system, flags, &mut rng, out);
     }
     let model = if flags.has("serialized") {
         EvaluationModel::Serialized
@@ -403,7 +408,7 @@ fn cmd_map(flags: &Flags) -> Result<(), String> {
             assignment: result.assignment,
         },
     };
-    report.print(&clustered, &system, flags, &mut rng)
+    report.print(&clustered, &system, flags, &mut rng, out)
 }
 
 /// The non-paper `mimd map` path: run any registry algorithm (selected
@@ -416,7 +421,8 @@ fn map_via_registry(
     system: &SystemGraph,
     flags: &Flags,
     rng: &mut StdRng,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     if flags.has("serialized") {
         return Err("--serialized only applies to --algorithm paper".into());
     }
@@ -453,7 +459,7 @@ fn map_via_registry(
         initial_total: None,
         outcome,
     };
-    report.print(clustered, system, flags, rng)
+    report.print(clustered, system, flags, rng, out)
 }
 
 /// One mapping as `mimd map` reports it, whichever algorithm found it.
@@ -478,7 +484,8 @@ impl MapReport {
         system: &SystemGraph,
         flags: &Flags,
         rng: &mut StdRng,
-    ) -> Result<(), String> {
+        out: &mut dyn Write,
+    ) -> Result<(), Stop> {
         let reps = flags.num("reps", 32usize)?;
         let (rand_mean, rand_min, rand_max) =
             random_mapping_average(clustered, system, self.model, reps, rng)
@@ -519,11 +526,12 @@ impl MapReport {
         for (metric, value) in rows {
             table.push_row(vec![metric, value]);
         }
-        println!("{}", table.render());
-        println!(
+        writeln!(out, "{}", table.render())?;
+        writeln!(
+            out,
             "assignment (cluster -> processor): {:?}",
             assignment.sys_of_vec()
-        );
+        )?;
         if flags.has("gantt") {
             let eval = evaluate_assignment(clustered, system, assignment, self.model)
                 .map_err(|e| e.to_string())?;
@@ -536,7 +544,7 @@ impl MapReport {
                     end: eval.schedule.end(t),
                 });
             }
-            println!("{}", gantt.render(100));
+            writeln!(out, "{}", gantt.render(100))?;
         }
         Ok(())
     }
@@ -544,7 +552,7 @@ impl MapReport {
 
 /// `mimd trace`: generate a synthetic churn trace (header + events) for
 /// `mimd replay` and the online benchmarks.
-fn cmd_trace(flags: &Flags) -> Result<(), String> {
+fn cmd_trace(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let spec_text = flags.get("spec").ok_or("trace needs --spec")?;
     let topology = parse_topology(spec_text)?;
     let seed = flags.num("seed", 1991u64)?;
@@ -556,7 +564,9 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let regime = ChurnRegime::parse(flags.get("regime").unwrap_or("mixed"))?;
     let (header, trace) =
         mimd_online::synthesize_trace(topology, seed, &base, events, regime, &mut rng);
-    mimd_online::write_trace(output(flags)?, &header, &trace).map_err(|e| e.to_string())?;
+    let mut sink = output(flags, out)?;
+    let write_error = mimd_online::write_trace(&mut sink, &header, &trace).err();
+    finish_stream(sink, write_error, "trace")?;
     eprintln!(
         "trace: {} events ({regime:?}) on {} ({} tasks, {} clusters)",
         trace.len(),
@@ -569,8 +579,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
 
 /// `mimd replay`: feed a trace through the incremental remapper,
 /// emitting one JSONL record per event.
-fn cmd_replay(flags: &Flags) -> Result<(), String> {
-    use std::io::Write;
+fn cmd_replay(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     if flags.has("scratch") && flags.has("staleness") {
         return Err(
             "--scratch forces full V-cycles per event and overrides --staleness; \
@@ -604,9 +613,9 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
         ..mimd_service::ServiceConfig::default()
     });
 
-    let mut sink = output(flags)?;
+    let mut sink = output(flags, out)?;
     let seed = flags.num("seed", 1991u64)?;
-    let mut write_error: Option<std::io::Error> = None;
+    let mut write_error: Option<io::Error> = None;
     let summary = service.replay(&header, &events, &config, seed, |record| {
         if write_error.is_none() {
             if let Err(e) = writeln!(sink, "{}", record.to_json_line()) {
@@ -614,9 +623,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
             }
         }
     })?;
-    if !finish_stream(sink, write_error, "records")? {
-        return Ok(());
-    }
+    finish_stream(sink, write_error, "records")?;
 
     // Cache counters as the canonical serde CacheStats object, not
     // ad-hoc counter prose — the same shape `Response::Stats` serves.
@@ -658,7 +665,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
 /// signal (one a sidecar can deliver without signal handling). Both
 /// modes run the same request path and end in the same summary, and a
 /// served trace is byte-identical to `mimd replay` on the same trace.
-fn cmd_serve(flags: &Flags) -> Result<(), String> {
+fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -670,7 +677,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if !flags.has("listen") {
         for concurrent_only in ["shards", "queue-depth"] {
             if flags.has(concurrent_only) {
-                return Err(format!("--{concurrent_only} needs --listen"));
+                return Err(format!("--{concurrent_only} needs --listen").into());
             }
         }
     }
@@ -710,20 +717,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             });
             server.run(Arc::clone(&stop))
         }
-        None => mimd_service::serve_jsonl(
-            &service,
-            std::io::stdin().lock(),
-            std::io::stdout().lock(),
-            std::io::stderr(),
-            slow_ms,
-        )
-        // Stdin mode is a run of one connection.
-        .map(|conn| mimd_server::ServerSummary {
-            connections: 1,
-            requests: conn.requests,
-            rejected: 0,
-            per_connection: vec![conn],
-        }),
+        None => mimd_service::serve_jsonl(&service, io::stdin().lock(), out, io::stderr(), slow_ms)
+            // Stdin mode is a run of one connection.
+            .map(|conn| mimd_server::ServerSummary {
+                connections: 1,
+                requests: conn.requests,
+                rejected: 0,
+                per_connection: vec![conn],
+            }),
     };
     stop.store(true, Ordering::Relaxed);
     if let Some(handle) = emitter {
@@ -732,8 +733,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let summary = match result {
         Ok(summary) => summary,
         // Consumer closed the pipe: conventional clean stop.
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(()),
-        Err(e) => return Err(format!("serve: {e}")),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => return Err(Stop::Closed),
+        Err(e) => return Err(format!("serve: {e}").into()),
     };
 
     let stats = service.stats();
@@ -758,7 +759,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if flags.has("telemetry") {
         eprint!("{}", mimd_report::render_profile(&stats.telemetry));
     }
-    emit_journal(&service.journal_snapshot(), flags)
+    Ok(emit_journal(&service.journal_snapshot(), flags)?)
 }
 
 /// Bind the `--listen` front end and announce where.
@@ -826,7 +827,7 @@ fn spawn_stats_emitter(
 /// `mimd loadgen`: synthesize one small trace and drive it through
 /// many concurrent sessions against a listening `mimd serve --listen`,
 /// reporting sustained requests/sec and tail latency.
-fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
+fn cmd_loadgen(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let connect = flags.get("connect").ok_or("loadgen needs --connect")?;
     let addr = mimd_server::ListenAddr::parse(connect)?;
     let sessions = flags.positive("sessions", 64)?;
@@ -870,18 +871,19 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     .map_err(|e| format!("loadgen: {e}"))?;
     eprintln!("{}", report.human_line());
     if flags.has("json") {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string(&report).map_err(|e| e.to_string())?
-        );
+        )?;
     }
     if report.errors > 0 {
-        return Err(format!("loadgen: {} error responses", report.errors));
+        return Err(format!("loadgen: {} error responses", report.errors).into());
     }
     Ok(())
 }
 
-fn cmd_algorithms(_: &Flags) -> Result<(), String> {
+fn cmd_algorithms(_: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let mut table = Table::new(
         "algorithm registry (mimd map --algorithm, batch/sweep job specs)",
         &["name", "description"],
@@ -889,11 +891,11 @@ fn cmd_algorithms(_: &Flags) -> Result<(), String> {
     for &(name, description, _) in mimd_engine::algorithm_catalog() {
         table.push_row(vec![name.into(), description.into()]);
     }
-    println!("{}", table.render());
+    writeln!(out, "{}", table.render())?;
     Ok(())
 }
 
-fn cmd_simulate(flags: &Flags) -> Result<(), String> {
+fn cmd_simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let spec = flags.get("spec").ok_or("simulate needs --spec")?;
     let mut rng = StdRng::seed_from_u64(flags.num("seed", 1991u64)?);
     let system = build_topology(spec, &mut rng)?;
@@ -909,7 +911,8 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     };
     let report =
         simulate(&clustered, &system, &result.assignment, config).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "simulated {} on {}:",
         if config == SimConfig::paper() {
             "(paper model)"
@@ -917,24 +920,28 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
             "(extended model)"
         },
         system.name()
-    );
-    println!("  makespan       : {}", report.total);
-    println!("  analytic total : {} (paper model)", result.total_time);
-    println!("  messages       : {}", report.messages_sent);
-    println!("  mean hops      : {:.2}", report.mean_hops());
-    println!("  link wait total: {}", report.link_wait_total);
+    )?;
+    writeln!(out, "  makespan       : {}", report.total)?;
+    writeln!(
+        out,
+        "  analytic total : {} (paper model)",
+        result.total_time
+    )?;
+    writeln!(out, "  messages       : {}", report.messages_sent)?;
+    writeln!(out, "  mean hops      : {:.2}", report.mean_hops())?;
+    writeln!(out, "  link wait total: {}", report.link_wait_total)?;
     if config == SimConfig::paper() {
         assert_eq!(report.total, result.total_time);
-        println!("  (DES reproduces the analytic model exactly)");
+        writeln!(out, "  (DES reproduces the analytic model exactly)")?;
     }
     Ok(())
 }
 
-/// The `--out` file, else stdout.
-fn output(flags: &Flags) -> Result<Box<dyn std::io::Write>, String> {
+/// The `--out` file, else `out` (stdout).
+fn output<'o>(flags: &Flags, out: &'o mut dyn Write) -> Result<Box<dyn Write + 'o>, String> {
     Ok(match flags.get("out") {
         Some(path) => Box::new(std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?),
-        None => Box::new(std::io::stdout().lock()),
+        None => Box::new(out),
     })
 }
 
@@ -948,19 +955,20 @@ fn input(path: &str) -> Result<Box<dyn std::io::BufRead>, String> {
     })
 }
 
-/// Flush a JSONL record stream unless writing it already failed.
-/// `Ok(false)` means the consumer closed the pipe (e.g. `mimd batch ...
-/// | head`): a conventional clean stop, like any line-oriented unix
-/// tool, after which nothing else is reported.
+/// Flush a JSONL record stream unless writing it already failed, so a
+/// closed pipe shows before anything goes to stderr. [`Stop::Closed`]
+/// means the consumer closed the pipe (e.g. `mimd batch ... | head`):
+/// a conventional clean stop, like any line-oriented unix tool, after
+/// which nothing else is reported.
 fn finish_stream(
-    mut sink: Box<dyn std::io::Write>,
-    write_error: Option<std::io::Error>,
+    mut sink: Box<dyn Write + '_>,
+    write_error: Option<io::Error>,
     what: &str,
-) -> Result<bool, String> {
+) -> Result<(), Stop> {
     match write_error.map_or_else(|| sink.flush(), Err) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-        Err(e) => Err(format!("writing {what}: {e}")),
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Err(Stop::Closed),
+        Err(e) => Err(format!("writing {what}: {e}").into()),
     }
 }
 
@@ -1014,7 +1022,7 @@ fn emit_journal(snapshot: &JournalSnapshot, flags: &Flags) -> Result<(), String>
 /// the schedule critical path and the per-pass refinement gain ledger.
 /// The JSON report goes to stdout; the human tables go to stderr, so
 /// the report stays machine-consumable.
-fn cmd_explain(flags: &Flags) -> Result<(), String> {
+fn cmd_explain(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let spec_text = flags.get("spec").ok_or("explain needs --spec")?;
     let clustering = flags
         .get("clustering")
@@ -1039,7 +1047,7 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
     let cache = mimd_engine::TopologyCache::new();
     let result = mimd_engine::execute_job(&job, 0, &cache, &recorder);
     if let Some(message) = &result.error {
-        return Err(message.clone());
+        return Err(message.clone().into());
     }
 
     // Rebuild the instance the engine mapped — same seed, and the same
@@ -1073,10 +1081,11 @@ fn cmd_explain(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("internal: inconsistent explain report: {e}"))?;
 
     eprint!("{}", mimd_report::render_explain(&report));
-    println!(
+    writeln!(
+        out,
         "{}",
         serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-    );
+    )?;
     emit_journal(&recorder.journal().snapshot(), flags)?;
     Ok(())
 }
@@ -1092,7 +1101,8 @@ fn run_jobs_and_emit(
     jobs: impl IntoIterator<Item = Result<mimd_engine::JobSpec, String>>,
     flags: &Flags,
     what: &str,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let threads = flags.num("threads", 0usize)?;
     let service = mimd_service::MappingService::new(mimd_service::ServiceConfig {
         engine: mimd_engine::EngineConfig {
@@ -1104,7 +1114,7 @@ fn run_jobs_and_emit(
         ..mimd_service::ServiceConfig::default()
     });
 
-    let mut sink = output(flags)?;
+    let mut sink = output(flags, out)?;
 
     let mut input_error: Option<String> = None;
     let jobs = jobs.into_iter().map_while(|job| match job {
@@ -1117,7 +1127,7 @@ fn run_jobs_and_emit(
 
     let mut summary = mimd_report::BatchSummary::new();
     let mut failures = 0usize;
-    let mut write_error: Option<std::io::Error> = None;
+    let mut write_error: Option<io::Error> = None;
     let cancel = service.cancel_token();
     let total = service.run_stream(jobs, |result| {
         if result.error.is_some() {
@@ -1139,9 +1149,7 @@ fn run_jobs_and_emit(
             }
         }
     });
-    if !finish_stream(sink, write_error, "results")? {
-        return Ok(());
-    }
+    finish_stream(sink, write_error, "results")?;
 
     let stats = service.cache_stats();
     eprintln!(
@@ -1157,17 +1165,17 @@ fn run_jobs_and_emit(
     emit_profile(&service, flags)?;
     emit_journal(&service.journal_snapshot(), flags)?;
     match input_error {
-        Some(e) => Err(e),
+        Some(e) => Err(e.into()),
         None => Ok(()),
     }
 }
 
-fn cmd_batch(flags: &Flags) -> Result<(), String> {
+fn cmd_batch(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let jobs = input(flags.positional().expect("batch takes a positional input"))?;
-    run_jobs_and_emit(mimd_engine::job_lines(jobs), flags, "batch")
+    run_jobs_and_emit(mimd_engine::job_lines(jobs), flags, "batch", out)
 }
 
-fn cmd_sweep(flags: &Flags) -> Result<(), String> {
+fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let parse_list = |name: &str| -> Result<Vec<String>, String> {
         let raw = flags
             .get(name)
@@ -1195,41 +1203,47 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         .map(ClusteringSpec::parse)
         .transpose()?;
     let jobs = mimd_engine::sweep_jobs(&workloads, &topologies, &algorithms, &seeds, clustering);
-    run_jobs_and_emit(jobs.into_iter().map(Ok), flags, "sweep")
+    run_jobs_and_emit(jobs.into_iter().map(Ok), flags, "sweep", out)
 }
 
-fn cmd_paper(_: &Flags) -> Result<(), String> {
+fn cmd_paper(_: &Flags, out: &mut dyn Write) -> Result<(), Stop> {
     let g = paper::worked_example();
     let system = mimd_topology::ring(4).map_err(|e| e.to_string())?;
     let ideal = mimd_core::IdealSchedule::derive(&g);
-    println!("worked example (Figs 2-6, 18-24): 11 tasks, 4 clusters, ring(4)");
-    println!("  lower bound     : {}", ideal.lower_bound());
-    println!(
+    writeln!(
+        out,
+        "worked example (Figs 2-6, 18-24): 11 tasks, 4 clusters, ring(4)"
+    )?;
+    writeln!(out, "  lower bound     : {}", ideal.lower_bound())?;
+    writeln!(
+        out,
         "  latest tasks    : {:?}",
         ideal
             .latest_tasks()
             .iter()
             .map(|&t| t + 1)
             .collect::<Vec<_>>()
-    );
+    )?;
     let crit =
         mimd_core::CriticalAnalysis::analyze(&g, &ideal, mimd_core::CriticalityMode::PaperExact);
-    println!(
+    writeln!(
+        out,
         "  critical edges  : {:?}",
         crit.critical_edges()
             .iter()
             .map(|&(u, v, w)| format!("({},{})={w}", u + 1, v + 1))
             .collect::<Vec<_>>()
-    );
+    )?;
     let fig23 = Assignment::from_sys_of(paper::WORKED_OPTIMAL_ASSIGNMENT.to_vec())
         .map_err(|e| e.to_string())?;
     let eval = evaluate_assignment(&g, &system, &fig23, EvaluationModel::Precedence)
         .map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "  Fig 23 mapping  : {:?} -> total {} (= lower bound)",
         paper::WORKED_OPTIMAL_ASSIGNMENT,
         eval.total()
-    );
+    )?;
     Ok(())
 }
 
@@ -1238,7 +1252,11 @@ mod tests {
     use super::*;
 
     fn run(args: &[&str]) -> Result<(), String> {
-        dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        dispatch(&argv, &mut io::sink()).map_err(|stop| match stop {
+            Stop::Failed(message) => message,
+            Stop::Closed => "stdout closed".into(),
+        })
     }
 
     #[test]

@@ -13,11 +13,21 @@
 mod args;
 mod commands;
 
+use std::io::{self, Write};
+
+use args::Stop;
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
-        Ok(()) => {}
-        Err(e) => {
+    // Every command prints through this one locked, buffered writer.
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let ran = commands::dispatch(&argv, &mut out);
+    // Flushed even when the command failed after printing.
+    let flushed = out.flush().map_err(Stop::from);
+    match ran.and(flushed) {
+        // A closed stdout ends the command quietly, with exit code 0.
+        Ok(()) | Err(Stop::Closed) => {}
+        Err(Stop::Failed(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", commands::usage());

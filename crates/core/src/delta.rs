@@ -124,16 +124,16 @@ pub(crate) trait Distance {
 
 /// The machine: hosts are processors, hops come from the distance
 /// matrix.
-impl Distance for SquareMatrix<u32> {
-    type Row<'d> = &'d [u32];
+impl Distance for SquareMatrix<u16> {
+    type Row<'d> = &'d [u16];
 
     #[inline]
-    fn row_of(&self, host: u32) -> &[u32] {
+    fn row_of(&self, host: u32) -> &[u16] {
         self.row(host as usize)
     }
 
     #[inline]
-    fn hops(row: &[u32], other: u32) -> Time {
+    fn hops(row: &[u16], other: u32) -> Time {
         Time::from(row[other as usize])
     }
 }

@@ -58,18 +58,18 @@ impl TopologyArtifacts {
             .clone()
     }
 
-    /// Estimated resident bytes of these artifacts: the `n²` `u32` APSP
-    /// hop matrix and — once built — every coarsened level's APSP
-    /// matrix in the hierarchy (its level 0 shares this machine's
-    /// matrix and is not counted again). An estimate for capacity
-    /// planning (`ServiceStats`), not an exact allocator measurement.
+    /// Estimated resident bytes of these artifacts: the `n²` APSP hop
+    /// matrix at `size_of::<u16>()` bytes an entry and — once built —
+    /// every coarsened level's APSP matrix in the hierarchy (its level
+    /// 0 shares this machine's matrix and is not counted again). An
+    /// estimate for capacity planning (`ServiceStats`), not an exact
+    /// allocator measurement.
     pub fn estimated_resident_bytes(&self) -> u64 {
-        let n = self.system.len() as u64;
-        let mut bytes = n * n * 4;
+        let matrix = |sys: &SystemGraph| (sys.len() * sys.len() * size_of::<u16>()) as u64;
+        let mut bytes = matrix(&self.system);
         if let Some(Ok(hierarchy)) = self.hierarchy.get() {
             for sys in &hierarchy.systems()[1..] {
-                let m = sys.len() as u64;
-                bytes += m * m * 4;
+                bytes += matrix(sys);
             }
         }
         bytes
@@ -313,8 +313,8 @@ mod tests {
         let spec = TopologySpec::Hypercube { dim: 6 };
         let artifacts = cache.get_or_build(&spec, 0).unwrap();
         // A cold machine holds its APSP and nothing else: one 64x64
-        // u32 matrix.
-        let base = 64 * 64 * 4;
+        // u16 matrix.
+        let base = 64 * 64 * 2;
         assert_eq!(cache.stats().resident_bytes, base);
         assert_eq!(cache.stats().hierarchy_entries, 0);
         let direct = artifacts.estimated_resident_bytes();
@@ -324,7 +324,7 @@ mod tests {
         let hierarchy = cache.system_hierarchy(&artifacts).unwrap();
         let coarse: u64 = hierarchy.systems()[1..]
             .iter()
-            .map(|sys| (sys.len() * sys.len() * 4) as u64)
+            .map(|sys| (sys.len() * sys.len() * 2) as u64)
             .sum();
         assert!(coarse > 0);
         let stats = cache.stats();

@@ -19,6 +19,14 @@
 //! undirected, so `d(base + b, v) = d(v, base + b)` and the 64
 //! distances a batch finds for a node are one contiguous segment of
 //! that node's own row.
+//!
+//! Hop counts are stored as `u16`: no shortest path in a graph of `n`
+//! nodes is longer than `n − 1` hops, so any graph of at most
+//! [`MAX_HOP_NODES`] nodes fits, and every machine
+//! [`crate::MAX_NODES`] admits does with room to spare. That halves the
+//! `ns × ns` matrix, the largest thing a machine holds (32 MiB at
+//! ns = 4096 instead of 64 MiB). The accessors widen to `u32`; a
+//! larger graph is refused before anything is allocated.
 
 use serde::{Deserialize, Serialize};
 
@@ -27,22 +35,35 @@ use crate::error::GraphError;
 use crate::matrix::SquareMatrix;
 use crate::{NodeId, Weight};
 
+/// The most nodes [`DistanceMatrix::bfs_all_pairs`] accepts: every hop
+/// count of a connected graph this size is at most `u16::MAX`.
+pub const MAX_HOP_NODES: usize = u16::MAX as usize + 1;
+
 /// Hop-count distance matrix between all node pairs of a connected graph.
 ///
-/// Entry `(i, i)` is 0; all other entries are ≥ 1. Constructed via
+/// Entry `(i, i)` is 0; all other entries are ≥ 1. Each is one `u16`
+/// (2 bytes a pair; see the module docs). Constructed via
 /// [`DistanceMatrix::bfs_all_pairs`], which fails with
-/// [`GraphError::Disconnected`] when some pair is unreachable (a mapping
-/// target must be connected for the cost model to be defined).
+/// [`GraphError::InvalidParameter`] above [`MAX_HOP_NODES`] nodes and
+/// with [`GraphError::Disconnected`] when some pair is unreachable (a
+/// mapping target must be connected for the cost model to be defined).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DistanceMatrix {
-    dist: SquareMatrix<u32>,
+    dist: SquareMatrix<u16>,
 }
 
 impl DistanceMatrix {
     /// Compute hop counts by breadth-first search from every node, 64
-    /// sources per sweep (see the module docs).
+    /// sources per sweep (see the module docs). A graph of more than
+    /// [`MAX_HOP_NODES`] nodes is refused before anything is allocated,
+    /// connected or not.
     pub fn bfs_all_pairs(g: &Csr) -> Result<Self, GraphError> {
         let n = g.node_count();
+        if n > MAX_HOP_NODES {
+            return Err(GraphError::InvalidParameter(format!(
+                "{n} nodes is more than the {MAX_HOP_NODES} a u16 hop matrix holds"
+            )));
+        }
         let mut dist = SquareMatrix::new(n);
         // Bit `b` of a node's word = the search from source `base + b`.
         let mut seen = vec![0u64; n];
@@ -53,10 +74,10 @@ impl DistanceMatrix {
         // `levels[64 * v + b]` = level at which bit `b` reached `v` in
         // this batch. Collected here and copied into `row(v)` once per
         // batch: writing the matrix as bits arrive would revisit a
-        // different page of it per node per level (rows are `4n` bytes
+        // different page of it per node per level (rows are `2n` bytes
         // apart), which costs more than the whole search on
         // large-diameter machines.
-        let mut levels = vec![0u32; 64 * n];
+        let mut levels = vec![0u16; 64 * n];
         for base in (0..n).step_by(64) {
             let width = (n - base).min(64);
             let full_mask = u64::MAX >> (64 - width);
@@ -68,9 +89,12 @@ impl DistanceMatrix {
                 levels[64 * source + b] = 0; // stale from the last batch
                 active.push(source);
             }
-            let mut level = 0u32;
+            let mut level = 0u16;
             while !active.is_empty() {
-                level += 1;
+                // A node is at most `n − 1 ≤ u16::MAX` hops away. Only
+                // the pass after the farthest one, which finds nothing,
+                // can wrap.
+                level = level.wrapping_add(1);
                 for u in active.drain(..) {
                     let reached = std::mem::take(&mut frontier[u]);
                     for &v in g.neighbors(u) {
@@ -111,7 +135,7 @@ impl DistanceMatrix {
     /// Hop count between `u` and `v`.
     #[inline]
     pub fn hops(&self, u: NodeId, v: NodeId) -> u32 {
-        self.dist.get(u, v)
+        u32::from(self.dist.get(u, v))
     }
 
     /// Side length (number of nodes).
@@ -122,11 +146,11 @@ impl DistanceMatrix {
 
     /// Greatest distance between any pair — the graph's diameter.
     pub fn diameter(&self) -> u32 {
-        self.dist.as_slice().iter().copied().max().unwrap_or(0)
+        u32::from(self.dist.as_slice().iter().copied().max().unwrap_or(0))
     }
 
     /// Borrow the underlying matrix (the paper's `shortest[ns][ns]`).
-    pub fn as_matrix(&self) -> &SquareMatrix<u32> {
+    pub fn as_matrix(&self) -> &SquareMatrix<u16> {
         &self.dist
     }
 
@@ -192,28 +216,37 @@ mod tests {
     use rand::SeedableRng;
 
     /// The reference the 64-source kernel is held to: one queue BFS per
-    /// source node.
-    fn bfs_per_source(g: &Csr) -> Result<DistanceMatrix, GraphError> {
+    /// source node, in `u32`, row-major.
+    fn bfs_per_source(g: &Csr) -> Result<Vec<u32>, GraphError> {
         let n = g.node_count();
-        let mut dist = SquareMatrix::filled(n, u32::MAX);
+        let mut dist = vec![u32::MAX; n * n];
         let mut queue = std::collections::VecDeque::new();
         for s in 0..n {
-            dist.set(s, s, 0);
+            let row = &mut dist[s * n..(s + 1) * n];
+            row[s] = 0;
             queue.push_back(s);
             while let Some(u) = queue.pop_front() {
-                let du = dist.get(s, u);
                 for &v in g.neighbors(u) {
-                    if dist.get(s, v) == u32::MAX {
-                        dist.set(s, v, du + 1);
+                    if row[v] == u32::MAX {
+                        row[v] = row[u] + 1;
                         queue.push_back(v);
                     }
                 }
             }
-            if dist.row(s).contains(&u32::MAX) {
+            if row.contains(&u32::MAX) {
                 return Err(GraphError::Disconnected);
             }
         }
-        Ok(DistanceMatrix { dist })
+        Ok(dist)
+    }
+
+    /// Every hop count of `d`, widened to `u32`, row-major.
+    fn widened(d: &DistanceMatrix) -> Vec<u32> {
+        d.as_matrix()
+            .as_slice()
+            .iter()
+            .map(|&h| u32::from(h))
+            .collect()
     }
 
     proptest! {
@@ -229,7 +262,7 @@ mod tests {
                     let g = random_connected(n, p, &mut rng).unwrap();
                     let batched = DistanceMatrix::bfs_all_pairs(&g).unwrap();
                     let reference = bfs_per_source(&g).unwrap();
-                    prop_assert!(batched == reference, "n = {}, p = {}", n, p);
+                    prop_assert!(widened(&batched) == reference, "n = {}, p = {}", n, p);
                 }
             }
         }
@@ -279,6 +312,16 @@ mod tests {
             }
         }
         assert_eq!(d.diameter(), 2);
+    }
+
+    #[test]
+    fn more_nodes_than_u16_hops_hold_are_refused_before_connectivity() {
+        // Edgeless, so also disconnected: the size check comes first.
+        let g = Csr::from_contributions(MAX_HOP_NODES + 1, &[]);
+        assert!(matches!(
+            DistanceMatrix::bfs_all_pairs(&g),
+            Err(GraphError::InvalidParameter(_))
+        ));
     }
 
     #[test]

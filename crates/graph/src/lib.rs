@@ -49,10 +49,10 @@ pub use matrix::SquareMatrix;
 
 /// The most processors a machine may have: twice the largest machine (a
 /// 64 × 64 torus) anything in this workspace maps onto. A machine holds
-/// an `ns × ns` hop matrix, so the cap bounds what one request can make
-/// a server allocate (256 MiB here), and no path in an admitted machine
-/// is longer than `MAX_NODES − 1` hops, which bounds every schedule time
-/// (`mimd_taskgraph::problem::MAX_TOTAL_WEIGHT`).
+/// an `ns × ns` hop matrix of `u16`, so the cap bounds what one request
+/// can make a server allocate (128 MiB here), and no path in an
+/// admitted machine is longer than `MAX_NODES − 1` hops, which bounds
+/// every schedule time (`mimd_taskgraph::problem::MAX_TOTAL_WEIGHT`).
 pub const MAX_NODES: usize = 8192;
 
 /// Node identifier. The paper indexes tasks from 1 and processors from 0;

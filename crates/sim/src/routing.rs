@@ -16,7 +16,9 @@ use mimd_topology::SystemGraph;
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoutingTable {
     /// `next[(cur, dst)]` = next hop; `cur` itself when `cur == dst`.
-    next: SquareMatrix<u32>,
+    /// A node id fits `u16`: a machine's hop matrix holds at most
+    /// `u16::MAX + 1` nodes (`mimd_graph::apsp::MAX_HOP_NODES`).
+    next: SquareMatrix<u16>,
 }
 
 impl RoutingTable {
@@ -24,22 +26,25 @@ impl RoutingTable {
     pub fn new(system: &SystemGraph) -> Self {
         let n = system.len();
         let dist = system.distances().as_matrix();
-        let mut next = SquareMatrix::filled(n, u32::MAX);
+        let mut next = SquareMatrix::filled(n, u16::MAX);
         for cur in 0..n {
             let here = dist.row(cur);
             let row = next.row_mut(cur);
             // Neighbours in descending id: the last writer of an entry
             // is the lowest-numbered distance-decreasing neighbour. A
             // select rather than a conditional store, so the row loop
-            // vectorises (4x faster at ns = 1024).
+            // vectorises (4x faster at ns = 1024). Hops widen to `u32`
+            // first, so `via + 1` cannot wrap.
             for &nb in system.graph().neighbors(cur).iter().rev() {
                 for ((slot, &via), &direct) in row.iter_mut().zip(dist.row(nb)).zip(here) {
-                    *slot = if via + 1 == direct { nb as u32 } else { *slot };
+                    let improves = u32::from(via) + 1 == u32::from(direct);
+                    *slot = if improves { nb as u16 } else { *slot };
                 }
             }
-            row[cur] = cur as u32;
+            row[cur] = cur as u16;
+            // (At n = 2^16 the sentinel is also the last node's id.)
             debug_assert!(
-                !row.contains(&u32::MAX),
+                n > usize::from(u16::MAX) || !row.contains(&u16::MAX),
                 "connected graph always has a distance-decreasing neighbor"
             );
         }
@@ -49,7 +54,7 @@ impl RoutingTable {
     /// The next hop from `cur` toward `dst` (`cur` when already there).
     #[inline]
     pub fn next_hop(&self, cur: NodeId, dst: NodeId) -> NodeId {
-        self.next.get(cur, dst) as NodeId
+        NodeId::from(self.next.get(cur, dst))
     }
 
     /// The full route from `src` to `dst` as the sequence of nodes

@@ -386,7 +386,7 @@ impl DynamicWorkload {
     }
 
     /// Live tasks, ascending by id.
-    fn tasks(&self) -> impl Iterator<Item = TaskInit> + '_ {
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = TaskInit> + '_ {
         self.index.iter().map(|(&id, &p)| TaskInit {
             id,
             size: self.rows.size(p as usize),
@@ -460,6 +460,19 @@ impl DynamicWorkload {
             edges.extend(row.map(|(&v, &w)| (from, self.rows.task(v as usize), w)));
         }
         edges.into_iter()
+    }
+
+    /// The `k`-th edge of [`DynamicWorkload::edge_list`], found by
+    /// walking the successor row lengths: nothing is copied.
+    pub fn nth_edge(&self, mut k: usize) -> Option<(TaskId, TaskId, Weight)> {
+        for (&from, &p) in &self.index {
+            let (succs, weights) = self.rows.succs(p as usize);
+            if let (Some(&v), Some(&w)) = (succs.get(k), weights.get(k)) {
+                return Some((from, self.rows.task(v as usize), w));
+            }
+            k -= succs.len();
+        }
+        None
     }
 
     /// Number of tasks currently in cluster `c`.
@@ -1113,14 +1126,19 @@ mod tests {
         assert_eq!(state.total_weight(), recount(&state));
     }
 
+    /// A 30-task stencil in five clusters: the churn tests' base.
+    fn stencil_in_five() -> ClusteredProblemGraph {
+        let problem = crate::workloads::stencil_1d(6, 5, 3, 2).unwrap();
+        let clustering = Clustering::new((0..30).map(|t| t % 5).collect()).unwrap();
+        ClusteredProblemGraph::new(problem, clustering).unwrap()
+    }
+
     #[test]
     fn running_total_weight_matches_a_recount_in_every_regime() {
         use crate::workloads::{churn_trace, ChurnRegime};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let problem = crate::workloads::stencil_1d(6, 5, 3, 2).unwrap();
-        let clustering = Clustering::new((0..30).map(|t| t % 5).collect()).unwrap();
-        let graph = ClusteredProblemGraph::new(problem, clustering).unwrap();
+        let graph = stencil_in_five();
         for regime in [
             ChurnRegime::Arrivals,
             ChurnRegime::Drift,
@@ -1140,6 +1158,27 @@ mod tests {
             }
             let rebuilt = DynamicWorkload::from_snapshot(&state.snapshot()).unwrap();
             assert_eq!(rebuilt.total_weight(), state.total_weight());
+        }
+    }
+
+    #[test]
+    fn nth_edge_walks_the_edge_list_in_order() {
+        use crate::workloads::{churn_trace, ChurnRegime};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let graph = stencil_in_five();
+        let trace = churn_trace(
+            &graph,
+            60,
+            ChurnRegime::Mixed,
+            &mut StdRng::seed_from_u64(3),
+        );
+        let mut state = DynamicWorkload::from_clustered(&graph);
+        for event in &trace {
+            assert!(state.apply(event).is_ok(), "{event:?}");
+            let by_rank: Vec<_> = (0..=state.num_edges()).map(|k| state.nth_edge(k)).collect();
+            let listed: Vec<_> = state.edge_list().map(Some).chain([None]).collect();
+            assert_eq!(by_rank, listed, "{event:?}");
         }
     }
 

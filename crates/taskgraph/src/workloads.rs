@@ -257,8 +257,10 @@ impl ChurnRegime {
 /// `initial`. The generator simulates the trace on a private
 /// [`DynamicWorkload`], so every emitted event applies cleanly in order
 /// (no emptied clusters, no cycles, no dangling references); proposals
-/// the simulation rejects are simply re-drawn. Deterministic for a
-/// fixed `rng` state.
+/// the simulation rejects are simply re-drawn. Tasks and edges are
+/// drawn by rank, so no proposal copies the graph; a rank past the end
+/// (which the counts rule out) would be a `None` proposal, re-drawn
+/// the same way. Deterministic for a fixed `rng` state.
 pub fn churn_trace(
     initial: &ClusteredProblemGraph,
     events: usize,
@@ -278,93 +280,105 @@ pub fn churn_trace(
         } else {
             propose_arrival(&state, rng)
         };
-        if state.apply(&candidate).is_ok() {
+        if let Some(candidate) = candidate.filter(|c| state.apply(c).is_ok()) {
             out.push(candidate);
         }
     }
     out
 }
 
+/// A uniformly drawn live task, by rank: the task list is not copied.
+fn draw_task(state: &DynamicWorkload, rng: &mut impl Rng) -> Option<TaskId> {
+    state.task_ids().nth(rng.gen_range(0..state.num_tasks()))
+}
+
+/// The endpoints of a uniformly drawn live edge, by rank: the edge
+/// list is not copied.
+fn draw_edge(state: &DynamicWorkload, rng: &mut impl Rng) -> Option<(TaskId, TaskId)> {
+    let (from, to, _) = state.nth_edge(rng.gen_range(0..state.num_edges()))?;
+    Some((from, to))
+}
+
+/// Two uniformly drawn live tasks, oriented old -> new.
+fn draw_forward_pair(state: &DynamicWorkload, rng: &mut impl Rng) -> Option<(TaskId, TaskId)> {
+    let (a, b) = (draw_task(state, rng)?, draw_task(state, rng)?);
+    Some((a.min(b), a.max(b)))
+}
+
+/// A fresh task of random size in a random cluster.
+fn arrival(state: &DynamicWorkload, rng: &mut impl Rng) -> TraceEvent {
+    TraceEvent::AddTask {
+        task: state.next_task_id(),
+        size: rng.gen_range(3..=24),
+        cluster: rng.gen_range(0..state.num_clusters()),
+    }
+}
+
 /// Propose one arrivals-regime event: a task arrival, a wiring edge
 /// into a recent arrival, or a departure.
-fn propose_arrival(state: &DynamicWorkload, rng: &mut impl Rng) -> TraceEvent {
-    let tasks: Vec<TaskId> = state.task_ids().collect();
+fn propose_arrival(state: &DynamicWorkload, rng: &mut impl Rng) -> Option<TraceEvent> {
     let roll = rng.gen_range(0..100);
     if roll < 45 || state.num_tasks() <= state.num_clusters() + 1 {
-        return TraceEvent::AddTask {
-            task: state.next_task_id(),
-            size: rng.gen_range(3..=24),
-            cluster: rng.gen_range(0..state.num_clusters()),
-        };
+        return Some(arrival(state, rng));
     }
     if roll < 75 {
         // Wire a dependency between two live tasks, oriented old -> new
         // (the common case for fresh arrivals; the simulation rejects
         // the rare proposal that would close a cycle).
-        let a = tasks[rng.gen_range(0..tasks.len())];
-        let b = tasks[rng.gen_range(0..tasks.len())];
-        let (from, to) = if a < b { (a, b) } else { (b, a) };
-        return TraceEvent::AddEdge {
+        let (from, to) = draw_forward_pair(state, rng)?;
+        return Some(TraceEvent::AddEdge {
             from,
             to,
             weight: rng.gen_range(2..=16),
-        };
+        });
     }
     // Departure of a task whose cluster keeps at least one member.
-    let removable: Vec<TaskId> = tasks
-        .iter()
-        .copied()
-        .filter(|&t| state.cluster_size(state.cluster_of(t).expect("live task")) >= 2)
-        .collect();
-    match removable.is_empty() {
-        true => TraceEvent::AddTask {
-            task: state.next_task_id(),
-            size: rng.gen_range(3..=24),
-            cluster: rng.gen_range(0..state.num_clusters()),
-        },
-        false => TraceEvent::RemoveTask {
-            task: removable[rng.gen_range(0..removable.len())],
-        },
+    let removable = || {
+        (state.tasks())
+            .filter(|task| state.cluster_size(task.cluster) >= 2)
+            .map(|task| task.id)
+    };
+    match removable().count() {
+        0 => Some(arrival(state, rng)),
+        count => {
+            (removable().nth(rng.gen_range(0..count))).map(|task| TraceEvent::RemoveTask { task })
+        }
     }
 }
 
 /// Propose one drift-regime event: a weight change, an edge flip, or a
 /// rare global rescale.
-fn propose_drift(state: &DynamicWorkload, rng: &mut impl Rng) -> TraceEvent {
-    let tasks: Vec<TaskId> = state.task_ids().collect();
-    let edges: Vec<(TaskId, TaskId, Weight)> = state.edge_list().collect();
+fn propose_drift(state: &DynamicWorkload, rng: &mut impl Rng) -> Option<TraceEvent> {
     let roll = rng.gen_range(0..100);
-    if roll < 40 && !edges.is_empty() {
-        let (from, to, _) = edges[rng.gen_range(0..edges.len())];
-        return TraceEvent::SetEdgeWeight {
+    if roll < 40 && state.num_edges() > 0 {
+        let (from, to) = draw_edge(state, rng)?;
+        return Some(TraceEvent::SetEdgeWeight {
             from,
             to,
             weight: rng.gen_range(1..=32),
-        };
+        });
     }
     if roll < 70 {
-        return TraceEvent::SetTaskSize {
-            task: tasks[rng.gen_range(0..tasks.len())],
+        return Some(TraceEvent::SetTaskSize {
+            task: draw_task(state, rng)?,
             size: rng.gen_range(1..=24),
-        };
+        });
     }
-    if roll < 82 && edges.len() > 4 {
-        let (from, to, _) = edges[rng.gen_range(0..edges.len())];
-        return TraceEvent::RemoveEdge { from, to };
+    if roll < 82 && state.num_edges() > 4 {
+        let (from, to) = draw_edge(state, rng)?;
+        return Some(TraceEvent::RemoveEdge { from, to });
     }
     if roll < 95 {
-        let a = tasks[rng.gen_range(0..tasks.len())];
-        let b = tasks[rng.gen_range(0..tasks.len())];
-        let (from, to) = if a < b { (a, b) } else { (b, a) };
-        return TraceEvent::AddEdge {
+        let (from, to) = draw_forward_pair(state, rng)?;
+        return Some(TraceEvent::AddEdge {
             from,
             to,
             weight: rng.gen_range(2..=16),
-        };
+        });
     }
-    TraceEvent::ScaleEdgeWeights {
+    Some(TraceEvent::ScaleEdgeWeights {
         percent: rng.gen_range(85..=120),
-    }
+    })
 }
 
 #[cfg(test)]

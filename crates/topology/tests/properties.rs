@@ -126,9 +126,10 @@ fn assert_hops_equal_per_source_bfs(sys: &SystemGraph) {
                 }
             }
         }
+        let row = sys.distances().as_matrix().row(s);
         assert_eq!(
-            sys.distances().as_matrix().row(s),
-            &dist[..],
+            row.iter().map(|&h| u32::from(h)).collect::<Vec<_>>(),
+            dist,
             "{} row {s}",
             sys.name()
         );

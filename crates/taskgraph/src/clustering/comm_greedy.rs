@@ -8,12 +8,13 @@
 //! Internalized weight becomes free in the clustered problem graph, so
 //! this front-end minimizes the communication the mapper must place.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use mimd_graph::error::GraphError;
 use mimd_graph::Weight;
 
-use crate::clustering::Clustering;
+use crate::clustering::{Clustering, UnionFind};
 use crate::problem::ProblemGraph;
 
 /// Merge-heaviest-edge clustering into `na` clusters.
@@ -21,6 +22,10 @@ use crate::problem::ProblemGraph;
 /// `balance_factor` caps cluster size at
 /// `ceil(balance_factor * np / na)` tasks (use e.g. `1.5`); values
 /// `< 1.0` are rejected since they make `na` clusters unreachable.
+/// Ties between equally heavy pairs go to the smaller `(a, b)` root
+/// pair, and the pair merges into `a`. When no communicating pair fits
+/// under the cap, no later merge can make one fit, so the two smallest
+/// clusters by `(size, root)` merge into the smaller until `na` remain.
 pub fn comm_greedy_clustering(
     problem: &ProblemGraph,
     na: usize,
@@ -39,67 +44,40 @@ pub fn comm_greedy_clustering(
     }
     let cap = ((balance_factor * np as f64 / na as f64).ceil() as usize).max(1);
 
-    // Union-find over tasks; roots represent clusters.
-    let mut parent: Vec<usize> = (0..np).collect();
-    let mut size: Vec<usize> = vec![1; np];
-    fn find(parent: &mut [usize], x: usize) -> usize {
-        let mut r = x;
-        while parent[r] != r {
-            r = parent[r];
-        }
-        let mut c = x;
-        while parent[c] != r {
-            let next = parent[c];
-            parent[c] = r;
-            c = next;
-        }
-        r
+    // `pairs[a][b]`: weight between the clusters rooted at `a` and `b`
+    // (at first one edge: no two edges join the same tasks). The heap
+    // holds `(weight, (a, b))`, `a < b`, for every pair, and stale
+    // entries: a live one names two roots and the pair's weight.
+    let mut pairs: Vec<HashMap<usize, Weight>> = vec![HashMap::new(); np];
+    let mut heap = BinaryHeap::new();
+    for (u, v, w) in problem.edges() {
+        pairs[u].insert(v, w);
+        pairs[v].insert(u, w);
+        heap.push((w, Reverse((u.min(v), u.max(v)))));
     }
-
-    let mut clusters = np;
-    while clusters > na {
-        // Aggregate inter-cluster weights, then merge the heaviest pair
-        // that respects the cap. Rebuilding per round is O(E) and np is
-        // paper-scale; total O(np·E).
-        let mut agg: HashMap<(usize, usize), Weight> = HashMap::new();
-        for (u, v, w) in problem.edges() {
-            let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-            if ru != rv {
-                let key = (ru.min(rv), ru.max(rv));
-                *agg.entry(key).or_insert(0) += w;
-            }
-        }
-        let candidate = agg
-            .iter()
-            .filter(|&(&(a, b), _)| size[a] + size[b] <= cap)
-            .max_by_key(|&(&(a, b), &w)| (w, std::cmp::Reverse((a, b))))
-            .map(|(&k, _)| k);
-        let (a, b) = match candidate {
-            Some(pair) => pair,
-            None => {
-                // No joinable communicating pair: merge the two smallest
-                // clusters under the cap; if even that fails, merge the
-                // two smallest outright (guarantees termination).
-                let mut roots: Vec<usize> =
-                    (0..np).filter(|&x| find(&mut parent, x) == x).collect();
-                roots.sort_by_key(|&r| (size[r], r));
-                (roots[0], roots[1])
-            }
+    let mut clusters = UnionFind::new(np);
+    while clusters.roots() > na {
+        let Some((w, Reverse((a, b)))) = heap.pop() else {
+            break;
         };
-        parent[b] = a;
-        size[a] += size[b];
-        clusters -= 1;
+        let live = clusters.find(a) == a && clusters.find(b) == b && pairs[a].get(&b) == Some(&w);
+        // Sizes only grow, so a pair over the cap stays over it.
+        if !live || clusters.size(a) + clusters.size(b) > cap {
+            continue;
+        }
+        clusters.link(a, b);
+        // Any order: the heap pops by value, not by insertion.
+        for (c, wc) in std::mem::take(&mut pairs[b]) {
+            pairs[c].remove(&b);
+            if c != a {
+                let total = *pairs[a].entry(c).and_modify(|x| *x += wc).or_insert(wc);
+                pairs[c].insert(a, total);
+                heap.push((total, Reverse((a.min(c), a.max(c)))));
+            }
+        }
     }
-
-    // Compact root ids to 0..na.
-    let mut id_of_root: HashMap<usize, usize> = HashMap::new();
-    let mut cluster_of = vec![0usize; np];
-    for (t, cluster) in cluster_of.iter_mut().enumerate() {
-        let r = find(&mut parent, t);
-        let next = id_of_root.len();
-        *cluster = *id_of_root.entry(r).or_insert(next);
-    }
-    Clustering::new(cluster_of)
+    clusters.merge_smallest(na, |a, b| (a, b));
+    clusters.into_clustering()
 }
 
 #[cfg(test)]

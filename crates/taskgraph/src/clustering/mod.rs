@@ -9,7 +9,7 @@
 //! deterministic), [`load_balance`] (LPT-style computation balance),
 //! [`comm_greedy`] (edge-contraction communication minimization) and
 //! [`chains`] (linear-chain clustering à la Gaussian-elimination DAGs).
-//! The clustering ablation (DESIGN.md A4) compares them.
+//! The `ablation_clustering` binary (`crates/experiments`) compares them.
 
 pub mod chains;
 pub mod comm_greedy;
@@ -18,6 +18,9 @@ pub mod random;
 pub mod region;
 pub mod round_robin;
 pub mod sarkar;
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
@@ -139,6 +142,88 @@ impl Clustering {
             });
         }
         Clustering::new(self.cluster_of.iter().map(|&c| map[c]).collect())
+    }
+}
+
+/// Union-find over tasks for the merge-based front-ends ([`sarkar`],
+/// [`comm_greedy`]): each root is a cluster, labelled by its root task.
+pub(crate) struct UnionFind {
+    parent: Vec<TaskId>,
+    size: Vec<usize>,
+    roots: usize,
+}
+
+impl UnionFind {
+    /// `n` singleton clusters.
+    pub(crate) fn new(n: usize) -> Self {
+        UnionFind {
+            parent: (0..n).collect(),
+            size: vec![1; n],
+            roots: n,
+        }
+    }
+
+    /// Root of `x`'s cluster, compressing the path walked.
+    pub(crate) fn find(&mut self, x: TaskId) -> TaskId {
+        let mut r = x;
+        while self.parent[r] != r {
+            r = self.parent[r];
+        }
+        let mut c = x;
+        while self.parent[c] != r {
+            c = std::mem::replace(&mut self.parent[c], r);
+        }
+        r
+    }
+
+    /// Tasks in the cluster rooted at `root`.
+    pub(crate) fn size(&self, root: TaskId) -> usize {
+        self.size[root]
+    }
+
+    /// Number of clusters.
+    pub(crate) fn roots(&self) -> usize {
+        self.roots
+    }
+
+    /// Put root `absorbed` under root `kept`: the merged cluster keeps
+    /// `kept`'s label.
+    pub(crate) fn link(&mut self, kept: TaskId, absorbed: TaskId) {
+        self.parent[absorbed] = kept;
+        self.size[kept] += self.size[absorbed];
+        self.roots -= 1;
+    }
+
+    /// Merge the two smallest clusters by `(size, label)` until `na`
+    /// remain; `keep` turns the pair, smallest first, into
+    /// `(kept, absorbed)`.
+    pub(crate) fn merge_smallest(&mut self, na: usize, keep: fn(usize, usize) -> (usize, usize)) {
+        let roots = (0..self.parent.len()).filter(|&r| self.parent[r] == r);
+        let mut heap: BinaryHeap<_> = roots.map(|r| Reverse((self.size[r], r))).collect();
+        while self.roots > na {
+            let (Some(Reverse((_, a))), Some(Reverse((_, b)))) = (heap.pop(), heap.pop()) else {
+                break;
+            };
+            let (kept, absorbed) = keep(a, b);
+            self.link(kept, absorbed);
+            heap.push(Reverse((self.size[kept], kept)));
+        }
+    }
+
+    /// The clustering the roots describe, numbered in the order the
+    /// roots first appear over tasks `0..n`.
+    pub(crate) fn into_clustering(mut self) -> Result<Clustering, GraphError> {
+        let mut id_of_root = vec![usize::MAX; self.parent.len()];
+        let mut next = 0;
+        let cluster_of = (0..self.parent.len()).map(|t| {
+            let r = self.find(t);
+            if id_of_root[r] == usize::MAX {
+                id_of_root[r] = next;
+                next += 1;
+            }
+            id_of_root[r]
+        });
+        Clustering::new(cluster_of.collect())
     }
 }
 

@@ -9,7 +9,7 @@
 //! in which the paper's reported numbers (strategy near the lower bound,
 //! random mapping 30–80 points above) are reachable at all. The i.i.d.
 //! variant remains available in [`crate::clustering::random`] and the
-//! two are compared in ablation A4.
+//! two are compared by the `ablation_clustering` binary.
 
 use rand::Rng;
 
@@ -25,8 +25,8 @@ use crate::TaskId;
 /// Each region starts from a random unassigned seed and repeatedly
 /// absorbs a random unassigned neighbor of the region (restarting from a
 /// fresh random seed when the frontier dries up) until it reaches
-/// `ceil(np / na)` tasks. Leftover tasks join the region of a random
-/// assigned neighbor (or the smallest region when isolated).
+/// `ceil(np / na)` tasks, leaving at least one unassigned task for each
+/// region still to grow; the last region takes every task left.
 pub fn random_region_clustering(
     problem: &ProblemGraph,
     na: usize,
@@ -57,14 +57,9 @@ pub fn random_region_clustering(
     };
 
     for c in 0..na {
-        if unassigned.is_empty() {
-            break;
-        }
         // Leave enough tasks for the remaining clusters to be non-empty.
         let remaining_clusters = na - c - 1;
-        let budget = target
-            .min(unassigned.len().saturating_sub(remaining_clusters))
-            .max(1);
+        let budget = target.min(unassigned.len() - remaining_clusters);
         // Seed.
         let seed = unassigned[rng.gen_range(0..unassigned.len())];
         cluster_of[seed] = c;
@@ -85,13 +80,6 @@ pub fn random_region_clustering(
             size += 1;
             frontier.extend(adj(next).filter(|&t| cluster_of[t] == usize::MAX));
         }
-    }
-    // Leftovers: join a random assigned neighbor's region.
-    while let Some(&t) = unassigned.last() {
-        let neighbor_cluster = adj(t).map(|x| cluster_of[x]).find(|&c| c != usize::MAX);
-        let c = neighbor_cluster.unwrap_or_else(|| rng.gen_range(0..na));
-        cluster_of[t] = c;
-        unassigned.pop();
     }
     Clustering::new(cluster_of)
 }

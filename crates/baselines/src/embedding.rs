@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
-use mimd_taskgraph::{AbstractGraph, ClusterId, ClusteredProblemGraph};
+use mimd_taskgraph::{ClusterId, ClusteredProblemGraph};
 use mimd_topology::SystemGraph;
 
 use mimd_core::Assignment;
@@ -35,7 +35,7 @@ pub fn cluster_chain(graph: &ClusteredProblemGraph, order: ChainOrder) -> Vec<Cl
     match order {
         ChainOrder::ById => (0..na).collect(),
         ChainOrder::HeavyWalk => {
-            let abs = AbstractGraph::new(graph);
+            let abs = graph.abstract_graph();
             let mut visited = vec![false; na];
             let mut chain = Vec::with_capacity(na);
             let mut cur = abs.by_descending_mca()[0];

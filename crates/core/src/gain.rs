@@ -12,7 +12,8 @@
 //! of the graph) — the trick that lets VieM-style mappers afford wide
 //! exchange pools: a ranking round over every candidate pair costs the
 //! pairs, not the pairs times their degrees. The adjacency is the
-//! [`AbstractGraph`]'s own sparse rows; the table keeps no copy of it.
+//! [`AbstractGraph`]'s own sparse rows, shared with the clustered graph
+//! that collapsed them: the table neither copies nor rebuilds it.
 //!
 //! The table's gain is a **proxy**: the real objective is the schedule
 //! makespan, which comm volume only approximates. The exchange pass in
@@ -25,6 +26,8 @@
 //! the spirit of the bitboard representations chess engines use for
 //! exactly this kind of hot membership test.
 
+use std::sync::Arc;
+
 use mimd_graph::{BitSet, Weight};
 use mimd_taskgraph::{AbstractGraph, ClusteredProblemGraph};
 use mimd_topology::SystemGraph;
@@ -36,7 +39,7 @@ use crate::assignment::Assignment;
 #[derive(Clone, Debug)]
 pub struct GainTable {
     /// The cluster-level graph whose rows `W[c][·]` the table walks.
-    abstract_graph: AbstractGraph,
+    abstract_graph: Arc<AbstractGraph>,
     /// Processor count: the row length of `placed`.
     ns: usize,
     /// `placed[c * ns + s] = Σ_x W[c][x] · hops(s, s_x)` under the
@@ -62,7 +65,7 @@ impl GainTable {
         assignment: &Assignment,
         pinned: &[bool],
     ) -> Self {
-        let abstract_graph = AbstractGraph::new(graph);
+        let abstract_graph = Arc::clone(graph.abstract_graph());
         let (na, ns) = (abstract_graph.len(), system.len());
         let mut table = GainTable {
             abstract_graph,

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use mimd_graph::error::GraphError;
 use mimd_graph::Time;
-use mimd_taskgraph::{AbstractGraph, ClusteredProblemGraph};
+use mimd_taskgraph::ClusteredProblemGraph;
 use mimd_telemetry::Recorder;
 use mimd_topology::SystemGraph;
 
@@ -135,8 +135,7 @@ impl Mapper {
     ) -> Result<MappingResult, GraphError> {
         let ideal = IdealSchedule::derive(graph);
         let critical = CriticalAnalysis::analyze(graph, &ideal, self.config.criticality);
-        let abstract_graph = AbstractGraph::new(graph);
-        let init = initial_assignment(graph, &abstract_graph, &critical, system)?;
+        let init = initial_assignment(graph, graph.abstract_graph(), &critical, system)?;
         let refine_config = RefineConfig {
             iterations: self.config.refine_iterations.unwrap_or(system.len()),
             model: self.config.model,

@@ -16,7 +16,6 @@ use mimd_engine::ClusteringSpec;
 use mimd_experiments::harness::build_instance;
 use mimd_experiments::CliArgs;
 use mimd_report::{Summary, Table};
-use mimd_taskgraph::AbstractGraph;
 use mimd_topology::hypercube;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,8 +40,8 @@ fn main() {
         let ideal = IdealSchedule::derive(&graph);
         let lb = ideal.lower_bound();
         let critical = CriticalAnalysis::analyze(&graph, &ideal, CriticalityMode::PaperExact);
-        let abs = AbstractGraph::new(&graph);
-        let init = initial_assignment(&graph, &abs, &critical, &system).unwrap();
+        let abs = graph.abstract_graph();
+        let init = initial_assignment(&graph, abs, &critical, &system).unwrap();
         let pct = |t: u64| 100.0 * t as f64 / lb as f64;
 
         // 0: one random assignment.

@@ -17,7 +17,6 @@ use mimd_engine::ClusteringSpec;
 use mimd_experiments::harness::build_instance;
 use mimd_experiments::CliArgs;
 use mimd_report::{Summary, Table};
-use mimd_taskgraph::AbstractGraph;
 use mimd_topology::hypercube;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,8 +43,8 @@ fn main() {
         let ideal = IdealSchedule::derive(&graph);
         let lb = ideal.lower_bound() as f64;
         let critical = CriticalAnalysis::analyze(&graph, &ideal, CriticalityMode::PaperExact);
-        let abs = AbstractGraph::new(&graph);
-        let init = initial_assignment(&graph, &abs, &critical, &system).unwrap();
+        let abs = graph.abstract_graph();
+        let init = initial_assignment(&graph, abs, &critical, &system).unwrap();
 
         // Initial only.
         let t0 = mimd_core::evaluate::evaluate_assignment(

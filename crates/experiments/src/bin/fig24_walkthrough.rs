@@ -13,7 +13,7 @@ use mimd_core::ideal::IdealSchedule;
 use mimd_core::schedule::EvaluationModel;
 use mimd_core::{Assignment, Mapper};
 use mimd_report::{Gantt, GanttTask, Table};
-use mimd_taskgraph::{paper, AbstractGraph};
+use mimd_taskgraph::paper;
 use mimd_topology::ring;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,7 @@ fn main() {
     );
     println!(
         "Fig 20-c mca: {:?} (paper prints (13 11 13 ?); see EXPERIMENTS.md)\n",
-        AbstractGraph::new(&graph).mca_vector()
+        graph.abstract_graph().mca_vector()
     );
 
     // Fig 23/24: the published assignment achieves the lower bound.

@@ -14,7 +14,6 @@ use mimd_engine::ClusteringSpec;
 use mimd_experiments::harness::build_instance;
 use mimd_experiments::CliArgs;
 use mimd_report::Table;
-use mimd_taskgraph::AbstractGraph;
 use mimd_topology::hypercube;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,9 +49,9 @@ fn main() {
         let t_crit = t0.elapsed();
 
         let t0 = Instant::now();
-        let abs = AbstractGraph::new(&graph);
+        let abs = graph.abstract_graph();
         let init =
-            mimd_core::initial::initial_assignment(&graph, &abs, &critical, &system).unwrap();
+            mimd_core::initial::initial_assignment(&graph, abs, &critical, &system).unwrap();
         let t_init = t0.elapsed();
         let _ = init;
 

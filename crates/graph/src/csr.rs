@@ -13,8 +13,9 @@
 //! walks need only the ids.
 //!
 //! Every constructor goes through one row builder ([`Csr::from_rows`]):
-//! a row's contributions are summed in a dense accumulator, then its
-//! distinct neighbors are sorted and emitted. [`Csr::contract`] builds a
+//! a row's contributions are summed in a dense accumulator while a
+//! bitset marks its distinct neighbors, and walking the set bits emits
+//! them ascending — no row is ever sorted. [`Csr::contract`] builds a
 //! coarse graph from the fine one's rows, so a multilevel hierarchy reads
 //! its task edges once, at the finest level, and contracts the machine
 //! the same way. A machine's links carry weight 1 each; a link a builder
@@ -40,9 +41,10 @@ pub struct Csr {
 impl Csr {
     /// Build the graph on `n` nodes from an unordered list of
     /// contributions `(a, b, w)`: orientation is ignored and
-    /// contributions to the same pair are summed. `O(E + Σ deg·log deg)`
-    /// however many contributions share a pair — coarse levels of a
-    /// hierarchy collapse hundreds of problem edges into each entry.
+    /// contributions to the same pair are summed. Costs what
+    /// [`Csr::from_rows`] does, however many contributions share a
+    /// pair — coarse levels of a hierarchy collapse hundreds of problem
+    /// edges into each entry.
     ///
     /// # Panics
     /// On a self-loop or an endpoint `>= n` — the caller's bug.
@@ -78,32 +80,44 @@ impl Csr {
     /// owns symmetry — every `{a, b}` must be added from both rows with
     /// the same total — which is what lets a row be filled from whatever
     /// `a` owns (its tasks, its fine rows) without an edge list.
-    /// `O(n + contributions + Σ deg·log deg)`.
+    /// `O(n·⌈n/4096⌉ + contributions + edges)`: a row costs its
+    /// contributions, its distinct neighbors and one word per 4096 ids,
+    /// with no sort.
     ///
     /// # Panics
     /// On a self-loop or a neighbor `>= n` — the caller's bug.
     pub fn from_rows(n: usize, mut fill: impl FnMut(NodeId, &mut Row<'_>)) -> Self {
-        // Per row: sum duplicates in a dense accumulator (`seen_in[b] ==
-        // a` marks `acc[b]` as belonging to the current row), then emit
-        // the distinct neighbors in ascending order.
+        // Per row: sum duplicates in a dense accumulator whose live
+        // entries are the set bits of `members` (bit `b % 64` of word
+        // `b / 64`), and mark each non-zero member word in `words`. The
+        // row is emitted by draining both levels in ascending order,
+        // which leaves them clear for the next row.
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let (mut neighbors, mut weights) = (Vec::new(), Vec::new());
         let mut acc: Vec<Weight> = vec![0; n];
-        let mut seen_in = vec![usize::MAX; n];
+        let mut members = vec![0u64; n.div_ceil(64)];
+        let mut words = vec![0u64; members.len().div_ceil(64)];
         for a in 0..n {
-            let start = neighbors.len();
             fill(
                 a,
                 &mut Row {
                     a,
                     acc: &mut acc,
-                    seen_in: &mut seen_in,
-                    neighbors: &mut neighbors,
+                    members: &mut members,
+                    words: &mut words,
                 },
             );
-            neighbors[start..].sort_unstable();
-            weights.extend(neighbors[start..].iter().map(|&b| acc[b]));
+            for (j, word) in words.iter_mut().enumerate() {
+                for k in drain_bits(word) {
+                    let k = j * 64 + k;
+                    for b in drain_bits(&mut members[k]) {
+                        let b = k * 64 + b;
+                        neighbors.push(b);
+                        weights.push(acc[b]);
+                    }
+                }
+            }
             offsets.push(neighbors.len());
         }
         let g = Csr {
@@ -203,9 +217,14 @@ impl Csr {
     /// Every edge once, as `(a, b, w)` with `a < b`, ascending `(a, b)`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Weight)> + '_ {
         (0..self.node_count()).flat_map(move |a| {
-            self.row(a)
-                .filter(move |&(b, _)| a < b)
-                .map(move |(b, w)| (a, b, w))
+            // A row ascends and holds no self-loop: its upper half is
+            // the suffix past `a`.
+            let k = self.neighbors(a).partition_point(|&b| b < a);
+            let weights = self.weights(a)[k..].iter();
+            self.neighbors(a)[k..]
+                .iter()
+                .zip(weights)
+                .map(move |(&b, &w)| (a, b, w))
         })
     }
 
@@ -223,12 +242,13 @@ impl Csr {
 }
 
 /// The row [`Csr::from_rows`] is filling: a dense accumulator over the
-/// neighbor ids, reused from row to row.
+/// neighbor ids and the two-level bitset of the ids it holds, reused
+/// from row to row.
 pub struct Row<'a> {
     a: NodeId,
     acc: &'a mut [Weight],
-    seen_in: &'a mut [usize],
-    neighbors: &'a mut Vec<NodeId>,
+    members: &'a mut [u64],
+    words: &'a mut [u64],
 }
 
 impl Row<'_> {
@@ -236,13 +256,29 @@ impl Row<'_> {
     #[inline]
     pub fn add(&mut self, b: NodeId, w: Weight) {
         assert!(b != self.a, "self-loop on node {b}");
-        if self.seen_in[b] != self.a {
-            self.seen_in[b] = self.a;
-            self.acc[b] = 0;
-            self.neighbors.push(b);
+        let (k, bit) = (b / 64, 1 << (b % 64));
+        let member = &mut self.members[k];
+        if *member & bit == 0 {
+            if *member == 0 {
+                self.words[k / 64] |= 1 << (k % 64);
+            }
+            *member |= bit;
+            self.acc[b] = w;
+        } else {
+            self.acc[b] += w;
         }
-        self.acc[b] += w;
     }
+}
+
+/// The indices of the set bits of `word`, ascending, clearing it.
+#[inline]
+fn drain_bits(word: &mut u64) -> impl Iterator<Item = usize> {
+    let mut bits = std::mem::take(word);
+    std::iter::from_fn(move || {
+        let i = bits.trailing_zeros() as usize;
+        bits &= bits.wrapping_sub(1);
+        (i < 64).then_some(i)
+    })
 }
 
 #[cfg(test)]

@@ -10,10 +10,8 @@
 //! pairs into a map with [`contraction_map`] and contract along it with
 //! [`Csr::contract`].
 
-use std::cmp::Reverse;
-
 use crate::csr::Csr;
-use crate::NodeId;
+use crate::{NodeId, Weight};
 
 /// Maximal matching on an undirected graph, ignoring edge weights.
 ///
@@ -43,13 +41,14 @@ pub fn greedy_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
 /// Edges are considered by descending weight (ties: ascending `(u, v)`
 /// with `u < v`), and an edge is taken when both endpoints are still
 /// unmatched — the classic multilevel-coarsening heuristic that
-/// internalizes as much edge weight as possible.
+/// internalizes as much edge weight as possible. `O(n + E·b)` for `b`
+/// the significant bytes of the heaviest weight (one at the finest
+/// level of a V-cycle, where pair weights stay below 256).
 pub fn heavy_edge_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
     let n = g.node_count();
     // `edges()` ascends by `(u, v)`, so a stable sort by weight alone
     // leaves ties in that order.
-    let mut sorted: Vec<_> = g.edges().collect();
-    sorted.sort_by_key(|&(_, _, w)| Reverse(w));
+    let sorted = by_descending_weight(g);
     let mut matched = vec![false; n];
     let mut pairs = Vec::with_capacity(n / 2);
     for (u, v, _) in sorted {
@@ -60,6 +59,38 @@ pub fn heavy_edge_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
         }
     }
     pairs
+}
+
+/// The edges of `g` by descending weight, equal weights ascending by
+/// `(u, v)` as [`Csr::edges`] lists them: a
+/// least-significant-digit radix sort, one stable counting pass per
+/// byte up to the heaviest weight's highest non-zero byte, each pass
+/// ordering its byte descending.
+fn by_descending_weight(g: &Csr) -> Vec<(NodeId, NodeId, Weight)> {
+    let mut edges = Vec::with_capacity(g.edge_count());
+    edges.extend(g.edges());
+    let heaviest = edges.iter().map(|&(_, _, w)| w).max().unwrap_or(0);
+    let bytes = (Weight::BITS - heaviest.leading_zeros()).div_ceil(8);
+    let mut out = vec![(0, 0, 0); edges.len()];
+    for byte in 0..bytes {
+        // Bucket `d` holds byte value `255 - d`, so buckets ascend as
+        // weights descend.
+        let bucket = |w: Weight| 255 - ((w >> (8 * byte)) & 0xff) as usize;
+        let mut start = [0usize; 257];
+        for &(_, _, w) in &edges {
+            start[bucket(w) + 1] += 1;
+        }
+        for d in 0..256 {
+            start[d + 1] += start[d];
+        }
+        for &edge in &edges {
+            let d = bucket(edge.2);
+            out[start[d]] = edge;
+            start[d] += 1;
+        }
+        std::mem::swap(&mut edges, &mut out);
+    }
+    edges
 }
 
 /// The contraction map of a matching on `n` nodes: the two ends of a

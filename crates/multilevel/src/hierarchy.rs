@@ -261,6 +261,8 @@ impl Hierarchy {
                 });
                 abs = merged.abs;
             }
+            // The flat mapper reads the top level's abstract graph.
+            levels[top].graph.set_abstract_graph(abs);
         }
         Ok(Hierarchy {
             levels,

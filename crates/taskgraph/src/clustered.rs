@@ -8,13 +8,14 @@
 //! clustering, and a clustered weight is the weight of the row entry
 //! read, or 0 inside a cluster.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use mimd_graph::error::GraphError;
 use mimd_graph::Weight;
 
+use crate::abstracted::AbstractGraph;
 use crate::clustering::Clustering;
 use crate::problem::ProblemGraph;
 use crate::{ClusterId, TaskId};
@@ -23,11 +24,44 @@ use crate::{ClusterId, TaskId};
 /// algorithms consume. The problem graph is shared: clones and the
 /// coarser members of a multilevel hierarchy ([`Self::coarsen`]) differ
 /// only in the clustering, so one job holds one copy of its tasks and
-/// of the position rows they were frozen into.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// of the position rows they were frozen into. Its abstract graph is
+/// collapsed at most once ([`Self::abstract_graph`]); equality and
+/// serde see only the problem graph and the clustering.
+#[derive(Clone, Debug)]
 pub struct ClusteredProblemGraph {
     problem: Arc<ProblemGraph>,
     clustering: Clustering,
+    /// The abstract graph, filled by the first reader or handed over by
+    /// a hierarchy's contraction ([`Self::with_abstract_graph`]).
+    abstract_graph: OnceLock<Arc<AbstractGraph>>,
+}
+
+impl PartialEq for ClusteredProblemGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.problem == other.problem && self.clustering == other.clustering
+    }
+}
+
+impl Serialize for ClusteredProblemGraph {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("problem".into(), self.problem.to_value()),
+            ("clustering".into(), self.clustering.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ClusteredProblemGraph {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let obj = v
+            .as_obj()
+            .ok_or_else(|| DeError::expected("object for ClusteredProblemGraph", v))?;
+        Ok(ClusteredProblemGraph {
+            problem: serde::field(obj, "problem")?,
+            clustering: serde::field(obj, "clustering")?,
+            abstract_graph: OnceLock::new(),
+        })
+    }
 }
 
 impl ClusteredProblemGraph {
@@ -42,7 +76,28 @@ impl ClusteredProblemGraph {
         Ok(ClusteredProblemGraph {
             problem: Arc::new(problem),
             clustering,
+            abstract_graph: OnceLock::new(),
         })
+    }
+
+    /// The abstract graph of this clustering (Fig 4), collapsed from the
+    /// task edges by the first call and shared by every later one and
+    /// by every clone made after it.
+    pub fn abstract_graph(&self) -> &Arc<AbstractGraph> {
+        self.abstract_graph
+            .get_or_init(|| Arc::new(AbstractGraph::new(self)))
+    }
+
+    /// Hand this graph its abstract graph, which must equal
+    /// [`AbstractGraph::new`] of it: the coarse level of a hierarchy,
+    /// whose abstract graph was contracted from the finer one's rows.
+    /// A graph that already holds one keeps it.
+    pub fn set_abstract_graph(&self, abs: AbstractGraph) {
+        debug_assert!(
+            self.abstract_graph.get().is_none_or(|a| **a == abs),
+            "a second, different abstract graph"
+        );
+        let _ = self.abstract_graph.set(Arc::new(abs));
     }
 
     /// The underlying problem graph (for predecessor lookups).
@@ -112,6 +167,7 @@ impl ClusteredProblemGraph {
         Ok(ClusteredProblemGraph {
             problem: Arc::clone(&self.problem),
             clustering: self.clustering.coarsen(map)?,
+            abstract_graph: OnceLock::new(),
         })
     }
 }

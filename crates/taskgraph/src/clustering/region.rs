@@ -50,10 +50,17 @@ pub fn random_region_clustering(
     };
     let target = np.div_ceil(na);
     let mut cluster_of = vec![usize::MAX; np];
+    // The unassigned tasks in draw order, and each one's index in it
+    // (`slot[t]`), so a task leaves in O(1): `swap_remove` moves the
+    // last task into the hole, whose slot is then fixed up.
     let mut unassigned: Vec<TaskId> = (0..np).collect();
-    let remove_unassigned = |unassigned: &mut Vec<TaskId>, t: TaskId| {
-        let pos = unassigned.iter().position(|&x| x == t).expect("present");
-        unassigned.swap_remove(pos);
+    let mut slot: Vec<usize> = (0..np).collect();
+    let mut remove_unassigned = |unassigned: &mut Vec<TaskId>, t: TaskId| {
+        let k = slot[t];
+        unassigned.swap_remove(k);
+        if let Some(&moved) = unassigned.get(k) {
+            slot[moved] = k;
+        }
     };
 
     for c in 0..na {

@@ -121,51 +121,60 @@ impl LayeredDagGenerator {
         &self.config
     }
 
-    /// Generate one problem graph.
+    /// Generate one problem graph. Costs one word from `rng` per task
+    /// pair the config lets an edge join, plus the edges: a layer is a
+    /// range of consecutive ids, and each pair's Bernoulli draw is one
+    /// integer comparison (see [`bernoulli_threshold`]).
     pub fn generate(&self, rng: &mut impl Rng) -> ProblemGraph {
         let c = &self.config;
-        // Deal tasks into layers.
-        let mut layers: Vec<Vec<usize>> = Vec::new();
+        // Deal tasks into layers: layer `l` is `starts[l]..starts[l + 1]`.
+        let hi = (2 * c.avg_width).saturating_sub(1).max(1);
+        let mut starts = vec![0];
         let mut next = 0usize;
         while next < c.tasks {
-            let hi = (2 * c.avg_width).saturating_sub(1).max(1);
-            let width = rng.gen_range(1..=hi).min(c.tasks - next);
-            layers.push((next..next + width).collect());
-            next += width;
+            next += rng.gen_range(1..=hi).min(c.tasks - next);
+            starts.push(next);
         }
+        let layers = starts.len() - 1;
+        let layer = |l: usize| starts[l]..starts[l + 1];
+        let (p_forward, p_skip) = (
+            bernoulli_threshold(c.p_forward),
+            bernoulli_threshold(c.p_skip),
+        );
         let mut edges = Vec::new();
         // A plain fn (not a dyn-RngCore closure): `gen_range` needs a
         // sized receiver.
         fn edge_w<R: Rng>(c: &GeneratorConfig, rng: &mut R) -> Weight {
             rng.gen_range(c.edge_weight.0..=c.edge_weight.1)
         }
-        for li in 0..layers.len() {
-            for (pos, &u) in layers[li].iter().enumerate() {
+        for li in 0..layers {
+            let this = layer(li);
+            let width = this.len();
+            // Long-range edges reach every task two or more layers on.
+            let later = starts[(li + 2).min(layers)]..c.tasks;
+            for (pos, u) in this.enumerate() {
                 // Next-layer edges (optionally restricted to a locality
                 // window around the task's scaled position).
-                if li + 1 < layers.len() {
-                    let next = &layers[li + 1];
+                if li + 1 < layers {
+                    let next = layer(li + 1);
                     let (lo, hi) = match c.locality_window {
                         Some(r) => {
                             // Scale this task's position into the next
                             // layer's index space, then widen by r.
-                            let center = pos * next.len() / layers[li].len().max(1);
+                            let center = pos * next.len() / width;
                             (center.saturating_sub(r), (center + r).min(next.len() - 1))
                         }
                         None => (0, next.len() - 1),
                     };
-                    for &v in &next[lo..=hi] {
-                        if rng.gen_bool(c.p_forward) {
+                    for v in next.start + lo..=next.start + hi {
+                        if rng.next_u64() >> 11 < p_forward {
                             edges.push((u, v, edge_w(c, rng)));
                         }
                     }
                 }
-                // Long-range edges.
-                for later in layers.iter().skip(li + 2) {
-                    for &v in later {
-                        if rng.gen_bool(c.p_skip) {
-                            edges.push((u, v, edge_w(c, rng)));
-                        }
+                for v in later.clone() {
+                    if rng.next_u64() >> 11 < p_skip {
+                        edges.push((u, v, edge_w(c, rng)));
                     }
                 }
             }
@@ -177,17 +186,18 @@ impl LayeredDagGenerator {
             for &(_, v, _) in &edges {
                 has_pred[v] = true;
             }
-            for li in 1..layers.len() {
-                for (pos, &v) in layers[li].iter().enumerate() {
+            for li in 1..layers {
+                let (prev, this) = (layer(li - 1), layer(li));
+                let width = this.len();
+                for (pos, v) in this.enumerate() {
                     if !has_pred[v] {
-                        let prev = &layers[li - 1];
-                        let u = match c.locality_window {
+                        let k = match c.locality_window {
                             // Nearest previous-layer task by scaled
                             // position keeps the guaranteed edge local.
-                            Some(_) => prev[pos * prev.len() / layers[li].len().max(1)],
-                            None => prev[rng.gen_range(0..prev.len())],
+                            Some(_) => pos * prev.len() / width,
+                            None => rng.gen_range(0..prev.len()),
                         };
-                        edges.push((u, v, edge_w(c, rng)));
+                        edges.push((prev.start + k, v, edge_w(c, rng)));
                     }
                 }
             }
@@ -197,6 +207,17 @@ impl LayeredDagGenerator {
             .collect();
         ProblemGraph::new(sizes, &edges).expect("generator output is a valid problem graph")
     }
+}
+
+/// The integer form of `rng.gen_bool(p)`, which is `true` when the
+/// next word `x` has `(x >> 11) · 2⁻⁵³ < p`. Both sides are exact in
+/// `f64` (`p · 2⁵³` only rescales `p`), and for an integer `k`,
+/// `k < p · 2⁵³` exactly when `k < ⌈p · 2⁵³⌉`: so `x >> 11 <
+/// bernoulli_threshold(p)` draws the same word and decides the same
+/// way, with `p` = 0 never and `p` = 1 always true.
+fn bernoulli_threshold(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "validated by the config");
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 #[cfg(test)]

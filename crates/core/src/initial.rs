@@ -16,8 +16,9 @@
 //! Ties break to the lowest id ("select any qualifying node
 //! arbitrarily"); when the critical/abstract subgraph is disconnected and
 //! no unvisited cluster neighbours a visited one, we fall back to the
-//! best-ranked unvisited cluster seeded like step 1 (documented in
-//! DESIGN.md §5). Clusters placed via steps 1 and 2(b) — i.e. whose
+//! best-ranked unvisited cluster seeded like step 1 (a case the paper
+//! leaves open; the `ablation_initial` binary measures this stage
+//! against refinement). Clusters placed via steps 1 and 2(b) — i.e. whose
 //! critical edges landed on single system links — are marked **critical
 //! abstract nodes** (§2.1 term 5) and stay pinned during refinement.
 

@@ -35,7 +35,9 @@ pub struct MapperConfig {
     /// paper's pins occasionally lock a bad critical placement in place
     /// on sparse irregular topologies; this documented robustness pass
     /// guarantees the strategy never loses to its own initial mistakes
-    /// (see DESIGN.md §5).
+    /// (a pass of ours, not the paper's; the golden tests in
+    /// `tests/regression.rs` turn it off to see the initial assignment
+    /// alone).
     pub unpinned_fallback: bool,
     /// Gain-ranked pairwise-exchange budget appended to each refinement
     /// pass ([`RefineConfig::exchange_pool`]; default 0 = off, the

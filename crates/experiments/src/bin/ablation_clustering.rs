@@ -1,4 +1,4 @@
-//! Ablation A4: clustering front-ends (DESIGN.md).
+//! Ablation A4 of the crate's binary index: clustering front-ends.
 //!
 //! The paper's experiments cluster *randomly* (§5) — the weakest possible
 //! front-end. This ablation maps the same problem graphs after random,

@@ -1,4 +1,4 @@
-//! Ablation A2: criticality propagation (DESIGN.md).
+//! Ablation A2 of the crate's binary index: criticality propagation.
 //!
 //! The paper's Algorithm I follows only cross-cluster predecessors;
 //! zero-slack intra-cluster chains stall the propagation. The Extended

@@ -1,4 +1,4 @@
-//! Ablation A1: refinement strategies (DESIGN.md).
+//! Ablation A1 of the crate's binary index: refinement strategies.
 //!
 //! §4.3.3: "It has been verified by our experiment that this method
 //! [pinned random re-placement] works better than pairwise exchanges".

@@ -1,4 +1,4 @@
-//! Ablation A3: evaluation models (DESIGN.md).
+//! Ablation A3 of the crate's binary index: evaluation models.
 //!
 //! The 1991 analytic model ignores processor exclusivity and link
 //! contention. The DES substrate quantifies what that costs: with both

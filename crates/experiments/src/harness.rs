@@ -40,7 +40,8 @@ pub struct SeriesConfig {
     /// Mapper configuration (paper defaults unless ablating).
     pub mapper: MapperConfig,
     /// Clustering front-end (the paper's "random clustering program"
-    /// is unpublished; see DESIGN.md §5): `Region` is the default
+    /// is unpublished; the `ablation_clustering` binary compares the
+    /// front-ends): `Region` is the default
     /// interpretation, `Iid` the literal reading, and with `Sarkar` the
     /// termination condition fires at paper-like rates.
     pub clustering: ClusteringSpec,

@@ -1,6 +1,6 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Binaries (see DESIGN.md's experiment index):
+//! Binaries (README.md, "Experiments", shows how to run them):
 //!
 //! | target | artifact |
 //! |---|---|

@@ -209,7 +209,7 @@ impl LayeredDagGenerator {
     }
 }
 
-/// The integer form of `rng.gen_bool(p)`, which is `true` when the
+/// The integer form of [`Rng::gen_bool`], which is `true` when the
 /// next word `x` has `(x >> 11) · 2⁻⁵³ < p`. Both sides are exact in
 /// `f64` (`p · 2⁵³` only rescales `p`), and for an integer `k`,
 /// `k < p · 2⁵³` exactly when `k < ⌈p · 2⁵³⌉`: so `x >> 11 <

@@ -4,8 +4,10 @@
 //! splitting phases, and comm_greedy's per-merge rebuild of every
 //! cluster pair. Random DAGs over every `na` (edgeless and disconnected
 //! ones included, which reach the fallbacks) must give equal clusterings.
-//! Also a property of the region front-end: every region fits the
-//! `ceil(np / na)` target, so no task is ever left over.
+//! The region front-end is checked against its reference the same way,
+//! down to the words it leaves in the caller's generator, plus a
+//! property: every region fits the `ceil(np / na)` target, so no task
+//! is ever left over.
 
 use mimd_taskgraph::clustering::comm_greedy::comm_greedy_clustering;
 use mimd_taskgraph::clustering::region::random_region_clustering;
@@ -234,6 +236,76 @@ mod comm_greedy_reference {
     }
 }
 
+/// `random_region_clustering` as it was, finding each task it removes
+/// from the unassigned list by a linear search.
+mod region_reference {
+    use rand::Rng;
+
+    use mimd_graph::error::GraphError;
+
+    use mimd_taskgraph::clustering::Clustering;
+    use mimd_taskgraph::problem::ProblemGraph;
+    use mimd_taskgraph::TaskId;
+
+    /// Randomly grown regions of at most `ceil(np / na)` tasks.
+    pub fn random_region_clustering(
+        problem: &ProblemGraph,
+        na: usize,
+        rng: &mut impl Rng,
+    ) -> Result<Clustering, GraphError> {
+        let np = problem.len();
+        if na == 0 || na > np {
+            return Err(GraphError::InvalidParameter(format!(
+                "need 1 <= na <= np, got na={na}, np={np}"
+            )));
+        }
+        // Undirected neighbors, read from the rows in the order of the
+        // edges `(from, to)`: predecessors below `t`, successors, then
+        // predecessors above `t`.
+        let adj = |t: TaskId| {
+            let preds = problem.predecessors(t).map(|(u, _)| u);
+            let succs = problem.successors(t).map(|(v, _)| v);
+            (preds.clone().filter(move |&u| u < t))
+                .chain(succs)
+                .chain(preds.filter(move |&u| u > t))
+        };
+        let target = np.div_ceil(na);
+        let mut cluster_of = vec![usize::MAX; np];
+        let mut unassigned: Vec<TaskId> = (0..np).collect();
+        let remove_unassigned = |unassigned: &mut Vec<TaskId>, t: TaskId| {
+            let pos = unassigned.iter().position(|&x| x == t).expect("present");
+            unassigned.swap_remove(pos);
+        };
+
+        for c in 0..na {
+            // Leave enough tasks for the remaining clusters to be non-empty.
+            let remaining_clusters = na - c - 1;
+            let budget = target.min(unassigned.len() - remaining_clusters);
+            // Seed.
+            let seed = unassigned[rng.gen_range(0..unassigned.len())];
+            cluster_of[seed] = c;
+            remove_unassigned(&mut unassigned, seed);
+            let mut frontier: Vec<TaskId> =
+                adj(seed).filter(|&t| cluster_of[t] == usize::MAX).collect();
+            let mut size = 1;
+            while size < budget && !unassigned.is_empty() {
+                frontier.retain(|&t| cluster_of[t] == usize::MAX);
+                let next = if frontier.is_empty() {
+                    // Region is boxed in: jump to a fresh random seed.
+                    unassigned[rng.gen_range(0..unassigned.len())]
+                } else {
+                    frontier[rng.gen_range(0..frontier.len())]
+                };
+                cluster_of[next] = c;
+                remove_unassigned(&mut unassigned, next);
+                size += 1;
+                frontier.extend(adj(next).filter(|&t| cluster_of[t] == usize::MAX));
+            }
+        }
+        Clustering::new(cluster_of)
+    }
+}
+
 const DENSITIES: [f64; 5] = [0.0, 0.02, 0.05, 0.1, 0.3];
 
 /// A random DAG on `np` tasks: each pair of a random topological order
@@ -295,6 +367,31 @@ fn regions_fill_every_cluster_within_the_target() {
                 let c = random_region_clustering(&p, na, &mut rng).unwrap();
                 assert_eq!(c.num_clusters(), na, "np={np} na={na}");
                 assert!(c.max_cluster_size() <= np.div_ceil(na), "np={np} na={na}");
+            }
+        }
+    }
+}
+
+/// Every `(np, na)` up to 40 tasks, each at every density and over
+/// three seeds: equal clusterings, and the generator left in the same
+/// state.
+#[test]
+fn regions_match_their_reference() {
+    let mut rng = StdRng::seed_from_u64(41);
+    for np in 1..=40 {
+        for density in DENSITIES {
+            let p = random_dag(np, density, &mut rng);
+            for na in 1..=np {
+                for seed in 0..3 {
+                    let mut ours = StdRng::seed_from_u64(seed);
+                    let mut theirs = ours.clone();
+                    assert_eq!(
+                        random_region_clustering(&p, na, &mut ours).unwrap(),
+                        region_reference::random_region_clustering(&p, na, &mut theirs).unwrap(),
+                        "np={np} density={density} na={na} seed={seed}"
+                    );
+                    assert_eq!(ours, theirs, "np={np} density={density} na={na} seed={seed}");
+                }
             }
         }
     }

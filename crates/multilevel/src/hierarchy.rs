@@ -421,6 +421,10 @@ mod tests {
                 }
             }
         }
+        // The top level holds the abstract graph contracted down to it,
+        // which is the collapse of its own clustering.
+        let top = &h.top().graph;
+        assert_eq!(**top.abstract_graph(), AbstractGraph::new(top));
     }
 
     #[test]

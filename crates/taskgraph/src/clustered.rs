@@ -222,6 +222,25 @@ mod tests {
     }
 
     #[test]
+    fn the_abstract_graph_is_collapsed_once_and_shared() {
+        let g = fixture();
+        let before = g.clone();
+        let abs = g.abstract_graph();
+        assert_eq!(**abs, AbstractGraph::new(&g));
+        assert!(Arc::ptr_eq(abs, g.abstract_graph()));
+        assert!(Arc::ptr_eq(abs, g.clone().abstract_graph()));
+        // A coarser graph collapses its own.
+        let coarse = g.coarsen(&[0, 0]).unwrap();
+        assert_eq!(coarse.abstract_graph().len(), 1);
+        // Equality and serde see only the problem and the clustering.
+        assert_eq!(before, g);
+        let json = serde_json::to_string(&g).unwrap();
+        assert_eq!(json, serde_json::to_string(&before).unwrap());
+        let back: ClusteredProblemGraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, g);
+    }
+
+    #[test]
     fn size_mismatch_rejected() {
         let p = ProblemGraph::from_paper_edges(&[1, 1], &[(1, 2, 1)]).unwrap();
         let c = Clustering::new(vec![0, 1, 1]).unwrap();

@@ -279,6 +279,19 @@ mod tests {
     }
 
     #[test]
+    fn bernoulli_threshold_splits_the_words_where_gen_bool_does() {
+        // `gen_bool(p)` is true for a word `x` when `unit(x >> 11) < p`.
+        let unit = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
+        let third = 1.0 / 3.0;
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        for p in [0.0, 1.0, 0.5, 0.35, 0.03, third, below_one, f64::MIN_POSITIVE, 5e-324] {
+            let t = bernoulli_threshold(p);
+            assert!(t == 0 || unit(t - 1) < p, "p={p}: the word below is a hit");
+            assert!(t == 1 << 53 || unit(t) >= p, "p={p}: the threshold is a miss");
+        }
+    }
+
+    #[test]
     fn config_validation() {
         let bad = |f: fn(&mut GeneratorConfig)| {
             let mut c = GeneratorConfig::default();

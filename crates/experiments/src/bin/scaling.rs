@@ -50,8 +50,7 @@ fn main() {
 
         let t0 = Instant::now();
         let abs = graph.abstract_graph();
-        let init =
-            mimd_core::initial::initial_assignment(&graph, abs, &critical, &system).unwrap();
+        let init = mimd_core::initial::initial_assignment(&graph, abs, &critical, &system).unwrap();
         let t_init = t0.elapsed();
         let _ = init;
 

@@ -192,7 +192,12 @@ const SIZES: [usize; 14] = [0, 1, 2, 3, 63, 64, 65, 100, 128, 129, 300, 4096, 40
 
 /// `count` random contributions on `n` nodes, with pairs repeated in
 /// both orientations and weights below `top`.
-fn contributions(n: usize, count: usize, top: Weight, rng: &mut StdRng) -> Vec<(NodeId, NodeId, Weight)> {
+fn contributions(
+    n: usize,
+    count: usize,
+    top: Weight,
+    rng: &mut StdRng,
+) -> Vec<(NodeId, NodeId, Weight)> {
     let mut out: Vec<(NodeId, NodeId, Weight)> = Vec::new();
     if n < 2 {
         return out;
@@ -205,7 +210,11 @@ fn contributions(n: usize, count: usize, top: Weight, rng: &mut StdRng) -> Vec<(
         let w = rng.gen_range(1..top);
         if !out.is_empty() && rng.gen_range(0..4) == 0 {
             let (a, b, _) = out[rng.gen_range(0..out.len())];
-            out.push(if rng.gen_range(0..2) == 0 { (a, b, w) } else { (b, a, w) });
+            out.push(if rng.gen_range(0..2) == 0 {
+                (a, b, w)
+            } else {
+                (b, a, w)
+            });
             continue;
         }
         let a = base + rng.gen_range(0..span);

@@ -10,6 +10,11 @@
 //! graphs with tunable parallelism/depth — the same knobs the paper's
 //! experiments vary implicitly. All randomness flows through the caller's
 //! RNG, so experiments are reproducible from a seed.
+//!
+//! A graph costs one RNG word per task pair an edge may join, plus its
+//! edges: a layer is a range of consecutive ids, and a pair's edge is
+//! decided by comparing that word's top 53 bits with an integer
+//! threshold, which draws and decides exactly as `gen_bool` would.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -121,10 +126,7 @@ impl LayeredDagGenerator {
         &self.config
     }
 
-    /// Generate one problem graph. Costs one word from `rng` per task
-    /// pair the config lets an edge join, plus the edges: a layer is a
-    /// range of consecutive ids, and each pair's Bernoulli draw is one
-    /// integer comparison (see [`bernoulli_threshold`]).
+    /// Generate one problem graph, at the cost the module doc states.
     pub fn generate(&self, rng: &mut impl Rng) -> ProblemGraph {
         let c = &self.config;
         // Deal tasks into layers: layer `l` is `starts[l]..starts[l + 1]`.
@@ -284,10 +286,23 @@ mod tests {
         let unit = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
         let third = 1.0 / 3.0;
         let below_one = 1.0 - f64::EPSILON / 2.0;
-        for p in [0.0, 1.0, 0.5, 0.35, 0.03, third, below_one, f64::MIN_POSITIVE, 5e-324] {
+        for p in [
+            0.0,
+            1.0,
+            0.5,
+            0.35,
+            0.03,
+            third,
+            below_one,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ] {
             let t = bernoulli_threshold(p);
             assert!(t == 0 || unit(t - 1) < p, "p={p}: the word below is a hit");
-            assert!(t == 1 << 53 || unit(t) >= p, "p={p}: the threshold is a miss");
+            assert!(
+                t == 1 << 53 || unit(t) >= p,
+                "p={p}: the threshold is a miss"
+            );
         }
     }
 

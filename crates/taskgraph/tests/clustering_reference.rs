@@ -390,7 +390,10 @@ fn regions_match_their_reference() {
                         region_reference::random_region_clustering(&p, na, &mut theirs).unwrap(),
                         "np={np} density={density} na={na} seed={seed}"
                     );
-                    assert_eq!(ours, theirs, "np={np} density={density} na={na} seed={seed}");
+                    assert_eq!(
+                        ours, theirs,
+                        "np={np} density={density} na={na} seed={seed}"
+                    );
                 }
             }
         }

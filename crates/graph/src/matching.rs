@@ -62,10 +62,10 @@ pub fn heavy_edge_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
 }
 
 /// The edges of `g` by descending weight, equal weights ascending by
-/// `(u, v)` as [`Csr::edges`] lists them: a
-/// least-significant-digit radix sort, one stable counting pass per
-/// byte up to the heaviest weight's highest non-zero byte, each pass
-/// ordering its byte descending.
+/// `(u, v)` as [`Csr::edges`] lists them: a least-significant-digit
+/// radix sort, one stable counting pass per byte up to the heaviest
+/// weight's highest non-zero byte, each pass ordering its byte
+/// descending.
 fn by_descending_weight(g: &Csr) -> Vec<(NodeId, NodeId, Weight)> {
     let mut edges = Vec::with_capacity(g.edge_count());
     edges.extend(g.edges());

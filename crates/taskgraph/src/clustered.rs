@@ -32,7 +32,7 @@ pub struct ClusteredProblemGraph {
     problem: Arc<ProblemGraph>,
     clustering: Clustering,
     /// The abstract graph, filled by the first reader or handed over by
-    /// a hierarchy's contraction ([`Self::with_abstract_graph`]).
+    /// a hierarchy's contraction ([`Self::set_abstract_graph`]).
     abstract_graph: OnceLock<Arc<AbstractGraph>>,
 }
 

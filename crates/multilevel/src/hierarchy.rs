@@ -23,13 +23,16 @@
 //! merge, the levels' [`ClusteredProblemGraph`]s share one problem graph
 //! and own only their clusterings.
 //!
-//! The task edges are read once per hierarchy: [`AbstractGraph::new`]
-//! collapses the finest level, and every step after that works on
-//! cluster graphs alone. `merge_clusters` runs heavy-edge matching
-//! straight off the abstract graph's rows, then *contracts* it along the
-//! merge — a coarse row is the sum of its members' fine rows — and the
-//! edges the merge made internal are the step's `internalized_weight`.
-//! The coarse abstract graph is the next step's input; at `layered:4096`
+//! The task edges are read once per hierarchy: the finest level's
+//! [`abstract_graph`](ClusteredProblemGraph::abstract_graph) collapses
+//! them, and every step after that works on cluster graphs alone.
+//! `merge_clusters` runs heavy-edge matching straight off the abstract
+//! graph's rows, then [*contracts*](ClusteredProblemGraph::contract) the
+//! level along the merge — a coarse row is the sum of its members' fine
+//! rows — and the edges the merge made internal are the step's
+//! `internalized_weight`. The coarse level holds its abstract graph, the
+//! next step's input (and the top level's, the flat mapper's), while the
+//! finer level lets its own go; at `layered:4096`
 //! on `torus:32x32` the five steps walk 205 k, 113 k, 33 k, 8 k and 2 k
 //! abstract edges, where each used to re-read all 259 k task edges.
 
@@ -38,7 +41,7 @@ use std::sync::Arc;
 use mimd_graph::error::GraphError;
 use mimd_graph::matching::{contraction_map, greedy_matching, heavy_edge_matching};
 use mimd_graph::{NodeId, Weight};
-use mimd_taskgraph::{AbstractGraph, ClusterId, ClusteredProblemGraph};
+use mimd_taskgraph::{ClusterId, ClusteredProblemGraph};
 use mimd_topology::SystemGraph;
 
 /// Coarsening stalls (and the hierarchy stops growing) when a step
@@ -244,12 +247,12 @@ impl Hierarchy {
         }];
         let mut coarsenings = Vec::with_capacity(top);
         if top > 0 {
-            // The one pass over the task edges: every coarser cluster
-            // graph is contracted from the finer one.
-            let mut abs = AbstractGraph::new(graph);
+            // The one pass over the task edges is the finest level's
+            // abstract graph; every coarser one is contracted from the
+            // finer one, which it replaces.
             for k in 0..top {
                 let step = &sys.steps()[k];
-                let merged = merge_clusters(&levels[k].graph, &abs, step.groups.len())?;
+                let merged = merge_clusters(&mut levels[k].graph, step.groups.len())?;
                 coarsenings.push(Coarsening {
                     cluster_map: merged.cluster_map,
                     internalized_weight: merged.internalized_weight,
@@ -259,10 +262,7 @@ impl Hierarchy {
                     graph: merged.graph,
                     system: Arc::clone(&sys.systems()[k + 1]),
                 });
-                abs = merged.abs;
             }
-            // The flat mapper reads the top level's abstract graph.
-            levels[top].graph.set_abstract_graph(abs);
         }
         Ok(Hierarchy {
             levels,
@@ -293,26 +293,20 @@ impl Hierarchy {
 }
 
 /// One problem-side coarsening step: the projection map, the cut weight
-/// it internalized, and the coarse level in both forms.
+/// it internalized, and the coarse level, holding its abstract graph.
 struct Merged {
     cluster_map: Vec<ClusterId>,
     internalized_weight: Weight,
     graph: ClusteredProblemGraph,
-    abs: AbstractGraph,
 }
 
 /// The problem-side half of one coarsening step: merge the clusters of
-/// `graph` (whose abstract graph is `abs`) down to exactly `m`, heaviest
-/// abstract edges first, and contract `abs` along the merge.
-fn merge_clusters(
-    graph: &ClusteredProblemGraph,
-    abs: &AbstractGraph,
-    m: usize,
-) -> Result<Merged, GraphError> {
-    let na = abs.len();
-    debug_assert_eq!(graph.num_clusters(), na);
+/// `graph` down to exactly `m`, heaviest abstract edges first, and
+/// contract its abstract graph along the merge.
+fn merge_clusters(graph: &mut ClusteredProblemGraph, m: usize) -> Result<Merged, GraphError> {
+    let na = graph.num_clusters();
     let merges_needed = na - m;
-    let mut chosen = heavy_edge_matching(abs.adjacency());
+    let mut chosen = heavy_edge_matching(graph.abstract_graph().adjacency());
     chosen.truncate(merges_needed);
     if chosen.len() < merges_needed {
         // The abstract graph ran out of edges (or is sparse): pair the
@@ -338,13 +332,11 @@ fn merge_clusters(
     let (cluster_map, coarse) = contraction_map(na, &chosen);
     debug_assert_eq!(coarse, m);
 
-    let (abs, internalized_weight) = abs.contract(&cluster_map, m);
-    let graph = graph.coarsen(&cluster_map)?;
+    let (graph, internalized_weight) = graph.contract(&cluster_map)?;
     Ok(Merged {
         cluster_map,
         internalized_weight,
         graph,
-        abs,
     })
 }
 
@@ -352,7 +344,7 @@ fn merge_clusters(
 mod tests {
     use super::*;
     use mimd_taskgraph::clustering::region::random_region_clustering;
-    use mimd_taskgraph::{GeneratorConfig, LayeredDagGenerator};
+    use mimd_taskgraph::{AbstractGraph, GeneratorConfig, LayeredDagGenerator};
     use mimd_topology::{mesh2d, star, torus2d};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

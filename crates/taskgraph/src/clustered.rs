@@ -31,8 +31,8 @@ use crate::{ClusterId, TaskId};
 pub struct ClusteredProblemGraph {
     problem: Arc<ProblemGraph>,
     clustering: Clustering,
-    /// The abstract graph, filled by the first reader or handed over by
-    /// a hierarchy's contraction ([`Self::set_abstract_graph`]).
+    /// The abstract graph, filled by the first reader or by the
+    /// contraction that built this graph ([`Self::contract`]).
     abstract_graph: OnceLock<Arc<AbstractGraph>>,
 }
 
@@ -86,18 +86,6 @@ impl ClusteredProblemGraph {
     pub fn abstract_graph(&self) -> &Arc<AbstractGraph> {
         self.abstract_graph
             .get_or_init(|| Arc::new(AbstractGraph::new(self)))
-    }
-
-    /// Hand this graph its abstract graph, which must equal
-    /// [`AbstractGraph::new`] of it: the coarse level of a hierarchy,
-    /// whose abstract graph was contracted from the finer one's rows.
-    /// A graph that already holds one keeps it.
-    pub fn set_abstract_graph(&self, abs: AbstractGraph) {
-        debug_assert!(
-            self.abstract_graph.get().is_none_or(|a| **a == abs),
-            "a second, different abstract graph"
-        );
-        let _ = self.abstract_graph.set(Arc::new(abs));
     }
 
     /// The underlying problem graph (for predecessor lookups).
@@ -170,6 +158,25 @@ impl ClusteredProblemGraph {
             abstract_graph: OnceLock::new(),
         })
     }
+
+    /// The next-coarser member of a multilevel hierarchy with its
+    /// abstract graph in hand: [`Self::coarsen`] along `map`, holding
+    /// this graph's abstract graph contracted along the same map (no
+    /// task edge is read), and the cut weight the merge internalized.
+    /// This graph's abstract graph moves into the contraction, so a
+    /// chain of contractions holds one level's at a time; a later read
+    /// here collapses it afresh.
+    pub fn contract(
+        &mut self,
+        map: &[crate::ClusterId],
+    ) -> Result<(ClusteredProblemGraph, Weight), GraphError> {
+        let coarse = self.coarsen(map)?;
+        let fine = Arc::clone(self.abstract_graph());
+        self.abstract_graph.take();
+        let (abs, internalized) = fine.contract(map, coarse.num_clusters());
+        coarse.abstract_graph.get_or_init(|| Arc::new(abs));
+        Ok((coarse, internalized))
+    }
 }
 
 #[cfg(test)]
@@ -222,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn the_abstract_graph_is_collapsed_once_and_shared() {
+    fn the_abstract_graph_is_collapsed_once_and_shared() -> Result<(), Box<dyn std::error::Error>> {
         let g = fixture();
         let before = g.clone();
         let abs = g.abstract_graph();
@@ -230,14 +237,31 @@ mod tests {
         assert!(Arc::ptr_eq(abs, g.abstract_graph()));
         assert!(Arc::ptr_eq(abs, g.clone().abstract_graph()));
         // A coarser graph collapses its own.
-        let coarse = g.coarsen(&[0, 0]).unwrap();
+        let coarse = g.coarsen(&[0, 0])?;
         assert_eq!(coarse.abstract_graph().len(), 1);
         // Equality and serde see only the problem and the clustering.
         assert_eq!(before, g);
-        let json = serde_json::to_string(&g).unwrap();
-        assert_eq!(json, serde_json::to_string(&before).unwrap());
-        let back: ClusteredProblemGraph = serde_json::from_str(&json).unwrap();
+        let json = serde_json::to_string(&g)?;
+        assert_eq!(json, serde_json::to_string(&before)?);
+        let back: ClusteredProblemGraph = serde_json::from_str(&json)?;
         assert_eq!(back, g);
+        Ok(())
+    }
+
+    #[test]
+    fn a_contraction_holds_the_collapse_of_its_clustering() -> Result<(), Box<dyn std::error::Error>>
+    {
+        let mut g = fixture();
+        for map in [[0, 1], [1, 0], [0, 0]] {
+            let (coarse, internalized) = g.contract(&map)?;
+            assert_eq!(coarse, g.coarsen(&map)?);
+            assert_eq!(**coarse.abstract_graph(), AbstractGraph::new(&coarse));
+            assert_eq!(
+                internalized,
+                g.total_cut_weight() - coarse.total_cut_weight()
+            );
+        }
+        Ok(())
     }
 
     #[test]

@@ -80,24 +80,22 @@ impl Csr {
     /// owns symmetry — every `{a, b}` must be added from both rows with
     /// the same total — which is what lets a row be filled from whatever
     /// `a` owns (its tasks, its fine rows) without an edge list.
-    /// `O(n·⌈n/4096⌉ + contributions + edges)`: a row costs its
-    /// contributions, its distinct neighbors and one word per 4096 ids,
-    /// with no sort.
+    /// `O(n·⌈n/64⌉ + contributions + edges)`: a row costs its
+    /// contributions, its distinct neighbors and one bitset word per 64
+    /// ids, with no sort (at the 8192-node cap, 128 words a row).
     ///
     /// # Panics
     /// On a self-loop or a neighbor `>= n` — the caller's bug.
     pub fn from_rows(n: usize, mut fill: impl FnMut(NodeId, &mut Row<'_>)) -> Self {
         // Per row: sum duplicates in a dense accumulator whose live
         // entries are the set bits of `members` (bit `b % 64` of word
-        // `b / 64`), and mark each non-zero member word in `words`. The
-        // row is emitted by draining both levels in ascending order,
-        // which leaves them clear for the next row.
+        // `b / 64`). The row is emitted by draining the words in
+        // ascending order, which leaves them clear for the next row.
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         let (mut neighbors, mut weights) = (Vec::new(), Vec::new());
         let mut acc: Vec<Weight> = vec![0; n];
         let mut members = vec![0u64; n.div_ceil(64)];
-        let mut words = vec![0u64; members.len().div_ceil(64)];
         for a in 0..n {
             fill(
                 a,
@@ -105,17 +103,13 @@ impl Csr {
                     a,
                     acc: &mut acc,
                     members: &mut members,
-                    words: &mut words,
                 },
             );
-            for (j, word) in words.iter_mut().enumerate() {
-                for k in drain_bits(word) {
-                    let k = j * 64 + k;
-                    for b in drain_bits(&mut members[k]) {
-                        let b = k * 64 + b;
-                        neighbors.push(b);
-                        weights.push(acc[b]);
-                    }
+            for (k, word) in members.iter_mut().enumerate() {
+                for b in drain_bits(word) {
+                    let b = k * 64 + b;
+                    neighbors.push(b);
+                    weights.push(acc[b]);
                 }
             }
             offsets.push(neighbors.len());
@@ -242,13 +236,12 @@ impl Csr {
 }
 
 /// The row [`Csr::from_rows`] is filling: a dense accumulator over the
-/// neighbor ids and the two-level bitset of the ids it holds, reused
-/// from row to row.
+/// neighbor ids and the bitset of the ids it holds, reused from row to
+/// row.
 pub struct Row<'a> {
     a: NodeId,
     acc: &'a mut [Weight],
     members: &'a mut [u64],
-    words: &'a mut [u64],
 }
 
 impl Row<'_> {
@@ -256,12 +249,8 @@ impl Row<'_> {
     #[inline]
     pub fn add(&mut self, b: NodeId, w: Weight) {
         assert!(b != self.a, "self-loop on node {b}");
-        let (k, bit) = (b / 64, 1 << (b % 64));
-        let member = &mut self.members[k];
+        let (member, bit) = (&mut self.members[b / 64], 1 << (b % 64));
         if *member & bit == 0 {
-            if *member == 0 {
-                self.words[k / 64] |= 1 << (k % 64);
-            }
             *member |= bit;
             self.acc[b] = w;
         } else {

@@ -64,33 +64,60 @@ pub fn heavy_edge_matching(g: &Csr) -> Vec<(NodeId, NodeId)> {
 /// The edges of `g` by descending weight, equal weights ascending by
 /// `(u, v)` as [`Csr::edges`] lists them: a least-significant-digit
 /// radix sort, one stable counting pass per byte up to the heaviest
-/// weight's highest non-zero byte, each pass ordering its byte
-/// descending.
+/// weight's highest non-zero byte (at least one), each pass ordering its
+/// byte descending. The first pass scatters straight from the rows, so
+/// a one-byte sort (the finest level of a V-cycle) fills one edge
+/// buffer; each later pass moves the edges to a second one and back.
 fn by_descending_weight(g: &Csr) -> Vec<(NodeId, NodeId, Weight)> {
-    let mut edges = Vec::with_capacity(g.edge_count());
-    edges.extend(g.edges());
-    let heaviest = edges.iter().map(|&(_, _, w)| w).max().unwrap_or(0);
-    let bytes = (Weight::BITS - heaviest.leading_zeros()).div_ceil(8);
-    let mut out = vec![(0, 0, 0); edges.len()];
-    for byte in 0..bytes {
-        // Bucket `d` holds byte value `255 - d`, so buckets ascend as
-        // weights descend.
-        let bucket = |w: Weight| 255 - ((w >> (8 * byte)) & 0xff) as usize;
-        let mut start = [0usize; 257];
-        for &(_, _, w) in &edges {
-            start[bucket(w) + 1] += 1;
+    // Every edge lies in both of its rows with one weight: the rows'
+    // weights count each edge twice.
+    let (mut count, mut heaviest) = ([0usize; 256], 0);
+    for a in 0..g.node_count() {
+        for &w in g.weights(a) {
+            count[digit(w, 0)] += 1;
+            heaviest = heaviest.max(w);
         }
-        for d in 0..256 {
-            start[d + 1] += start[d];
-        }
-        for &edge in &edges {
-            let d = bucket(edge.2);
-            out[start[d]] = edge;
-            start[d] += 1;
-        }
-        std::mem::swap(&mut edges, &mut out);
     }
-    edges
+    let mut sorted = vec![(0, 0, 0); g.edge_count()];
+    scatter(g.edges(), count.map(|c| c / 2), 0, &mut sorted);
+    let bytes = (Weight::BITS - heaviest.leading_zeros()).div_ceil(8);
+    let mut spare = Vec::new();
+    for byte in 1..bytes {
+        let mut count = [0usize; 256];
+        for &(_, _, w) in &sorted {
+            count[digit(w, byte)] += 1;
+        }
+        spare.resize(sorted.len(), (0, 0, 0));
+        scatter(sorted.iter().copied(), count, byte, &mut spare);
+        std::mem::swap(&mut sorted, &mut spare);
+    }
+    sorted
+}
+
+/// Digit `d` of a weight's byte `byte` is its value `255 - d`, so
+/// digits ascend as weights descend.
+#[inline]
+fn digit(w: Weight, byte: u32) -> usize {
+    255 - ((w >> (8 * byte)) & 0xff) as usize
+}
+
+/// One stable counting pass: `edges` into `out` by ascending digit of
+/// byte `byte`, where `count[d]` of them have digit `d`.
+fn scatter(
+    edges: impl Iterator<Item = (NodeId, NodeId, Weight)>,
+    count: [usize; 256],
+    byte: u32,
+    out: &mut [(NodeId, NodeId, Weight)],
+) {
+    let mut next = [0usize; 256];
+    for d in 1..256 {
+        next[d] = next[d - 1] + count[d - 1];
+    }
+    for edge in edges {
+        let d = digit(edge.2, byte);
+        out[next[d]] = edge;
+        next[d] += 1;
+    }
 }
 
 /// The contraction map of a matching on `n` nodes: the two ends of a

@@ -3,7 +3,7 @@
 //! references: rows pushed in fill order and then sorted, and edges
 //! ordered by a stable comparison sort on their weight. Random
 //! contributions (repeated pairs, any order, isolated nodes, node
-//! counts off a multiple of 64 and past 4096) must give equal rows from
+//! counts off a multiple of 64 and large ones) must give equal rows from
 //! `from_rows`, `from_contributions` and `contract`, and random weights
 //! (ties, and weights past 2⁸, 2¹⁶ and 2⁴⁰) equal matchings.
 
@@ -186,8 +186,8 @@ fn rows_of(g: &Csr) -> reference::Rows {
     }
 }
 
-/// Node counts: tiny, around one and two words, and past the 4096 ids
-/// one summary word covers.
+/// Node counts: tiny, around one and two bitset words, and past the
+/// 8192-node cap.
 const SIZES: [usize; 14] = [0, 1, 2, 3, 63, 64, 65, 100, 128, 129, 300, 4096, 4097, 9000];
 
 /// `count` random contributions on `n` nodes, with pairs repeated in
